@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-race vet vet-obs check node-smoke bench bench-dataplane bench-obs bench-topo bench-topo-report bench-paper bench-paper-report bench-snapshot bench-snapshot-report bench-service bench-service-report bench-scenario bench-scenario-report diff-paper fuzz report figures cost sim examples cover clean
+.PHONY: all build test test-race vet vet-obs check node-smoke bench bench-dataplane bench-dataplane-gate bench-obs bench-topo bench-topo-report bench-paper bench-paper-report bench-snapshot bench-snapshot-report bench-service bench-service-report bench-scenario bench-scenario-report diff-paper fuzz report figures cost sim examples cover clean
 
 all: build check
 

@@ -14,6 +14,7 @@ import (
 
 func main() {
 	cli.Init("discs-cost")
+	prof := cli.RegisterProfileFlags()
 	p := cost.Defaults()
 	flag.IntVar(&p.NumASes, "ases", p.NumASes, "number of ASes")
 	flag.IntVar(&p.NumPrefixes, "prefixes", p.NumPrefixes, "number of routable prefixes")
@@ -22,6 +23,7 @@ func main() {
 	flag.Float64Var(&p.ReactionSeconds, "reaction-seconds", p.ReactionSeconds, "invocation fan-out budget")
 	flag.IntVar(&p.AvgPayload, "avg-payload", p.AvgPayload, "assumed mean payload bytes")
 	flag.Parse()
+	defer prof.Start()()
 
 	if err := cost.WriteTable(os.Stdout, p); err != nil {
 		log.Fatal(err)

@@ -33,6 +33,7 @@ import (
 
 func main() {
 	cli.Init("discs-eval")
+	prof := cli.RegisterProfileFlags()
 	// The figure math needs only the per-AS address-space ratios, so
 	// links are skipped; everything else comes from the calibrated
 	// paper-scale defaults (piecewise-Pareto head + Zipf tail), not an
@@ -50,6 +51,7 @@ func main() {
 			"comma-separated metrics for the -metrics series")
 	)
 	flag.Parse()
+	defer prof.Start()()
 
 	if *metrics != "" {
 		ex, err := obs.ReadExportFile(*metrics)

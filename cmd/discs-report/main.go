@@ -27,6 +27,7 @@ import (
 
 func main() {
 	cli.Init("discs-report")
+	prof := cli.RegisterProfileFlags()
 	topoFlags := cli.RegisterTopoFlags(topology.DefaultGenConfig())
 	var (
 		runs    = flag.Int("runs", 10, "random-deployment repetitions")
@@ -36,6 +37,7 @@ func main() {
 			"comma-separated metrics for the -metrics time-series section")
 	)
 	flag.Parse()
+	defer prof.Start()()
 
 	if *metrics != "" {
 		ex, err := obs.ReadExportFile(*metrics)

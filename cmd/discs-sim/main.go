@@ -56,6 +56,7 @@ type runOpts struct {
 
 func main() {
 	cli.Init("discs-sim")
+	prof := cli.RegisterProfileFlags()
 	topoFlags := cli.RegisterTopoFlags(topology.GenConfig{
 		NumASes: 200, NumPrefixes: 600, ZipfExponent: 1.0, Seed: 1,
 	})
@@ -81,6 +82,10 @@ func main() {
 		sweep       = flag.Int("sweep", 0, "with -restore: fork N scenario cells from the image, attack seed varying per cell")
 	)
 	flag.Parse()
+	if *perFlow < 0 {
+		log.Fatalf("-per-flow %d: a packet count cannot be negative", *perFlow)
+	}
+	defer prof.Start()()
 	seed := topoFlags.Seed
 
 	if *restorePath != "" {

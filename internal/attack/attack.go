@@ -138,67 +138,104 @@ func (s *Sampler) NewBotnet(n int, rng *rand.Rand) Botnet {
 }
 
 // RandomAddr picks a uniformly random IPv4 address inside the AS's
-// space (prefixes weighted by size). ok is false when the AS has no
-// IPv4 prefix.
+// space (prefixes weighted by size): one rng.Uint64 reduced modulo the
+// AS's IPv4 address count, looked up in the topology's per-AS address
+// index. ok is false, and the rng untouched, when the AS is unknown or
+// has no IPv4 prefix.
 func RandomAddr(topo *topology.Topology, asn topology.ASN, rng *rand.Rand) (netip.Addr, bool) {
-	a := topo.AS(asn)
-	if a == nil {
+	ix := topo.V4Index(asn)
+	if ix == nil {
 		return netip.Addr{}, false
 	}
-	var v4 []netip.Prefix
-	var total uint64
-	for _, p := range a.Prefixes {
-		if p.Addr().Is4() {
-			v4 = append(v4, p)
-			total += 1 << (32 - p.Bits())
-		}
-	}
-	if len(v4) == 0 {
-		return netip.Addr{}, false
-	}
-	x := rng.Uint64() % total
-	for _, p := range v4 {
-		size := uint64(1) << (32 - p.Bits())
-		if x < size {
-			base := p.Addr().As4()
-			v := uint32(base[0])<<24 | uint32(base[1])<<16 | uint32(base[2])<<8 | uint32(base[3])
-			v += uint32(x)
-			return netip.AddrFrom4([4]byte{byte(v >> 24), byte(v >> 16), byte(v >> 8), byte(v)}), true
-		}
-		x -= size
-	}
-	return netip.Addr{}, false
+	return ix.At(rng.Uint64() % ix.Total()), true
 }
+
+// CountError reports a negative packet count handed to Packets,
+// PacketsInto, Run or RunPaced.
+type CountError struct{ N int }
+
+func (e *CountError) Error() string {
+	return fmt.Sprintf("attack: negative packet count %d", e.N)
+}
+
+// payloadLen is the size of every generated packet's random payload.
+const payloadLen = 24
 
 // Packets materializes n IPv4 packets for the flow: d-DDoS packets go
 // agent→victim with the innocent's source; s-DDoS requests go
 // agent→innocent with the victim's source.
+//
+// Per packet the rng yields, in this order, one Uint64 for the source
+// address, one for the destination and one Read of the payload; every
+// seeded campaign, dataset and differential in the repository depends
+// on that order. The packets of one call share two backing arrays (the
+// structs and the payload bytes), so they are collected together, and
+// each Payload has its capacity clamped to its length: appending to it
+// copies instead of running into the next packet's bytes.
 func (f Flow) Packets(topo *topology.Topology, n int, rng *rand.Rand) ([]*packet.IPv4, error) {
-	var srcAS, dstAS topology.ASN
+	srcAS, dstAS, err := f.endpoints()
+	if err != nil {
+		return nil, err
+	}
+	return materialize(topo.V4Index(srcAS), topo.V4Index(dstAS), srcAS, dstAS, n, rng)
+}
+
+// PacketsInto is Packets with every destination drawn uniformly inside
+// the IPv4 prefix target instead of across the destination AS's whole
+// space — the carpet-bombing shape, where a train saturates one victim
+// prefix at a time. The draw order is that of Packets, the destination
+// Uint64 being reduced modulo the prefix size.
+func (f Flow) PacketsInto(topo *topology.Topology, target netip.Prefix, n int, rng *rand.Rand) ([]*packet.IPv4, error) {
+	srcAS, dstAS, err := f.endpoints()
+	if err != nil {
+		return nil, err
+	}
+	if !target.IsValid() || !target.Addr().Is4() {
+		return nil, fmt.Errorf("attack: target %v is not an IPv4 prefix", target)
+	}
+	return materialize(topo.V4Index(srcAS), topology.NewAddrIndex(target), srcAS, dstAS, n, rng)
+}
+
+// endpoints returns the ASes whose space the packets' source and
+// destination addresses come from.
+func (f Flow) endpoints() (srcAS, dstAS topology.ASN, err error) {
 	switch f.Kind {
 	case DDDoS:
-		srcAS, dstAS = f.Innocent, f.Victim
+		return f.Innocent, f.Victim, nil
 	case SDDoS:
-		srcAS, dstAS = f.Victim, f.Innocent
-	default:
-		return nil, fmt.Errorf("attack: unknown kind %d", f.Kind)
+		return f.Victim, f.Innocent, nil
 	}
-	out := make([]*packet.IPv4, 0, n)
-	for k := 0; k < n; k++ {
-		src, ok := RandomAddr(topo, srcAS, rng)
-		if !ok {
+	return 0, 0, fmt.Errorf("attack: unknown kind %d", f.Kind)
+}
+
+// materialize draws n packets with sources from src and destinations
+// from dst. A nil index is an AS without IPv4 space; it is reported
+// when its draw comes up, so a failed call leaves the rng where the
+// per-packet walk always left it (callers such as the scenario's legit
+// phase skip the flow and keep drawing from the same stream).
+func materialize(src, dst *topology.AddrIndex, srcAS, dstAS topology.ASN, n int, rng *rand.Rand) ([]*packet.IPv4, error) {
+	if n < 0 {
+		return nil, &CountError{N: n}
+	}
+	out := make([]*packet.IPv4, n)
+	slab := make([]packet.IPv4, n)
+	payloads := make([]byte, n*payloadLen)
+	for k := range slab {
+		if src == nil {
 			return nil, fmt.Errorf("attack: AS%d has no IPv4 space", srcAS)
 		}
-		dst, ok := RandomAddr(topo, dstAS, rng)
-		if !ok {
+		s := src.At(rng.Uint64() % src.Total())
+		if dst == nil {
 			return nil, fmt.Errorf("attack: AS%d has no IPv4 space", dstAS)
 		}
-		payload := make([]byte, 24)
+		d := dst.At(rng.Uint64() % dst.Total())
+		payload := payloads[k*payloadLen : (k+1)*payloadLen : (k+1)*payloadLen]
 		rng.Read(payload)
-		out = append(out, &packet.IPv4{
+		slab[k] = packet.IPv4{
 			TTL: 64, Protocol: packet.ProtoUDP,
-			Src: src, Dst: dst, Payload: payload,
-		})
+			Src: s, Dst: d, Payload: payload,
+		}
+		out[k] = &slab[k]
 	}
 	return out, nil
 }

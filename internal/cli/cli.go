@@ -1,7 +1,7 @@
 // Package cli holds the flag and output plumbing shared by the cmd/
-// binaries: logger setup, the synthetic-Internet flag block, markdown
-// table rendering, and views over the observability export that
-// discs-sim writes (see internal/obs).
+// binaries: logger setup, the synthetic-Internet flag block, the
+// profiling flags, markdown table rendering, and views over the
+// observability export that discs-sim writes (see internal/obs).
 package cli
 
 import (
@@ -9,6 +9,9 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"os"
+	"runtime"
+	"runtime/pprof"
 	"sort"
 	"strings"
 
@@ -79,6 +82,76 @@ func (tf *TopoFlags) ConfigSet(base topology.GenConfig) topology.GenConfig {
 		}
 	})
 	return base
+}
+
+// ProfileFlags is the flag block shared by every binary built on this
+// package: -cpuprofile and -memprofile, the pprof files `go tool pprof`
+// reads.
+type ProfileFlags struct {
+	CPU string
+	Mem string
+}
+
+// RegisterProfileFlags installs the profiling flags on the default
+// flag set.
+func RegisterProfileFlags() *ProfileFlags {
+	pf := &ProfileFlags{}
+	flag.StringVar(&pf.CPU, "cpuprofile", "", "write a CPU profile of the whole run to this path")
+	flag.StringVar(&pf.Mem, "memprofile", "", "write a heap profile, taken when the run ends, to this path")
+	return pf
+}
+
+// Start begins the requested profiles and returns the function that
+// finishes them; call it after flag.Parse and defer the result. Like
+// every other failure in a discs binary, a profile that cannot be
+// written is fatal. A run that ends in log.Fatal leaves no profile.
+func (pf *ProfileFlags) Start() (stop func()) {
+	finish, err := pf.start()
+	if err != nil {
+		log.Fatal(err)
+	}
+	return func() {
+		if err := finish(); err != nil {
+			log.Fatal(err)
+		}
+	}
+}
+
+func (pf *ProfileFlags) start() (finish func() error, err error) {
+	var cpu *os.File
+	if pf.CPU != "" {
+		if cpu, err = os.Create(pf.CPU); err != nil {
+			return nil, fmt.Errorf("cpuprofile: %w", err)
+		}
+		if err := pprof.StartCPUProfile(cpu); err != nil {
+			cpu.Close()
+			return nil, fmt.Errorf("cpuprofile: %w", err)
+		}
+	}
+	return func() error {
+		if cpu != nil {
+			pprof.StopCPUProfile()
+			if err := cpu.Close(); err != nil {
+				return fmt.Errorf("cpuprofile: %w", err)
+			}
+		}
+		if pf.Mem == "" {
+			return nil
+		}
+		mem, err := os.Create(pf.Mem)
+		if err != nil {
+			return fmt.Errorf("memprofile: %w", err)
+		}
+		runtime.GC() // so the profile shows what is live, not what is garbage
+		if err := pprof.WriteHeapProfile(mem); err != nil {
+			mem.Close()
+			return fmt.Errorf("memprofile: %w", err)
+		}
+		if err := mem.Close(); err != nil {
+			return fmt.Errorf("memprofile: %w", err)
+		}
+		return nil
+	}, nil
 }
 
 // Table accumulates rows and renders a GitHub-markdown table — the

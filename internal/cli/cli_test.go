@@ -1,6 +1,8 @@
 package cli
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -77,5 +79,42 @@ func TestTableMarkdown(t *testing.T) {
 	want := "| A | B |\n|---|---|\n| 1 | 2 |\n| only |  |\n"
 	if b.String() != want {
 		t.Fatalf("table:\n%q\nwant:\n%q", b.String(), want)
+	}
+}
+
+func TestProfileFlagsWriteProfiles(t *testing.T) {
+	dir := t.TempDir()
+	pf := &ProfileFlags{CPU: filepath.Join(dir, "cpu.out"), Mem: filepath.Join(dir, "mem.out")}
+	finish, err := pf.start()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := finish(); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{pf.CPU, pf.Mem} {
+		if st, err := os.Stat(path); err != nil || st.Size() == 0 {
+			t.Errorf("%s: missing or empty (stat: %v)", path, err)
+		}
+	}
+
+	// No flag set: nothing to start, nothing to write.
+	finish, err = (&ProfileFlags{}).start()
+	if err != nil || finish() != nil {
+		t.Fatalf("idle profile flags failed: %v", err)
+	}
+
+	// An unwritable path is reported when it is hit: the CPU profile at
+	// start, the heap profile at the end.
+	missing := filepath.Join(dir, "no-such-dir", "p.out")
+	if _, err := (&ProfileFlags{CPU: missing}).start(); err == nil {
+		t.Error("unwritable -cpuprofile accepted")
+	}
+	finish, err = (&ProfileFlags{Mem: missing}).start()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if finish() == nil {
+		t.Error("unwritable -memprofile not reported")
 	}
 }

@@ -384,52 +384,17 @@ func (e *Engine) materialize(ph *Phase, flows []flowState) ([][]*packet.IPv4, er
 		if f.benched {
 			continue
 		}
+		var err error
 		if f.target.IsValid() {
-			ps, err := e.packetsAt(f.flow, f.target, ph.PerFlow)
-			if err != nil {
-				return nil, err
-			}
-			pkts[i] = ps
-			continue
+			pkts[i], err = f.flow.PacketsInto(e.topo, f.target, ph.PerFlow, e.rng)
+		} else {
+			pkts[i], err = f.flow.Packets(e.topo, ph.PerFlow, e.rng)
 		}
-		ps, err := f.flow.Packets(e.topo, ph.PerFlow, e.rng)
 		if err != nil {
 			return nil, err
 		}
-		pkts[i] = ps
 	}
 	return pkts, nil
-}
-
-// packetsAt materializes d-DDoS packets aimed inside one target prefix
-// (the carpet-bombing shape): spoofed innocent sources, destinations
-// uniform in the prefix.
-func (e *Engine) packetsAt(f attack.Flow, target netip.Prefix, n int) ([]*packet.IPv4, error) {
-	out := make([]*packet.IPv4, 0, n)
-	for k := 0; k < n; k++ {
-		src, ok := attack.RandomAddr(e.topo, f.Innocent, e.rng)
-		if !ok {
-			return nil, fmt.Errorf("AS%d has no IPv4 space", f.Innocent)
-		}
-		dst := addrIn(target, e.rng)
-		payload := make([]byte, 24)
-		e.rng.Read(payload)
-		out = append(out, &packet.IPv4{
-			TTL: 64, Protocol: packet.ProtoUDP,
-			Src: src, Dst: dst, Payload: payload,
-		})
-	}
-	return out, nil
-}
-
-// addrIn picks a uniformly random address inside an IPv4 prefix.
-func addrIn(p netip.Prefix, rng *rand.Rand) netip.Addr {
-	size := uint64(1) << (32 - p.Bits())
-	x := rng.Uint64() % size
-	base := p.Addr().As4()
-	v := uint32(base[0])<<24 | uint32(base[1])<<16 | uint32(base[2])<<8 | uint32(base[3])
-	v += uint32(x)
-	return netip.AddrFrom4([4]byte{byte(v >> 24), byte(v >> 16), byte(v >> 8), byte(v)})
 }
 
 // markAttack stamps the first-attack-packet instant.

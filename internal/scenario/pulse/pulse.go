@@ -67,11 +67,12 @@ func Run(sys *core.System, bursts []Burst, sink Sink) {
 //
 // The train has `pulses` pulses separated by interGap; each pulse is
 // split into subWaves bursts separated by intraGap (a pulse of width W
-// sampled at S points uses intraGap = W/S). Packets per flow are
-// divided first across pulses, then across sub-waves, with remainders
-// distributed to the earlier slices — for subWaves = 1, intraGap = 0
-// this is byte-for-byte the RunPaced schedule. No gap follows the
-// final burst: the train ends at the instant of its last injection.
+// sampled at S points uses intraGap = W/S). A flow's n packets are
+// floor-split over the W = pulses·subWaves bursts, burst w taking
+// [w·n/W, (w+1)·n/W), so a remainder lands in the later bursts — for
+// subWaves = 1, intraGap = 0 this is byte-for-byte the RunPaced
+// schedule. No gap follows the final burst: the train ends at the
+// instant of its last injection.
 func Train(from func(flow int) topology.ASN, pkts [][]*packet.IPv4, pulses, subWaves int, intraGap, interGap time.Duration) []Burst {
 	if pulses < 1 {
 		pulses = 1
@@ -82,11 +83,16 @@ func Train(from func(flow int) topology.ASN, pkts [][]*packet.IPv4, pulses, subW
 	waves := pulses * subWaves
 	bursts := make([]Burst, 0, waves)
 	for w := 0; w < waves; w++ {
-		var b Burst
+		n := 0
+		for _, ps := range pkts {
+			n += (w+1)*len(ps)/waves - w*len(ps)/waves
+		}
+		b := Burst{Packets: make([]Packet, 0, n)}
 		for i, ps := range pkts {
 			lo, hi := w*len(ps)/waves, (w+1)*len(ps)/waves
+			src := from(i)
 			for _, p := range ps[lo:hi] {
-				b.Packets = append(b.Packets, Packet{From: from(i), Pkt: p, Flow: i})
+				b.Packets = append(b.Packets, Packet{From: src, Pkt: p, Flow: i})
 			}
 		}
 		if w < waves-1 {

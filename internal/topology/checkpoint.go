@@ -97,7 +97,7 @@ func RestoreTopology(r *snapcodec.Reader) (*Topology, []ASN, error) {
 		a := &AS{ASN: asn, AddrSpace: r.Uvarint()}
 		np := r.Count(6)
 		for j := 0; j < np; j++ {
-			a.Prefixes = append(a.Prefixes, r.Prefix())
+			a.appendPrefix(r.Prefix())
 		}
 		a.Providers = readASNs(r)
 		a.Customers = readASNs(r)

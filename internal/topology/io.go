@@ -70,7 +70,7 @@ func LoadPrefix2AS(r io.Reader) (*Topology, error) {
 		}
 		for _, asn := range asns {
 			a := t.ases[asn]
-			a.Prefixes = append(a.Prefixes, p)
+			a.appendPrefix(p)
 			a.AddrSpace += share
 		}
 		t.total += size

@@ -19,6 +19,7 @@ import (
 	"net/netip"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"discs/internal/lpm"
 )
@@ -60,6 +61,11 @@ type AS struct {
 	Providers []ASN
 	Customers []ASN
 	Peers     []ASN
+
+	// v4 caches the IPv4 address index of Prefixes (addrindex.go): nil
+	// until the first draw and again after appendPrefix. Atomic so that
+	// concurrent draws on a finished topology stay read-only-safe.
+	v4 atomic.Pointer[AddrIndex]
 }
 
 // Degree returns the total number of neighbors.
@@ -198,7 +204,7 @@ func (t *Topology) AddPrefix(asn ASN, p netip.Prefix) error {
 	if err := t.pfx2as.Insert(p, asn); err != nil {
 		return err
 	}
-	a.Prefixes = append(a.Prefixes, p)
+	a.appendPrefix(p)
 	size := prefixSize(p)
 	a.AddrSpace += size
 	t.total += size
