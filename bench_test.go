@@ -4,18 +4,17 @@
 // paper-scale synthetic Internet and reports the headline checkpoint
 // values as custom metrics, so `go test -bench` doubles as the
 // reproduction run (EXPERIMENTS.md records paper-vs-measured).
+// Throughput is measured by the repository benchmark (`go run ./bench`),
+// not here.
 package discs_test
 
 import (
 	"math/rand"
 	"net/netip"
-	"os"
-	"runtime"
 	"testing"
 	"time"
 
 	"discs/internal/attack"
-	"discs/internal/benchgate"
 	"discs/internal/bgp"
 	"discs/internal/core"
 	"discs/internal/cost"
@@ -37,6 +36,16 @@ func mustRouter(o core.RouterOptions) *core.BorderRouter {
 		panic(err)
 	}
 	return r
+}
+
+// newSystem wires DISCS into net with the default protocol config.
+func newSystem(tb testing.TB, net *bgp.Network) *core.System {
+	tb.Helper()
+	sys, err := core.NewSystemWithOptions(core.SystemOptions{Net: net, Config: core.DefaultConfig()})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return sys
 }
 
 func paperScale(b *testing.B) (*topology.Topology, *eval.Ratios) {
@@ -199,7 +208,9 @@ func BenchmarkSensitivity(b *testing.B) {
 				r := eval.FromTopology(tp)
 				acc := eval.NewAccumulator(r)
 				for _, asn := range r.OptimalOrder()[:50] {
-					acc.Deploy(asn)
+					if err := acc.Deploy(asn); err != nil {
+						b.Fatal(err)
+					}
 				}
 				eff50 = acc.Effectiveness()
 			}
@@ -232,19 +243,27 @@ func BenchmarkCostRouter(b *testing.B) {
 	b.ReportMetric(r.V6Gbps, "v6Gbps")
 }
 
+// twoASTopo is the data-plane benches' prefix-ownership world: AS1
+// owns 10.1.0.0/16 and AS3 owns 10.3.0.0/16.
+func twoASTopo(tb testing.TB) *topology.Topology {
+	tb.Helper()
+	tp := topology.New()
+	for asn, p := range map[topology.ASN]string{1: "10.1.0.0/16", 3: "10.3.0.0/16"} {
+		if _, err := tp.AddAS(asn); err != nil {
+			tb.Fatal(err)
+		}
+		if err := tp.AddPrefix(asn, netip.MustParsePrefix(p)); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return tp
+}
+
 // dataPlanePair builds a stamped CDP peer/victim router pair over a
 // tiny Pfx2AS for the data-plane benches.
 func dataPlanePair(b testing.TB) (peer, victim *core.BorderRouter, now time.Time) {
 	b.Helper()
-	tp := topology.New()
-	for asn, p := range map[topology.ASN]string{1: "10.1.0.0/16", 3: "10.3.0.0/16"} {
-		if _, err := tp.AddAS(asn); err != nil {
-			b.Fatal(err)
-		}
-		if err := tp.AddPrefix(asn, netip.MustParsePrefix(p)); err != nil {
-			b.Fatal(err)
-		}
-	}
+	tp := twoASTopo(b)
 	key := make([]byte, 16)
 	t0 := time.Unix(0, 0).UTC()
 	v := netip.MustParsePrefix("10.3.0.0/16")
@@ -260,396 +279,6 @@ func dataPlanePair(b testing.TB) (peer, victim *core.BorderRouter, now time.Time
 	vt.Keys.SetVerifyKey(1, key)
 	victim = mustRouter(core.RouterOptions{Tables: vt, Seed: 2})
 	return peer, victim, t0.Add(time.Minute)
-}
-
-// stampVerifySerial is the full stamp+verify round trip, one packet at
-// a time; shared by BenchmarkStampVerifyV4 and the JSON report.
-func stampVerifySerial(b *testing.B) {
-	peer, victim, now := dataPlanePair(b)
-	p := &packet.IPv4{
-		TTL: 64, Protocol: packet.ProtoUDP,
-		Src: netip.MustParseAddr("10.1.0.10"), Dst: netip.MustParseAddr("10.3.0.1"),
-		Payload: []byte("benchmark payload!"),
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if v := peer.ProcessOutbound(core.V4{P: p}, now); v != core.VerdictPassStamped {
-			b.Fatalf("outbound %v", v)
-		}
-		if v := victim.ProcessInbound(core.V4{P: p}, now); v != core.VerdictPassVerified {
-			b.Fatalf("inbound %v", v)
-		}
-	}
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds()/1e6, "Mpps")
-}
-
-// stampVerifyParallel runs the same round trip from GOMAXPROCS
-// goroutines against one shared router pair.
-func stampVerifyParallel(b *testing.B) {
-	peer, victim, now := dataPlanePair(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		p := &packet.IPv4{
-			TTL: 64, Protocol: packet.ProtoUDP,
-			Src: netip.MustParseAddr("10.1.0.10"), Dst: netip.MustParseAddr("10.3.0.1"),
-			Payload: []byte("benchmark payload!"),
-		}
-		for pb.Next() {
-			if v := peer.ProcessOutbound(core.V4{P: p}, now); v != core.VerdictPassStamped {
-				b.Fatalf("outbound %v", v)
-			}
-			if v := victim.ProcessInbound(core.V4{P: p}, now); v != core.VerdictPassVerified {
-				b.Fatalf("inbound %v", v)
-			}
-		}
-	})
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds()/1e6, "Mpps")
-}
-
-// stampVerifyBatch runs the round trip through the burst entry points:
-// one snapshot load, one CMAC scratch and one counter flush per 64
-// packets instead of per packet.
-func stampVerifyBatch(b *testing.B) {
-	peer, victim, now := dataPlanePair(b)
-	const batchSize = 64
-	pkts := make([]core.MarkCarrier, batchSize)
-	for i := range pkts {
-		pkts[i] = core.V4{P: &packet.IPv4{
-			TTL: 64, Protocol: packet.ProtoUDP,
-			Src: netip.AddrFrom4([4]byte{10, 1, 0, byte(i + 1)}), Dst: netip.MustParseAddr("10.3.0.1"),
-			Payload: []byte("benchmark payload!"),
-		}}
-	}
-	out := make([]core.Verdict, 0, batchSize)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i += batchSize {
-		out = peer.ProcessOutboundBatch(pkts, now, out[:0])
-		if out[0] != core.VerdictPassStamped {
-			b.Fatalf("outbound %v", out[0])
-		}
-		out = victim.ProcessInboundBatch(pkts, now, out[:0])
-		if out[0] != core.VerdictPassVerified {
-			b.Fatalf("inbound %v", out[0])
-		}
-	}
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds()/1e6, "Mpps")
-}
-
-// manyFlowsSetup builds the hostile data-plane shape: the peer owns
-// 10.0.0.0/8 as 256 /16 prefixes and stamps toward 16 victim ASes
-// with distinct keys; each victim verifies its own /24 against the
-// peer's key. Sources are drawn from millions of distinct addresses,
-// so the per-pipeline address memos thrash and every packet pays the
-// full LPM + table walk; destinations alternate across the 16 keys,
-// so burst key runs split constantly and the stamp-key memo misses.
-func manyFlowsSetup(b testing.TB) (peer *core.BorderRouter, victims [16]*core.BorderRouter, now time.Time) {
-	b.Helper()
-	tp := topology.New()
-	if _, err := tp.AddAS(1); err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < 256; i++ {
-		if err := tp.AddPrefix(1, netip.PrefixFrom(netip.AddrFrom4([4]byte{10, byte(i), 0, 0}), 16)); err != nil {
-			b.Fatal(err)
-		}
-	}
-	vicPfx := func(k int) netip.Prefix {
-		return netip.PrefixFrom(netip.AddrFrom4([4]byte{172, 16, byte(k), 0}), 24)
-	}
-	for k := 0; k < 16; k++ {
-		asn := topology.ASN(201 + k)
-		if _, err := tp.AddAS(asn); err != nil {
-			b.Fatal(err)
-		}
-		if err := tp.AddPrefix(asn, vicPfx(k)); err != nil {
-			b.Fatal(err)
-		}
-	}
-	t0 := time.Unix(0, 0).UTC()
-	pt := core.NewTables(1, tp.Pfx2AS())
-	for k := 0; k < 16; k++ {
-		key := make([]byte, 16)
-		key[0] = byte(k + 1)
-		pt.In[core.TableOutDst].Install(vicPfx(k), core.OpDPFilter, t0, time.Hour, 0)
-		pt.In[core.TableOutDst].Install(vicPfx(k), core.OpCDPStamp, t0, time.Hour, 0)
-		pt.Keys.SetStampKey(topology.ASN(201+k), key)
-	}
-	peer = mustRouter(core.RouterOptions{Tables: pt, Seed: 1})
-	for k := 0; k < 16; k++ {
-		key := make([]byte, 16)
-		key[0] = byte(k + 1)
-		vt := core.NewTables(topology.ASN(201+k), tp.Pfx2AS())
-		vt.In[core.TableInDst].Install(vicPfx(k), core.OpCDPVerify, t0, time.Hour, 0)
-		vt.Keys.SetVerifyKey(1, key)
-		victims[k] = mustRouter(core.RouterOptions{Tables: vt, Seed: int64(2 + k)})
-	}
-	return peer, victims, t0.Add(time.Minute)
-}
-
-// stampVerifyManyFlows is the hostile round trip: every batch carries
-// 64 never-before-seen sources spread over the peer's 256 prefixes,
-// destined to 16 victims with 16 distinct stamp keys. Outbound runs as
-// one batch at the peer; survivors are dispatched to their victim's
-// inbound batch, mirroring a border router fanning verified traffic
-// out to its customers.
-func stampVerifyManyFlows(b *testing.B) {
-	peer, victims, now := manyFlowsSetup(b)
-	const batchSize = 64
-	raw := make([]*packet.IPv4, batchSize)
-	pkts := make([]core.MarkCarrier, batchSize)
-	for i := range raw {
-		raw[i] = &packet.IPv4{TTL: 64, Protocol: packet.ProtoUDP, Payload: []byte("benchmark payload!")}
-		pkts[i] = core.V4{P: raw[i]}
-	}
-	var buckets [16][]core.MarkCarrier
-	for k := range buckets {
-		buckets[k] = make([]core.MarkCarrier, 0, batchSize)
-	}
-	out := make([]core.Verdict, 0, batchSize)
-	var ctr uint64
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i += batchSize {
-		for _, p := range raw {
-			ctr += 0x9e3779b97f4a7c15
-			v := ctr ^ ctr>>29
-			p.Src = netip.AddrFrom4([4]byte{10, byte(v >> 16), byte(v >> 8), byte(v)})
-			p.Dst = netip.AddrFrom4([4]byte{172, 16, byte(v>>24) & 15, byte(v >> 32)})
-		}
-		out = peer.ProcessOutboundBatch(pkts, now, out[:0])
-		for k := range buckets {
-			buckets[k] = buckets[k][:0]
-		}
-		for j, v := range out {
-			if v != core.VerdictPassStamped {
-				b.Fatalf("outbound %v", v)
-			}
-			k := raw[j].Dst.As4()[2]
-			buckets[k] = append(buckets[k], pkts[j])
-		}
-		for k := range buckets {
-			if len(buckets[k]) == 0 {
-				continue
-			}
-			out = victims[k].ProcessInboundBatch(buckets[k], now, out[:0])
-			for _, v := range out {
-				if v != core.VerdictPassVerified {
-					b.Fatalf("inbound %v", v)
-				}
-			}
-		}
-	}
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds()/1e6, "Mpps")
-}
-
-// idleOutbound measures the no-invocation fast path: table snapshots
-// loaded, idle bounds checked, nothing else.
-func idleOutbound(b *testing.B) {
-	r := idleRouter(b)
-	now := time.Unix(0, 0).UTC().Add(time.Minute)
-	p := &packet.IPv4{TTL: 64, Protocol: packet.ProtoUDP,
-		Src: netip.MustParseAddr("10.1.0.10"), Dst: netip.MustParseAddr("10.3.0.1"),
-		Payload: []byte("x")}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r.ProcessOutbound(core.V4{P: p}, now)
-	}
-	if r.Stats().MACsComputed != 0 {
-		b.Fatal("idle path ran crypto")
-	}
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds()/1e6, "Mpps")
-}
-
-// idleRouter builds a router with keys installed but no invocation
-// scheduled anywhere.
-func idleRouter(tb testing.TB) *core.BorderRouter {
-	tb.Helper()
-	tp := topology.New()
-	tp.AddAS(1)
-	tp.AddPrefix(1, netip.MustParsePrefix("10.1.0.0/16"))
-	tp.AddAS(3)
-	tp.AddPrefix(3, netip.MustParsePrefix("10.3.0.0/16"))
-	tab := core.NewTables(1, tp.Pfx2AS())
-	tab.Keys.SetStampKey(3, make([]byte, 16))
-	return mustRouter(core.RouterOptions{Tables: tab, Seed: 1})
-}
-
-// BenchmarkStampVerifyV4 measures software data-plane throughput for
-// the full stamp+verify path (§VI-C2 compares against 8 Mpps/core
-// hardware AES-CMAC).
-func BenchmarkStampVerifyV4(b *testing.B) { stampVerifySerial(b) }
-
-// BenchmarkStampVerifyV4Parallel measures multi-core data-plane
-// scaling: every forwarding goroutine runs the full stamp+verify path
-// against the same router pair (shared tables, atomic counters). The
-// Mpps metric divided by the serial bench's shows the speedup.
-func BenchmarkStampVerifyV4Parallel(b *testing.B) { stampVerifyParallel(b) }
-
-// BenchmarkStampVerifyV4Batch measures the burst entry points
-// (ProcessOutboundBatch/ProcessInboundBatch).
-func BenchmarkStampVerifyV4Batch(b *testing.B) { stampVerifyBatch(b) }
-
-// BenchmarkStampVerifyV4ManyFlows measures the burst entry points
-// under the hostile shape: millions of distinct sources (cold address
-// memos, full LPM walks) and 16 alternating stamp keys (key-run splits,
-// cold key caches).
-func BenchmarkStampVerifyV4ManyFlows(b *testing.B) { stampVerifyManyFlows(b) }
-
-// dataPlaneBaseline is the committed allocation budget the data plane
-// must not regress above (BENCH_baseline.json).
-type dataPlaneBaseline struct {
-	AllocsPerStampedPacket float64 `json:"allocs_per_stamped_packet"`
-	IdleAllocsPerPacket    float64 `json:"idle_allocs_per_packet"`
-}
-
-// TestDataPlaneBudget enforces the data-plane resource contract on
-// every test run: the idle path computes no CMACs and allocates
-// nothing, and the stamped path's allocations stay within the
-// committed baseline.
-func TestDataPlaneBudget(t *testing.T) {
-	var base dataPlaneBaseline
-	benchgate.Load(t, "BENCH_baseline.json", "", &base)
-
-	now := time.Unix(0, 0).UTC().Add(time.Minute)
-	idle := idleRouter(t)
-	p := &packet.IPv4{TTL: 64, Protocol: packet.ProtoUDP,
-		Src: netip.MustParseAddr("10.1.0.10"), Dst: netip.MustParseAddr("10.3.0.1"),
-		Payload: []byte("x")}
-	idleAllocs := testing.AllocsPerRun(2000, func() {
-		if v := idle.ProcessOutbound(core.V4{P: p}, now); v != core.VerdictPass {
-			t.Fatalf("idle outbound %v", v)
-		}
-		if v := idle.ProcessInbound(core.V4{P: p}, now); v != core.VerdictPass {
-			t.Fatalf("idle inbound %v", v)
-		}
-	})
-	if macs := idle.Stats().MACsComputed; macs != 0 {
-		t.Fatalf("idle path computed %d MACs, want 0", macs)
-	}
-	if idleAllocs > base.IdleAllocsPerPacket {
-		t.Fatalf("idle path allocates %.1f/packet, budget %.1f", idleAllocs, base.IdleAllocsPerPacket)
-	}
-
-	peer, victim, now := dataPlanePair(t)
-	q := &packet.IPv4{TTL: 64, Protocol: packet.ProtoUDP,
-		Src: netip.MustParseAddr("10.1.0.10"), Dst: netip.MustParseAddr("10.3.0.1"),
-		Payload: []byte("benchmark payload!")}
-	stampAllocs := testing.AllocsPerRun(2000, func() {
-		if v := peer.ProcessOutbound(core.V4{P: q}, now); v != core.VerdictPassStamped {
-			t.Fatalf("outbound %v", v)
-		}
-		if v := victim.ProcessInbound(core.V4{P: q}, now); v != core.VerdictPassVerified {
-			t.Fatalf("inbound %v", v)
-		}
-	})
-	if stampAllocs > base.AllocsPerStampedPacket {
-		t.Fatalf("stamped path allocates %.1f/packet, budget %.1f",
-			stampAllocs, base.AllocsPerStampedPacket)
-	}
-}
-
-// dataPlaneRow is one measured shape in BENCH_dataplane.json.
-type dataPlaneRow struct {
-	NsPerOp     float64 `json:"ns_per_op"`
-	Mpps        float64 `json:"mpps"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
-}
-
-// dataPlaneReport is the committed BENCH_dataplane.json layout, shared
-// by the regenerating report and the throughput floor gate.
-type dataPlaneReport struct {
-	GeneratedBy   string       `json:"generated_by"`
-	NumCPU        int          `json:"num_cpu"`
-	ParallelProcs int          `json:"parallel_procs"`
-	PaperMpps     float64      `json:"paper_mpps_per_core"`
-	Serial        dataPlaneRow `json:"serial"`
-	Parallel      dataPlaneRow `json:"parallel"`
-	Batch         dataPlaneRow `json:"batch"`
-	ManyFlows     dataPlaneRow `json:"many_flows"`
-	Idle          dataPlaneRow `json:"idle"`
-}
-
-// TestDataPlaneReport regenerates BENCH_dataplane.json: the serial vs
-// parallel vs batch Mpps comparison, the hostile many-flows/many-keys
-// shape, plus the idle-path cost, measured with the standard benchmark
-// driver. Gated behind an environment variable because it runs real
-// benchmarks; `make bench-dataplane` sets it.
-func TestDataPlaneReport(t *testing.T) {
-	if os.Getenv("DISCS_DATAPLANE_REPORT") == "" {
-		t.Skip("set DISCS_DATAPLANE_REPORT=1 (make bench-dataplane) to regenerate BENCH_dataplane.json")
-	}
-
-	mk := func(r testing.BenchmarkResult) dataPlaneRow {
-		return dataPlaneRow{
-			NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
-			Mpps:        r.Extra["Mpps"],
-			AllocsPerOp: r.AllocsPerOp(),
-		}
-	}
-
-	serial := testing.Benchmark(stampVerifySerial)
-	batch := testing.Benchmark(stampVerifyBatch)
-	many := testing.Benchmark(stampVerifyManyFlows)
-	idle := testing.Benchmark(idleOutbound)
-
-	// The parallel run needs more than one P to mean anything; mirror
-	// `-cpu 4` when the environment gives us fewer.
-	procs := runtime.GOMAXPROCS(0)
-	if procs < 4 {
-		procs = 4
-	}
-	prev := runtime.GOMAXPROCS(procs)
-	parallel := testing.Benchmark(stampVerifyParallel)
-	runtime.GOMAXPROCS(prev)
-
-	report := dataPlaneReport{
-		GeneratedBy:   "make bench-dataplane",
-		NumCPU:        runtime.NumCPU(),
-		ParallelProcs: procs,
-		PaperMpps:     8, // §VI-C2: hardware AES-CMAC reference
-		Serial:        mk(serial),
-		Parallel:      mk(parallel),
-		Batch:         mk(batch),
-		ManyFlows:     mk(many),
-		Idle:          mk(idle),
-	}
-	benchgate.Write(t, "BENCH_dataplane.json", report)
-	t.Logf("serial %.3f / parallel %.3f / batch %.3f / many-flows %.3f Mpps, idle %.1f ns/op",
-		report.Serial.Mpps, report.Parallel.Mpps, report.Batch.Mpps, report.ManyFlows.Mpps,
-		report.Idle.NsPerOp)
-}
-
-// TestDataPlaneGate floor-gates data-plane throughput against the
-// committed BENCH_dataplane.json: the friendly batch shape and the
-// hostile many-flows shape must each hold ≥50% of their committed Mpps
-// at zero allocations per packet. Environment-gated (`make check` sets
-// it) so plain `go test ./...` stays robust on slow or contended
-// machines; the wide slack absorbs machine-to-machine variance while
-// still catching real regressions like a dead cache or a re-serialized
-// burst loop.
-func TestDataPlaneGate(t *testing.T) {
-	if os.Getenv("DISCS_DATAPLANE_GATE") == "" {
-		t.Skip("set DISCS_DATAPLANE_GATE=1 (make check) to run the throughput floor gate")
-	}
-	var base dataPlaneReport
-	benchgate.Load(t, "BENCH_dataplane.json", "make bench-dataplane", &base)
-
-	batch := testing.Benchmark(stampVerifyBatch)
-	many := testing.Benchmark(stampVerifyManyFlows)
-	if a := batch.AllocsPerOp(); a != 0 {
-		t.Fatalf("batch shape allocates %d/op, want 0", a)
-	}
-	if a := many.AllocsPerOp(); a != 0 {
-		t.Fatalf("many-flows shape allocates %d/op, want 0", a)
-	}
-	benchgate.Floor(t, "batch stamp+verify (Mpps)", batch.Extra["Mpps"], base.Batch.Mpps, 0.5)
-	benchgate.Floor(t, "many-flows stamp+verify (Mpps)", many.Extra["Mpps"], base.ManyFlows.Mpps, 0.5)
-	t.Logf("batch %.3f Mpps (committed %.3f), many-flows %.3f Mpps (committed %.3f)",
-		batch.Extra["Mpps"], base.Batch.Mpps, many.Extra["Mpps"], base.ManyFlows.Mpps)
 }
 
 // BenchmarkForgery is the §VI-E1 experiment: random 29-bit marks
@@ -678,12 +307,8 @@ func BenchmarkForgery(b *testing.B) {
 // data-plane work per packet with no invocation active vs. an active
 // CDP invocation. The no-invocation path must be crypto-free.
 func BenchmarkAblationOnDemand(b *testing.B) {
-	mk := func(invoked bool) *core.BorderRouter {
-		tp := topology.New()
-		tp.AddAS(1)
-		tp.AddPrefix(1, netip.MustParsePrefix("10.1.0.0/16"))
-		tp.AddAS(3)
-		tp.AddPrefix(3, netip.MustParsePrefix("10.3.0.0/16"))
+	mk := func(b *testing.B, invoked bool) *core.BorderRouter {
+		tp := twoASTopo(b)
 		t0 := time.Unix(0, 0).UTC()
 		tab := core.NewTables(1, tp.Pfx2AS())
 		tab.Keys.SetStampKey(3, make([]byte, 16))
@@ -700,7 +325,7 @@ func BenchmarkAblationOnDemand(b *testing.B) {
 			Payload: []byte("x")}
 	}
 	b.Run("idle", func(b *testing.B) {
-		r := mk(false)
+		r := mk(b, false)
 		p := pkt()
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -711,7 +336,7 @@ func BenchmarkAblationOnDemand(b *testing.B) {
 		}
 	})
 	b.Run("invoked", func(b *testing.B) {
-		r := mk(true)
+		r := mk(b, true)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			r.ProcessOutbound(core.V4{P: pkt()}, now)
@@ -725,11 +350,7 @@ func BenchmarkAblationOnDemand(b *testing.B) {
 // without the DP pre-filter.
 func BenchmarkAblationDPFirst(b *testing.B) {
 	run := func(withDP bool) float64 {
-		tp := topology.New()
-		tp.AddAS(1)
-		tp.AddPrefix(1, netip.MustParsePrefix("10.1.0.0/16"))
-		tp.AddAS(3)
-		tp.AddPrefix(3, netip.MustParsePrefix("10.3.0.0/16"))
+		tp := twoASTopo(b)
 		t0 := time.Unix(0, 0).UTC()
 		v := netip.MustParsePrefix("10.3.0.0/16")
 		tab := core.NewTables(1, tp.Pfx2AS())
@@ -763,9 +384,7 @@ func BenchmarkAblationDPFirst(b *testing.B) {
 func BenchmarkAblationMarks(b *testing.B) {
 	const pathLen = 4
 	key := make([]byte, 16)
-	tp := topology.New()
-	tp.AddAS(1)
-	tp.AddPrefix(1, netip.MustParsePrefix("10.1.0.0/16"))
+	tp := twoASTopo(b)
 	tab := core.NewTables(1, tp.Pfx2AS())
 	tab.Keys.SetStampKey(1, key)
 	c := tab.Keys.StampKey(1)
@@ -838,6 +457,49 @@ func BenchmarkAblationPriority(b *testing.B) {
 	b.ReportMetric(100*without, "mef-goodput%")
 }
 
+// convergedNet builds the BGP network over tp and converges it.
+func convergedNet(b *testing.B, tp *topology.Topology) *bgp.Network {
+	b.Helper()
+	net, err := bgp.BuildNetwork(tp, time.Millisecond)
+	if err != nil {
+		b.Fatal(err)
+	}
+	net.OriginateAll()
+	if err := net.Converge(); err != nil {
+		b.Fatal(err)
+	}
+	return net
+}
+
+// deployAll deploys DISCS on asns (seeds 1, 2, ...) and settles.
+func deployAll(b *testing.B, sys *core.System, asns []topology.ASN) {
+	b.Helper()
+	for k, a := range asns {
+		if _, err := sys.Deploy(a, int64(k+1)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := sys.Settle(); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// invokeAll has the victim invoke each function on its own prefixes
+// for 240 hours and settles.
+func invokeAll(b *testing.B, sys *core.System, victim *core.Controller, fns ...core.Function) {
+	b.Helper()
+	invs := make([]core.Invocation, len(fns))
+	for i, f := range fns {
+		invs[i] = core.Invocation{Prefixes: victim.OwnPrefixes(), Function: f, Duration: 240 * time.Hour}
+	}
+	if _, err := victim.Invoke(invs...); err != nil {
+		b.Fatal(err)
+	}
+	if err := sys.Settle(); err != nil {
+		b.Fatal(err)
+	}
+}
+
 // BenchmarkControlPlane measures the full §IV lifecycle — BGP
 // convergence, Ad propagation, peering, key negotiation — for a
 // 9-AS Internet with 3 DASes.
@@ -846,36 +508,34 @@ func BenchmarkControlPlane(b *testing.B) {
 		tp := topology.New()
 		asns := []topology.ASN{10, 20, 100, 200, 300, 1001, 1002, 1003, 1004}
 		for _, a := range asns {
-			tp.AddAS(a)
-		}
-		tp.Link(10, 20, topology.PeerToPeer)
-		tp.Link(100, 10, topology.CustomerToProvider)
-		tp.Link(200, 10, topology.CustomerToProvider)
-		tp.Link(300, 20, topology.CustomerToProvider)
-		tp.Link(1001, 100, topology.CustomerToProvider)
-		tp.Link(1002, 100, topology.CustomerToProvider)
-		tp.Link(1003, 200, topology.CustomerToProvider)
-		tp.Link(1004, 300, topology.CustomerToProvider)
-		for j, a := range asns {
-			tp.AddPrefix(a, netip.MustParsePrefix(netip.AddrFrom4([4]byte{10, byte(j + 1), 0, 0}).String()+"/16"))
-		}
-		net, err := bgp.BuildNetwork(tp, time.Millisecond)
-		if err != nil {
-			b.Fatal(err)
-		}
-		net.OriginateAll()
-		if err := net.Converge(); err != nil {
-			b.Fatal(err)
-		}
-		sys := core.NewSystem(net, core.DefaultConfig())
-		for k, a := range []topology.ASN{1001, 1003, 300} {
-			if _, err := sys.Deploy(a, int64(k+1)); err != nil {
+			if _, err := tp.AddAS(a); err != nil {
 				b.Fatal(err)
 			}
 		}
-		if err := sys.Settle(); err != nil {
-			b.Fatal(err)
+		for _, l := range []struct {
+			a, b topology.ASN
+			rel  topology.Relationship
+		}{
+			{10, 20, topology.PeerToPeer},
+			{100, 10, topology.CustomerToProvider},
+			{200, 10, topology.CustomerToProvider},
+			{300, 20, topology.CustomerToProvider},
+			{1001, 100, topology.CustomerToProvider},
+			{1002, 100, topology.CustomerToProvider},
+			{1003, 200, topology.CustomerToProvider},
+			{1004, 300, topology.CustomerToProvider},
+		} {
+			if err := tp.Link(l.a, l.b, l.rel); err != nil {
+				b.Fatal(err)
+			}
 		}
+		for j, a := range asns {
+			if err := tp.AddPrefix(a, netip.PrefixFrom(netip.AddrFrom4([4]byte{10, byte(j + 1), 0, 0}), 16)); err != nil {
+				b.Fatal(err)
+			}
+		}
+		sys := newSystem(b, convergedNet(b, tp))
+		deployAll(b, sys, []topology.ASN{1001, 1003, 300})
 		if len(sys.Controllers[1001].Peers()) != 2 {
 			b.Fatal("peering incomplete")
 		}
@@ -891,31 +551,24 @@ func BenchmarkWireExhaustion(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		tp := topology.New()
 		for j := topology.ASN(1); j <= 4; j++ {
-			tp.AddAS(j)
+			if _, err := tp.AddAS(j); err != nil {
+				b.Fatal(err)
+			}
 		}
 		for _, c := range []topology.ASN{2, 3, 4} {
-			tp.Link(c, 1, topology.CustomerToProvider)
+			if err := tp.Link(c, 1, topology.CustomerToProvider); err != nil {
+				b.Fatal(err)
+			}
 		}
 		for asn, pfx := range map[topology.ASN]string{
 			1: "10.1.0.0/16", 2: "10.2.0.0/16", 3: "10.3.0.0/16", 4: "10.4.0.0/16",
 		} {
-			tp.AddPrefix(asn, netip.MustParsePrefix(pfx))
-		}
-		net, err := bgp.BuildNetwork(tp, time.Millisecond)
-		if err != nil {
-			b.Fatal(err)
-		}
-		net.OriginateAll()
-		if err := net.Converge(); err != nil {
-			b.Fatal(err)
-		}
-		sys := core.NewSystem(net, core.DefaultConfig())
-		for k, asn := range []topology.ASN{2, 3} {
-			if _, err := sys.Deploy(asn, int64(k+1)); err != nil {
+			if err := tp.AddPrefix(asn, netip.MustParsePrefix(pfx)); err != nil {
 				b.Fatal(err)
 			}
 		}
-		sys.Settle()
+		sys := newSystem(b, convergedNet(b, tp))
+		deployAll(b, sys, []topology.ASN{2, 3})
 		dn, err := wire.New(sys, wire.DefaultConfig())
 		if err != nil {
 			b.Fatal(err)
@@ -946,7 +599,9 @@ func BenchmarkWireExhaustion(b *testing.B) {
 						Payload: make([]byte, 36)})
 				})
 			}
-			sys.Settle()
+			if err := sys.Settle(); err != nil {
+				b.Fatal(err)
+			}
 			legit := 0
 			for _, d := range dn.Deliveries() {
 				if d.Pkt.Src == netip.MustParseAddr("10.4.0.10") {
@@ -956,11 +611,7 @@ func BenchmarkWireExhaustion(b *testing.B) {
 			return 100 * float64(legit) / legitN
 		}
 		during = run()
-		victim := sys.Controllers[3]
-		victim.Invoke(core.Invocation{
-			Prefixes: victim.OwnPrefixes(), Function: core.DP, Duration: 240 * time.Hour,
-		})
-		sys.Settle()
+		invokeAll(b, sys, sys.Controllers[3], core.DP)
 		after = run()
 	}
 	b.ReportMetric(during, "goodput-under-flood%")
@@ -976,30 +627,15 @@ func BenchmarkEndToEndAttack(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	net, err := bgp.BuildNetwork(tp, time.Millisecond)
-	if err != nil {
-		b.Fatal(err)
-	}
-	net.OriginateAll()
-	if err := net.Converge(); err != nil {
-		b.Fatal(err)
-	}
-	sys := core.NewSystem(net, core.DefaultConfig())
+	sys := newSystem(b, convergedNet(b, tp))
 	deployers := tp.BySizeDesc()[:6]
-	for i, a := range deployers {
-		if _, err := sys.Deploy(a, int64(i+1)); err != nil {
-			b.Fatal(err)
-		}
-	}
-	sys.Settle()
+	deployAll(b, sys, deployers)
 	victim := sys.Controllers[deployers[len(deployers)-1]]
-	victim.Invoke(
-		core.Invocation{Prefixes: victim.OwnPrefixes(), Function: core.DP, Duration: 240 * time.Hour},
-		core.Invocation{Prefixes: victim.OwnPrefixes(), Function: core.CDP, Duration: 240 * time.Hour},
-	)
-	sys.Settle()
+	invokeAll(b, sys, victim, core.DP, core.CDP)
 	sys.Net.Sim.After(core.DefaultGrace+time.Second, func() {})
-	sys.Settle()
+	if err := sys.Settle(); err != nil {
+		b.Fatal(err)
+	}
 
 	sampler := attack.NewSampler(tp)
 	rng := rand.New(rand.NewSource(2))

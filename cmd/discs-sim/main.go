@@ -168,7 +168,10 @@ func main() {
 	if *metrics != "" {
 		cfg.TraceSampleEvery = *sample
 	}
-	sys := core.NewSystem(net, cfg)
+	sys, err := core.NewSystemWithOptions(core.SystemOptions{Net: net, Config: cfg})
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	// The interval recorder ticks on the simulated clock, so points
 	// appear whenever the scenario advances time (settling, grace

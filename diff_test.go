@@ -2,11 +2,14 @@
 // at -workers 1 and -workers 4 must produce byte-identical final obs
 // snapshots and the same event ordering. The mid-size fault-injected
 // variant always runs (so `make check` exercises it under -race); the
-// full paper-scale variant is gated behind DISCS_PAPER_DIFF because it
-// runs the 44 036-AS scenario twice.
+// paper-scale variants — workers 1 vs 4, and checkpoint→restore vs
+// straight-through — are gated behind DISCS_PAPER_DIFF because each
+// runs the 44 036-AS scenario at least twice.
 package discs_test
 
 import (
+	"bytes"
+	"fmt"
 	"math/rand"
 	"os"
 	"sort"
@@ -20,6 +23,7 @@ import (
 	"discs/internal/netsim"
 	"discs/internal/obs"
 	"discs/internal/parsim"
+	"discs/internal/snapshot"
 	"discs/internal/topology"
 )
 
@@ -104,7 +108,7 @@ func runMidScenario(t *testing.T, workers int) (map[string]uint64, map[string]in
 	net.Sim.SetDefaultLinkFaults(netsim.LinkFaults{
 		Loss: 0.05, Dup: 0.05, JitterMax: 500 * time.Microsecond,
 	})
-	sys := core.NewSystem(net, core.DefaultConfig())
+	sys := newSystem(t, net)
 	deployers := topo.BySizeDesc()[:6]
 	for i, asn := range deployers {
 		if _, err := sys.Deploy(asn, int64(i+1)); err != nil {
@@ -189,18 +193,151 @@ func TestSystemDifferentialWorkers(t *testing.T) {
 	diffSnapshots(t, "mid-size", c1, c4, g1, g4, e1, e4)
 }
 
+// The paper-scale scenario of `discs-sim -paper`: 10 DAS, a paced
+// d-DDoS campaign, invocation, a second campaign.
+const (
+	paperDAS     = 10
+	paperFlows   = 200
+	paperPerFlow = 10
+	paperWaves   = 8
+)
+
+// skipUnlessPaperDiff gates the paper-scale differentials: each runs
+// the 44 036-AS scenario at least twice.
+func skipUnlessPaperDiff(t *testing.T) {
+	t.Helper()
+	if os.Getenv("DISCS_PAPER_DIFF") == "" {
+		t.Skip("set DISCS_PAPER_DIFF=1 (make diff-paper) to run the paper-scale differentials")
+	}
+}
+
+// paperConverged generates the 44 036-AS Internet, builds it under the
+// parallel engine with the given worker count, and converges one
+// prefix per DAS. With faults, every link jitters during convergence,
+// so the fault RNG streams sit at nonzero positions when a checkpoint
+// is cut. The caller closes the engine.
+func paperConverged(t *testing.T, workers int, faults bool) (*bgp.Network, *parsim.Engine, []topology.ASN) {
+	t.Helper()
+	topo, err := topology.GenerateInternet(topology.DefaultGenConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	net, err := bgp.BuildNetwork(topo, time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net.AssignShards(parsim.DefaultShards)
+	eng, err := parsim.New(net.Sim, parsim.Options{Shards: parsim.DefaultShards, Workers: workers})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if faults {
+		net.Sim.SeedFaults(7)
+		for _, l := range net.Sim.Links() {
+			l.SetFaults(netsim.LinkFaults{JitterMax: 100 * time.Microsecond})
+		}
+	}
+	deployers := topo.BySizeDesc()[:paperDAS]
+	net.OriginateFirst(deployers...)
+	if err := net.Converge(); err != nil {
+		t.Fatal(err)
+	}
+	return net, eng, deployers
+}
+
+// paperCampaign deploys DISCS on the converged paper-scale network —
+// over lossy controller links when faults is set — warms the DAS
+// routing trees, and runs the paced campaign with the victim's DP
+// invocation between its two halves. It returns the stripped final
+// counters and gauges.
+func paperCampaign(t *testing.T, net *bgp.Network, deployers []topology.ASN, faults bool) (map[string]uint64, map[string]int64) {
+	t.Helper()
+	if faults {
+		net.Sim.SetDefaultLinkFaults(netsim.LinkFaults{
+			Loss: 0.05, Dup: 0.05, JitterMax: 500 * time.Microsecond,
+		})
+	}
+	sys := newSystem(t, net)
+	for i, asn := range deployers {
+		if _, err := sys.Deploy(asn, int64(i+1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sys.Settle(); err != nil {
+		t.Fatal(err)
+	}
+	net.Topo.WarmRoutes(deployers, 0)
+
+	seed := topology.DefaultGenConfig().Seed
+	victim := deployers[len(deployers)-1]
+	sampler := attack.NewSampler(net.Topo)
+	rng := rand.New(rand.NewSource(seed))
+	flows := make([]attack.Flow, paperFlows)
+	for i := range flows {
+		flows[i] = sampler.DrawFlowForVictim(attack.DDDoS, victim, rng)
+	}
+	if _, err := attack.RunPaced(sys, flows, paperPerFlow, seed, paperWaves, time.Second); err != nil {
+		t.Fatal(err)
+	}
+	vc := sys.Controllers[victim]
+	if _, err := vc.Invoke(core.Invocation{
+		Prefixes: vc.OwnPrefixes(), Function: core.DP, Duration: 24 * time.Hour,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Settle(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := attack.RunPaced(sys, flows, paperPerFlow, seed+1, paperWaves, time.Second); err != nil {
+		t.Fatal(err)
+	}
+	return stripEngineMetrics(sys.Stats())
+}
+
 // TestPaperDifferential runs the full 44 036-AS paper scenario at
 // -workers 1 and -workers 4 and requires byte-identical final
-// snapshots. Gated: two paper-scale runs.
+// snapshots.
 func TestPaperDifferential(t *testing.T) {
-	if os.Getenv("DISCS_PAPER_DIFF") == "" {
-		t.Skip("set DISCS_PAPER_DIFF=1 (make diff-paper) to run the paper-scale differential")
-	}
+	skipUnlessPaperDiff(t)
 	run := func(workers int) (map[string]uint64, map[string]int64) {
-		_, snap := measurePaperRun(t, workers)
-		return stripEngineMetrics(snap)
+		net, eng, deployers := paperConverged(t, workers, false)
+		defer eng.Close()
+		return paperCampaign(t, net, deployers, false)
 	}
 	c1, g1 := run(1)
 	c4, g4 := run(4)
 	diffSnapshots(t, "paper", c1, c4, g1, g4, nil, nil)
+}
+
+// TestPaperSnapshotDifferential checkpoints the fault-injected paper
+// scenario at convergence and continues it straight through; the image
+// restored into a fresh world must then run the same continuation to
+// identical final counters and gauges, at 1 and 4 workers.
+func TestPaperSnapshotDifferential(t *testing.T) {
+	skipUnlessPaperDiff(t)
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			net, eng, deployers := paperConverged(t, workers, true)
+			var img bytes.Buffer
+			if err := snapshot.Write(&img, &snapshot.World{Net: net, Eng: eng}); err != nil {
+				t.Fatal(err)
+			}
+			c1, g1 := paperCampaign(t, net, deployers, true)
+			eng.Close()
+
+			decoded, err := snapshot.Read(&img)
+			if err != nil {
+				t.Fatal(err)
+			}
+			restored, err := snapshot.Restore(decoded, snapshot.Options{Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if restored.Eng != nil {
+				defer restored.Eng.Close()
+			}
+			c2, g2 := paperCampaign(t, restored.Net, deployers, true)
+			diffSnapshots(t, fmt.Sprintf("paper-snapshot/w%d", workers), c1, c2, g1, g2, nil, nil)
+		})
+	}
 }

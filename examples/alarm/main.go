@@ -51,7 +51,10 @@ func main() {
 
 	cfg := core.DefaultConfig()
 	cfg.AlarmThreshold = 25 // demo-sized detection threshold
-	sys := core.NewSystem(net, cfg)
+	sys, err := core.NewSystemWithOptions(core.SystemOptions{Net: net, Config: cfg})
+	if err != nil {
+		log.Fatal(err)
+	}
 	for i, asn := range []topology.ASN{2, 3} {
 		if _, err := sys.Deploy(asn, int64(i+1)); err != nil {
 			log.Fatal(err)

@@ -53,7 +53,10 @@ func main() {
 	cfg := core.DefaultConfig()
 	cfg.AlarmThreshold = 20
 	cfg.Grace = time.Second
-	sys := core.NewSystem(net, cfg)
+	sys, err := core.NewSystemWithOptions(core.SystemOptions{Net: net, Config: cfg})
+	if err != nil {
+		log.Fatal(err)
+	}
 	for i, asn := range []topology.ASN{2, 3} {
 		if _, err := sys.Deploy(asn, int64(i+1)); err != nil {
 			log.Fatal(err)

@@ -65,7 +65,10 @@ func main() {
 	//    unconditionally.
 	cfg := core.DefaultConfig()
 	cfg.TraceSampleEvery = 4
-	sys := core.NewSystem(net, cfg)
+	sys, err := core.NewSystemWithOptions(core.SystemOptions{Net: net, Config: cfg})
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	// 3. An interval recorder on the simulated clock: every 500ms of
 	//    simulated time, snapshot the whole registry.

@@ -58,7 +58,10 @@ func main() {
 
 	// 3. Deploy DISCS on AS2 and AS3. Discovery, peering and key
 	//    negotiation run inside the simulator.
-	sys := core.NewSystem(net, core.DefaultConfig())
+	sys, err := core.NewSystemWithOptions(core.SystemOptions{Net: net, Config: core.DefaultConfig()})
+	if err != nil {
+		log.Fatal(err)
+	}
 	for i, asn := range []topology.ASN{2, 3} {
 		if _, err := sys.Deploy(asn, int64(i+1)); err != nil {
 			log.Fatal(err)

@@ -54,7 +54,10 @@ func main() {
 		log.Fatal(err)
 	}
 
-	sys := core.NewSystem(net, core.DefaultConfig())
+	sys, err := core.NewSystemWithOptions(core.SystemOptions{Net: net, Config: core.DefaultConfig()})
+	if err != nil {
+		log.Fatal(err)
+	}
 	for i, asn := range []topology.ASN{2, 3, 4} {
 		if _, err := sys.Deploy(asn, int64(i+1)); err != nil {
 			log.Fatal(err)

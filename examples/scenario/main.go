@@ -44,7 +44,10 @@ func main() {
 	if err := net.Converge(); err != nil {
 		log.Fatal(err)
 	}
-	sys := core.NewSystem(net, core.DefaultConfig())
+	sys, err := core.NewSystemWithOptions(core.SystemOptions{Net: net, Config: core.DefaultConfig()})
+	if err != nil {
+		log.Fatal(err)
+	}
 	for i, asn := range topo.BySizeDesc()[:6] {
 		if _, err := sys.Deploy(asn, int64(i+1)); err != nil {
 			log.Fatal(err)

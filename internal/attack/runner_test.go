@@ -40,7 +40,10 @@ func runnerWorld(t *testing.T) (*core.System, *topology.Topology) {
 	if err := net.Converge(); err != nil {
 		t.Fatal(err)
 	}
-	sys := core.NewSystem(net, core.DefaultConfig())
+	sys, err := core.NewSystemWithOptions(core.SystemOptions{Net: net, Config: core.DefaultConfig()})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i, asn := range []topology.ASN{2, 3} {
 		if _, err := sys.Deploy(asn, int64(i+1)); err != nil {
 			t.Fatal(err)

@@ -352,6 +352,52 @@ func TestBurstPipelineReuseAcrossRouters(t *testing.T) {
 	}
 }
 
+// The batch entry points allocate nothing per burst, even in the shape
+// that defeats the memos: every round draws 64 fresh IPv4 sources from
+// the peer's /16, and destinations alternate between the two stamp
+// keys, so key runs split inside every burst.
+func TestBurstZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts at random under -race")
+	}
+	peer, victim := burstSetup(t, 0)
+	now := t0.Add(time.Minute)
+	const n = 64
+	raw := make([]*packet.IPv4, n)
+	pkts := make([]MarkCarrier, n)
+	for i := range raw {
+		raw[i] = samplePacketV4()
+		pkts[i] = V4{raw[i]}
+	}
+	out := make([]Verdict, 0, n)
+	var ctr uint64
+	allocs := testing.AllocsPerRun(200, func() {
+		for i, p := range raw {
+			ctr += 0x9e3779b97f4a7c15
+			v := ctr ^ ctr>>29
+			p.Src = netip.AddrFrom4([4]byte{10, 1, byte(v >> 8), byte(v)})
+			p.Dst = netip.AddrFrom4([4]byte{10, byte(3 + i%2), byte(v >> 16), byte(v >> 24)})
+		}
+		out = peer.ProcessOutboundBatch(pkts, now, out[:0])
+		for i, v := range out {
+			if v != VerdictPassStamped {
+				t.Fatalf("outbound pkt %d: %v", i, v)
+			}
+		}
+		out = victim.ProcessInboundBatch(pkts, now, out[:0])
+		for i, v := range out {
+			// 10.3/16 verifies strictly; 10.4/16 sits in its grace
+			// interval, where the mark is erased without enforcement.
+			if i%2 == 0 && v != VerdictPassVerified || v.Dropped() {
+				t.Fatalf("inbound pkt %d: %v", i, v)
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("batch stamp+verify allocates %.1f/burst, want 0", allocs)
+	}
+}
+
 // Idle tables (no active invocation anywhere) must take the burst fast
 // path and still count processed packets.
 func TestBurstIdleFastPath(t *testing.T) {

@@ -57,7 +57,17 @@ func testInternet(t *testing.T) *System {
 	if err := net.Converge(); err != nil {
 		t.Fatal(err)
 	}
-	return NewSystem(net, DefaultConfig())
+	return testSystem(t, net, DefaultConfig())
+}
+
+// testSystem wires DISCS into net with cfg.
+func testSystem(t *testing.T, net *bgp.Network, cfg Config) *System {
+	t.Helper()
+	s, err := NewSystemWithOptions(SystemOptions{Net: net, Config: cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
 }
 
 // deploy installs DISCS on the given ASes and settles the simulator.

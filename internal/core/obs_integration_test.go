@@ -1,6 +1,7 @@
 package core
 
 import (
+	"net/netip"
 	"testing"
 	"time"
 
@@ -105,14 +106,73 @@ func TestSystemSampledPacketTracing(t *testing.T) {
 	}
 }
 
+// TestObsBudget: instrumentation is free of allocations. The
+// stamp+verify round trip through routers publishing into one shared
+// registry, sampling every packet into the tracer, allocates nothing,
+// and the counters and sampled verdicts land under each router's scope.
+func TestObsBudget(t *testing.T) {
+	key := make([]byte, 16)
+	v := netip.MustParsePrefix("10.3.0.0/16")
+	reg := obs.NewRegistry()
+
+	pt := NewTables(1, testPfx2AS(t))
+	pt.In[TableOutDst].Install(v, OpDPFilter, t0, time.Hour, 0)
+	pt.In[TableOutDst].Install(v, OpCDPStamp, t0, time.Hour, 0)
+	pt.Keys.SetStampKey(3, key)
+	peer := mustRouterOpts(RouterOptions{
+		Tables: pt, Seed: 1, Registry: reg, Scope: "as1.", AS: 1, TraceSampleEvery: 1,
+	})
+	vt := NewTables(3, testPfx2AS(t))
+	vt.In[TableInDst].Install(v, OpCDPVerify, t0, time.Hour, 0)
+	vt.Keys.SetVerifyKey(1, key)
+	victim := mustRouterOpts(RouterOptions{
+		Tables: vt, Seed: 2, Registry: reg, Scope: "as3.", AS: 3, TraceSampleEvery: 1,
+	})
+
+	now := t0.Add(time.Minute)
+	p := samplePacketV4()
+	p.Src = netip.MustParseAddr("10.1.0.10")
+	allocs := testing.AllocsPerRun(2000, func() {
+		if v := peer.ProcessOutbound(V4{p}, now); v != VerdictPassStamped {
+			t.Fatalf("outbound %v", v)
+		}
+		if v := victim.ProcessInbound(V4{p}, now); v != VerdictPassVerified {
+			t.Fatalf("inbound %v", v)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("instrumented stamp+verify allocates %.1f/packet, want 0", allocs)
+	}
+
+	snap := reg.Snapshot()
+	if snap.Get("as1."+MetricRouterOutStamped) == 0 {
+		t.Fatal("outbound counters not registered under the peer scope")
+	}
+	if snap.Get("as3."+MetricRouterInVerified) == 0 {
+		t.Fatal("inbound counters not registered under the victim scope")
+	}
+	if snap.Sum(MetricRouterMACsComputed) == 0 {
+		t.Fatal("crypto counter missing")
+	}
+	var sampled bool
+	for _, e := range reg.Tracer().Events() {
+		if e.Kind == obs.EvPacketSample && e.Verdict != "" {
+			sampled = true
+			break
+		}
+	}
+	if !sampled {
+		t.Fatal("no packet.sample event with a verdict in the ring")
+	}
+}
+
 // testInternetWithConfig is testInternet with a caller-chosen Config.
 func testInternetWithConfig(t *testing.T, cfg Config) *System {
 	t.Helper()
 	s := testInternet(t)
 	// Rebuild the system wrapper with the requested config; the BGP
 	// network (and its simulator/registry) carries over.
-	sys := NewSystem(s.Net, cfg)
-	return sys
+	return testSystem(t, s.Net, cfg)
 }
 
 // deployOn deploys and then runs long enough for key activation.

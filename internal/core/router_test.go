@@ -70,6 +70,48 @@ func peerVictimSetup(t *testing.T) (peer, victim *BorderRouter) {
 	return peer, victim
 }
 
+// TestDataPlaneBudget pins the data plane's resource contract: with
+// keys installed but no invocation scheduled the path computes no CMAC
+// and allocates nothing, and a serial stamp+verify round trip
+// allocates nothing either.
+func TestDataPlaneBudget(t *testing.T) {
+	now := t0.Add(time.Minute)
+	idleTables := NewTables(1, testPfx2AS(t))
+	idleTables.Keys.SetStampKey(3, make([]byte, 16))
+	idle := testRouter(idleTables, 1)
+	p := samplePacketV4()
+	p.Src = netip.MustParseAddr("10.1.0.10")
+	idleAllocs := testing.AllocsPerRun(2000, func() {
+		if v := idle.ProcessOutbound(V4{p}, now); v != VerdictPass {
+			t.Fatalf("idle outbound %v", v)
+		}
+		if v := idle.ProcessInbound(V4{p}, now); v != VerdictPass {
+			t.Fatalf("idle inbound %v", v)
+		}
+	})
+	if macs := idle.Stats().MACsComputed; macs != 0 {
+		t.Fatalf("idle path computed %d MACs, want 0", macs)
+	}
+	if idleAllocs != 0 {
+		t.Fatalf("idle path allocates %.1f/packet, want 0", idleAllocs)
+	}
+
+	peer, victim := peerVictimSetup(t)
+	q := samplePacketV4()
+	q.Src = netip.MustParseAddr("10.1.0.10")
+	stampAllocs := testing.AllocsPerRun(2000, func() {
+		if v := peer.ProcessOutbound(V4{q}, now); v != VerdictPassStamped {
+			t.Fatalf("outbound %v", v)
+		}
+		if v := victim.ProcessInbound(V4{q}, now); v != VerdictPassVerified {
+			t.Fatalf("inbound %v", v)
+		}
+	})
+	if stampAllocs != 0 {
+		t.Fatalf("stamp+verify allocates %.1f/packet, want 0", stampAllocs)
+	}
+}
+
 func TestCDPEndToEndV4(t *testing.T) {
 	peer, victim := peerVictimSetup(t)
 	now := t0.Add(time.Minute)

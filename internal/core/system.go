@@ -80,20 +80,6 @@ func NewSystemWithOptions(o SystemOptions) (*System, error) {
 	}, nil
 }
 
-// NewSystem creates a system around a converged (or to-be-converged)
-// BGP network.
-//
-// Deprecated: use NewSystemWithOptions. This shim keeps existing
-// callers compiling for one release and panics only on a nil network —
-// the single case NewSystemWithOptions rejects.
-func NewSystem(net *bgp.Network, cfg Config) *System {
-	s, err := NewSystemWithOptions(SystemOptions{Net: net, Config: cfg})
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
 // Registry returns the unified registry every subsystem publishes
 // into.
 func (s *System) Registry() *obs.Registry { return s.reg }

@@ -101,7 +101,7 @@ func TestControlPlaneScale(t *testing.T) {
 	if err := net.Converge(); err != nil {
 		t.Fatal(err)
 	}
-	s := NewSystem(net, DefaultConfig())
+	s := testSystem(t, net, DefaultConfig())
 	const nDAS = 16
 	deployers := tp.BySizeDesc()[:nDAS]
 	for i, asn := range deployers {

@@ -258,8 +258,8 @@ func (s *Simulator) ExecTrace() *obs.Tracer { return s.execTrace }
 
 // MoveToRegistry re-homes the simulator's metrics into reg, carrying
 // the counts accumulated so far. Layers that build a simulator first
-// and an observability plan later (core.NewSystem adopting a BGP
-// network's simulator) use this to unify on one registry.
+// and an observability plan later (core.NewSystemWithOptions adopting
+// a BGP network's simulator) use this to unify on one registry.
 func (s *Simulator) MoveToRegistry(reg *obs.Registry) {
 	if reg == nil || reg == s.reg {
 		return

@@ -147,7 +147,10 @@ func TestRunInjectsInOrderAndAdvancesClock(t *testing.T) {
 	if err := net.Converge(); err != nil {
 		t.Fatal(err)
 	}
-	sys := core.NewSystem(net, core.DefaultConfig())
+	sys, err := core.NewSystemWithOptions(core.SystemOptions{Net: net, Config: core.DefaultConfig()})
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	pkts := make([][]*packet.IPv4, 1)
 	for k := 0; k < 6; k++ {

@@ -44,7 +44,10 @@ func world(t *testing.T, deploy ...topology.ASN) (*core.System, *topology.Topolo
 	if err := net.Converge(); err != nil {
 		t.Fatal(err)
 	}
-	sys := core.NewSystem(net, core.DefaultConfig())
+	sys, err := core.NewSystemWithOptions(core.SystemOptions{Net: net, Config: core.DefaultConfig()})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i, asn := range deploy {
 		if _, err := sys.Deploy(asn, int64(i+1)); err != nil {
 			t.Fatal(err)

@@ -188,18 +188,47 @@ func TestHealthzDegradesOnDeadPeer(t *testing.T) {
 	}
 }
 
-// TestConfigLoadAndValidate pins the JSON config surface: a good file
-// loads, and each structural defect is rejected.
-func TestConfigLoadAndValidate(t *testing.T) {
+// testConfig is a valid one-peer node config.
+func testConfig(tb testing.TB) service.Config {
+	tb.Helper()
 	id, err := service.NodeIdentity("ctrl.as2", 5)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	good := service.Config{
+	return service.Config{
 		Name: "ctrl.as1", AS: 1, Listen: "127.0.0.1:0",
 		Prefixes: map[string][]string{"1": {"10.0.0.0/16"}, "2": {"10.1.0.0/16"}},
 		Peers:    []service.PeerConfig{{Name: "ctrl.as2", AS: 2, Addr: "127.0.0.1:9", Pub: service.PubHex(id)}},
 	}
+}
+
+// configDefects are the structural defects Validate must reject, each
+// applied to a copy of testConfig.
+var configDefects = []struct {
+	name   string
+	mutate func(*service.Config)
+}{
+	{"missing name", func(c *service.Config) { c.Name = "" }},
+	{"missing as", func(c *service.Config) { c.AS = 0 }},
+	{"missing listen", func(c *service.Config) { c.Listen = "" }},
+	{"bad prefix", func(c *service.Config) { c.Prefixes = map[string][]string{"1": {"nope"}} }},
+	{"bad asn key", func(c *service.Config) { c.Prefixes = map[string][]string{"x": {"10.0.0.0/16"}} }},
+	{"peer missing as", func(c *service.Config) { c.Peers[0].AS = 0 }},
+	{"peer bad pub", func(c *service.Config) { c.Peers[0].Pub = "zz" }},
+}
+
+// withDefect returns a copy of good with one defect applied.
+func withDefect(good service.Config, mutate func(*service.Config)) service.Config {
+	c := good
+	c.Peers = append([]service.PeerConfig(nil), good.Peers...)
+	mutate(&c)
+	return c
+}
+
+// TestConfigLoadAndValidate pins the JSON config surface: a good file
+// loads, and each structural defect is rejected.
+func TestConfigLoadAndValidate(t *testing.T) {
+	good := testConfig(t)
 	b, err := json.Marshal(good)
 	if err != nil {
 		t.Fatal(err)
@@ -216,23 +245,8 @@ func TestConfigLoadAndValidate(t *testing.T) {
 		t.Fatalf("loaded = %+v", loaded)
 	}
 
-	bad := []struct {
-		name   string
-		mutate func(*service.Config)
-	}{
-		{"missing name", func(c *service.Config) { c.Name = "" }},
-		{"missing as", func(c *service.Config) { c.AS = 0 }},
-		{"missing listen", func(c *service.Config) { c.Listen = "" }},
-		{"bad prefix", func(c *service.Config) { c.Prefixes = map[string][]string{"1": {"nope"}} }},
-		{"bad asn key", func(c *service.Config) { c.Prefixes = map[string][]string{"x": {"10.0.0.0/16"}} }},
-		{"peer missing as", func(c *service.Config) { c.Peers[0].AS = 0 }},
-		{"peer bad pub", func(c *service.Config) { c.Peers[0].Pub = "zz" }},
-	}
-	for _, tc := range bad {
-		c := good
-		c.Peers = append([]service.PeerConfig(nil), good.Peers...)
-		tc.mutate(&c)
-		if err := c.Validate(); err == nil {
+	for _, tc := range configDefects {
+		if err := withDefect(good, tc.mutate).Validate(); err == nil {
 			t.Errorf("%s: validated", tc.name)
 		}
 	}

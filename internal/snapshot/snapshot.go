@@ -496,7 +496,10 @@ func Restore(img *Image, opt Options) (*World, error) {
 		if opt.Config != nil {
 			cfg = *opt.Config
 		}
-		sys := core.NewSystem(net, cfg)
+		sys, err := core.NewSystemWithOptions(core.SystemOptions{Net: net, Config: cfg})
+		if err != nil {
+			return nil, err
+		}
 		cr, err := need(SecCore)
 		if err != nil {
 			return nil, err

@@ -121,7 +121,10 @@ func TestNetworkRoundTrip(t *testing.T) {
 func TestSystemRoundTrip(t *testing.T) {
 	world := buildWorld(t, 2, 2)
 	cfg := core.DefaultConfig()
-	sys := core.NewSystem(world.Net, cfg)
+	sys, err := core.NewSystemWithOptions(core.SystemOptions{Net: world.Net, Config: cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i, asn := range []topology.ASN{2, 3} {
 		if _, err := sys.Deploy(asn, int64(i+1)); err != nil {
 			t.Fatal(err)

@@ -2,6 +2,8 @@ package topology
 
 import (
 	"testing"
+
+	"discs/internal/obs"
 )
 
 // TestRouteCacheCorrectness: repeated lookups are consistent, graph
@@ -108,6 +110,32 @@ func TestWarmRoutes(t *testing.T) {
 				t.Fatalf("NextHop(%d,%d) = %d, path %v", src, dst, hop, p)
 			}
 		}
+	}
+}
+
+// TestWarmNextHopBudget: the route_trees gauge counts exactly the trees
+// WarmRoutes built, and a warm NextHop — the forwarding hot path — does
+// not allocate.
+func TestWarmNextHopBudget(t *testing.T) {
+	tp, err := GenerateInternet(GenConfig{
+		NumASes: 500, NumPrefixes: 1000, ZipfExponent: 1.0, TierOneCount: 5, Seed: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	tp.PublishMetrics(reg)
+	const trees = 32
+	dsts := tp.BySizeDesc()[:trees]
+	if got := tp.WarmRoutes(dsts, 0); got != trees {
+		t.Fatalf("warmed %d trees, want %d", got, trees)
+	}
+	if g := reg.Snapshot().GetGauge(MetricRouteTrees); g != trees {
+		t.Fatalf("%s gauge = %d, want %d", MetricRouteTrees, g, trees)
+	}
+	asns := tp.ASNs()
+	if allocs := testing.AllocsPerRun(1000, func() { tp.NextHop(asns[1], dsts[0]) }); allocs != 0 {
+		t.Fatalf("warm NextHop allocates %.1f/op, want 0", allocs)
 	}
 }
 

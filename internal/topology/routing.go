@@ -276,7 +276,7 @@ func (m *routeMetrics) size(trees, capacity int) {
 // PublishMetrics registers the routing-cache gauges and counters
 // (topology.route_*) in reg: cached-tree count and capacity, plus
 // hit/miss/eviction counters from which a hit rate falls out.
-// core.NewSystem wires the system registry through here.
+// core.NewSystemWithOptions wires the system registry through here.
 func (t *Topology) PublishMetrics(reg *obs.Registry) {
 	if reg == nil {
 		return

@@ -43,7 +43,10 @@ func wireWorld(t *testing.T) (*core.System, *DataNet) {
 	if err := net.Converge(); err != nil {
 		t.Fatal(err)
 	}
-	sys := core.NewSystem(net, core.DefaultConfig())
+	sys, err := core.NewSystemWithOptions(core.SystemOptions{Net: net, Config: core.DefaultConfig()})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i, asn := range []topology.ASN{2, 3} {
 		if _, err := sys.Deploy(asn, int64(i+1)); err != nil {
 			t.Fatal(err)
@@ -290,7 +293,10 @@ func TestWirePeerLinksBuilt(t *testing.T) {
 	}
 	net.OriginateAll()
 	net.Converge()
-	sys := core.NewSystem(net, core.DefaultConfig())
+	sys, err := core.NewSystemWithOptions(core.SystemOptions{Net: net, Config: core.DefaultConfig()})
+	if err != nil {
+		t.Fatal(err)
+	}
 	dn, err := New(sys, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)

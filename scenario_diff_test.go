@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"discs/internal/bgp"
-	"discs/internal/core"
 	"discs/internal/netsim"
 	"discs/internal/obs"
 	"discs/internal/scenario"
@@ -51,7 +50,7 @@ func scenarioEpilogue(t testing.TB, net *bgp.Network) (*scenario.Result, map[str
 	net.Sim.SetDefaultLinkFaults(netsim.LinkFaults{
 		Loss: 0.05, Dup: 0.05, JitterMax: 500 * time.Microsecond,
 	})
-	sys := core.NewSystem(net, core.DefaultConfig())
+	sys := newSystem(t, net)
 	for i, asn := range net.Topo.BySizeDesc()[:6] {
 		if _, err := sys.Deploy(asn, int64(i+1)); err != nil {
 			t.Fatal(err)
@@ -94,7 +93,9 @@ func diffScenarioResults(t *testing.T, label string, r1, r2 *scenario.Result) {
 }
 
 // TestScenarioDifferentialWorkers: the same scenario run at 1 and 4
-// workers yields a bit-identical Result and final obs snapshot.
+// workers yields a bit-identical Result and final obs snapshot, with
+// exactly diffSpec's packet volume and dataset shape — the engine is
+// deterministic, so any drift there is a behaviour change.
 func TestScenarioDifferentialWorkers(t *testing.T) {
 	net1, _ := snapConverged(t, 1)
 	r1, c1, g1, e1 := scenarioEpilogue(t, net1)
@@ -103,6 +104,15 @@ func TestScenarioDifferentialWorkers(t *testing.T) {
 
 	if c1["netsim.delivered"] == 0 {
 		t.Fatal("scenario delivered nothing")
+	}
+	const wantSent, wantRecords = 800, 110
+	sent := 0
+	for _, ph := range r1.Phases {
+		sent += ph.Sent
+	}
+	if sent != wantSent || len(r1.Dataset) != wantRecords {
+		t.Fatalf("sent %d packets and exported %d dataset records, want %d and %d",
+			sent, len(r1.Dataset), wantSent, wantRecords)
 	}
 	diffScenarioResults(t, "workers", r1, r4)
 	diffSnapshots(t, "scenario-workers", c1, c4, g1, g4, e1, e4)

@@ -70,7 +70,7 @@ func snapEpilogue(t testing.TB, net *bgp.Network) (map[string]uint64, map[string
 	net.Sim.SetDefaultLinkFaults(netsim.LinkFaults{
 		Loss: 0.05, Dup: 0.05, JitterMax: 500 * time.Microsecond,
 	})
-	sys := core.NewSystem(net, core.DefaultConfig())
+	sys := newSystem(t, net)
 	deployers := net.Topo.BySizeDesc()[:6]
 	for i, asn := range deployers {
 		if _, err := sys.Deploy(asn, int64(i+1)); err != nil {
@@ -182,7 +182,7 @@ func TestSnapshotCrashRestartRegression(t *testing.T) {
 		if viaImage {
 			net = restoreFrom(t, &snapshot.World{Net: net, Eng: eng}, workers)
 		}
-		sys := core.NewSystem(net, core.DefaultConfig())
+		sys := newSystem(t, net)
 		deployers := net.Topo.BySizeDesc()[:4]
 		for i, asn := range deployers {
 			if _, err := sys.Deploy(asn, int64(i+1)); err != nil {
