@@ -72,6 +72,7 @@ fuzz:
 	$(GO) test ./internal/securechan/ -fuzz FuzzOpen -fuzztime 15s
 	$(GO) test ./internal/securechan/ -fuzz FuzzHandshakeFrames -fuzztime 15s
 	$(GO) test ./internal/snapshot/ -fuzz FuzzRead -fuzztime 15s
+	$(GO) test ./internal/snapshot/ -fuzz FuzzRestoreBGP -fuzztime 15s
 	$(GO) test ./internal/transport/ -fuzz FuzzReadFrame -fuzztime 15s
 	$(GO) test ./internal/transport/ -fuzz FuzzFrameRoundTrip -fuzztime 15s
 	$(GO) test ./internal/service/ -fuzz FuzzConfig -fuzztime 15s

@@ -14,6 +14,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"net/netip"
+	"slices"
 	"sort"
 
 	"discs/internal/netsim"
@@ -70,12 +71,23 @@ func NewDISCSAdAttr(ad DISCSAd) Attr {
 	return Attr{Flags: AttrFlagOptional | AttrFlagTransitive, Code: AttrCodeDISCSAd, Data: ad.Encode()}
 }
 
-// Update is a BGP UPDATE message for a single prefix.
+// Update is a BGP UPDATE message for a single prefix. One Update is
+// shared by every neighbour an export reaches; receivers never modify
+// it.
 type Update struct {
 	Prefix    netip.Prefix
 	Withdrawn bool
 	ASPath    []topology.ASN
 	Attrs     []Attr
+
+	from  topology.ASN // the sending speaker
+	pid   uint32       // Prefix's id in the network's prefix table
+	attrs uint32       // Attrs' id in the network's attribute-set table
+	// tail is the handle of ASPath[1:] in arena, the sender's shard
+	// arena: a receiver of the same shard prepends the sender to it with
+	// one lookup instead of interning ASPath.
+	tail  uint32
+	arena *pathArena
 }
 
 // Size approximates the wire size for netsim bandwidth accounting.
@@ -87,7 +99,7 @@ func (u *Update) Size() int {
 	return n
 }
 
-// Route is an entry in a RIB.
+// Route is a view of a Loc-RIB entry.
 type Route struct {
 	Prefix  netip.Prefix
 	ASPath  []topology.ASN // first element is the neighbor the route came from
@@ -97,89 +109,156 @@ type Route struct {
 	Local   bool
 }
 
-// preferenceClass ranks routes by business preference: customer routes
-// earn money (best), then peers, then providers.
-func (r *Route) preferenceClass() int {
-	if r.Local {
-		return 3
-	}
-	switch r.FromRel {
-	case topology.ProviderToCustomer: // From is our customer
-		return 2
-	case topology.PeerToPeer:
-		return 1
-	default: // From is our provider
-		return 0
-	}
-}
-
-// better reports whether r is preferred over s: local > customer >
-// peer > provider, then shorter AS path, then lower neighbor ASN.
-func (r *Route) better(s *Route) bool {
-	if s == nil {
-		return true
-	}
-	if a, b := r.preferenceClass(), s.preferenceClass(); a != b {
-		return a > b
-	}
-	if len(r.ASPath) != len(s.ASPath) {
-		return len(r.ASPath) < len(s.ASPath)
-	}
-	return r.From < s.From
-}
-
 // AdHandler receives DISCS-Ads extracted from propagated updates.
 type AdHandler func(ad DISCSAd)
+
+// Business preference of a route by the neighbour it came from:
+// customer routes earn money, then peer routes, then provider routes.
+const (
+	prefProvider uint8 = iota
+	prefPeer
+	prefCustomer
+)
+
+// neighbor is one eBGP session. A speaker's neighbours are sorted by
+// ASN, and a neighbour's index there is its slot in every Adj-RIB-In
+// row.
+type neighbor struct {
+	asn  topology.ASN
+	pref uint8        // prefCustomer, prefPeer or prefProvider
+	link *netsim.Link // the session's link, the first between the two nodes
+}
+
+// rel is our perspective of the hop to the neighbour.
+func (n *neighbor) rel() topology.Relationship {
+	switch n.pref {
+	case prefCustomer:
+		return topology.ProviderToCustomer
+	case prefPeer:
+		return topology.PeerToPeer
+	}
+	return topology.CustomerToProvider
+}
 
 // Speaker is the BGP process of one AS, attached to one netsim node
 // (the AS's border-router abstraction).
 type Speaker struct {
 	ASN  topology.ASN
 	node *netsim.Node
-	topo *topology.Topology
 
-	neighbors map[topology.ASN]*netsim.Node
-	byNode    map[*netsim.Node]topology.ASN          // reverse index for receive()
-	rels      map[topology.ASN]topology.Relationship // our perspective of hop to neighbor
+	tabs  *tables
+	paths *pathArena // the arena of the speaker's shard
 
-	adjIn  map[netip.Prefix]map[topology.ASN]*Route
-	locRib map[netip.Prefix]*Route
+	nbrs []neighbor
+	// Gao-Rexford export lists, as slots in ASN order: routes from
+	// customers (and local routes) go to everyone, routes from peers
+	// and providers to customers only.
+	toAll, toCustomers []int32
+
+	rows []ribRow   // sorted by prefix id
+	adj  []ribRoute // Adj-RIB-In slab of degree-wide blocks, one per row
 
 	adHandlers []AdHandler
-	seenAds    map[topology.ASN]string // dedup: origin -> controller
+	seen       []seenAd // sorted by origin
 
 	// Stats.
 	UpdatesSent, UpdatesRecv uint64
 }
 
-// NewSpeaker creates a speaker for asn on node. Neighbors are attached
-// with AddNeighbor.
-func NewSpeaker(asn topology.ASN, node *netsim.Node, topo *topology.Topology) *Speaker {
-	s := &Speaker{
-		ASN:       asn,
-		node:      node,
-		topo:      topo,
-		neighbors: make(map[topology.ASN]*netsim.Node),
-		byNode:    make(map[*netsim.Node]topology.ASN),
-		rels:      make(map[topology.ASN]topology.Relationship),
-		adjIn:     make(map[netip.Prefix]map[topology.ASN]*Route),
-		locRib:    make(map[netip.Prefix]*Route),
-		seenAds:   make(map[topology.ASN]string),
-	}
+func newSpeaker(asn topology.ASN, node *netsim.Node, tabs *tables, degree int) *Speaker {
+	s := &Speaker{ASN: asn, node: node, tabs: tabs, paths: tabs.arenas[0], nbrs: make([]neighbor, 0, degree)}
 	node.SetHandler(netsim.HandlerFunc(s.receive))
-	node.Meta["bgp"] = s
 	return s
 }
 
 // Node returns the netsim node this speaker runs on.
 func (s *Speaker) Node() *netsim.Node { return s.node }
 
-// AddNeighbor declares an eBGP session to the neighbor speaker's node.
-// rel is the relationship of the hop from this AS to the neighbor.
-func (s *Speaker) AddNeighbor(asn topology.ASN, node *netsim.Node, rel topology.Relationship) {
-	s.neighbors[asn] = node
-	s.byNode[node] = asn
-	s.rels[asn] = rel
+// addNeighbor declares an eBGP session over link to the neighbor
+// speaker's node. rel is the relationship of the hop from this AS to
+// the neighbor. finishNeighbors must run before the speaker handles any
+// route.
+func (s *Speaker) addNeighbor(asn topology.ASN, link *netsim.Link, rel topology.Relationship) {
+	pref := prefProvider
+	switch rel {
+	case topology.ProviderToCustomer:
+		pref = prefCustomer
+	case topology.PeerToPeer:
+		pref = prefPeer
+	}
+	s.nbrs = append(s.nbrs, neighbor{asn: asn, pref: pref, link: link})
+}
+
+// finishNeighbors fixes the slot order and the export lists.
+func (s *Speaker) finishNeighbors() {
+	sort.Slice(s.nbrs, func(i, j int) bool { return s.nbrs[i].asn < s.nbrs[j].asn })
+	s.toAll = make([]int32, len(s.nbrs))
+	s.toCustomers = s.toCustomers[:0]
+	for i, n := range s.nbrs {
+		s.toAll[i] = int32(i)
+		if n.pref == prefCustomer {
+			s.toCustomers = append(s.toCustomers, int32(i))
+		}
+	}
+}
+
+// slotOf returns the slot of neighbour asn, or -1.
+func (s *Speaker) slotOf(asn topology.ASN) int32 {
+	lo, hi := 0, len(s.nbrs)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if s.nbrs[m].asn < asn {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	if lo < len(s.nbrs) && s.nbrs[lo].asn == asn {
+		return int32(lo)
+	}
+	return -1
+}
+
+// find returns the row of prefix id pid, or where to insert it.
+func (s *Speaker) find(pid uint32) (int32, bool) {
+	lo, hi := 0, len(s.rows)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if s.rows[m].pid < pid {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return int32(lo), lo < len(s.rows) && s.rows[lo].pid == pid
+}
+
+// row returns the row of prefix id pid, adding an empty one if needed.
+// Adding a row renumbers the rows after it.
+func (s *Speaker) row(pid uint32) int32 {
+	ri, ok := s.find(pid)
+	if !ok {
+		block := uint32(len(s.rows))
+		s.rows = slices.Insert(s.rows, int(ri), ribRow{pid: pid, block: block, best: locRoute{slot: slotNone}})
+		s.adj = append(s.adj, make([]ribRoute, len(s.nbrs))...)
+	}
+	return ri
+}
+
+// rowFor returns the row of prefix p, if the speaker has one.
+func (s *Speaker) rowFor(p netip.Prefix) (int32, bool) {
+	pid, ok := s.tabs.pids[p.Masked()]
+	if !ok {
+		return 0, false
+	}
+	return s.find(pid)
+}
+
+// adjRow returns row ri's Adj-RIB-In block, indexed by neighbour slot.
+func (s *Speaker) adjRow(ri int32) []ribRoute {
+	d := uint32(len(s.nbrs))
+	b := s.rows[ri].block
+	return s.adj[b*d : (b+1)*d]
 }
 
 // OnAd registers a handler invoked once per newly learned DISCS-Ad
@@ -187,31 +266,50 @@ func (s *Speaker) AddNeighbor(asn topology.ASN, node *netsim.Node, rel topology.
 func (s *Speaker) OnAd(h AdHandler) { s.adHandlers = append(s.adHandlers, h) }
 
 // Originate installs a locally originated route and announces it to
-// neighbors according to export policy.
+// neighbors according to export policy. Call it from driver context
+// (not from inside a simulator event): it may add to the network's
+// prefix and attribute tables.
 func (s *Speaker) Originate(p netip.Prefix, attrs ...Attr) {
-	p = p.Masked()
-	r := &Route{Prefix: p, Local: true, Attrs: attrs}
-	s.locRib[p] = r
-	s.export(r)
+	pid := s.tabs.prefixID(p.Masked())
+	r := locRoute{slot: slotLocal, ribRoute: ribRoute{attrs: s.tabs.internAttrs(attrs)}}
+	ri := s.row(pid)
+	s.rows[ri].best = r
+	s.export(pid, r)
 }
 
 // ReOriginate re-announces an already-originated prefix with new
 // attributes. The paper's DISCS-Ad bootstrap uses this: the update
 // prepends the origin AS so legacy routers accept a changed route
-// without reachability impact (§IV-B).
+// without reachability impact (§IV-B). Like Originate, it runs in
+// driver context.
 func (s *Speaker) ReOriginate(p netip.Prefix, attrs ...Attr) error {
-	p = p.Masked()
-	r := s.locRib[p]
-	if r == nil || !r.Local {
-		return fmt.Errorf("bgp: AS%d does not originate %v", s.ASN, p)
+	ri, ok := s.rowFor(p)
+	if !ok || s.rows[ri].best.slot != slotLocal {
+		return fmt.Errorf("bgp: AS%d does not originate %v", s.ASN, p.Masked())
 	}
-	r.Attrs = attrs
-	s.export(r)
+	row := &s.rows[ri]
+	row.best.attrs = s.tabs.internAttrs(attrs)
+	s.export(row.pid, row.best)
 	return nil
 }
 
-// LocRib returns the current best route for p, or nil.
-func (s *Speaker) LocRib(p netip.Prefix) *Route { return s.locRib[p.Masked()] }
+// LocRib returns the current best route for p.
+func (s *Speaker) LocRib(p netip.Prefix) (Route, bool) {
+	ri, ok := s.rowFor(p)
+	if !ok || s.rows[ri].best.slot == slotNone {
+		return Route{}, false
+	}
+	b := s.rows[ri].best
+	r := Route{Prefix: s.tabs.prefixes[s.rows[ri].pid], Attrs: s.tabs.sets[b.attrs].attrs}
+	if b.slot == slotLocal {
+		r.Local = true
+		return r, true
+	}
+	n := &s.nbrs[b.slot]
+	r.From, r.FromRel = n.asn, n.rel()
+	r.ASPath = s.paths.appendPath(make([]topology.ASN, 0, s.paths.hops(b.path)), b.path)
+	return r, true
+}
 
 // SessionDown handles the loss of an eBGP session (link failure or
 // neighbor death): every route learned from that neighbor is flushed
@@ -219,91 +317,143 @@ func (s *Speaker) LocRib(p netip.Prefix) *Route { return s.locRib[p.Masked()] }
 // withdrawals or switching to backup paths as needed. The session
 // configuration is retained so SessionUp can restore it.
 func (s *Speaker) SessionDown(neighbor topology.ASN) {
-	var affected []netip.Prefix
-	for p, peers := range s.adjIn {
-		if _, ok := peers[neighbor]; ok {
-			delete(peers, neighbor)
-			affected = append(affected, p)
+	slot := s.slotOf(neighbor)
+	if slot < 0 {
+		return
+	}
+	var affected []int32
+	for ri := range s.rows {
+		if r := &s.adjRow(int32(ri))[slot]; r.path != 0 {
+			*r = ribRoute{}
+			affected = append(affected, int32(ri))
 		}
 	}
-	sort.Slice(affected, func(i, j int) bool { return affected[i].String() < affected[j].String() })
-	for _, p := range affected {
-		s.decide(p)
+	s.sortRows(affected)
+	for _, ri := range affected {
+		s.decide(ri, slot)
 	}
 }
 
 // SessionUp re-advertises the full Loc-RIB to a restored neighbor (the
 // initial-exchange behavior of a fresh BGP session).
 func (s *Speaker) SessionUp(neighbor topology.ASN) {
-	node := s.neighbors[neighbor]
-	if node == nil {
+	slot := s.slotOf(neighbor)
+	if slot < 0 {
 		return
 	}
-	for _, p := range s.Routes() {
-		r := s.locRib[p]
+	for _, ri := range s.locRows() {
+		row := &s.rows[ri]
 		// Export policy still applies.
-		allowed := false
-		for _, t := range s.exportTargets(r) {
-			if t == neighbor {
-				allowed = true
-				break
-			}
-		}
-		if !allowed {
-			continue
-		}
-		u := &Update{
-			Prefix: r.Prefix,
-			ASPath: append([]topology.ASN{s.ASN}, r.ASPath...),
-			Attrs:  r.Attrs,
-		}
-		if s.node.SendTo(node, u) {
-			s.UpdatesSent++
+		if s.exports(row.best, slot) {
+			s.send(slot, s.announcement(row.pid, row.best))
 		}
 	}
 }
 
-// Routes returns all Loc-RIB prefixes, sorted for determinism.
+// Routes returns all Loc-RIB prefixes, sorted by their String form.
 func (s *Speaker) Routes() []netip.Prefix {
-	out := make([]netip.Prefix, 0, len(s.locRib))
-	for p := range s.locRib {
-		out = append(out, p)
+	rows := s.locRows()
+	out := make([]netip.Prefix, len(rows))
+	for i, ri := range rows {
+		out[i] = s.tabs.prefixes[s.rows[ri].pid]
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].String() < out[j].String() })
 	return out
 }
 
-// exportTargets returns the neighbors a route may be exported to under
-// Gao-Rexford policy: routes from customers (or local routes) go to
-// everyone; routes from peers/providers go to customers only.
-func (s *Speaker) exportTargets(r *Route) []topology.ASN {
-	toAll := r.Local || r.FromRel == topology.ProviderToCustomer
-	var out []topology.ASN
-	for n := range s.neighbors {
-		if n == r.From {
+// locRows returns the rows holding a Loc-RIB entry, in Routes order.
+func (s *Speaker) locRows() []int32 {
+	var out []int32
+	for ri := range s.rows {
+		if s.rows[ri].best.slot != slotNone {
+			out = append(out, int32(ri))
+		}
+	}
+	s.sortRows(out)
+	return out
+}
+
+// sortRows orders rows by their prefixes' String form, the order that
+// fixes the event sequence of SessionDown's withdrawals.
+func (s *Speaker) sortRows(rows []int32) {
+	keys := s.tabs.keys
+	sort.Slice(rows, func(i, j int) bool { return keys[s.rows[rows[i]].pid] < keys[s.rows[rows[j]].pid] })
+}
+
+// toEveryone reports whether Gao-Rexford policy exports route r to all
+// neighbours (a local or customer route), not only to customers.
+func (s *Speaker) toEveryone(r locRoute) bool {
+	return r.slot == slotLocal || s.nbrs[r.slot].pref == prefCustomer
+}
+
+// targets returns the neighbours route r may be exported to, the
+// neighbour it came from included: skip it.
+func (s *Speaker) targets(r locRoute) []int32 {
+	if s.toEveryone(r) {
+		return s.toAll
+	}
+	return s.toCustomers
+}
+
+// exports reports whether route r is exported to the neighbour in slot.
+func (s *Speaker) exports(r locRoute, slot int32) bool {
+	return slot != r.slot && (s.toEveryone(r) || s.nbrs[slot].pref == prefCustomer)
+}
+
+// announcement builds the UPDATE announcing r with our ASN prepended.
+func (s *Speaker) announcement(pid uint32, r locRoute) *Update {
+	path := make([]topology.ASN, 1, 1+s.paths.hops(r.path))
+	path[0] = s.ASN
+	return &Update{
+		Prefix: s.tabs.prefixes[pid],
+		ASPath: s.paths.appendPath(path, r.path),
+		Attrs:  s.tabs.sets[r.attrs].attrs,
+		from:   s.ASN, pid: pid, attrs: r.attrs,
+		tail: r.path, arena: s.paths,
+	}
+}
+
+// send is node.SendTo without the link lookup while the session's link
+// is up.
+func (s *Speaker) send(slot int32, u *Update) {
+	n := &s.nbrs[slot]
+	var ok bool
+	if n.link.Up() {
+		ok = n.link.Send(s.node, u)
+	} else {
+		ok = s.node.SendTo(n.link.Neighbor(s.node), u)
+	}
+	if ok {
+		s.UpdatesSent++
+	}
+}
+
+// export sends the route to all permitted neighbors, in ASN order.
+func (s *Speaker) export(pid uint32, r locRoute) {
+	var u *Update
+	for _, t := range s.targets(r) {
+		if t == r.slot {
 			continue
 		}
-		if toAll || s.rels[n] == topology.ProviderToCustomer {
-			out = append(out, n)
+		if u == nil {
+			u = s.announcement(pid, r)
 		}
+		s.send(t, u)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
-// export sends the route to all permitted neighbors with our ASN
-// prepended.
-func (s *Speaker) export(r *Route) {
-	path := append([]topology.ASN{s.ASN}, r.ASPath...)
-	for _, nASN := range s.exportTargets(r) {
-		u := &Update{
-			Prefix: r.Prefix,
-			ASPath: append([]topology.ASN(nil), path...),
-			Attrs:  r.Attrs,
+// exportWithdraw notifies the neighbors that received route r that it
+// is gone, excluding those keep (the new best route, if any) is
+// exported to: they are about to get a replacement announcement.
+func (s *Speaker) exportWithdraw(pid uint32, r locRoute, keep *locRoute) {
+	var u *Update
+	for _, t := range s.targets(r) {
+		if t == r.slot || (keep != nil && s.exports(*keep, t)) {
+			continue
 		}
-		if s.node.SendTo(s.neighbors[nASN], u) {
-			s.UpdatesSent++
+		if u == nil {
+			u = &Update{Prefix: s.tabs.prefixes[pid], Withdrawn: true, from: s.ASN, pid: pid}
 		}
+		s.send(t, u)
 	}
 }
 
@@ -314,10 +464,8 @@ func (s *Speaker) receive(from *netsim.Node, _ *netsim.Link, msg netsim.Message)
 		return
 	}
 	s.UpdatesRecv++
-	// Identify which neighbor sent it (O(1); a tier-1 speaker has
-	// thousands of sessions, so scanning per update does not scale).
-	fromASN, found := s.byNode[from]
-	if !found {
+	slot := s.slotOf(u.from)
+	if slot < 0 || s.nbrs[slot].link.Neighbor(s.node) != from {
 		return // not a configured session
 	}
 	// Loop prevention.
@@ -329,133 +477,129 @@ func (s *Speaker) receive(from *netsim.Node, _ *netsim.Link, msg netsim.Message)
 	// Surface any DISCS-Ads regardless of best-path outcome: the
 	// controller learns about DASes from every update carrying the
 	// attribute (the Ad is informational, not a routing input).
-	s.extractAds(u.Attrs)
+	s.extractAds(u.attrs)
 
 	if u.Withdrawn {
-		if peers := s.adjIn[u.Prefix]; peers != nil {
-			delete(peers, fromASN)
+		if ri, ok := s.find(u.pid); ok {
+			s.adjRow(ri)[slot] = ribRoute{}
+			s.decide(ri, slot)
 		}
-		s.decide(u.Prefix)
 		return
 	}
-	r := &Route{
-		Prefix:  u.Prefix,
-		ASPath:  append([]topology.ASN(nil), u.ASPath...),
-		Attrs:   u.Attrs,
-		From:    fromASN,
-		FromRel: s.rels[fromASN],
+	var path uint32
+	if u.arena == s.paths {
+		path = s.paths.cons(u.from, u.tail)
+	} else {
+		path = s.paths.intern(u.ASPath)
 	}
-	if s.adjIn[u.Prefix] == nil {
-		s.adjIn[u.Prefix] = make(map[topology.ASN]*Route)
-	}
-	s.adjIn[u.Prefix][fromASN] = r
-	s.decide(u.Prefix)
+	ri := s.row(u.pid)
+	s.adjRow(ri)[slot] = ribRoute{path: path, attrs: u.attrs}
+	s.decide(ri, slot)
 }
 
-// decide recomputes the best path for p and exports on change. A
-// changed attribute set on the same best path also triggers export so
-// re-originated DISCS-Ads propagate.
-func (s *Speaker) decide(p netip.Prefix) {
-	cur := s.locRib[p]
-	if cur != nil && cur.Local {
+// better reports whether the route in slot i of adj is preferred over
+// the one in slot j: customer > peer > provider, then shorter AS path,
+// then lower neighbor ASN. It is a strict total order, so the best
+// route does not depend on the order candidates are compared in.
+func (s *Speaker) better(adj []ribRoute, i, j int32) bool {
+	if a, b := s.nbrs[i].pref, s.nbrs[j].pref; a != b {
+		return a > b
+	}
+	if a, b := s.paths.hops(adj[i].path), s.paths.hops(adj[j].path); a != b {
+		return a < b
+	}
+	return i < j // slots are in ASN order
+}
+
+// bestOf returns the slot of the best route in adj, or slotNone.
+func (s *Speaker) bestOf(adj []ribRoute) int32 {
+	best := slotNone
+	for i := range adj {
+		if adj[i].path != 0 && (best == slotNone || s.better(adj, int32(i), best)) {
+			best = int32(i)
+		}
+	}
+	return best
+}
+
+// decide recomputes the best path of row ri after the Adj-RIB-In entry
+// in slot changed, and exports on change. Only a change to the current
+// best route needs a scan of the row. A changed attribute set on the
+// same best path also triggers export so re-originated DISCS-Ads
+// propagate.
+func (s *Speaker) decide(ri, slot int32) {
+	row := &s.rows[ri]
+	cur := row.best
+	if cur.slot == slotLocal {
 		return // local routes always win
 	}
-	var best *Route
-	// Deterministic iteration over candidates.
-	var froms []topology.ASN
-	for f := range s.adjIn[p] {
-		froms = append(froms, f)
+	adj := s.adjRow(ri)
+	best := cur.slot
+	switch {
+	case best == slot:
+		best = s.bestOf(adj)
+	case adj[slot].path != 0 && (best == slotNone || s.better(adj, slot, best)):
+		best = slot
 	}
-	sort.Slice(froms, func(i, j int) bool { return froms[i] < froms[j] })
-	for _, f := range froms {
-		if r := s.adjIn[p][f]; r.better(best) {
-			best = r
-		}
-	}
-	if best == nil {
-		if cur != nil {
-			delete(s.locRib, p)
-			s.exportWithdraw(cur, nil)
+	if best == slotNone {
+		if cur.slot != slotNone {
+			row.best = locRoute{slot: slotNone}
+			s.exportWithdraw(row.pid, cur, nil)
 		}
 		return
 	}
-	if cur != nil && routesEqual(cur, best) {
+	next := locRoute{slot: best, ribRoute: adj[best]}
+	if next == cur {
 		return
 	}
-	s.locRib[p] = best
+	row.best = next
 	// When the best path's provenance changes, the Gao-Rexford export
 	// set can shrink (e.g. customer route → provider route is no longer
 	// announced to providers/peers): retract from neighbors that held
 	// the old announcement but are outside the new export set.
-	if cur != nil {
-		s.exportWithdraw(cur, s.exportTargets(best))
+	if cur.slot != slotNone {
+		s.exportWithdraw(row.pid, cur, &next)
 	}
-	s.export(best)
+	s.export(row.pid, next)
 }
 
-func routesEqual(a, b *Route) bool {
-	if a.From != b.From || len(a.ASPath) != len(b.ASPath) || len(a.Attrs) != len(b.Attrs) {
-		return false
-	}
-	for i := range a.ASPath {
-		if a.ASPath[i] != b.ASPath[i] {
-			return false
-		}
-	}
-	for i := range a.Attrs {
-		if a.Attrs[i].Code != b.Attrs[i].Code || string(a.Attrs[i].Data) != string(b.Attrs[i].Data) {
-			return false
-		}
-	}
-	return true
-}
-
-// exportWithdraw notifies the neighbors that received route r that it
-// is gone, excluding any neighbor in keep (they are about to get a
-// replacement announcement instead).
-func (s *Speaker) exportWithdraw(r *Route, keep []topology.ASN) {
-	keepSet := make(map[topology.ASN]bool, len(keep))
-	for _, k := range keep {
-		keepSet[k] = true
-	}
-	for _, nASN := range s.exportTargets(r) {
-		if keepSet[nASN] {
+// extractAds fires handlers for new DISCS-Ads in attribute set id.
+func (s *Speaker) extractAds(id uint32) {
+	for _, ad := range s.tabs.sets[id].ads {
+		if !s.learn(ad) {
 			continue
 		}
-		u := &Update{Prefix: r.Prefix, Withdrawn: true}
-		if s.node.SendTo(s.neighbors[nASN], u) {
-			s.UpdatesSent++
-		}
-	}
-}
-
-// extractAds fires handlers for new DISCS-Ads.
-func (s *Speaker) extractAds(attrs []Attr) {
-	for _, a := range attrs {
-		if a.Code != AttrCodeDISCSAd {
-			continue
-		}
-		ad, err := DecodeDISCSAd(a.Data)
-		if err != nil {
-			continue
-		}
-		if s.seenAds[ad.Origin] == ad.Controller {
-			continue
-		}
-		s.seenAds[ad.Origin] = ad.Controller
 		for _, h := range s.adHandlers {
-			h(ad)
+			h(s.tabs.ads[ad])
 		}
 	}
+}
+
+// learn records Ad id as the latest from its origin and reports
+// whether it was new.
+func (s *Speaker) learn(id uint32) bool {
+	ad := s.tabs.ads[id]
+	i := sort.Search(len(s.seen), func(i int) bool { return s.seen[i].origin >= ad.Origin })
+	if i < len(s.seen) && s.seen[i].origin == ad.Origin {
+		if s.seen[i].id == id {
+			return false
+		}
+		s.seen[i].id = id
+		return true
+	}
+	if ad.Controller == "" {
+		return false // an unknown origin reads as the empty controller
+	}
+	s.seen = slices.Insert(s.seen, i, seenAd{origin: ad.Origin, id: id})
+	return true
 }
 
 // KnownAds returns the deduplicated DISCS-Ads this speaker has seen,
 // sorted by origin ASN.
 func (s *Speaker) KnownAds() []DISCSAd {
-	out := make([]DISCSAd, 0, len(s.seenAds))
-	for o, c := range s.seenAds {
-		out = append(out, DISCSAd{Origin: o, Controller: c})
+	out := make([]DISCSAd, len(s.seen))
+	for i, a := range s.seen {
+		out[i] = s.tabs.ads[a.id]
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Origin < out[j].Origin })
 	return out
 }

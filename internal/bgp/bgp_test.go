@@ -75,14 +75,14 @@ func TestFullReachability(t *testing.T) {
 		sp := net.Speakers[asn]
 		for _, other := range net.Topo.ASNs() {
 			for _, p := range net.Topo.AS(other).Prefixes {
-				r := sp.LocRib(p)
+				r, ok := sp.LocRib(p)
 				if other == asn {
-					if r == nil || !r.Local {
+					if !ok || !r.Local {
 						t.Fatalf("AS%d missing local route %v", asn, p)
 					}
 					continue
 				}
-				if r == nil {
+				if !ok {
 					t.Fatalf("AS%d has no route to %v (AS%d)", asn, p, other)
 				}
 				// The path must end at the originator.
@@ -99,7 +99,7 @@ func TestPathsAreValleyFree(t *testing.T) {
 	for _, asn := range net.Topo.ASNs() {
 		sp := net.Speakers[asn]
 		for _, p := range sp.Routes() {
-			r := sp.LocRib(p)
+			r, _ := sp.LocRib(p)
 			if r.Local {
 				continue
 			}
@@ -115,8 +115,8 @@ func TestCustomerRoutePreferred(t *testing.T) {
 	// M1 learns S1's prefix directly from its customer S1. Even though
 	// T1 may also offer it, the customer route must win.
 	net := converged(t)
-	r := net.Speakers[100].LocRib(netip.MustParsePrefix("172.16.1.0/24"))
-	if r == nil || r.From != 1001 {
+	r, ok := net.Speakers[100].LocRib(netip.MustParsePrefix("172.16.1.0/24"))
+	if !ok || r.From != 1001 {
 		t.Fatalf("M1 route to S1 = %+v, want via customer 1001", r)
 	}
 	if r.FromRel != topology.ProviderToCustomer {
@@ -130,8 +130,8 @@ func TestNoTransitThroughPeersForPeers(t *testing.T) {
 	// peer link is only reachable downhill: M1's route to M3's prefix
 	// goes via T1 then the T1-T2 peer link.
 	net := converged(t)
-	r := net.Speakers[100].LocRib(netip.MustParsePrefix("100.2.0.0/16"))
-	if r == nil {
+	r, ok := net.Speakers[100].LocRib(netip.MustParsePrefix("100.2.0.0/16"))
+	if !ok {
 		t.Fatal("M1 has no route to M3")
 	}
 	want := []topology.ASN{10, 20, 300}
@@ -151,7 +151,7 @@ func TestLoopPrevention(t *testing.T) {
 	for _, asn := range net.Topo.ASNs() {
 		sp := net.Speakers[asn]
 		for _, p := range sp.Routes() {
-			r := sp.LocRib(p)
+			r, _ := sp.LocRib(p)
 			for _, hop := range r.ASPath {
 				if hop == asn {
 					t.Fatalf("AS%d has looped path %v for %v", asn, r.ASPath, p)
@@ -166,8 +166,10 @@ func TestWithdraw(t *testing.T) {
 	s1 := net.Speakers[1001]
 	p := netip.MustParsePrefix("172.16.1.0/24")
 	// Simulate S1 withdrawing: send withdraw to M1 directly.
-	s1.exportWithdraw(s1.LocRib(p), nil)
-	delete(s1.locRib, p)
+	ri, _ := s1.rowFor(p)
+	row := &s1.rows[ri]
+	s1.exportWithdraw(row.pid, row.best, nil)
+	row.best = locRoute{slot: slotNone}
 	if err := net.Converge(); err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +177,7 @@ func TestWithdraw(t *testing.T) {
 		if asn == 1001 {
 			continue
 		}
-		if r := net.Speakers[asn].LocRib(p); r != nil {
+		if r, ok := net.Speakers[asn].LocRib(p); ok {
 			t.Fatalf("AS%d still has withdrawn route %v via %v", asn, p, r.ASPath)
 		}
 	}
@@ -309,7 +311,8 @@ func TestBestPathStability(t *testing.T) {
 			t.Fatalf("AS%d: %d vs %d routes", asn, len(pa), len(pb))
 		}
 		for i := range pa {
-			x, y := ra.LocRib(pa[i]), rb.LocRib(pb[i])
+			x, _ := ra.LocRib(pa[i])
+			y, _ := rb.LocRib(pb[i])
 			if x.From != y.From || len(x.ASPath) != len(y.ASPath) {
 				t.Fatalf("AS%d route %v differs between runs", asn, pa[i])
 			}

@@ -60,8 +60,8 @@ func TestLinkFailureReroutesToBackup(t *testing.T) {
 	sPfx := netip.MustParsePrefix("172.16.0.0/16")
 
 	// Before failure: T prefers the lower-ASN customer path (via 100).
-	r := net.Speakers[10].LocRib(sPfx)
-	if r == nil || r.From != 100 {
+	r, ok := net.Speakers[10].LocRib(sPfx)
+	if !ok || r.From != 100 {
 		t.Fatalf("pre-failure route = %+v", r)
 	}
 
@@ -72,14 +72,14 @@ func TestLinkFailureReroutesToBackup(t *testing.T) {
 		t.Fatal(err)
 	}
 	// After failure: rerouted via M2.
-	r = net.Speakers[10].LocRib(sPfx)
-	if r == nil || r.From != 200 {
+	r, ok = net.Speakers[10].LocRib(sPfx)
+	if !ok || r.From != 200 {
 		t.Fatalf("post-failure route = %+v, want via 200", r)
 	}
 	// M1 reaches S only via its provider now (T → M2 → S is a valley
 	// from M1's perspective... M1-T-M2-S is up, down, down: valid).
-	r = net.Speakers[100].LocRib(sPfx)
-	if r == nil || r.From != 10 {
+	r, ok = net.Speakers[100].LocRib(sPfx)
+	if !ok || r.From != 10 {
 		t.Fatalf("M1 route = %+v, want via provider 10", r)
 	}
 	full := append([]topology.ASN{100}, r.ASPath...)
@@ -101,7 +101,7 @@ func TestLinkFailureIsolatesSingleHomed(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, asn := range []topology.ASN{10, 100, 200} {
-		if r := net.Speakers[asn].LocRib(sPfx); r != nil {
+		if r, ok := net.Speakers[asn].LocRib(sPfx); ok {
 			t.Fatalf("AS%d still routes to isolated stub via %v", asn, r.ASPath)
 		}
 	}
@@ -119,13 +119,13 @@ func TestLinkRestoreRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	// T prefers via 100 again (lower neighbor ASN tie-break).
-	r := net.Speakers[10].LocRib(sPfx)
-	if r == nil || r.From != 100 {
+	r, ok := net.Speakers[10].LocRib(sPfx)
+	if !ok || r.From != 100 {
 		t.Fatalf("post-restore route = %+v", r)
 	}
 	// And S regains full reachability.
 	for _, p := range []string{"10.0.0.0/16", "10.1.0.0/16", "10.2.0.0/16"} {
-		if net.Speakers[1000].LocRib(netip.MustParsePrefix(p)) == nil {
+		if _, ok := net.Speakers[1000].LocRib(netip.MustParsePrefix(p)); !ok {
 			t.Fatalf("S missing route to %s after restore", p)
 		}
 	}

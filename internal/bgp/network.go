@@ -15,6 +15,8 @@ type Network struct {
 	Sim      *netsim.Simulator
 	Topo     *topology.Topology
 	Speakers map[topology.ASN]*Speaker
+
+	tabs *tables
 }
 
 // BuildNetwork creates a netsim node ("borderN") and speaker for every
@@ -28,36 +30,41 @@ func BuildNetwork(topo *topology.Topology, linkDelay time.Duration) (*Network, e
 	sim := netsim.New()
 	nAS := topo.NumASes()
 	sim.Reserve(nAS, topo.NumLinks())
-	net := &Network{Sim: sim, Topo: topo, Speakers: make(map[topology.ASN]*Speaker, nAS)}
+	net := &Network{Sim: sim, Topo: topo, Speakers: make(map[topology.ASN]*Speaker, nAS), tabs: newTables()}
 	for _, asn := range topo.ASNs() {
 		node, err := sim.AddNode(fmt.Sprintf("border%d", asn))
 		if err != nil {
 			return nil, err
 		}
-		net.Speakers[asn] = NewSpeaker(asn, node, topo)
+		net.Speakers[asn] = newSpeaker(asn, node, net.tabs, topo.AS(asn).Degree())
 	}
 	for _, asn := range topo.ASNs() {
 		a := topo.AS(asn)
 		sp := net.Speakers[asn]
 		for _, prov := range a.Providers {
 			other := net.Speakers[prov]
-			if _, err := sim.Connect(sp.node, other.node, linkDelay); err != nil {
+			l, err := sim.Connect(sp.node, other.node, linkDelay)
+			if err != nil {
 				return nil, err
 			}
-			sp.AddNeighbor(prov, other.node, topology.CustomerToProvider)
-			other.AddNeighbor(asn, sp.node, topology.ProviderToCustomer)
+			sp.addNeighbor(prov, l, topology.CustomerToProvider)
+			other.addNeighbor(asn, l, topology.ProviderToCustomer)
 		}
 		for _, peer := range a.Peers {
 			if peer < asn {
 				continue // the lower side created it
 			}
 			other := net.Speakers[peer]
-			if _, err := sim.Connect(sp.node, other.node, linkDelay); err != nil {
+			l, err := sim.Connect(sp.node, other.node, linkDelay)
+			if err != nil {
 				return nil, err
 			}
-			sp.AddNeighbor(peer, other.node, topology.PeerToPeer)
-			other.AddNeighbor(asn, sp.node, topology.PeerToPeer)
+			sp.addNeighbor(peer, l, topology.PeerToPeer)
+			other.addNeighbor(asn, l, topology.PeerToPeer)
 		}
+	}
+	for _, sp := range net.Speakers {
+		sp.finishNeighbors()
 	}
 	return net, nil
 }
@@ -67,12 +74,27 @@ func BuildNetwork(topo *topology.Topology, linkDelay time.Duration) (*Network, e
 // shard, preparing the network for a parallel engine install
 // (parsim.New). Call it after BuildNetwork and before installing the
 // engine; it returns the partition so later node creation (controller
-// and data-plane nodes) can inherit AS shard affinity.
+// and data-plane nodes) can inherit AS shard affinity. Each shard gets
+// its own AS-path arena, written only by the lane that runs the shard.
+// It panics if any speaker already holds a route, whose path handles
+// would point into the wrong arena.
 func (n *Network) AssignShards(k int) map[topology.ASN]int {
-	shard := n.Topo.PartitionCones(k)
-	for asn, s := range shard {
-		n.Speakers[asn].Node().SetShard(s)
+	for _, sp := range n.Speakers {
+		if len(sp.rows) > 0 {
+			panic(fmt.Sprintf("bgp: AssignShards after AS%d learned routes", sp.ASN))
+		}
 	}
+	shard := n.Topo.PartitionCones(k)
+	arenas := make([]*pathArena, max(k, 1))
+	for i := range arenas {
+		arenas[i] = newPathArena()
+	}
+	for _, asn := range n.Topo.ASNs() {
+		sp := n.Speakers[asn]
+		sp.Node().SetShard(shard[asn])
+		sp.paths = arenas[shard[asn]]
+	}
+	n.tabs.arenas = arenas
 	return shard
 }
 

@@ -118,7 +118,7 @@ func (s *System) Deploy(asn topology.ASN, seed int64) (*Controller, error) {
 	ad := bgp.NewDISCSAdAttr(ctrl.Ad())
 	announced := 0
 	for _, p := range s.Net.Topo.AS(asn).Prefixes {
-		if r := sp.LocRib(p); r == nil || !r.Local {
+		if r, ok := sp.LocRib(p); !ok || !r.Local {
 			continue
 		}
 		if err := sp.ReOriginate(p, ad); err != nil {

@@ -697,8 +697,6 @@ type Node struct {
 	// epoch increments on every crash; node-scoped timers capture it so
 	// a crash invalidates everything armed before it.
 	epoch uint64
-	// Meta lets protocol layers attach state without wrapper structs.
-	Meta map[string]any
 }
 
 // AddNode registers a node with a unique name.
@@ -709,7 +707,7 @@ func (s *Simulator) AddNode(name string) (*Node, error) {
 	if _, dup := s.nodes[name]; dup {
 		return nil, fmt.Errorf("netsim: duplicate node %q", name)
 	}
-	n := &Node{Name: name, sim: s, Meta: make(map[string]any)}
+	n := &Node{Name: name, sim: s}
 	s.nodes[name] = n
 	return n, nil
 }

@@ -2,7 +2,11 @@ package snapshot
 
 import (
 	"bytes"
+	"errors"
+	"net/netip"
 	"testing"
+
+	"discs/internal/bgp"
 )
 
 // FuzzRead: arbitrary bytes through the image decoder must never
@@ -39,6 +43,74 @@ func FuzzRead(f *testing.F) {
 		}
 		if world.Eng != nil {
 			world.Eng.Close()
+		}
+	})
+}
+
+// FuzzRestoreBGP: arbitrary bytes as the bgp section of an otherwise
+// valid sharded image. Restore must refuse them with *FormatError —
+// never a panic, never an allocation beyond the section's size — or
+// build a world whose routing still runs: a link fails and recovers.
+func FuzzRestoreBGP(f *testing.F) {
+	world := buildWorld(f, 2, 1)
+	ad := bgp.NewDISCSAdAttr(bgp.DISCSAd{Origin: 4, Controller: "ctrl.as4"})
+	if err := world.Net.Speakers[4].ReOriginate(netip.MustParsePrefix("10.4.0.0/16"), ad); err != nil {
+		f.Fatal(err)
+	}
+	if err := world.Net.Converge(); err != nil {
+		f.Fatal(err)
+	}
+	img, err := Read(bytes.NewReader(encode(f, world)))
+	if err != nil {
+		f.Fatal(err)
+	}
+	if w, err := Restore(img, Options{Workers: 1}); err != nil {
+		f.Fatalf("the unmodified image does not restore: %v", err)
+	} else {
+		w.Eng.Close()
+	}
+	good := img.Section(SecBGP)
+	f.Add(good)
+	f.Add(good[:len(good)/2])
+	for _, at := range []int{0, 7, len(good) / 3, len(good) - 9} {
+		bad := append([]byte(nil), good...)
+		bad[at] ^= 0x55
+		f.Add(bad)
+	}
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		sections := make(map[uint16][]byte, len(img.sections))
+		for k, v := range img.sections {
+			sections[k] = v
+		}
+		sections[SecBGP] = data
+		w, err := Restore(&Image{Version: img.Version, sections: sections}, Options{Workers: 1})
+		if err != nil {
+			var fe *FormatError
+			if !errors.As(err, &fe) {
+				t.Fatalf("err = %v, want *FormatError", err)
+			}
+			return
+		}
+		defer w.Eng.Close()
+		for _, restore := range []bool{false, true} {
+			if restore {
+				w.Net.RestoreLink(4, 2)
+			} else {
+				w.Net.FailLink(4, 2)
+			}
+			if err := w.Net.Converge(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, sp := range w.Net.Speakers {
+			for _, p := range sp.Routes() {
+				if _, ok := sp.LocRib(p); !ok {
+					t.Fatalf("AS%d lists %v without a Loc-RIB entry", sp.ASN, p)
+				}
+			}
+			sp.KnownAds()
 		}
 	})
 }

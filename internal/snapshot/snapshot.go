@@ -7,7 +7,7 @@
 // # Format
 //
 //	magic    [8]byte  "DISCSNAP"
-//	version  uint16   little-endian (currently 1)
+//	version  uint16   little-endian (currently 2)
 //	flags    uint16   reserved, must be zero
 //	sections, repeated until EOF:
 //	  kind    uint16   little-endian (Sec* constants)
@@ -65,8 +65,11 @@ import (
 	"discs/internal/wire"
 )
 
-// Version is the current image format version.
-const Version = 1
+// Version is the current image format version. Version 2 stores the
+// bgp section as the RIB's slabs (prefix, attribute-set and AS-path
+// tables, then per-speaker rows and Adj-RIB-In vectors) instead of
+// sorted per-speaker route maps; version 1 images are refused.
+const Version = 2
 
 var magic = [8]byte{'D', 'I', 'S', 'C', 'S', 'N', 'A', 'P'}
 

@@ -98,8 +98,9 @@ func TestNetworkRoundTrip(t *testing.T) {
 	for _, asn := range world.Net.Topo.ASNs() {
 		a, b := world.Net.Speakers[asn], got.Net.Speakers[asn]
 		for _, p := range world.Net.Topo.AS(asn).Prefixes {
-			ra, rb := a.LocRib(p), b.LocRib(p)
-			if (ra == nil) != (rb == nil) {
+			_, okA := a.LocRib(p)
+			_, okB := b.LocRib(p)
+			if okA != okB {
 				t.Fatalf("AS%d LocRib(%v) presence differs", asn, p)
 			}
 		}
