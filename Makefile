@@ -32,10 +32,11 @@ vet-obs:
 # The pre-merge gate: static analysis, the full suite under the race
 # detector (with shuffled test order to catch order-dependent tests),
 # the service-mode loopback smoke run, and one iteration of every §VI
-# reproduction bench (bench_test.go), so they run rather than only
-# compile. Performance is judged by `make bench`, not here.
+# reproduction bench (bench_test.go) and of the event-engine
+# micro-benchmarks, so they run rather than only compile. Performance
+# is judged by `make bench`, not here.
 check: vet vet-obs test-race node-smoke
-	$(GO) test -run '^$$' -bench . -benchtime 1x .
+	$(GO) test -run '^$$' -bench . -benchtime 1x . ./internal/netsim ./internal/parsim
 
 # Off-simulator smoke: boot a 3-node loopback fleet over TCP+TLS,
 # deploy DP+CDP, push legit/spoofed/raw flows, and verify the victim's

@@ -71,32 +71,37 @@ func NewDISCSAdAttr(ad DISCSAd) Attr {
 	return Attr{Flags: AttrFlagOptional | AttrFlagTransitive, Code: AttrCodeDISCSAd, Data: ad.Encode()}
 }
 
-// Update is a BGP UPDATE message for a single prefix. One Update is
-// shared by every neighbour an export reaches; receivers never modify
-// it.
+// Update is a BGP UPDATE for a single prefix. It is a value that
+// travels inside its delivery event (netsim.Value) and holds no pointer:
+// the sender, the prefix and attribute-set ids, the AS path after the
+// sender as a handle, and the hop count. An export allocates nothing.
 type Update struct {
-	Prefix    netip.Prefix
+	From      topology.ASN // the sending speaker
 	Withdrawn bool
-	ASPath    []topology.ASN
-	Attrs     []Attr
 
-	from  topology.ASN // the sending speaker
-	pid   uint32       // Prefix's id in the network's prefix table
-	attrs uint32       // Attrs' id in the network's attribute-set table
-	// tail is the handle of ASPath[1:] in arena, the sender's shard
-	// arena: a receiver of the same shard prepends the sender to it with
-	// one lookup instead of interning ASPath.
-	tail  uint32
-	arena *pathArena
+	pid   uint32 // the prefix's id in the network's prefix table
+	attrs uint32 // the attribute set's id in the network's table
+	// path is the handle of the AS path after From in the path arena
+	// whose id is arena: the sender's, until the update crosses into a
+	// receiver's shard and its path is copied there (ImportValue).
+	path  uint32
+	arena uint32
+	hops  uint32 // AS-path length, From included
 }
 
-// Size approximates the wire size for netsim bandwidth accounting.
-func (u *Update) Size() int {
-	n := 23 + 5 + 2*len(u.ASPath) // header + NLRI + AS path
-	for _, a := range u.Attrs {
-		n += 3 + len(a.Data)
+// value packs u into its netsim delivery payload.
+func (u Update) value() netsim.Value {
+	flags := u.arena << 1
+	if u.Withdrawn {
+		flags |= 1
 	}
-	return n
+	return netsim.Value{uint32(u.From), u.pid, u.attrs, u.path, u.hops, flags}
+}
+
+// updateOf unpacks what value packed.
+func updateOf(v netsim.Value) Update {
+	return Update{From: topology.ASN(v[0]), Withdrawn: v[5]&1 != 0,
+		pid: v[1], attrs: v[2], path: v[3], hops: v[4], arena: v[5] >> 1}
 }
 
 // Route is a view of a Loc-RIB entry.
@@ -141,7 +146,7 @@ func (n *neighbor) rel() topology.Relationship {
 }
 
 // Speaker is the BGP process of one AS, attached to one netsim node
-// (the AS's border-router abstraction).
+// (the AS's border-router abstraction), whose handler it is.
 type Speaker struct {
 	ASN  topology.ASN
 	node *netsim.Node
@@ -167,8 +172,32 @@ type Speaker struct {
 
 func newSpeaker(asn topology.ASN, node *netsim.Node, tabs *tables, degree int) *Speaker {
 	s := &Speaker{ASN: asn, node: node, tabs: tabs, paths: tabs.arenas[0], nbrs: make([]neighbor, 0, degree)}
-	node.SetHandler(netsim.HandlerFunc(s.receive))
+	node.SetHandler(handler{s})
 	return s
+}
+
+// handler is a Speaker's netsim.ValueHandler: its node receives only
+// UPDATE values.
+type handler struct{ s *Speaker }
+
+func (handler) Receive(*netsim.Node, *netsim.Link, netsim.Message) {}
+
+func (h handler) ReceiveValue(from *netsim.Node, _ *netsim.Link, v netsim.Value) {
+	h.s.receive(from, updateOf(v))
+}
+
+// ImportValue copies the path of an UPDATE from another shard into the
+// receiver's arena. It runs at the epoch barrier (or while the engine is
+// parked), when no lane writes either arena.
+func (h handler) ImportValue(_ *netsim.Node, v netsim.Value) netsim.Value {
+	s := h.s
+	u := updateOf(v)
+	if u.arena == s.paths.id {
+		return v
+	}
+	u.path = s.paths.copyPath(s.tabs.arenas[u.arena], u.path)
+	u.arena = s.paths.id
+	return u.value()
 }
 
 // Node returns the netsim node this speaker runs on.
@@ -400,44 +429,31 @@ func (s *Speaker) exports(r locRoute, slot int32) bool {
 }
 
 // announcement builds the UPDATE announcing r with our ASN prepended.
-func (s *Speaker) announcement(pid uint32, r locRoute) *Update {
-	path := make([]topology.ASN, 1, 1+s.paths.hops(r.path))
-	path[0] = s.ASN
-	return &Update{
-		Prefix: s.tabs.prefixes[pid],
-		ASPath: s.paths.appendPath(path, r.path),
-		Attrs:  s.tabs.sets[r.attrs].attrs,
-		from:   s.ASN, pid: pid, attrs: r.attrs,
-		tail: r.path, arena: s.paths,
-	}
+func (s *Speaker) announcement(pid uint32, r locRoute) Update {
+	return Update{From: s.ASN, pid: pid, attrs: r.attrs, path: r.path, arena: s.paths.id, hops: 1 + s.paths.hops(r.path)}
 }
 
 // send is node.SendTo without the link lookup while the session's link
 // is up.
-func (s *Speaker) send(slot int32, u *Update) {
-	n := &s.nbrs[slot]
-	var ok bool
-	if n.link.Up() {
-		ok = n.link.Send(s.node, u)
-	} else {
-		ok = s.node.SendTo(n.link.Neighbor(s.node), u)
+func (s *Speaker) send(slot int32, u Update) {
+	l := s.nbrs[slot].link
+	if !l.Up() {
+		if l = s.node.UpLink(l.Neighbor(s.node)); l == nil {
+			return
+		}
 	}
-	if ok {
+	if l.SendValue(s.node, u.value(), s.tabs.size(u)) {
 		s.UpdatesSent++
 	}
 }
 
 // export sends the route to all permitted neighbors, in ASN order.
 func (s *Speaker) export(pid uint32, r locRoute) {
-	var u *Update
+	u := s.announcement(pid, r)
 	for _, t := range s.targets(r) {
-		if t == r.slot {
-			continue
+		if t != r.slot {
+			s.send(t, u)
 		}
-		if u == nil {
-			u = s.announcement(pid, r)
-		}
-		s.send(t, u)
 	}
 }
 
@@ -445,34 +461,24 @@ func (s *Speaker) export(pid uint32, r locRoute) {
 // is gone, excluding those keep (the new best route, if any) is
 // exported to: they are about to get a replacement announcement.
 func (s *Speaker) exportWithdraw(pid uint32, r locRoute, keep *locRoute) {
-	var u *Update
+	u := Update{From: s.ASN, Withdrawn: true, pid: pid, arena: s.paths.id}
 	for _, t := range s.targets(r) {
-		if t == r.slot || (keep != nil && s.exports(*keep, t)) {
-			continue
+		if t != r.slot && (keep == nil || !s.exports(*keep, t)) {
+			s.send(t, u)
 		}
-		if u == nil {
-			u = &Update{Prefix: s.tabs.prefixes[pid], Withdrawn: true, from: s.ASN, pid: pid}
-		}
-		s.send(t, u)
 	}
 }
 
-// receive processes an incoming UPDATE.
-func (s *Speaker) receive(from *netsim.Node, _ *netsim.Link, msg netsim.Message) {
-	u, ok := msg.(*Update)
-	if !ok {
-		return
-	}
+// receive processes an incoming UPDATE, whose path is in our arena.
+func (s *Speaker) receive(from *netsim.Node, u Update) {
 	s.UpdatesRecv++
-	slot := s.slotOf(u.from)
+	slot := s.slotOf(u.From)
 	if slot < 0 || s.nbrs[slot].link.Neighbor(s.node) != from {
 		return // not a configured session
 	}
 	// Loop prevention.
-	for _, hop := range u.ASPath {
-		if hop == s.ASN {
-			return
-		}
+	if u.From == s.ASN || s.paths.contains(u.path, s.ASN) {
+		return
 	}
 	// Surface any DISCS-Ads regardless of best-path outcome: the
 	// controller learns about DASes from every update carrying the
@@ -486,12 +492,7 @@ func (s *Speaker) receive(from *netsim.Node, _ *netsim.Link, msg netsim.Message)
 		}
 		return
 	}
-	var path uint32
-	if u.arena == s.paths {
-		path = s.paths.cons(u.from, u.tail)
-	} else {
-		path = s.paths.intern(u.ASPath)
-	}
+	path := s.paths.cons(u.From, u.path)
 	ri := s.row(u.pid)
 	s.adjRow(ri)[slot] = ribRoute{path: path, attrs: u.attrs}
 	s.decide(ri, slot)

@@ -1,10 +1,12 @@
 package bgp
 
 import (
+	"fmt"
 	"net/netip"
 	"testing"
 	"time"
 
+	"discs/internal/parsim"
 	"discs/internal/topology"
 )
 
@@ -276,13 +278,84 @@ func TestReOriginateUnknownPrefix(t *testing.T) {
 }
 
 func TestUpdateSize(t *testing.T) {
-	u := &Update{
-		Prefix: netip.MustParsePrefix("10.0.0.0/8"),
-		ASPath: []topology.ASN{1, 2, 3},
-		Attrs:  []Attr{{Code: AttrCodeDISCSAd, Data: make([]byte, 10)}},
+	tabs := newTables()
+	attrs := tabs.internAttrs([]Attr{{Code: AttrCodeDISCSAd, Data: make([]byte, 10)}})
+	u := Update{From: 1, attrs: attrs, hops: 3}
+	if got, want := tabs.size(u), 23+5+2*3+3+10; got != want {
+		t.Fatalf("announcement size = %d, want %d", got, want)
 	}
-	if u.Size() <= 0 || u.Size() > 200 {
-		t.Fatalf("Size = %d", u.Size())
+	if got := tabs.size(Update{From: 1, Withdrawn: true}); got != 23+5 {
+		t.Fatalf("withdrawal size = %d, want %d", got, 23+5)
+	}
+	if got := updateOf(u.value()); got != u {
+		t.Fatalf("update %+v reads back as %+v", u, got)
+	}
+}
+
+// TestUpdatePathZeroAlloc: an UPDATE is a value end to end. Export, the
+// link delivery, the copy of its path into another shard's arena at the
+// epoch barrier, receive and re-export allocate nothing once the RIBs,
+// arenas and queues have seen the traffic — within one shard and across
+// two.
+func TestUpdatePathZeroAlloc(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			net, err := BuildNetwork(buildTopo(t), time.Millisecond)
+			if err != nil {
+				t.Fatal(err)
+			}
+			net.AssignShards(shards)
+			eng, err := parsim.New(net.Sim, parsim.Options{Shards: shards, Workers: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer eng.Close()
+			cross := 0
+			for _, sp := range net.Speakers {
+				for _, n := range sp.nbrs {
+					if n.link.Neighbor(sp.node).Shard() != sp.node.Shard() {
+						cross++
+					}
+				}
+			}
+			if (cross > 0) != (shards > 1) {
+				t.Fatalf("%d cross-shard sessions over %d shards", cross, shards)
+			}
+			net.OriginateAll()
+			if err := net.Converge(); err != nil {
+				t.Fatal(err)
+			}
+			// Flip the attributes of T1's route between two interned sets:
+			// every speaker takes the change and exports it again.
+			origin := net.Speakers[10]
+			ri, _ := origin.rowFor(netip.MustParsePrefix("10.0.0.0/16"))
+			attrs := [2]uint32{0, net.tabs.internAttrs([]Attr{{Flags: AttrFlagOptional | AttrFlagTransitive, Code: 99, Data: []byte{1}}})}
+			flips := 0
+			flip := func() {
+				flips++
+				row := &origin.rows[ri]
+				row.best.attrs = attrs[flips%2]
+				origin.export(row.pid, row.best)
+				if err := net.Converge(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			recv := func() (n uint64) {
+				for _, sp := range net.Speakers {
+					n += sp.UpdatesRecv
+				}
+				return n
+			}
+			flip()
+			flip()
+			before := recv()
+			if allocs := testing.AllocsPerRun(50, flip); allocs != 0 {
+				t.Fatalf("an UPDATE wave allocates %.1f/op at steady state, want 0", allocs)
+			}
+			if per := (recv() - before) / 51; per < uint64(len(net.Speakers)-1) {
+				t.Fatalf("%d UPDATEs received per flip, want one per speaker but the origin", per)
+			}
+		})
 	}
 }
 

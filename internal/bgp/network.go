@@ -87,7 +87,7 @@ func (n *Network) AssignShards(k int) map[topology.ASN]int {
 	shard := n.Topo.PartitionCones(k)
 	arenas := make([]*pathArena, max(k, 1))
 	for i := range arenas {
-		arenas[i] = newPathArena()
+		arenas[i] = newPathArena(uint32(i))
 	}
 	for _, asn := range n.Topo.ASNs() {
 		sp := n.Speakers[asn]

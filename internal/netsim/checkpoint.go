@@ -123,7 +123,7 @@ func readFaults(r *snapcodec.Reader) *LinkFaults {
 // sharded backend the serial queue is unused; the engine checkpoints
 // its lanes separately and performs its own quiescence check.
 func (s *Simulator) Checkpoint(w *snapcodec.Writer) error {
-	if s.fgPending > 0 {
+	if s.q.Pending() > 0 {
 		return ErrNotQuiescent
 	}
 	w.Duration(s.now)

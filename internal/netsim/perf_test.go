@@ -1,8 +1,8 @@
-// Event-path performance and determinism regression tests: the event
-// free-list must keep the schedule→execute cycle allocation-free at
-// steady state, a stopped ticker must leave no residue in the queue,
-// and serial execution must be a reproducible total order (the oracle
-// the parsim differential tests build on).
+// Event-path performance and determinism regression tests: the queue's
+// slot tables must keep the schedule→execute and send→deliver cycles
+// allocation-free at steady state, a stopped ticker must leave no
+// residue in the queue, and serial execution must be a reproducible
+// total order (the oracle the parsim differential tests build on).
 package netsim
 
 import (
@@ -13,9 +13,9 @@ import (
 	"discs/internal/obs"
 )
 
-// TestEventPathZeroAlloc pins the free-list: after warm-up, scheduling
-// and executing an event reuses pooled event structs and the heap's
-// backing array — zero allocations per cycle.
+// TestEventPathZeroAlloc pins the timer path: after warm-up, scheduling
+// and executing an event reuses a timer slot and the heap's backing
+// array — zero allocations per cycle.
 func TestEventPathZeroAlloc(t *testing.T) {
 	s := New()
 	fn := func() {}
@@ -63,6 +63,48 @@ func TestTimerStopRecycleZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("arm+stop+execute allocates %.1f/op at steady state, want 0", allocs)
+	}
+}
+
+// counter is a ValueHandler that counts what it receives.
+type counter struct{ msgs, vals int }
+
+func (c *counter) Receive(*Node, *Link, Message)    { c.msgs++ }
+func (c *counter) ReceiveValue(*Node, *Link, Value) { c.vals++ }
+func (c *counter) ImportValue(_ *Node, v Value) Value {
+	v[0]++
+	return v
+}
+
+// TestLinkSendZeroAlloc: a link delivery is a typed event, not a
+// closure, so Link.Send and Link.SendValue through to the receiver's
+// handler allocate nothing at steady state on the serial queue (the
+// parsim lanes are pinned by parsim.TestDeliveryZeroAlloc).
+func TestLinkSendZeroAlloc(t *testing.T) {
+	s := New()
+	a, _ := s.AddNode("a")
+	b, _ := s.AddNode("b")
+	l, err := s.Connect(a, b, time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := &counter{}
+	b.SetHandler(c)
+	var msg Message = Bytes{1, 2, 3} // boxed once, as a protocol holds its messages
+	cycle := func() {
+		if !l.Send(a, msg) || !l.SendValue(a, Value{1}, 40) {
+			t.Fatal("send refused")
+		}
+		s.RunAll()
+	}
+	for i := 0; i < 64; i++ {
+		cycle()
+	}
+	if allocs := testing.AllocsPerRun(1000, cycle); allocs != 0 {
+		t.Fatalf("send+deliver allocates %.1f/op at steady state, want 0", allocs)
+	}
+	if c.msgs != c.vals || c.msgs < 1000 {
+		t.Fatalf("delivered %d messages and %d values", c.msgs, c.vals)
 	}
 }
 

@@ -23,7 +23,7 @@ func (e *Engine) Checkpoint(w *snapcodec.Writer) error {
 	}
 	lanes := append([]*lane{e.global}, e.lanes...)
 	for _, ln := range lanes {
-		if ln.fg > 0 {
+		if ln.q.Pending() > 0 {
 			return netsim.ErrNotQuiescent
 		}
 	}

@@ -1,0 +1,161 @@
+package parsim
+
+import (
+	"fmt"
+	"testing"
+	"time"
+
+	"discs/internal/netsim"
+)
+
+// bouncer sends every message and value it receives back over the link
+// it came on, until budget runs out. It counts imports, the cross-shard
+// hook of a Value.
+type bouncer struct {
+	self            *netsim.Node
+	budget, imports int
+}
+
+func (b *bouncer) Receive(_ *netsim.Node, l *netsim.Link, msg netsim.Message) {
+	if b.budget > 0 {
+		b.budget--
+		l.Send(b.self, msg)
+	}
+}
+
+func (b *bouncer) ReceiveValue(_ *netsim.Node, l *netsim.Link, v netsim.Value) {
+	if b.budget > 0 {
+		b.budget--
+		l.SendValue(b.self, v, 40)
+	}
+}
+
+func (b *bouncer) ImportValue(_ *netsim.Node, v netsim.Value) netsim.Value {
+	b.imports++
+	return v
+}
+
+// TestDeliveryZeroAlloc: link deliveries under the engine — parked,
+// same-lane and cross-lane through the barrier, boxed messages and
+// Values — allocate nothing at steady state.
+func TestDeliveryZeroAlloc(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			s := netsim.New()
+			nodes := make([]*netsim.Node, 3)
+			hs := make([]*bouncer, 3)
+			for i := range nodes {
+				nodes[i], _ = s.AddNode(fmt.Sprintf("n%d", i))
+				hs[i] = &bouncer{self: nodes[i]}
+				nodes[i].SetHandler(hs[i])
+			}
+			nodes[1].SetShard(1) // n0-n1 crosses lanes, n0-n2 does not
+			cross, err := s.Connect(nodes[0], nodes[1], time.Millisecond)
+			if err != nil {
+				t.Fatal(err)
+			}
+			local, err := s.Connect(nodes[0], nodes[2], time.Millisecond)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e, err := New(s, Options{Shards: 2, Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e.Close()
+			var msg netsim.Message = netsim.Bytes{1}
+			cycle := func() {
+				for _, h := range hs {
+					h.budget = 4
+				}
+				for _, l := range []*netsim.Link{cross, local} {
+					l.Send(nodes[0], msg)
+					l.SendValue(nodes[0], netsim.Value{7}, 40)
+				}
+				if _, err := s.RunAll(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < 64; i++ {
+				cycle()
+			}
+			if allocs := testing.AllocsPerRun(200, cycle); allocs != 0 {
+				t.Fatalf("send+deliver cycle allocates %.1f/op at steady state, want 0", allocs)
+			}
+			if hs[1].imports == 0 || hs[2].imports != 0 {
+				t.Fatalf("imports: cross-shard receiver %d, same-shard receiver %d", hs[1].imports, hs[2].imports)
+			}
+		})
+	}
+}
+
+// TestLateDriverSendIsCounted pins a known engine gap: a driver-context
+// send from a node whose lane clock lags the receiver's lane arrives
+// behind the receiver's clock, the engine refuses the delivery, and the
+// message is lost although Send reports true. MetricLateDropped makes the
+// loss visible.
+func TestLateDriverSendIsCounted(t *testing.T) {
+	s, _, a, b, l := buildPair(t, 2)
+	got := 0
+	b.SetHandler(netsim.HandlerFunc(func(*netsim.Node, *netsim.Link, netsim.Message) { got++ }))
+	b.After(5*time.Millisecond, func() {})
+	if _, err := s.RunAll(); err != nil {
+		t.Fatal(err)
+	}
+	if a.Now() != 0 || b.Now() != 5*time.Millisecond {
+		t.Fatalf("lane clocks a=%v b=%v, want 0 and 5ms", a.Now(), b.Now())
+	}
+	// Arrival at 1ms, behind b's clock.
+	if !l.Send(a, netsim.Bytes{1}) {
+		t.Fatal("Send refused")
+	}
+	if _, err := s.RunAll(); err != nil {
+		t.Fatal(err)
+	}
+	st := s.Stats()
+	if got != 0 || st.Get(netsim.MetricDelivered) != 0 {
+		t.Fatalf("delivered %d (metric %d), want 0", got, st.Get(netsim.MetricDelivered))
+	}
+	if n := st.Get(netsim.MetricLateDropped); n != 1 {
+		t.Fatalf("%s = %d, want 1", netsim.MetricLateDropped, n)
+	}
+}
+
+// BenchmarkLaneQueue runs one lane at the depth BGP convergence peaks
+// at on the 44,036-AS world (~300k pending events): Value deliveries
+// ping-pong with jitter, so every executed event queues one more at a
+// random depth. It reports the cost per executed event.
+func BenchmarkLaneQueue(b *testing.B) {
+	const depth = 300_000
+	s := netsim.New()
+	x, _ := s.AddNode("x")
+	y, _ := s.AddNode("y")
+	l, err := s.Connect(x, y, time.Millisecond)
+	if err != nil {
+		b.Fatal(err)
+	}
+	l.SetFaults(netsim.LinkFaults{JitterMax: time.Millisecond})
+	hx, hy := &bouncer{self: x, budget: -1}, &bouncer{self: y, budget: -1}
+	x.SetHandler(hx)
+	y.SetHandler(hy)
+	e, err := New(s, Options{Shards: 2, Workers: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer e.Close()
+	for i := 0; i < depth; i++ {
+		l.SendValue(x, netsim.Value{uint32(i)}, 40)
+	}
+	hx.budget, hy.budget = 1<<62, 1<<62
+	b.ReportAllocs()
+	b.ResetTimer()
+	n := 0
+	for n < b.N {
+		n += s.Run(s.Now() + time.Microsecond)
+	}
+	b.StopTimer()
+	if q := s.QueueLen(); q != depth {
+		b.Fatalf("queue depth %d, want %d", q, depth)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(n), "ns/event")
+}
