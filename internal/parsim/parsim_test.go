@@ -296,6 +296,35 @@ func TestStepMergedOrder(t *testing.T) {
 	}
 }
 
+// TestShardLimit: New refuses more shards than an event key can name,
+// and at the limit the last lane still orders after the global lane and
+// the first shard.
+func TestShardLimit(t *testing.T) {
+	s := netsim.New()
+	if e, err := New(s, Options{Shards: MaxShards + 1, Workers: 1}); err == nil {
+		e.Close()
+		t.Fatalf("New accepted %d shards", MaxShards+1)
+	}
+	first, _ := s.AddNode("first")
+	last, _ := s.AddNode("last")
+	first.SetShard(0)
+	last.SetShard(MaxShards - 1)
+	e, err := New(s, Options{Shards: MaxShards, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	var order []string
+	last.After(time.Millisecond, func() { order = append(order, "last") })
+	first.After(time.Millisecond, func() { order = append(order, "first") })
+	s.Schedule(time.Millisecond, func() { order = append(order, "global") })
+	for s.Step() {
+	}
+	if fmt.Sprint(order) != "[global first last]" {
+		t.Fatalf("order %v, want [global first last]", order)
+	}
+}
+
 func TestDriverClockAdvances(t *testing.T) {
 	s, _, a, b, _ := buildPair(t, 2)
 	b.SetHandler(netsim.HandlerFunc(func(from *netsim.Node, l *netsim.Link, msg netsim.Message) {}))

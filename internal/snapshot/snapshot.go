@@ -472,7 +472,7 @@ func Restore(img *Image, opt Options) (*World, error) {
 			return nil, err
 		}
 		shards := int(pr.Uvarint())
-		if pr.Err() != nil || shards <= 0 {
+		if pr.Err() != nil || shards <= 0 || shards > parsim.MaxShards {
 			return nil, &FormatError{Section: "parsim", Err: errors.New("invalid shard count")}
 		}
 		net.AssignShards(shards)

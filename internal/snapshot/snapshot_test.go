@@ -2,6 +2,7 @@ package snapshot
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"net/netip"
 	"os"
@@ -177,6 +178,29 @@ func TestSystemRoundTrip(t *testing.T) {
 	}
 	if got := got.Sys.Stats().GetGauge("as3." + core.MetricCtrlPeersEstablished); got == 0 {
 		t.Fatalf("victim controller re-established no peers after restore")
+	}
+}
+
+// TestShardCountRejected: an image naming more shards than an event key
+// can order is refused before any engine is built.
+func TestShardCountRejected(t *testing.T) {
+	img, err := Read(bytes.NewReader(encode(t, buildWorld(t, 2, 1))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := img.Section(SecParsim)
+	if good[0] != 2 {
+		t.Fatalf("parsim section starts %#x, want the shard count 2", good[0])
+	}
+	for _, shards := range []uint64{parsim.MaxShards + 1, 1 << 40} {
+		img.sections[SecParsim] = append(binary.AppendUvarint(nil, shards), good[1:]...)
+		var fe *FormatError
+		if w, err := Restore(img, Options{}); !errors.As(err, &fe) || fe.Section != "parsim" {
+			if w != nil && w.Eng != nil {
+				w.Eng.Close()
+			}
+			t.Fatalf("%d shards: err = %v, want a parsim FormatError", shards, err)
+		}
 	}
 }
 
