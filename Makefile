@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-race vet vet-obs check node-smoke bench diff-paper fuzz report figures cost sim examples cover clean
+.PHONY: all build test test-race test-allocs vet vet-obs check node-smoke bench diff-paper fuzz report figures cost sim examples cover clean
 
 all: build check
 
@@ -31,12 +31,17 @@ vet-obs:
 
 # The pre-merge gate: static analysis, the full suite under the race
 # detector (with shuffled test order to catch order-dependent tests),
-# the service-mode loopback smoke run, and one iteration of every §VI
-# reproduction bench (bench_test.go) and of the event-engine
-# micro-benchmarks, so they run rather than only compile. Performance
-# is judged by `make bench`, not here.
-check: vet vet-obs test-race node-smoke
+# the allocation gates, the service-mode loopback smoke run, and one
+# iteration of every §VI reproduction bench (bench_test.go) and of the
+# event-engine micro-benchmarks, so they run rather than only compile.
+# Performance is judged by `make bench`, not here.
+check: vet vet-obs test-race test-allocs node-smoke
 	$(GO) test -run '^$$' -bench . -benchtime 1x . ./internal/netsim ./internal/parsim
+
+# The allocation gates skip under -race (the race detector makes
+# sync.Pool drop Puts), so they get one plain run of their own.
+test-allocs:
+	$(GO) test -run 'ZeroAlloc|Allocs|Budget' ./...
 
 # Off-simulator smoke: boot a 3-node loopback fleet over TCP+TLS,
 # deploy DP+CDP, push legit/spoofed/raw flows, and verify the victim's
@@ -77,6 +82,7 @@ fuzz:
 	$(GO) test ./internal/transport/ -fuzz FuzzReadFrame -fuzztime 15s
 	$(GO) test ./internal/transport/ -fuzz FuzzFrameRoundTrip -fuzztime 15s
 	$(GO) test ./internal/service/ -fuzz FuzzConfig -fuzztime 15s
+	$(GO) test ./internal/service/ -fuzz FuzzTrain -fuzztime 15s
 
 # Paper-vs-measured reproduction artifacts.
 report:

@@ -6,8 +6,9 @@ import (
 	"testing"
 )
 
-// FuzzParseIPv4 checks that arbitrary bytes never panic the parser and
-// that accepted packets survive a marshal→parse round trip.
+// FuzzParseIPv4 checks that arbitrary bytes never panic the parser,
+// that parsing into a dirty struct matches a fresh parse, and that
+// accepted packets survive a marshal→parse round trip.
 func FuzzParseIPv4(f *testing.F) {
 	p := &IPv4{
 		TTL: 64, Protocol: ProtoUDP, ID: 7, Flags: FlagDF,
@@ -23,6 +24,10 @@ func FuzzParseIPv4(f *testing.F) {
 		q, err := ParseIPv4(data)
 		if err != nil {
 			return
+		}
+		dirty := &IPv4{TTL: 9, Options: []byte{1, 2, 3, 4, 5, 6, 7, 8}, Payload: []byte("stale")}
+		if err := ParseIPv4Into(dirty, data); err != nil || !equalIPv4(dirty, q) {
+			t.Fatalf("parse into a dirty struct = %+v, %v; fresh parse %+v", dirty, err, q)
 		}
 		out, err := q.Marshal()
 		if err != nil {

@@ -3,7 +3,6 @@ package packet
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"net/netip"
 )
 
@@ -40,49 +39,75 @@ type IPv4 struct {
 	Payload  []byte
 }
 
+// Parse and marshal errors are sentinels: a flood of malformed packets
+// costs a counter increment, not a formatted message per packet.
 var (
 	errShort     = errors.New("packet: truncated packet")
 	errVersion   = errors.New("packet: wrong IP version")
 	errHeaderLen = errors.New("packet: bad header length")
+	errTotalLen  = errors.New("packet: total length shorter than the header or longer than the buffer")
+	errNotV4     = errors.New("packet: IPv4 addresses required")
+	errTooLong   = errors.New("packet: total length exceeds 65535")
 )
 
-// ParseIPv4 parses a raw IPv4 packet. The returned struct aliases b's
+// ParseIPv4 parses a raw IPv4 packet into a new struct; it is
+// ParseIPv4Into on a fresh IPv4. The returned struct aliases b's
 // payload bytes; callers that mutate the packet should treat the
 // original buffer as consumed.
 func ParseIPv4(b []byte) (*IPv4, error) {
+	p := new(IPv4)
+	if err := ParseIPv4Into(p, b); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// ParseIPv4Into parses a raw IPv4 packet into p, overwriting every
+// field, so a slab of structs can be reused packet after packet without
+// allocating. Payload aliases b; Options are copied into p's existing
+// Options storage (grown only when an earlier packet's was too small).
+// On error p is left untouched.
+func ParseIPv4Into(p *IPv4, b []byte) error {
+	return parseIPv4Into(p, b, false)
+}
+
+// parseIPv4Into is the one IPv4 header parser. lenient ignores the
+// Total Length bound, for packets embedded (truncated) in ICMP errors:
+// the payload then runs to the end of b.
+func parseIPv4Into(p *IPv4, b []byte, lenient bool) error {
 	if len(b) < 20 {
-		return nil, errShort
+		return errShort
 	}
 	if b[0]>>4 != 4 {
-		return nil, errVersion
+		return errVersion
 	}
 	ihl := int(b[0]&0x0f) * 4
 	if ihl < 20 || ihl > len(b) {
-		return nil, errHeaderLen
+		return errHeaderLen
 	}
-	total := int(binary.BigEndian.Uint16(b[2:4]))
-	if total < ihl || total > len(b) {
-		return nil, fmt.Errorf("packet: total length %d outside [%d,%d]", total, ihl, len(b))
+	total := len(b)
+	if !lenient {
+		total = int(binary.BigEndian.Uint16(b[2:4]))
+		if total < ihl || total > len(b) {
+			return errTotalLen
+		}
 	}
-	var src, dst [4]byte
-	copy(src[:], b[12:16])
-	copy(dst[:], b[16:20])
-	p := &IPv4{
-		TOS:      b[1],
-		ID:       binary.BigEndian.Uint16(b[4:6]),
-		Flags:    b[6] >> 5,
-		FragOff:  binary.BigEndian.Uint16(b[6:8]) & 0x1fff,
-		TTL:      b[8],
-		Protocol: b[9],
-		Checksum: binary.BigEndian.Uint16(b[10:12]),
-		Src:      netip.AddrFrom4(src),
-		Dst:      netip.AddrFrom4(dst),
-	}
-	if ihl > 20 {
-		p.Options = append([]byte(nil), b[20:ihl]...)
+	// Every field, one store each: a composite-literal assignment would
+	// build the struct on the stack and copy it over.
+	p.TOS = b[1]
+	p.ID = binary.BigEndian.Uint16(b[4:6])
+	p.Flags = b[6] >> 5
+	p.FragOff = binary.BigEndian.Uint16(b[6:8]) & 0x1fff
+	p.TTL = b[8]
+	p.Protocol = b[9]
+	p.Checksum = binary.BigEndian.Uint16(b[10:12])
+	p.Src = netip.AddrFrom4([4]byte(b[12:16]))
+	p.Dst = netip.AddrFrom4([4]byte(b[16:20]))
+	if ihl > 20 || len(p.Options) > 0 { // nothing to copy or clear: skip a barriered store
+		p.Options = append(p.Options[:0], b[20:ihl]...)
 	}
 	p.Payload = b[ihl:total]
-	return p, nil
+	return nil
 }
 
 // HeaderLen returns the header length in bytes including options.
@@ -95,21 +120,36 @@ func (p *IPv4) HeaderLen() int {
 // TotalLen returns the on-wire total length.
 func (p *IPv4) TotalLen() int { return p.HeaderLen() + len(p.Payload) }
 
-// Marshal serializes the packet with a freshly computed checksum and
-// updates p.Checksum to the computed value.
-func (p *IPv4) Marshal() ([]byte, error) {
+// Marshal serializes the packet into a new buffer; it is
+// AppendMarshal(nil).
+func (p *IPv4) Marshal() ([]byte, error) { return p.AppendMarshal(nil) }
+
+// AppendMarshal appends the packet's wire bytes to dst, with a freshly
+// computed header checksum that it also stores in p.Checksum, and
+// returns the extended slice. Appending into a buffer with spare
+// capacity allocates nothing. On error dst is returned unchanged.
+func (p *IPv4) AppendMarshal(dst []byte) ([]byte, error) {
 	if !p.Src.Is4() || !p.Dst.Is4() {
-		return nil, errors.New("packet: IPv4 addresses required")
+		return dst, errNotV4
 	}
 	hl := p.HeaderLen()
 	if hl > 60 {
-		return nil, errHeaderLen
+		return dst, errHeaderLen
 	}
 	total := hl + len(p.Payload)
 	if total > 0xffff {
-		return nil, fmt.Errorf("packet: total length %d exceeds 65535", total)
+		return dst, errTooLong
 	}
-	b := make([]byte, total)
+	n := len(dst)
+	switch {
+	case cap(dst)-n >= total:
+		dst = dst[:n+total]
+	case n == 0:
+		dst = make([]byte, total)
+	default:
+		dst = append(dst, make([]byte, total)...)
+	}
+	b := dst[n:]
 	b[0] = 4<<4 | uint8(hl/4)
 	b[1] = p.TOS
 	binary.BigEndian.PutUint16(b[2:4], uint16(total))
@@ -117,16 +157,20 @@ func (p *IPv4) Marshal() ([]byte, error) {
 	binary.BigEndian.PutUint16(b[6:8], uint16(p.Flags&0x7)<<13|p.FragOff&0x1fff)
 	b[8] = p.TTL
 	b[9] = p.Protocol
+	b[10], b[11] = 0, 0
 	src := p.Src.As4()
-	dst := p.Dst.As4()
+	dstA := p.Dst.As4()
 	copy(b[12:16], src[:])
-	copy(b[16:20], dst[:])
-	copy(b[20:], p.Options)
+	copy(b[16:20], dstA[:])
+	if hl > 20 {
+		// A reused buffer may hold stale bytes: zero the option padding.
+		clear(b[20+copy(b[20:hl], p.Options) : hl])
+	}
 	cs := Checksum(b[:hl])
 	binary.BigEndian.PutUint16(b[10:12], cs)
 	p.Checksum = cs
 	copy(b[hl:], p.Payload)
-	return b, nil
+	return dst, nil
 }
 
 // Msg extracts the 21-byte DISCS MAC input (§V-E): Version|IHL, Total
@@ -219,45 +263,11 @@ func ICMPv4Embedded(p *IPv4) (*IPv4, bool) {
 	inner := p.Payload[8:]
 	// The embedded packet's TotalLength describes the *original* packet,
 	// which is longer than the embedded snippet; parse leniently.
-	emb, err := parseIPv4Lenient(inner)
-	if err != nil {
+	emb := new(IPv4)
+	if parseIPv4Into(emb, inner, true) != nil {
 		return nil, false
 	}
 	return emb, true
-}
-
-// parseIPv4Lenient parses a possibly-truncated IPv4 packet as embedded
-// in ICMP errors, ignoring the TotalLength bound.
-func parseIPv4Lenient(b []byte) (*IPv4, error) {
-	if len(b) < 20 {
-		return nil, errShort
-	}
-	if b[0]>>4 != 4 {
-		return nil, errVersion
-	}
-	ihl := int(b[0]&0x0f) * 4
-	if ihl < 20 || ihl > len(b) {
-		return nil, errHeaderLen
-	}
-	var src, dst [4]byte
-	copy(src[:], b[12:16])
-	copy(dst[:], b[16:20])
-	p := &IPv4{
-		TOS:      b[1],
-		ID:       binary.BigEndian.Uint16(b[4:6]),
-		Flags:    b[6] >> 5,
-		FragOff:  binary.BigEndian.Uint16(b[6:8]) & 0x1fff,
-		TTL:      b[8],
-		Protocol: b[9],
-		Checksum: binary.BigEndian.Uint16(b[10:12]),
-		Src:      netip.AddrFrom4(src),
-		Dst:      netip.AddrFrom4(dst),
-	}
-	if ihl > 20 {
-		p.Options = append([]byte(nil), b[20:ihl]...)
-	}
-	p.Payload = b[ihl:]
-	return p, nil
 }
 
 // ReplaceICMPv4Embedded writes emb's mark fields (IPID and Fragment

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"net/netip"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -466,5 +467,145 @@ func BenchmarkIPv4Parse(b *testing.B) {
 		if _, err := ParseIPv4(buf); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// equalIPv4 compares every field of two parsed packets, treating nil
+// and empty byte slices alike.
+func equalIPv4(a, b *IPv4) bool {
+	return a.TOS == b.TOS && a.ID == b.ID && a.Flags == b.Flags && a.FragOff == b.FragOff &&
+		a.TTL == b.TTL && a.Protocol == b.Protocol && a.Checksum == b.Checksum &&
+		a.Src == b.Src && a.Dst == b.Dst &&
+		bytes.Equal(a.Options, b.Options) && bytes.Equal(a.Payload, b.Payload)
+}
+
+// TestParseIPv4IntoDirty: parsing into a struct left dirty by an
+// earlier packet — with longer options, a longer payload, other
+// addresses — gives exactly what ParseIPv4 gives on a fresh struct;
+// no option byte of the earlier packet survives.
+func TestParseIPv4IntoDirty(t *testing.T) {
+	// parseIPv4Into stores the fields one by one; a new field must be
+	// stored there (and compared in equalIPv4) too.
+	if n := reflect.TypeOf(IPv4{}).NumField(); n != 11 {
+		t.Fatalf("IPv4 has %d fields; parseIPv4Into and equalIPv4 cover 11", n)
+	}
+	withOpts := samplePacket(t)
+	withOpts.Options = []byte{7, 8, 1, 2, 3, 4, 5, 6}
+	withOpts.Payload = bytes.Repeat([]byte{0xee}, 300)
+	shortOpts := samplePacket(t)
+	shortOpts.Options = []byte{9, 4, 0xaa, 0xbb}
+	plain := samplePacket(t)
+	plain.Src, plain.Dst = v4(t, "198.51.100.7"), v4(t, "203.0.113.9")
+
+	var dirty IPv4
+	for _, seq := range [][]*IPv4{{withOpts, plain}, {withOpts, shortOpts}, {shortOpts, withOpts, plain}} {
+		for _, p := range seq {
+			b, err := p.Marshal()
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh, err := ParseIPv4(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := ParseIPv4Into(&dirty, b); err != nil {
+				t.Fatal(err)
+			}
+			if !equalIPv4(&dirty, fresh) {
+				t.Fatalf("dirty parse %+v\n        != fresh %+v", dirty, *fresh)
+			}
+			if len(dirty.Options) != len(p.Options) {
+				t.Fatalf("options %x leak past the packet's %x", dirty.Options, p.Options)
+			}
+		}
+	}
+}
+
+// TestParseIPv4IntoErrorLeavesStruct: a malformed packet reports an
+// error and leaves the destination as it was.
+func TestParseIPv4IntoErrorLeavesStruct(t *testing.T) {
+	good := samplePacket(t)
+	b, _ := good.Marshal()
+	var p IPv4
+	if err := ParseIPv4Into(&p, b); err != nil {
+		t.Fatal(err)
+	}
+	before := p
+	bad := append([]byte(nil), b...)
+	binary.BigEndian.PutUint16(bad[2:4], 1000) // total length past the buffer
+	if err := ParseIPv4Into(&p, bad); err == nil {
+		t.Fatal("bad total length accepted")
+	}
+	if !equalIPv4(&p, &before) {
+		t.Fatalf("failed parse changed the struct: %+v", p)
+	}
+}
+
+// TestAppendMarshal: AppendMarshal(prefix) is prefix followed by
+// Marshal(), even into spare capacity full of stale bytes, and leaves
+// prefix untouched on error.
+func TestAppendMarshal(t *testing.T) {
+	p := samplePacket(t)
+	p.Options = []byte{7, 3, 1} // padded to 4 on the wire
+	want, err := p.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	prefix := []byte("train:")
+	for _, dst := range [][]byte{
+		nil,
+		append([]byte(nil), prefix...),
+		append(make([]byte, 0, 256), prefix...),
+		append(bytes.Repeat([]byte{0xff}, 256)[:0], prefix...), // stale capacity
+	} {
+		got, err := p.AppendMarshal(dst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got[:len(dst)], dst) || !bytes.Equal(got[len(dst):], want) {
+			t.Fatalf("AppendMarshal(%q) = %x, want prefix + %x", dst, got, want)
+		}
+	}
+
+	bad := samplePacket(t)
+	bad.Dst = netip.MustParseAddr("2001:db8::1")
+	dst := append(make([]byte, 0, 64), prefix...)
+	got, err := bad.AppendMarshal(dst)
+	if err == nil {
+		t.Fatal("v6 address marshalled into IPv4")
+	}
+	if len(got) != len(prefix) || !bytes.Equal(got, prefix) {
+		t.Fatalf("failed AppendMarshal returned %q, want the prefix %q", got, prefix)
+	}
+	if !bytes.Equal(dst[:cap(dst)][len(prefix):len(prefix)+20], make([]byte, 20)) {
+		t.Fatal("failed AppendMarshal wrote into the spare capacity")
+	}
+}
+
+// TestMalformedParseZeroAlloc: rejecting a malformed packet costs no
+// garbage — the parse errors are sentinels, not formatted messages.
+func TestMalformedParseZeroAlloc(t *testing.T) {
+	b, _ := samplePacket(t).Marshal()
+	badTotal := append([]byte(nil), b...)
+	binary.BigEndian.PutUint16(badTotal[2:4], 1000)
+	var p IPv4
+	for name, raw := range map[string][]byte{"short": b[:10], "total length": badTotal} {
+		if n := testing.AllocsPerRun(100, func() {
+			if ParseIPv4Into(&p, raw) == nil {
+				t.Fatal("malformed packet accepted")
+			}
+		}); n != 0 {
+			t.Errorf("ParseIPv4Into(%s) allocates %v per packet", name, n)
+		}
+	}
+	v6 := make([]byte, 40)
+	v6[0] = 6 << 4
+	v6[5] = 200 // payload length past the buffer
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := ParseIPv6(v6); err == nil {
+			t.Fatal("malformed IPv6 packet accepted")
+		}
+	}); n != 0 {
+		t.Errorf("ParseIPv6(payload length) allocates %v per packet", n)
 	}
 }

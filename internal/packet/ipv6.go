@@ -53,6 +53,8 @@ type IPv6 struct {
 	Payload      []byte
 }
 
+var errPayloadLen = errors.New("packet: payload length exceeds buffer")
+
 // isKnownExt reports whether the next-header value is an extension
 // header this package parses structurally.
 func isKnownExt(nh uint8) bool {
@@ -73,7 +75,7 @@ func ParseIPv6(b []byte) (*IPv6, error) {
 	}
 	plen := int(binary.BigEndian.Uint16(b[4:6]))
 	if 40+plen > len(b) {
-		return nil, fmt.Errorf("packet: payload length %d exceeds buffer", plen)
+		return nil, errPayloadLen
 	}
 	var src, dst [16]byte
 	copy(src[:], b[8:24])

@@ -85,6 +85,13 @@ type Node struct {
 	rxMalformed *obs.Counter
 	rxOverflow  *obs.Counter
 
+	// Alarm samples raised by inbound workers wait here for the event
+	// loop: the controller's sample handler (onAlarm) must not run on a
+	// worker goroutine.
+	alarmMu sync.Mutex
+	alarms  []core.AlarmSample
+	onAlarm func(core.AlarmSample)
+
 	admin *adminServer
 }
 
@@ -109,6 +116,44 @@ func (n *Node) do(fn func()) {
 	defer n.mu.Unlock()
 	if !n.closed {
 		fn()
+	}
+}
+
+// queueAlarm is the router's OnAlarm hook: it runs wherever the packet
+// is processed, usually an inbound worker, so it only queues.
+func (n *Node) queueAlarm(s core.AlarmSample) {
+	n.alarmMu.Lock()
+	n.alarms = append(n.alarms, s)
+	n.alarmMu.Unlock()
+}
+
+// takeAlarms empties the sample queue.
+func (n *Node) takeAlarms() []core.AlarmSample {
+	n.alarmMu.Lock()
+	defer n.alarmMu.Unlock()
+	s := n.alarms
+	n.alarms = nil
+	return s
+}
+
+// flushAlarms hands the queued samples to the event loop in one hop.
+func (n *Node) flushAlarms() {
+	if s := n.takeAlarms(); len(s) > 0 {
+		n.do(func() { n.handleAlarms(s) })
+	}
+}
+
+// handleAlarms feeds samples to the controller on the event loop. A
+// router samples only while in alarm mode, and a detection quits it
+// synchronously in the simulator; here the samples of one batch arrive
+// together, so those behind a detection are dropped as the simulator
+// would never have raised them.
+func (n *Node) handleAlarms(samples []core.AlarmSample) {
+	for _, s := range samples {
+		if !n.router.AlarmModeOn() {
+			return
+		}
+		n.onAlarm(s)
 	}
 }
 
@@ -194,6 +239,7 @@ func NewNode(cfg Config) (*Node, error) {
 	}
 	n.router = router
 	ctrl.AttachRouter(router)
+	n.onAlarm, router.OnAlarm = router.OnAlarm, n.queueAlarm
 
 	if err := n.registerPeers(cfg.Peers); err != nil {
 		tr.Close()
@@ -292,8 +338,7 @@ func (n *Node) handleFrame(f transport.Frame) {
 func (n *Node) inboundWorker() {
 	defer n.wg.Done()
 	items := make([]inboundItem, 0, inboundBatchItems)
-	carriers := make([]core.MarkCarrier, 0, 256)
-	var verdicts []core.Verdict
+	var rx rxBatch
 	for first := range n.dataCh {
 		items = append(items[:0], first)
 	drain:
@@ -308,58 +353,101 @@ func (n *Node) inboundWorker() {
 				break drain
 			}
 		}
-		carriers = carriers[:0]
-		var malformed uint64
-		for _, it := range items {
-			if !it.train {
-				p, err := packet.ParseIPv4(it.b)
-				if err != nil {
-					malformed++
-					continue
-				}
-				carriers = append(carriers, core.V4{P: p})
-				continue
-			}
-			b := it.b
-			for len(b) >= 2 {
-				l := int(binary.BigEndian.Uint16(b))
-				if l == 0 || 2+l > len(b) {
-					malformed++
-					break
-				}
-				p, err := packet.ParseIPv4(b[2 : 2+l])
-				if err != nil {
-					malformed++
-				} else {
-					carriers = append(carriers, core.V4{P: p})
-				}
-				b = b[2+l:]
-			}
-			if len(b) == 1 {
-				malformed++
-			}
+		n.processInbound(&rx, items)
+	}
+}
+
+// processInbound decodes one gulp of queued items into rx and runs it
+// through ProcessInboundBatch, booking the fates. Alarm samples the
+// batch raised go to the event loop in one hop.
+func (n *Node) processInbound(rx *rxBatch, items []inboundItem) {
+	rx.reset()
+	for _, it := range items {
+		if it.train {
+			rx.addTrain(it.b)
+		} else {
+			rx.addPacket(it.b)
 		}
-		if malformed > 0 {
-			n.rxMalformed.Add(malformed)
+	}
+	if rx.malformed > 0 {
+		n.rxMalformed.Add(rx.malformed)
+	}
+	if len(rx.carriers) == 0 {
+		return
+	}
+	rx.verdicts = n.router.ProcessInboundBatch(rx.carriers, n.Now(), rx.verdicts[:0])
+	var delivered, dropped uint64
+	alarmed := false
+	for _, v := range rx.verdicts {
+		if v.Dropped() {
+			dropped++
+		} else {
+			delivered++
 		}
-		if len(carriers) == 0 {
-			continue
+		alarmed = alarmed || v == core.VerdictPassAlarm
+	}
+	if delivered > 0 {
+		n.rxDelivered.Add(delivered)
+	}
+	if dropped > 0 {
+		n.rxDropped.Add(dropped)
+	}
+	if alarmed {
+		n.flushAlarms()
+	}
+}
+
+// rxBatch is one inbound worker's reusable decode state. Packets are
+// parsed into slab entries in place, so steady-state decoding allocates
+// nothing: an entry lives until the worker's next batch overwrites it,
+// and its Payload aliases the frame it was parsed from.
+type rxBatch struct {
+	slab      []packet.IPv4
+	carriers  []core.MarkCarrier // carriers[i] points at slab[i]
+	verdicts  []core.Verdict
+	malformed uint64
+}
+
+func (rx *rxBatch) reset() {
+	rx.carriers = rx.carriers[:0]
+	rx.malformed = 0
+}
+
+// addPacket parses one raw packet into the next slab entry and appends
+// its carrier, or counts it malformed.
+func (rx *rxBatch) addPacket(b []byte) {
+	i := len(rx.carriers)
+	if i == len(rx.slab) {
+		// Grown slabs keep the old array alive only while this batch's
+		// carriers still point into it.
+		rx.slab = append(rx.slab, packet.IPv4{})
+		rx.slab = rx.slab[:cap(rx.slab)]
+	}
+	p := &rx.slab[i]
+	if packet.ParseIPv4Into(p, b) != nil {
+		rx.malformed++
+		return
+	}
+	rx.carriers = append(rx.carriers, core.V4{P: p})
+}
+
+// addTrain decodes a FrameKindDataBurst payload: repeated 2-byte
+// length prefixes, each followed by one packet. Every record becomes
+// exactly one carrier or one malformed count; a zero or overrunning
+// length (or a lone trailing byte) is one malformed record and ends
+// the train, since nothing after it can be framed.
+func (rx *rxBatch) addTrain(b []byte) {
+	for len(b) >= 2 {
+		l := int(binary.BigEndian.Uint16(b))
+		if l == 0 || 2+l > len(b) {
+			rx.malformed++
+			return
 		}
-		verdicts = n.router.ProcessInboundBatch(carriers, n.Now(), verdicts[:0])
-		var delivered, dropped uint64
-		for _, v := range verdicts {
-			if v.Dropped() {
-				dropped++
-			} else {
-				delivered++
-			}
-		}
-		if delivered > 0 {
-			n.rxDelivered.Add(delivered)
-		}
-		if dropped > 0 {
-			n.rxDropped.Add(dropped)
-		}
+		rx.addPacket(b[2 : 2+l])
+		b = b[2+l:]
+	}
+	if len(b) == 1 {
+		rx.malformed++
 	}
 }
 
@@ -384,11 +472,7 @@ func (n *Node) SendPacket(dst string, p *packet.IPv4) (core.Verdict, bool) {
 	if v.Dropped() {
 		return v, false
 	}
-	b, err := p.Marshal()
-	if err != nil {
-		return v, false
-	}
-	return v, n.tr.Send(dst, transport.Frame{Kind: FrameKindData, From: n.cfg.Name, Data: b})
+	return v, n.sendOne(dst, p)
 }
 
 // maxTrainBytes caps one train frame's payload so it stays well under
@@ -396,71 +480,103 @@ func (n *Node) SendPacket(dst string, p *packet.IPv4) (core.Verdict, bool) {
 // coalesced writes.
 const maxTrainBytes = 48 << 10
 
+// sendScratch is the reusable state of one send call: the carriers and
+// verdicts of a ProcessOutboundBatch pass and the buffer packets are
+// marshalled into. transport.TCP.Send copies the frame, so the buffer
+// is free again as soon as Send returns.
+type sendScratch struct {
+	carriers []core.MarkCarrier
+	verdicts []core.Verdict
+	buf      []byte
+}
+
+var sendPool = sync.Pool{New: func() any {
+	return &sendScratch{buf: make([]byte, 0, maxTrainBytes)}
+}}
+
 // SendPacketBatch pushes a packet train toward the named peer: one
 // ProcessOutboundBatch call over the router's fused burst pipeline,
-// then the surviving packets packed into FrameKindDataBurst frames —
-// one transport frame (and at the far end one inbound batch) per
-// train instead of per packet. It returns how many packets were
-// stamped and how many went out in accepted trains.
+// then the surviving packets marshalled straight into
+// FrameKindDataBurst frames — one transport frame (and at the far end
+// one inbound batch) per train instead of per packet. It returns how
+// many packets were stamped and how many went out in accepted trains.
 func (n *Node) SendPacketBatch(dst string, pkts []*packet.IPv4) (stamped, sent int) {
 	if len(pkts) == 0 {
 		return 0, 0
 	}
-	carriers := make([]core.MarkCarrier, len(pkts))
-	for i, p := range pkts {
-		carriers[i] = core.V4{P: p}
+	s := sendPool.Get().(*sendScratch)
+	defer sendPool.Put(s)
+	for _, p := range pkts {
+		s.carriers = append(s.carriers, core.V4{P: p})
 	}
 	n.mu.Lock()
-	if n.closed {
-		n.mu.Unlock()
+	closed := n.closed
+	if !closed {
+		s.verdicts = n.router.ProcessOutboundBatch(s.carriers, n.Now(), s.verdicts[:0])
+	}
+	n.mu.Unlock()
+	clear(s.carriers) // don't pin the caller's packets in the pool
+	s.carriers = s.carriers[:0]
+	if closed {
 		return 0, 0
 	}
-	verdicts := n.router.ProcessOutboundBatch(carriers, n.Now(), nil)
-	n.mu.Unlock()
 
-	train := make([]byte, 0, maxTrainBytes)
-	pending := 0
-	flush := func() {
-		if pending == 0 {
-			return
-		}
-		if n.tr.Send(dst, transport.Frame{Kind: FrameKindDataBurst, From: n.cfg.Name, Data: train}) {
-			sent += pending
-		}
-		train = train[:0]
-		pending = 0
-	}
-	for i, v := range verdicts {
+	train, pending := s.buf[:0], 0
+	for i, v := range s.verdicts {
 		if v.Dropped() {
 			continue
 		}
 		if v == core.VerdictPassStamped {
 			stamped++
 		}
-		b, err := pkts[i].Marshal()
-		if err != nil || len(b) > 0xffff {
+		rec := len(train)
+		var err error
+		train, err = pkts[i].AppendMarshal(binary.BigEndian.AppendUint16(train, 0))
+		if err != nil {
+			train = train[:rec]
 			continue
 		}
-		if len(train)+2+len(b) > maxTrainBytes {
-			flush()
+		binary.BigEndian.PutUint16(train[rec:], uint16(len(train)-rec-2))
+		if len(train) > maxTrainBytes && pending > 0 {
+			// The record overflows this train: ship the train without
+			// it, and start the next one with it.
+			if n.sendTrain(dst, train[:rec]) {
+				sent += pending
+			}
+			train, pending = train[:copy(train, train[rec:])], 0
 		}
-		train = binary.BigEndian.AppendUint16(train, uint16(len(b)))
-		train = append(train, b...)
 		pending++
 	}
-	flush()
+	if n.sendTrain(dst, train) {
+		sent += pending
+	}
+	s.buf = train
 	return stamped, sent
+}
+
+// sendTrain ships one train frame; an empty train sends nothing.
+func (n *Node) sendTrain(dst string, train []byte) bool {
+	return len(train) > 0 && n.tr.Send(dst, transport.Frame{Kind: FrameKindDataBurst, From: n.cfg.Name, Data: train})
+}
+
+// sendOne ships one packet as a FrameKindData frame, marshalled into a
+// pooled buffer.
+func (n *Node) sendOne(dst string, p *packet.IPv4) bool {
+	s := sendPool.Get().(*sendScratch)
+	defer sendPool.Put(s)
+	b, err := p.AppendMarshal(s.buf[:0])
+	if err != nil {
+		return false
+	}
+	s.buf = b
+	return n.tr.Send(dst, transport.Frame{Kind: FrameKindData, From: n.cfg.Name, Data: b})
 }
 
 // InjectRaw ships a packet to the named peer without outbound
 // processing — the loadgen's model of spoofed traffic entering from a
 // legacy (non-DISCS) AS that runs no egress filtering.
 func (n *Node) InjectRaw(dst string, p *packet.IPv4) bool {
-	b, err := p.Marshal()
-	if err != nil {
-		return false
-	}
-	return n.tr.Send(dst, transport.Frame{Kind: FrameKindData, From: n.cfg.Name, Data: b})
+	return n.sendOne(dst, p)
 }
 
 // Invoke requests protection, serialized with the event loop (the
@@ -475,11 +591,15 @@ func (n *Node) Invoke(invs ...core.Invocation) (int, error) {
 }
 
 // Do runs fn serialized with the node's event loop; fn may touch the
-// controller and router freely.
+// controller and router freely. Alarm samples raised by packets fn
+// processed are handled before Do returns.
 func (n *Node) Do(fn func(c *core.Controller, r *core.BorderRouter)) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	fn(n.ctrl, n.router)
+	if s := n.takeAlarms(); len(s) > 0 {
+		n.handleAlarms(s)
+	}
 }
 
 // Reload applies a changed config. Only the peer set is live-reloadable

@@ -120,7 +120,7 @@ type tcpPeer struct {
 	t    *TCP
 	name string
 
-	q    chan []byte
+	q    chan *[]byte // encoded frames from framePool
 	stop chan struct{}
 
 	mu            sync.Mutex
@@ -247,7 +247,7 @@ func (t *TCP) newPeer(name string) *tcpPeer {
 	return &tcpPeer{
 		t:             t,
 		name:          name,
-		q:             make(chan []byte, t.opts.SendQueue),
+		q:             make(chan *[]byte, t.opts.SendQueue),
 		stop:          make(chan struct{}),
 		dialFailures:  t.sc.Counter(PeerMetric(MetricDialFailures, name)),
 		redials:       t.sc.Counter(PeerMetric(MetricRedials, name)),
@@ -372,7 +372,7 @@ func (t *TCP) serve(conn net.Conn) {
 	}()
 	r := newFrameReader(conn)
 	for {
-		f, err := ReadFrame(r)
+		f, err := r.next()
 		if err != nil {
 			return
 		}
@@ -390,10 +390,14 @@ func (t *TCP) serve(conn net.Conn) {
 // queue, transport closed) or the peer is currently down (its last
 // dial or write failed) — the caller's retry machinery owns recovery
 // either way. True means the frame was accepted by a healthy peer's
-// queue; delivery remains best-effort.
+// queue; delivery remains best-effort. Send copies f, so the caller
+// owns f.Data again as soon as it returns.
 func (t *TCP) Send(peer string, f Frame) bool {
-	buf, err := AppendFrame(nil, f)
+	buf := framePool.Get().(*[]byte)
+	b, err := AppendFrame((*buf)[:0], f)
+	*buf = b
 	if err != nil {
+		framePool.Put(buf)
 		return false
 	}
 	t.mu.RLock()
@@ -401,6 +405,7 @@ func (t *TCP) Send(peer string, f Frame) bool {
 	closed := t.closed
 	t.mu.RUnlock()
 	if closed || p == nil {
+		framePool.Put(buf)
 		return false
 	}
 	select {
@@ -411,10 +416,17 @@ func (t *TCP) Send(peer string, f Frame) bool {
 		p.mu.Unlock()
 		return !down
 	default:
+		framePool.Put(buf)
 		p.framesDropped.Inc()
 		return false
 	}
 }
+
+// framePool recycles encoded frames. Send encodes the caller's frame
+// into a pooled buffer, so the caller may reuse its Data as soon as
+// Send returns; the buffer belongs to the peer's queue until its worker
+// has written (or dropped) it and puts it back.
+var framePool = sync.Pool{New: func() any { return new([]byte) }}
 
 // run is the peer's send worker: it drains the queue, coalesces
 // frames into batched writes, and owns the connection lifecycle
@@ -423,10 +435,10 @@ func (t *TCP) Send(peer string, f Frame) bool {
 // blocked writes — to the peer that earned them.
 func (p *tcpPeer) run() {
 	defer p.t.wg.Done()
-	batch := make([][]byte, 0, 64)
+	batch := make([]*[]byte, 0, 64)
 	var wbuf []byte
 	for {
-		var first []byte
+		var first *[]byte
 		select {
 		case first = <-p.q:
 		case <-p.stop:
@@ -434,19 +446,22 @@ func (p *tcpPeer) run() {
 			return
 		}
 		batch = append(batch[:0], first)
-		total := len(first)
+		total := len(*first)
 	coalesce:
 		for total < maxWriteBatch {
 			select {
 			case b := <-p.q:
 				batch = append(batch, b)
-				total += len(b)
+				total += len(*b)
 			default:
 				break coalesce
 			}
 		}
 		p.queueDepth.Set(int64(len(p.q)))
 		wbuf = p.flush(batch, wbuf[:0])
+		for _, b := range batch {
+			framePool.Put(b)
+		}
 	}
 }
 
@@ -455,7 +470,8 @@ func (p *tcpPeer) run() {
 func (p *tcpPeer) drainOnStop() {
 	for {
 		select {
-		case <-p.q:
+		case b := <-p.q:
+			framePool.Put(b)
 			p.framesDropped.Inc()
 		default:
 			p.queueDepth.Set(0)
@@ -465,10 +481,11 @@ func (p *tcpPeer) drainOnStop() {
 }
 
 // flush writes one coalesced batch, dialing first if the peer has no
-// connection. Failures drop the whole batch (a partially written
-// frame tears the stream anyway) and mark the peer down until a dial
-// succeeds.
-func (p *tcpPeer) flush(batch [][]byte, wbuf []byte) []byte {
+// connection. Several frames are copied into wbuf for one write; a
+// lone frame is written from its own buffer. Failures drop the whole
+// batch (a partially written frame tears the stream anyway) and mark
+// the peer down until a dial succeeds.
+func (p *tcpPeer) flush(batch []*[]byte, wbuf []byte) []byte {
 	conn := p.currentConn()
 	if conn == nil {
 		conn = p.dial()
@@ -477,17 +494,21 @@ func (p *tcpPeer) flush(batch [][]byte, wbuf []byte) []byte {
 			return wbuf
 		}
 	}
-	for _, b := range batch {
-		wbuf = append(wbuf, b...)
+	out := *batch[0]
+	if len(batch) > 1 {
+		for _, b := range batch {
+			wbuf = append(wbuf, *b...)
+		}
+		out = wbuf
 	}
 	conn.SetWriteDeadline(time.Now().Add(p.t.opts.DialTimeout))
-	if _, err := conn.Write(wbuf); err != nil {
+	if _, err := conn.Write(out); err != nil {
 		p.teardown(conn)
 		p.framesDropped.Add(uint64(len(batch)))
 		return wbuf
 	}
 	p.framesSent.Add(uint64(len(batch)))
-	p.bytesSent.Add(uint64(len(wbuf)))
+	p.bytesSent.Add(uint64(len(out)))
 	return wbuf
 }
 

@@ -93,18 +93,34 @@ func AppendFrame(dst []byte, f Frame) ([]byte, error) {
 	return dst, nil
 }
 
-// newFrameReader wraps a connection for ReadFrame: buffering means a
+// frameReader reads one connection's frame stream. Buffering means a
 // train of coalesced frames is pulled from the kernel in one read
-// instead of two syscalls per frame.
-func newFrameReader(r io.Reader) io.Reader { return bufio.NewReaderSize(r, 64<<10) }
+// instead of two syscalls per frame; the length header is read into
+// reused storage, and the sender name is kept from frame to frame, so
+// a connection carrying one peer's frames allocates only the payloads.
+type frameReader struct {
+	r    io.Reader
+	hdr  [4]byte
+	from string
+}
+
+func newFrameReader(r io.Reader) *frameReader {
+	return &frameReader{r: bufio.NewReaderSize(r, 64<<10)}
+}
 
 // ReadFrame reads one frame from r, enforcing MaxFrameSize.
 func ReadFrame(r io.Reader) (Frame, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	fr := frameReader{r: r}
+	return fr.next()
+}
+
+// next reads the stream's next frame, enforcing MaxFrameSize.
+func (fr *frameReader) next() (Frame, error) {
+	hdr := fr.hdr[:]
+	if _, err := io.ReadFull(fr.r, hdr); err != nil {
 		return Frame{}, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(hdr)
 	if n > MaxFrameSize {
 		return Frame{}, fmt.Errorf("frame payload %d bytes: %w", n, ErrFrameTooBig)
 	}
@@ -112,16 +128,19 @@ func ReadFrame(r io.Reader) (Frame, error) {
 		return Frame{}, fmt.Errorf("transport: frame payload %d bytes, want >= 2", n)
 	}
 	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
+	if _, err := io.ReadFull(fr.r, buf); err != nil {
 		return Frame{}, err
 	}
 	fromLen := int(buf[1])
 	if 2+fromLen > len(buf) {
 		return Frame{}, fmt.Errorf("transport: sender name %d bytes overruns %d-byte payload", fromLen, n)
 	}
+	if name := buf[2 : 2+fromLen]; string(name) != fr.from {
+		fr.from = string(name)
+	}
 	return Frame{
 		Kind: buf[0],
-		From: string(buf[2 : 2+fromLen]),
+		From: fr.from,
 		Data: buf[2+fromLen:],
 	}, nil
 }

@@ -15,6 +15,8 @@ func TestFrameRoundTrip(t *testing.T) {
 		{Kind: 5, From: "", Data: nil},
 		{Kind: 0xff, From: "x", Data: bytes.Repeat([]byte{0xaa}, 4096)},
 		{Kind: 7, From: strings.Repeat("n", MaxFromLen), Data: []byte{1}},
+		{Kind: 1, From: "ctrl.as1", Data: []byte("again")},
+		{Kind: 2, From: "ctrl.as1", Data: []byte("same sender")},
 	}
 	var wire []byte
 	for _, f := range frames {
@@ -24,18 +26,26 @@ func TestFrameRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// One-shot ReadFrame calls, and one connection's frameReader, which
+	// keeps the sender name from frame to frame.
 	r := bytes.NewReader(wire)
-	for i, want := range frames {
-		got, err := ReadFrame(r)
-		if err != nil {
-			t.Fatalf("frame %d: %v", i, err)
+	fr := newFrameReader(bytes.NewReader(wire))
+	for _, read := range []func() (Frame, error){
+		func() (Frame, error) { return ReadFrame(r) },
+		fr.next,
+	} {
+		for i, want := range frames {
+			got, err := read()
+			if err != nil {
+				t.Fatalf("frame %d: %v", i, err)
+			}
+			if got.Kind != want.Kind || got.From != want.From || !bytes.Equal(got.Data, want.Data) {
+				t.Fatalf("frame %d = %+v, want %+v", i, got, want)
+			}
 		}
-		if got.Kind != want.Kind || got.From != want.From || !bytes.Equal(got.Data, want.Data) {
-			t.Fatalf("frame %d = %+v, want %+v", i, got, want)
+		if _, err := read(); err == nil {
+			t.Fatal("read past the last frame succeeded")
 		}
-	}
-	if _, err := ReadFrame(r); err == nil {
-		t.Fatal("read past the last frame succeeded")
 	}
 }
 
