@@ -32,11 +32,13 @@ vet-obs:
 # The pre-merge gate: static analysis, the full suite under the race
 # detector (with shuffled test order to catch order-dependent tests),
 # the allocation gates, the service-mode loopback smoke run, and one
-# iteration of every §VI reproduction bench (bench_test.go) and of the
-# event-engine micro-benchmarks, so they run rather than only compile.
-# Performance is judged by `make bench`, not here.
+# iteration of every §VI reproduction bench (bench_test.go), of the
+# event-engine micro-benchmarks and of the smallest control-plane mesh
+# (BenchmarkMeshFormation at 45 DAS, about a second), so they run rather
+# than only compile. Performance is judged by `make bench`, not here.
 check: vet vet-obs test-race test-allocs node-smoke
 	$(GO) test -run '^$$' -bench . -benchtime 1x . ./internal/netsim ./internal/parsim
+	$(GO) test -run '^$$' -bench 'MeshFormation/das=45$$' -benchtime 1x ./internal/core
 
 # The allocation gates skip under -race (the race detector makes
 # sync.Pool drop Puts), so they get one plain run of their own.

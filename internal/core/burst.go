@@ -42,7 +42,7 @@ type BurstPipeline struct {
 	// Deferred inbound state, indexed by packet position.
 	action []uint8
 	srcAS  []topology.ASN
-	vks    []*verifyKeys
+	vks    []*peerKeys
 }
 
 // NewBurstPipeline creates a pipeline for a dedicated forwarding
@@ -204,7 +204,7 @@ func (bp *BurstPipeline) Inbound(r *BorderRouter, pkts []MarkCarrier, now time.T
 	if cap(bp.action) < n {
 		bp.action = make([]uint8, n)
 		bp.srcAS = make([]topology.ASN, n)
-		bp.vks = make([]*verifyKeys, n)
+		bp.vks = make([]*peerKeys, n)
 	}
 	bp.action = bp.action[:n]
 	bp.srcAS = bp.srcAS[:n]
@@ -241,7 +241,7 @@ func (bp *BurstPipeline) Inbound(r *BorderRouter, pkts []MarkCarrier, now time.T
 			bp.action[i] = actPass
 			continue
 		}
-		vk := st.keys.verify[tup.SrcAS]
+		vk := st.keys.verifyKeys(tup.SrcAS)
 		if vk == nil {
 			bp.action[i] = actPass
 			continue

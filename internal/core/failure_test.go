@@ -182,10 +182,10 @@ func TestRetryIdempotentUnderDuplicates(t *testing.T) {
 	p := c1.peers[1004]
 	// Force replays of the full exchange.
 	for i := 0; i < 3; i++ {
-		c1.sendEncoded(p, mustEncode(&ControlMsg{Type: MsgPeeringRequest, From: c1.AS}))
-		c1.sendEncoded(p, mustEncode(&ControlMsg{
+		c1.send(p, &ControlMsg{Type: MsgPeeringRequest, From: c1.AS})
+		c1.send(p, &ControlMsg{
 			Type: MsgKeyDeploy, From: c1.AS, Key: p.stampKey, Serial: p.stampSerial,
-		}))
+		})
 	}
 	if err := s.Settle(); err != nil {
 		t.Fatal(err)

@@ -3,6 +3,7 @@ package core
 import (
 	"math/rand"
 	"net/netip"
+	"reflect"
 	"testing"
 	"time"
 
@@ -12,28 +13,53 @@ import (
 )
 
 // FuzzDecodeControlMsg: arbitrary bytes through the controller message
-// decoder must never panic, and valid messages must round-trip.
+// decoder must never panic; a message that decodes re-encodes to one
+// that decodes equal; and the framing is strict — an unknown type, a
+// trailing byte or a truncation of a valid encoding is refused, no
+// decoded count exceeds what the input could hold, and a key-deploy
+// always carries a 16-byte key.
 func FuzzDecodeControlMsg(f *testing.F) {
-	seed, _ := (&ControlMsg{Type: MsgPeeringRequest, From: 42}).Encode()
-	f.Add(seed)
-	inv, _ := (&ControlMsg{
-		Type: MsgInvoke, From: 7,
-		Invocations: []Invocation{{Function: CDP, Duration: time.Hour}},
-	}).Encode()
-	f.Add(inv)
+	for _, g := range goldenMsgs {
+		b, _ := g.m.Encode()
+		f.Add(b)
+	}
+	f.Add([]byte{byte(MsgInvoke), 7, 1, 200})
 	f.Add([]byte(`{"type":"key-deploy","from":1,"key":"AAAA","serial":3}`))
-	f.Add([]byte(`{`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := DecodeControlMsg(data)
 		if err != nil {
 			return
 		}
+		if m.Type == MsgKeyDeploy && len(m.Key) != keyLen {
+			t.Fatalf("key-deploy decoded with a %d-byte key", len(m.Key))
+		}
+		if len(m.Invocations) > len(data)/minInvocationLen {
+			t.Fatalf("%d invocations from %d bytes", len(m.Invocations), len(data))
+		}
 		out, err := m.Encode()
 		if err != nil {
 			t.Fatalf("decoded message fails to encode: %v", err)
 		}
-		if _, err := DecodeControlMsg(out); err != nil {
+		again, err := DecodeControlMsg(out)
+		if err != nil {
 			t.Fatalf("re-encode fails to decode: %v", err)
+		}
+		if !reflect.DeepEqual(again, m) {
+			t.Fatalf("round trip changed the message: %+v vs %+v", again, m)
+		}
+		if _, err := DecodeControlMsg(append(out, 0)); err == nil {
+			t.Fatal("trailing byte accepted")
+		}
+		for n := 0; n < len(out); n++ {
+			if _, err := DecodeControlMsg(out[:n]); err == nil {
+				t.Fatalf("truncation to %d of %d bytes accepted", n, len(out))
+			}
+		}
+		for _, bad := range []byte{0, byte(numMsgTypes), 0xff} {
+			out[0] = bad
+			if _, err := DecodeControlMsg(out); err == nil {
+				t.Fatalf("type %d accepted", bad)
+			}
 		}
 		// Validation must be total on decoded invocations.
 		for _, inv := range m.Invocations {

@@ -256,6 +256,10 @@ type DeliveryResult struct {
 	ICMPReturned *packet.IPv4
 }
 
+// pathBufLen sizes the stack buffer Send walks AS paths into; longer
+// paths (rare: valley-free paths are short) spill to the heap.
+const pathBufLen = 16
+
 // SendV4 injects an IPv4 packet at fromAS and walks it along the
 // valley-free AS path toward the owner of its destination address,
 // applying DISCS processing: outbound at the source AS border (if it
@@ -274,7 +278,8 @@ func (s *System) SendV4(fromAS topology.ASN, p *packet.IPv4) DeliveryResult {
 	// Outbound processing at the source AS border.
 	if r := s.Routers[fromAS]; r != nil {
 		v := r.ProcessOutbound(V4{p}, now)
-		res.Hops = append(res.Hops, HopResult{fromAS, v})
+		// Sized once for both DISCS borders, the only hops recorded.
+		res.Hops = append(make([]HopResult, 0, 2), HopResult{fromAS, v})
 		if v.Dropped() {
 			res.DroppedAt = fromAS
 			return res
@@ -284,7 +289,8 @@ func (s *System) SendV4(fromAS topology.ASN, p *packet.IPv4) DeliveryResult {
 		res.Delivered = true
 		return res
 	}
-	path, ok := s.Net.Topo.Path(fromAS, dstAS)
+	var buf [pathBufLen]topology.ASN
+	path, ok := s.Net.Topo.PathInto(fromAS, dstAS, buf[:0])
 	if !ok {
 		res.DroppedAt = fromAS
 		return res
@@ -360,7 +366,8 @@ func (s *System) SendV6(fromAS topology.ASN, p *packet.IPv6) DeliveryResult {
 	now := s.Now()
 	if r := s.Routers[fromAS]; r != nil {
 		v := r.ProcessOutbound(V6{p}, now)
-		res.Hops = append(res.Hops, HopResult{fromAS, v})
+		// Sized once for both DISCS borders, the only hops recorded.
+		res.Hops = append(make([]HopResult, 0, 2), HopResult{fromAS, v})
 		if v.Dropped() {
 			res.DroppedAt = fromAS
 			return res
@@ -370,7 +377,8 @@ func (s *System) SendV6(fromAS topology.ASN, p *packet.IPv6) DeliveryResult {
 		res.Delivered = true
 		return res
 	}
-	path, ok := s.Net.Topo.Path(fromAS, dstAS)
+	var buf [pathBufLen]topology.ASN
+	path, ok := s.Net.Topo.PathInto(fromAS, dstAS, buf[:0])
 	if !ok {
 		res.DroppedAt = fromAS
 		return res

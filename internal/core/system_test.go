@@ -139,3 +139,38 @@ func TestControlPlaneScale(t *testing.T) {
 		t.Fatalf("accepted %d/%d invocations", victim.Stats().Get(MetricCtrlInvokesAccepted), nDAS-1)
 	}
 }
+
+// TestSendV4Allocs: a delivered packet through two DISCS borders costs
+// one allocation, the hop record it returns; the AS path is walked into
+// a stack buffer.
+func TestSendV4Allocs(t *testing.T) {
+	s := testInternet(t)
+	deploy(t, s, 1001, 1004)
+	if _, err := s.Controllers[1004].Invoke(Invocation{
+		Prefixes: []netip.Prefix{netip.MustParsePrefix("172.16.4.0/24")},
+		Function: CDP, Duration: 24 * time.Hour,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Settle(); err != nil {
+		t.Fatal(err)
+	}
+	s.Net.Sim.After(DefaultGrace+time.Second, func() {}) // strict verification
+	if err := s.Settle(); err != nil {
+		t.Fatal(err)
+	}
+	pkt := samplePacketV4()
+	pkt.Src = netip.MustParseAddr("172.16.1.10")
+	pkt.Dst = netip.MustParseAddr("172.16.4.10")
+	var res DeliveryResult
+	allocs := testing.AllocsPerRun(100, func() {
+		pkt.TTL = 64
+		res = s.SendV4(1001, pkt)
+	})
+	if !res.Delivered || len(res.Hops) != 2 || res.Hops[1].Verdict != VerdictPassVerified {
+		t.Fatalf("SendV4 = %+v, want delivered and verified", res)
+	}
+	if allocs > 1 {
+		t.Errorf("SendV4: %v allocs per delivered packet, want <= 1", allocs)
+	}
+}

@@ -611,6 +611,11 @@ func (n *Node) AfterBackground(d Time, fn func()) Timer {
 // Links returns the links attached to this node.
 func (n *Node) Links() []*Link { return n.links }
 
+// LinkTo returns the first link created between n and neighbor, up or
+// down, or nil when there is none: the first match of a scan over
+// Links(), in O(1).
+func (n *Node) LinkTo(neighbor *Node) *Link { return n.nbr[neighbor] }
+
 // Sim returns the owning simulator.
 func (n *Node) Sim() *Simulator { return n.sim }
 

@@ -25,6 +25,7 @@ import (
 	"crypto/cipher"
 	"crypto/ecdh"
 	"crypto/sha256"
+	"crypto/subtle"
 	"encoding/binary"
 	"fmt"
 
@@ -272,7 +273,10 @@ type Session struct {
 	sendBlock, recvBlock cipher.Block
 	mac                  *cmac.CMAC
 	sendSeq, recvSeq     uint64
-	resume               [16]byte
+	// Counter and keystream scratch per direction (see ctrXOR); they
+	// live here so that a record costs no allocation beyond its output.
+	sendCTR, recvCTR ctrScratch
+	resume           [16]byte
 	// Overhead counters for the §VI-C cost model.
 	BytesSealed, BytesOpened uint64
 	// Optional registry mirrors of the byte counters (see SetMeter).
@@ -317,13 +321,37 @@ func newSession(keys sessionKeys, initiator bool) (*Session, error) {
 // MAC.
 const Overhead = 8 + macLen
 
+// ctrScratch holds one direction's AES-CTR counter block and keystream
+// block.
+type ctrScratch struct {
+	ctr, ks [aes.BlockSize]byte
+}
+
+// ctrXOR XORs src with the AES-CTR keystream of record seq into dst
+// (len(dst) >= len(src); they must not overlap unless equal). The
+// counter is the 128-bit big-endian integer whose initial value is seq,
+// incremented per block with the carry running into the high half —
+// byte for byte what cipher.NewCTR produces from the IV
+// 0^64 || BE64(seq), without its per-record allocations.
+func ctrXOR(b cipher.Block, sc *ctrScratch, seq uint64, dst, src []byte) {
+	hi, lo := uint64(0), seq
+	for len(src) > 0 {
+		binary.BigEndian.PutUint64(sc.ctr[:8], hi)
+		binary.BigEndian.PutUint64(sc.ctr[8:], lo)
+		b.Encrypt(sc.ks[:], sc.ctr[:])
+		n := subtle.XORBytes(dst, src, sc.ks[:])
+		dst, src = dst[n:], src[n:]
+		if lo++; lo == 0 {
+			hi++
+		}
+	}
+}
+
 // Seal encrypts and authenticates a plaintext record.
 func (s *Session) Seal(plaintext []byte) []byte {
 	out := make([]byte, 8+len(plaintext)+macLen)
 	binary.BigEndian.PutUint64(out[:8], s.sendSeq)
-	var iv [16]byte
-	binary.BigEndian.PutUint64(iv[8:], s.sendSeq)
-	cipher.NewCTR(s.sendBlock, iv[:]).XORKeyStream(out[8:8+len(plaintext)], plaintext)
+	ctrXOR(s.sendBlock, &s.sendCTR, s.sendSeq, out[8:8+len(plaintext)], plaintext)
 	tag := s.mac.Sum(out[:8+len(plaintext)])
 	copy(out[8+len(plaintext):], tag[:])
 	s.sendSeq++
@@ -353,10 +381,8 @@ func (s *Session) Open(record []byte) ([]byte, error) {
 	if !s.mac.Verify(body, tag) {
 		return nil, fmt.Errorf("record: %w", ErrAuth)
 	}
-	var iv [16]byte
-	binary.BigEndian.PutUint64(iv[8:], seq)
 	plaintext := make([]byte, len(body)-8)
-	cipher.NewCTR(s.recvBlock, iv[:]).XORKeyStream(plaintext, body[8:])
+	ctrXOR(s.recvBlock, &s.recvCTR, seq, plaintext, body[8:])
 	s.recvSeq = seq + 1
 	s.BytesOpened += uint64(len(record))
 	if s.openedMeter != nil {

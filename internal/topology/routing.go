@@ -174,23 +174,19 @@ func buildTree(ix *routingIndex, root int32) *routeTree {
 	return tr
 }
 
-// pathFrom reconstructs the full AS path from src to the tree root by
-// walking the next-hop pointers. Returns nil when no valley-free path
-// exists. BFS distance strictly decreases along the chain, so the
-// walk terminates at the root.
-func (tr *routeTree) pathFrom(ix *routingIndex, src int32) []ASN {
-	if src == tr.root {
-		return []ASN{ix.asns[src]}
+// appendPathFrom appends the full AS path from src to the tree root to
+// buf by walking the next-hop pointers. It returns buf unchanged when no
+// valley-free path exists. BFS distance strictly decreases along the
+// chain, so the walk terminates at the root.
+func (tr *routeTree) appendPathFrom(ix *routingIndex, src int32, buf []ASN) ([]ASN, bool) {
+	if src != tr.root && tr.next[stUp][src] < 0 {
+		return buf, false
 	}
-	if tr.next[stUp][src] < 0 {
-		return nil
-	}
-	path := make([]ASN, 0, 8)
 	v, st := src, int32(stUp)
 	for {
-		path = append(path, ix.asns[v])
+		buf = append(buf, ix.asns[v])
 		if v == tr.root {
-			return path
+			return buf, true
 		}
 		p := tr.next[st][v]
 		v, st = p>>1, p&1
@@ -456,22 +452,32 @@ func (t *Topology) WarmRoutes(dsts []ASN, workers int) int {
 // it. Safe for concurrent use; the underlying tree is cached until
 // the graph changes (Link invalidates).
 func (t *Topology) Path(src, dst ASN) (path []ASN, ok bool) {
-	if t.ases[src] == nil || t.ases[dst] == nil {
-		return nil, false
-	}
-	if src == dst {
-		return []ASN{src}, true
-	}
-	tr, ix := t.treeFor(dst)
-	if tr == nil {
-		return nil, false
-	}
-	si, ok := ix.pos[src]
+	path, ok = t.PathInto(src, dst, make([]ASN, 0, 8))
 	if !ok {
 		return nil, false
 	}
-	p := tr.pathFrom(ix, si)
-	return p, p != nil
+	return path, true
+}
+
+// PathInto is Path appending to buf (pass a reused or stack buffer's
+// buf[:0] to walk a path without allocating). On !ok it returns buf
+// unchanged.
+func (t *Topology) PathInto(src, dst ASN, buf []ASN) (path []ASN, ok bool) {
+	if t.ases[src] == nil || t.ases[dst] == nil {
+		return buf, false
+	}
+	if src == dst {
+		return append(buf, src), true
+	}
+	tr, ix := t.treeFor(dst)
+	if tr == nil {
+		return buf, false
+	}
+	si, ok := ix.pos[src]
+	if !ok {
+		return buf, false
+	}
+	return tr.appendPathFrom(ix, si, buf)
 }
 
 // NextHop returns the next AS after `at` on the shortest valley-free
