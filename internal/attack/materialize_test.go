@@ -211,15 +211,11 @@ func TestRandomAddrSeesNewPrefix(t *testing.T) {
 	}
 	seesAdded(tp)
 
-	var buf bytes.Buffer
-	w := snapcodec.NewWriter(&buf)
+	w := snapcodec.NewAppendWriter(nil)
 	if err := tp.Checkpoint(w); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	restored, _, err := topology.RestoreTopology(snapcodec.NewReader(buf.Bytes()))
+	restored, _, err := topology.RestoreTopology(snapcodec.NewReader(w.Appended()))
 	if err != nil {
 		t.Fatal(err)
 	}

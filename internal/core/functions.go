@@ -159,7 +159,8 @@ var anatomy = map[Function][]anatomyRow{
 }
 
 // PeerOps returns the operations peer DASes install for function f,
-// keyed by table.
+// keyed by table. PeerOps and VictimOps are Table I as documented API
+// (see ExamplePeerOps); the controller walks anatomy rows directly.
 func PeerOps(f Function) map[TableKind]OpSet {
 	out := make(map[TableKind]OpSet)
 	for _, row := range anatomy[f] {

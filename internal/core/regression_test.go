@@ -86,7 +86,7 @@ func TestRekeyWindowCountsBothMACs(t *testing.T) {
 
 	// Rekey window: current=B, previous=A. A mark stamped with the old
 	// key fails against B first, then matches A — two computations.
-	kt.SetVerifyKey(1, keyB)
+	demoted, _ := kt.setVerifyKey(1, keyB)
 	if valid, known, macs := kt.VerifyMark(1, V4{stampA()}); !valid || !known || macs != 2 {
 		t.Fatalf("rekey window: valid=%v known=%v macs=%d, want true/true/2", valid, known, macs)
 	}
@@ -96,7 +96,7 @@ func TestRekeyWindowCountsBothMACs(t *testing.T) {
 	}
 
 	// Window closed: back to one computation, old-key marks now fail.
-	kt.DropPreviousVerifyKey(1)
+	kt.dropVerifyKey(1, demoted)
 	if valid, _, macs := kt.VerifyMark(1, V4{stampA()}); valid || macs != 1 {
 		t.Fatalf("post-rekey: valid=%v macs=%d, want false/1", valid, macs)
 	}

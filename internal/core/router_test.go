@@ -213,8 +213,8 @@ func TestWrongKeyFailsVerification(t *testing.T) {
 	// Victim has a different key for AS1.
 	bad := make([]byte, 16)
 	bad[0] = 0x99
-	victim.Tables.Keys.SetVerifyKey(1, bad)
-	victim.Tables.Keys.DropPreviousVerifyKey(1)
+	demoted, _ := victim.Tables.Keys.setVerifyKey(1, bad)
+	victim.Tables.Keys.dropVerifyKey(1, demoted)
 	now := t0.Add(time.Minute)
 	p := samplePacketV4()
 	p.Src = netip.MustParseAddr("10.1.0.10")

@@ -81,8 +81,8 @@ func TestSnapshotChurnNoTornVerdicts(t *testing.T) {
 				peerTables.Keys.SetStampKey(3, key)
 			case 5:
 				// Rekey window with the same key in both slots, then close it.
-				victimTables.Keys.SetVerifyKey(1, key)
-				victimTables.Keys.DropPreviousVerifyKey(1)
+				demoted, _ := victimTables.Keys.setVerifyKey(1, key)
+				victimTables.Keys.dropVerifyKey(1, demoted)
 			case 6:
 				victimTables.Keys.RemovePeer(1)
 				victimTables.Keys.SetVerifyKey(1, key)

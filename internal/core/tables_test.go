@@ -113,6 +113,27 @@ func TestFuncTableRemoveAndPurge(t *testing.T) {
 	}
 }
 
+// TestFuncTableBatchSkipsRefusedPrefix: one prefix the table cannot
+// hold costs only its own change; the rest of the batch still applies.
+func TestFuncTableBatchSkipsRefusedPrefix(t *testing.T) {
+	ft := NewFuncTable(TableOutDst)
+	a, b := netip.MustParsePrefix("10.3.0.0/16"), netip.MustParsePrefix("10.4.0.0/16")
+	bad := netip.MustParsePrefix("::ffff:10.3.0.0/90")
+	win := window{start: t0, end: t0.Add(time.Hour)}
+	if err := ft.apply([]tableChange{{pfx: a, op: OpDPFilter, win: win}, {pfx: bad, op: OpDPFilter, win: win}, {pfx: b, op: OpDPFilter, win: win}}); err == nil {
+		t.Fatal("apply accepted a 4-in-6 prefix shorter than /96")
+	}
+	if ft.Len() != 2 {
+		t.Fatalf("Len = %d after a batch with one refused install, want 2", ft.Len())
+	}
+	if err := ft.apply([]tableChange{{pfx: a, op: OpDPFilter, remove: true}, {pfx: bad, op: OpDPFilter, remove: true}, {pfx: b, op: OpDPFilter, remove: true}}); err == nil {
+		t.Fatal("apply accepted a 4-in-6 prefix shorter than /96")
+	}
+	if ft.Len() != 0 {
+		t.Fatalf("Len = %d after a withdraw batch with one refused prefix, want 0", ft.Len())
+	}
+}
+
 func TestFuncTableBadDuration(t *testing.T) {
 	ft := NewFuncTable(TableOutDst)
 	if err := ft.Install(netip.MustParsePrefix("10.0.0.0/8"), OpDPFilter, t0, 0, 0); err == nil {
@@ -276,12 +297,12 @@ func TestKeyTableRekeyWindow(t *testing.T) {
 		t.Fatal("mark with current key rejected")
 	}
 	// Rekey: k2 becomes current, k1 previous.
-	kt.SetVerifyKey(2, k2)
+	demoted, _ := kt.setVerifyKey(2, k2)
 	if valid, _, _ := kt.VerifyMark(2, V4{p}); !valid {
 		t.Fatal("mark with previous key rejected during rekey window")
 	}
 	// End of window.
-	kt.DropPreviousVerifyKey(2)
+	kt.dropVerifyKey(2, demoted)
 	if valid, _, _ := kt.VerifyMark(2, V4{p}); valid {
 		t.Fatal("mark with dropped key still accepted")
 	}

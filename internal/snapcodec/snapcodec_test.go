@@ -1,15 +1,13 @@
 package snapcodec
 
 import (
-	"bytes"
 	"net/netip"
 	"testing"
 	"time"
 )
 
 func TestRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
+	w := NewAppendWriter(nil)
 	w.Uvarint(0)
 	w.Uvarint(1 << 60)
 	w.Varint(-42)
@@ -27,11 +25,8 @@ func TestRoundTrip(t *testing.T) {
 	w.String("world")
 	w.Prefix(netip.MustParsePrefix("10.1.0.0/16"))
 	w.Prefix(netip.MustParsePrefix("2001:db8::/32"))
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
 
-	r := NewReader(buf.Bytes())
+	r := NewReader(w.Appended())
 	if got := r.Uvarint(); got != 0 {
 		t.Fatalf("uvarint = %d", got)
 	}
@@ -88,14 +83,10 @@ func TestRoundTrip(t *testing.T) {
 // TestOversizedLength is the OOM guard: a length prefix claiming more
 // bytes than the section holds must fail before any allocation.
 func TestOversizedLength(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
+	w := NewAppendWriter(nil)
 	w.Uvarint(1 << 40) // forged length, only a few bytes follow
 	w.U8(1)
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	r := NewReader(buf.Bytes())
+	r := NewReader(w.Appended())
 	if got := r.Bytes(); got != nil {
 		t.Fatalf("bytes = %v, want nil", got)
 	}
@@ -109,14 +100,10 @@ func TestOversizedLength(t *testing.T) {
 }
 
 func TestTruncation(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
+	w := NewAppendWriter(nil)
 	w.U64(12345)
 	w.String("payload")
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	full := buf.Bytes()
+	full := w.Appended()
 	for cut := 0; cut < len(full); cut++ {
 		r := NewReader(full[:cut])
 		_ = r.U64()
@@ -144,13 +131,9 @@ func TestBadBool(t *testing.T) {
 }
 
 func TestCount(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
+	w := NewAppendWriter(nil)
 	w.Uvarint(1 << 50)
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	r := NewReader(buf.Bytes())
+	r := NewReader(w.Appended())
 	if n := r.Count(8); n != 0 || r.Err() != ErrShortBuffer {
 		t.Fatalf("count = %d err = %v", n, r.Err())
 	}

