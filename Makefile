@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-race test-allocs vet vet-obs check node-smoke bench diff-paper fuzz report figures cost sim examples cover clean
+.PHONY: all build test test-race test-allocs test-fallback vet vet-obs check node-smoke bench diff-paper fuzz report figures cost sim examples cover clean
 
 all: build check
 
@@ -36,7 +36,7 @@ vet-obs:
 # event-engine micro-benchmarks and of the smallest control-plane mesh
 # (BenchmarkMeshFormation at 45 DAS, about a second), so they run rather
 # than only compile. Performance is judged by `make bench`, not here.
-check: vet vet-obs test-race test-allocs node-smoke
+check: vet vet-obs test-race test-allocs test-fallback node-smoke
 	$(GO) test -run '^$$' -bench . -benchtime 1x . ./internal/netsim ./internal/parsim
 	$(GO) test -run '^$$' -bench 'MeshFormation/das=45$$' -benchtime 1x ./internal/core
 
@@ -44,6 +44,15 @@ check: vet vet-obs test-race test-allocs node-smoke
 # sync.Pool drop Puts), so they get one plain run of their own.
 test-allocs:
 	$(GO) test -run 'ZeroAlloc|Allocs|Budget' ./...
+
+# The CMAC burst functions run an AES-NI lane kernel where the CPU has
+# one and crypto/aes elsewhere. This runs the cmac and core tests once
+# more with the crypto/aes path forced (without -race, so the
+# allocation gates run too), and type-checks that path for an
+# architecture without the kernel.
+test-fallback:
+	$(GO) test -count=1 -ldflags=-X=discs/internal/cmac.fallback=1 ./internal/cmac ./internal/core
+	GOARCH=arm64 $(GO) vet ./internal/cmac ./internal/core
 
 # Off-simulator smoke: boot a 3-node loopback fleet over TCP+TLS,
 # deploy DP+CDP, push legit/spoofed/raw flows, and verify the victim's
@@ -74,6 +83,7 @@ fuzz:
 	$(GO) test ./internal/core/ -fuzz FuzzDecodeControlMsg -fuzztime 15s
 	$(GO) test ./internal/core/ -fuzz FuzzParseInvocation -fuzztime 15s
 	$(GO) test ./internal/core/ -fuzz FuzzCtrlFrame -fuzztime 15s
+	$(GO) test ./internal/core/ -fuzz FuzzFuncTableLookup -fuzztime 15s
 	$(GO) test ./internal/flowexport/ -fuzz 'FuzzUnmarshal$$' -fuzztime 15s
 	$(GO) test ./internal/flowexport/ -fuzz FuzzUnmarshalLabeled -fuzztime 15s
 	$(GO) test ./internal/scenario/ -fuzz FuzzScenarioConfig -fuzztime 15s

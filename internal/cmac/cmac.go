@@ -31,7 +31,15 @@ const rb = 0x87
 // is not. A CMAC value is safe for concurrent use: Sum does not mutate
 // receiver state.
 type CMAC struct {
-	block  cipher.Block
+	laneKey
+	block cipher.Block
+}
+
+// laneKey is what the lane kernels read of a key: its AES-128 round
+// keys and the CMAC subkeys. The kernels find the fields by the offsets
+// the compiler exports to go_asm.h.
+type laneKey struct {
+	rk     roundKeys // expanded by expandKey, for the lane kernels
 	k1, k2 [BlockSize]byte
 }
 
@@ -45,6 +53,7 @@ func New(key []byte) (*CMAC, error) {
 		return nil, err
 	}
 	c := &CMAC{block: block}
+	expandKey(&c.rk, key)
 	// Subkey generation (RFC 4493 §2.3): L = AES-128(K, 0^128);
 	// K1 = L<<1 (xor Rb if msb(L)); K2 = K1<<1 (xor Rb if msb(K1)).
 	var l [BlockSize]byte
@@ -106,25 +115,8 @@ func (c *CMAC) SumWith(msg []byte, s *Scratch) [BlockSize]byte {
 // DISCS the first block of a mark message holds header fields shared by
 // every packet of a flow. A nil bc computes everything directly.
 func (c *CMAC) SumCached(msg []byte, s *Scratch, bc *BlockCache) [BlockSize]byte {
-	n := len(msg)
-	nBlocks := (n + BlockSize - 1) / BlockSize
-	complete := nBlocks > 0 && n%BlockSize == 0
-
-	// Build the final block M_last.
-	var last [BlockSize]byte
-	if complete {
-		copy(last[:], msg[(nBlocks-1)*BlockSize:])
-		xorInto(&last, &c.k1)
-	} else {
-		if nBlocks == 0 {
-			nBlocks = 1
-		}
-		rem := msg[(nBlocks-1)*BlockSize:]
-		copy(last[:], rem)
-		last[len(rem)] = 0x80 // 10* padding
-		xorInto(&last, &c.k2)
-	}
-
+	nBlocks := (len(msg) + BlockSize - 1) / BlockSize
+	last := c.lastBlock(msg[max(nBlocks-1, 0)*BlockSize:])
 	if nBlocks >= 2 {
 		// First chained block: X1 = E_K(M1), cacheable.
 		copy(s.y[:], msg[:BlockSize])
@@ -139,6 +131,21 @@ func (c *CMAC) SumCached(msg []byte, s *Scratch, bc *BlockCache) [BlockSize]byte
 	xorBlock(&s.y, &s.x, last[:])
 	c.block.Encrypt(s.x[:], s.y[:])
 	return s.x
+}
+
+// lastBlock returns the final CMAC block M_last built from the message's
+// last rem (RFC 4493 §2.4): a complete 16-byte block is xored with K1,
+// a shorter one (the empty message included) is padded with 10* and
+// xored with K2.
+func (c *CMAC) lastBlock(rem []byte) (last [BlockSize]byte) {
+	copy(last[:], rem)
+	if len(rem) == BlockSize {
+		xorInto(&last, &c.k1)
+	} else {
+		last[len(rem)] = 0x80
+		xorInto(&last, &c.k2)
+	}
+	return last
 }
 
 // xorBlock sets dst = a ^ b using two word-wide operations; the
@@ -169,10 +176,17 @@ func (c *CMAC) Verify(msg, mac []byte) bool {
 	return subtle.ConstantTimeCompare(want[:], mac) == 1
 }
 
-// blockCacheSize is the number of direct-mapped BlockCache slots. At 40
-// bytes per entry the whole cache is ~10 KiB — resident in L1/L2 for a
-// pinned data-plane worker.
-const blockCacheSize = 256
+// The BlockCache is set-associative: blockCacheSets sets of
+// blockCacheWays entries, 512 entries and about 20 KiB in all. A set is
+// chosen by the plaintext block alone, so the stamp key and the verify
+// key of one flow — a peer's Key-S and a victim's Key-V that one
+// pipeline serves in turn — sit side by side in the same set instead of
+// evicting each other, and a set only overflows when more than four
+// flows hash to it.
+const (
+	blockCacheSets = 64
+	blockCacheWays = 8
+)
 
 type blockCacheEntry struct {
 	key *CMAC
@@ -180,11 +194,19 @@ type blockCacheEntry struct {
 	enc [BlockSize]byte
 }
 
-// BlockCache is a direct-mapped cache of first-block encryptions
+type blockCacheSet struct {
+	ways [blockCacheWays]blockCacheEntry
+	next uint8 // the way the next miss replaces, round robin
+}
+
+// BlockCache is a set-associative cache of first-block encryptions
 // E_K(M1), keyed by (CMAC instance, plaintext block). It exploits the
 // structure of DISCS mark messages: the leading 16 bytes carry header
 // fields that repeat across the packets of a flow, so in steady state
-// the first of the two AES rounds per mark can be skipped entirely.
+// the first of the two AES rounds per mark can be skipped. It serves
+// the crypto/aes path (SumCached, and SumBurst where the lane kernel
+// does not run); the kernel encrypts a lane's first block for less
+// than a lookup costs and does not consult it.
 //
 // Entries are tagged with the *CMAC pointer, so key rotation
 // invalidates naturally: a new key table snapshot carries new CMAC
@@ -192,7 +214,7 @@ type blockCacheEntry struct {
 // shared by concurrent computations; give each data-plane worker its
 // own (core.BurstPipeline does this). The zero value is ready to use.
 type BlockCache struct {
-	entries      [blockCacheSize]blockCacheEntry
+	sets         [blockCacheSets]blockCacheSet
 	hits, misses uint64
 }
 
@@ -205,12 +227,12 @@ func (bc *BlockCache) Misses() uint64 { return bc.misses }
 // Reset clears all entries and counters.
 func (bc *BlockCache) Reset() { *bc = BlockCache{} }
 
-// blockSlot hashes a plaintext block to a cache slot.
-func blockSlot(b *[BlockSize]byte) uint32 {
+// blockSet hashes a plaintext block to a cache set.
+func blockSet(b *[BlockSize]byte) uint32 {
 	h := binary.LittleEndian.Uint64(b[0:8]) ^ binary.LittleEndian.Uint64(b[8:16])*0x9e3779b97f4a7c15
 	h ^= h >> 33
 	h *= 0xff51afd7ed558ccd
-	return uint32(h>>32) & (blockCacheSize - 1)
+	return uint32(h>>32) & (blockCacheSets - 1)
 }
 
 // firstBlock sets *dst = E_K(*src), consulting bc when non-nil. src and
@@ -221,123 +243,139 @@ func (c *CMAC) firstBlock(src, dst *[BlockSize]byte, bc *BlockCache) {
 		c.block.Encrypt(dst[:], src[:])
 		return
 	}
-	e := &bc.entries[blockSlot(src)]
-	if e.key == c && e.blk == *src {
-		bc.hits++
-		*dst = e.enc
-		return
+	set := &bc.sets[blockSet(src)]
+	for w := range set.ways {
+		if e := &set.ways[w]; e.key == c && e.blk == *src {
+			bc.hits++
+			*dst = e.enc
+			return
+		}
 	}
 	bc.misses++
 	c.block.Encrypt(dst[:], src[:])
-	e.key, e.blk, e.enc = c, *src, *dst
+	set.ways[set.next] = blockCacheEntry{key: c, blk: *src, enc: *dst}
+	set.next = (set.next + 1) % blockCacheWays
 }
 
-// BurstLanes is the number of independent CMAC chains SumBurst keeps in
-// flight at once. AES-NI encrypt has multi-cycle latency but per-cycle
-// throughput; eight independent chains are enough to cover the latency
-// of one AESENC sequence on current x86 and arm64 cores.
+// BurstLanes is the number of independent CMAC chains a burst keeps in
+// flight at once: the widest lane kernel runs eight, enough independent
+// AESENC streams to cover the instruction's latency on current x86
+// cores.
 const BurstLanes = 8
 
-// BurstScratch holds the per-lane chaining buffers for SumBurst29/32.
-// Like Scratch it exists to keep the buffers heap-resident but
-// allocation-free in steady state; it must not be shared by concurrent
-// bursts. The zero value is ready to use.
+// BurstScratch holds the per-lane buffers of the burst functions. It
+// must not be shared by concurrent bursts. The zero value is ready to
+// use.
 type BurstScratch struct {
 	x, y [BurstLanes][BlockSize]byte
 }
 
 // SumBurst32 computes the 32-bit truncated CMAC of n = len(out)
 // equal-length messages packed back-to-back in flat (message i occupies
-// flat[i*msgLen:(i+1)*msgLen]), writing the results to out. The
-// messages are independent, so their block encryptions are interleaved
-// across up to BurstLanes lanes: all first blocks, then each interior
-// block index across lanes, then all final blocks. Consecutive Encrypt
-// calls therefore never depend on each other and the AES unit stays
-// full instead of stalling on the serial CBC-MAC chain of a single
-// message. bc, when non-nil, serves first-block encryptions for
-// messages of two or more blocks (see BlockCache).
+// flat[i*msgLen:(i+1)*msgLen]), writing the results to out. It is the
+// one-key case of SumBurstKeys32. bc, when non-nil, serves first-block
+// encryptions on the crypto/aes path (see BlockCache).
 //
 // Results are bit-identical to calling Sum32 per message.
 func (c *CMAC) SumBurst32(flat []byte, msgLen int, out []uint32, bs *BurstScratch, bc *BlockCache) {
-	n := len(out)
-	if msgLen <= 0 {
-		panic("cmac: SumBurst32 msgLen must be positive")
-	}
-	if len(flat) < n*msgLen {
-		panic("cmac: SumBurst32 flat shorter than len(out)*msgLen")
-	}
-	nBlocks := (msgLen + BlockSize - 1) / BlockSize
-	complete := msgLen%BlockSize == 0
-	if nBlocks < 2 {
-		// Single-block messages: the only AES round already folds in
-		// the subkey, so there is no shared prefix to cache and no
-		// chain to overlap. Process serially through lane 0.
-		for i := 0; i < n; i++ {
-			rem := flat[i*msgLen : (i+1)*msgLen]
-			var last [BlockSize]byte
-			copy(last[:], rem)
-			if complete {
-				xorInto(&last, &c.k1)
-			} else {
-				last[msgLen] = 0x80
-				xorInto(&last, &c.k2)
-			}
-			bs.y[0] = last
-			c.block.Encrypt(bs.x[0][:], bs.y[0][:])
-			out[i] = mac32(&bs.x[0])
-		}
-		return
-	}
-	lastOff := (nBlocks - 1) * BlockSize
-	for base := 0; base < n; base += BurstLanes {
-		m := n - base
-		if m > BurstLanes {
-			m = BurstLanes
-		}
-		// Phase 1: first blocks, X1 = E_K(M1) per lane.
-		for j := 0; j < m; j++ {
-			msg := flat[(base+j)*msgLen:]
-			copy(bs.y[j][:], msg[:BlockSize])
-			c.firstBlock(&bs.y[j], &bs.x[j], bc)
-		}
-		// Phase 2: interior blocks, one block index across all lanes
-		// before advancing, so adjacent encryptions are independent.
-		for b := 1; b < nBlocks-1; b++ {
-			off := b * BlockSize
-			for j := 0; j < m; j++ {
-				msg := flat[(base+j)*msgLen:]
-				xorBlock(&bs.y[j], &bs.x[j], msg[off:off+BlockSize])
-				c.block.Encrypt(bs.x[j][:], bs.y[j][:])
-			}
-		}
-		// Phase 3: fold the subkeyed final block per lane, then run
-		// the closing encryptions back to back.
-		for j := 0; j < m; j++ {
-			rem := flat[(base+j)*msgLen+lastOff : (base+j+1)*msgLen]
-			var last [BlockSize]byte
-			copy(last[:], rem)
-			if complete {
-				xorInto(&last, &c.k1)
-			} else {
-				last[len(rem)] = 0x80
-				xorInto(&last, &c.k2)
-			}
-			xorBlock(&bs.y[j], &bs.x[j], last[:])
-		}
-		for j := 0; j < m; j++ {
-			c.block.Encrypt(bs.x[j][:], bs.y[j][:])
-		}
-		for j := 0; j < m; j++ {
-			out[base+j] = mac32(&bs.x[j])
-		}
-	}
+	sumBurst(c, nil, flat, msgLen, out, bs, bc)
 }
 
 // SumBurst29 is SumBurst32 truncated to the 29-bit IPv4 mark width.
 func (c *CMAC) SumBurst29(flat []byte, msgLen int, out []uint32, bs *BurstScratch, bc *BlockCache) {
 	c.SumBurst32(flat, msgLen, out, bs, bc)
+	truncate29(out)
+}
+
+// SumBurstKeys32 is SumBurst32 with a key per message: message i is
+// MACed under keys[i]. Messages are taken BurstLanes at a time whatever
+// their keys, so a burst that alternates between many keys keeps every
+// lane busy. Where the CPU has AES-NI, messages of at least a block go
+// through the lane kernels, one call per group of lanes, each lane
+// under its own expanded key; otherwise the lanes' blocks go through
+// crypto/aes one Encrypt call at a time, interleaved across lanes.
+//
+// Results are bit-identical to calling keys[i].Sum32 per message.
+func SumBurstKeys32(keys []*CMAC, flat []byte, msgLen int, out []uint32, bs *BurstScratch, bc *BlockCache) {
+	if len(keys) < len(out) {
+		panic("cmac: SumBurstKeys32 has fewer keys than messages")
+	}
+	sumBurst(nil, keys, flat, msgLen, out, bs, bc)
+}
+
+// SumBurstKeys29 is SumBurstKeys32 truncated to the 29-bit IPv4 mark
+// width.
+func SumBurstKeys29(keys []*CMAC, flat []byte, msgLen int, out []uint32, bs *BurstScratch, bc *BlockCache) {
+	SumBurstKeys32(keys, flat, msgLen, out, bs, bc)
+	truncate29(out)
+}
+
+func truncate29(out []uint32) {
 	for i := range out {
 		out[i] >>= 3
+	}
+}
+
+// sumBurst runs the burst functions: message i's key is one when keys
+// is nil, else keys[i].
+func sumBurst(one *CMAC, keys []*CMAC, flat []byte, msgLen int, out []uint32, bs *BurstScratch, bc *BlockCache) {
+	n := len(out)
+	if msgLen <= 0 {
+		panic("cmac: burst msgLen must be positive")
+	}
+	if len(flat) < n*msgLen {
+		panic("cmac: burst flat shorter than len(out)*msgLen")
+	}
+	if useKernel && msgLen >= BlockSize {
+		sumBurstKernel(one, keys, flat, msgLen, out, bs)
+		return
+	}
+	var lanes [BurstLanes]*CMAC
+	for base := 0; base < n; base += BurstLanes {
+		m := min(n-base, BurstLanes)
+		for j := 0; j < m; j++ {
+			if keys == nil {
+				lanes[j] = one
+			} else {
+				lanes[j] = keys[base+j]
+			}
+		}
+		bs.sumLanes(&lanes, flat[base*msgLen:(base+m)*msgLen], msgLen, m, out[base:base+m], bc)
+	}
+}
+
+// sumLanes computes the 32-bit CMACs of the m ≤ BurstLanes messages of
+// length msgLen packed in flat, message j under lanes[j], through
+// crypto/aes. Its encryptions are scheduled in three phases — all
+// first blocks, then each interior block index across the lanes, then
+// all final blocks — so consecutive Encrypt calls never depend on each
+// other.
+func (bs *BurstScratch) sumLanes(lanes *[BurstLanes]*CMAC, flat []byte, msgLen, m int, out []uint32, bc *BlockCache) {
+	nBlocks := (msgLen + BlockSize - 1) / BlockSize
+	lastOff := (nBlocks - 1) * BlockSize
+	for j := 0; j < m; j++ {
+		if nBlocks > 1 {
+			// First chained block, X1 = E_K(M1), cacheable.
+			copy(bs.y[j][:], flat[j*msgLen:])
+			lanes[j].firstBlock(&bs.y[j], &bs.x[j], bc)
+		} else {
+			bs.x[j] = [BlockSize]byte{}
+		}
+	}
+	for b := 1; b < nBlocks-1; b++ {
+		off := b * BlockSize
+		for j := 0; j < m; j++ {
+			xorBlock(&bs.y[j], &bs.x[j], flat[j*msgLen+off:])
+			lanes[j].block.Encrypt(bs.x[j][:], bs.y[j][:])
+		}
+	}
+	for j := 0; j < m; j++ {
+		last := lanes[j].lastBlock(flat[j*msgLen+lastOff : (j+1)*msgLen])
+		xorBlock(&bs.y[j], &bs.x[j], last[:])
+	}
+	for j := 0; j < m; j++ {
+		lanes[j].block.Encrypt(bs.x[j][:], bs.y[j][:])
+		out[j] = mac32(&bs.x[j])
 	}
 }
 

@@ -287,6 +287,10 @@ func TestBlockCacheBehavior(t *testing.T) {
 // message lengths (single-block, exact-multiple, padded) and burst
 // sizes (empty, partial lane group, multiple groups), cached or not.
 func TestSumBurstMatchesSerial(t *testing.T) {
+	backends(t, testSumBurstMatchesSerial)
+}
+
+func testSumBurstMatchesSerial(t *testing.T) {
 	c, _ := New(rfcKey)
 	var bs BurstScratch
 	var bc BlockCache

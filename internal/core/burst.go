@@ -25,24 +25,60 @@ import (
 // random scrub-bit draws) and counter totals are bit-for-bit the same
 // as calling ProcessOutbound/ProcessInbound in a loop against a frozen
 // snapshot. The difference is purely mechanical: one snapshot load and
-// one counter flush per burst, memoized LPM/key lookups across packets
-// with shared flow structure, and CMAC block scheduling that keeps the
-// AES unit full (cmac.SumBurst) instead of stalling per message.
+// one counter flush per burst, memoized Pfx2AS and key lookups across
+// packets with shared flow structure, and the burst's MACs computed
+// together, eight lanes at a time whatever their keys
+// (cmac.SumBurstKeys32).
 type BurstPipeline struct {
 	memo   tupleMemo
 	blocks cmac.BlockCache
 	lanes  cmac.BurstScratch
 	s      cmac.Scratch
 
-	// Staging for the current same-(key,family) run of CMAC work.
-	flat  []byte   // packed mark messages
-	idx   []int    // packet index per message
-	marks []uint32 // SumBurst output
+	// The burst's CMAC work, staged per address family.
+	v4, v6 macStage
 
 	// Deferred inbound state, indexed by packet position.
 	action []uint8
 	srcAS  []topology.ASN
 	vks    []*peerKeys
+}
+
+// macStage packs one address family's MAC inputs for a burst: message
+// j (packet.MsgLenV4 or MsgLenV6 bytes at flat[j*msgLen:]) is MACed
+// under keys[j] for packet idx[j].
+type macStage struct {
+	flat  []byte
+	keys  []*cmac.CMAC
+	idx   []int
+	marks []uint32
+}
+
+func (ms *macStage) add(key *cmac.CMAC, i int) {
+	ms.keys = append(ms.keys, key)
+	ms.idx = append(ms.idx, i)
+}
+
+// sum computes the staged messages' marks: 32-bit for IPv6, the 29-bit
+// IPv4 truncation otherwise.
+func (ms *macStage) sum(bp *BurstPipeline, v6 bool) []uint32 {
+	n := len(ms.idx)
+	if cap(ms.marks) < n {
+		ms.marks = make([]uint32, n)
+	}
+	marks := ms.marks[:n]
+	if v6 {
+		cmac.SumBurstKeys32(ms.keys, ms.flat, packet.MsgLenV6, marks, &bp.lanes, &bp.blocks)
+	} else {
+		cmac.SumBurstKeys29(ms.keys, ms.flat, packet.MsgLenV4, marks, &bp.lanes, &bp.blocks)
+	}
+	return marks
+}
+
+// reset empties the stage without pinning retired keys.
+func (ms *macStage) reset() {
+	clear(ms.keys)
+	ms.flat, ms.keys, ms.idx = ms.flat[:0], ms.keys[:0], ms.idx[:0]
 }
 
 // NewBurstPipeline creates a pipeline for a dedicated forwarding
@@ -87,21 +123,19 @@ func (bp *BurstPipeline) Outbound(r *BorderRouter, pkts []MarkCarrier, now time.
 		return bp.sampleBurst(r, pkts, dst, base)
 	}
 	bp.memo.beginBurst()
-	bp.flat, bp.idx = bp.flat[:0], bp.idx[:0]
-	var runKey *cmac.CMAC
-	var runV6 bool
 	for i, p := range pkts {
 		var src, dstA netip.Addr
-		var isV6 bool
+		var p4 *packet.IPv4
+		var p6 *packet.IPv6
 		switch w := p.(type) {
 		case V4:
-			src, dstA = w.P.Src, w.P.Dst
+			src, dstA, p4 = w.P.Src, w.P.Dst, w.P
 		case V6:
-			src, dstA, isV6 = w.P.Src, w.P.Dst, true
+			src, dstA, p6 = w.P.Src, w.P.Dst, w.P
 		default:
-			// Unknown carrier: flush staged work, take the serial path.
-			bp.flushOut(r, runKey, runV6, pkts, dst[base:], &d)
-			runKey = nil
+			// Unknown carrier: the serial path, which stamps it now.
+			// Outbound has no order-dependent side effect a staged
+			// packet could see.
 			dst = append(dst, r.processOutbound(&st, p, nowN, &d, &bp.s))
 			continue
 		}
@@ -116,71 +150,53 @@ func (bp *BurstPipeline) Outbound(r *BorderRouter, pkts []MarkCarrier, now time.
 			dst = append(dst, VerdictPass)
 			continue
 		}
-		if isV6 && r.ExternalMTU > 0 {
-			w := p.(V6)
-			if w.P.WireLen()+w.P.StampOverheadV6() > r.ExternalMTU {
-				d.outTooBig++
-				if r.OnPacketTooBig != nil {
-					if icmp, err := packet.NewICMPv6PacketTooBig(r.RouterAddr, w.P, uint32(r.ExternalMTU-8)); err == nil {
-						r.OnPacketTooBig(icmp)
-					}
+		if p6 != nil && r.ExternalMTU > 0 && p6.WireLen()+p6.StampOverheadV6() > r.ExternalMTU {
+			d.outTooBig++
+			if r.OnPacketTooBig != nil {
+				if icmp, err := packet.NewICMPv6PacketTooBig(r.RouterAddr, p6, uint32(r.ExternalMTU-8)); err == nil {
+					r.OnPacketTooBig(icmp)
 				}
-				dst = append(dst, VerdictDrop)
-				continue
 			}
+			dst = append(dst, VerdictDrop)
+			continue
 		}
-		if tup.Key != runKey || isV6 != runV6 {
-			bp.flushOut(r, runKey, runV6, pkts, dst[base:], &d)
-			runKey, runV6 = tup.Key, isV6
-		}
-		if isV6 {
-			m := p.(V6).P.Msg()
-			bp.flat = append(bp.flat, m[:]...)
+		if p6 != nil {
+			bp.v6.flat = p6.AppendMsg(bp.v6.flat)
+			bp.v6.add(tup.Key, i)
 		} else {
-			m := p.(V4).P.Msg()
-			bp.flat = append(bp.flat, m[:]...)
+			bp.v4.flat = p4.AppendMsg(bp.v4.flat)
+			bp.v4.add(tup.Key, i)
 		}
-		bp.idx = append(bp.idx, i)
-		// Placeholder; flushOut downgrades IPv6 stamp failures.
+		// Placeholder; stampStaged downgrades IPv6 stamp failures.
 		dst = append(dst, VerdictPassStamped)
 	}
-	bp.flushOut(r, runKey, runV6, pkts, dst[base:], &d)
+	bp.stampStaged(pkts, dst[base:], &d)
 	d.flush(&r.m)
 	return bp.sampleBurst(r, pkts, dst, base)
 }
 
-// flushOut computes the staged run's marks with one interleaved
-// SumBurst call and applies them to the packets.
-func (bp *BurstPipeline) flushOut(r *BorderRouter, key *cmac.CMAC, isV6 bool, pkts []MarkCarrier, vd []Verdict, d *routerDeltas) {
-	n := len(bp.idx)
-	if n == 0 {
-		return
+// stampStaged computes the burst's staged marks and applies them to
+// the packets.
+func (bp *BurstPipeline) stampStaged(pkts []MarkCarrier, vd []Verdict, d *routerDeltas) {
+	marks := bp.v4.sum(bp, false)
+	for j, i := range bp.v4.idx {
+		pkts[i].(V4).P.SetMark(marks[j])
+		d.macsComputed++
+		d.outStamped++
 	}
-	if cap(bp.marks) < n {
-		bp.marks = make([]uint32, n)
-	}
-	marks := bp.marks[:n]
-	if isV6 {
-		key.SumBurst32(bp.flat, packet.MsgLenV6, marks, &bp.lanes, &bp.blocks)
-		for j, i := range bp.idx {
-			d.macsComputed++
-			if err := pkts[i].(V6).P.StampV6(marks[j]); err != nil {
-				// Packet cannot carry a mark: pass unstamped, mirroring
-				// the serial path (the MAC was still computed).
-				vd[i] = VerdictPass
-				continue
-			}
-			d.outStamped++
+	marks = bp.v6.sum(bp, true)
+	for j, i := range bp.v6.idx {
+		d.macsComputed++
+		if err := pkts[i].(V6).P.StampV6(marks[j]); err != nil {
+			// Packet cannot carry a mark: pass unstamped, mirroring
+			// the serial path (the MAC was still computed).
+			vd[i] = VerdictPass
+			continue
 		}
-	} else {
-		key.SumBurst29(bp.flat, packet.MsgLenV4, marks, &bp.lanes, &bp.blocks)
-		for j, i := range bp.idx {
-			pkts[i].(V4).P.SetMark(marks[j])
-			d.macsComputed++
-			d.outStamped++
-		}
+		d.outStamped++
 	}
-	bp.flat, bp.idx = bp.flat[:0], bp.idx[:0]
+	bp.v4.reset()
+	bp.v6.reset()
 }
 
 // Inbound is the inbound counterpart of Outbound: classify and batch
@@ -210,20 +226,18 @@ func (bp *BurstPipeline) Inbound(r *BorderRouter, pkts []MarkCarrier, now time.T
 	bp.srcAS = bp.srcAS[:n]
 	bp.vks = bp.vks[:n]
 	bp.memo.beginBurst()
-	bp.flat, bp.idx = bp.flat[:0], bp.idx[:0]
-	var runKey *cmac.CMAC
-	var runV6 bool
 
 	// Pass 1: tuple generation and CMAC scheduling.
 	for i, p := range pkts {
 		dst = append(dst, VerdictPass)
 		var src, dstA netip.Addr
-		var isV6 bool
+		var p4 *packet.IPv4
+		var p6 *packet.IPv6
 		switch w := p.(type) {
 		case V4:
-			src, dstA = w.P.Src, w.P.Dst
+			src, dstA, p4 = w.P.Src, w.P.Dst, w.P
 		case V6:
-			src, dstA, isV6 = w.P.Src, w.P.Dst, true
+			src, dstA, p6 = w.P.Src, w.P.Dst, w.P
 		default:
 			bp.action[i] = actSerial
 			continue
@@ -247,28 +261,21 @@ func (bp *BurstPipeline) Inbound(r *BorderRouter, pkts []MarkCarrier, now time.T
 			continue
 		}
 		bp.srcAS[i], bp.vks[i] = tup.SrcAS, vk
-		if isV6 {
-			if _, ok := p.(V6).P.MarkV6(); !ok {
+		if p6 != nil {
+			if _, ok := p6.MarkV6(); !ok {
 				// Missing DISCS option: fails without computing a MAC.
 				bp.action[i] = actInvalid
 				continue
 			}
-		}
-		if vk.current != runKey || isV6 != runV6 {
-			bp.flushIn(runKey, runV6, pkts, &d)
-			runKey, runV6 = vk.current, isV6
-		}
-		if isV6 {
-			m := p.(V6).P.Msg()
-			bp.flat = append(bp.flat, m[:]...)
+			bp.v6.flat = p6.AppendMsg(bp.v6.flat)
+			bp.v6.add(vk.current, i)
 		} else {
-			m := p.(V4).P.Msg()
-			bp.flat = append(bp.flat, m[:]...)
+			bp.v4.flat = p4.AppendMsg(bp.v4.flat)
+			bp.v4.add(vk.current, i)
 		}
-		bp.idx = append(bp.idx, i)
 		bp.action[i] = actPending
 	}
-	bp.flushIn(runKey, runV6, pkts, &d)
+	bp.verifyStaged(pkts, &d)
 
 	// Pass 2: apply outcomes in packet order.
 	vd := dst[base:]
@@ -310,56 +317,46 @@ func (bp *BurstPipeline) Inbound(r *BorderRouter, pkts []MarkCarrier, now time.T
 	return bp.sampleBurst(r, pkts, dst, base)
 }
 
-// flushIn computes the staged run's expected marks and resolves each
+// verifyStaged computes the burst's expected marks and resolves each
 // pending packet to actValid/actInvalid, retrying with the previous
 // key during a rekey window exactly as the serial path does.
-func (bp *BurstPipeline) flushIn(key *cmac.CMAC, isV6 bool, pkts []MarkCarrier, d *routerDeltas) {
-	n := len(bp.idx)
-	if n == 0 {
-		return
-	}
-	if cap(bp.marks) < n {
-		bp.marks = make([]uint32, n)
-	}
-	marks := bp.marks[:n]
-	if isV6 {
-		key.SumBurst32(bp.flat, packet.MsgLenV6, marks, &bp.lanes, &bp.blocks)
-	} else {
-		key.SumBurst29(bp.flat, packet.MsgLenV4, marks, &bp.lanes, &bp.blocks)
-	}
-	for j, i := range bp.idx {
+func (bp *BurstPipeline) verifyStaged(pkts []MarkCarrier, d *routerDeltas) {
+	marks := bp.v4.sum(bp, false)
+	for j, i := range bp.v4.idx {
 		d.macsComputed++
-		var ok bool
-		if isV6 {
-			w := pkts[i].(V6)
-			want, _ := w.P.MarkV6()
-			ok = marks[j] == want
-			if !ok {
-				if prev := bp.vks[i].previous; prev != nil {
-					d.macsComputed++
-					m := w.P.Msg()
-					ok = prev.Sum32Cached(m[:], &bp.s, &bp.blocks) == want
-				}
-			}
-		} else {
-			w := pkts[i].(V4)
-			want := w.P.Mark() & (1<<29 - 1)
-			ok = marks[j] == want
-			if !ok {
-				if prev := bp.vks[i].previous; prev != nil {
-					d.macsComputed++
-					m := w.P.Msg()
-					ok = prev.Sum29Cached(m[:], &bp.s, &bp.blocks) == want
-				}
-			}
+		p := pkts[i].(V4).P
+		want := p.Mark() & (1<<29 - 1)
+		ok := marks[j] == want
+		if prev := bp.vks[i].previous; !ok && prev != nil {
+			d.macsComputed++
+			m := p.Msg()
+			ok = prev.Sum29Cached(m[:], &bp.s, &bp.blocks) == want
 		}
-		if ok {
-			bp.action[i] = actValid
-		} else {
-			bp.action[i] = actInvalid
-		}
+		bp.resolve(i, ok)
 	}
-	bp.flat, bp.idx = bp.flat[:0], bp.idx[:0]
+	marks = bp.v6.sum(bp, true)
+	for j, i := range bp.v6.idx {
+		d.macsComputed++
+		p := pkts[i].(V6).P
+		want, _ := p.MarkV6()
+		ok := marks[j] == want
+		if prev := bp.vks[i].previous; !ok && prev != nil {
+			d.macsComputed++
+			m := p.Msg()
+			ok = prev.Sum32Cached(m[:], &bp.s, &bp.blocks) == want
+		}
+		bp.resolve(i, ok)
+	}
+	bp.v4.reset()
+	bp.v6.reset()
+}
+
+func (bp *BurstPipeline) resolve(i int, valid bool) {
+	if valid {
+		bp.action[i] = actValid
+	} else {
+		bp.action[i] = actInvalid
+	}
 }
 
 // sampleBurst emits the sampled-trace events for a finished burst in

@@ -4,7 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"net/netip"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -38,17 +38,28 @@ type opWin struct {
 // funcSnapshot is the immutable lookup state of a FuncTable. Forwarding
 // goroutines load it once per packet (or per burst) and read it without
 // locks; mutators build a fresh snapshot and publish it atomically.
+//
+// The table's prefixes are compiled into ranges: per address family,
+// the address space is cut into sorted, disjoint ranges, and each range
+// carries the op windows of the longest prefix covering it (nil where
+// none does). Range i runs from start[i] up to start[i+1]; start[0] is
+// the family's first address, so every address falls in exactly one
+// range and a lookup is one binary search. A table holds at most 2N+1
+// ranges per family for N prefixes.
 type funcSnapshot struct {
-	tbl *lpm.Table[[]opWin]
-	n   int
+	v4Start []uint32
+	v4Wins  [][]opWin
+	v6Start []addr128
+	v6Wins  [][]opWin
+	n       int
 	// minStart/maxEnd bound the union of all windows (Unix nanos),
 	// valid when n > 0. They let idleAt answer "can any op be active
-	// now?" without any trie walk, which is what keeps routers with no
-	// live invocations out of the LPM path entirely.
+	// now?" without any lookup, which is what keeps routers with no
+	// live invocations off the table path entirely.
 	minStart, maxEnd int64
 }
 
-var emptyFuncSnapshot = &funcSnapshot{tbl: lpm.New[[]opWin]()}
+var emptyFuncSnapshot = compileFuncSnapshot(nil)
 
 // idleAt reports that no operation in the snapshot can be active at
 // nowN (Unix nanos), so lookups against it are pointless.
@@ -58,16 +69,12 @@ func (s *funcSnapshot) idleAt(nowN int64) bool {
 
 func (s *funcSnapshot) activeOps(addr netip.Addr, nowN int64) (active, grace OpSet) {
 	if s.n == 0 {
-		// Empty table: skip even the trie-root walk. Snapshots where
-		// only the *other* table of a direction has entries hit this on
-		// every packet.
+		// Empty table: skip even the search. Snapshots where only the
+		// *other* table of a direction has entries hit this on every
+		// packet.
 		return 0, 0
 	}
-	wins, ok := s.tbl.LookupVal(addr)
-	if !ok {
-		return 0, 0
-	}
-	for _, w := range wins {
+	for _, w := range s.lookup(addr) {
 		if nowN >= w.start && nowN < w.end {
 			active = active.Add(w.op)
 			if nowN < w.graceHead || nowN >= w.graceTail {
@@ -76,6 +83,183 @@ func (s *funcSnapshot) activeOps(addr netip.Addr, nowN int64) (active, grace OpS
 		}
 	}
 	return active, grace
+}
+
+// lookup returns the op windows of the longest prefix covering addr,
+// nil when none does. An IPv4-mapped IPv6 address resolves as IPv4, as
+// it does in lpm, where such prefixes are stored unmapped.
+func (s *funcSnapshot) lookup(addr netip.Addr) []opWin {
+	if addr.Is4() || addr.Is4In6() {
+		b := addr.Unmap().As4()
+		x := binary.BigEndian.Uint32(b[:])
+		lo, hi := 0, len(s.v4Start)
+		for hi-lo > 1 {
+			if mid := int(uint(lo+hi) >> 1); s.v4Start[mid] <= x {
+				lo = mid
+			} else {
+				hi = mid
+			}
+		}
+		return s.v4Wins[lo]
+	}
+	if !addr.IsValid() {
+		return nil
+	}
+	x := addr128From16(addr.As16())
+	lo, hi := 0, len(s.v6Start)
+	for hi-lo > 1 {
+		if mid := int(uint(lo+hi) >> 1); !x.less(s.v6Start[mid]) {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return s.v6Wins[lo]
+}
+
+// addr128 is a 128-bit address as two big-endian halves, ordered as
+// the address bytes are.
+type addr128 struct{ hi, lo uint64 }
+
+func addr128From16(b [16]byte) addr128 {
+	return addr128{binary.BigEndian.Uint64(b[:8]), binary.BigEndian.Uint64(b[8:])}
+}
+
+func (a addr128) less(b addr128) bool { return a.hi < b.hi || a.hi == b.hi && a.lo < b.lo }
+
+// next returns a+1; the caller ensures a is not the family's last
+// address.
+func (a addr128) next() addr128 {
+	a.lo++
+	if a.lo == 0 {
+		a.hi++
+	}
+	return a
+}
+
+// prefixRange is one canonical prefix as the closed address interval
+// [start, end] of its family, with its op windows.
+type prefixRange struct {
+	start, end addr128
+	bits       int
+	wins       []opWin
+}
+
+// rangeOf returns p's interval. v4 addresses occupy the low 32 bits.
+func rangeOf(p netip.Prefix) (r prefixRange) {
+	a := p.Addr()
+	host := 128 - p.Bits()
+	if a.Is4() {
+		b := a.As4()
+		r.start.lo = uint64(binary.BigEndian.Uint32(b[:]))
+		host = 32 - p.Bits()
+	} else {
+		r.start = addr128From16(a.As16())
+	}
+	r.end = r.start
+	if host >= 64 {
+		r.end.hi |= 1<<(host-64) - 1
+		r.end.lo = ^uint64(0)
+	} else {
+		r.end.lo |= 1<<host - 1
+	}
+	r.bits = p.Bits()
+	return r
+}
+
+// compileFamily cuts one family's address space, whose last address is
+// last, into the ranges funcSnapshot describes. Prefixes are nested or
+// disjoint, so a sweep in start order with a stack of the prefixes
+// still open finds each range's longest covering prefix on the stack's
+// top.
+func compileFamily(pfxs []prefixRange, last addr128) (starts []addr128, wins [][]opWin) {
+	slices.SortFunc(pfxs, func(a, b prefixRange) int {
+		switch {
+		case a.start.less(b.start):
+			return -1
+		case b.start.less(a.start):
+			return 1
+		}
+		return a.bits - b.bits
+	})
+	starts, wins = []addr128{{}}, [][]opWin{nil}
+	// cut starts a range at at; a range already starting there (a
+	// prefix sharing its start with an enclosing one, or ending where
+	// an enclosing one ends) is replaced.
+	cut := func(at addr128, w []opWin) {
+		if n := len(starts) - 1; starts[n] == at {
+			wins[n] = w
+			return
+		}
+		starts, wins = append(starts, at), append(wins, w)
+	}
+	var open []prefixRange
+	// closeBefore pops the open prefixes ending before at (all of them
+	// when at is nil): past a prefix's end the enclosing one resumes.
+	closeBefore := func(at *addr128) {
+		for len(open) > 0 {
+			top := open[len(open)-1]
+			if at != nil && !top.end.less(*at) {
+				return
+			}
+			open = open[:len(open)-1]
+			if top.end == last {
+				continue
+			}
+			var w []opWin
+			if len(open) > 0 {
+				w = open[len(open)-1].wins
+			}
+			cut(top.end.next(), w)
+		}
+	}
+	for _, p := range pfxs {
+		closeBefore(&p.start)
+		cut(p.start, p.wins)
+		open = append(open, p)
+	}
+	closeBefore(nil)
+	return starts, wins
+}
+
+// compileFuncSnapshot builds the snapshot of a table's entries.
+func compileFuncSnapshot(entries map[netip.Prefix]map[Op]window) *funcSnapshot {
+	s := &funcSnapshot{n: len(entries)}
+	var v4, v6 []prefixRange
+	first := true
+	for p, ws := range entries {
+		ows := make([]opWin, 0, len(ws))
+		for op, w := range ws {
+			startN, endN := w.start.UnixNano(), w.end.UnixNano()
+			g := int64(w.grace)
+			ows = append(ows, opWin{
+				op: op, start: startN, end: endN,
+				graceHead: startN + g, graceTail: endN - g,
+			})
+			if first || startN < s.minStart {
+				s.minStart = startN
+			}
+			if first || endN > s.maxEnd {
+				s.maxEnd = endN
+			}
+			first = false
+		}
+		slices.SortFunc(ows, func(a, b opWin) int { return int(a.op) - int(b.op) })
+		r := rangeOf(p)
+		r.wins = ows
+		if p.Addr().Is4() {
+			v4 = append(v4, r)
+		} else {
+			v6 = append(v6, r)
+		}
+	}
+	starts, wins := compileFamily(v4, addr128{lo: 1<<32 - 1})
+	s.v4Start, s.v4Wins = make([]uint32, len(starts)), wins
+	for i, a := range starts {
+		s.v4Start[i] = uint32(a.lo)
+	}
+	s.v6Start, s.v6Wins = compileFamily(v6, addr128{^uint64(0), ^uint64(0)})
+	return s
 }
 
 // FuncTable is one of the four data-plane function tables (§V-A),
@@ -104,38 +288,15 @@ func NewFuncTable(kind TableKind) *FuncTable {
 // Kind returns the table kind.
 func (ft *FuncTable) Kind() TableKind { return ft.kind }
 
-// rebuildLocked flattens entries into a fresh snapshot and publishes
-// it. Caller holds ft.mu.
+// rebuildLocked compiles entries into a fresh snapshot and publishes
+// it. Caller holds ft.mu; entries' prefixes were canonicalized by
+// apply.
 func (ft *FuncTable) rebuildLocked() {
 	if len(ft.entries) == 0 {
 		ft.snap.Store(emptyFuncSnapshot)
 		return
 	}
-	s := &funcSnapshot{tbl: lpm.New[[]opWin]()}
-	first := true
-	for p, wins := range ft.entries {
-		ows := make([]opWin, 0, len(wins))
-		for op, w := range wins {
-			startN, endN := w.start.UnixNano(), w.end.UnixNano()
-			g := int64(w.grace)
-			ows = append(ows, opWin{
-				op: op, start: startN, end: endN,
-				graceHead: startN + g, graceTail: endN - g,
-			})
-			if first || startN < s.minStart {
-				s.minStart = startN
-			}
-			if first || endN > s.maxEnd {
-				s.maxEnd = endN
-			}
-			first = false
-		}
-		sort.Slice(ows, func(i, j int) bool { return ows[i].op < ows[j].op })
-		// p was canonicalized on Install, so Insert cannot fail.
-		s.tbl.Insert(p, ows)
-	}
-	s.n = s.tbl.Len()
-	ft.snap.Store(s)
+	ft.snap.Store(compileFuncSnapshot(ft.entries))
 }
 
 // Install schedules op on prefix for [start, start+duration), with the
@@ -384,25 +545,19 @@ func (t *Tables) GenOutTuple(src, dst netip.Addr, now time.Time) OutTuple {
 // (8 KiB-ish of addresses — resident for a pinned worker).
 const pfxMemoSize = 512
 
-// memo roles: one last-result slot per function table, so a burst with
-// flow locality (repeated sources or one victim destination) resolves
-// its per-packet op sets without re-walking the tries.
-const (
-	memoOutSrc = iota
-	memoOutDst
-	memoInSrc
-	memoInDst
-	memoRoles
-)
-
-// tupleMemo caches the LPM-heavy pieces of tuple generation for the
-// burst path. Two lifetimes coexist:
+// tupleMemo caches the lookups of tuple generation that the function
+// tables do not answer for the burst path. Two lifetimes coexist:
 //
 //   - The Pfx2AS memo persists across bursts (the mapping is stable for
 //     the life of a Tables); it is tagged with the *lpm.Table it was
 //     filled from, so swapping in a new table invalidates it wholesale.
-//   - The per-role op-set and stamp-key memos are only coherent against
-//     one (snapshot, nowN) pair and are cleared by beginBurst.
+//   - The stamp-key memo is only coherent against one key snapshot and
+//     is cleared by beginBurst.
+//
+// Function-table op sets are not memoized: a compiled snapshot answers
+// in one short binary search, and a last-address memo in front of it
+// measured no faster on router-fastpath, where it hits, nor on
+// router-hostile, where it misses.
 //
 // A tupleMemo is single-goroutine state; core.BurstPipeline embeds one
 // per worker.
@@ -413,36 +568,15 @@ type tupleMemo struct {
 	pfxOK   [pfxMemoSize]bool
 	pfxSet  [pfxMemoSize]bool
 
-	opsAddr   [memoRoles]netip.Addr
-	opsOK     [memoRoles]bool
-	opsActive [memoRoles]OpSet
-	opsGrace  [memoRoles]OpSet
-
 	keyAS  topology.ASN
 	keyVal *cmac.CMAC
 	keyOK  bool
 }
 
-// beginBurst invalidates the snapshot-scoped memos; the Pfx2AS memo
+// beginBurst invalidates the snapshot-scoped memo; the Pfx2AS memo
 // survives.
 func (m *tupleMemo) beginBurst() {
-	m.opsOK = [memoRoles]bool{}
 	m.keyOK = false
-}
-
-// activeOps is funcSnapshot.activeOps behind the role's last-result
-// memo.
-func (m *tupleMemo) activeOps(role int, s *funcSnapshot, addr netip.Addr, nowN int64) (active, grace OpSet) {
-	if s.n == 0 {
-		return 0, 0
-	}
-	if m.opsOK[role] && m.opsAddr[role] == addr {
-		return m.opsActive[role], m.opsGrace[role]
-	}
-	active, grace = s.activeOps(addr, nowN)
-	m.opsOK[role], m.opsAddr[role] = true, addr
-	m.opsActive[role], m.opsGrace[role] = active, grace
-	return active, grace
 }
 
 // addrSlot hashes an address to a Pfx2AS memo slot.
@@ -478,8 +612,8 @@ func (t *Tables) srcASMemo(m *tupleMemo, a netip.Addr) (topology.ASN, bool) {
 // genInTupleMemo is genInTuple with memoized lookups. The caller has
 // already handled the both-tables-idle early return once per burst.
 func (t *Tables) genInTupleMemo(st *inState, m *tupleMemo, src, dst netip.Addr, nowN int64) InTuple {
-	srcOps, srcGrace := m.activeOps(memoInSrc, st.src, src, nowN)
-	dstOps, dstGrace := m.activeOps(memoInDst, st.dst, dst, nowN)
+	srcOps, srcGrace := st.src.activeOps(src, nowN)
+	dstOps, dstGrace := st.dst.activeOps(dst, nowN)
 	verify := srcOps.Has(OpCSPVerify) || dstOps.Has(OpCDPVerify)
 	if !verify {
 		return InTuple{}
@@ -498,8 +632,8 @@ func (t *Tables) genInTupleMemo(st *inState, m *tupleMemo, src, dst netip.Addr, 
 // genOutTupleMemo is genOutTuple with memoized lookups; same contract
 // as genInTupleMemo.
 func (t *Tables) genOutTupleMemo(st *outState, m *tupleMemo, src, dst netip.Addr, nowN int64) OutTuple {
-	srcOps, _ := m.activeOps(memoOutSrc, st.src, src, nowN)
-	dstOps, _ := m.activeOps(memoOutDst, st.dst, dst, nowN)
+	srcOps, _ := st.src.activeOps(src, nowN)
+	dstOps, _ := st.dst.activeOps(dst, nowN)
 	var tup OutTuple
 	if srcOps == 0 && dstOps == 0 {
 		return tup

@@ -43,7 +43,10 @@ func FuzzParseIPv4(f *testing.F) {
 		}
 		// Mark accessors must be total.
 		q.SetMark(q.Mark())
-		_ = q.Msg()
+		m := q.Msg()
+		if bad := appendMsgMismatch(q.AppendMsg, make([]byte, 5, 32), m[:]); bad != "" {
+			t.Fatalf("AppendMsg: %s", bad)
+		}
 	})
 }
 
@@ -79,7 +82,10 @@ func FuzzParseIPv6(f *testing.F) {
 		// Option accessors must be total even on junk chains.
 		q.MarkV6()
 		q.UnstampV6()
-		_ = q.Msg()
+		m := q.Msg()
+		if bad := appendMsgMismatch(q.AppendMsg, make([]byte, 5, 64), m[:]); bad != "" {
+			t.Fatalf("AppendMsg: %s", bad)
+		}
 		_ = q.WireLen()
 	})
 }

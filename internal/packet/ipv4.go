@@ -173,23 +173,34 @@ func (p *IPv4) AppendMarshal(dst []byte) ([]byte, error) {
 	return dst, nil
 }
 
-// Msg extracts the 21-byte DISCS MAC input (§V-E): Version|IHL, Total
-// Length, Flags (padded with five zero bits), Protocol, source and
-// destination addresses, then the first 8 bytes of the payload
-// (zero-padded). IPID and Fragment Offset are deliberately excluded
-// because stamping rewrites them.
+// Msg extracts the 21-byte DISCS MAC input (§V-E); see AppendMsg.
 func (p *IPv4) Msg() [MsgLenV4]byte {
 	var m [MsgLenV4]byte
+	p.AppendMsg(m[:0])
+	return m
+}
+
+// AppendMsg appends the 21-byte DISCS MAC input (§V-E) to dst and
+// returns the extended slice: Version|IHL, Total Length, Flags (padded
+// with five zero bits), Protocol, source and destination addresses,
+// then the first 8 bytes of the payload (zero-padded). IPID and
+// Fragment Offset are deliberately excluded because stamping rewrites
+// them. Appending lets a burst pack its messages without a temporary
+// copy per packet.
+func (p *IPv4) AppendMsg(dst []byte) []byte {
+	n := len(dst)
+	dst = append(dst, make([]byte, MsgLenV4)...)
+	m := dst[n : n+MsgLenV4]
 	m[0] = 4<<4 | uint8(p.HeaderLen()/4)
 	binary.BigEndian.PutUint16(m[1:3], uint16(p.TotalLen()))
 	m[3] = p.Flags & 0x7 << 5
 	m[4] = p.Protocol
 	src := p.Src.As4()
-	dst := p.Dst.As4()
+	dstA := p.Dst.As4()
 	copy(m[5:9], src[:])
-	copy(m[9:13], dst[:])
+	copy(m[9:13], dstA[:])
 	copy(m[13:21], p.Payload) // copies min(8, len) bytes; rest stays zero
-	return m
+	return dst
 }
 
 // Mark reads the 29-bit DISCS mark from the IPID and Fragment Offset

@@ -173,17 +173,26 @@ func (p *IPv6) WireLen() int {
 	return n
 }
 
-// Msg extracts the 40-byte DISCS MAC input (§V-F): source address,
-// destination address, and the first 8 bytes of the upper-layer
-// payload, zero-padded.
+// Msg extracts the 40-byte DISCS MAC input (§V-F); see AppendMsg.
 func (p *IPv6) Msg() [MsgLenV6]byte {
 	var m [MsgLenV6]byte
-	src := p.Src.As16()
-	dst := p.Dst.As16()
-	copy(m[0:16], src[:])
-	copy(m[16:32], dst[:])
-	copy(m[32:40], p.Payload)
+	p.AppendMsg(m[:0])
 	return m
+}
+
+// AppendMsg appends the 40-byte DISCS MAC input (§V-F) to dst and
+// returns the extended slice: source address, destination address, and
+// the first 8 bytes of the upper-layer payload, zero-padded.
+func (p *IPv6) AppendMsg(dst []byte) []byte {
+	n := len(dst)
+	dst = append(dst, make([]byte, MsgLenV6)...)
+	m := dst[n : n+MsgLenV6]
+	src := p.Src.As16()
+	dstA := p.Dst.As16()
+	copy(m[0:16], src[:])
+	copy(m[16:32], dstA[:])
+	copy(m[32:40], p.Payload)
+	return dst
 }
 
 // Clone deep-copies the packet.
