@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-race test-allocs test-fallback vet vet-obs check node-smoke bench diff-paper fuzz report figures cost sim examples cover clean
+.PHONY: all build test test-race test-allocs test-fallback vet vet-obs fmt-check check node-smoke bench diff-paper fuzz report figures cost sim examples cover clean
 
 all: build check
 
@@ -29,14 +29,22 @@ vet-obs:
 		echo "$$bad"; exit 1; \
 	fi
 
-# The pre-merge gate: static analysis, the full suite under the race
+# The tree is held to gofmt: any file it would rewrite is an error.
+fmt-check:
+	@bad=$$(gofmt -l .); \
+	if [ -n "$$bad" ]; then \
+		echo "files gofmt would rewrite:"; \
+		echo "$$bad"; exit 1; \
+	fi
+
+# The pre-merge gate: formatting, static analysis, the full suite under the race
 # detector (with shuffled test order to catch order-dependent tests),
 # the allocation gates, the service-mode loopback smoke run, and one
 # iteration of every §VI reproduction bench (bench_test.go), of the
 # event-engine micro-benchmarks and of the smallest control-plane mesh
 # (BenchmarkMeshFormation at 45 DAS, about a second), so they run rather
 # than only compile. Performance is judged by `make bench`, not here.
-check: vet vet-obs test-race test-allocs test-fallback node-smoke
+check: fmt-check vet vet-obs test-race test-allocs test-fallback node-smoke
 	$(GO) test -run '^$$' -bench . -benchtime 1x . ./internal/netsim ./internal/parsim
 	$(GO) test -run '^$$' -bench 'MeshFormation/das=45$$' -benchtime 1x ./internal/core
 

@@ -386,11 +386,6 @@ func (c *CMAC) Sum29(msg []byte) uint32 {
 	return c.Sum32(msg) >> 3
 }
 
-// Sum29With is Sum29 with caller-provided scratch buffers.
-func (c *CMAC) Sum29With(msg []byte, s *Scratch) uint32 {
-	return c.Sum32With(msg, s) >> 3
-}
-
 // Sum32 computes the 32-bit truncation used for IPv6 stamping: the
 // most-significant 4 bytes of the CMAC.
 func (c *CMAC) Sum32(msg []byte) uint32 {
@@ -406,7 +401,8 @@ func (c *CMAC) Sum32With(msg []byte, s *Scratch) uint32 {
 	return mac32(&m)
 }
 
-// Sum29Cached is Sum29With with an optional first-block cache.
+// Sum29Cached is Sum29 with caller-provided scratch buffers and an
+// optional first-block cache.
 func (c *CMAC) Sum29Cached(msg []byte, s *Scratch, bc *BlockCache) uint32 {
 	return c.Sum32Cached(msg, s, bc) >> 3
 }

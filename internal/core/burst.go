@@ -1,7 +1,6 @@
 package core
 
 import (
-	"net/netip"
 	"sync"
 	"time"
 
@@ -20,15 +19,15 @@ import (
 // (key rotation, table rebuilds) invalidate the caches naturally
 // because the new snapshot's pointers no longer match.
 //
-// The fused paths are observationally identical to per-packet
-// processing: verdict vectors, packet bytes (including the order of
-// random scrub-bit draws) and counter totals are bit-for-bit the same
-// as calling ProcessOutbound/ProcessInbound in a loop against a frozen
-// snapshot. The difference is purely mechanical: one snapshot load and
-// one counter flush per burst, memoized Pfx2AS and key lookups across
-// packets with shared flow structure, and the burst's MACs computed
-// together, eight lanes at a time whatever their keys
-// (cmac.SumBurstKeys32).
+// Each packet gets the same Table-I decision as ProcessOutbound and
+// ProcessInbound (decideOut, decideIn and applyIn), so verdict
+// vectors, packet bytes (including the order of random scrub-bit
+// draws) and counter totals are bit-for-bit those of per-packet
+// processing against a frozen snapshot. Only the MAC schedule differs:
+// the burst's MACs are staged and computed together, eight lanes at a
+// time whatever their keys (cmac.SumBurstKeys32), with one snapshot
+// load, one counter flush and memoized Pfx2AS and key lookups per
+// burst.
 type BurstPipeline struct {
 	memo   tupleMemo
 	blocks cmac.BlockCache
@@ -95,17 +94,6 @@ func NewBurstPipeline() *BurstPipeline {
 // across routers is safe and keeps the caches warm.
 var pipelinePool = sync.Pool{New: func() any { return NewBurstPipeline() }}
 
-// Inbound deferred actions (pass 1 classifies, pass 2 applies in
-// packet order so the scrub-bit RNG sequence matches serial exactly).
-const (
-	actPass      uint8 = iota // final verdict VerdictPass, nothing deferred
-	actSerial                 // unknown carrier: full serial path in pass 2
-	actEraseOnly              // grace interval: erase, no enforcement
-	actPending                // CMAC scheduled, compare outstanding
-	actValid                  // verified: erase + VerdictPassVerified
-	actInvalid                // failed: drop or alarm
-)
-
 // Outbound runs the fused outbound path over pkts against one coherent
 // table snapshot, appending one verdict per packet to dst (pass a
 // reused buffer to stay allocation-free) and returning it.
@@ -124,51 +112,20 @@ func (bp *BurstPipeline) Outbound(r *BorderRouter, pkts []MarkCarrier, now time.
 	}
 	bp.memo.beginBurst()
 	for i, p := range pkts {
-		var src, dstA netip.Addr
-		var p4 *packet.IPv4
-		var p6 *packet.IPv6
-		switch w := p.(type) {
-		case V4:
-			src, dstA, p4 = w.P.Src, w.P.Dst, w.P
-		case V6:
-			src, dstA, p6 = w.P.Src, w.P.Dst, w.P
-		default:
-			// Unknown carrier: the serial path, which stamps it now.
-			// Outbound has no order-dependent side effect a staged
-			// packet could see.
-			dst = append(dst, r.processOutbound(&st, p, nowN, &d, &bp.s))
-			continue
-		}
-		d.outProcessed++
-		tup := r.Tables.genOutTupleMemo(&st, &bp.memo, src, dstA, nowN)
-		if tup.Drop {
-			d.outDropped++
-			dst = append(dst, VerdictDrop)
-			continue
-		}
-		if !tup.Stamp || tup.Key == nil {
-			dst = append(dst, VerdictPass)
-			continue
-		}
-		if p6 != nil && r.ExternalMTU > 0 && p6.WireLen()+p6.StampOverheadV6() > r.ExternalMTU {
-			d.outTooBig++
-			if r.OnPacketTooBig != nil {
-				if icmp, err := packet.NewICMPv6PacketTooBig(r.RouterAddr, p6, uint32(r.ExternalMTU-8)); err == nil {
-					r.OnPacketTooBig(icmp)
-				}
-			}
-			dst = append(dst, VerdictDrop)
-			continue
-		}
-		if p6 != nil {
+		p4, p6 := p.unwrap()
+		v, key := r.decideOut(&st, &bp.memo, p4, p6, nowN, &d)
+		switch {
+		case key == nil:
+		case p6 != nil:
 			bp.v6.flat = p6.AppendMsg(bp.v6.flat)
-			bp.v6.add(tup.Key, i)
-		} else {
+			bp.v6.add(key, i)
+		default:
 			bp.v4.flat = p4.AppendMsg(bp.v4.flat)
-			bp.v4.add(tup.Key, i)
+			bp.v4.add(key, i)
 		}
-		// Placeholder; stampStaged downgrades IPv6 stamp failures.
-		dst = append(dst, VerdictPassStamped)
+		// A staged packet's VerdictPassStamped is a placeholder;
+		// stampStaged downgrades IPv6 stamp failures.
+		dst = append(dst, v)
 	}
 	bp.stampStaged(pkts, dst[base:], &d)
 	d.flush(&r.m)
@@ -188,8 +145,8 @@ func (bp *BurstPipeline) stampStaged(pkts []MarkCarrier, vd []Verdict, d *router
 	for j, i := range bp.v6.idx {
 		d.macsComputed++
 		if err := pkts[i].(V6).P.StampV6(marks[j]); err != nil {
-			// Packet cannot carry a mark: pass unstamped, mirroring
-			// the serial path (the MAC was still computed).
+			// Packet cannot carry a mark: pass unstamped, as
+			// ProcessOutbound does (the MAC was still computed).
 			vd[i] = VerdictPass
 			continue
 		}
@@ -199,10 +156,10 @@ func (bp *BurstPipeline) stampStaged(pkts []MarkCarrier, vd []Verdict, d *router
 	bp.v6.reset()
 }
 
-// Inbound is the inbound counterpart of Outbound: classify and batch
-// the CMAC work in pass 1, then apply erasures, alarms and drops in
-// strict packet order in pass 2 so every observable side effect (RNG
-// draw order, OnAlarm sequence, counters) matches serial processing.
+// Inbound is the inbound counterpart of Outbound: decide and stage the
+// CMAC work in pass 1, then apply erasures, alarms and drops in strict
+// packet order in pass 2 so every observable side effect (RNG draw
+// order, OnAlarm sequence, counters) matches per-packet processing.
 func (bp *BurstPipeline) Inbound(r *BorderRouter, pkts []MarkCarrier, now time.Time, dst []Verdict) []Verdict {
 	st := r.Tables.loadIn()
 	nowN := now.UnixNano()
@@ -227,89 +184,29 @@ func (bp *BurstPipeline) Inbound(r *BorderRouter, pkts []MarkCarrier, now time.T
 	bp.vks = bp.vks[:n]
 	bp.memo.beginBurst()
 
-	// Pass 1: tuple generation and CMAC scheduling.
+	// Pass 1: the decision, and the pending packets' MACs staged.
 	for i, p := range pkts {
 		dst = append(dst, VerdictPass)
-		var src, dstA netip.Addr
-		var p4 *packet.IPv4
-		var p6 *packet.IPv6
-		switch w := p.(type) {
-		case V4:
-			src, dstA, p4 = w.P.Src, w.P.Dst, w.P
-		case V6:
-			src, dstA, p6 = w.P.Src, w.P.Dst, w.P
-		default:
-			bp.action[i] = actSerial
-			continue
-		}
-		d.inProcessed++
-		tup := r.Tables.genInTupleMemo(&st, &bp.memo, src, dstA, nowN)
+		p4, p6 := p.unwrap()
+		act, srcAS, vk := r.decideIn(&st, &bp.memo, p4, p6, nowN, &d)
+		bp.action[i], bp.srcAS[i], bp.vks[i] = act, srcAS, vk
 		switch {
-		case !tup.Verify:
-			bp.action[i] = actPass
-			continue
-		case tup.EraseOnly:
-			bp.action[i] = actEraseOnly
-			continue
-		case !tup.SrcKnown:
-			bp.action[i] = actPass
-			continue
-		}
-		vk := st.keys.verifyKeys(tup.SrcAS)
-		if vk == nil {
-			bp.action[i] = actPass
-			continue
-		}
-		bp.srcAS[i], bp.vks[i] = tup.SrcAS, vk
-		if p6 != nil {
-			if _, ok := p6.MarkV6(); !ok {
-				// Missing DISCS option: fails without computing a MAC.
-				bp.action[i] = actInvalid
-				continue
-			}
+		case act != actPending:
+		case p6 != nil:
 			bp.v6.flat = p6.AppendMsg(bp.v6.flat)
 			bp.v6.add(vk.current, i)
-		} else {
+		default:
 			bp.v4.flat = p4.AppendMsg(bp.v4.flat)
 			bp.v4.add(vk.current, i)
 		}
-		bp.action[i] = actPending
 	}
 	bp.verifyStaged(pkts, &d)
 
 	// Pass 2: apply outcomes in packet order.
 	vd := dst[base:]
 	for i, p := range pkts {
-		switch bp.action[i] {
-		case actPass:
-			// vd[i] is already VerdictPass.
-		case actSerial:
-			vd[i] = r.processInbound(&st, p, nowN, &d, &bp.s)
-		case actEraseOnly:
-			p.Erase(r.randomBits())
-			d.inErasedOnly++
-		case actValid:
-			p.Erase(r.randomBits())
-			d.inVerified++
-			vd[i] = VerdictPassVerified
-		case actInvalid:
-			d.inVerifyFail++
-			if r.alarmMode.Load() {
-				d.inAlarmed++
-				if r.OnAlarm != nil {
-					r.OnAlarm(AlarmSample{
-						Src:   p.SrcAddr(),
-						Dst:   p.DstAddr(),
-						SrcAS: bp.srcAS[i],
-						When:  time.Unix(0, nowN).UTC(),
-					})
-				}
-				p.Erase(r.randomBits())
-				vd[i] = VerdictPassAlarm
-			} else {
-				d.inDropped++
-				vd[i] = VerdictDrop
-			}
+		if act := bp.action[i]; act != actPass {
+			vd[i] = r.applyIn(p, act, bp.srcAS[i], nowN, &d)
 		}
 		bp.vks[i] = nil // don't pin retired key snapshots
 	}
@@ -319,7 +216,7 @@ func (bp *BurstPipeline) Inbound(r *BorderRouter, pkts []MarkCarrier, now time.T
 
 // verifyStaged computes the burst's expected marks and resolves each
 // pending packet to actValid/actInvalid, retrying with the previous
-// key during a rekey window exactly as the serial path does.
+// key during a rekey window exactly as peerKeys.verify does.
 func (bp *BurstPipeline) verifyStaged(pkts []MarkCarrier, d *routerDeltas) {
 	marks := bp.v4.sum(bp, false)
 	for j, i := range bp.v4.idx {

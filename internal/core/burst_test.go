@@ -163,86 +163,133 @@ func marshalCarrier(t *testing.T, c MarkCarrier) []byte {
 	return b
 }
 
-// runBurstDifferential drives the same traffic through a serial pair
-// and a batch pair and requires bit-identical verdicts, packet bytes,
-// stats and alarm-sample sequences. mutate, when non-nil, runs between
-// the outbound and inbound halves on both victims (rekey windows,
-// mark corruption, alarm mode).
+// burstRun is what one side of a burst differential observed.
+type burstRun struct {
+	out, in           []Verdict
+	outStats, inStats RouterStats
+	icmp              int
+	alarms            []AlarmSample
+	inBytes           [][]byte
+}
+
+// processFn runs pkts through r outbound or inbound and returns the
+// verdicts.
+type processFn func(r *BorderRouter, pkts []MarkCarrier, outbound bool) []Verdict
+
+// runBurstSide builds a fresh peer/victim pair, sends the seed's
+// traffic out of the peer and the survivors into the victim with proc,
+// and records everything observable. mutate, when non-nil, runs on the
+// victim between the two halves.
+func runBurstSide(t *testing.T, seed int64, n, mtu int, mutate func(r *BorderRouter, pkts []MarkCarrier), proc processFn) burstRun {
+	t.Helper()
+	peer, victim := burstSetup(t, mtu)
+	var run burstRun
+	victim.OnAlarm = func(a AlarmSample) { run.alarms = append(run.alarms, a) }
+	peer.OnPacketTooBig = func(*packet.IPv6) { run.icmp++ }
+
+	pkts := burstPacketMix(seed, n)
+	run.out = proc(peer, pkts, true)
+	run.outStats = peer.Stats()
+	if mutate != nil {
+		mutate(victim, pkts)
+	}
+	var in []MarkCarrier
+	for i, v := range run.out {
+		if !v.Dropped() {
+			in = append(in, pkts[i])
+		}
+	}
+	run.in = proc(victim, in, false)
+	run.inStats = victim.Stats()
+	for _, p := range in {
+		run.inBytes = append(run.inBytes, marshalCarrier(t, p))
+	}
+	return run
+}
+
+// runBurstDifferential drives the same traffic through a per-packet
+// pair and two batch pairs and requires bit-identical verdicts, packet
+// bytes (marks, erasures — which consume the same RNG draws in the same
+// order — and v6 options), stats, ICMP callbacks and alarm-sample
+// sequences. One batch pair takes the traffic as a single burst through
+// the pooled entry points; the other takes it in random bursts of 1–64
+// through one dedicated pipeline, so the per-burst stamp-key memo
+// resets and the persistent Pfx2AS memo fall mid-stream. mutate, when
+// non-nil, runs between the outbound and inbound halves on every
+// victim (rekey windows, mark corruption, alarm mode).
 func runBurstDifferential(t *testing.T, seed int64, n, mtu int, mutate func(r *BorderRouter, pkts []MarkCarrier)) {
 	t.Helper()
-	serialPeer, serialVictim := burstSetup(t, mtu)
-	batchPeer, batchVictim := burstSetup(t, mtu)
 	now := t0.Add(time.Minute)
-
-	var serialAlarms, batchAlarms []AlarmSample
-	serialVictim.OnAlarm = func(a AlarmSample) { serialAlarms = append(serialAlarms, a) }
-	batchVictim.OnAlarm = func(a AlarmSample) { batchAlarms = append(batchAlarms, a) }
-	var serialICMP, batchICMP int
-	serialPeer.OnPacketTooBig = func(*packet.IPv6) { serialICMP++ }
-	batchPeer.OnPacketTooBig = func(*packet.IPv6) { batchICMP++ }
-
-	serialPkts := burstPacketMix(seed, n)
-	batchPkts := burstPacketMix(seed, n)
-
-	// Outbound.
-	serialVerdicts := make([]Verdict, 0, n)
-	for _, p := range serialPkts {
-		serialVerdicts = append(serialVerdicts, serialPeer.ProcessOutbound(p, now))
-	}
-	batchVerdicts := batchPeer.ProcessOutboundBatch(batchPkts, now, nil)
-	for i := range serialVerdicts {
-		if serialVerdicts[i] != batchVerdicts[i] {
-			t.Fatalf("outbound pkt %d: serial=%v batch=%v", i, serialVerdicts[i], batchVerdicts[i])
+	perPacket := func(r *BorderRouter, pkts []MarkCarrier, outbound bool) []Verdict {
+		vs := make([]Verdict, 0, len(pkts))
+		for _, p := range pkts {
+			if outbound {
+				vs = append(vs, r.ProcessOutbound(p, now))
+			} else {
+				vs = append(vs, r.ProcessInbound(p, now))
+			}
 		}
+		return vs
 	}
-	if s, b := serialPeer.Stats(), batchPeer.Stats(); s != b {
-		t.Fatalf("outbound stats diverge:\nserial %+v\nbatch  %+v", s, b)
+	oneBurst := func(r *BorderRouter, pkts []MarkCarrier, outbound bool) []Verdict {
+		if outbound {
+			return r.ProcessOutboundBatch(pkts, now, nil)
+		}
+		return r.ProcessInboundBatch(pkts, now, nil)
 	}
-	if serialICMP != batchICMP {
-		t.Fatalf("ICMP too-big callbacks: serial %d, batch %d", serialICMP, batchICMP)
+	sizes := rand.New(rand.NewSource(seed))
+	bp := NewBurstPipeline()
+	randomBursts := func(r *BorderRouter, pkts []MarkCarrier, outbound bool) []Verdict {
+		var vs []Verdict
+		for len(pkts) > 0 {
+			k := min(1+sizes.Intn(64), len(pkts))
+			if outbound {
+				vs = bp.Outbound(r, pkts[:k], now, vs)
+			} else {
+				vs = bp.Inbound(r, pkts[:k], now, vs)
+			}
+			pkts = pkts[k:]
+		}
+		return vs
 	}
 
-	if mutate != nil {
-		mutate(serialVictim, serialPkts)
-		mutate(batchVictim, batchPkts)
-	}
-
-	// Inbound: surviving packets only.
-	var serialIn, batchIn []MarkCarrier
-	for i, v := range serialVerdicts {
-		if !v.Dropped() {
-			serialIn = append(serialIn, serialPkts[i])
-			batchIn = append(batchIn, batchPkts[i])
+	want := runBurstSide(t, seed, n, mtu, mutate, perPacket)
+	for _, side := range []struct {
+		name string
+		proc processFn
+	}{{"batch", oneBurst}, {"split", randomBursts}} {
+		got := runBurstSide(t, seed, n, mtu, mutate, side.proc)
+		for i := range want.out {
+			if want.out[i] != got.out[i] {
+				t.Fatalf("outbound pkt %d: serial=%v %s=%v", i, want.out[i], side.name, got.out[i])
+			}
 		}
-	}
-	sv := make([]Verdict, 0, len(serialIn))
-	for _, p := range serialIn {
-		sv = append(sv, serialVictim.ProcessInbound(p, now))
-	}
-	bv := batchVictim.ProcessInboundBatch(batchIn, now, nil)
-	for i := range sv {
-		if sv[i] != bv[i] {
-			t.Fatalf("inbound pkt %d: serial=%v batch=%v", i, sv[i], bv[i])
+		if want.outStats != got.outStats {
+			t.Fatalf("outbound stats diverge:\nserial %+v\n%s  %+v", want.outStats, side.name, got.outStats)
 		}
-	}
-	if s, b := serialVictim.Stats(), batchVictim.Stats(); s != b {
-		t.Fatalf("inbound stats diverge:\nserial %+v\nbatch  %+v", s, b)
-	}
-	if len(serialAlarms) != len(batchAlarms) {
-		t.Fatalf("alarm samples: serial %d, batch %d", len(serialAlarms), len(batchAlarms))
-	}
-	for i := range serialAlarms {
-		if serialAlarms[i] != batchAlarms[i] {
-			t.Fatalf("alarm sample %d: serial %+v, batch %+v", i, serialAlarms[i], batchAlarms[i])
+		if want.icmp != got.icmp {
+			t.Fatalf("ICMP too-big callbacks: serial %d, %s %d", want.icmp, side.name, got.icmp)
 		}
-	}
-	// Packet bytes must match bit for bit — marks, erasures (which
-	// consume the same RNG draws in the same order) and v6 options.
-	for i := range serialIn {
-		sb := marshalCarrier(t, serialIn[i])
-		bb := marshalCarrier(t, batchIn[i])
-		if string(sb) != string(bb) {
-			t.Fatalf("inbound pkt %d bytes diverge after processing", i)
+		for i := range want.in {
+			if want.in[i] != got.in[i] {
+				t.Fatalf("inbound pkt %d: serial=%v %s=%v", i, want.in[i], side.name, got.in[i])
+			}
+		}
+		if want.inStats != got.inStats {
+			t.Fatalf("inbound stats diverge:\nserial %+v\n%s  %+v", want.inStats, side.name, got.inStats)
+		}
+		if len(want.alarms) != len(got.alarms) {
+			t.Fatalf("alarm samples: serial %d, %s %d", len(want.alarms), side.name, len(got.alarms))
+		}
+		for i := range want.alarms {
+			if want.alarms[i] != got.alarms[i] {
+				t.Fatalf("alarm sample %d: serial %+v, %s %+v", i, want.alarms[i], side.name, got.alarms[i])
+			}
+		}
+		for i := range want.inBytes {
+			if string(want.inBytes[i]) != string(got.inBytes[i]) {
+				t.Fatalf("inbound pkt %d bytes diverge after %s processing", i, side.name)
+			}
 		}
 	}
 }

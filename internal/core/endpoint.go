@@ -41,8 +41,8 @@ type Runtime interface {
 // schedule is bit-identical to calling the node directly.
 type nodeRuntime struct{ n *netsim.Node }
 
-func (r nodeRuntime) Now() time.Duration                        { return r.n.Now() }
-func (r nodeRuntime) After(d time.Duration, fn func())          { r.n.After(d, fn) }
+func (r nodeRuntime) Now() time.Duration                         { return r.n.Now() }
+func (r nodeRuntime) After(d time.Duration, fn func())           { r.n.After(d, fn) }
 func (r nodeRuntime) AfterBackground(d time.Duration, fn func()) { r.n.AfterBackground(d, fn) }
 
 // simConn adapts netsim links to the FrameSender seam: a Send is one

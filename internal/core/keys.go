@@ -205,38 +205,23 @@ func (kt *KeyTable) HasVerifyKey(peer topology.ASN) bool {
 // cannot carry a mark — so callers can account crypto cost faithfully
 // (§VI-C2).
 func (kt *KeyTable) VerifyMark(peer topology.ASN, carrier MarkCarrier) (valid, keyKnown bool, macs int) {
-	return kt.snap.Load().verifyMark(peer, carrier, nil)
-}
-
-// verifyMark is the snapshot-level verification used by the forwarding
-// path; s, when non-nil, provides reusable CMAC scratch buffers.
-func (ks *keySnapshot) verifyMark(peer topology.ASN, carrier MarkCarrier, s *cmac.Scratch) (valid, keyKnown bool, macs int) {
-	vk := ks.verifyKeys(peer)
+	vk := kt.snap.Load().verifyKeys(peer)
 	if vk == nil {
 		return false, false, 0
 	}
-	ok, n := verifyOne(carrier, vk.current, s)
-	macs += n
-	if ok {
-		return true, true, macs
-	}
-	if vk.previous != nil {
-		ok, n = verifyOne(carrier, vk.previous, s)
-		macs += n
-		if ok {
-			return true, true, macs
-		}
-	}
-	return false, true, macs
+	valid, macs = vk.verify(carrier)
+	return valid, true, macs
 }
 
-func verifyOne(carrier MarkCarrier, c *cmac.CMAC, s *cmac.Scratch) (bool, int) {
-	if s != nil {
-		if sc, ok := carrier.(scratchCarrier); ok {
-			return sc.verifyWith(c, s)
-		}
+// verify checks carrier's mark against the current Key-V and, during a
+// rekey window, the previous one (§IV-D), returning the CMACs computed.
+func (pk *peerKeys) verify(carrier MarkCarrier) (valid bool, macs int) {
+	ok, n := carrier.Verify(pk.current)
+	if ok || pk.previous == nil {
+		return ok, n
 	}
-	return carrier.Verify(c)
+	ok, m := carrier.Verify(pk.previous)
+	return ok, n + m
 }
 
 // NumPeers returns the number of peers with any key state.

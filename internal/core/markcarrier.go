@@ -10,7 +10,8 @@ import (
 // MarkCarrier abstracts the per-family mark embedding so the data
 // plane processes IPv4 and IPv6 packets uniformly: 29-bit marks in the
 // IPID/FragmentOffset fields for IPv4 (§V-E), a 32-bit destination
-// option for IPv6 (§V-F).
+// option for IPv6 (§V-F). The interface is sealed: V4 and V6 are its
+// only implementations.
 //
 // Stamp and Verify return the number of CMAC computations they ran so
 // the router's MACsComputed counter reflects actual crypto cost
@@ -34,14 +35,9 @@ type MarkCarrier interface {
 	// MarkBits returns the mark width (29 for IPv4, 32 for IPv6),
 	// which determines the brute-force forgery factor (§VI-E1).
 	MarkBits() int
-}
 
-// scratchCarrier is the batch-path refinement of MarkCarrier: the same
-// operations with caller-provided CMAC scratch buffers, so a burst of
-// packets shares one Scratch instead of hitting the pool per MAC.
-type scratchCarrier interface {
-	stampWith(c *cmac.CMAC, s *cmac.Scratch) (macs int, err error)
-	verifyWith(c *cmac.CMAC, s *cmac.Scratch) (ok bool, macs int)
+	// unwrap returns the wrapped packet: exactly one result is non-nil.
+	unwrap() (*packet.IPv4, *packet.IPv6)
 }
 
 // V4 wraps an IPv4 packet as a MarkCarrier.
@@ -60,21 +56,10 @@ func (w V4) Stamp(c *cmac.CMAC) (int, error) {
 	return 1, nil
 }
 
-func (w V4) stampWith(c *cmac.CMAC, s *cmac.Scratch) (int, error) {
-	m := w.P.Msg()
-	w.P.SetMark(c.Sum29With(m[:], s))
-	return 1, nil
-}
-
 // Verify recomputes the 29-bit CMAC and compares.
 func (w V4) Verify(c *cmac.CMAC) (bool, int) {
 	m := w.P.Msg()
 	return c.Verify29(m[:], w.P.Mark()), 1
-}
-
-func (w V4) verifyWith(c *cmac.CMAC, s *cmac.Scratch) (bool, int) {
-	m := w.P.Msg()
-	return c.Sum29With(m[:], s) == w.P.Mark()&(1<<29-1), 1
 }
 
 // Erase replaces the mark fields with the supplied bits (§V-E: random
@@ -83,6 +68,8 @@ func (w V4) Erase(random uint32) { w.P.ScrubMark(random) }
 
 // MarkBits returns 29.
 func (w V4) MarkBits() int { return 29 }
+
+func (w V4) unwrap() (*packet.IPv4, *packet.IPv6) { return w.P, nil }
 
 // V6 wraps an IPv6 packet as a MarkCarrier.
 type V6 struct{ P *packet.IPv6 }
@@ -101,11 +88,6 @@ func (w V6) Stamp(c *cmac.CMAC) (int, error) {
 	return 1, w.P.StampV6(c.Sum32(m[:]))
 }
 
-func (w V6) stampWith(c *cmac.CMAC, s *cmac.Scratch) (int, error) {
-	m := w.P.Msg()
-	return 1, w.P.StampV6(c.Sum32With(m[:], s))
-}
-
 // Verify checks the DISCS option; an absent option fails without
 // computing a CMAC.
 func (w V6) Verify(c *cmac.CMAC) (bool, int) {
@@ -117,15 +99,6 @@ func (w V6) Verify(c *cmac.CMAC) (bool, int) {
 	return c.Verify32(m[:], mac), 1
 }
 
-func (w V6) verifyWith(c *cmac.CMAC, s *cmac.Scratch) (bool, int) {
-	mac, ok := w.P.MarkV6()
-	if !ok {
-		return false, 0
-	}
-	m := w.P.Msg()
-	return c.Sum32With(m[:], s) == mac, 1
-}
-
 // Erase removes the DISCS option (and the destination options header
 // when empty).
 func (w V6) Erase(uint32) { w.P.UnstampV6() }
@@ -133,9 +106,9 @@ func (w V6) Erase(uint32) { w.P.UnstampV6() }
 // MarkBits returns 32.
 func (w V6) MarkBits() int { return 32 }
 
+func (w V6) unwrap() (*packet.IPv4, *packet.IPv6) { return nil, w.P }
+
 var (
-	_ MarkCarrier    = V4{}
-	_ MarkCarrier    = V6{}
-	_ scratchCarrier = V4{}
-	_ scratchCarrier = V6{}
+	_ MarkCarrier = V4{}
+	_ MarkCarrier = V6{}
 )

@@ -378,7 +378,19 @@ func (r *BorderRouter) maybeSample(p MarkCarrier, v Verdict) {
 func (r *BorderRouter) ProcessOutbound(p MarkCarrier, now time.Time) Verdict {
 	st := r.Tables.loadOut()
 	var d routerDeltas
-	v := r.processOutbound(&st, p, now.UnixNano(), &d, nil)
+	p4, p6 := p.unwrap()
+	v, key := r.decideOut(&st, nil, p4, p6, now.UnixNano(), &d)
+	if key != nil {
+		macs, err := p.Stamp(key)
+		d.macsComputed += uint64(macs)
+		if err != nil {
+			// Packet cannot carry a mark (e.g. duplicate option): pass;
+			// the verification end will treat it as unmarked.
+			v = VerdictPass
+		} else {
+			d.outStamped++
+		}
+	}
 	d.flush(&r.m)
 	r.maybeSample(p, v)
 	return v
@@ -399,67 +411,58 @@ func (r *BorderRouter) ProcessOutboundBatch(pkts []MarkCarrier, now time.Time, d
 	return dst
 }
 
-// processOutbound is the snapshot-level outbound path shared by the
-// single-packet and batch entry points.
-func (r *BorderRouter) processOutbound(st *outState, p MarkCarrier, nowN int64, d *routerDeltas, s *cmac.Scratch) Verdict {
+// decideOut takes the Table-I outbound decision for one packet (p4 or
+// p6 is non-nil) against a loaded snapshot: the out-tuple, the DP/SP
+// drop and the §V-F packet-too-big drop. When a mark is due it returns
+// VerdictPassStamped and the stamping key; the caller computes the MAC
+// and counts the stamp. m, when non-nil, is the burst's lookup memo.
+func (r *BorderRouter) decideOut(st *outState, m *tupleMemo, p4 *packet.IPv4, p6 *packet.IPv6, nowN int64, d *routerDeltas) (Verdict, *cmac.CMAC) {
 	d.outProcessed++
-	tup := r.Tables.genOutTuple(st, p.SrcAddr(), p.DstAddr(), nowN)
+	src, dst := addrs(p4, p6)
+	tup := r.Tables.genOutTuple(st, m, src, dst, nowN)
 	if tup.Drop {
 		d.outDropped++
-		return VerdictDrop
+		return VerdictDrop, nil
 	}
-	if !tup.Stamp {
-		return VerdictPass
-	}
-	if tup.Key == nil {
-		// CDP-stamp scheduled but the destination is not a peer (e.g.
-		// key torn down mid-invocation): pass unstamped rather than
-		// break connectivity.
-		return VerdictPass
+	if !tup.Stamp || tup.Key == nil {
+		// Nothing to stamp, or a CDP-stamp scheduled toward a
+		// destination that is not a peer (e.g. key torn down
+		// mid-invocation): pass unstamped rather than break
+		// connectivity.
+		return VerdictPass, nil
 	}
 	// §V-F: stamping may grow an IPv6 packet by up to 8 bytes; if that
 	// exceeds the external link MTU, return "packet too big"
 	// announcing an MTU 8 bytes below the link's.
-	if r.ExternalMTU > 0 {
-		if v6, ok := p.(V6); ok {
-			if v6.P.WireLen()+v6.P.StampOverheadV6() > r.ExternalMTU {
-				d.outTooBig++
-				if r.OnPacketTooBig != nil {
-					if icmp, err := packet.NewICMPv6PacketTooBig(r.RouterAddr, v6.P, uint32(r.ExternalMTU-8)); err == nil {
-						r.OnPacketTooBig(icmp)
-					}
-				}
-				return VerdictDrop
+	if p6 != nil && r.ExternalMTU > 0 && p6.WireLen()+p6.StampOverheadV6() > r.ExternalMTU {
+		d.outTooBig++
+		if r.OnPacketTooBig != nil {
+			if icmp, err := packet.NewICMPv6PacketTooBig(r.RouterAddr, p6, uint32(r.ExternalMTU-8)); err == nil {
+				r.OnPacketTooBig(icmp)
 			}
 		}
+		return VerdictDrop, nil
 	}
-	var macs int
-	var err error
-	if s != nil {
-		if sc, ok := p.(scratchCarrier); ok {
-			macs, err = sc.stampWith(tup.Key, s)
-		} else {
-			macs, err = p.Stamp(tup.Key)
-		}
-	} else {
-		macs, err = p.Stamp(tup.Key)
-	}
-	d.macsComputed += uint64(macs)
-	if err != nil {
-		// Packet cannot carry a mark (e.g. duplicate option): pass; the
-		// verification end will treat it as unmarked.
-		return VerdictPass
-	}
-	d.outStamped++
-	return VerdictPassStamped
+	return VerdictPassStamped, tup.Key
 }
 
 // ProcessInbound runs the inbound half of the Figure-3 flow on a
 // packet entering the AS.
 func (r *BorderRouter) ProcessInbound(p MarkCarrier, now time.Time) Verdict {
 	st := r.Tables.loadIn()
+	nowN := now.UnixNano()
 	var d routerDeltas
-	v := r.processInbound(&st, p, now.UnixNano(), &d, nil)
+	p4, p6 := p.unwrap()
+	act, srcAS, vk := r.decideIn(&st, nil, p4, p6, nowN, &d)
+	if act == actPending {
+		ok, macs := vk.verify(p)
+		d.macsComputed += uint64(macs)
+		act = actInvalid
+		if ok {
+			act = actValid
+		}
+	}
+	v := r.applyIn(p, act, srcAS, nowN, &d)
 	d.flush(&r.m)
 	r.maybeSample(p, v)
 	return v
@@ -474,52 +477,90 @@ func (r *BorderRouter) ProcessInboundBatch(pkts []MarkCarrier, now time.Time, ds
 	return dst
 }
 
-// processInbound is the snapshot-level inbound path shared by the
-// single-packet and batch entry points.
-func (r *BorderRouter) processInbound(st *inState, p MarkCarrier, nowN int64, d *routerDeltas, s *cmac.Scratch) Verdict {
+// Inbound actions: decideIn classifies a packet, the MAC check turns
+// actPending into actValid or actInvalid, and applyIn carries it out.
+const (
+	actPass      uint8 = iota // VerdictPass, nothing to do
+	actEraseOnly              // grace interval: erase, no enforcement
+	actPending                // verify the mark against the returned keys
+	actValid                  // verified: erase + VerdictPassVerified
+	actInvalid                // failed: drop or alarm
+)
+
+// decideIn takes the Table-I inbound decision for one packet (p4 or p6
+// is non-nil) against a loaded snapshot. actPending comes with the
+// source AS and its verification keys; the caller checks the mark.
+// An IPv6 packet without a DISCS option is actInvalid at once, with no
+// MAC computed. m, when non-nil, is the burst's lookup memo.
+func (r *BorderRouter) decideIn(st *inState, m *tupleMemo, p4 *packet.IPv4, p6 *packet.IPv6, nowN int64, d *routerDeltas) (uint8, topology.ASN, *peerKeys) {
 	d.inProcessed++
-	tup := r.Tables.genInTuple(st, p.SrcAddr(), p.DstAddr(), nowN)
+	src, dst := addrs(p4, p6)
+	tup := r.Tables.genInTuple(st, m, src, dst, nowN)
 	if !tup.Verify {
-		return VerdictPass
+		return actPass, 0, nil
 	}
 	if tup.EraseOnly {
 		// Grace interval: erase without enforcement (§IV-E1).
-		p.Erase(r.randomBits())
-		d.inErasedOnly++
-		return VerdictPass
+		return actEraseOnly, tup.SrcAS, nil
 	}
-	valid, keyKnown, macs := false, false, 0
+	var vk *peerKeys
 	if tup.SrcKnown {
-		valid, keyKnown, macs = st.keys.verifyMark(tup.SrcAS, p, s)
+		vk = st.keys.verifyKeys(tup.SrcAS)
 	}
-	d.macsComputed += uint64(macs)
-	if !keyKnown {
+	if vk == nil {
 		// CDP-verify is conditional on src ∈ peer (Table I): traffic
 		// from non-peer sources cannot be verified and passes; it is
 		// the peers' DP filters that handle it.
-		return VerdictPass
+		return actPass, tup.SrcAS, nil
 	}
-	if valid {
+	if p6 != nil {
+		if _, ok := p6.MarkV6(); !ok {
+			return actInvalid, tup.SrcAS, vk
+		}
+	}
+	return actPending, tup.SrcAS, vk
+}
+
+// applyIn carries out a resolved inbound action on p: the erasure, the
+// alarm sample or the drop, and the counters. Callers apply packets in
+// arrival order, so the scrub-bit draws and OnAlarm calls come in that
+// order whichever path decided them.
+func (r *BorderRouter) applyIn(p MarkCarrier, act uint8, srcAS topology.ASN, nowN int64, d *routerDeltas) Verdict {
+	switch act {
+	case actEraseOnly:
+		p.Erase(r.randomBits())
+		d.inErasedOnly++
+	case actValid:
 		p.Erase(r.randomBits())
 		d.inVerified++
 		return VerdictPassVerified
-	}
-	d.inVerifyFail++
-	if r.alarmMode.Load() {
+	case actInvalid:
+		d.inVerifyFail++
+		if !r.alarmMode.Load() {
+			d.inDropped++
+			return VerdictDrop
+		}
 		d.inAlarmed++
 		if r.OnAlarm != nil {
 			r.OnAlarm(AlarmSample{
 				Src:   p.SrcAddr(),
 				Dst:   p.DstAddr(),
-				SrcAS: tup.SrcAS,
+				SrcAS: srcAS,
 				When:  time.Unix(0, nowN).UTC(),
 			})
 		}
 		p.Erase(r.randomBits())
 		return VerdictPassAlarm
 	}
-	d.inDropped++
-	return VerdictDrop
+	return VerdictPass
+}
+
+// addrs returns the addresses of whichever of p4 and p6 is non-nil.
+func addrs(p4 *packet.IPv4, p6 *packet.IPv6) (src, dst netip.Addr) {
+	if p6 != nil {
+		return p6.Src, p6.Dst
+	}
+	return p4.Src, p4.Dst
 }
 
 // ScrubInboundICMP inspects an inbound ICMP(v4) error message and

@@ -489,19 +489,16 @@ func (t *Tables) loadIn() inState {
 	return inState{src: t.inSrc.snap.Load(), dst: t.inDst.snap.Load(), keys: t.Keys.snap.Load()}
 }
 
-// srcAS maps an address to its AS via longest-prefix match.
-func (t *Tables) srcAS(a netip.Addr) (topology.ASN, bool) {
-	return t.Pfx2AS.LookupVal(a)
-}
-
 // GenInTuple implements the in-tuple generation of §V-B: verify? is
 // set iff CSP-verify ∈ In-Src(s) or CDP-verify ∈ In-Dst(d).
 func (t *Tables) GenInTuple(src, dst netip.Addr, now time.Time) InTuple {
 	st := t.loadIn()
-	return t.genInTuple(&st, src, dst, now.UnixNano())
+	return t.genInTuple(&st, nil, src, dst, now.UnixNano())
 }
 
-func (t *Tables) genInTuple(st *inState, src, dst netip.Addr, nowN int64) InTuple {
+// genInTuple is the one in-tuple generator; m, when non-nil, memoizes
+// its Pfx2AS lookups across the packets of a burst.
+func (t *Tables) genInTuple(st *inState, m *tupleMemo, src, dst netip.Addr, nowN int64) InTuple {
 	// Idle early return: with no live verify op anywhere, skip the
 	// function-table walks and the Pfx2AS lookup.
 	if st.src.idleAt(nowN) && st.dst.idleAt(nowN) {
@@ -524,7 +521,7 @@ func (t *Tables) genInTuple(st *inState, src, dst netip.Addr, nowN int64) InTupl
 	if dstOps.Has(OpCDPVerify) && !dstGrace.Has(OpCDPVerify) {
 		erase = false
 	}
-	asn, known := t.srcAS(src)
+	asn, known := t.srcAS(m, src)
 	return InTuple{Verify: true, EraseOnly: erase, SrcAS: asn, SrcKnown: known}
 }
 
@@ -538,7 +535,7 @@ func (t *Tables) genInTuple(st *inState, src, dst netip.Addr, nowN int64) InTupl
 // src ∈ v implies a non-local source, so the equality is a typo for ≠.)
 func (t *Tables) GenOutTuple(src, dst netip.Addr, now time.Time) OutTuple {
 	st := t.loadOut()
-	return t.genOutTuple(&st, src, dst, now.UnixNano())
+	return t.genOutTuple(&st, nil, src, dst, now.UnixNano())
 }
 
 // pfxMemoSize is the number of direct-mapped slots in the Pfx2AS memo
@@ -593,8 +590,12 @@ func addrSlot(a netip.Addr) uint32 {
 	return uint32(h>>40) & (pfxMemoSize - 1)
 }
 
-// srcASMemo is srcAS behind the direct-mapped memo.
-func (t *Tables) srcASMemo(m *tupleMemo, a netip.Addr) (topology.ASN, bool) {
+// srcAS maps an address to its AS via longest-prefix match, behind
+// m's direct-mapped memo when m is non-nil.
+func (t *Tables) srcAS(m *tupleMemo, a netip.Addr) (topology.ASN, bool) {
+	if m == nil {
+		return t.Pfx2AS.LookupVal(a)
+	}
 	if m.pfxTbl != t.Pfx2AS {
 		m.pfxSet = [pfxMemoSize]bool{}
 		m.pfxTbl = t.Pfx2AS
@@ -609,57 +610,21 @@ func (t *Tables) srcASMemo(m *tupleMemo, a netip.Addr) (topology.ASN, bool) {
 	return asn, ok
 }
 
-// genInTupleMemo is genInTuple with memoized lookups. The caller has
-// already handled the both-tables-idle early return once per burst.
-func (t *Tables) genInTupleMemo(st *inState, m *tupleMemo, src, dst netip.Addr, nowN int64) InTuple {
-	srcOps, srcGrace := st.src.activeOps(src, nowN)
-	dstOps, dstGrace := st.dst.activeOps(dst, nowN)
-	verify := srcOps.Has(OpCSPVerify) || dstOps.Has(OpCDPVerify)
-	if !verify {
-		return InTuple{}
+// stampKey is Key-S(peer) from ks, behind m's one-entry memo when m is
+// non-nil.
+func (m *tupleMemo) stampKey(ks *keySnapshot, peer topology.ASN) *cmac.CMAC {
+	if m == nil {
+		return ks.stampKey(peer)
 	}
-	erase := true
-	if srcOps.Has(OpCSPVerify) && !srcGrace.Has(OpCSPVerify) {
-		erase = false
+	if !m.keyOK || m.keyAS != peer {
+		m.keyOK, m.keyAS, m.keyVal = true, peer, ks.stampKey(peer)
 	}
-	if dstOps.Has(OpCDPVerify) && !dstGrace.Has(OpCDPVerify) {
-		erase = false
-	}
-	asn, known := t.srcASMemo(m, src)
-	return InTuple{Verify: true, EraseOnly: erase, SrcAS: asn, SrcKnown: known}
+	return m.keyVal
 }
 
-// genOutTupleMemo is genOutTuple with memoized lookups; same contract
-// as genInTupleMemo.
-func (t *Tables) genOutTupleMemo(st *outState, m *tupleMemo, src, dst netip.Addr, nowN int64) OutTuple {
-	srcOps, _ := st.src.activeOps(src, nowN)
-	dstOps, _ := st.dst.activeOps(dst, nowN)
-	var tup OutTuple
-	if srcOps == 0 && dstOps == 0 {
-		return tup
-	}
-	srcAS, srcKnown := t.srcASMemo(m, src)
-	local := srcKnown && srcAS == t.LocalAS
-	if !local && (srcOps.Has(OpSPFilter) || dstOps.Has(OpDPFilter)) {
-		tup.Drop = true
-		return tup
-	}
-	dstAS, _ := t.srcASMemo(m, dst)
-	tup.DstAS = dstAS
-	if srcOps.Has(OpCSPStamp) || dstOps.Has(OpCDPStamp) {
-		key := m.keyVal
-		if !m.keyOK || m.keyAS != dstAS {
-			key = st.keys.stampKey(dstAS)
-			m.keyOK, m.keyAS, m.keyVal = true, dstAS, key
-		}
-		if (srcOps.Has(OpCSPStamp) && key != nil) || dstOps.Has(OpCDPStamp) {
-			tup.Stamp, tup.Key = true, key
-		}
-	}
-	return tup
-}
-
-func (t *Tables) genOutTuple(st *outState, src, dst netip.Addr, nowN int64) OutTuple {
+// genOutTuple is the one out-tuple generator; m, when non-nil,
+// memoizes its Pfx2AS and stamp-key lookups across a burst.
+func (t *Tables) genOutTuple(st *outState, m *tupleMemo, src, dst netip.Addr, nowN int64) OutTuple {
 	// Idle early return: a router with no active out-ops skips both
 	// Pfx2AS LPM lookups and all table walks — the common case for the
 	// vast majority of DISCS routers the vast majority of the time.
@@ -672,16 +637,16 @@ func (t *Tables) genOutTuple(st *outState, src, dst netip.Addr, nowN int64) OutT
 	if srcOps == 0 && dstOps == 0 {
 		return tup
 	}
-	srcAS, srcKnown := t.srcAS(src)
+	srcAS, srcKnown := t.srcAS(m, src)
 	local := srcKnown && srcAS == t.LocalAS
 	if !local && (srcOps.Has(OpSPFilter) || dstOps.Has(OpDPFilter)) {
 		tup.Drop = true
 		return tup
 	}
-	dstAS, _ := t.srcAS(dst)
+	dstAS, _ := t.srcAS(m, dst)
 	tup.DstAS = dstAS
 	if srcOps.Has(OpCSPStamp) || dstOps.Has(OpCDPStamp) {
-		key := st.keys.stampKey(dstAS)
+		key := m.stampKey(st.keys, dstAS)
 		if (srcOps.Has(OpCSPStamp) && key != nil) || dstOps.Has(OpCDPStamp) {
 			tup.Stamp, tup.Key = true, key
 		}

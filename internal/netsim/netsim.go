@@ -473,30 +473,6 @@ type Bytes []byte
 // Size returns the byte length.
 func (b Bytes) Size() int { return len(b) }
 
-// Burst is a Message carrying several messages that cross a link as
-// one back-to-back train. Its wire size is the sum of its members', so
-// bandwidth serialization and backlog accounting charge the same bytes
-// as sending the members individually — in a single event. Receivers
-// type-switch on *Burst and process the members in order. The member
-// slice is owned by the current holder: a receiver may filter it in
-// place before forwarding.
-type Burst struct {
-	Msgs []Message
-	size int
-}
-
-// NewBurst wraps msgs (the slice is retained, not copied).
-func NewBurst(msgs []Message) *Burst {
-	b := &Burst{Msgs: msgs}
-	for _, m := range msgs {
-		b.size += m.Size()
-	}
-	return b
-}
-
-// Size returns the summed wire size of the member messages.
-func (b *Burst) Size() int { return b.size }
-
 // Node is an endpoint in the simulated network.
 type Node struct {
 	Name string

@@ -74,9 +74,9 @@ func TestPrometheusNameEdgeCases(t *testing.T) {
 	}{
 		{"as7.ctrl.x", "ctrl.x", "7"},
 		{"as44036.router.in_verified", "router.in_verified", "44036"},
-		{"as.ctrl.x", "as.ctrl.x", ""},  // no digits
-		{"as7", "as7", ""},              // no dot
-		{"as7.", "as7.", ""},            // empty rest
+		{"as.ctrl.x", "as.ctrl.x", ""}, // no digits
+		{"as7", "as7", ""},             // no dot
+		{"as7.", "as7.", ""},           // empty rest
 		{"assume.ctrl.x", "assume.ctrl.x", ""},
 		{"netsim.sent", "netsim.sent", ""},
 	}
@@ -92,8 +92,8 @@ func TestPrometheusNameEdgeCases(t *testing.T) {
 		{"transport.bytes_sent.peer.ctrl.as9", "transport.bytes_sent", "ctrl.as9"},
 		{"transport.queue_depth.peer.a.b.c", "transport.queue_depth", "a.b.c"},
 		{"transport.bytes_sent", "transport.bytes_sent", ""},
-		{"peer.x", "peer.x", ""},           // marker must not lead
-		{"a.peer.", "a.peer.", ""},         // empty peer name
+		{"peer.x", "peer.x", ""},   // marker must not lead
+		{"a.peer.", "a.peer.", ""}, // empty peer name
 		{"ctrl.msgs_sent", "ctrl.msgs_sent", ""},
 	}
 	for _, c := range peerCases {

@@ -353,14 +353,14 @@ func (n *Node) inboundWorker() {
 				break drain
 			}
 		}
-		n.processInbound(&rx, items)
+		n.processGulp(&rx, items)
 	}
 }
 
-// processInbound decodes one gulp of queued items into rx and runs it
+// processGulp decodes one gulp of queued items into rx and runs it
 // through ProcessInboundBatch, booking the fates. Alarm samples the
 // batch raised go to the event loop in one hop.
-func (n *Node) processInbound(rx *rxBatch, items []inboundItem) {
+func (n *Node) processGulp(rx *rxBatch, items []inboundItem) {
 	rx.reset()
 	for _, it := range items {
 		if it.train {

@@ -327,7 +327,7 @@ func TestServiceReceiveZeroAlloc(t *testing.T) {
 	items := []inboundItem{{b: trainOf(t, pkts...), train: true}}
 
 	var rx rxBatch
-	victim.processInbound(&rx, items)
+	victim.processGulp(&rx, items)
 	for i, v := range rx.verdicts {
 		if v != core.VerdictPassVerified {
 			t.Fatalf("packet %d: inbound verdict %v, want verified", i, v)
@@ -336,7 +336,7 @@ func TestServiceReceiveZeroAlloc(t *testing.T) {
 	if len(rx.verdicts) != len(pkts) {
 		t.Fatalf("%d verdicts for %d packets", len(rx.verdicts), len(pkts))
 	}
-	allocs := testing.AllocsPerRun(100, func() { victim.processInbound(&rx, items) })
+	allocs := testing.AllocsPerRun(100, func() { victim.processGulp(&rx, items) })
 	if allocs != 0 {
 		t.Fatalf("receive path: %v allocations per %d-packet train, want 0", allocs, len(pkts))
 	}

@@ -75,13 +75,6 @@ type shardCounters struct {
 	droppedNet   uint64
 	linkBytes    map[[2]topology.ASN]uint64
 	deliveries   []Delivery
-
-	// Scratch for the burst paths, reused across bursts so the steady
-	// state allocates only the messages that actually travel. Same
-	// single-writer discipline as the counters.
-	carriers []core.MarkCarrier
-	verdicts []core.Verdict
-	dsts     []topology.ASN
 }
 
 // DataNet is the instantiated data plane.
@@ -257,78 +250,8 @@ func (dn *DataNet) Inject(fromAS topology.ASN, p *packet.IPv4) {
 	dn.forward(fromAS, &dataMsg{pkt: p, dstAS: dstAS})
 }
 
-// InjectBurst enters a vector of packets at fromAS as one burst: the
-// source border applies DISCS outbound processing in a single batch
-// (one pooled pipeline pass instead of len(pkts) serial table walks),
-// and the survivors ride the data links as netsim.Burst trains — one
-// link event per hop per destination AS instead of one per packet.
-// Verdicts, counters and deliveries match calling Inject for each
-// packet in order; the only difference is link-level, where a train
-// serializes back-to-back and tail-drops as a unit on a full buffer.
-func (dn *DataNet) InjectBurst(fromAS topology.ASN, pkts []*packet.IPv4) {
-	s := dn.slot(fromAS)
-	carriers := s.carriers[:0]
-	dsts := s.dsts[:0]
-	for _, p := range pkts {
-		dstAS, ok := dn.sys.Net.Topo.OwnerOf(p.Dst)
-		if !ok {
-			s.droppedNet++ // unroutable before any DISCS processing, as in Inject
-			continue
-		}
-		carriers = append(carriers, core.V4{P: p})
-		dsts = append(dsts, dstAS)
-	}
-	defer func() {
-		s.carriers = carriers[:0]
-		s.dsts = dsts[:0]
-	}()
-	if len(carriers) == 0 {
-		return
-	}
-	at, wall := dn.nodeNow(fromAS)
-	var verdicts []core.Verdict
-	if r := dn.sys.Routers[fromAS]; r != nil {
-		verdicts = r.ProcessOutboundBatch(carriers, wall, s.verdicts[:0])
-		s.verdicts = verdicts
-	}
-	// Resolve drops and intra-AS deliveries in packet order; dsts[i] is
-	// overwritten with fromAS to mark the slot consumed either way.
-	for i := range carriers {
-		if verdicts != nil && verdicts[i].Dropped() {
-			s.droppedDISCS++
-			dsts[i] = fromAS
-			continue
-		}
-		if dsts[i] == fromAS {
-			dn.deliver(fromAS, carriers[i].(core.V4).P, at)
-		}
-	}
-	// Group the survivors into one train per destination AS, preserving
-	// packet order within each train. The common shape — one burst, one
-	// victim — yields a single train in one scan.
-	for i := range carriers {
-		if dsts[i] == fromAS {
-			continue
-		}
-		d := dsts[i]
-		var train []netsim.Message
-		for j := i; j < len(carriers); j++ {
-			if dsts[j] != d {
-				continue
-			}
-			train = append(train, &dataMsg{pkt: carriers[j].(core.V4).P, dstAS: d})
-			dsts[j] = fromAS
-		}
-		dn.forwardBurst(fromAS, train)
-	}
-}
-
 // receive handles a packet arriving at an AS's data node.
 func (dn *DataNet) receive(at topology.ASN, msg netsim.Message) {
-	if b, ok := msg.(*netsim.Burst); ok {
-		dn.receiveBurst(at, b)
-		return
-	}
 	m, ok := msg.(*dataMsg)
 	if !ok {
 		return
@@ -351,78 +274,6 @@ func (dn *DataNet) receive(at topology.ASN, msg netsim.Message) {
 	}
 	m.pkt.TTL--
 	dn.forward(at, m)
-}
-
-// receiveBurst handles a packet train arriving at an AS's data node:
-// members terminating here get one batched inbound pass, the rest are
-// TTL-filtered in place and forwarded as a train.
-func (dn *DataNet) receiveBurst(at topology.ASN, b *netsim.Burst) {
-	s := dn.slot(at)
-	local := s.carriers[:0]
-	fwd := b.Msgs[:0]
-	for _, msg := range b.Msgs {
-		m, ok := msg.(*dataMsg)
-		if !ok {
-			continue
-		}
-		if at == m.dstAS {
-			local = append(local, core.V4{P: m.pkt})
-			continue
-		}
-		if m.pkt.TTL <= 1 {
-			s.droppedNet++
-			continue
-		}
-		m.pkt.TTL--
-		fwd = append(fwd, m)
-	}
-	if len(local) > 0 {
-		now, wall := dn.nodeNow(at)
-		if r := dn.sys.Routers[at]; r != nil {
-			verdicts := r.ProcessInboundBatch(local, wall, s.verdicts[:0])
-			s.verdicts = verdicts
-			for i, v := range verdicts {
-				if v.Dropped() {
-					s.droppedDISCS++
-					continue
-				}
-				dn.deliver(at, local[i].(core.V4).P, now)
-			}
-		} else {
-			for _, c := range local {
-				dn.deliver(at, c.(core.V4).P, now)
-			}
-		}
-	}
-	s.carriers = local[:0]
-	if len(fwd) > 0 {
-		dn.forwardBurst(at, fwd)
-	}
-}
-
-// forwardBurst sends a train one hop. Trains built by InjectBurst share
-// a destination AS; a mixed train falls back to per-member forwarding.
-func (dn *DataNet) forwardBurst(at topology.ASN, msgs []netsim.Message) {
-	dst := msgs[0].(*dataMsg).dstAS
-	for _, m := range msgs[1:] {
-		if m.(*dataMsg).dstAS != dst {
-			for _, m := range msgs {
-				dn.forward(at, m.(*dataMsg))
-			}
-			return
-		}
-	}
-	s := dn.slot(at)
-	next, ok := dn.sys.Net.Topo.NextHop(at, dst)
-	if !ok {
-		s.droppedNet += uint64(len(msgs))
-		return
-	}
-	b := netsim.NewBurst(msgs)
-	s.linkBytes[[2]topology.ASN{at, next}] += uint64(b.Size())
-	if !dn.nodes[at].SendTo(dn.nodes[next], b) {
-		s.droppedNet += uint64(len(msgs)) // full buffer: the train tail-drops as a unit
-	}
 }
 
 // forward sends the packet one hop along the valley-free path.

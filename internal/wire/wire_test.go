@@ -7,7 +7,6 @@ import (
 
 	"discs/internal/bgp"
 	"discs/internal/core"
-	"discs/internal/netsim"
 	"discs/internal/packet"
 	"discs/internal/topology"
 )
@@ -308,166 +307,5 @@ func TestWirePeerLinksBuilt(t *testing.T) {
 	sys.Settle()
 	if dn.Delivered() != 1 {
 		t.Fatalf("delivered = %d over peer link", dn.Delivered())
-	}
-}
-
-// wireMixFrom2 is a burst from deployed AS A exercising every
-// InjectBurst path: genuine stamped traffic, a spoofed packet killed at
-// the egress, an uncovered destination, an intra-AS delivery, an
-// unroutable destination and a TTL casualty — with the two trains'
-// destinations interleaved to exercise per-destination grouping.
-func wireMixFrom2() []*packet.IPv4 {
-	ttl1 := mkPkt("10.2.0.14", "10.3.0.1")
-	ttl1.TTL = 1
-	return []*packet.IPv4{
-		mkPkt("10.2.0.10", "10.3.0.1"),     // genuine: stamped, verified, delivered
-		mkPkt("198.51.100.7", "10.3.0.1"),  // spoofed: DP kills it at A's egress
-		mkPkt("10.2.0.11", "10.4.0.1"),     // uncovered destination: delivered unstamped
-		mkPkt("10.2.0.12", "10.2.0.99"),    // intra-AS: delivered locally
-		mkPkt("10.2.0.13", "198.51.100.1"), // unroutable: droppedNet at injection
-		ttl1,                               // stamped, then dies at the transit hop
-		mkPkt("10.2.0.15", "10.3.0.1"),     // second genuine, after the 10.4 train member
-	}
-}
-
-// wireMixFrom4 is a burst from the legacy AS: one legitimate packet and
-// one spoofing A's space, which crosses the network and dies at the
-// victim's inbound batch.
-func wireMixFrom4() []*packet.IPv4 {
-	return []*packet.IPv4{
-		mkPkt("10.4.0.10", "10.3.0.1"),
-		mkPkt("10.2.0.66", "10.3.0.1"),
-	}
-}
-
-// runWireMix builds a world with DP+CDP invoked by the victim, injects
-// the standard mix either per-packet or as bursts, and settles.
-func runWireMix(t *testing.T, burst bool) (*core.System, *DataNet) {
-	t.Helper()
-	sys, dn := wireWorld(t)
-	victim := sys.Controllers[3]
-	for _, fn := range []core.Function{core.DP, core.CDP} {
-		if _, err := victim.Invoke(core.Invocation{
-			Prefixes: victim.OwnPrefixes(), Function: fn, Duration: 24 * time.Hour,
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	sys.Settle()
-	sys.Net.Sim.After(core.DefaultGrace+time.Second, func() {})
-	sys.Settle()
-
-	from2, from4 := wireMixFrom2(), wireMixFrom4()
-	if burst {
-		dn.InjectBurst(2, from2)
-		dn.InjectBurst(4, from4)
-	} else {
-		for _, p := range from2 {
-			dn.Inject(2, p)
-		}
-		for _, p := range from4 {
-			dn.Inject(4, p)
-		}
-	}
-	sys.Settle()
-	return sys, dn
-}
-
-// TestWireBurstMatchesInject runs the same traffic mix through Inject
-// and InjectBurst in two identically-seeded worlds: deliveries, drop
-// counters, per-link byte counters and router statistics must agree,
-// and the burst world must match the absolute expectations.
-func TestWireBurstMatchesInject(t *testing.T) {
-	sysS, dnS := runWireMix(t, false)
-	sysB, dnB := runWireMix(t, true)
-
-	if got, want := dnB.Delivered(), uint64(5); got != want {
-		t.Fatalf("burst delivered = %d, want %d", got, want)
-	}
-	if got, want := dnB.DroppedDISCS(), uint64(2); got != want {
-		t.Fatalf("burst droppedDISCS = %d, want %d", got, want)
-	}
-	if got, want := dnB.DroppedNet(), uint64(2); got != want {
-		t.Fatalf("burst droppedNet = %d, want %d", got, want)
-	}
-	if dnS.Delivered() != dnB.Delivered() ||
-		dnS.DroppedDISCS() != dnB.DroppedDISCS() ||
-		dnS.DroppedNet() != dnB.DroppedNet() {
-		t.Fatalf("counters diverge: serial %d/%d/%d, burst %d/%d/%d",
-			dnS.Delivered(), dnS.DroppedDISCS(), dnS.DroppedNet(),
-			dnB.Delivered(), dnB.DroppedDISCS(), dnB.DroppedNet())
-	}
-	for _, l := range [][2]topology.ASN{{2, 1}, {1, 2}, {4, 1}, {1, 4}, {1, 3}, {3, 1}} {
-		if s, b := dnS.LinkBytes(l[0], l[1]), dnB.LinkBytes(l[0], l[1]); s != b {
-			t.Fatalf("link %d→%d bytes: serial %d, burst %d", l[0], l[1], s, b)
-		}
-	}
-	for _, asn := range []topology.ASN{2, 3} {
-		if s, b := sysS.Routers[asn].Stats(), sysB.Routers[asn].Stats(); s != b {
-			t.Fatalf("AS%d stats diverge:\nserial %+v\nburst  %+v", asn, s, b)
-		}
-	}
-	ds, db := dnS.Deliveries(), dnB.Deliveries()
-	if len(ds) != len(db) {
-		t.Fatalf("delivery counts: serial %d, burst %d", len(ds), len(db))
-	}
-	for i := range ds {
-		if ds[i].At != db[i].At || ds[i].Pkt.Src != db[i].Pkt.Src || ds[i].Pkt.Dst != db[i].Pkt.Dst {
-			t.Fatalf("delivery %d diverges: serial %v %v→%v, burst %v %v→%v", i,
-				ds[i].At, ds[i].Pkt.Src, ds[i].Pkt.Dst,
-				db[i].At, db[i].Pkt.Src, db[i].Pkt.Dst)
-		}
-	}
-}
-
-// TestWireBurstTailDrop pins the documented link-level semantic: a
-// train serializes as one message, so once the link's queue delay
-// exceeds the buffer, a following train tail-drops as a unit instead
-// of admitting a prefix.
-func TestWireBurstTailDrop(t *testing.T) {
-	sys, dn := wireWorld(t)
-	up := dn.Link(4, 1)
-	up.Bps = 128_000
-	up.MaxBacklog = 20 * time.Millisecond // ≈2560 bytes of queue
-
-	pkts := make([]*packet.IPv4, 100)
-	for i := range pkts {
-		pkts[i] = mkPkt("10.4.0.10", "10.3.0.1")
-	}
-	// First train: admitted whole (the queue was empty) and serializes
-	// for 100·56 B / 128 kB/s ≈ 44 ms, well past the 20 ms buffer bound.
-	dn.InjectBurst(4, pkts)
-	// Second train while the first is still serializing: dropped whole.
-	dn.InjectBurst(4, pkts[:50])
-	sys.Settle()
-	if dn.Delivered() != 100 {
-		t.Fatalf("delivered %d, want the first train (100)", dn.Delivered())
-	}
-	if dn.DroppedNet() != 50 {
-		t.Fatalf("droppedNet = %d, want the whole second train (50)", dn.DroppedNet())
-	}
-
-	// With the link drained, a train fits again.
-	dn.ResetCounters()
-	dn.InjectBurst(4, pkts[:20])
-	sys.Settle()
-	if dn.Delivered() != 20 {
-		t.Fatalf("post-drain train delivered %d/20", dn.Delivered())
-	}
-}
-
-// TestWireBurstMixedTrainFallback covers forwardBurst's per-member
-// fallback for a train whose members disagree on the destination AS
-// (not constructible via InjectBurst, which groups by destination).
-func TestWireBurstMixedTrainFallback(t *testing.T) {
-	sys, dn := wireWorld(t)
-	msgs := []netsim.Message{
-		&dataMsg{pkt: mkPkt("10.2.0.1", "10.3.0.1"), dstAS: 3},
-		&dataMsg{pkt: mkPkt("10.2.0.2", "10.4.0.1"), dstAS: 4},
-	}
-	dn.forwardBurst(2, msgs)
-	sys.Settle()
-	if dn.Delivered() != 2 {
-		t.Fatalf("mixed train delivered %d/2", dn.Delivered())
 	}
 }
