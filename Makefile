@@ -45,7 +45,7 @@ fmt-check:
 # (BenchmarkMeshFormation at 45 DAS, about a second), so they run rather
 # than only compile. Performance is judged by `make bench`, not here.
 check: fmt-check vet vet-obs test-race test-allocs test-fallback node-smoke
-	$(GO) test -run '^$$' -bench . -benchtime 1x . ./internal/netsim ./internal/parsim
+	$(GO) test -run '^$$' -bench . -benchtime 1x . ./internal/netsim
 	$(GO) test -run '^$$' -bench 'MeshFormation/das=45$$' -benchtime 1x ./internal/core
 
 # The allocation gates skip under -race (the race detector makes

@@ -33,8 +33,8 @@ import (
 	"discs/internal/cli"
 	"discs/internal/core"
 	"discs/internal/flowexport"
+	"discs/internal/netsim"
 	"discs/internal/obs"
-	"discs/internal/parsim"
 	"discs/internal/scenario"
 	"discs/internal/snapshot"
 	"discs/internal/topology"
@@ -67,7 +67,7 @@ func main() {
 		perFlow = flag.Int("per-flow", 10, "packets per flow")
 		invoke  = flag.String("invoke", "", `invocation triples to use instead of all four functions, e.g. "all:DP:24h,all:CDP:24h" ("all" expands to the victim's prefixes)`)
 
-		workers = flag.Int("workers", runtime.GOMAXPROCS(0), "simulation worker goroutines for the parallel engine (0 = legacy serial scheduler); results are bit-identical across worker counts")
+		workers = flag.Int("workers", runtime.GOMAXPROCS(0), "simulation worker goroutines, at least 1; results are bit-identical across worker counts")
 
 		metrics  = flag.String("metrics", "", "write the observability export (JSON) to this path")
 		interval = flag.Duration("interval", time.Second, "simulated-time spacing of interval snapshots and attack waves")
@@ -84,6 +84,9 @@ func main() {
 	flag.Parse()
 	if *perFlow < 0 {
 		log.Fatalf("-per-flow %d: a packet count cannot be negative", *perFlow)
+	}
+	if *workers < 1 {
+		log.Fatalf("-workers %d: the engine needs at least one worker", *workers)
 	}
 	defer prof.Start()()
 	seed := topoFlags.Seed
@@ -126,25 +129,22 @@ func main() {
 	}
 	buildDur := time.Since(start)
 
-	// Install the parallel engine before any event is scheduled: shard
-	// the border nodes by customer-cone locality, then swap the
-	// simulator's scheduler for the conservative lookahead engine. A
-	// parallel run is bit-identical to -workers 1 (see DESIGN.md §11).
-	var eng *parsim.Engine
-	if *workers > 0 {
-		net.AssignShards(parsim.DefaultShards)
-		eng, err = parsim.New(net.Sim, parsim.Options{Shards: parsim.DefaultShards, Workers: *workers})
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer eng.Close()
-		mode := "parallel"
-		if eng.Merged() {
-			mode = "merged (zero-delay cross-shard link)"
-		}
-		fmt.Printf("parsim engine: %d shards, %d workers, lookahead %v, mode %s\n",
-			eng.Shards(), eng.Workers(), eng.Lookahead(), mode)
+	// Re-lane the engine before any event is scheduled: shard the
+	// border nodes by customer-cone locality, then give the simulator
+	// one lane per shard. A parallel run is bit-identical to -workers 1
+	// (see DESIGN.md §11).
+	net.AssignShards(netsim.DefaultShards)
+	eng, err := net.Sim.Relane(netsim.Options{Shards: netsim.DefaultShards, Workers: *workers})
+	if err != nil {
+		log.Fatal(err)
 	}
+	defer eng.Close()
+	mode := "parallel"
+	if eng.Merged() {
+		mode = "merged (zero-delay cross-shard link)"
+	}
+	fmt.Printf("parsim engine: %d shards, %d workers, lookahead %v, mode %s\n",
+		eng.Shards(), eng.Workers(), eng.Lookahead(), mode)
 
 	deployers := topo.BySizeDesc()[:*nDAS]
 	start = time.Now()
@@ -238,7 +238,7 @@ func main() {
 // scenario after the world is deployed and settled, which is exactly
 // where a restored snapshot resumes. With -scenario it hands the whole
 // phase to the declarative engine instead.
-func runAttack(sys *core.System, eng *parsim.Engine, deployers []topology.ASN, sc runOpts) {
+func runAttack(sys *core.System, eng *netsim.Engine, deployers []topology.ASN, sc runOpts) {
 	if sc.scenarioPath != "" {
 		runScenario(sys, sc)
 		return
@@ -378,13 +378,11 @@ func runAttack(sys *core.System, eng *parsim.Engine, deployers []topology.ASN, s
 		snap.Sum(core.MetricCtrlRetries), snap.Sum(core.MetricCtrlBytesSealed),
 		snap.Sum(core.MetricCtrlBytesOpened))
 
-	if eng != nil {
-		fmt.Printf("\nparsim: %d epochs, %.3fs total worker stall\n",
-			snap.Get(parsim.MetricEpochs),
-			time.Duration(snap.Get(parsim.MetricStallNS)).Seconds())
-		for w := 0; w < eng.Workers(); w++ {
-			fmt.Printf("  worker %d: %d events\n", w, snap.Get(parsim.MetricWorkerEvents(w)))
-		}
+	fmt.Printf("\nparsim: %d epochs, %.3fs total worker stall\n",
+		snap.Get(netsim.MetricEpochs),
+		time.Duration(snap.Get(netsim.MetricStallNS)).Seconds())
+	for w := 0; w < eng.Workers(); w++ {
+		fmt.Printf("  worker %d: %d events\n", w, snap.Get(netsim.MetricWorkerEvents(w)))
 	}
 }
 
@@ -513,9 +511,7 @@ func runRestored(path string, workers, sweep int, sc runOpts) {
 			world.Net.Topo.NumASes(), len(deployers), time.Since(start).Seconds())
 
 		runAttack(world.Sys, world.Eng, deployers, cellSc)
-		if world.Eng != nil {
-			world.Eng.Close()
-		}
+		world.Eng.Close()
 		fmt.Printf("cell wall time %.2fs\n", time.Since(start).Seconds())
 	}
 }

@@ -59,7 +59,7 @@ type pathCell struct {
 }
 
 // pathArena hash-conses the AS paths of one shard: equal paths have
-// equal handles, and prepending a hop is one lookup. Only the parsim
+// equal handles, and prepending a hop is one lookup. Only the engine
 // lane that executes the shard's speakers writes it (or the coordinator
 // at the epoch barrier, or the driver while the engine is parked),
 // because lanes run concurrently. Cells are never freed: the arena holds

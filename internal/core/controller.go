@@ -50,7 +50,7 @@ func (d *Directory) Register(e *DirEntry) error {
 func (d *Directory) Lookup(name string) *DirEntry { return d.entries[name] }
 
 // Entries returns all registered controllers sorted by name, so
-// callers iterating the mesh (e.g. the sharded-deploy preconnect) do
+// callers iterating the mesh (e.g. the deploy-time preconnect) do
 // so in a deterministic order.
 func (d *Directory) Entries() []*DirEntry {
 	out := make([]*DirEntry, 0, len(d.entries))
@@ -587,8 +587,8 @@ func (c *Controller) Peers() []topology.ASN {
 
 // now converts the runtime clock to the wall-clock domain used by the
 // data-plane tables. In simulations it reads the node clock, not the
-// global simulator clock: under a sharded backend the two can differ
-// by up to one lookahead window while an event executes.
+// global simulator clock: the two can differ by up to one lookahead
+// window while an event executes.
 func (c *Controller) now() time.Time { return time.Unix(0, 0).UTC().Add(c.rt.Now()) }
 
 // after arms a runtime timer. In simulations timers are node-scoped:
@@ -694,8 +694,8 @@ func (c *Controller) sendPeeringRequest(p *peerState) {
 
 // linkTo finds or creates the on-demand link to a peer controller
 // node; it stands in for the routed Internet path between controllers.
-// Under a sharded backend the mesh is preconnected at Deploy time
-// (System.Deploy), so the lazy Connect below only runs serially.
+// System.Deploy preconnects the mesh, so the lazy Connect below only
+// runs for controllers built outside a System.
 func (c *Controller) linkTo(node *netsim.Node) *netsim.Link {
 	if l := c.node.LinkTo(node); l != nil {
 		return l
@@ -1075,7 +1075,7 @@ func (c *Controller) handleMsg(p *peerState, m *ControlMsg) {
 // --- liveness (heartbeats, dead-peer detection, recovery) -----------------
 
 func (c *Controller) markAlive(p *peerState) {
-	p.lastSeen = c.rt.Now() // node clock: exact under sharded backends
+	p.lastSeen = c.rt.Now() // node clock: exact in the executing lane
 	p.missed = 0
 }
 

@@ -9,10 +9,24 @@ import (
 	"discs/internal/topology"
 )
 
-// testInternet builds a 9-AS topology with tier-1s T1,T2 (10, 20),
-// mids M1..M3 (100,200,300) and stubs S1..S4 (1001..1004), plus a
-// converged BGP network and a DISCS system.
+// testInternet builds the testTopology internet: a converged BGP
+// network and a DISCS system.
 func testInternet(t *testing.T) *System {
+	t.Helper()
+	net, err := bgp.BuildNetwork(testTopology(t), time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net.OriginateAll()
+	if err := net.Converge(); err != nil {
+		t.Fatal(err)
+	}
+	return testSystem(t, net, DefaultConfig())
+}
+
+// testTopology builds a 9-AS topology with tier-1s T1,T2 (10, 20),
+// mids M1..M3 (100,200,300) and stubs S1..S4 (1001..1004).
+func testTopology(t *testing.T) *topology.Topology {
 	t.Helper()
 	tp := topology.New()
 	asns := []topology.ASN{10, 20, 100, 200, 300, 1001, 1002, 1003, 1004}
@@ -49,15 +63,7 @@ func testInternet(t *testing.T) *System {
 			t.Fatal(err)
 		}
 	}
-	net, err := bgp.BuildNetwork(tp, time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	net.OriginateAll()
-	if err := net.Converge(); err != nil {
-		t.Fatal(err)
-	}
-	return testSystem(t, net, DefaultConfig())
+	return tp
 }
 
 // testSystem wires DISCS into net with cfg.

@@ -9,9 +9,9 @@ import (
 	"discs/internal/netsim"
 )
 
-// prepareOutage deploys two DASes with the controller-controller link
-// pre-created and DOWN, so every frame of the initial peering exchange
-// is lost until the test restores it.
+// prepareOutage deploys two DASes and takes the controller-controller
+// link Deploy preconnected DOWN, so every frame of the initial peering
+// exchange is lost until the test restores it.
 func prepareOutage(t *testing.T, s *System) *netsim.Link {
 	t.Helper()
 	if _, err := s.Deploy(1001, 1); err != nil {
@@ -22,9 +22,9 @@ func prepareOutage(t *testing.T, s *System) *netsim.Link {
 	}
 	nodeA := s.Net.Sim.Node(s.Controllers[1001].Name)
 	nodeB := s.Net.Sim.Node(s.Controllers[1004].Name)
-	l, err := s.Net.Sim.Connect(nodeA, nodeB, s.Controllers[1001].cfg.CtrlLinkDelay)
-	if err != nil {
-		t.Fatal(err)
+	l := nodeA.UpLink(nodeB)
+	if l == nil {
+		t.Fatal("Deploy did not preconnect the controller mesh")
 	}
 	l.SetUp(false)
 	return l

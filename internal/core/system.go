@@ -155,17 +155,14 @@ func (s *System) deployNode(asn topology.ASN, seed int64) (*Controller, *bgp.Spe
 	// shard, so speaker<->controller hand-offs (Ad replay, router
 	// programming) stay shard-local under the parallel engine.
 	node.SetShard(sp.Node().Shard())
-	if s.Net.Sim.Sharded() {
-		// Preconnect the controller mesh. Under the parallel engine,
-		// linkTo's lazy sim.Connect would mutate the link table and the
-		// engine's lookahead bound from inside event execution; creating
-		// the links here, from driver context, keeps the run epochs
-		// structurally stable. Directory order is sorted, so the link
-		// table is deterministic.
-		for _, ent := range s.Dir.Entries() {
-			if _, err := s.Net.Sim.Connect(node, ent.Node, s.cfg.CtrlLinkDelay); err != nil {
-				return nil, nil, err
-			}
+	// Preconnect the controller mesh. linkTo's lazy sim.Connect would
+	// mutate the link table and the engine's lookahead bound from inside
+	// event execution; creating the links here, from driver context,
+	// keeps the run epochs structurally stable. Directory order is
+	// sorted, so the link table is deterministic.
+	for _, ent := range s.Dir.Entries() {
+		if _, err := s.Net.Sim.Connect(node, ent.Node, s.cfg.CtrlLinkDelay); err != nil {
+			return nil, nil, err
 		}
 	}
 	scope := fmt.Sprintf("as%d.", asn)

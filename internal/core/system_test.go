@@ -6,6 +6,8 @@ import (
 	"time"
 
 	"discs/internal/bgp"
+	"discs/internal/netsim"
+	"discs/internal/obs"
 	"discs/internal/topology"
 )
 
@@ -172,5 +174,41 @@ func TestSendV4Allocs(t *testing.T) {
 	}
 	if allocs > 1 {
 		t.Errorf("SendV4: %v allocs per delivered packet, want <= 1", allocs)
+	}
+}
+
+// TestEngineMetricsFollowRegistry: a system given its own registry
+// moves the simulator into it, and the engine's counters move along.
+// Every event and epoch after the move lands in the system's registry,
+// none in the simulator's old one.
+func TestEngineMetricsFollowRegistry(t *testing.T) {
+	net, err := bgp.BuildNetwork(testTopology(t), time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net.AssignShards(2)
+	eng, err := net.Sim.Relane(netsim.Options{Shards: 2, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	net.OriginateAll()
+	if err := net.Converge(); err != nil {
+		t.Fatal(err)
+	}
+	old := net.Sim.Registry()
+	cfg := DefaultConfig()
+	cfg.Registry = obs.NewRegistry()
+	s := testSystem(t, net, cfg)
+	before := old.Snapshot()
+	deploy(t, s, 1001, 1004)
+	after, sys := old.Snapshot(), cfg.Registry.Snapshot()
+	for _, name := range []string{netsim.MetricEvents, netsim.MetricEpochs} {
+		if after.Get(name) != before.Get(name) {
+			t.Errorf("%s grew in the old registry: %d -> %d", name, before.Get(name), after.Get(name))
+		}
+		if sys.Get(name) <= before.Get(name) {
+			t.Errorf("%s = %d in the system registry, want more than the %d carried over", name, sys.Get(name), before.Get(name))
+		}
 	}
 }

@@ -1,20 +1,22 @@
 // Checkpoint/restore seam. The simulator serializes exactly the state
 // a crash-consistent snapshot needs to resume bit-identically:
 //
-//   - the clock and the event sequence counter (seq is the trace
-//     serial, so restored runs emit the same determinism-oracle trace
-//     a straight-through run does),
-//   - the fault RNG as (seed, draw count) — replayable because every
-//     fault draw advances the underlying source exactly one step (see
-//     CountingSource),
+//   - the engine's shard count and, per lane, its clock, its creation
+//     counter (the oseq source, i.e. the deterministic tie-breaker, so
+//     restored runs emit the same determinism-oracle trace a
+//     straight-through run does) and its foreground high-water mark,
+//   - the fault RNGs as (seed, per-lane draw count) — replayable
+//     because every fault draw advances the underlying source exactly
+//     one step (see countingSource),
 //   - per-link configuration, direction backlogs and up/down state,
 //     and per-node crash state.
 //
 // Pending events are deliberately NOT serialized. A checkpoint
-// requires foreground quiescence (ErrNotQuiescent otherwise), and
-// queued background events — heartbeats, periodic purges, reconnect
-// timers — are dropped with crash semantics: the layers that armed
-// them re-arm on restart, exactly as they do after a node crash.
+// requires foreground quiescence on every lane (ErrNotQuiescent
+// otherwise), and queued background events — heartbeats, periodic
+// purges, reconnect timers — are dropped with crash semantics: the
+// layers that armed them re-arm on restart, exactly as they do after a
+// node crash.
 // Closures cannot be serialized; quiescence is the point at which the
 // world is closure-free by construction.
 package netsim
@@ -33,57 +35,49 @@ import (
 // serialized. Run the simulator to quiescence (RunAll) first.
 var ErrNotQuiescent = errors.New("netsim: checkpoint requires foreground quiescence")
 
-// ErrStateMismatch is returned by RestoreCheckpoint when the live
+// errStateMismatch is returned by RestoreCheckpoint when the live
 // world the image is being restored into does not structurally match
-// the world that was checkpointed (node or link tables differ).
-var ErrStateMismatch = errors.New("netsim: restore target does not match image")
+// the world that was checkpointed (shard count, node or link tables
+// differ).
+var errStateMismatch = errors.New("netsim: restore target does not match image")
 
-// CountingSource is a rand.Source64 that counts how many times the
+// countingSource is a rand.Source64 that counts how many times the
 // underlying generator stepped. math/rand generator state is opaque,
 // but every draw the simulator performs (Int63, Uint64, Float64,
 // Int63n — never Read) advances the source exactly one step per
 // source call, so (seed, draws) reconstructs the exact stream
-// position: reseed and skip. All fault-injection RNGs in netsim and
-// parsim are built over CountingSource for this reason.
-type CountingSource struct {
-	src  rand.Source64
-	seed int64
-	n    uint64
+// position: reseed and skip. Every lane's fault RNG is built over a
+// countingSource for this reason.
+type countingSource struct {
+	src rand.Source64
+	n   uint64
 }
 
-// NewCountingSource returns a counting source over the stdlib
-// generator seeded with seed.
-func NewCountingSource(seed int64) *CountingSource {
-	return &CountingSource{src: rand.NewSource(seed).(rand.Source64), seed: seed}
+func newCountingSource(seed int64) *countingSource {
+	return &countingSource{src: rand.NewSource(seed).(rand.Source64)}
 }
 
 // Int63 implements rand.Source.
-func (c *CountingSource) Int63() int64 {
+func (c *countingSource) Int63() int64 {
 	c.n++
 	return c.src.Int63()
 }
 
 // Uint64 implements rand.Source64.
-func (c *CountingSource) Uint64() uint64 {
+func (c *countingSource) Uint64() uint64 {
 	c.n++
 	return c.src.Uint64()
 }
 
 // Seed implements rand.Source, resetting the draw count.
-func (c *CountingSource) Seed(seed int64) {
+func (c *countingSource) Seed(seed int64) {
 	c.src.Seed(seed)
-	c.seed, c.n = seed, 0
+	c.n = 0
 }
 
-// SeedValue returns the seed the source was last (re)seeded with.
-func (c *CountingSource) SeedValue() int64 { return c.seed }
-
-// Draws returns the number of generator steps taken since seeding.
-func (c *CountingSource) Draws() uint64 { return c.n }
-
-// Skip advances the generator n steps (restore-side replay of a
+// skip advances the generator n steps (restore-side replay of a
 // checkpointed draw count).
-func (c *CountingSource) Skip(n uint64) {
+func (c *countingSource) skip(n uint64) {
 	for i := uint64(0); i < n; i++ {
 		c.src.Uint64()
 	}
@@ -117,23 +111,23 @@ func readFaults(r *snapcodec.Reader) *LinkFaults {
 	return f
 }
 
-// Checkpoint serializes the simulator's resumable state. It is
-// non-mutating: the live world keeps running afterwards, which is what
-// makes the restore-vs-straight-through differential possible. Under a
-// sharded backend the serial queue is unused; the engine checkpoints
-// its lanes separately and performs its own quiescence check.
+// Checkpoint serializes the simulator's resumable state, starting with
+// the engine's shard count (a restore reads it first, to re-lane the
+// rebuilt world before anything is scheduled). It is non-mutating: the
+// live world keeps running afterwards, which is what makes the
+// restore-vs-straight-through differential possible.
 func (s *Simulator) Checkpoint(w *snapcodec.Writer) error {
-	if s.q.Pending() > 0 {
+	e := s.eng
+	if e.inEpoch || e.totalFG() > 0 {
 		return ErrNotQuiescent
 	}
-	w.Duration(s.now)
-	w.Uvarint(s.seq)
-	if s.fsrc == nil {
-		w.Bool(false)
-	} else {
-		w.Bool(true)
-		w.Varint(s.fsrc.SeedValue())
-		w.Uvarint(s.fsrc.Draws())
+	w.Uvarint(uint64(e.shards))
+	w.Varint(e.faultSeed)
+	for _, ln := range e.all() {
+		w.Duration(ln.now)
+		w.Uvarint(ln.ctr)
+		w.Duration(ln.fgMax)
+		w.Uvarint(ln.src.n)
 	}
 	writeFaults(w, s.defFaults)
 
@@ -172,19 +166,29 @@ func (s *Simulator) Checkpoint(w *snapcodec.Writer) error {
 // RestoreCheckpoint loads state written by Checkpoint into a freshly
 // rebuilt world whose node and link tables must already exist (the
 // snapshot layer reconstructs them from the topology and deploy
-// sections before calling this). The event queue starts empty:
-// background housekeeping re-arms through the restart path.
+// sections before calling this), re-laned to the image's shard count
+// (the worker count is free to differ — determinism does not depend on
+// it). The event queues start empty: background housekeeping re-arms
+// through the restart path.
 func (s *Simulator) RestoreCheckpoint(r *snapcodec.Reader) error {
-	s.now = r.Duration()
-	s.seq = r.Uvarint()
-	if r.Bool() {
-		seed := r.Varint()
-		draws := r.Uvarint()
-		if r.Err() != nil {
-			return r.Err()
+	e := s.eng
+	shards := int(r.Uvarint())
+	seed := r.Varint()
+	if err := r.Err(); err != nil {
+		return err
+	}
+	if shards != e.shards {
+		return fmt.Errorf("%w: image has %d shards, engine has %d", errStateMismatch, shards, e.shards)
+	}
+	e.seedFaults(seed)
+	for _, ln := range e.all() {
+		ln.now = r.Duration()
+		ln.ctr = r.Uvarint()
+		ln.fgMax = r.Duration()
+		ln.src.skip(r.Uvarint())
+		if err := r.Err(); err != nil {
+			return err
 		}
-		s.SeedFaults(seed)
-		s.fsrc.Skip(draws)
 	}
 	s.defFaults = readFaults(r)
 
@@ -193,7 +197,7 @@ func (s *Simulator) RestoreCheckpoint(r *snapcodec.Reader) error {
 		return r.Err()
 	}
 	if nn != len(s.nodes) {
-		return fmt.Errorf("%w: image has %d nodes, world has %d", ErrStateMismatch, nn, len(s.nodes))
+		return fmt.Errorf("%w: image has %d nodes, world has %d", errStateMismatch, nn, len(s.nodes))
 	}
 	for i := 0; i < nn; i++ {
 		name := r.String()
@@ -205,10 +209,10 @@ func (s *Simulator) RestoreCheckpoint(r *snapcodec.Reader) error {
 		}
 		n := s.nodes[name]
 		if n == nil {
-			return fmt.Errorf("%w: image node %q absent from world", ErrStateMismatch, name)
+			return fmt.Errorf("%w: image node %q absent from world", errStateMismatch, name)
 		}
 		if n.shard != int32(shard) {
-			return fmt.Errorf("%w: node %q shard %d, image %d", ErrStateMismatch, name, n.shard, shard)
+			return fmt.Errorf("%w: node %q shard %d, image %d", errStateMismatch, name, n.shard, shard)
 		}
 		n.crashed = crashed
 		n.epoch = epoch
@@ -219,7 +223,7 @@ func (s *Simulator) RestoreCheckpoint(r *snapcodec.Reader) error {
 		return r.Err()
 	}
 	if nl != len(s.links) {
-		return fmt.Errorf("%w: image has %d links, world has %d", ErrStateMismatch, nl, len(s.links))
+		return fmt.Errorf("%w: image has %d links, world has %d", errStateMismatch, nl, len(s.links))
 	}
 	for i := 0; i < nl; i++ {
 		a, b := r.String(), r.String()
@@ -236,7 +240,7 @@ func (s *Simulator) RestoreCheckpoint(r *snapcodec.Reader) error {
 		}
 		if l.a.Name != a || l.b.Name != b {
 			return fmt.Errorf("%w: link %d is %s<->%s, image %s<->%s",
-				ErrStateMismatch, i, l.a.Name, l.b.Name, a, b)
+				errStateMismatch, i, l.a.Name, l.b.Name, a, b)
 		}
 	}
 	return r.Err()

@@ -11,13 +11,11 @@
 //   - node crash and restart with timer invalidation (Node.Crash,
 //     Node.Restart in netsim.go).
 //
-// Determinism contract: all randomness comes from one RNG seeded via
-// SeedFaults, drawn in event-execution order, which is itself fully
-// deterministic. Two runs with the same inputs and the same fault
-// seed execute the same failures at the same simulated times.
+// Determinism contract: all randomness comes from per-lane RNGs
+// seeded via SeedFaults, drawn in event-execution order, which is
+// itself fully deterministic. Two runs with the same inputs, partition
+// and fault seed execute the same failures at the same simulated times.
 package netsim
-
-import "math/rand"
 
 // LinkFaults configures probabilistic per-send fault injection on one
 // link. Probabilities are in [0, 1] and evaluated independently per
@@ -75,32 +73,13 @@ func (s *Simulator) SetDefaultLinkFaults(f LinkFaults) {
 	s.defFaults = &f
 }
 
-// SeedFaults seeds the fault RNG. Call it before the first faulted
-// send for a reproducible failure schedule; without it the RNG uses a
-// fixed default seed (still deterministic, just not chosen). Under a
-// sharded backend each shard owns an independent stream derived from
-// this seed, drawn in that shard's event order — deterministic given
-// the seed and the partition (but a different schedule than serial).
-func (s *Simulator) SeedFaults(seed int64) {
-	s.fsrc = NewCountingSource(seed)
-	s.frng = rand.New(s.fsrc)
-	if s.backend != nil {
-		s.backend.SeedFaults(seed)
-	}
-}
-
-// faultRNGCtx returns the fault RNG stream for node n's execution
-// context (the serial stream when no backend is installed).
-func (s *Simulator) faultRNGCtx(n *Node) *rand.Rand {
-	if s.backend != nil {
-		return s.backend.FaultRNG(n)
-	}
-	if s.frng == nil {
-		s.fsrc = NewCountingSource(1)
-		s.frng = rand.New(s.fsrc)
-	}
-	return s.frng
-}
+// SeedFaults seeds the fault RNGs. Call it before the first faulted
+// send for a reproducible failure schedule; without it the RNGs use a
+// fixed default seed (still deterministic, just not chosen). Each
+// shard owns an independent stream derived from this seed, drawn in
+// that shard's event order — deterministic given the seed and the
+// partition.
+func (s *Simulator) SeedFaults(seed int64) { s.eng.seedFaults(seed) }
 
 // Corruptible is implemented by messages that can model in-flight bit
 // errors. Corrupt must return a mutated copy and leave the receiver

@@ -136,7 +136,7 @@ func TestFaultJitterBounds(t *testing.T) {
 	var arrivals []Time
 	bn := s.Node("b")
 	bn.SetHandler(HandlerFunc(func(from *Node, link *Link, msg Message) {
-		arrivals = append(arrivals, s.Now())
+		arrivals = append(arrivals, bn.Now())
 	}))
 	for i := 0; i < 50; i++ {
 		l.Send(a, Bytes{byte(i)})

@@ -10,12 +10,11 @@
 // inside event callbacks, executed in strict timestamp order, so a run
 // is fully reproducible given the same inputs.
 //
-// Execution is pluggable: by default a Simulator runs every event on
-// one goroutine through a single Queue, but a Backend (see
-// internal/parsim) can take over time and execution, sharding nodes
-// across worker goroutines under conservative synchronization, with one
-// Queue per shard. All structural state (nodes, links, metrics) stays
-// here. The Scheduler interface is the surface both engines satisfy.
+// Every event runs on the simulator's Engine (engine.go): one lane per
+// logical shard, each with its own event queue and clock, advanced in
+// lookahead epochs by worker goroutines. A new Simulator has one shard
+// run inline; Relane re-lanes it for parallel execution. All structural
+// state (nodes, links, metrics) stays here.
 //
 // The zero value of Simulator is not usable; create one with New.
 package netsim
@@ -24,7 +23,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 	"time"
 
 	"discs/internal/obs"
@@ -33,57 +31,6 @@ import (
 // Time is a simulated timestamp measured as a duration since the start
 // of the simulation.
 type Time = time.Duration
-
-// Scheduler is the event-scheduling surface shared by the serial
-// Simulator and parallel engines driving one (internal/parsim.Engine).
-// Protocol code that only needs to arm timers and advance time can
-// accept a Scheduler instead of a concrete engine.
-type Scheduler interface {
-	Now() Time
-	Schedule(at Time, fn func()) (Timer, error)
-	ScheduleBackground(at Time, fn func()) (Timer, error)
-	After(d Time, fn func()) Timer
-	AfterBackground(d Time, fn func()) Timer
-	EveryBackground(d Time, fn func()) *Ticker
-	Step() bool
-	Run(deadline Time) int
-	RunAll() (int, error)
-}
-
-// Backend replaces the serial event core of a Simulator: it owns the
-// clock(s) and the event queues while the Simulator keeps all
-// structural state (nodes, links, fault configuration, metrics).
-// Methods taking a *Node receive the execution context — the node on
-// whose behalf the call is made — so a sharded backend can resolve the
-// owning shard; ctx is nil for calls from the driver goroutine.
-type Backend interface {
-	// Now returns the simulated time visible to ctx (nil = driver).
-	Now(ctx *Node) Time
-	// Schedule arms the timer fn at the absolute time at, as an event of
-	// ctx's shard (nil = engine-global housekeeping).
-	Schedule(ctx *Node, at Time, fn func(), background bool) (Timer, error)
-	// Deliver queues d, sent by from (the execution context) to to, to
-	// arrive at the absolute time at.
-	Deliver(from, to *Node, at Time, d Delivery, background bool) error
-	// FaultRNG returns the fault-injection RNG stream for ctx.
-	FaultRNG(ctx *Node) *rand.Rand
-	// InBackground reports whether ctx is currently executing a
-	// background event (background status is inherited by events
-	// scheduled from one).
-	InBackground(ctx *Node) bool
-	// SeedFaults reseeds the backend's fault RNG streams.
-	SeedFaults(seed int64)
-	Step() bool
-	Run(deadline Time) int
-	RunAll() (int, error)
-	// QueueLen returns the number of pending events across all queues.
-	QueueLen() int
-	// Reserved is a capacity hint mirroring Simulator.Reserve.
-	Reserved(nodes, links int)
-	// Connected notifies the backend of a new link so it can refresh
-	// its cross-shard lookahead bound.
-	Connected(l *Link)
-}
 
 // Metric names the simulator registers (see Stats). Exported so
 // consumers of the snapshot do not hard-code strings.
@@ -97,26 +44,28 @@ const (
 	MetricCorrupted    = "netsim.faults.corrupted"
 	MetricCrashDropped = "netsim.faults.crash_dropped"
 	// MetricLateDropped counts sends lost because their arrival time was
-	// already behind the destination's clock: under a sharded backend, a
-	// driver-context send from a node whose shard clock lags the
-	// receiver's. Send still reports true for them.
+	// already behind the destination's clock: a driver-context send from
+	// a node whose shard clock lags the receiver's. Send still reports
+	// true for them.
 	MetricLateDropped = "netsim.late_dropped"
 )
 
 // TraceEventKind is the obs event kind emitted per executed event when
 // execution tracing is enabled (SetExecTrace). The trace is the
 // determinism oracle: two runs of the same scenario must produce
-// byte-identical sequences of (At, Serial) pairs.
+// byte-identical sequences of (At, AS, Serial) triples.
 const TraceEventKind = "sim.event"
 
-// simMetrics holds the simulator's pre-resolved metric handles; all
-// increments on the event path go through these, never through raw
-// fields, so any registry sharing the simulator sees them.
+// simMetrics holds the simulator's and its engine's pre-resolved metric
+// handles; all increments on the event path go through these, never
+// through raw fields, so any registry sharing the simulator sees them.
 type simMetrics struct {
 	delivered, dropped, events             *obs.Counter
 	lost, duplicated, corrupted, crashDrop *obs.Counter
-	lateDrop                               *obs.Counter
-	queueDepth                             *obs.Gauge
+	lateDrop, epochs, stall                *obs.Counter
+	// workerEvents and shardEvents are sized by the engine.
+	workerEvents, shardEvents []*obs.Counter
+	queueDepth                *obs.Gauge
 }
 
 func newSimMetrics(reg *obs.Registry) simMetrics {
@@ -129,56 +78,41 @@ func newSimMetrics(reg *obs.Registry) simMetrics {
 		corrupted:  reg.Counter(MetricCorrupted),
 		crashDrop:  reg.Counter(MetricCrashDropped),
 		lateDrop:   reg.Counter(MetricLateDropped),
+		epochs:     reg.Counter(MetricEpochs),
+		stall:      reg.Counter(MetricStallNS),
 		queueDepth: reg.Gauge(MetricQueueDepth),
 	}
 }
 
-// Simulator owns the simulated clock and the event queue.
+// Simulator owns the network structure and, through its engine, the
+// simulated clocks and event queues.
 type Simulator struct {
-	now Time
-	seq uint64 // the next event's key
-	// q is the serial event queue; RunAll stops when it holds no
-	// foreground event even if background events remain queued.
-	q     Queue
-	nodes map[string]*Node
-	links []*Link
-	// inBG is true while a background event executes. Events scheduled
-	// while a background event executes inherit the flag, so a whole
-	// heartbeat-induced cascade (send, delivery, ack) counts as
-	// background.
-	inBG bool
-	// Fault injection (fault.go). frng draws from fsrc, a counting
-	// source, so a checkpoint can record the exact stream position as
-	// (seed, draws) — see checkpoint.go.
-	frng      *rand.Rand
-	fsrc      *CountingSource
-	defFaults *LinkFaults
+	nodes     map[string]*Node
+	links     []*Link
+	defFaults *LinkFaults // fault.go
 	// Observability: all counters live in reg; m caches the handles.
 	reg *obs.Registry
 	m   simMetrics
 	// execTrace, when non-nil, receives one obs event per executed
 	// simulator event (determinism oracle; see TraceEventKind).
 	execTrace *obs.Tracer
-	// backend, when non-nil, owns time and event execution.
-	backend Backend
+	eng       *Engine
 }
-
-var _ Scheduler = (*Simulator)(nil)
 
 // New creates an empty simulator at time zero with a private metrics
 // registry; use NewWithRegistry (or MoveToRegistry) to share one.
 func New() *Simulator { return NewWithRegistry(nil) }
 
 // NewWithRegistry creates an empty simulator publishing its metrics
-// into reg (nil creates a private registry). The registry clock is
-// pointed at the simulated clock, so snapshots and trace events are
-// stamped in simulated time.
+// into reg (nil creates a private registry), run by one shard and one
+// inline worker. The registry clock is pointed at the simulated clock,
+// so snapshots and trace events are stamped in simulated time.
 func NewWithRegistry(reg *obs.Registry) *Simulator {
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
 	s := &Simulator{nodes: make(map[string]*Node), reg: reg, m: newSimMetrics(reg)}
-	s.q.sim = s
+	s.eng, _ = newEngine(s, Options{Shards: 1, Workers: 1}, 0) // one shard is within MaxShards
 	reg.SetClock(func() int64 { return int64(s.Now()) })
 	return s
 }
@@ -186,93 +120,65 @@ func NewWithRegistry(reg *obs.Registry) *Simulator {
 // Registry returns the registry the simulator publishes into.
 func (s *Simulator) Registry() *obs.Registry { return s.reg }
 
-// SetBackend installs (or, with nil, removes) a replacement event
-// core. Install while the simulator is parked — no events pending and
-// no run in progress; pending serial events do not migrate.
-func (s *Simulator) SetBackend(b Backend) {
-	s.backend = b
-}
-
-// Backend returns the installed backend, or nil when the serial core
-// is active.
-func (s *Simulator) Backend() Backend { return s.backend }
-
-// Sharded reports whether a parallel backend drives this simulator.
-// Layers that must provision deterministically for sharded execution
-// (e.g. eager controller-mesh links instead of on-demand Connect from
-// inside events) branch on this.
-func (s *Simulator) Sharded() bool { return s.backend != nil }
-
 // SetExecTrace enables (non-nil) or disables per-event execution
 // tracing into tr. Each executed event emits an obs.Event with kind
-// TraceEventKind, At = its timestamp and Serial = its sequence number.
+// TraceEventKind, At = its timestamp, AS = its creating lane + 1 and
+// Serial = that lane's creation sequence number.
 func (s *Simulator) SetExecTrace(tr *obs.Tracer) { s.execTrace = tr }
 
 // ExecTrace returns the tracer installed with SetExecTrace, or nil.
 func (s *Simulator) ExecTrace() *obs.Tracer { return s.execTrace }
 
-// MoveToRegistry re-homes the simulator's metrics into reg, carrying
-// the counts accumulated so far. Layers that build a simulator first
-// and an observability plan later (core.NewSystemWithOptions adopting
-// a BGP network's simulator) use this to unify on one registry.
+// MoveToRegistry re-homes every metric of the simulator and its engine
+// into reg, carrying the counts accumulated so far. Layers that build a
+// simulator first and an observability plan later
+// (core.NewSystemWithOptions adopting a BGP network's simulator) use
+// this to unify on one registry. Call it while the simulator is parked.
 func (s *Simulator) MoveToRegistry(reg *obs.Registry) {
 	if reg == nil || reg == s.reg {
 		return
 	}
-	old := s.m
+	move := func(c *obs.Counter) *obs.Counter {
+		n := reg.Counter(c.Name())
+		n.Add(c.Value())
+		return n
+	}
+	m := &s.m
+	for _, c := range []**obs.Counter{
+		&m.delivered, &m.dropped, &m.events, &m.lost, &m.duplicated,
+		&m.corrupted, &m.crashDrop, &m.lateDrop, &m.epochs, &m.stall,
+	} {
+		*c = move(*c)
+	}
+	for _, cs := range [][]*obs.Counter{m.workerEvents, m.shardEvents} {
+		for i, c := range cs {
+			cs[i] = move(c)
+		}
+	}
+	depth := reg.Gauge(MetricQueueDepth)
+	depth.Set(m.queueDepth.Value())
+	m.queueDepth = depth
 	s.reg = reg
-	s.m = newSimMetrics(reg)
-	s.m.delivered.Add(old.delivered.Value())
-	s.m.dropped.Add(old.dropped.Value())
-	s.m.events.Add(old.events.Value())
-	s.m.lost.Add(old.lost.Value())
-	s.m.duplicated.Add(old.duplicated.Value())
-	s.m.corrupted.Add(old.corrupted.Value())
-	s.m.crashDrop.Add(old.crashDrop.Value())
-	s.m.lateDrop.Add(old.lateDrop.Value())
-	s.m.queueDepth.Set(old.queueDepth.Value())
 	reg.SetClock(func() int64 { return int64(s.Now()) })
 }
 
 // Stats returns the simulator's unified metrics snapshot: message
 // delivery, drop and injected-fault counters plus the live queue
-// depth, stamped with the simulated time. It replaces the old
-// Delivered/Dropped/FaultStats getters.
+// depth, stamped with the simulated time.
 func (s *Simulator) Stats() obs.Snapshot {
 	return s.reg.SnapshotPrefix("netsim.", "")
 }
 
-// Now returns the current simulated time.
-func (s *Simulator) Now() Time {
-	if s.backend != nil {
-		return s.backend.Now(nil)
-	}
-	return s.now
-}
+// Now returns the driver's simulated time: the latest clock of any
+// lane at the last barrier.
+func (s *Simulator) Now() Time { return s.eng.global.now }
 
-// nowCtx returns the simulated time visible to node n — under a
-// sharded backend, the clock of n's shard.
-func (s *Simulator) nowCtx(n *Node) Time {
-	if s.backend != nil {
-		return s.backend.Now(n)
-	}
-	return s.now
-}
-
-// inBackground reports whether n's execution context is currently
-// inside a background event (see ScheduleBackground).
-func (s *Simulator) inBackground(n *Node) bool {
-	if s.backend != nil {
-		return s.backend.InBackground(n)
-	}
-	return s.inBG
-}
-
-// Schedule runs fn at the given absolute simulated time. Scheduling in
-// the past is an error. Events scheduled while a background event
-// executes are background themselves (see ScheduleBackground).
+// Schedule runs fn at the given absolute simulated time, as a driver
+// event. Scheduling in the past is an error. Events scheduled while a
+// background event executes are background themselves (see
+// ScheduleBackground).
 func (s *Simulator) Schedule(at Time, fn func()) (Timer, error) {
-	return s.schedule(nil, at, fn, s.inBackground(nil))
+	return s.eng.schedule(nil, at, fn, s.eng.global.inBG)
 }
 
 // ScheduleBackground schedules a housekeeping event: it runs in
@@ -281,36 +187,7 @@ func (s *Simulator) Schedule(at Time, fn func()) (Timer, error) {
 // (heartbeats, purge sweeps) that would otherwise make a
 // run-to-quiescence loop spin forever.
 func (s *Simulator) ScheduleBackground(at Time, fn func()) (Timer, error) {
-	return s.schedule(nil, at, fn, true)
-}
-
-// schedule is the timer funnel: ctx is the node on whose execution
-// context the timer is armed (nil for driver-level timers).
-func (s *Simulator) schedule(ctx *Node, at Time, fn func(), background bool) (Timer, error) {
-	if s.backend != nil {
-		return s.backend.Schedule(ctx, at, fn, background)
-	}
-	if at < s.now {
-		return Timer{}, fmt.Errorf("netsim: schedule at %v before now %v", at, s.now)
-	}
-	t := s.q.Schedule(at, s.seq, fn, background)
-	s.seq++
-	s.m.queueDepth.Set(int64(s.q.Len()))
-	return t, nil
-}
-
-// deliver is the delivery funnel behind Link.Send and Link.SendValue.
-func (s *Simulator) deliver(from, to *Node, at Time, d Delivery, background bool) error {
-	if s.backend != nil {
-		return s.backend.Deliver(from, to, at, d, background)
-	}
-	if at < s.now {
-		return fmt.Errorf("netsim: deliver at %v before now %v", at, s.now)
-	}
-	s.q.Deliver(at, s.seq, background, d)
-	s.seq++
-	s.m.queueDepth.Set(int64(s.q.Len()))
-	return nil
+	return s.eng.schedule(nil, at, fn, true)
 }
 
 // arrive accounts for a delivery reaching to, reporting whether to is
@@ -325,13 +202,14 @@ func (s *Simulator) arrive(to *Node) bool {
 	return true
 }
 
-// After runs fn after delay d. It panics if d is negative, which always
-// indicates a programming error in a protocol implementation.
+// After runs fn after delay d, as a driver event. It panics if d is
+// negative, which always indicates a programming error in a protocol
+// implementation.
 func (s *Simulator) After(d Time, fn func()) Timer {
 	if d < 0 {
 		panic(fmt.Sprintf("netsim: negative delay %v", d))
 	}
-	t, _ := s.schedule(nil, s.Now()+d, fn, s.inBackground(nil))
+	t, _ := s.eng.schedule(nil, s.Now()+d, fn, s.eng.global.inBG)
 	return t
 }
 
@@ -341,7 +219,7 @@ func (s *Simulator) AfterBackground(d Time, fn func()) Timer {
 	if d < 0 {
 		panic(fmt.Sprintf("netsim: negative delay %v", d))
 	}
-	t, _ := s.schedule(nil, s.Now()+d, fn, true)
+	t, _ := s.eng.schedule(nil, s.Now()+d, fn, true)
 	return t
 }
 
@@ -370,51 +248,13 @@ func (s *Simulator) EveryBackground(d Time, fn func()) *Ticker {
 }
 
 // Step executes the single earliest pending event. It reports false
-// when the queue is empty.
-func (s *Simulator) Step() bool {
-	if s.backend != nil {
-		return s.backend.Step()
-	}
-	if s.q.Compact() {
-		s.m.queueDepth.Set(int64(s.q.Len()))
-	}
-	if _, ok := s.q.Head(); !ok {
-		return false
-	}
-	e := s.q.Pop()
-	s.now = e.At
-	if s.execTrace != nil {
-		s.execTrace.Emit(obs.Event{Kind: TraceEventKind, At: int64(e.At), Serial: e.Key})
-	}
-	s.inBG = e.bg
-	s.q.Exec(e)
-	s.inBG = false
-	s.m.events.Inc()
-	s.m.queueDepth.Set(int64(s.q.Len()))
-	return true
-}
+// when no event is pending.
+func (s *Simulator) Step() bool { return s.eng.step() }
 
-// Run executes events (foreground and background) until the queue
-// drains or the simulated clock would pass deadline. It returns the
+// Run executes events (foreground and background) with timestamps up
+// to deadline, then advances every clock to deadline. It returns the
 // number of events executed.
-func (s *Simulator) Run(deadline Time) int {
-	if s.backend != nil {
-		return s.backend.Run(deadline)
-	}
-	n := 0
-	for {
-		if e, ok := s.q.Head(); !ok || e.At > deadline {
-			break
-		}
-		if s.Step() {
-			n++
-		}
-	}
-	if s.now < deadline {
-		s.now = deadline
-	}
-	return n
-}
+func (s *Simulator) Run(deadline Time) int { return s.eng.run(deadline) }
 
 // RunAll executes pending events in timestamp order until no
 // foreground events remain, with a safety cap to convert accidental
@@ -422,32 +262,11 @@ func (s *Simulator) Run(deadline Time) int {
 // they precede a pending foreground event but never keep RunAll alive
 // on their own; they stay queued for a later Run. This is what lets a
 // system with periodic heartbeats still "settle".
-func (s *Simulator) RunAll() (int, error) {
-	if s.backend != nil {
-		return s.backend.RunAll()
-	}
-	const cap = 50_000_000
-	n := 0
-	for s.q.Pending() > 0 {
-		if !s.Step() {
-			break
-		}
-		n++
-		if n >= cap {
-			return n, errors.New("netsim: event cap exceeded (livelock?)")
-		}
-	}
-	return n, nil
-}
+func (s *Simulator) RunAll() (int, error) { return s.eng.runAll() }
 
 // QueueLen returns the number of pending events (including
 // lazily-cancelled ones not yet compacted away).
-func (s *Simulator) QueueLen() int {
-	if s.backend != nil {
-		return s.backend.QueueLen()
-	}
-	return s.q.Len()
-}
+func (s *Simulator) QueueLen() int { return s.eng.queueLen() }
 
 // Handler processes a message arriving at a node over a link.
 type Handler interface {
@@ -477,8 +296,7 @@ func (b Bytes) Size() int { return len(b) }
 type Node struct {
 	Name string
 	sim  *Simulator
-	// shard is the logical partition the node belongs to under a
-	// sharded backend; 0 (the only shard) in serial execution.
+	// shard is the logical partition (engine lane) the node belongs to.
 	shard int32
 	links []*Link
 	// nbr indexes the first link per neighbor so SendTo is O(1) on the
@@ -526,15 +344,15 @@ func (n *Node) SetHandler(h Handler) {
 // must communicate only through Link.Send.
 func (n *Node) SetShard(shard int) { n.shard = int32(shard) }
 
-// Shard returns the node's logical shard (0 in serial execution).
+// Shard returns the node's logical shard.
 func (n *Node) Shard() int { return int(n.shard) }
 
 // Now returns the simulated time from the node's execution context —
-// inside an event handler under a sharded backend, this is the owning
-// shard's clock, exact to the executing event's timestamp. Protocol
+// its shard's clock, exact to the executing event's timestamp inside an
+// event handler. Protocol
 // code running on a node must use this (not Simulator.Now) for
 // timestamps it stores or compares.
-func (n *Node) Now() Time { return n.sim.nowCtx(n) }
+func (n *Node) Now() Time { return n.sim.eng.laneFor(n).now }
 
 // Crash takes the node down, modelling a process or host crash: frames
 // in flight toward it are discarded on arrival, new sends from it are
@@ -560,12 +378,13 @@ func (n *Node) After(d Time, fn func()) Timer {
 	if d < 0 {
 		panic(fmt.Sprintf("netsim: negative delay %v", d))
 	}
+	ln := n.sim.eng.laneFor(n)
 	epoch := n.epoch
-	t, _ := n.sim.schedule(n, n.Now()+d, func() {
+	t, _ := n.sim.eng.schedule(n, ln.now+d, func() {
 		if n.epoch == epoch && !n.crashed {
 			fn()
 		}
-	}, n.sim.inBackground(n))
+	}, ln.inBG)
 	return t
 }
 
@@ -576,7 +395,7 @@ func (n *Node) AfterBackground(d Time, fn func()) Timer {
 		panic(fmt.Sprintf("netsim: negative delay %v", d))
 	}
 	epoch := n.epoch
-	t, _ := n.sim.schedule(n, n.Now()+d, func() {
+	t, _ := n.sim.eng.schedule(n, n.Now()+d, func() {
 		if n.epoch == epoch && !n.crashed {
 			fn()
 		}
@@ -623,17 +442,16 @@ type Link struct {
 	// corruption and jitter into every send (see fault.go).
 	faults *LinkFaults
 	// busyUntil tracks per-direction serialization backlog (a->b, b->a).
-	// Under a sharded backend each direction is written only from its
-	// sender's shard, so the two slots never race.
+	// Each direction is written only from its sender's shard, so the two
+	// slots never race.
 	busyUntil [2]Time
 	sim       *Simulator
 }
 
 // Connect creates a link between two nodes with the given propagation
-// delay and unlimited bandwidth. Under a sharded backend, creating a
-// link whose endpoints live in different shards is a structural change
-// — do it while the simulator is parked (the backend is notified so it
-// can refresh its lookahead bound).
+// delay and unlimited bandwidth. Creating a link whose endpoints live in
+// different shards is a structural change — do it while the simulator
+// is parked (the engine refreshes its lookahead bound).
 func (s *Simulator) Connect(a, b *Node, delay Time) (*Link, error) {
 	if a == nil || b == nil {
 		return nil, errors.New("netsim: connect with nil node")
@@ -654,9 +472,7 @@ func (s *Simulator) Connect(a, b *Node, delay Time) (*Link, error) {
 	a.addNbr(b, l)
 	b.addNbr(a, l)
 	s.links = append(s.links, l)
-	if s.backend != nil {
-		s.backend.Connected(l)
-	}
+	s.eng.connected(l)
 	return l, nil
 }
 
@@ -674,8 +490,7 @@ func (n *Node) addNbr(peer *Node, l *Link) {
 // Reserve sizes the node and link tables for a known topology so a
 // paper-scale build (44k nodes, ~70k links) does not rehash and
 // re-grow its way up. Safe to call on a fresh or partially built
-// simulator; existing nodes and links are preserved. A sharded
-// backend receives the same hint for its per-shard queues.
+// simulator; existing nodes and links are preserved.
 func (s *Simulator) Reserve(nodes, links int) {
 	if nodes > len(s.nodes) {
 		m := make(map[string]*Node, nodes)
@@ -689,20 +504,16 @@ func (s *Simulator) Reserve(nodes, links int) {
 		copy(grown, s.links)
 		s.links = grown
 	}
-	if s.backend != nil {
-		s.backend.Reserved(nodes, links)
-	}
 }
 
 // Links returns all links in creation order. The slice must not be
-// modified; backends use it to derive the cross-shard lookahead bound.
+// modified.
 func (s *Simulator) Links() []*Link { return s.links }
 
 // SetUp marks the link up or down. Messages in flight when a link goes
 // down are still delivered (they already left the interface); new sends
-// are dropped. Under a sharded backend, flip link state only from the
-// driver goroutine or scheduled (driver-lane) events — both endpoints'
-// shards read it.
+// are dropped. Flip link state only from the driver goroutine or
+// scheduled (driver-lane) events — both endpoints' shards read it.
 func (l *Link) SetUp(up bool) { l.up = up }
 
 // Up reports whether the link is up.
@@ -726,7 +537,7 @@ func (l *Link) ends(dir uint8) (from, to *Node) {
 // an endpoint). Injected faults (loss, corruption) still report true:
 // the sender cannot tell a frame lost in flight from a delivered one.
 func (l *Link) Send(from *Node, msg Message) bool {
-	return l.send(from, Delivery{msg: msg}, 0)
+	return l.send(from, delivery{msg: msg}, 0)
 }
 
 // SendValue is Send for a Value message of the given wire size, which
@@ -734,10 +545,10 @@ func (l *Link) Send(from *Node, msg Message) bool {
 // handler must be a ValueHandler. A Value cannot model bit errors, so an
 // injected corruption drops it.
 func (l *Link) SendValue(from *Node, v Value, size int) bool {
-	return l.send(from, Delivery{value: true, val: v}, size)
+	return l.send(from, delivery{value: true, val: v}, size)
 }
 
-func (l *Link) send(from *Node, d Delivery, size int) bool {
+func (l *Link) send(from *Node, d delivery, size int) bool {
 	var to *Node
 	switch from {
 	case l.a:
@@ -752,7 +563,8 @@ func (l *Link) send(from *Node, d Delivery, size int) bool {
 		l.sim.m.dropped.Inc()
 		return false
 	}
-	now := l.sim.nowCtx(from)
+	ln := l.sim.eng.laneFor(from)
+	now := ln.now
 	start := now
 	if l.busyUntil[d.dir] > start {
 		start = l.busyUntil[d.dir]
@@ -778,11 +590,11 @@ func (l *Link) send(from *Node, d Delivery, size int) bool {
 
 	// Fault injection: the draw order (loss, corruption, duplication,
 	// jitter) is fixed and all draws come from the seeded fault RNG of
-	// the sender's execution context, in event order — deterministic
-	// given the seed (and, under a sharded backend, the partition).
+	// the sender's lane, in event order — deterministic given the seed
+	// and the partition.
 	copies := 1
 	if f := l.faults; f != nil {
-		rng := l.sim.faultRNGCtx(from)
+		rng := ln.rng
 		if f.Loss > 0 && rng.Float64() < f.Loss {
 			l.sim.m.dropped.Inc()
 			l.sim.m.lost.Inc()
@@ -807,16 +619,15 @@ func (l *Link) send(from *Node, d Delivery, size int) bool {
 			arrive += Time(rng.Int63n(int64(f.JitterMax) + 1))
 		}
 	}
-	bg := l.sim.inBackground(from)
 	for i := 0; i < copies; i++ {
 		at := arrive
 		if i > 0 {
 			// The duplicate takes its own jittered path.
 			if f := l.faults; f.JitterMax > 0 {
-				at += Time(l.sim.faultRNGCtx(from).Int63n(int64(f.JitterMax) + 1))
+				at += Time(ln.rng.Int63n(int64(f.JitterMax) + 1))
 			}
 		}
-		if l.sim.deliver(from, to, at, d, bg) != nil {
+		if l.sim.eng.deliver(from, to, at, d, ln.inBG) != nil {
 			// The destination's clock is already past at; see
 			// MetricLateDropped.
 			l.sim.m.lateDrop.Inc()

@@ -155,7 +155,7 @@ func TestLinkDelivery(t *testing.T) {
 		if from != a || link != l {
 			t.Errorf("delivery metadata wrong: from=%v", from.Name)
 		}
-		gotMsg, gotAt = msg, s.Now()
+		gotMsg, gotAt = msg, b.Now()
 	}))
 	if !l.Send(a, Bytes("hello")) {
 		t.Fatal("send rejected")
@@ -226,7 +226,7 @@ func TestBandwidthSerialization(t *testing.T) {
 
 	var arrivals []Time
 	b.SetHandler(HandlerFunc(func(_ *Node, _ *Link, _ Message) {
-		arrivals = append(arrivals, s.Now())
+		arrivals = append(arrivals, b.Now())
 	}))
 	l.Send(a, Bytes(make([]byte, 500)))
 	l.Send(a, Bytes(make([]byte, 500)))
@@ -246,9 +246,11 @@ func TestBandwidthIndependentDirections(t *testing.T) {
 	l := mustLink(t, s, a, b, 0)
 	l.Bps = 1000
 	var times []Time
-	h := HandlerFunc(func(_ *Node, _ *Link, _ Message) { times = append(times, s.Now()) })
-	a.SetHandler(h)
-	b.SetHandler(h)
+	h := func(n *Node) Handler {
+		return HandlerFunc(func(_ *Node, _ *Link, _ Message) { times = append(times, n.Now()) })
+	}
+	a.SetHandler(h(a))
+	b.SetHandler(h(b))
 	l.Send(a, Bytes(make([]byte, 500)))
 	l.Send(b, Bytes(make([]byte, 500)))
 	s.RunAll()
@@ -332,7 +334,7 @@ func TestRelayChainTiming(t *testing.T) {
 	mustLink(t, s, b, c, 3*time.Millisecond)
 	var at Time
 	b.SetHandler(HandlerFunc(func(_ *Node, _ *Link, m Message) { b.SendTo(c, m) }))
-	c.SetHandler(HandlerFunc(func(_ *Node, _ *Link, _ Message) { at = s.Now() }))
+	c.SetHandler(HandlerFunc(func(_ *Node, _ *Link, _ Message) { at = c.Now() }))
 	a.SendTo(b, Bytes("relay"))
 	s.RunAll()
 	if at != 5*time.Millisecond {

@@ -1,8 +1,8 @@
 // Event-path performance and determinism regression tests: the queue's
 // slot tables must keep the schedule→execute and send→deliver cycles
 // allocation-free at steady state, a stopped ticker must leave no
-// residue in the queue, and serial execution must be a reproducible
-// total order (the oracle the parsim differential tests build on).
+// residue in the queue, and a one-shard run must be a reproducible
+// total order (the oracle the worker-count differential tests build on).
 package netsim
 
 import (
@@ -78,8 +78,8 @@ func (c *counter) ImportValue(_ *Node, v Value) Value {
 
 // TestLinkSendZeroAlloc: a link delivery is a typed event, not a
 // closure, so Link.Send and Link.SendValue through to the receiver's
-// handler allocate nothing at steady state on the serial queue (the
-// parsim lanes are pinned by parsim.TestDeliveryZeroAlloc).
+// handler allocate nothing at steady state on a one-shard engine
+// (cross-lane deliveries are pinned by parsim.TestDeliveryZeroAlloc).
 func TestLinkSendZeroAlloc(t *testing.T) {
 	s := New()
 	a, _ := s.AddNode("a")
@@ -150,7 +150,7 @@ func TestTickerStopQueueDepthEager(t *testing.T) {
 	}
 }
 
-// buildDeterminismRun drives one serial simulation mixing everything
+// buildDeterminismRun drives one one-shard simulation mixing everything
 // that could perturb ordering — duplicate timestamps across nodes,
 // background cascades, fault-injected links (loss, dup, jitter), a
 // link flap — and returns the execution trace.
@@ -216,8 +216,8 @@ func buildDeterminismRun(t *testing.T) []obs.Event {
 }
 
 // TestSerialDeterminismTrace is the determinism property test: two
-// identical serial runs execute the exact same event sequence. This is
-// the oracle the parsim differential tests
+// identical one-shard, one-worker runs execute the exact same event
+// sequence. This is the oracle the worker-count differential tests
 // (internal/parsim.TestDeterminismAcrossWorkers) reuse.
 func TestSerialDeterminismTrace(t *testing.T) {
 	a := buildDeterminismRun(t)
@@ -233,4 +233,48 @@ func TestSerialDeterminismTrace(t *testing.T) {
 			t.Fatalf("trace diverges at %d: %+v vs %+v", i, a[i], b[i])
 		}
 	}
+}
+
+// bouncer sends every Value it receives back over the link it came on.
+type bouncer struct{ self *Node }
+
+func (b *bouncer) Receive(*Node, *Link, Message)          {}
+func (b *bouncer) ReceiveValue(_ *Node, l *Link, v Value) { l.SendValue(b.self, v, 40) }
+func (b *bouncer) ImportValue(_ *Node, v Value) Value     { return v }
+
+// BenchmarkLaneQueue runs one lane at the depth BGP convergence peaks
+// at on the 44,036-AS world (~300k pending events): Value deliveries
+// ping-pong with jitter, so every executed event queues one more at a
+// random depth. It reports the cost per executed event.
+func BenchmarkLaneQueue(b *testing.B) {
+	const depth = 300_000
+	s := New()
+	x, _ := s.AddNode("x")
+	y, _ := s.AddNode("y")
+	l, err := s.Connect(x, y, time.Millisecond)
+	if err != nil {
+		b.Fatal(err)
+	}
+	l.SetFaults(LinkFaults{JitterMax: time.Millisecond})
+	x.SetHandler(&bouncer{self: x})
+	y.SetHandler(&bouncer{self: y})
+	e, err := s.Relane(Options{Shards: 2, Workers: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer e.Close()
+	for i := 0; i < depth; i++ {
+		l.SendValue(x, Value{uint32(i)}, 40)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	n := 0
+	for n < b.N {
+		n += s.Run(s.Now() + time.Microsecond)
+	}
+	b.StopTimer()
+	if q := s.QueueLen(); q != depth {
+		b.Fatalf("queue depth %d, want %d", q, depth)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(n), "ns/event")
 }

@@ -1,8 +1,7 @@
 // Event queue. A pending event is a small value — its time, its
 // ordering key, its kind and a slot in one of the queue's payload
-// tables — kept in a 4-ary min-heap. The serial Simulator owns one
-// Queue and every parsim lane owns another, so both engines share one
-// heap and one event representation (DESIGN.md §11, "Scheduler seam").
+// tables — kept in a 4-ary min-heap. Every engine lane owns one queue
+// (DESIGN.md §11, "Event queue").
 //
 // The three kinds of event are a timer closure, a link delivery of a
 // boxed Message, and a link delivery of a Value, whose payload table
@@ -11,15 +10,12 @@
 // the collector has to visit.
 package netsim
 
-import "slices"
-
-// Event is one pending event. Events order by (At, Key), and keys are
-// unique within a queue's run, so the order is total. The serial
-// Simulator's key is its scheduling sequence number; a parsim lane's is
-// (origin+1)<<56 | oseq.
-type Event struct {
-	At   Time
-	Key  uint64
+// event is one pending event. Events order by (at, key), and keys are
+// unique within a queue's run, so the order is total. A lane's key is
+// (origin+1)<<56 | oseq (engine.go).
+type event struct {
+	at   Time
+	key  uint64
 	slot uint32 // index into the payload table of kind
 	kind eventKind
 	bg   bool
@@ -28,19 +24,15 @@ type Event struct {
 type eventKind uint8
 
 const (
-	kindTimer eventKind = iota // closure in Queue.timers
-	kindMsg                    // boxed Message delivery in Queue.msgs
-	kindValue                  // Value delivery in Queue.vals
+	kindTimer eventKind = iota // closure in queue.timers
+	kindMsg                    // boxed Message delivery in queue.msgs
+	kindValue                  // Value delivery in queue.vals
 )
 
-// Before reports whether e orders before o.
-func (e Event) Before(o Event) bool {
-	return e.At < o.At || (e.At == o.At && e.Key < o.Key)
+// before reports whether e orders before o.
+func (e event) before(o event) bool {
+	return e.at < o.at || (e.at == o.at && e.key < o.key)
 }
-
-// Background reports whether e is a background event (see
-// Simulator.ScheduleBackground).
-func (e Event) Background() bool { return e.bg }
 
 // Value is a message small enough to travel inside its delivery event:
 // a block of pointer-free words whose meaning belongs to the protocol
@@ -55,15 +47,14 @@ type ValueHandler interface {
 	// ImportValue returns v, sent by from in another shard, rewritten
 	// into the terms of the receiving node's shard (e.g. with its
 	// shard-local handles copied). It runs when the value enters the
-	// receiver's queue: in serial execution at the send, and under a
-	// sharded backend at the epoch barrier or while the engine is parked
-	// — never while another shard's events execute.
+	// receiver's queue: at the epoch barrier or while the engine is
+	// parked — never while another shard's events execute.
 	ImportValue(from *Node, v Value) Value
 }
 
-// Delivery is a message in flight over a link, on its way from
+// delivery is a message in flight over a link, on its way from
 // Link.Send or Link.SendValue into the destination's queue.
-type Delivery struct {
+type delivery struct {
 	link  *Link
 	dir   uint8 // 0: a→b, 1: b→a
 	value bool  // val, not msg, is the payload
@@ -111,13 +102,12 @@ func (t *slab[T]) alloc() uint32 {
 // release returns slot i to the free list; the caller clears it.
 func (t *slab[T]) release(i uint32) { t.free = append(t.free, i) }
 
-// Queue is one event queue: a 4-ary min-heap of Event values and the
-// payload tables they index. It is not safe for concurrent use; under a
-// sharded backend each lane's queue is touched only by the lane's
-// current executor.
-type Queue struct {
+// queue is one lane's event queue: a 4-ary min-heap of event values and
+// the payload tables they index. It is not safe for concurrent use: it
+// is touched only by the lane's current executor.
+type queue struct {
 	sim  *Simulator
-	heap []Event
+	heap []event
 	fg   int // queued foreground events, cancelled ones excluded
 	dead int // cancelled timers still in the heap
 
@@ -126,38 +116,27 @@ type Queue struct {
 	vals   slab[valSlot]
 }
 
-// NewQueue returns an empty queue whose deliveries run against s's
-// nodes, links and metrics. Backends hold one per lane.
-func (s *Simulator) NewQueue() *Queue { return &Queue{sim: s} }
-
-// Len returns the number of queued events, cancelled timers not yet
+// len returns the number of queued events, cancelled timers not yet
 // discarded included.
-func (q *Queue) Len() int { return len(q.heap) }
+func (q *queue) len() int { return len(q.heap) }
 
-// Pending returns the number of queued foreground events.
-func (q *Queue) Pending() int { return q.fg }
+// pending returns the number of queued foreground events.
+func (q *queue) pending() int { return q.fg }
 
-// Reserve sizes the heap for n events.
-func (q *Queue) Reserve(n int) {
-	if n > cap(q.heap) {
-		q.heap = slices.Grow(q.heap, n-len(q.heap))
-	}
-}
-
-// Schedule queues the timer fn at at under key.
-func (q *Queue) Schedule(at Time, key uint64, fn func(), bg bool) Timer {
+// schedule queues the timer fn at at under key.
+func (q *queue) schedule(at Time, key uint64, fn func(), bg bool) Timer {
 	i := q.timers.alloc()
 	t := &q.timers.s[i]
 	t.fn, t.bg = fn, bg
-	q.push(Event{At: at, Key: key, slot: i, kind: kindTimer, bg: bg})
+	q.push(event{at: at, key: key, slot: i, kind: kindTimer, bg: bg})
 	return Timer{q: q, slot: i, gen: t.gen}
 }
 
-// Deliver queues d to arrive at at under key. A Value crossing shards is
+// deliver queues d to arrive at at under key. A Value crossing shards is
 // imported into the receiver's shard first (ValueHandler.ImportValue), so
 // the caller must be entitled to touch both shards' state.
-func (q *Queue) Deliver(at Time, key uint64, bg bool, d Delivery) {
-	e := Event{At: at, Key: key, bg: bg}
+func (q *queue) deliver(at Time, key uint64, bg bool, d delivery) {
+	e := event{at: at, key: key, bg: bg}
 	if d.value {
 		if from, to := d.link.ends(d.dir); from.shard != to.shard && to.values != nil {
 			d.val = to.values.ImportValue(from, d.val)
@@ -171,9 +150,9 @@ func (q *Queue) Deliver(at Time, key uint64, bg bool, d Delivery) {
 	q.push(e)
 }
 
-// Head returns the earliest live event without removing it, discarding
+// head returns the earliest live event without removing it, discarding
 // the cancelled timers that surfaced.
-func (q *Queue) Head() (Event, bool) {
+func (q *queue) head() (event, bool) {
 	for len(q.heap) > 0 {
 		e := q.heap[0]
 		if e.kind != kindTimer || q.timers.s[e.slot].fn != nil {
@@ -183,11 +162,11 @@ func (q *Queue) Head() (Event, bool) {
 		q.dead--
 		q.freeTimer(e.slot)
 	}
-	return Event{}, false
+	return event{}, false
 }
 
-// Pop removes and returns the head event, which Head just returned.
-func (q *Queue) Pop() Event {
+// pop removes and returns the head event, which head just returned.
+func (q *queue) pop() event {
 	e := q.heap[0]
 	q.removeAt(0)
 	if !e.bg {
@@ -196,9 +175,9 @@ func (q *Queue) Pop() Event {
 	return e
 }
 
-// Exec runs e, which Pop just returned. Its slot is freed first, so what
+// exec runs e, which pop just returned. Its slot is freed first, so what
 // the event schedules may reuse it.
-func (q *Queue) Exec(e Event) {
+func (q *queue) exec(e event) {
 	switch e.kind {
 	case kindTimer:
 		fn := q.timers.s[e.slot].fn
@@ -221,12 +200,12 @@ func (q *Queue) Exec(e Event) {
 	}
 }
 
-// Compact rebuilds the heap without its cancelled timers once they
+// compact rebuilds the heap without its cancelled timers once they
 // outnumber the live events, so Stop stays O(1) and the heap within 2×
-// of its live size. It reports whether it rebuilt.
-func (q *Queue) Compact() bool {
+// of its live size.
+func (q *queue) compact() {
 	if q.dead <= len(q.heap)/2 || len(q.heap) < 64 {
-		return false
+		return
 	}
 	live := q.heap[:0]
 	for _, e := range q.heap {
@@ -242,10 +221,9 @@ func (q *Queue) Compact() bool {
 			q.down(i, live[i])
 		}
 	}
-	return true
 }
 
-func (q *Queue) freeTimer(i uint32) {
+func (q *queue) freeTimer(i uint32) {
 	t := &q.timers.s[i]
 	t.fn = nil
 	t.gen++
@@ -255,7 +233,7 @@ func (q *Queue) freeTimer(i uint32) {
 // cancel stops the timer in slot i armed as generation gen. Lazily, the
 // event stays in the heap until it surfaces or Compact drops it; eagerly,
 // it is found and removed now.
-func (q *Queue) cancel(i, gen uint32, eager bool) bool {
+func (q *queue) cancel(i, gen uint32, eager bool) bool {
 	t := &q.timers.s[i]
 	if t.gen != gen || t.fn == nil {
 		return false
@@ -277,7 +255,7 @@ func (q *Queue) cancel(i, gen uint32, eager bool) bool {
 	return true
 }
 
-func (q *Queue) push(e Event) {
+func (q *queue) push(e event) {
 	if !e.bg {
 		q.fg++
 	}
@@ -286,14 +264,14 @@ func (q *Queue) push(e Event) {
 }
 
 // removeAt deletes the event at heap index i.
-func (q *Queue) removeAt(i int) {
+func (q *queue) removeAt(i int) {
 	n := len(q.heap) - 1
 	last := q.heap[n]
 	q.heap = q.heap[:n]
 	if i == n {
 		return
 	}
-	if i > 0 && last.Before(q.heap[(i-1)/4]) {
+	if i > 0 && last.before(q.heap[(i-1)/4]) {
 		q.up(i, last)
 	} else {
 		q.down(i, last)
@@ -301,11 +279,11 @@ func (q *Queue) removeAt(i int) {
 }
 
 // up places e, bound for index i, at or above i.
-func (q *Queue) up(i int, e Event) {
+func (q *queue) up(i int, e event) {
 	h := q.heap
 	for i > 0 {
 		p := (i - 1) / 4
-		if !e.Before(h[p]) {
+		if !e.before(h[p]) {
 			break
 		}
 		h[i] = h[p]
@@ -315,7 +293,7 @@ func (q *Queue) up(i int, e Event) {
 }
 
 // down places e, bound for index i, at or below i.
-func (q *Queue) down(i int, e Event) {
+func (q *queue) down(i int, e event) {
 	h := q.heap
 	n := len(h)
 	for {
@@ -325,11 +303,11 @@ func (q *Queue) down(i int, e Event) {
 		}
 		m := c
 		for j, end := c+1, min(c+4, n); j < end; j++ {
-			if h[j].Before(h[m]) {
+			if h[j].before(h[m]) {
 				m = j
 			}
 		}
-		if !h[m].Before(e) {
+		if !h[m].before(e) {
 			break
 		}
 		h[i] = h[m]
@@ -342,7 +320,7 @@ func (q *Queue) down(i int, e Event) {
 // It is a value: copies share the underlying event. The zero Timer is
 // inert (Stop reports false).
 type Timer struct {
-	q    *Queue
+	q    *queue
 	slot uint32
 	gen  uint32
 }
@@ -352,9 +330,9 @@ type Timer struct {
 // event from firing. Cancellation is lazy — the dead event stays in
 // the heap until it surfaces or a compaction sweep removes it — so
 // Stop is O(1) even on deep queues (retry timers re-arm constantly).
-// Under a sharded backend, stop a timer only from the execution
-// context of the node it was armed on (or while the engine is
-// parked): the handle mutates that node's shard-local queue.
+// Stop a timer only from the execution context of the node it was
+// armed on (or while the engine is parked): the handle mutates that
+// node's shard-local queue.
 func (t Timer) Stop() bool {
 	return t.q != nil && t.q.cancel(t.slot, t.gen, false)
 }
@@ -376,9 +354,8 @@ func (t *Ticker) Stop() {
 	}
 	t.stopped = true
 	q := t.timer.q
-	// The serial queue's depth is published as it changes; a backend
-	// publishes its own at its next barrier.
-	if q != nil && q.cancel(t.timer.slot, t.timer.gen, true) && q == &q.sim.q {
-		q.sim.m.queueDepth.Set(int64(q.Len()))
+	// Mid-epoch, the depth is published at the next barrier.
+	if q != nil && q.cancel(t.timer.slot, t.timer.gen, true) && !q.sim.eng.inEpoch {
+		q.sim.m.queueDepth.Set(int64(q.sim.eng.queueLen()))
 	}
 }

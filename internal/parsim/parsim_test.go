@@ -301,15 +301,15 @@ func TestStepMergedOrder(t *testing.T) {
 // the first shard.
 func TestShardLimit(t *testing.T) {
 	s := netsim.New()
-	if e, err := New(s, Options{Shards: MaxShards + 1, Workers: 1}); err == nil {
+	if e, err := New(s, Options{Shards: netsim.MaxShards + 1, Workers: 1}); err == nil {
 		e.Close()
-		t.Fatalf("New accepted %d shards", MaxShards+1)
+		t.Fatalf("New accepted %d shards", netsim.MaxShards+1)
 	}
 	first, _ := s.AddNode("first")
 	last, _ := s.AddNode("last")
 	first.SetShard(0)
-	last.SetShard(MaxShards - 1)
-	e, err := New(s, Options{Shards: MaxShards, Workers: 1})
+	last.SetShard(netsim.MaxShards - 1)
+	e, err := New(s, Options{Shards: netsim.MaxShards, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -120,42 +120,3 @@ func TestLateDriverSendIsCounted(t *testing.T) {
 		t.Fatalf("%s = %d, want 1", netsim.MetricLateDropped, n)
 	}
 }
-
-// BenchmarkLaneQueue runs one lane at the depth BGP convergence peaks
-// at on the 44,036-AS world (~300k pending events): Value deliveries
-// ping-pong with jitter, so every executed event queues one more at a
-// random depth. It reports the cost per executed event.
-func BenchmarkLaneQueue(b *testing.B) {
-	const depth = 300_000
-	s := netsim.New()
-	x, _ := s.AddNode("x")
-	y, _ := s.AddNode("y")
-	l, err := s.Connect(x, y, time.Millisecond)
-	if err != nil {
-		b.Fatal(err)
-	}
-	l.SetFaults(netsim.LinkFaults{JitterMax: time.Millisecond})
-	hx, hy := &bouncer{self: x, budget: -1}, &bouncer{self: y, budget: -1}
-	x.SetHandler(hx)
-	y.SetHandler(hy)
-	e, err := New(s, Options{Shards: 2, Workers: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer e.Close()
-	for i := 0; i < depth; i++ {
-		l.SendValue(x, netsim.Value{uint32(i)}, 40)
-	}
-	hx.budget, hy.budget = 1<<62, 1<<62
-	b.ReportAllocs()
-	b.ResetTimer()
-	n := 0
-	for n < b.N {
-		n += s.Run(s.Now() + time.Microsecond)
-	}
-	b.StopTimer()
-	if q := s.QueueLen(); q != depth {
-		b.Fatalf("queue depth %d, want %d", q, depth)
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(n), "ns/event")
-}

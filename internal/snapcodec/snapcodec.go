@@ -1,6 +1,5 @@
 // Package snapcodec is the little-endian binary codec shared by every
-// layer's Checkpoint/Restore seam (netsim, parsim, topology, bgp, core,
-// wire) and by the internal/snapshot container that frames their
+// layer's Checkpoint/Restore seam (netsim, topology, bgp, core, wire) and by the internal/snapshot container that frames their
 // payloads into a versioned, checksummed image.
 //
 // Design rules, chosen for a crash-consistency format:

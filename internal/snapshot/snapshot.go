@@ -1,13 +1,13 @@
 // Package snapshot is the crash-consistent checkpoint/restore layer:
 // it frames every subsystem's Checkpoint seam (topology, bgp, netsim,
-// parsim, core, wire, obs) into one versioned, length-prefixed,
+// core, wire, obs) into one versioned, length-prefixed,
 // checksummed binary image, and restores an image into a runnable
 // world.
 //
 // # Format
 //
 //	magic    [8]byte  "DISCSNAP"
-//	version  uint16   little-endian (currently 2)
+//	version  uint16   little-endian (currently 3)
 //	flags    uint16   reserved, must be zero
 //	sections, repeated until EOF:
 //	  kind    uint16   little-endian (Sec* constants)
@@ -58,18 +58,21 @@ import (
 
 	"discs/internal/bgp"
 	"discs/internal/core"
+	"discs/internal/netsim"
 	"discs/internal/obs"
-	"discs/internal/parsim"
 	"discs/internal/snapcodec"
 	"discs/internal/topology"
 	"discs/internal/wire"
 )
 
-// Version is the current image format version. Version 2 stores the
-// bgp section as the RIB's slabs (prefix, attribute-set and AS-path
-// tables, then per-speaker rows and Adj-RIB-In vectors) instead of
-// sorted per-speaker route maps; version 1 images are refused.
-const Version = 2
+// Version is the current image format version. Version 3 carries the
+// engine's lane state (shard count, per-lane clocks, creation counters
+// and fault-stream positions) at the head of the netsim section, where
+// version 2 had a separate parsim section that only engine-driven
+// worlds wrote. Version 2 stored the bgp section as the RIB's slabs
+// (prefix, attribute-set and AS-path tables, then per-speaker rows and
+// Adj-RIB-In vectors). Older images are refused.
+const Version = 3
 
 var magic = [8]byte{'D', 'I', 'S', 'C', 'S', 'N', 'A', 'P'}
 
@@ -79,7 +82,6 @@ const (
 	SecTopo   uint16 = 2
 	SecBGP    uint16 = 3
 	SecNetsim uint16 = 4
-	SecParsim uint16 = 5
 	SecObs    uint16 = 6
 	SecCore   uint16 = 7
 	SecWire   uint16 = 8
@@ -137,8 +139,6 @@ func secName(kind uint16) string {
 		return "bgp"
 	case SecNetsim:
 		return "netsim"
-	case SecParsim:
-		return "parsim"
 	case SecObs:
 		return "obs"
 	case SecCore:
@@ -150,13 +150,14 @@ func secName(kind uint16) string {
 }
 
 // World is the set of live objects a checkpoint covers. Net is
-// required; Eng, Sys and Data are optional and control which sections
-// the image carries.
+// required; Sys and Data are optional and control which sections the
+// image carries. Eng is the engine Restore re-laned the network with;
+// Write ignores it (the netsim section always carries the lanes).
 type World struct {
 	Net  *bgp.Network
-	Eng  *parsim.Engine // parallel engine, nil for serial runs
-	Sys  *core.System   // deployed system, nil for network-only images
-	Data *wire.DataNet  // packet data plane, nil when absent
+	Eng  *netsim.Engine
+	Sys  *core.System  // deployed system, nil for network-only images
+	Data *wire.DataNet // packet data plane, nil when absent
 }
 
 // Image is a decoded container: version plus verified raw sections.
@@ -229,7 +230,6 @@ func Write(w io.Writer, world *World) error {
 	secs := []sec{
 		{SecMeta, func(sw *snapcodec.Writer) error {
 			sw.Duration(linkDelayOf(world.Net))
-			sw.Bool(world.Eng != nil)
 			sw.Bool(world.Sys != nil)
 			sw.Bool(world.Data != nil)
 			return nil
@@ -244,9 +244,6 @@ func Write(w io.Writer, world *World) error {
 		secs = append(secs, sec{SecWire, world.Data.Checkpoint})
 	}
 	secs = append(secs, sec{SecNetsim, world.Net.Sim.Checkpoint})
-	if world.Eng != nil {
-		secs = append(secs, sec{SecParsim, world.Eng.Checkpoint})
-	}
 	reg := world.Net.Sim.Registry()
 	if world.Sys != nil {
 		reg = world.Sys.Registry()
@@ -256,7 +253,7 @@ func Write(w io.Writer, world *World) error {
 		return nil
 	}})
 
-	// Quiescence is checked by the netsim/parsim seams; build every
+	// Quiescence is checked by the netsim seam; build every
 	// payload before emitting the first byte so a refused checkpoint
 	// writes nothing.
 	payloads := make([][]byte, len(secs))
@@ -393,10 +390,8 @@ func ReadFile(path string) (*Image, error) {
 // registries, so they do not serialize; bit-identity requires passing
 // the same one).
 type Options struct {
-	// Workers drives the restored parallel engine when the image
-	// carries a parsim section (shard count comes from the image;
-	// determinism is worker-count independent). Ignored for serial
-	// images.
+	// Workers drives the restored engine (the shard count comes from
+	// the image; determinism is worker-count independent).
 	Workers int
 	// Config is the system configuration for images carrying a core
 	// section. Zero value = core.DefaultConfig().
@@ -423,7 +418,6 @@ func Restore(img *Image, opt Options) (*World, error) {
 		return nil, err
 	}
 	linkDelay := mr.Duration()
-	hasEng := mr.Bool()
 	hasSys := mr.Bool()
 	hasData := mr.Bool()
 	if err := mr.Done(); err != nil {
@@ -458,26 +452,23 @@ func Restore(img *Image, opt Options) (*World, error) {
 		return nil, err
 	}
 
-	world := &World{Net: net}
-	if hasEng {
-		// Peek the shard count now — the engine must exist (and shard
-		// assignment be final) before the deploy replay creates nodes —
-		// but consume the full section later, once the world is built.
-		pr, err := need(SecParsim)
-		if err != nil {
-			return nil, err
-		}
-		shards := int(pr.Uvarint())
-		if pr.Err() != nil || shards <= 0 || shards > parsim.MaxShards {
-			return nil, &FormatError{Section: "parsim", Err: errors.New("invalid shard count")}
-		}
-		net.AssignShards(shards)
-		eng, err := parsim.New(net.Sim, parsim.Options{Shards: shards, Workers: opt.Workers})
-		if err != nil {
-			return nil, err
-		}
-		world.Eng = eng
+	// Peek the shard count now — the engine must exist (and shard
+	// assignment be final) before the deploy replay creates nodes —
+	// but consume the full section later, once the world is built.
+	nr, err := need(SecNetsim)
+	if err != nil {
+		return nil, err
 	}
+	shards := int(nr.Uvarint())
+	if nr.Err() != nil || shards <= 0 || shards > netsim.MaxShards {
+		return nil, &FormatError{Section: "netsim", Err: errors.New("invalid shard count")}
+	}
+	net.AssignShards(shards)
+	eng, err := net.Sim.Relane(netsim.Options{Shards: shards, Workers: opt.Workers})
+	if err != nil {
+		return nil, err
+	}
+	world := &World{Net: net, Eng: eng}
 
 	br, err := need(SecBGP)
 	if err != nil {
@@ -539,24 +530,12 @@ func Restore(img *Image, opt Options) (*World, error) {
 
 	// Node and link tables are complete now; restore clocks, RNG
 	// positions and per-link state.
-	nr, err := need(SecNetsim)
-	if err != nil {
-		return nil, err
-	}
+	nr = snapcodec.NewReader(img.Section(SecNetsim))
 	if err := net.Sim.RestoreCheckpoint(nr); err != nil {
 		return nil, &FormatError{Section: "netsim", Err: err}
 	}
 	if err := nr.Done(); err != nil {
 		return nil, &FormatError{Section: "netsim", Err: err}
-	}
-	if world.Eng != nil {
-		pr := snapcodec.NewReader(img.Section(SecParsim))
-		if err := world.Eng.RestoreCheckpoint(pr); err != nil {
-			return nil, &FormatError{Section: "parsim", Err: err}
-		}
-		if err := pr.Done(); err != nil {
-			return nil, &FormatError{Section: "parsim", Err: err}
-		}
 	}
 
 	or, err := need(SecObs)

@@ -150,8 +150,8 @@ func TestSystemRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !img.Has(SecCore) || !img.Has(SecParsim) {
-		t.Fatal("system image missing core/parsim sections")
+	if !img.Has(SecCore) || !img.Has(SecNetsim) {
+		t.Fatal("system image missing core/netsim sections")
 	}
 	got, err := Restore(img, Options{Workers: 2, Config: &cfg})
 	if err != nil {
@@ -188,19 +188,46 @@ func TestShardCountRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	good := img.Section(SecParsim)
+	good := img.Section(SecNetsim)
 	if good[0] != 2 {
-		t.Fatalf("parsim section starts %#x, want the shard count 2", good[0])
+		t.Fatalf("netsim section starts %#x, want the shard count 2", good[0])
 	}
-	for _, shards := range []uint64{parsim.MaxShards + 1, 1 << 40} {
-		img.sections[SecParsim] = append(binary.AppendUvarint(nil, shards), good[1:]...)
+	for _, shards := range []uint64{netsim.MaxShards + 1, 1 << 40} {
+		img.sections[SecNetsim] = append(binary.AppendUvarint(nil, shards), good[1:]...)
 		var fe *FormatError
-		if w, err := Restore(img, Options{}); !errors.As(err, &fe) || fe.Section != "parsim" {
+		if w, err := Restore(img, Options{}); !errors.As(err, &fe) || fe.Section != "netsim" {
 			if w != nil && w.Eng != nil {
 				w.Eng.Close()
 			}
-			t.Fatalf("%d shards: err = %v, want a parsim FormatError", shards, err)
+			t.Fatalf("%d shards: err = %v, want a netsim FormatError", shards, err)
 		}
+	}
+}
+
+// TestWriteWithoutEng: the lanes belong to the simulator, so a sharded
+// world handed to Write without its engine handle still refuses an
+// event pending on a shard lane, and its image restores with its
+// shards.
+func TestWriteWithoutEng(t *testing.T) {
+	world := buildWorld(t, 2, 1)
+	world.Eng = nil
+	tm := world.Net.Speakers[4].Node().After(time.Second, func() {})
+	var buf bytes.Buffer
+	if err := Write(&buf, world); !errors.Is(err, netsim.ErrNotQuiescent) {
+		t.Fatalf("event pending on a shard lane: err = %v, want ErrNotQuiescent", err)
+	}
+	tm.Stop()
+	img, err := Read(bytes.NewReader(encode(t, world)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Restore(img, Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer got.Eng.Close()
+	if got.Eng.Shards() != 2 {
+		t.Fatalf("restored %d shards, want 2", got.Eng.Shards())
 	}
 }
 

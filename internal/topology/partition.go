@@ -1,5 +1,5 @@
 // Shard partitioning for the parallel simulation engine
-// (internal/parsim). The engine advances shards in lock-step epochs
+// (internal/netsim). The engine advances shards in lock-step epochs
 // bounded by the minimum cross-shard link latency, so a good partition
 // (a) keeps chatty neighbors — an AS and its transit providers — in
 // the same shard, and (b) balances expected event load across shards.

@@ -16,7 +16,7 @@
 // source AS border (if it deployed), inbound at the destination AS
 // border (if it deployed); transit ASes only forward.
 //
-// Under the parallel engine (internal/parsim), packet handlers for
+// Under the parallel engine (internal/netsim), packet handlers for
 // nodes in different shards execute on different worker goroutines, so
 // all counters here are sharded: each shard accumulates into its own
 // slot (indexed by the executing node's shard, which is exactly the
@@ -217,9 +217,8 @@ func (dn *DataNet) LinkBytes(a, b topology.ASN) uint64 {
 	return n
 }
 
-// nodeNow reads the data node's clock — exact in the executing lane
-// under a sharded backend, the global clock otherwise — mapped to the
-// wall-clock domain used by the DISCS tables.
+// nodeNow reads the data node's clock — exact in the executing lane —
+// mapped to the wall-clock domain used by the DISCS tables.
 func (dn *DataNet) nodeNow(asn topology.ASN) (netsim.Time, time.Time) {
 	at := dn.nodes[asn].Now()
 	return at, time.Unix(0, 0).UTC().Add(at)
