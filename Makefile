@@ -41,12 +41,15 @@ fmt-check:
 # detector (with shuffled test order to catch order-dependent tests),
 # the allocation gates, the service-mode loopback smoke run, and one
 # iteration of every §VI reproduction bench (bench_test.go), of the
-# event-engine micro-benchmarks and of the smallest control-plane mesh
-# (BenchmarkMeshFormation at 45 DAS, about a second), so they run rather
-# than only compile. Performance is judged by `make bench`, not here.
+# event-engine micro-benchmarks, of the smallest control-plane mesh
+# (BenchmarkMeshFormation at 45 DAS, about a second) and of the
+# per-packet simulator path (the serial router round trip, SendV4 and
+# the IPv4 LPM lookup), so they run rather than only compile.
+# Performance is judged by `make bench`, not here.
 check: fmt-check vet vet-obs test-race test-allocs test-fallback node-smoke
 	$(GO) test -run '^$$' -bench . -benchtime 1x . ./internal/netsim
-	$(GO) test -run '^$$' -bench 'MeshFormation/das=45$$' -benchtime 1x ./internal/core
+	$(GO) test -run '^$$' -bench 'MeshFormation/das=45$$|SerialRoundTrip|SendV4' -benchtime 1x ./internal/core
+	$(GO) test -run '^$$' -bench 'LookupV4' -benchtime 1x ./internal/lpm
 
 # The allocation gates skip under -race (the race detector makes
 # sync.Pool drop Puts), so they get one plain run of their own.
@@ -88,6 +91,7 @@ fuzz:
 	$(GO) test ./internal/packet/ -fuzz FuzzParseIPv6 -fuzztime 15s
 	$(GO) test ./internal/packet/ -fuzz FuzzScrubICMPv4 -fuzztime 15s
 	$(GO) test ./internal/packet/ -fuzz FuzzFragmentReassemble -fuzztime 15s
+	$(GO) test ./internal/lpm/ -fuzz FuzzLPM -fuzztime 15s
 	$(GO) test ./internal/core/ -fuzz FuzzDecodeControlMsg -fuzztime 15s
 	$(GO) test ./internal/core/ -fuzz FuzzParseInvocation -fuzztime 15s
 	$(GO) test ./internal/core/ -fuzz FuzzCtrlFrame -fuzztime 15s

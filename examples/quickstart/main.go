@@ -102,7 +102,7 @@ func main() {
 			outcome = fmt.Sprintf("DROPPED at AS%d", res.DroppedAt)
 		}
 		fmt.Printf("%-48s %s\n", label, outcome)
-		for _, h := range res.Hops {
+		for _, h := range res.Hops() {
 			fmt.Printf("    AS%d: %v\n", h.AS, h.Verdict)
 		}
 	}

@@ -78,43 +78,39 @@ func shiftLeft(dst, src *[BlockSize]byte) {
 	}
 }
 
-// Scratch holds the chaining buffers one CMAC computation needs. The
+// scratch holds the chaining buffers of one crypto/aes CMAC. The
 // buffers are passed to cipher.Block.Encrypt, an interface call, so
 // stack-allocated arrays would escape and cost two heap allocations per
-// MAC; a Scratch lets callers hoist that out of the per-packet path. A
-// Scratch is reusable across keys and messages but must not be shared
-// by concurrent computations. The zero value is ready to use.
-type Scratch struct {
+// MAC. A scratch is reusable across keys and messages but must not be
+// shared by concurrent computations. The zero value is ready to use.
+type scratch struct {
 	x, y [BlockSize]byte
 }
 
-// scratchPool backs the convenience methods (Sum, Sum29, ...) so they
-// stay allocation-free in steady state without forcing every caller to
-// manage a Scratch.
-var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
+// scratchPool backs Sum on the crypto/aes path, so it stays
+// allocation-free in steady state.
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
-// Sum computes the 16-byte AES-CMAC of msg.
+// Sum computes the 16-byte AES-CMAC of msg. Where the lane kernels run,
+// a message of at least a block goes through the one-lane kernel, as
+// every Sum* and Verify* call does; crypto/aes serves the rest.
 func (c *CMAC) Sum(msg []byte) [BlockSize]byte {
-	s := scratchPool.Get().(*Scratch)
-	m := c.SumWith(msg, s)
+	if useKernel && len(msg) >= BlockSize {
+		return c.sumKernel(msg)
+	}
+	s := scratchPool.Get().(*scratch)
+	m := c.sumAES(msg, s, nil)
 	scratchPool.Put(s)
 	return m
 }
 
-// SumWith computes the 16-byte AES-CMAC of msg using the caller's
-// scratch buffers, performing no heap allocation.
-func (c *CMAC) SumWith(msg []byte, s *Scratch) [BlockSize]byte {
-	return c.SumCached(msg, s, nil)
-}
-
-// SumCached is SumWith with an optional first-block cache. For messages
-// of two or more blocks the first chained encryption E_K(M1) depends
-// only on the key and the leading 16 message bytes; when bc is non-nil
-// that value is looked up (and on miss, filled) in bc, saving one AES
-// round per MAC for workloads where the leading block repeats — in
-// DISCS the first block of a mark message holds header fields shared by
-// every packet of a flow. A nil bc computes everything directly.
-func (c *CMAC) SumCached(msg []byte, s *Scratch, bc *BlockCache) [BlockSize]byte {
+// sumAES is the CMAC of msg through crypto/aes: the fallback engine,
+// and the reference the lane kernels are held to. For messages of two
+// or more blocks the first chained encryption E_K(M1) depends only on
+// the key and the leading 16 message bytes; when bc is non-nil that
+// value is looked up (and on miss, filled) in bc. A nil bc computes
+// everything directly.
+func (c *CMAC) sumAES(msg []byte, s *scratch, bc *BlockCache) [BlockSize]byte {
 	nBlocks := (len(msg) + BlockSize - 1) / BlockSize
 	last := c.lastBlock(msg[max(nBlocks-1, 0)*BlockSize:])
 	if nBlocks >= 2 {
@@ -204,9 +200,9 @@ type blockCacheSet struct {
 // structure of DISCS mark messages: the leading 16 bytes carry header
 // fields that repeat across the packets of a flow, so in steady state
 // the first of the two AES rounds per mark can be skipped. It serves
-// the crypto/aes path (SumCached, and SumBurst where the lane kernel
-// does not run); the kernel encrypts a lane's first block for less
-// than a lookup costs and does not consult it.
+// the crypto/aes path only (the burst functions where the lane kernels
+// do not run); the kernels encrypt a lane's first block for less than a
+// lookup costs and do not consult it.
 //
 // Entries are tagged with the *CMAC pointer, so key rotation
 // invalidates naturally: a new key table snapshot carries new CMAC
@@ -389,27 +385,7 @@ func (c *CMAC) Sum29(msg []byte) uint32 {
 // Sum32 computes the 32-bit truncation used for IPv6 stamping: the
 // most-significant 4 bytes of the CMAC.
 func (c *CMAC) Sum32(msg []byte) uint32 {
-	s := scratchPool.Get().(*Scratch)
-	v := c.Sum32With(msg, s)
-	scratchPool.Put(s)
-	return v
-}
-
-// Sum32With is Sum32 with caller-provided scratch buffers.
-func (c *CMAC) Sum32With(msg []byte, s *Scratch) uint32 {
-	m := c.SumWith(msg, s)
-	return mac32(&m)
-}
-
-// Sum29Cached is Sum29 with caller-provided scratch buffers and an
-// optional first-block cache.
-func (c *CMAC) Sum29Cached(msg []byte, s *Scratch, bc *BlockCache) uint32 {
-	return c.Sum32Cached(msg, s, bc) >> 3
-}
-
-// Sum32Cached is Sum32With with an optional first-block cache.
-func (c *CMAC) Sum32Cached(msg []byte, s *Scratch, bc *BlockCache) uint32 {
-	m := c.SumCached(msg, s, bc)
+	m := c.Sum(msg)
 	return mac32(&m)
 }
 

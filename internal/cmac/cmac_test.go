@@ -40,6 +40,8 @@ func TestRFC4493Subkeys(t *testing.T) {
 	}
 }
 
+// The RFC 4493 §4 vectors through Sum and Verify on each engine, and
+// through the crypto/aes reference.
 func TestRFC4493Vectors(t *testing.T) {
 	cases := []struct {
 		name string
@@ -57,14 +59,18 @@ func TestRFC4493Vectors(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			got := c.Sum(rfcMsg[:tc.n])
 			want := fromHex(t, tc.want)
-			if !bytes.Equal(got[:], want) {
-				t.Errorf("Sum = %x, want %x", got, want)
+			if got := cryptoAESSum(c, rfcMsg[:tc.n]); !bytes.Equal(got[:], want) {
+				t.Errorf("crypto/aes = %x, want %x", got, want)
 			}
-			if !c.Verify(rfcMsg[:tc.n], want) {
-				t.Error("Verify(correct) = false")
-			}
+			backends(t, func(t *testing.T) {
+				if got := c.Sum(rfcMsg[:tc.n]); !bytes.Equal(got[:], want) {
+					t.Errorf("Sum = %x, want %x", got, want)
+				}
+				if !c.Verify(rfcMsg[:tc.n], want) {
+					t.Error("Verify(correct) = false")
+				}
+			})
 		})
 	}
 }
@@ -223,44 +229,43 @@ func TestVerifyWrongLengthMAC(t *testing.T) {
 	}
 }
 
-// SumCached must be bit-identical to SumWith for every length and
-// cache state.
+// The cached crypto/aes path must be bit-identical to the uncached one
+// for every length and cache state.
 func TestSumCachedMatchesSum(t *testing.T) {
 	c, _ := New(rfcKey)
-	var s Scratch
+	var s scratch
 	var bc BlockCache
 	msg := make([]byte, 100)
 	for i := range msg {
 		msg[i] = byte(i * 7)
 	}
 	for n := 0; n <= len(msg); n++ {
-		want := c.Sum(msg[:n])
+		want := cryptoAESSum(c, msg[:n])
 		for pass := 0; pass < 2; pass++ { // cold then warm cache
-			if got := c.SumCached(msg[:n], &s, &bc); got != want {
-				t.Fatalf("len %d pass %d: SumCached = %x, want %x", n, pass, got, want)
+			if got := c.sumAES(msg[:n], &s, &bc); got != want {
+				t.Fatalf("len %d pass %d: cached crypto/aes = %x, want %x", n, pass, got, want)
 			}
-		}
-		if got := c.SumCached(msg[:n], &s, nil); got != want {
-			t.Fatalf("len %d: SumCached(nil cache) = %x, want %x", n, got, want)
 		}
 	}
 }
 
+// The cache serves the crypto/aes path only, so this drives that path
+// directly.
 func TestBlockCacheBehavior(t *testing.T) {
 	c, _ := New(rfcKey)
-	var s Scratch
+	var s scratch
 	var bc BlockCache
 	msg := make([]byte, 21) // 2 blocks: first block cacheable
 	for i := range msg {
 		msg[i] = byte(i)
 	}
-	c.SumCached(msg, &s, &bc)
+	c.sumAES(msg, &s, &bc)
 	if bc.Misses() != 1 || bc.Hits() != 0 {
 		t.Fatalf("cold: hits=%d misses=%d, want 0/1", bc.Hits(), bc.Misses())
 	}
 	// Same leading block, different tail: still a hit.
 	msg[20] ^= 0xff
-	c.SumCached(msg, &s, &bc)
+	c.sumAES(msg, &s, &bc)
 	if bc.Hits() != 1 {
 		t.Fatalf("warm: hits=%d, want 1", bc.Hits())
 	}
@@ -268,7 +273,7 @@ func TestBlockCacheBehavior(t *testing.T) {
 	// entries are tagged by instance pointer, which is how key-table
 	// snapshot swaps invalidate the cache.
 	c2, _ := New(rfcKey)
-	c2.SumCached(msg, &s, &bc)
+	c2.sumAES(msg, &s, &bc)
 	if bc.Misses() != 2 {
 		t.Fatalf("rotated key: misses=%d, want 2", bc.Misses())
 	}
@@ -277,13 +282,13 @@ func TestBlockCacheBehavior(t *testing.T) {
 		t.Fatal("Reset did not clear counters")
 	}
 	// Single-block messages never touch the cache.
-	c.SumCached(msg[:10], &s, &bc)
+	c.sumAES(msg[:10], &s, &bc)
 	if bc.Hits()+bc.Misses() != 0 {
 		t.Fatal("single-block message consulted the cache")
 	}
 }
 
-// SumBurst must be bit-identical to per-message Sum32/Sum29 across
+// SumBurst must be bit-identical to per-message crypto/aes CMACs across
 // message lengths (single-block, exact-multiple, padded) and burst
 // sizes (empty, partial lane group, multiple groups), cached or not.
 func TestSumBurstMatchesSerial(t *testing.T) {
@@ -309,7 +314,8 @@ func testSumBurstMatchesSerial(t *testing.T) {
 			for _, cache := range []*BlockCache{nil, &bc} {
 				c.SumBurst32(flat, msgLen, out, &bs, cache)
 				for i := 0; i < n; i++ {
-					want := c.Sum32(flat[i*msgLen : (i+1)*msgLen])
+					mac := cryptoAESSum(c, flat[i*msgLen:(i+1)*msgLen])
+					want := mac32(&mac)
 					if out[i] != want {
 						t.Fatalf("msgLen=%d n=%d cache=%v msg %d: burst %08x, serial %08x",
 							msgLen, n, cache != nil, i, out[i], want)
@@ -317,7 +323,8 @@ func testSumBurstMatchesSerial(t *testing.T) {
 				}
 				c.SumBurst29(flat, msgLen, out, &bs, cache)
 				for i := 0; i < n; i++ {
-					want := c.Sum29(flat[i*msgLen : (i+1)*msgLen])
+					mac := cryptoAESSum(c, flat[i*msgLen:(i+1)*msgLen])
+					want := mac32(&mac) >> 3
 					if out[i] != want {
 						t.Fatalf("msgLen=%d n=%d cache=%v msg %d: burst29 %08x, serial %08x",
 							msgLen, n, cache != nil, i, out[i], want)
@@ -422,13 +429,12 @@ func BenchmarkSumSerial64x21B(b *testing.B) {
 	for i := range flat {
 		flat[i] = byte(i)
 	}
-	var s Scratch
 	b.SetBytes(64 * msgLen)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for j := 0; j < 64; j++ {
-			c.Sum29Cached(flat[j*msgLen:(j+1)*msgLen], &s, nil)
+			c.Sum29(flat[j*msgLen : (j+1)*msgLen])
 		}
 	}
 	b.ReportMetric(float64(b.N*64)/b.Elapsed().Seconds()/1e6, "Mmacs/s")

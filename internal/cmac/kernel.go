@@ -15,9 +15,9 @@ type roundKeys [11 * BlockSize]byte
 // (-ldflags=-X=discs/internal/cmac.fallback=1).
 var fallback string
 
-// useKernel selects the AES-NI lane kernels for the burst functions. The
-// architecture and the CPU decide it; without the kernels every block
-// goes through crypto/aes.
+// useKernel selects the AES-NI lane kernels for every MAC of at least a
+// block, single messages and bursts alike. The architecture and the CPU
+// decide it; without the kernels every block goes through crypto/aes.
 var useKernel = hasAESNI() && fallback == ""
 
 // sbox is the AES S-box, built from its definition (FIPS-197 §5.1.1):
@@ -137,4 +137,16 @@ func sumBurstKernel(one *CMAC, keys []*CMAC, flat []byte, msgLen int, out []uint
 			out[base+j] = mac32(&bs.x[j])
 		}
 	}
+}
+
+// sumKernel is the CMAC of one message of at least a block, on the
+// one-lane kernel.
+func (c *CMAC) sumKernel(msg []byte) [BlockSize]byte {
+	var lk [BurstLanes]*laneKey
+	var mp [BurstLanes]*byte
+	var mac [BurstLanes][BlockSize]byte
+	head := (len(msg) - 1) / BlockSize * BlockSize
+	lk[0], mp[0] = &c.laneKey, &msg[0]
+	cmacLanes(&lk, &mp, head, &tailShapes[len(msg)-head], &mac, 1)
+	return mac[0]
 }

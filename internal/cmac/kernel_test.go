@@ -21,13 +21,10 @@ func backends(t *testing.T, f func(t *testing.T)) {
 	t.Run("crypto-aes", f)
 }
 
-// cryptoAESSum is c.Sum forced onto the crypto/aes path: the reference
-// the lane kernels are held to.
+// cryptoAESSum is the CMAC of msg through crypto/aes: the reference the
+// lane kernels are held to, whichever engine Sum runs on.
 func cryptoAESSum(c *CMAC, msg []byte) [BlockSize]byte {
-	saved := useKernel
-	defer func() { useKernel = saved }()
-	useKernel = false
-	return c.Sum(msg)
+	return c.sumAES(msg, new(scratch), nil)
 }
 
 func randKey(rng *rand.Rand) []byte {
@@ -85,6 +82,54 @@ func TestLaneKernelsMatchCryptoAES(t *testing.T) {
 			t.Fatalf("round %d, %d lanes, %d-byte messages: kernel %x, want %x", round, width, msgLen, mac, want)
 		}
 	}
+}
+
+// Every single-message entry point equals crypto/aes for every length
+// from the empty message to several blocks, on each engine: the kernel
+// takes the messages of at least a block, crypto/aes the shorter ones.
+func TestSumMatchesCryptoAES(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	c, _ := New(randKey(rng))
+	msg := make([]byte, 100)
+	rng.Read(msg)
+	backends(t, func(t *testing.T) {
+		for n := 0; n <= len(msg); n++ {
+			m := msg[:n]
+			want := cryptoAESSum(c, m)
+			w32 := mac32(&want)
+			if got := c.Sum(m); got != want {
+				t.Fatalf("len %d: Sum %x, crypto/aes %x", n, got, want)
+			}
+			if c.Sum32(m) != w32 {
+				t.Fatalf("len %d: Sum32 disagrees with crypto/aes %08x", n, w32)
+			}
+			if c.Sum29(m) != w32>>3 {
+				t.Fatalf("len %d: Sum29 disagrees with crypto/aes %08x", n, w32>>3)
+			}
+			if !c.Verify(m, want[:]) || !c.Verify32(m, w32) || !c.Verify29(m, w32>>3) {
+				t.Fatalf("len %d: Verify rejects the crypto/aes MAC", n)
+			}
+		}
+	})
+}
+
+// The single-message entry points allocate nothing on either engine
+// (the crypto/aes one is checked outside -race, which defeats its
+// scratch pool).
+func TestSumZeroAlloc(t *testing.T) {
+	c, _ := New(rfcKey)
+	msg := rfcMsg[:21]
+	backends(t, func(t *testing.T) {
+		if raceEnabled && !useKernel {
+			t.Skip("sync.Pool drops Puts under -race")
+		}
+		if n := testing.AllocsPerRun(100, func() {
+			c.Verify29(msg, c.Sum29(msg))
+			c.Verify32(msg, c.Sum32(msg))
+		}); n != 0 {
+			t.Fatalf("%v allocs per Sum29+Verify29+Sum32+Verify32, want 0", n)
+		}
+	})
 }
 
 // SumBurstKeys32/29 equal per-message CMACs through crypto/aes with a
@@ -175,7 +220,8 @@ func TestSumBurstRFC4493(t *testing.T) {
 // Both must stay cached: after one warm-up round, 64 flows under two
 // alternating instances hit at least 90 % of the time. (A cache that
 // maps a block to one slot whatever the key evicts the other key on
-// every burst and never hits.)
+// every burst and never hits.) Only the crypto/aes path consults the
+// cache, so the test drives that path directly.
 func TestBlockCacheTwoKeysAlternating(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	stamp, _ := New(randKey(rng))
@@ -185,12 +231,12 @@ func TestBlockCacheTwoKeysAlternating(t *testing.T) {
 		msgs[i] = make([]byte, 21)
 		rng.Read(msgs[i])
 	}
-	var s Scratch
+	var s scratch
 	var bc BlockCache
 	burst := func() {
 		for _, k := range []*CMAC{stamp, verify} {
 			for _, m := range msgs {
-				k.SumCached(m, &s, &bc)
+				k.sumAES(m, &s, &bc)
 			}
 		}
 	}

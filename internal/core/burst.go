@@ -10,8 +10,8 @@ import (
 )
 
 // BurstPipeline holds the per-worker state of the fused burst data
-// path: CMAC lane scratch, the first-block cache, the tuple-generation
-// memos and the packed message/verdict staging buffers. A pipeline is
+// path: CMAC lane scratch, the first-block cache, the stamp-key memo
+// and the packed message/verdict staging buffers. A pipeline is
 // not safe for concurrent use — give each forwarding goroutine its own
 // (NewBurstPipeline) or let the batch entry points borrow one from the
 // shared pool. State is keyed by table and key *pointers*, so one
@@ -26,13 +26,11 @@ import (
 // processing against a frozen snapshot. Only the MAC schedule differs:
 // the burst's MACs are staged and computed together, eight lanes at a
 // time whatever their keys (cmac.SumBurstKeys32), with one snapshot
-// load, one counter flush and memoized Pfx2AS and key lookups per
-// burst.
+// load, one counter flush and a memoized stamp key per burst.
 type BurstPipeline struct {
 	memo   tupleMemo
 	blocks cmac.BlockCache
 	lanes  cmac.BurstScratch
-	s      cmac.Scratch
 
 	// The burst's CMAC work, staged per address family.
 	v4, v6 macStage
@@ -182,13 +180,12 @@ func (bp *BurstPipeline) Inbound(r *BorderRouter, pkts []MarkCarrier, now time.T
 	bp.action = bp.action[:n]
 	bp.srcAS = bp.srcAS[:n]
 	bp.vks = bp.vks[:n]
-	bp.memo.beginBurst()
 
 	// Pass 1: the decision, and the pending packets' MACs staged.
 	for i, p := range pkts {
 		dst = append(dst, VerdictPass)
 		p4, p6 := p.unwrap()
-		act, srcAS, vk := r.decideIn(&st, &bp.memo, p4, p6, nowN, &d)
+		act, srcAS, vk := r.decideIn(&st, p4, p6, nowN, &d)
 		bp.action[i], bp.srcAS[i], bp.vks[i] = act, srcAS, vk
 		switch {
 		case act != actPending:
@@ -227,7 +224,7 @@ func (bp *BurstPipeline) verifyStaged(pkts []MarkCarrier, d *routerDeltas) {
 		if prev := bp.vks[i].previous; !ok && prev != nil {
 			d.macsComputed++
 			m := p.Msg()
-			ok = prev.Sum29Cached(m[:], &bp.s, &bp.blocks) == want
+			ok = prev.Sum29(m[:]) == want
 		}
 		bp.resolve(i, ok)
 	}
@@ -240,7 +237,7 @@ func (bp *BurstPipeline) verifyStaged(pkts []MarkCarrier, d *routerDeltas) {
 		if prev := bp.vks[i].previous; !ok && prev != nil {
 			d.macsComputed++
 			m := p.Msg()
-			ok = prev.Sum32Cached(m[:], &bp.s, &bp.blocks) == want
+			ok = prev.Sum32(m[:]) == want
 		}
 		bp.resolve(i, ok)
 	}

@@ -214,7 +214,7 @@ func runBurstSide(t *testing.T, seed int64, n, mtu int, mutate func(r *BorderRou
 // sequences. One batch pair takes the traffic as a single burst through
 // the pooled entry points; the other takes it in random bursts of 1–64
 // through one dedicated pipeline, so the per-burst stamp-key memo
-// resets and the persistent Pfx2AS memo fall mid-stream. mutate, when
+// resets fall mid-stream. mutate, when
 // non-nil, runs between the outbound and inbound halves on every
 // victim (rekey windows, mark corruption, alarm mode).
 func runBurstDifferential(t *testing.T, seed int64, n, mtu int, mutate func(r *BorderRouter, pkts []MarkCarrier)) {
@@ -400,9 +400,9 @@ func TestBurstPipelineReuseAcrossRouters(t *testing.T) {
 }
 
 // The batch entry points allocate nothing per burst, even in the shape
-// that defeats the memos: every round draws 64 fresh IPv4 sources from
-// the peer's /16, and destinations alternate between the two stamp
-// keys, so key runs split inside every burst.
+// that defeats the stamp-key memo: every round draws 64 fresh IPv4
+// sources from the peer's /16, and destinations alternate between the
+// two stamp keys, so key runs split inside every burst.
 func TestBurstZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts at random under -race")

@@ -159,7 +159,7 @@ func (s *System) Checkpoint(w *snapcodec.Writer) error {
 		if err := s.Controllers[d.asn].CheckpointJournal(w); err != nil {
 			return err
 		}
-		tables := s.Routers[d.asn].Tables
+		tables := s.Router(d.asn).Tables
 		for _, kind := range tableKinds {
 			tables.In[kind].checkpoint(w)
 		}
@@ -192,7 +192,7 @@ func (s *System) RestoreCheckpoint(r *snapcodec.Reader) error {
 		if err := ctrl.RestoreJournal(r); err != nil {
 			return err
 		}
-		tables := s.Routers[asn].Tables
+		tables := s.Router(asn).Tables
 		for _, kind := range tableKinds {
 			if err := tables.In[kind].restore(r); err != nil {
 				return err

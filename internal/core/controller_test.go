@@ -11,7 +11,7 @@ import (
 
 // testInternet builds the testTopology internet: a converged BGP
 // network and a DISCS system.
-func testInternet(t *testing.T) *System {
+func testInternet(t testing.TB) *System {
 	t.Helper()
 	net, err := bgp.BuildNetwork(testTopology(t), time.Millisecond)
 	if err != nil {
@@ -26,7 +26,7 @@ func testInternet(t *testing.T) *System {
 
 // testTopology builds a 9-AS topology with tier-1s T1,T2 (10, 20),
 // mids M1..M3 (100,200,300) and stubs S1..S4 (1001..1004).
-func testTopology(t *testing.T) *topology.Topology {
+func testTopology(t testing.TB) *topology.Topology {
 	t.Helper()
 	tp := topology.New()
 	asns := []topology.ASN{10, 20, 100, 200, 300, 1001, 1002, 1003, 1004}
@@ -67,7 +67,7 @@ func testTopology(t *testing.T) *topology.Topology {
 }
 
 // testSystem wires DISCS into net with cfg.
-func testSystem(t *testing.T, net *bgp.Network, cfg Config) *System {
+func testSystem(t testing.TB, net *bgp.Network, cfg Config) *System {
 	t.Helper()
 	s, err := NewSystemWithOptions(SystemOptions{Net: net, Config: cfg})
 	if err != nil {
@@ -77,7 +77,7 @@ func testSystem(t *testing.T, net *bgp.Network, cfg Config) *System {
 }
 
 // deploy installs DISCS on the given ASes and settles the simulator.
-func deploy(t *testing.T, s *System, asns ...topology.ASN) {
+func deploy(t testing.TB, s *System, asns ...topology.ASN) {
 	t.Helper()
 	for i, asn := range asns {
 		if _, err := s.Deploy(asn, int64(i+1)); err != nil {

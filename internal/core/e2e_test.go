@@ -72,7 +72,7 @@ func TestE2EDDoSDefense(t *testing.T) {
 		t.Fatalf("genuine peer traffic dropped: %+v", res)
 	}
 	sawStamp, sawVerify := false, false
-	for _, h := range res.Hops {
+	for _, h := range res.Hops() {
 		if h.Verdict == VerdictPassStamped {
 			sawStamp = true
 		}
@@ -81,7 +81,7 @@ func TestE2EDDoSDefense(t *testing.T) {
 		}
 	}
 	if !sawStamp || !sawVerify {
-		t.Fatalf("hops = %+v", res.Hops)
+		t.Fatalf("hops = %+v", res.Hops())
 	}
 
 	// 4. Genuine traffic from a legacy AS (its own space) → delivered:

@@ -399,7 +399,7 @@ func (r *BorderRouter) ProcessOutbound(p MarkCarrier, now time.Time) Verdict {
 // ProcessOutboundBatch processes a burst of outbound packets against a
 // single coherent snapshot of the tables through the fused
 // BurstPipeline: one snapshot load and counter flush per burst,
-// memoized LPM/key lookups, and interleaved CMAC scheduling. Verdicts
+// memoized key lookups, and interleaved CMAC scheduling. Verdicts
 // are appended to dst (pass a reused buffer to keep the call
 // allocation-free) and returned. Every packet in the burst sees the
 // same table/key state; a concurrent controller mutation applies to
@@ -453,7 +453,7 @@ func (r *BorderRouter) ProcessInbound(p MarkCarrier, now time.Time) Verdict {
 	nowN := now.UnixNano()
 	var d routerDeltas
 	p4, p6 := p.unwrap()
-	act, srcAS, vk := r.decideIn(&st, nil, p4, p6, nowN, &d)
+	act, srcAS, vk := r.decideIn(&st, p4, p6, nowN, &d)
 	if act == actPending {
 		ok, macs := vk.verify(p)
 		d.macsComputed += uint64(macs)
@@ -491,11 +491,11 @@ const (
 // is non-nil) against a loaded snapshot. actPending comes with the
 // source AS and its verification keys; the caller checks the mark.
 // An IPv6 packet without a DISCS option is actInvalid at once, with no
-// MAC computed. m, when non-nil, is the burst's lookup memo.
-func (r *BorderRouter) decideIn(st *inState, m *tupleMemo, p4 *packet.IPv4, p6 *packet.IPv6, nowN int64, d *routerDeltas) (uint8, topology.ASN, *peerKeys) {
+// MAC computed.
+func (r *BorderRouter) decideIn(st *inState, p4 *packet.IPv4, p6 *packet.IPv6, nowN int64, d *routerDeltas) (uint8, topology.ASN, *peerKeys) {
 	d.inProcessed++
 	src, dst := addrs(p4, p6)
-	tup := r.Tables.genInTuple(st, m, src, dst, nowN)
+	tup := r.Tables.genInTuple(st, src, dst, nowN)
 	if !tup.Verify {
 		return actPass, 0, nil
 	}

@@ -51,7 +51,7 @@ func testRouter(tables *Tables, seed int64) *BorderRouter {
 //	AS1 (peer, runs DP+CDP stamping) — AS3 (victim, verifies)
 //
 // Returns the peer router, the victim router, and the shared key.
-func peerVictimSetup(t *testing.T) (peer, victim *BorderRouter) {
+func peerVictimSetup(t testing.TB) (peer, victim *BorderRouter) {
 	t.Helper()
 	key := make([]byte, 16)
 	key[3] = 0x42

@@ -18,7 +18,13 @@ type System struct {
 	Dir *Directory
 
 	Controllers map[topology.ASN]*Controller
-	Routers     map[topology.ASN]*BorderRouter
+	// Routers holds every deployed AS's border router; Router finds one
+	// by the topology's dense AS index instead, without a map lookup.
+	Routers map[topology.ASN]*BorderRouter
+
+	// routerAt is Routers indexed by the topology's dense AS index (nil
+	// where an AS has no DISCS), so a packet's hops cost no map lookup.
+	routerAt []*BorderRouter
 
 	cfg Config
 	reg *obs.Registry
@@ -187,6 +193,11 @@ func (s *System) deployNode(asn topology.ASN, seed int64) (*Controller, *bgp.Spe
 	ctrl.AttachRouter(router)
 	s.Controllers[asn] = ctrl
 	s.Routers[asn] = router
+	i, _ := s.Net.Topo.Index(asn)
+	if i >= len(s.routerAt) {
+		s.routerAt = append(s.routerAt, make([]*BorderRouter, i+1-len(s.routerAt))...)
+	}
+	s.routerAt[i] = router
 	s.deploys = append(s.deploys, deployRecord{asn: asn, seed: seed})
 	return ctrl, sp, nil
 }
@@ -231,6 +242,14 @@ func (s *System) Restart(asn topology.ASN) error {
 // clock).
 func (s *System) Now() time.Time { return time.Unix(0, 0).UTC().Add(s.Net.Sim.Now()) }
 
+// Router returns the border router of a deployed AS, or nil.
+func (s *System) Router(asn topology.ASN) *BorderRouter {
+	if i, ok := s.Net.Topo.Index(asn); ok && i < len(s.routerAt) {
+		return s.routerAt[i]
+	}
+	return nil
+}
+
 // HopResult records what happened to a packet at one AS.
 type HopResult struct {
 	AS      topology.ASN
@@ -243,7 +262,11 @@ type DeliveryResult struct {
 	// DroppedAt is the AS whose border router dropped the packet (0 if
 	// delivered).
 	DroppedAt topology.ASN
-	Hops      []HopResult
+	// hops holds the verdicts of the DISCS borders the packet met, the
+	// source's and the destination's: only they act (§III-B). Held
+	// inline, so that a result costs no allocation.
+	hops  [2]HopResult
+	nHops uint8
 	// TTLExpired is set when the packet died of TTL, in which case an
 	// ICMP time-exceeded was generated (see ICMPReturned).
 	TTLExpired bool
@@ -251,6 +274,15 @@ type DeliveryResult struct {
 	// packet's source address owner, after DISCS mark scrubbing at that
 	// AS's border (§VI-E2). Nil unless TTL expired en route.
 	ICMPReturned *packet.IPv4
+}
+
+// Hops returns the verdicts of the DISCS borders the packet met, in
+// path order.
+func (r *DeliveryResult) Hops() []HopResult { return r.hops[:r.nHops] }
+
+func (r *DeliveryResult) addHop(as topology.ASN, v Verdict) {
+	r.hops[r.nHops] = HopResult{as, v}
+	r.nHops++
 }
 
 // pathBufLen sizes the stack buffer Send walks AS paths into; longer
@@ -273,10 +305,9 @@ func (s *System) SendV4(fromAS topology.ASN, p *packet.IPv4) DeliveryResult {
 	now := s.Now()
 
 	// Outbound processing at the source AS border.
-	if r := s.Routers[fromAS]; r != nil {
+	if r := s.Router(fromAS); r != nil {
 		v := r.ProcessOutbound(V4{p}, now)
-		// Sized once for both DISCS borders, the only hops recorded.
-		res.Hops = append(make([]HopResult, 0, 2), HopResult{fromAS, v})
+		res.addHop(fromAS, v)
 		if v.Dropped() {
 			res.DroppedAt = fromAS
 			return res
@@ -305,9 +336,9 @@ func (s *System) SendV4(fromAS topology.ASN, p *packet.IPv4) DeliveryResult {
 		p.TTL--
 	}
 	// Inbound processing at the destination AS border.
-	if r := s.Routers[dstAS]; r != nil {
+	if r := s.Router(dstAS); r != nil {
 		v := r.ProcessInbound(V4{p}, now)
-		res.Hops = append(res.Hops, HopResult{dstAS, v})
+		res.addHop(dstAS, v)
 		if v.Dropped() {
 			res.DroppedAt = dstAS
 			return res
@@ -343,7 +374,7 @@ func (s *System) returnTimeExceeded(atAS, origFrom topology.ASN, orig *packet.IP
 	// Inbound at the source-address owner's border: scrub marks.
 	srcOwner, ok := s.Net.Topo.OwnerOf(orig.Src)
 	if ok {
-		if r := s.Routers[srcOwner]; r != nil {
+		if r := s.Router(srcOwner); r != nil {
 			r.ScrubInboundICMP(back)
 		}
 	}
@@ -361,10 +392,9 @@ func (s *System) SendV6(fromAS topology.ASN, p *packet.IPv6) DeliveryResult {
 		return res
 	}
 	now := s.Now()
-	if r := s.Routers[fromAS]; r != nil {
+	if r := s.Router(fromAS); r != nil {
 		v := r.ProcessOutbound(V6{p}, now)
-		// Sized once for both DISCS borders, the only hops recorded.
-		res.Hops = append(make([]HopResult, 0, 2), HopResult{fromAS, v})
+		res.addHop(fromAS, v)
 		if v.Dropped() {
 			res.DroppedAt = fromAS
 			return res
@@ -389,9 +419,9 @@ func (s *System) SendV6(fromAS topology.ASN, p *packet.IPv6) DeliveryResult {
 		}
 		p.HopLimit--
 	}
-	if r := s.Routers[dstAS]; r != nil {
+	if r := s.Router(dstAS); r != nil {
 		v := r.ProcessInbound(V6{p}, now)
-		res.Hops = append(res.Hops, HopResult{dstAS, v})
+		res.addHop(dstAS, v)
 		if v.Dropped() {
 			res.DroppedAt = dstAS
 			return res

@@ -493,12 +493,11 @@ func (t *Tables) loadIn() inState {
 // set iff CSP-verify ∈ In-Src(s) or CDP-verify ∈ In-Dst(d).
 func (t *Tables) GenInTuple(src, dst netip.Addr, now time.Time) InTuple {
 	st := t.loadIn()
-	return t.genInTuple(&st, nil, src, dst, now.UnixNano())
+	return t.genInTuple(&st, src, dst, now.UnixNano())
 }
 
-// genInTuple is the one in-tuple generator; m, when non-nil, memoizes
-// its Pfx2AS lookups across the packets of a burst.
-func (t *Tables) genInTuple(st *inState, m *tupleMemo, src, dst netip.Addr, nowN int64) InTuple {
+// genInTuple is the one in-tuple generator.
+func (t *Tables) genInTuple(st *inState, src, dst netip.Addr, nowN int64) InTuple {
 	// Idle early return: with no live verify op anywhere, skip the
 	// function-table walks and the Pfx2AS lookup.
 	if st.src.idleAt(nowN) && st.dst.idleAt(nowN) {
@@ -521,7 +520,7 @@ func (t *Tables) genInTuple(st *inState, m *tupleMemo, src, dst netip.Addr, nowN
 	if dstOps.Has(OpCDPVerify) && !dstGrace.Has(OpCDPVerify) {
 		erase = false
 	}
-	asn, known := t.srcAS(m, src)
+	asn, known := t.Pfx2AS.LookupVal(src)
 	return InTuple{Verify: true, EraseOnly: erase, SrcAS: asn, SrcKnown: known}
 }
 
@@ -538,76 +537,28 @@ func (t *Tables) GenOutTuple(src, dst netip.Addr, now time.Time) OutTuple {
 	return t.genOutTuple(&st, nil, src, dst, now.UnixNano())
 }
 
-// pfxMemoSize is the number of direct-mapped slots in the Pfx2AS memo
-// (8 KiB-ish of addresses — resident for a pinned worker).
-const pfxMemoSize = 512
-
-// tupleMemo caches the lookups of tuple generation that the function
-// tables do not answer for the burst path. Two lifetimes coexist:
+// tupleMemo caches the stamp-key lookup of tuple generation for the
+// burst path. It is only coherent against one key snapshot and is
+// cleared by beginBurst.
 //
-//   - The Pfx2AS memo persists across bursts (the mapping is stable for
-//     the life of a Tables); it is tagged with the *lpm.Table it was
-//     filled from, so swapping in a new table invalidates it wholesale.
-//   - The stamp-key memo is only coherent against one key snapshot and
-//     is cleared by beginBurst.
-//
-// Function-table op sets are not memoized: a compiled snapshot answers
-// in one short binary search, and a last-address memo in front of it
-// measured no faster on router-fastpath, where it hits, nor on
-// router-hostile, where it misses.
+// Pfx2AS lookups are not memoized: in front of lpm's direct-indexed
+// IPv4 level a memo measured no faster on router-fastpath, where it
+// hits, and slower on many-source traffic, where it misses.
+// Function-table op sets are not memoized either: a compiled snapshot
+// answers in one short binary search, and a last-address memo in front
+// of it measured no faster on router-fastpath nor on router-hostile.
 //
 // A tupleMemo is single-goroutine state; core.BurstPipeline embeds one
 // per worker.
 type tupleMemo struct {
-	pfxTbl  *lpm.Table[topology.ASN]
-	pfxAddr [pfxMemoSize]netip.Addr
-	pfxASN  [pfxMemoSize]topology.ASN
-	pfxOK   [pfxMemoSize]bool
-	pfxSet  [pfxMemoSize]bool
-
 	keyAS  topology.ASN
 	keyVal *cmac.CMAC
 	keyOK  bool
 }
 
-// beginBurst invalidates the snapshot-scoped memo; the Pfx2AS memo
-// survives.
+// beginBurst invalidates the memo.
 func (m *tupleMemo) beginBurst() {
 	m.keyOK = false
-}
-
-// addrSlot hashes an address to a Pfx2AS memo slot.
-func addrSlot(a netip.Addr) uint32 {
-	var h uint64
-	if a.Is4() {
-		b := a.As4()
-		h = uint64(binary.BigEndian.Uint32(b[:]))
-	} else {
-		b := a.As16()
-		h = binary.LittleEndian.Uint64(b[0:8]) ^ binary.LittleEndian.Uint64(b[8:16])
-	}
-	h *= 0x9e3779b97f4a7c15
-	return uint32(h>>40) & (pfxMemoSize - 1)
-}
-
-// srcAS maps an address to its AS via longest-prefix match, behind
-// m's direct-mapped memo when m is non-nil.
-func (t *Tables) srcAS(m *tupleMemo, a netip.Addr) (topology.ASN, bool) {
-	if m == nil {
-		return t.Pfx2AS.LookupVal(a)
-	}
-	if m.pfxTbl != t.Pfx2AS {
-		m.pfxSet = [pfxMemoSize]bool{}
-		m.pfxTbl = t.Pfx2AS
-	}
-	s := addrSlot(a)
-	if m.pfxSet[s] && m.pfxAddr[s] == a {
-		return m.pfxASN[s], m.pfxOK[s]
-	}
-	asn, ok := t.Pfx2AS.LookupVal(a)
-	m.pfxSet[s], m.pfxAddr[s] = true, a
-	m.pfxASN[s], m.pfxOK[s] = asn, ok
-	return asn, ok
 }
 
 // stampKey is Key-S(peer) from ks, behind m's one-entry memo when m is
@@ -623,7 +574,7 @@ func (m *tupleMemo) stampKey(ks *keySnapshot, peer topology.ASN) *cmac.CMAC {
 }
 
 // genOutTuple is the one out-tuple generator; m, when non-nil,
-// memoizes its Pfx2AS and stamp-key lookups across a burst.
+// memoizes its stamp-key lookup across a burst.
 func (t *Tables) genOutTuple(st *outState, m *tupleMemo, src, dst netip.Addr, nowN int64) OutTuple {
 	// Idle early return: a router with no active out-ops skips both
 	// Pfx2AS LPM lookups and all table walks — the common case for the
@@ -637,13 +588,13 @@ func (t *Tables) genOutTuple(st *outState, m *tupleMemo, src, dst netip.Addr, no
 	if srcOps == 0 && dstOps == 0 {
 		return tup
 	}
-	srcAS, srcKnown := t.srcAS(m, src)
+	srcAS, srcKnown := t.Pfx2AS.LookupVal(src)
 	local := srcKnown && srcAS == t.LocalAS
 	if !local && (srcOps.Has(OpSPFilter) || dstOps.Has(OpDPFilter)) {
 		tup.Drop = true
 		return tup
 	}
-	dstAS, _ := t.srcAS(m, dst)
+	dstAS, _ := t.Pfx2AS.LookupVal(dst)
 	tup.DstAS = dstAS
 	if srcOps.Has(OpCSPStamp) || dstOps.Has(OpCDPStamp) {
 		key := m.stampKey(st.keys, dstAS)

@@ -11,7 +11,7 @@ import (
 
 var t0 = time.Unix(0, 0).UTC()
 
-func testPfx2AS(t *testing.T) *lpm.Table[topology.ASN] {
+func testPfx2AS(t testing.TB) *lpm.Table[topology.ASN] {
 	t.Helper()
 	tbl := lpm.New[topology.ASN]()
 	// AS1: 10.1.0.0/16 (the local AS in these tests)

@@ -10,11 +10,17 @@
 // The trie uses a 4-bit stride with controlled prefix expansion: each
 // node covers one address nibble, prefixes whose length is not a
 // multiple of four are expanded into the 2^(4-r) slots they cover, and
-// a lookup inspects at most 8 nodes for IPv4 (32 for IPv6) instead of
-// one per bit. The expansion bookkeeping (the exact entry list per
-// node) makes insert and delete a little dearer, which is the right
-// trade: DISCS mutates tables on control-plane events and looks them
-// up for every packet.
+// an IPv6 lookup inspects at most 32 nodes instead of one per bit.
+// IPv4 lookups start at a direct-indexed first level: 2^16 entries, one
+// per /16, each holding the longest prefix of length ≤ 16 that covers
+// it and which trie node at depth 4 lies below it. An IPv4 lookup is
+// one load plus at most four nibble steps. Insert and Delete keep the
+// first level current; it is allocated on a table's first IPv4 insert
+// and costs 2^16 × (size of V + 4) bytes, 512 KB for an ASN-valued
+// table. The expansion bookkeeping (the exact entry list per
+// node, the first level) makes insert and delete a little dearer, which
+// is the right trade: DISCS mutates tables on control-plane events and
+// looks them up for every packet.
 package lpm
 
 import (
@@ -28,6 +34,10 @@ const stride = 4
 
 // fanout is the number of child slots per node (2^stride).
 const fanout = 1 << stride
+
+// dirBits is the number of leading IPv4 address bits the direct first
+// level indexes; its entries name trie nodes dirBits/stride deep.
+const dirBits = 16
 
 // Table is a longest-prefix-match table mapping prefixes to values of
 // type V. IPv4 and IPv6 prefixes live in separate tries inside the same
@@ -43,6 +53,39 @@ type Table[V any] struct {
 	def4, def6       V
 	defSet4, defSet6 bool
 	n                int
+	// dir is the direct IPv4 first level, nil until the first IPv4
+	// insert; entry i covers the addresses whose top 16 bits are i.
+	// Entries name their depth-4 trie node by its position in sub
+	// rather than by pointer, and pack it with the prefix length: for
+	// a pointer-free V such as an ASN the level is then 8 bytes an
+	// entry and holds no pointer, so the garbage collector neither
+	// scans it nor loses much of a small heap's headroom to it. sub[0]
+	// is nil and stands for "no node".
+	dir []dirEntry[V]
+	sub []*node[V]
+}
+
+// dirEntry is one /16 of the direct IPv4 first level: val is the
+// longest prefix of length ≤ 16 covering it, and meta holds that
+// prefix's length plus one in its low 5 bits (0: no such prefix) and,
+// above them, the position in Table.sub of the trie node at depth 4
+// that holds the entry's longer prefixes (0: none). The zero entry
+// covers nothing.
+type dirEntry[V any] struct {
+	val  V
+	meta uint32
+}
+
+const dirLenBits = 5
+
+// bits returns the length of the entry's best prefix, -1 for none.
+func (e *dirEntry[V]) bits() int { return int(e.meta&(1<<dirLenBits-1)) - 1 }
+
+// set makes the prefix of length bits (-1: none) with value v the
+// entry's best match.
+func (e *dirEntry[V]) set(v V, bits int) {
+	e.val = v
+	e.meta = e.meta&^(1<<dirLenBits-1) | uint32(bits+1)
 }
 
 // entry is one exact prefix terminating in a node: a prefix of length
@@ -102,13 +145,13 @@ func (t *Table[V]) root(a netip.Addr) *node[V] {
 
 // addrBytes extracts the address bytes once up front; nibble i of the
 // address is then two shifts away.
-func addrBytes(a netip.Addr) (buf [16]byte, nibbles int) {
+func addrBytes(a netip.Addr) (buf [16]byte) {
 	if a.Is4() {
 		b4 := a.As4()
 		copy(buf[:4], b4[:])
-		return buf, 8
+		return buf
 	}
-	return a.As16(), 32
+	return a.As16()
 }
 
 // nibble returns 4-bit group i (0 = most significant) of buf.
@@ -120,7 +163,7 @@ func nibble(buf *[16]byte, i int) uint8 {
 // prefix of length bits terminates in, returning the node, the suffix
 // nibble index, and the per-node remainder r in 1..4. bits must be > 0.
 func (t *Table[V]) walkTo(a netip.Addr, bits int, create bool) (n *node[V], nib uint8, r uint8) {
-	buf, _ := addrBytes(a)
+	buf := addrBytes(a)
 	depth := (bits - 1) / stride
 	n = t.root(a)
 	for i := 0; i < depth; i++ {
@@ -149,6 +192,9 @@ func (t *Table[V]) Insert(p netip.Prefix, v V) error {
 		return err
 	}
 	a := p.Addr()
+	if a.Is4() {
+		t.insertDir(p, v)
+	}
 	if p.Bits() == 0 {
 		if a.Is4() {
 			if !t.defSet4 {
@@ -182,7 +228,87 @@ func (t *Table[V]) Insert(p netip.Prefix, v V) error {
 			n.vals[s], n.rlen[s] = v, r
 		}
 	}
+	if a.Is4() && p.Bits() > dirBits {
+		if e := &t.dir[dirIndex(a)]; e.meta>>dirLenBits == 0 {
+			e.meta |= uint32(len(t.sub)) << dirLenBits
+			t.sub = append(t.sub, t.v4.descend(a, dirBits/stride))
+		}
+	}
 	return nil
+}
+
+// dirIndex is the first-level entry of an IPv4 address: its top 16
+// bits.
+func dirIndex(a netip.Addr) int {
+	b := a.As4()
+	return int(b[0])<<8 | int(b[1])
+}
+
+// dirSpan returns the first-level entries [base, base+count) an IPv4
+// prefix of length ≤ 16 covers.
+func dirSpan(p netip.Prefix) (base, count int) {
+	return dirIndex(p.Addr()), 1 << (dirBits - p.Bits())
+}
+
+// insertDir brings the first level up to date with an IPv4 insert,
+// allocating it on the first. A prefix of length ≤ 16 becomes the
+// best match of every entry it covers that holds no longer one; the
+// node of a longer prefix's entry is recorded once its trie path
+// exists (Insert does that).
+func (t *Table[V]) insertDir(p netip.Prefix, v V) {
+	if t.dir == nil {
+		t.dir = make([]dirEntry[V], 1<<dirBits)
+		t.sub = []*node[V]{nil}
+	}
+	if p.Bits() > dirBits {
+		return
+	}
+	base, count := dirSpan(p)
+	for i := base; i < base+count; i++ {
+		if e := &t.dir[i]; e.bits() <= p.Bits() {
+			e.set(v, p.Bits())
+		}
+	}
+}
+
+// deleteDir brings the first level up to date once an IPv4 prefix of
+// length ≤ 16 has left the trie: every entry it was the best match of
+// falls back to the longest remaining prefix of length ≤ 16.
+func (t *Table[V]) deleteDir(p netip.Prefix) {
+	base, count := dirSpan(p)
+	for i := base; i < base+count; i++ {
+		if e := &t.dir[i]; e.bits() == p.Bits() {
+			e.set(t.best16(i))
+		}
+	}
+}
+
+// best16 walks the trie for the longest prefix of length ≤ 16 covering
+// first-level entry i, the default route included.
+func (t *Table[V]) best16(i int) (best V, bits int) {
+	bits = -1
+	if t.defSet4 {
+		best, bits = t.def4, 0
+	}
+	n := t.v4
+	for d := 0; d < dirBits/stride && n != nil; d++ {
+		nib := uint8(i>>(dirBits-stride*(d+1))) & 0x0f
+		if r := n.rlen[nib]; r > 0 {
+			best, bits = n.vals[nib], d*stride+int(r)
+		}
+		n = n.child[nib]
+	}
+	return best, bits
+}
+
+// descend returns the node depth levels below n on a's path, or nil
+// when the path stops short of it.
+func (n *node[V]) descend(a netip.Addr, depth int) *node[V] {
+	buf := addrBytes(a)
+	for i := 0; i < depth && n != nil; i++ {
+		n = n.child[nibble(&buf, i)]
+	}
+	return n
 }
 
 // recompute rebuilds the expanded slots an entry covered from the
@@ -216,6 +342,7 @@ func (t *Table[V]) Delete(p netip.Prefix) bool {
 				return false
 			}
 			t.def4, t.defSet4 = zero, false
+			t.deleteDir(p)
 		} else {
 			if !t.defSet6 {
 				return false
@@ -236,6 +363,9 @@ func (t *Table[V]) Delete(p netip.Prefix) bool {
 			n.exact = n.exact[:len(n.exact)-1]
 			base, count := covered(suffix, r)
 			n.recompute(base, count)
+			if a.Is4() && p.Bits() <= dirBits {
+				t.deleteDir(p)
+			}
 			t.n--
 			return true
 		}
@@ -283,9 +413,10 @@ func (t *Table[V]) Lookup(a netip.Addr) (V, netip.Prefix, bool) {
 
 // lookupVal is the allocation-free core of Lookup: it returns the
 // longest-match value and prefix length, or length -1 when nothing
-// matched. This runs for every packet on the DISCS forwarding path: one
-// node per address nibble, each visit an expanded-slot load and a child
-// load, with no per-bit branching.
+// matched. This runs for every packet on the DISCS forwarding path: an
+// IPv4 address takes one first-level load and then one node per
+// remaining nibble, an IPv6 address one node per nibble, each visit an
+// expanded-slot load and a child load, with no per-bit branching.
 func (t *Table[V]) lookupVal(a netip.Addr) (V, int) {
 	var best V
 	bestLen := -1
@@ -293,20 +424,29 @@ func (t *Table[V]) lookupVal(a netip.Addr) (V, int) {
 		return best, -1
 	}
 	a = a.Unmap()
-	buf, nibbles := addrBytes(a)
-	var n *node[V]
 	if a.Is4() {
-		if t.defSet4 {
-			best, bestLen = t.def4, 0
+		if t.dir == nil {
+			return best, -1
 		}
-		n = t.v4
-	} else {
-		if t.defSet6 {
-			best, bestLen = t.def6, 0
+		b := a.As4()
+		e := &t.dir[int(b[0])<<8|int(b[1])]
+		best, bestLen = e.val, e.bits()
+		n := t.sub[e.meta>>dirLenBits]
+		for i := dirBits / stride; i < 8 && n != nil; i++ {
+			nib := b[i>>1] >> (4 - (i&1)<<2) & 0x0f
+			if r := n.rlen[nib]; r > 0 {
+				best, bestLen = n.vals[nib], i*stride+int(r)
+			}
+			n = n.child[nib]
 		}
-		n = t.v6
+		return best, bestLen
 	}
-	for i := 0; i < nibbles; i++ {
+	if t.defSet6 {
+		best, bestLen = t.def6, 0
+	}
+	buf := a.As16()
+	n := t.v6
+	for i := 0; i < 32; i++ {
 		nib := buf[i>>1] >> (4 - (i&1)<<2) & 0x0f
 		if r := n.rlen[nib]; r > 0 {
 			best, bestLen = n.vals[nib], i*stride+int(r)

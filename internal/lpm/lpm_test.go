@@ -386,3 +386,50 @@ func BenchmarkLookupV4(b *testing.B) {
 		tb.Lookup(addrs[i%len(addrs)])
 	}
 }
+
+// Deleting a /8 restores, in every first-level entry it spanned, the
+// best remaining match: the covering /0 alone, or the shorter /4 beside
+// a /16 inside the /8 that keeps its own entry.
+func TestDeleteRestoresFirstLevel(t *testing.T) {
+	check := func(tb *Table[int], want func(i int) (int, int)) {
+		t.Helper()
+		for i := 10 << 8; i < 11<<8; i++ {
+			v, bits := want(i)
+			if e := &tb.dir[i]; e.val != v || e.bits() != bits {
+				t.Fatalf("entry %d.%d = %d /%d, want %d /%d", i>>8, i&0xff, e.val, e.bits(), v, bits)
+			}
+			a := netip.AddrFrom4([4]byte{byte(i >> 8), byte(i), 0, 1})
+			if got, ok := tb.LookupVal(a); ok != (bits >= 0) || got != v {
+				t.Fatalf("LookupVal(%v) = %d %v, want %d /%d", a, got, ok, v, bits)
+			}
+		}
+	}
+
+	tb := New[int]()
+	tb.Insert(pfx(t, "0.0.0.0/0"), 0)
+	tb.Insert(pfx(t, "10.0.0.0/8"), 8)
+	check(tb, func(int) (int, int) { return 8, 8 })
+	tb.Delete(pfx(t, "10.0.0.0/8"))
+	check(tb, func(int) (int, int) { return 0, 0 })
+
+	tb = New[int]()
+	tb.Insert(pfx(t, "0.0.0.0/0"), 0)
+	tb.Insert(pfx(t, "0.0.0.0/4"), 4)
+	tb.Insert(pfx(t, "10.0.0.0/8"), 8)
+	tb.Insert(pfx(t, "10.1.0.0/16"), 16)
+	tb.Delete(pfx(t, "10.0.0.0/8"))
+	check(tb, func(i int) (int, int) {
+		if i == 10<<8|1 {
+			return 16, 16
+		}
+		return 4, 4
+	})
+	tb.Delete(pfx(t, "0.0.0.0/4"))
+	tb.Delete(pfx(t, "0.0.0.0/0"))
+	check(tb, func(i int) (int, int) {
+		if i == 10<<8|1 {
+			return 16, 16
+		}
+		return 0, -1
+	})
+}

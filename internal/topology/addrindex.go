@@ -64,7 +64,7 @@ func (ix *AddrIndex) At(x uint64) netip.Addr {
 // nil when the AS is unknown or owns no IPv4 space. The index is built
 // on the first call for an AS and reused until its prefix list changes.
 func (t *Topology) V4Index(asn ASN) *AddrIndex {
-	a := t.ases[asn]
+	a := t.AS(asn)
 	if a == nil {
 		return nil
 	}

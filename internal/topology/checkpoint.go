@@ -58,7 +58,7 @@ func (t *Topology) WarmedDestinations() []ASN {
 func (t *Topology) Checkpoint(w *snapcodec.Writer) error {
 	w.Uvarint(uint64(len(t.order)))
 	for _, asn := range t.order {
-		a := t.ases[asn]
+		a := t.AS(asn)
 		w.Uvarint(uint64(asn))
 		w.Uvarint(a.AddrSpace)
 		w.Uvarint(uint64(len(a.Prefixes)))
@@ -105,11 +105,10 @@ func RestoreTopology(r *snapcodec.Reader) (*Topology, []ASN, error) {
 		if r.Err() != nil {
 			return nil, nil, r.Err()
 		}
-		if asn == 0 || t.ases[asn] != nil {
+		if asn == 0 || t.AS(asn) != nil {
 			return nil, nil, fmt.Errorf("topology: restore: invalid or duplicate AS%d", asn)
 		}
-		t.ases[asn] = a
-		t.order = append(t.order, asn)
+		t.add(a)
 	}
 	t.total = r.Uvarint()
 	npfx := r.Count(6)
@@ -141,10 +140,10 @@ func RestoreTopology(r *snapcodec.Reader) (*Topology, []ASN, error) {
 	// Neighbor lists must be closed over the AS set, or BuildNetwork
 	// on the restored topology would dereference a missing AS.
 	for _, asn := range t.order {
-		a := t.ases[asn]
+		a := t.AS(asn)
 		for _, lists := range [][]ASN{a.Providers, a.Customers, a.Peers} {
 			for _, nb := range lists {
-				if t.ases[nb] == nil {
+				if t.AS(nb) == nil {
 					return nil, nil, fmt.Errorf("topology: restore: AS%d references missing AS%d", asn, nb)
 				}
 			}

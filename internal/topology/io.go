@@ -69,7 +69,7 @@ func LoadPrefix2AS(r io.Reader) (*Topology, error) {
 			share = 1
 		}
 		for _, asn := range asns {
-			a := t.ases[asn]
+			a := t.AS(asn)
 			a.appendPrefix(p)
 			a.AddrSpace += share
 		}

@@ -36,7 +36,7 @@ func (t *Topology) PartitionCones(k int) map[ASN]int {
 	var roots []ASN
 	total := 0
 	for _, asn := range t.order {
-		a := t.ases[asn]
+		a := t.AS(asn)
 		total += a.Degree() + 1
 		if len(a.Providers) == 0 {
 			roots = append(roots, asn)
@@ -44,7 +44,7 @@ func (t *Topology) PartitionCones(k int) map[ASN]int {
 		}
 		best := a.Providers[0]
 		for _, p := range a.Providers[1:] {
-			sp, sb := t.ases[p].AddrSpace, t.ases[best].AddrSpace
+			sp, sb := t.AS(p).AddrSpace, t.AS(best).AddrSpace
 			if sp > sb || (sp == sb && p < best) {
 				best = p
 			}
@@ -77,7 +77,7 @@ func (t *Topology) PartitionCones(k int) map[ASN]int {
 				stack = append(stack, frame{asn: c})
 				continue
 			}
-			w := t.ases[f.asn].Degree() + 1
+			w := t.AS(f.asn).Degree() + 1
 			for _, c := range kids {
 				w += sub[c] // 0 if c was carved into its own group
 			}

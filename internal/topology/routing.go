@@ -56,12 +56,12 @@ const (
 const defaultRouteEntryBudget = 4 << 20
 
 // routingIndex is an immutable dense view of the relationship graph:
-// ASNs mapped to contiguous indices and adjacency lists in CSR form,
-// so tree construction is an O(V+E) scan over flat arrays instead of
-// map walks. It is rebuilt whenever the graph changes.
+// adjacency lists in CSR form over the topology's dense AS indices, so
+// tree construction is an O(V+E) scan over flat arrays instead of map
+// walks. It is rebuilt whenever the graph changes; an AS added since
+// has an index past len(asns) and no routes.
 type routingIndex struct {
-	asns []ASN         // dense index → ASN (t.order at freeze time)
-	pos  map[ASN]int32 // ASN → dense index
+	asns []ASN // dense index → ASN (t.order at freeze time)
 
 	provOff, custOff, peerOff []int32 // CSR offsets, len n+1
 	prov, cust, peer          []int32 // CSR neighbor indices
@@ -70,18 +70,13 @@ type routingIndex struct {
 func (t *Topology) buildIndex() *routingIndex {
 	n := len(t.order)
 	ix := &routingIndex{
-		asns:    append([]ASN(nil), t.order...),
-		pos:     make(map[ASN]int32, n),
+		asns:    t.order[:n:n],
 		provOff: make([]int32, n+1),
 		custOff: make([]int32, n+1),
 		peerOff: make([]int32, n+1),
 	}
-	for i, a := range ix.asns {
-		ix.pos[a] = int32(i)
-	}
 	var nProv, nCust, nPeer int32
-	for i, a := range ix.asns {
-		as := t.ases[a]
+	for i, as := range t.list {
 		nProv += int32(len(as.Providers))
 		nCust += int32(len(as.Customers))
 		nPeer += int32(len(as.Peers))
@@ -92,18 +87,17 @@ func (t *Topology) buildIndex() *routingIndex {
 	ix.prov = make([]int32, nProv)
 	ix.cust = make([]int32, nCust)
 	ix.peer = make([]int32, nPeer)
-	for i, a := range ix.asns {
-		as := t.ases[a]
-		fill(ix.prov[ix.provOff[i]:], as.Providers, ix.pos)
-		fill(ix.cust[ix.custOff[i]:], as.Customers, ix.pos)
-		fill(ix.peer[ix.peerOff[i]:], as.Peers, ix.pos)
+	for i, as := range t.list {
+		t.fill(ix.prov[ix.provOff[i]:], as.Providers)
+		t.fill(ix.cust[ix.custOff[i]:], as.Customers)
+		t.fill(ix.peer[ix.peerOff[i]:], as.Peers)
 	}
 	return ix
 }
 
-func fill(dst []int32, src []ASN, pos map[ASN]int32) {
+func (t *Topology) fill(dst []int32, src []ASN) {
 	for i, a := range src {
-		dst[i] = pos[a]
+		dst[i], _ = t.index.get(a)
 	}
 }
 
@@ -194,10 +188,12 @@ func (tr *routeTree) appendPathFrom(ix *routingIndex, src int32, buf []ASN) ([]A
 }
 
 // routeCache holds the frozen index plus the bounded set of routing
-// trees, evicted FIFO. Guarded by Topology.routeMu.
+// trees, evicted FIFO. trees is indexed by the root's dense index (nil
+// where no tree is cached) and fifo lists the cached roots. Guarded by
+// Topology.routeMu.
 type routeCache struct {
 	ix    *routingIndex
-	trees map[int32]*routeTree
+	trees []*routeTree
 	fifo  []int32 // insertion order, for eviction
 	cap   int
 }
@@ -216,7 +212,7 @@ func (t *Topology) newRouteCache() *routeCache {
 	}
 	return &routeCache{
 		ix:    t.buildIndex(),
-		trees: make(map[int32]*routeTree, c),
+		trees: make([]*routeTree, n),
 		cap:   c,
 	}
 }
@@ -228,7 +224,7 @@ func (rc *routeCache) insert(root int32, tr *routeTree) int {
 	for len(rc.fifo) >= rc.cap {
 		old := rc.fifo[0]
 		rc.fifo = rc.fifo[1:]
-		delete(rc.trees, old)
+		rc.trees[old] = nil
 		evicted++
 	}
 	rc.trees[root] = tr
@@ -287,7 +283,7 @@ func (t *Topology) PublishMetrics(reg *obs.Registry) {
 		evicted:  reg.Counter(MetricRouteEvictions),
 	}
 	if t.routes != nil {
-		t.rm.size(len(t.routes.trees), t.routes.cap)
+		t.rm.size(len(t.routes.fifo), t.routes.cap)
 	}
 }
 
@@ -310,7 +306,7 @@ func (t *Topology) CachedRouteTrees() int {
 	if t.routes == nil {
 		return 0
 	}
-	return len(t.routes.trees)
+	return len(t.routes.fifo)
 }
 
 // invalidateRoutes drops the frozen index and every cached tree; the
@@ -324,20 +320,18 @@ func (t *Topology) invalidateRoutes() {
 	t.routeMu.Unlock()
 }
 
-// treeFor returns the routing tree rooted at dst plus the index it
-// was built against, computing and caching it on miss. A nil tree
-// means dst is not part of the frozen graph (it was added after the
-// last link change and has no links, hence no valley-free routes).
-func (t *Topology) treeFor(dst ASN) (*routeTree, *routingIndex) {
+// treeFor returns the routing tree rooted at the AS of dense index
+// root plus the index it was built against, computing and caching it
+// on miss. A nil tree means root is not part of the frozen graph (it
+// was added after the last link change and has no links, hence no
+// valley-free routes).
+func (t *Topology) treeFor(root int32) (*routeTree, *routingIndex) {
 	t.routeMu.RLock()
-	if rc := t.routes; rc != nil {
-		if root, ok := rc.ix.pos[dst]; ok {
-			if tr := rc.trees[root]; tr != nil {
-				ix := rc.ix
-				t.routeMu.RUnlock()
-				t.rm.hit()
-				return tr, ix
-			}
+	if rc := t.routes; rc != nil && int(root) < len(rc.trees) {
+		if tr := rc.trees[root]; tr != nil {
+			t.routeMu.RUnlock()
+			t.rm.hit()
+			return tr, rc.ix
 		}
 	}
 	t.routeMu.RUnlock()
@@ -349,8 +343,7 @@ func (t *Topology) treeFor(dst ASN) (*routeTree, *routingIndex) {
 	}
 	rc := t.routes
 	ix := rc.ix
-	root, ok := ix.pos[dst]
-	if !ok {
+	if int(root) >= len(rc.trees) {
 		t.routeMu.Unlock()
 		return nil, ix
 	}
@@ -368,7 +361,7 @@ func (t *Topology) treeFor(dst ASN) (*routeTree, *routingIndex) {
 			tr = cur // another goroutine won the race
 		} else {
 			t.rm.evict(rc.insert(root, tr))
-			t.rm.size(len(rc.trees), rc.cap)
+			t.rm.size(len(rc.fifo), rc.cap)
 		}
 	}
 	t.routeMu.Unlock()
@@ -393,12 +386,12 @@ func (t *Topology) WarmRoutes(dsts []ASN, workers int) int {
 		if len(roots) >= rc.cap {
 			break
 		}
-		root, ok := ix.pos[d]
-		if !ok || queued[root] {
+		root, ok := t.index.get(d)
+		if !ok || int(root) >= len(ix.asns) || queued[root] {
 			continue
 		}
 		queued[root] = true
-		if _, cached := rc.trees[root]; cached {
+		if rc.trees[root] != nil {
 			continue
 		}
 		roots = append(roots, root)
@@ -439,7 +432,7 @@ func (t *Topology) WarmRoutes(dsts []ASN, workers int) int {
 				}
 			}
 			t.rm.evict(evicted)
-			t.rm.size(len(rc.trees), rc.cap)
+			t.rm.size(len(rc.fifo), rc.cap)
 		}
 		t.routeMu.Unlock()
 	}
@@ -463,18 +456,16 @@ func (t *Topology) Path(src, dst ASN) (path []ASN, ok bool) {
 // buf[:0] to walk a path without allocating). On !ok it returns buf
 // unchanged.
 func (t *Topology) PathInto(src, dst ASN, buf []ASN) (path []ASN, ok bool) {
-	if t.ases[src] == nil || t.ases[dst] == nil {
+	si, sok := t.index.get(src)
+	di, dok := t.index.get(dst)
+	if !sok || !dok {
 		return buf, false
 	}
 	if src == dst {
 		return append(buf, src), true
 	}
-	tr, ix := t.treeFor(dst)
-	if tr == nil {
-		return buf, false
-	}
-	si, ok := ix.pos[src]
-	if !ok {
+	tr, ix := t.treeFor(di)
+	if tr == nil || int(si) >= len(ix.asns) {
 		return buf, false
 	}
 	return tr.appendPathFrom(ix, si, buf)
@@ -484,15 +475,13 @@ func (t *Topology) PathInto(src, dst ASN, buf []ASN) (path []ASN, ok bool) {
 // path from `at` to dst. With the tree for dst cached (warm), this is
 // an O(1) array read.
 func (t *Topology) NextHop(at, dst ASN) (ASN, bool) {
-	if at == dst || t.ases[at] == nil || t.ases[dst] == nil {
+	ai, aok := t.index.get(at)
+	di, dok := t.index.get(dst)
+	if at == dst || !aok || !dok {
 		return 0, false
 	}
-	tr, ix := t.treeFor(dst)
-	if tr == nil {
-		return 0, false
-	}
-	ai, ok := ix.pos[at]
-	if !ok {
+	tr, ix := t.treeFor(di)
+	if tr == nil || int(ai) >= len(ix.asns) {
 		return 0, false
 	}
 	p := tr.next[stUp][ai]
@@ -536,7 +525,7 @@ func (t *Topology) ValidateValleyFree(path []ASN) error {
 
 // relOf returns the relationship of the directed hop a→b.
 func (t *Topology) relOf(a, b ASN) (Relationship, bool) {
-	asA := t.ases[a]
+	asA := t.AS(a)
 	if asA == nil {
 		return 0, false
 	}

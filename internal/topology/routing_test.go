@@ -9,7 +9,7 @@ import (
 // differential-test oracle. It explores the same two-phase state
 // machine as the tree builder, one (src,dst) pair at a time.
 func referenceBFS(t *Topology, src, dst ASN) ([]ASN, bool) {
-	if t.ases[src] == nil || t.ases[dst] == nil {
+	if t.AS(src) == nil || t.AS(dst) == nil {
 		return nil, false
 	}
 	if src == dst {
@@ -37,7 +37,7 @@ func referenceBFS(t *Topology, src, dst ASN) ([]ASN, bool) {
 	for len(queue) > 0 && !found {
 		cur := queue[0]
 		queue = queue[1:]
-		a := t.ases[cur.asn]
+		a := t.AS(cur.asn)
 		var candidates []nodeState
 		if cur.st == stUp {
 			for _, p := range a.Providers {

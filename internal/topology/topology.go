@@ -16,6 +16,7 @@ package topology
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"net/netip"
 	"sort"
 	"sync"
@@ -73,8 +74,12 @@ func (a *AS) Degree() int { return len(a.Providers) + len(a.Customers) + len(a.P
 
 // Topology is an AS-level Internet.
 type Topology struct {
-	ases   map[ASN]*AS
-	order  []ASN // insertion order, for deterministic iteration
+	// An AS's dense index is its position in insertion order; index
+	// maps ASNs to it, and list and order hold the AS and its number at
+	// it. Indices are stable for the life of the topology.
+	index  asnIndex
+	list   []*AS
+	order  []ASN
 	pfx2as *lpm.Table[ASN]
 	total  uint64 // global routable address space
 
@@ -89,7 +94,7 @@ type Topology struct {
 
 // New creates an empty topology.
 func New() *Topology {
-	return &Topology{ases: make(map[ASN]*AS), pfx2as: lpm.New[ASN]()}
+	return &Topology{pfx2as: lpm.New[ASN]()}
 }
 
 // AddAS registers a new AS.
@@ -97,20 +102,100 @@ func (t *Topology) AddAS(asn ASN) (*AS, error) {
 	if asn == 0 {
 		return nil, errors.New("topology: ASN 0 is reserved")
 	}
-	if _, dup := t.ases[asn]; dup {
+	if t.AS(asn) != nil {
 		return nil, fmt.Errorf("topology: duplicate AS%d", asn)
 	}
 	a := &AS{ASN: asn}
-	t.ases[asn] = a
-	t.order = append(t.order, asn)
+	t.add(a)
 	return a, nil
 }
 
+// add appends a at the next dense index; a.ASN must be new and
+// nonzero.
+func (t *Topology) add(a *AS) {
+	t.index.put(a.ASN, int32(len(t.list)))
+	t.list = append(t.list, a)
+	t.order = append(t.order, a.ASN)
+}
+
 // AS returns the AS with the given number, or nil.
-func (t *Topology) AS(asn ASN) *AS { return t.ases[asn] }
+func (t *Topology) AS(asn ASN) *AS {
+	if i, ok := t.index.get(asn); ok {
+		return t.list[i]
+	}
+	return nil
+}
+
+// Index returns the dense index of an AS: its position in ASNs. An
+// AS's index never changes, so callers may keep per-AS state in slices
+// indexed by it.
+func (t *Topology) Index(asn ASN) (int, bool) {
+	i, ok := t.index.get(asn)
+	return int(i), ok
+}
 
 // NumASes returns the number of ASes.
-func (t *Topology) NumASes() int { return len(t.ases) }
+func (t *Topology) NumASes() int { return len(t.list) }
+
+// asnIndex maps ASNs to dense indices in an open-addressed table with
+// linear probing, kept at most half full. ASN 0, which no AS may have,
+// marks an empty slot. It replaces a Go map on the per-packet path:
+// a lookup is a multiply, a shift and, for the generated topologies'
+// consecutive ASNs, one slot load.
+type asnIndex struct {
+	slots []asnSlot // len a power of two
+	shift uint8     // 32 - log2(len(slots))
+	n     int
+}
+
+type asnSlot struct {
+	asn ASN
+	i   int32
+}
+
+// slot is the home slot of asn (Fibonacci hashing).
+func (x *asnIndex) slot(asn ASN) uint32 {
+	return uint32(asn) * 0x9e3779b1 >> x.shift
+}
+
+func (x *asnIndex) get(asn ASN) (int32, bool) {
+	if asn == 0 || len(x.slots) == 0 {
+		return -1, false
+	}
+	mask := uint32(len(x.slots) - 1)
+	for h := x.slot(asn); ; h = (h + 1) & mask {
+		s := &x.slots[h]
+		if s.asn == asn {
+			return s.i, true
+		}
+		if s.asn == 0 {
+			return -1, false
+		}
+	}
+}
+
+// put adds asn, which must be absent, at index i.
+func (x *asnIndex) put(asn ASN, i int32) {
+	if 2*(x.n+1) > len(x.slots) {
+		old := x.slots
+		size := max(16, 2*len(old))
+		x.slots = make([]asnSlot, size)
+		x.shift = uint8(32 - bits.TrailingZeros(uint(size)))
+		x.n = 0
+		for _, s := range old {
+			if s.asn != 0 {
+				x.put(s.asn, s.i)
+			}
+		}
+	}
+	mask := uint32(len(x.slots) - 1)
+	h := x.slot(asn)
+	for x.slots[h].asn != 0 {
+		h = (h + 1) & mask
+	}
+	x.slots[h] = asnSlot{asn, i}
+	x.n++
+}
 
 // ASNs returns all AS numbers in insertion order. The returned slice
 // must not be modified.
@@ -119,7 +204,7 @@ func (t *Topology) ASNs() []ASN { return t.order }
 // Link records a relationship between two ASes. rel is from a's
 // perspective: Link(a, b, CustomerToProvider) makes b a provider of a.
 func (t *Topology) Link(a, b ASN, rel Relationship) error {
-	asA, asB := t.ases[a], t.ases[b]
+	asA, asB := t.AS(a), t.AS(b)
 	if asA == nil || asB == nil {
 		return fmt.Errorf("topology: link %d-%d references unknown AS", a, b)
 	}
@@ -153,7 +238,7 @@ func (t *Topology) Link(a, b ASN, rel Relationship) error {
 // adjacency lists of the lower-degree endpoint, so probing a tier-1's
 // neighborhood from a stub costs the stub's degree, not the tier-1's.
 func (t *Topology) Connected(a, b ASN) bool {
-	asA, asB := t.ases[a], t.ases[b]
+	asA, asB := t.AS(a), t.AS(b)
 	if asA == nil || asB == nil {
 		return false
 	}
@@ -183,8 +268,7 @@ func (t *Topology) Connected(a, b ASN) bool {
 // Peers lists, so the count is exact given Link's duplicate guard.
 func (t *Topology) NumLinks() int {
 	transit, peer := 0, 0
-	for _, asn := range t.order {
-		a := t.ases[asn]
+	for _, a := range t.list {
 		transit += len(a.Providers)
 		peer += len(a.Peers)
 	}
@@ -196,7 +280,7 @@ func (t *Topology) NumLinks() int {
 // ASes for the accounting to be exact; overlapping announcements
 // replace the longest-match owner the way a routing table would.
 func (t *Topology) AddPrefix(asn ASN, p netip.Prefix) error {
-	a := t.ases[asn]
+	a := t.AS(asn)
 	if a == nil {
 		return fmt.Errorf("topology: unknown AS%d", asn)
 	}
@@ -228,8 +312,7 @@ func prefixSize(p netip.Prefix) uint64 {
 // This doubles as the RPKI ownership oracle used by DISCS controllers
 // to validate invocation requests (§IV-E3).
 func (t *Topology) OwnerOf(addr netip.Addr) (ASN, bool) {
-	asn, _, ok := t.pfx2as.Lookup(addr)
-	return asn, ok
+	return t.pfx2as.LookupVal(addr)
 }
 
 // OwnerOfPrefix returns the AS owning the prefix (by longest match on
@@ -256,7 +339,7 @@ func (t *Topology) TotalSpace() uint64 { return t.total }
 // global routable space. Per §VI-A2, an AS with zero space is treated
 // as owning one address to avoid division by zero.
 func (t *Topology) Ratio(asn ASN) float64 {
-	a := t.ases[asn]
+	a := t.AS(asn)
 	if a == nil || t.total == 0 {
 		return 0
 	}
@@ -269,7 +352,7 @@ func (t *Topology) Ratio(asn ASN) float64 {
 
 // Ratios returns r_j for every AS, keyed by ASN.
 func (t *Topology) Ratios() map[ASN]float64 {
-	out := make(map[ASN]float64, len(t.ases))
+	out := make(map[ASN]float64, len(t.list))
 	for _, asn := range t.order {
 		out[asn] = t.Ratio(asn)
 	}
@@ -282,7 +365,7 @@ func (t *Topology) Ratios() map[ASN]float64 {
 func (t *Topology) BySizeDesc() []ASN {
 	out := append([]ASN(nil), t.order...)
 	sort.Slice(out, func(i, j int) bool {
-		si, sj := t.ases[out[i]].AddrSpace, t.ases[out[j]].AddrSpace
+		si, sj := t.AS(out[i]).AddrSpace, t.AS(out[j]).AddrSpace
 		if si != sj {
 			return si > sj
 		}

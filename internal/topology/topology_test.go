@@ -43,6 +43,44 @@ func TestAddASValidation(t *testing.T) {
 	}
 }
 
+// The dense index is the insertion position, whatever the ASNs: small
+// and consecutive, spread over the 32-bit range, or colliding in the
+// index's hash.
+func TestIndexIsInsertionOrder(t *testing.T) {
+	tp := New()
+	var asns []ASN
+	for i := 0; i < 3000; i++ {
+		asn := ASN(i + 1)
+		switch i % 3 {
+		case 1:
+			asn = ASN(math.MaxUint32 - i)
+		case 2:
+			asn = ASN(i) << 20 // many share their low bits
+		}
+		mustAS(t, tp, asn)
+		asns = append(asns, asn)
+	}
+	for i, asn := range asns {
+		if got, ok := tp.Index(asn); !ok || got != i {
+			t.Fatalf("Index(%d) = %d %v, want %d", asn, got, ok, i)
+		}
+		if tp.AS(asn).ASN != asn || tp.ASNs()[i] != asn {
+			t.Fatalf("AS %d not at index %d", asn, i)
+		}
+	}
+	for _, asn := range []ASN{0, 3001, 7 << 20, math.MaxUint32 - 2} {
+		if i, ok := tp.Index(asn); ok {
+			t.Fatalf("Index(%d) = %d, want absent", asn, i)
+		}
+		if tp.AS(asn) != nil {
+			t.Fatalf("AS(%d) found", asn)
+		}
+	}
+	if tp.NumASes() != len(asns) {
+		t.Fatalf("NumASes = %d, want %d", tp.NumASes(), len(asns))
+	}
+}
+
 func TestLinkRelationships(t *testing.T) {
 	tp := New()
 	mustAS(t, tp, 1)

@@ -236,7 +236,7 @@ func (dn *DataNet) Inject(fromAS topology.ASN, p *packet.IPv4) {
 		return
 	}
 	at, wall := dn.nodeNow(fromAS)
-	if r := dn.sys.Routers[fromAS]; r != nil {
+	if r := dn.sys.Router(fromAS); r != nil {
 		if r.ProcessOutbound(core.V4{P: p}, wall).Dropped() {
 			dn.slot(fromAS).droppedDISCS++
 			return
@@ -258,7 +258,7 @@ func (dn *DataNet) receive(at topology.ASN, msg netsim.Message) {
 	if at == m.dstAS {
 		// Destination border: inbound DISCS processing.
 		now, wall := dn.nodeNow(at)
-		if r := dn.sys.Routers[at]; r != nil {
+		if r := dn.sys.Router(at); r != nil {
 			if r.ProcessInbound(core.V4{P: m.pkt}, wall).Dropped() {
 				dn.slot(at).droppedDISCS++
 				return
