@@ -43,12 +43,14 @@ fmt-check:
 # iteration of every §VI reproduction bench (bench_test.go), of the
 # event-engine micro-benchmarks, of the smallest control-plane mesh
 # (BenchmarkMeshFormation at 45 DAS, about a second) and of the
-# per-packet simulator path (the serial router round trip, SendV4 and
-# the IPv4 LPM lookup), so they run rather than only compile.
-# Performance is judged by `make bench`, not here.
+# per-packet simulator path (the serial router round trip, SendV4, a
+# scenario engine's campaign pulse and the IPv4 LPM lookup), so they
+# run rather than only compile. Performance is judged by `make bench`,
+# not here.
 check: fmt-check vet vet-obs test-race test-allocs test-fallback node-smoke
 	$(GO) test -run '^$$' -bench . -benchtime 1x . ./internal/netsim
 	$(GO) test -run '^$$' -bench 'MeshFormation/das=45$$|SerialRoundTrip|SendV4' -benchtime 1x ./internal/core
+	$(GO) test -run '^$$' -bench 'CampaignPulse' -benchtime 1x ./internal/scenario
 	$(GO) test -run '^$$' -bench 'LookupV4' -benchtime 1x ./internal/lpm
 
 # The allocation gates skip under -race (the race detector makes

@@ -362,7 +362,7 @@ func runAttack(sys *core.System, eng *netsim.Engine, deployers []topology.ASN, s
 	// Fleet-wide resource accounting (§VI-C2): one registry spans the
 	// whole system, so totals are suffix sums over the snapshot.
 	snap := sys.Stats()
-	fmt.Printf("\ndata plane totals across %d routers:\n", len(sys.Routers))
+	fmt.Printf("\ndata plane totals across %d routers:\n", len(sys.Controllers))
 	fmt.Printf("  outbound: %d processed, %d stamped, %d dropped\n",
 		snap.Sum(core.MetricRouterOutProcessed), snap.Sum(core.MetricRouterOutStamped),
 		snap.Sum(core.MetricRouterOutDropped))

@@ -102,7 +102,7 @@ func main() {
 	fmt.Printf("\nattack wave: %d delivered (alarm phase), %d dropped (after escalation)\n",
 		delivered, dropped)
 	fmt.Printf("victim router: %d sampled in alarm mode, %d dropped after enforcement\n",
-		sys.Routers[3].Stats().InAlarmed, sys.Routers[3].Stats().InDropped)
+		sys.Router(3).Stats().InAlarmed, sys.Router(3).Stats().InDropped)
 
 	// Genuine traffic was never at risk in either phase.
 	genuine := &packet.IPv4{

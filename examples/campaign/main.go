@@ -72,8 +72,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	baseTap := sys.Routers[3].OnAlarm // controller threshold counter
-	sys.Routers[3].OnAlarm = func(s core.AlarmSample) {
+	baseTap := sys.Router(3).OnAlarm // controller threshold counter
+	sys.Router(3).OnAlarm = func(s core.AlarmSample) {
 		flowexport.Tap(coll, packet.ProtoUDP, 64)(s)
 		if baseTap != nil {
 			baseTap(s)

@@ -110,5 +110,5 @@ func main() {
 	}
 	fmt.Printf("\nvictim's own queries to AS4 resolvers: %d/50 delivered (CSP stamped+verified)\n", ok)
 	fmt.Printf("AS4 verified marks: %d, dropped spoofed: %d\n",
-		sys.Routers[4].Stats().InVerified, sys.Routers[4].Stats().InDropped)
+		sys.Router(4).Stats().InVerified, sys.Router(4).Stats().InDropped)
 }

@@ -158,26 +158,17 @@ func (e *CountError) Error() string {
 	return fmt.Sprintf("attack: negative packet count %d", e.N)
 }
 
-// payloadLen is the size of every generated packet's random payload.
-const payloadLen = 24
+// PayloadLen is the size of every generated packet's random payload.
+const PayloadLen = 24
 
 // Packets materializes n IPv4 packets for the flow: d-DDoS packets go
 // agent→victim with the innocent's source; s-DDoS requests go
-// agent→innocent with the victim's source.
-//
-// Per packet the rng yields, in this order, one Uint64 for the source
-// address, one for the destination and one Read of the payload; every
-// seeded campaign, dataset and differential in the repository depends
-// on that order. The packets of one call share two backing arrays (the
-// structs and the payload bytes), so they are collected together, and
-// each Payload has its capacity clamped to its length: appending to it
-// copies instead of running into the next packet's bytes.
+// agent→innocent with the victim's source. It allocates the storage
+// and fills it with Fill, so the packets of one call share two backing
+// arrays (the structs and the payload bytes) and are collected
+// together.
 func (f Flow) Packets(topo *topology.Topology, n int, rng *rand.Rand) ([]*packet.IPv4, error) {
-	srcAS, dstAS, err := f.endpoints()
-	if err != nil {
-		return nil, err
-	}
-	return materialize(topo.V4Index(srcAS), topo.V4Index(dstAS), srcAS, dstAS, n, rng)
+	return f.packets(topo, nil, n, rng)
 }
 
 // PacketsInto is Packets with every destination drawn uniformly inside
@@ -186,14 +177,13 @@ func (f Flow) Packets(topo *topology.Topology, n int, rng *rand.Rand) ([]*packet
 // prefix at a time. The draw order is that of Packets, the destination
 // Uint64 being reduced modulo the prefix size.
 func (f Flow) PacketsInto(topo *topology.Topology, target netip.Prefix, n int, rng *rand.Rand) ([]*packet.IPv4, error) {
-	srcAS, dstAS, err := f.endpoints()
-	if err != nil {
+	if _, _, err := f.endpoints(); err != nil {
 		return nil, err
 	}
 	if !target.IsValid() || !target.Addr().Is4() {
 		return nil, fmt.Errorf("attack: target %v is not an IPv4 prefix", target)
 	}
-	return materialize(topo.V4Index(srcAS), topology.NewAddrIndex(target), srcAS, dstAS, n, rng)
+	return f.packets(topo, topology.NewAddrIndex(target), n, rng)
 }
 
 // endpoints returns the ASes whose space the packets' source and
@@ -208,36 +198,75 @@ func (f Flow) endpoints() (srcAS, dstAS topology.ASN, err error) {
 	return 0, 0, fmt.Errorf("attack: unknown kind %d", f.Kind)
 }
 
-// materialize draws n packets with sources from src and destinations
-// from dst. A nil index is an AS without IPv4 space; it is reported
-// when its draw comes up, so a failed call leaves the rng where the
-// per-packet walk always left it (callers such as the scenario's legit
-// phase skip the flow and keep drawing from the same stream).
-func materialize(src, dst *topology.AddrIndex, srcAS, dstAS topology.ASN, n int, rng *rand.Rand) ([]*packet.IPv4, error) {
+// packets allocates n packets with their payloads, fills them and
+// returns pointers to them.
+func (f Flow) packets(topo *topology.Topology, target *topology.AddrIndex, n int, rng *rand.Rand) ([]*packet.IPv4, error) {
+	if _, _, err := f.endpoints(); err != nil {
+		return nil, err
+	}
 	if n < 0 {
 		return nil, &CountError{N: n}
 	}
-	out := make([]*packet.IPv4, n)
 	slab := make([]packet.IPv4, n)
-	payloads := make([]byte, n*payloadLen)
+	if err := f.Fill(topo, target, slab, make([]byte, n*PayloadLen), rng); err != nil {
+		return nil, err
+	}
+	out := make([]*packet.IPv4, n)
 	for k := range slab {
-		if src == nil {
-			return nil, fmt.Errorf("attack: AS%d has no IPv4 space", srcAS)
-		}
-		s := src.At(rng.Uint64() % src.Total())
-		if dst == nil {
-			return nil, fmt.Errorf("attack: AS%d has no IPv4 space", dstAS)
-		}
-		d := dst.At(rng.Uint64() % dst.Total())
-		payload := payloads[k*payloadLen : (k+1)*payloadLen : (k+1)*payloadLen]
-		rng.Read(payload)
-		slab[k] = packet.IPv4{
-			TTL: 64, Protocol: packet.ProtoUDP,
-			Src: s, Dst: d, Payload: payload,
-		}
 		out[k] = &slab[k]
 	}
 	return out, nil
+}
+
+// Fill is the packet generator: it draws len(pkts) packets for the flow
+// into caller-owned storage, so a caller that keeps pkts and payloads
+// generates without allocating. Every field of every pkts[k] is
+// overwritten. Packet k's payload is payloads[k*PayloadLen :
+// (k+1)*PayloadLen], with its capacity clamped to its length so that
+// appending to it copies instead of running into the next packet's
+// bytes; payloads must hold len(pkts)*PayloadLen bytes. A non-nil
+// target replaces the destination AS's space (PacketsInto's carpet
+// shape).
+//
+// Per packet the rng yields, in this order, one Uint64 for the source
+// address, one for the destination and one Read of the payload; every
+// seeded campaign, dataset and differential in the repository depends
+// on that order. An AS without IPv4 space is reported when its draw
+// comes up, so a failed call leaves the rng where the per-packet walk
+// always left it (callers such as the scenario's legit phase skip the
+// flow and keep drawing from the same stream).
+func (f Flow) Fill(topo *topology.Topology, target *topology.AddrIndex, pkts []packet.IPv4, payloads []byte, rng *rand.Rand) error {
+	srcAS, dstAS, err := f.endpoints()
+	if err != nil {
+		return err
+	}
+	if len(pkts) == 0 {
+		return nil
+	}
+	src := topo.V4Index(srcAS)
+	if src == nil {
+		return fmt.Errorf("attack: AS%d has no IPv4 space", srcAS)
+	}
+	dst := target
+	if dst == nil {
+		dst = topo.V4Index(dstAS)
+	}
+	if dst == nil {
+		rng.Uint64() // the first packet's source draw
+		return fmt.Errorf("attack: AS%d has no IPv4 space", dstAS)
+	}
+	srcN, dstN := src.Total(), dst.Total()
+	for k := range pkts {
+		p := &pkts[k]
+		p.TOS, p.ID, p.Flags, p.FragOff = 0, 0, 0, 0
+		p.TTL, p.Protocol, p.Checksum = 64, packet.ProtoUDP, 0
+		p.Src = src.At(rng.Uint64() % srcN)
+		p.Dst = dst.At(rng.Uint64() % dstN)
+		p.Options = nil
+		p.Payload = payloads[k*PayloadLen : (k+1)*PayloadLen : (k+1)*PayloadLen]
+		rng.Read(p.Payload)
+	}
+	return nil
 }
 
 // AmplificationFactor models the s-DDoS volume multiplier; §I cites a

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net/netip"
+	"reflect"
 	"testing"
 
 	"discs/internal/packet"
@@ -279,6 +280,44 @@ func TestPacketsMatchReference(t *testing.T) {
 	}
 }
 
+// TestFillOverwritesReusedStorage: Fill into storage an earlier packet
+// left dirty — every field of packet.IPv4 set, found by reflection so a
+// field added later is covered too — yields exactly the packets a fresh
+// Packets call does from the same stream.
+func TestFillOverwritesReusedStorage(t *testing.T) {
+	tp := weightedTopo(t)
+	f := Flow{Kind: DDDoS, Agent: 1, Innocent: 2, Victim: 3}
+	const n = 16
+	want, err := f.Packets(tp, n, rand.New(rand.NewSource(5)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkts := make([]packet.IPv4, n)
+	for k := range pkts {
+		v := reflect.ValueOf(&pkts[k]).Elem()
+		for i := 0; i < v.NumField(); i++ {
+			switch fv := v.Field(i); fv.Kind() {
+			case reflect.Uint8, reflect.Uint16:
+				fv.SetUint(3)
+			case reflect.Slice:
+				fv.SetBytes([]byte{1, 2, 3, 4})
+			case reflect.Struct:
+				fv.Set(reflect.ValueOf(netip.MustParseAddr("192.0.2.1")))
+			default:
+				t.Fatalf("packet.IPv4.%s: kind %v not dirtied", v.Type().Field(i).Name, fv.Kind())
+			}
+		}
+	}
+	if err := f.Fill(tp, nil, pkts, bytes.Repeat([]byte{0xEE}, n*PayloadLen), rand.New(rand.NewSource(5))); err != nil {
+		t.Fatal(err)
+	}
+	for k := range pkts {
+		if !reflect.DeepEqual(pkts[k], *want[k]) {
+			t.Fatalf("packet %d: filled %+v, fresh %+v", k, pkts[k], *want[k])
+		}
+	}
+}
+
 func TestPacketsIntoRejectsNonIPv4Target(t *testing.T) {
 	tp := weightedTopo(t)
 	f := Flow{Kind: DDDoS, Agent: 1, Innocent: 2, Victim: 3}
@@ -299,8 +338,8 @@ func TestPayloadSlabIsClamped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pkts[0].Payload) != payloadLen || cap(pkts[0].Payload) != payloadLen {
-		t.Fatalf("payload len %d cap %d, want both %d", len(pkts[0].Payload), cap(pkts[0].Payload), payloadLen)
+	if len(pkts[0].Payload) != PayloadLen || cap(pkts[0].Payload) != PayloadLen {
+		t.Fatalf("payload len %d cap %d, want both %d", len(pkts[0].Payload), cap(pkts[0].Payload), PayloadLen)
 	}
 	next := append([]byte(nil), pkts[1].Payload...)
 	pkts[0].Payload = append(pkts[0].Payload, 0xAA, 0xBB)
@@ -386,3 +425,28 @@ func BenchmarkFlowPackets(b *testing.B) {
 }
 
 var benchSink []*packet.IPv4
+
+// BenchmarkFill is BenchmarkFlowPackets into reused storage, the
+// scenario engine's steady state.
+func BenchmarkFill(b *testing.B) {
+	cfg := topology.DefaultGenConfig()
+	cfg.SkipLinks = true
+	tp, err := topology.GenerateInternet(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	big := tp.BySizeDesc()
+	f := Flow{Kind: DDDoS, Agent: big[2], Innocent: big[0], Victim: big[1]}
+	rng := rand.New(rand.NewSource(1))
+	const perFlow = 12
+	pkts := make([]packet.IPv4, perFlow)
+	payloads := make([]byte, perFlow*PayloadLen)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := f.Fill(tp, nil, pkts, payloads, rng); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.N)*perFlow/b.Elapsed().Seconds()/1e6, "Mpps")
+}

@@ -64,7 +64,7 @@ func TestSpoofedAdControllerConfusion(t *testing.T) {
 		t.Fatal("legitimate keys damaged")
 	}
 	// And no key state was created for AS300.
-	if s.Routers[1001].Tables.Keys.HasVerifyKey(300) {
+	if s.Router(1001).Tables.Keys.HasVerifyKey(300) {
 		t.Fatal("verify key installed for the spoofed AS")
 	}
 }

@@ -101,11 +101,11 @@ func (bp *BurstPipeline) Outbound(r *BorderRouter, pkts []MarkCarrier, now time.
 	base := len(dst)
 	var d routerDeltas
 	if st.src.idleAt(nowN) && st.dst.idleAt(nowN) {
-		d.outProcessed = uint64(len(pkts))
+		d[ctrOutProcessed] = uint64(len(pkts))
 		for range pkts {
 			dst = append(dst, VerdictPass)
 		}
-		d.flush(&r.m)
+		d.flush(r.m)
 		return bp.sampleBurst(r, pkts, dst, base)
 	}
 	bp.memo.beginBurst()
@@ -126,7 +126,7 @@ func (bp *BurstPipeline) Outbound(r *BorderRouter, pkts []MarkCarrier, now time.
 		dst = append(dst, v)
 	}
 	bp.stampStaged(pkts, dst[base:], &d)
-	d.flush(&r.m)
+	d.flush(r.m)
 	return bp.sampleBurst(r, pkts, dst, base)
 }
 
@@ -136,19 +136,19 @@ func (bp *BurstPipeline) stampStaged(pkts []MarkCarrier, vd []Verdict, d *router
 	marks := bp.v4.sum(bp, false)
 	for j, i := range bp.v4.idx {
 		pkts[i].(V4).P.SetMark(marks[j])
-		d.macsComputed++
-		d.outStamped++
+		d[ctrMACsComputed]++
+		d[ctrOutStamped]++
 	}
 	marks = bp.v6.sum(bp, true)
 	for j, i := range bp.v6.idx {
-		d.macsComputed++
+		d[ctrMACsComputed]++
 		if err := pkts[i].(V6).P.StampV6(marks[j]); err != nil {
 			// Packet cannot carry a mark: pass unstamped, as
 			// ProcessOutbound does (the MAC was still computed).
 			vd[i] = VerdictPass
 			continue
 		}
-		d.outStamped++
+		d[ctrOutStamped]++
 	}
 	bp.v4.reset()
 	bp.v6.reset()
@@ -164,11 +164,11 @@ func (bp *BurstPipeline) Inbound(r *BorderRouter, pkts []MarkCarrier, now time.T
 	base := len(dst)
 	var d routerDeltas
 	if st.src.idleAt(nowN) && st.dst.idleAt(nowN) {
-		d.inProcessed = uint64(len(pkts))
+		d[ctrInProcessed] = uint64(len(pkts))
 		for range pkts {
 			dst = append(dst, VerdictPass)
 		}
-		d.flush(&r.m)
+		d.flush(r.m)
 		return bp.sampleBurst(r, pkts, dst, base)
 	}
 	n := len(pkts)
@@ -207,7 +207,7 @@ func (bp *BurstPipeline) Inbound(r *BorderRouter, pkts []MarkCarrier, now time.T
 		}
 		bp.vks[i] = nil // don't pin retired key snapshots
 	}
-	d.flush(&r.m)
+	d.flush(r.m)
 	return bp.sampleBurst(r, pkts, dst, base)
 }
 
@@ -217,12 +217,12 @@ func (bp *BurstPipeline) Inbound(r *BorderRouter, pkts []MarkCarrier, now time.T
 func (bp *BurstPipeline) verifyStaged(pkts []MarkCarrier, d *routerDeltas) {
 	marks := bp.v4.sum(bp, false)
 	for j, i := range bp.v4.idx {
-		d.macsComputed++
+		d[ctrMACsComputed]++
 		p := pkts[i].(V4).P
 		want := p.Mark() & (1<<29 - 1)
 		ok := marks[j] == want
 		if prev := bp.vks[i].previous; !ok && prev != nil {
-			d.macsComputed++
+			d[ctrMACsComputed]++
 			m := p.Msg()
 			ok = prev.Sum29(m[:]) == want
 		}
@@ -230,12 +230,12 @@ func (bp *BurstPipeline) verifyStaged(pkts []MarkCarrier, d *routerDeltas) {
 	}
 	marks = bp.v6.sum(bp, true)
 	for j, i := range bp.v6.idx {
-		d.macsComputed++
+		d[ctrMACsComputed]++
 		p := pkts[i].(V6).P
 		want, _ := p.MarkV6()
 		ok := marks[j] == want
 		if prev := bp.vks[i].previous; !ok && prev != nil {
-			d.macsComputed++
+			d[ctrMACsComputed]++
 			m := p.Msg()
 			ok = prev.Sum32(m[:]) == want
 		}

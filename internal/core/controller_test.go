@@ -114,10 +114,10 @@ func TestKeyNegotiationCompletes(t *testing.T) {
 		t.Fatal("stamping keys not active after settle")
 	}
 	// Both routers must hold verify keys for the peer.
-	if !s.Routers[1001].Tables.Keys.HasVerifyKey(1004) {
+	if !s.Router(1001).Tables.Keys.HasVerifyKey(1004) {
 		t.Fatal("AS1001 missing verify key for AS1004")
 	}
-	if !s.Routers[1004].Tables.Keys.HasVerifyKey(1001) {
+	if !s.Router(1004).Tables.Keys.HasVerifyKey(1001) {
 		t.Fatal("AS1004 missing verify key for AS1001")
 	}
 	// And the stamping/verification keys must be consistent: a packet
@@ -125,12 +125,12 @@ func TestKeyNegotiationCompletes(t *testing.T) {
 	pkt := samplePacketV4()
 	pkt.Src = netip.MustParseAddr("172.16.1.10")
 	pkt.Dst = netip.MustParseAddr("172.16.4.10")
-	key := s.Routers[1001].Tables.Keys.StampKey(1004)
+	key := s.Router(1001).Tables.Keys.StampKey(1004)
 	if key == nil {
 		t.Fatal("no stamp key")
 	}
 	V4{pkt}.Stamp(key)
-	if valid, known, _ := s.Routers[1004].Tables.Keys.VerifyMark(1001, V4{pkt}); !valid || !known {
+	if valid, known, _ := s.Router(1004).Tables.Keys.VerifyMark(1001, V4{pkt}); !valid || !known {
 		t.Fatalf("cross-verify failed: valid=%v known=%v", valid, known)
 	}
 }
@@ -181,12 +181,12 @@ func TestInvokeDPCDP(t *testing.T) {
 	}
 	now := s.Now().Add(time.Second)
 	// Peer's Out-Dst table has DP-filter and CDP-stamp for the victim.
-	active, _ := s.Routers[1001].Tables.In[TableOutDst].ActiveOps(netip.MustParseAddr("172.16.4.10"), now)
+	active, _ := s.Router(1001).Tables.In[TableOutDst].ActiveOps(netip.MustParseAddr("172.16.4.10"), now)
 	if !active.Has(OpDPFilter) || !active.Has(OpCDPStamp) {
 		t.Fatalf("peer Out-Dst ops = %v", active)
 	}
 	// Victim's In-Dst has CDP-verify.
-	active, _ = s.Routers[1004].Tables.In[TableInDst].ActiveOps(netip.MustParseAddr("172.16.4.10"), now)
+	active, _ = s.Router(1004).Tables.In[TableInDst].ActiveOps(netip.MustParseAddr("172.16.4.10"), now)
 	if !active.Has(OpCDPVerify) {
 		t.Fatalf("victim In-Dst ops = %v", active)
 	}
@@ -222,7 +222,7 @@ func TestInvokeRejectedForForeignPrefix(t *testing.T) {
 		t.Fatal("peer accepted an invocation for a prefix the victim does not own")
 	}
 	now := s.Now().Add(time.Second)
-	active, _ := s.Routers[1001].Tables.In[TableOutDst].ActiveOps(netip.MustParseAddr("172.16.1.10"), now)
+	active, _ := s.Router(1001).Tables.In[TableOutDst].ActiveOps(netip.MustParseAddr("172.16.1.10"), now)
 	if active != 0 {
 		t.Fatal("peer installed ops for an unauthorized prefix")
 	}
@@ -268,7 +268,7 @@ func TestInvokeRejectsUninstallablePrefix(t *testing.T) {
 		t.Fatalf("peer recorded %d installs, want only the accepted DP-filter: %v", len(p.installed), p.installed)
 	}
 	now := s.Now().Add(time.Second)
-	out := s.Routers[1001].Tables.In
+	out := s.Router(1001).Tables.In
 	if active, _ := out[TableOutSrc].ActiveOps(netip.MustParseAddr("172.16.4.10"), now); active != 0 {
 		t.Fatalf("peer Out-Src ops = %v after a rejected invoke", active)
 	}
@@ -319,10 +319,10 @@ func TestRekeyKeepsTrafficFlowing(t *testing.T) {
 		pkt.Src = netip.MustParseAddr("172.16.1.10")
 		pkt.Dst = netip.MustParseAddr("172.16.4.10")
 		now := s.Now().Add(time.Minute) // clear of the grace interval
-		if v := s.Routers[1001].ProcessOutbound(V4{pkt}, now); v != VerdictPassStamped {
+		if v := s.Router(1001).ProcessOutbound(V4{pkt}, now); v != VerdictPassStamped {
 			return v
 		}
-		return s.Routers[1004].ProcessInbound(V4{pkt}, now)
+		return s.Router(1004).ProcessInbound(V4{pkt}, now)
 	}
 	if v := send(); v != VerdictPassVerified {
 		t.Fatalf("pre-rekey verdict = %v", v)
@@ -403,7 +403,7 @@ func TestStaleRekeyTimerKeepsNewerOverlap(t *testing.T) {
 		t.Fatalf("legitimate packet in the second rekey's window dropped: %+v", res)
 	}
 	// Each overlap still ends: only the newest key is left.
-	if vk := s.Routers[1004].Tables.Keys.snap.Load().verifyKeys(1001); vk == nil || vk.previous != nil {
+	if vk := s.Router(1004).Tables.Keys.snap.Load().verifyKeys(1001); vk == nil || vk.previous != nil {
 		t.Fatalf("after both overlaps: verify keys %+v, want the current key alone", vk)
 	}
 }

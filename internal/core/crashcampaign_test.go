@@ -77,11 +77,11 @@ func crashCampaignScenario(t *testing.T) string {
 	if peer.Stats().Get(MetricCtrlPeersDeclaredDead) != 1 {
 		t.Fatalf("peer never declared the victim dead (stat %d)", peer.Stats().Get(MetricCtrlPeersDeclaredDead))
 	}
-	if s.Routers[1001].Tables.Keys.StampKey(1004) != nil {
+	if s.Router(1001).Tables.Keys.StampKey(1004) != nil {
 		t.Fatal("peer still stamping toward the dead victim")
 	}
 	withdrawn := 0
-	for _, ft := range s.Routers[1001].Tables.In {
+	for _, ft := range s.Router(1001).Tables.In {
 		withdrawn += ft.Len()
 	}
 	if withdrawn != 0 {

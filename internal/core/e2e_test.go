@@ -212,7 +212,7 @@ func TestE2EOnDemandOnly(t *testing.T) {
 	if !res.Delivered {
 		t.Fatalf("packet dropped without invocation: %+v", res)
 	}
-	if s.Routers[1001].Stats().MACsComputed+s.Routers[1004].Stats().MACsComputed != 0 {
+	if s.Router(1001).Stats().MACsComputed+s.Router(1004).Stats().MACsComputed != 0 {
 		t.Fatal("crypto ran without invocation")
 	}
 }
@@ -307,15 +307,15 @@ func TestE2ETTLExpiryScrubsMark(t *testing.T) {
 	}
 	// The embedded packet carried a freshly stamped mark before
 	// scrubbing; after the DAS border scrub it must NOT verify.
-	key := s.Routers[1001].Tables.Keys.StampKey(1004)
+	key := s.Router(1001).Tables.Keys.StampKey(1004)
 	if key == nil {
 		t.Fatal("no stamp key")
 	}
 	if ok, _ := (V4{emb}).Verify(key); ok {
 		t.Fatal("attacker can learn a valid mark from ICMP TTL-exceeded")
 	}
-	if s.Routers[1001].Stats().ICMPScrubbed != 1 {
-		t.Fatalf("scrub count = %d", s.Routers[1001].Stats().ICMPScrubbed)
+	if s.Router(1001).Stats().ICMPScrubbed != 1 {
+		t.Fatalf("scrub count = %d", s.Router(1001).Stats().ICMPScrubbed)
 	}
 }
 

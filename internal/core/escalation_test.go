@@ -61,7 +61,7 @@ func TestEscalationDoublesDuration(t *testing.T) {
 	// auto invocation replaced the In-Dst window, so after expiry the
 	// re-armed alarm path needs fresh samples to re-trigger.
 	runFor(11 * time.Minute)
-	if !s.Routers[1004].AlarmModeOn() {
+	if !s.Router(1004).AlarmModeOn() {
 		t.Fatal("alarm mode not re-armed after enforcement expiry")
 	}
 	// The enforcement window expired: spoofed traffic passes again.
@@ -131,14 +131,14 @@ func TestPurgeExpired(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if s.Routers[1004].Tables.In[TableInDst].Len() != 1 {
+	if s.Router(1004).Tables.In[TableInDst].Len() != 1 {
 		t.Fatal("window not installed")
 	}
 	s.Net.Sim.After(2*time.Minute+time.Second, func() {})
 	s.Settle()
 	// The periodic sweep (background events) ran while the clock
 	// advanced past the window end and reclaimed the slot.
-	if s.Routers[1004].Tables.In[TableInDst].Len() != 0 {
+	if s.Router(1004).Tables.In[TableInDst].Len() != 0 {
 		t.Fatal("expired window still present after periodic purge")
 	}
 	if victim.Stats().Get(MetricCtrlPurged) != 1 {

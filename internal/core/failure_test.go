@@ -61,8 +61,8 @@ func TestLossyHandshakeRecovers(t *testing.T) {
 	pkt := samplePacketV4()
 	pkt.Src = netip.MustParseAddr("172.16.1.10")
 	pkt.Dst = netip.MustParseAddr("172.16.4.10")
-	(V4{pkt}).Stamp(s.Routers[1001].Tables.Keys.StampKey(1004))
-	if ok, _, _ := s.Routers[1004].Tables.Keys.VerifyMark(1001, V4{pkt}); !ok {
+	(V4{pkt}).Stamp(s.Router(1001).Tables.Keys.StampKey(1004))
+	if ok, _, _ := s.Router(1004).Tables.Keys.VerifyMark(1001, V4{pkt}); !ok {
 		t.Fatal("recovered keys are inconsistent")
 	}
 }
@@ -160,8 +160,8 @@ func TestLossSweepConverges(t *testing.T) {
 			pkt := samplePacketV4()
 			pkt.Src = netip.MustParseAddr("172.16.1.10")
 			pkt.Dst = netip.MustParseAddr("172.16.4.10")
-			(V4{pkt}).Stamp(s.Routers[1001].Tables.Keys.StampKey(1004))
-			if ok, _, _ := s.Routers[1004].Tables.Keys.VerifyMark(1001, V4{pkt}); !ok {
+			(V4{pkt}).Stamp(s.Router(1001).Tables.Keys.StampKey(1004))
+			if ok, _, _ := s.Router(1004).Tables.Keys.VerifyMark(1001, V4{pkt}); !ok {
 				t.Fatalf("keys inconsistent under %.0f%% loss", loss*100)
 			}
 		})
@@ -200,8 +200,8 @@ func TestRetryIdempotentUnderDuplicates(t *testing.T) {
 	pkt := samplePacketV4()
 	pkt.Src = netip.MustParseAddr("172.16.1.10")
 	pkt.Dst = netip.MustParseAddr("172.16.4.10")
-	(V4{pkt}).Stamp(s.Routers[1001].Tables.Keys.StampKey(1004))
-	if ok, _, _ := s.Routers[1004].Tables.Keys.VerifyMark(1001, V4{pkt}); !ok {
+	(V4{pkt}).Stamp(s.Router(1001).Tables.Keys.StampKey(1004))
+	if ok, _, _ := s.Router(1004).Tables.Keys.VerifyMark(1001, V4{pkt}); !ok {
 		t.Fatal("keys inconsistent after duplicates")
 	}
 }

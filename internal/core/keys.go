@@ -21,11 +21,12 @@ import (
 // The table is copy-on-write: mutators serialize on mu and publish a
 // new immutable snapshot; the forwarding path loads the snapshot once
 // and reads it without locks. A snapshot is a peer→slot index plus one
-// slice of per-slot key records. The index is rebuilt only when a peer
-// joins or leaves. A key change for a known peer (§IV-D: verify key,
-// stamp key, end of the overlap — three per peering) rehashes nothing:
-// it copies the slot slice, one pointer per peer, and allocates one
-// record.
+// slice of per-slot key records. The index is a topology.ASNIndex, so
+// a lookup is a multiply, a shift and usually one probe instead of a Go
+// map read; it is rebuilt only when a peer joins or leaves. A key
+// change for a known peer (§IV-D: verify key, stamp key, end of the
+// overlap — three per peering) rehashes nothing: it copies the slot
+// slice, one pointer per peer, and allocates one record.
 type KeyTable struct {
 	mu   sync.Mutex // serializes mutators; readers never take it
 	snap atomic.Pointer[keySnapshot]
@@ -36,7 +37,7 @@ type KeyTable struct {
 // index, the slot slice nor the records are mutated after publication;
 // snapshots that differ only in a key share the index.
 type keySnapshot struct {
-	index map[topology.ASN]int32
+	index *topology.ASNIndex
 	slots []*peerKeys // nil at free slots
 }
 
@@ -48,7 +49,7 @@ type peerKeys struct {
 	previous *cmac.CMAC // non-nil only during a rekey window
 }
 
-var emptyKeySnapshot = &keySnapshot{index: map[topology.ASN]int32{}}
+var emptyKeySnapshot = &keySnapshot{index: &topology.ASNIndex{}}
 
 // NewKeyTable creates empty key tables.
 func NewKeyTable() *KeyTable {
@@ -59,7 +60,7 @@ func NewKeyTable() *KeyTable {
 
 // keys returns peer's record, or nil when peer has no key state.
 func (ks *keySnapshot) keys(peer topology.ASN) *peerKeys {
-	if i, ok := ks.index[peer]; ok {
+	if i, ok := ks.index.Get(peer); ok {
 		return ks.slots[i]
 	}
 	return nil
@@ -89,7 +90,7 @@ func (kt *KeyTable) update(peer topology.ASN, fn func(pk *peerKeys)) {
 	defer kt.mu.Unlock()
 	old := kt.snap.Load()
 	var next peerKeys
-	i, known := old.index[peer]
+	i, known := old.index.Get(peer)
 	if known {
 		next = *old.slots[i]
 	}
@@ -101,12 +102,12 @@ func (kt *KeyTable) update(peer topology.ASN, fn func(pk *peerKeys)) {
 	s := &keySnapshot{index: old.index}
 	switch {
 	case known && empty: // leave
-		s.index = make(map[topology.ASN]int32, len(old.index))
-		for p, j := range old.index {
+		s.index = &topology.ASNIndex{}
+		old.index.Range(func(p topology.ASN, j int32) {
 			if p != peer {
-				s.index[p] = j
+				s.index.Put(p, j)
 			}
-		}
+		})
 		kt.free = append(kt.free, i)
 	case !known: // join
 		if n := len(kt.free); n > 0 {
@@ -114,11 +115,9 @@ func (kt *KeyTable) update(peer topology.ASN, fn func(pk *peerKeys)) {
 		} else {
 			i = int32(len(old.slots))
 		}
-		s.index = make(map[topology.ASN]int32, len(old.index)+1)
-		for p, j := range old.index {
-			s.index[p] = j
-		}
-		s.index[peer] = i
+		s.index = &topology.ASNIndex{}
+		old.index.Range(s.index.Put)
+		s.index.Put(peer, i)
 	}
 	s.slots = make([]*peerKeys, max(len(old.slots), int(i)+1))
 	copy(s.slots, old.slots)
@@ -225,4 +224,4 @@ func (pk *peerKeys) verify(carrier MarkCarrier) (valid bool, macs int) {
 }
 
 // NumPeers returns the number of peers with any key state.
-func (kt *KeyTable) NumPeers() int { return len(kt.snap.Load().index) }
+func (kt *KeyTable) NumPeers() int { return kt.snap.Load().index.Len() }

@@ -27,7 +27,7 @@ func TestDeadPeerDetectionAndPurge(t *testing.T) {
 	fastLiveness(&s.cfg)
 	deploy(t, s, 1001, 1004)
 	c1 := s.Controllers[1001]
-	if s.Routers[1001].Tables.Keys.StampKey(1004) == nil {
+	if s.Router(1001).Tables.Keys.StampKey(1004) == nil {
 		t.Fatal("no stamp key before the crash")
 	}
 
@@ -47,10 +47,10 @@ func TestDeadPeerDetectionAndPurge(t *testing.T) {
 	// Probing may later move the FSM to requested, but the peer stays
 	// un-established and the purge sticks while it is down.
 	s.Net.Sim.Run(s.Net.Sim.Now() + 20*time.Second)
-	if s.Routers[1001].Tables.Keys.StampKey(1004) != nil {
+	if s.Router(1001).Tables.Keys.StampKey(1004) != nil {
 		t.Fatal("stamp key toward the dead peer not purged")
 	}
-	if s.Routers[1001].Tables.Keys.HasVerifyKey(1004) {
+	if s.Router(1001).Tables.Keys.HasVerifyKey(1004) {
 		t.Fatal("verify key for the dead peer not purged")
 	}
 	// The survivor itself must not think it is dead to anyone else: a

@@ -55,7 +55,7 @@ func TestSystemUnifiedStats(t *testing.T) {
 	if got := snap.Sum(MetricRouterInProcessed); got != 1 {
 		t.Fatalf("Sum(in_processed) = %d, want 1", got)
 	}
-	if s.Routers[1001].Stats().OutProcessed != snap.Get("as1001."+MetricRouterOutProcessed) {
+	if s.Router(1001).Stats().OutProcessed != snap.Get("as1001."+MetricRouterOutProcessed) {
 		t.Fatal("router typed view disagrees with the registry")
 	}
 

@@ -109,111 +109,67 @@ func (s RouterStats) Add(o RouterStats) RouterStats {
 	}
 }
 
-// routerMetrics holds the router's pre-resolved registry handles; they
-// are resolved once at construction so the forwarding path never walks
-// the registry maps.
-type routerMetrics struct {
-	outProcessed *obs.Counter
-	outDropped   *obs.Counter
-	outStamped   *obs.Counter
-	inProcessed  *obs.Counter
-	inVerified   *obs.Counter
-	inVerifyFail *obs.Counter
-	inDropped    *obs.Counter
-	inErasedOnly *obs.Counter
-	inAlarmed    *obs.Counter
-	outTooBig    *obs.Counter
-	macsComputed *obs.Counter
-	icmpScrubbed *obs.Counter
+// Router counters, in the order of the router's obs.CounterBlock:
+// routerDeltas is indexed by them and flushed into the block in one
+// call.
+const (
+	ctrOutProcessed = iota
+	ctrOutDropped
+	ctrOutStamped
+	ctrInProcessed
+	ctrInVerified
+	ctrInVerifyFail
+	ctrInDropped
+	ctrInErasedOnly
+	ctrInAlarmed
+	ctrOutTooBig
+	ctrMACsComputed
+	ctrICMPScrubbed
+	numRouterCtrs
+)
+
+// routerCtrNames are the metric names of the router counters, by index.
+var routerCtrNames = [numRouterCtrs]string{
+	MetricRouterOutProcessed, MetricRouterOutDropped, MetricRouterOutStamped,
+	MetricRouterInProcessed, MetricRouterInVerified, MetricRouterInVerifyFail,
+	MetricRouterInDropped, MetricRouterInErasedOnly, MetricRouterInAlarmed,
+	MetricRouterOutTooBig, MetricRouterMACsComputed, MetricRouterICMPScrubbed,
 }
 
-func newRouterMetrics(sc obs.Scope) routerMetrics {
-	return routerMetrics{
-		outProcessed: sc.Counter(MetricRouterOutProcessed),
-		outDropped:   sc.Counter(MetricRouterOutDropped),
-		outStamped:   sc.Counter(MetricRouterOutStamped),
-		inProcessed:  sc.Counter(MetricRouterInProcessed),
-		inVerified:   sc.Counter(MetricRouterInVerified),
-		inVerifyFail: sc.Counter(MetricRouterInVerifyFail),
-		inDropped:    sc.Counter(MetricRouterInDropped),
-		inErasedOnly: sc.Counter(MetricRouterInErasedOnly),
-		inAlarmed:    sc.Counter(MetricRouterInAlarmed),
-		outTooBig:    sc.Counter(MetricRouterOutTooBig),
-		macsComputed: sc.Counter(MetricRouterMACsComputed),
-		icmpScrubbed: sc.Counter(MetricRouterICMPScrubbed),
-	}
+// newRouterMetrics registers the router's counters as one block under
+// the router's scope, resolved once at construction so the forwarding
+// path never walks the registry maps.
+func newRouterMetrics(sc obs.Scope) *obs.CounterBlock {
+	return sc.CounterBlock(routerCtrNames[:]...)
 }
 
-func (m *routerMetrics) view() RouterStats {
+// routerView reads the typed view of a router's counter block.
+func routerView(b *obs.CounterBlock) RouterStats {
+	v := func(i int) uint64 { return b.Counter(i).Value() }
 	return RouterStats{
-		OutProcessed: m.outProcessed.Value(),
-		OutDropped:   m.outDropped.Value(),
-		OutStamped:   m.outStamped.Value(),
-		InProcessed:  m.inProcessed.Value(),
-		InVerified:   m.inVerified.Value(),
-		InVerifyFail: m.inVerifyFail.Value(),
-		InDropped:    m.inDropped.Value(),
-		InErasedOnly: m.inErasedOnly.Value(),
-		InAlarmed:    m.inAlarmed.Value(),
-		OutTooBig:    m.outTooBig.Value(),
-		MACsComputed: m.macsComputed.Value(),
-		ICMPScrubbed: m.icmpScrubbed.Value(),
+		OutProcessed: v(ctrOutProcessed),
+		OutDropped:   v(ctrOutDropped),
+		OutStamped:   v(ctrOutStamped),
+		InProcessed:  v(ctrInProcessed),
+		InVerified:   v(ctrInVerified),
+		InVerifyFail: v(ctrInVerifyFail),
+		InDropped:    v(ctrInDropped),
+		InErasedOnly: v(ctrInErasedOnly),
+		InAlarmed:    v(ctrInAlarmed),
+		OutTooBig:    v(ctrOutTooBig),
+		MACsComputed: v(ctrMACsComputed),
+		ICMPScrubbed: v(ctrICMPScrubbed),
 	}
 }
 
 // routerDeltas accumulates counter increments locally during a packet
-// or burst, then flushes only the non-zero fields to the shared atomic
-// counters — per-packet atomic traffic drops from up to five RMW ops
-// to the handful that actually changed.
-type routerDeltas struct {
-	outProcessed uint64
-	outDropped   uint64
-	outStamped   uint64
-	inProcessed  uint64
-	inVerified   uint64
-	inVerifyFail uint64
-	inDropped    uint64
-	inErasedOnly uint64
-	inAlarmed    uint64
-	outTooBig    uint64
-	macsComputed uint64
-}
+// or burst, then flushes them into the router's counter block: one
+// shard pick and one row of atomic adds, only for the counters that
+// changed. ICMP scrubbing counts outside packet processing and has no
+// delta.
+type routerDeltas [ctrICMPScrubbed]uint64
 
-func (d *routerDeltas) flush(m *routerMetrics) {
-	if d.outProcessed != 0 {
-		m.outProcessed.Add(d.outProcessed)
-	}
-	if d.outDropped != 0 {
-		m.outDropped.Add(d.outDropped)
-	}
-	if d.outStamped != 0 {
-		m.outStamped.Add(d.outStamped)
-	}
-	if d.inProcessed != 0 {
-		m.inProcessed.Add(d.inProcessed)
-	}
-	if d.inVerified != 0 {
-		m.inVerified.Add(d.inVerified)
-	}
-	if d.inVerifyFail != 0 {
-		m.inVerifyFail.Add(d.inVerifyFail)
-	}
-	if d.inDropped != 0 {
-		m.inDropped.Add(d.inDropped)
-	}
-	if d.inErasedOnly != 0 {
-		m.inErasedOnly.Add(d.inErasedOnly)
-	}
-	if d.inAlarmed != 0 {
-		m.inAlarmed.Add(d.inAlarmed)
-	}
-	if d.outTooBig != 0 {
-		m.outTooBig.Add(d.outTooBig)
-	}
-	if d.macsComputed != 0 {
-		m.macsComputed.Add(d.macsComputed)
-	}
-}
+func (d *routerDeltas) flush(b *obs.CounterBlock) { b.Add(d[:]) }
 
 // AlarmSample is a report of an identified spoofing packet sent to the
 // controller in alarm mode (§IV-F); internal/flowexport aggregates
@@ -240,7 +196,7 @@ type BorderRouter struct {
 	// OnPacketTooBig receives the generated ICMPv6 error (nil-safe).
 	OnPacketTooBig func(*packet.IPv6)
 
-	m         routerMetrics
+	m         *obs.CounterBlock
 	rngState  atomic.Uint64
 	alarmMode atomic.Bool
 
@@ -266,7 +222,7 @@ func (r *BorderRouter) AlarmModeOn() bool { return r.alarmMode.Load() }
 // Stats returns the typed view of the processing counters. The same
 // numbers are visible under the router's scope ("<scope>router.*") in
 // any snapshot of the registry it was constructed with.
-func (r *BorderRouter) Stats() RouterStats { return r.m.view() }
+func (r *BorderRouter) Stats() RouterStats { return routerView(r.m) }
 
 // randomBits returns scrub bits from a lock-free splitmix64 stream, so
 // concurrent forwarding goroutines never contend on a shared RNG.
@@ -376,22 +332,27 @@ func (r *BorderRouter) maybeSample(p MarkCarrier, v Verdict) {
 // ProcessOutbound runs the outbound half of the Figure-3 flow on a
 // packet leaving the AS.
 func (r *BorderRouter) ProcessOutbound(p MarkCarrier, now time.Time) Verdict {
+	return r.processOutbound(p, now.UnixNano())
+}
+
+// processOutbound is ProcessOutbound at nowN Unix nanoseconds.
+func (r *BorderRouter) processOutbound(p MarkCarrier, nowN int64) Verdict {
 	st := r.Tables.loadOut()
 	var d routerDeltas
 	p4, p6 := p.unwrap()
-	v, key := r.decideOut(&st, nil, p4, p6, now.UnixNano(), &d)
+	v, key := r.decideOut(&st, nil, p4, p6, nowN, &d)
 	if key != nil {
 		macs, err := p.Stamp(key)
-		d.macsComputed += uint64(macs)
+		d[ctrMACsComputed] += uint64(macs)
 		if err != nil {
 			// Packet cannot carry a mark (e.g. duplicate option): pass;
 			// the verification end will treat it as unmarked.
 			v = VerdictPass
 		} else {
-			d.outStamped++
+			d[ctrOutStamped]++
 		}
 	}
-	d.flush(&r.m)
+	d.flush(r.m)
 	r.maybeSample(p, v)
 	return v
 }
@@ -417,11 +378,11 @@ func (r *BorderRouter) ProcessOutboundBatch(pkts []MarkCarrier, now time.Time, d
 // VerdictPassStamped and the stamping key; the caller computes the MAC
 // and counts the stamp. m, when non-nil, is the burst's lookup memo.
 func (r *BorderRouter) decideOut(st *outState, m *tupleMemo, p4 *packet.IPv4, p6 *packet.IPv6, nowN int64, d *routerDeltas) (Verdict, *cmac.CMAC) {
-	d.outProcessed++
+	d[ctrOutProcessed]++
 	src, dst := addrs(p4, p6)
 	tup := r.Tables.genOutTuple(st, m, src, dst, nowN)
 	if tup.Drop {
-		d.outDropped++
+		d[ctrOutDropped]++
 		return VerdictDrop, nil
 	}
 	if !tup.Stamp || tup.Key == nil {
@@ -435,7 +396,7 @@ func (r *BorderRouter) decideOut(st *outState, m *tupleMemo, p4 *packet.IPv4, p6
 	// exceeds the external link MTU, return "packet too big"
 	// announcing an MTU 8 bytes below the link's.
 	if p6 != nil && r.ExternalMTU > 0 && p6.WireLen()+p6.StampOverheadV6() > r.ExternalMTU {
-		d.outTooBig++
+		d[ctrOutTooBig]++
 		if r.OnPacketTooBig != nil {
 			if icmp, err := packet.NewICMPv6PacketTooBig(r.RouterAddr, p6, uint32(r.ExternalMTU-8)); err == nil {
 				r.OnPacketTooBig(icmp)
@@ -449,21 +410,25 @@ func (r *BorderRouter) decideOut(st *outState, m *tupleMemo, p4 *packet.IPv4, p6
 // ProcessInbound runs the inbound half of the Figure-3 flow on a
 // packet entering the AS.
 func (r *BorderRouter) ProcessInbound(p MarkCarrier, now time.Time) Verdict {
+	return r.processInbound(p, now.UnixNano())
+}
+
+// processInbound is ProcessInbound at nowN Unix nanoseconds.
+func (r *BorderRouter) processInbound(p MarkCarrier, nowN int64) Verdict {
 	st := r.Tables.loadIn()
-	nowN := now.UnixNano()
 	var d routerDeltas
 	p4, p6 := p.unwrap()
 	act, srcAS, vk := r.decideIn(&st, p4, p6, nowN, &d)
 	if act == actPending {
 		ok, macs := vk.verify(p)
-		d.macsComputed += uint64(macs)
+		d[ctrMACsComputed] += uint64(macs)
 		act = actInvalid
 		if ok {
 			act = actValid
 		}
 	}
 	v := r.applyIn(p, act, srcAS, nowN, &d)
-	d.flush(&r.m)
+	d.flush(r.m)
 	r.maybeSample(p, v)
 	return v
 }
@@ -493,7 +458,7 @@ const (
 // An IPv6 packet without a DISCS option is actInvalid at once, with no
 // MAC computed.
 func (r *BorderRouter) decideIn(st *inState, p4 *packet.IPv4, p6 *packet.IPv6, nowN int64, d *routerDeltas) (uint8, topology.ASN, *peerKeys) {
-	d.inProcessed++
+	d[ctrInProcessed]++
 	src, dst := addrs(p4, p6)
 	tup := r.Tables.genInTuple(st, src, dst, nowN)
 	if !tup.Verify {
@@ -529,18 +494,18 @@ func (r *BorderRouter) applyIn(p MarkCarrier, act uint8, srcAS topology.ASN, now
 	switch act {
 	case actEraseOnly:
 		p.Erase(r.randomBits())
-		d.inErasedOnly++
+		d[ctrInErasedOnly]++
 	case actValid:
 		p.Erase(r.randomBits())
-		d.inVerified++
+		d[ctrInVerified]++
 		return VerdictPassVerified
 	case actInvalid:
-		d.inVerifyFail++
+		d[ctrInVerifyFail]++
 		if !r.alarmMode.Load() {
-			d.inDropped++
+			d[ctrInDropped]++
 			return VerdictDrop
 		}
-		d.inAlarmed++
+		d[ctrInAlarmed]++
 		if r.OnAlarm != nil {
 			r.OnAlarm(AlarmSample{
 				Src:   p.SrcAddr(),
@@ -570,7 +535,7 @@ func addrs(p4 *packet.IPv4, p6 *packet.IPv6) (src, dst netip.Addr) {
 // scrub happened.
 func (r *BorderRouter) ScrubInboundICMP(p *packet.IPv4) bool {
 	if packet.ScrubICMPv4EmbeddedMark(p, r.randomBits()) {
-		r.m.icmpScrubbed.Inc()
+		r.m.Counter(ctrICMPScrubbed).Inc()
 		return true
 	}
 	return false
@@ -579,7 +544,7 @@ func (r *BorderRouter) ScrubInboundICMP(p *packet.IPv4) bool {
 // ScrubInboundICMPv6 is the IPv6 counterpart of ScrubInboundICMP.
 func (r *BorderRouter) ScrubInboundICMPv6(p *packet.IPv6) bool {
 	if packet.ScrubICMPv6EmbeddedMark(p, r.randomBits()) {
-		r.m.icmpScrubbed.Inc()
+		r.m.Counter(ctrICMPScrubbed).Inc()
 		return true
 	}
 	return false

@@ -129,7 +129,7 @@ func TestKeyLeakageBlastRadius(t *testing.T) {
 	s := testInternet(t)
 	deploy(t, s, 1001, 1003, 1004)
 	// Attacker learns key_{1001,1004} (stamping key of 1001 toward 1004).
-	leaked := s.Routers[1001].Tables.Keys.StampKey(1004)
+	leaked := s.Router(1001).Tables.Keys.StampKey(1004)
 	if leaked == nil {
 		t.Fatal("setup: no key")
 	}
@@ -148,23 +148,23 @@ func TestKeyLeakageBlastRadius(t *testing.T) {
 	p.Src = netip.MustParseAddr("172.16.1.10")
 	p.Dst = netip.MustParseAddr("172.16.4.10")
 	(V4{p}).Stamp(leaked)
-	if ok, _, _ := s.Routers[1004].Tables.Keys.VerifyMark(1001, V4{p}); ok {
+	if ok, _, _ := s.Router(1004).Tables.Keys.VerifyMark(1001, V4{p}); ok {
 		t.Fatal("leaked key still valid after renewal")
 	}
 	// Fresh traffic with the renewed keys works.
 	q := samplePacketV4()
 	q.Src = netip.MustParseAddr("172.16.1.10")
 	q.Dst = netip.MustParseAddr("172.16.4.10")
-	(V4{q}).Stamp(s.Routers[1001].Tables.Keys.StampKey(1004))
-	if ok, _, _ := s.Routers[1004].Tables.Keys.VerifyMark(1001, V4{q}); !ok {
+	(V4{q}).Stamp(s.Router(1001).Tables.Keys.StampKey(1004))
+	if ok, _, _ := s.Router(1004).Tables.Keys.VerifyMark(1001, V4{q}); !ok {
 		t.Fatal("renewed keys do not verify")
 	}
 	// Unrelated pair (1003↔1004) unaffected throughout.
 	r := samplePacketV4()
 	r.Src = netip.MustParseAddr("172.16.3.10")
 	r.Dst = netip.MustParseAddr("172.16.4.10")
-	(V4{r}).Stamp(s.Routers[1003].Tables.Keys.StampKey(1004))
-	if ok, _, _ := s.Routers[1004].Tables.Keys.VerifyMark(1003, V4{r}); !ok {
+	(V4{r}).Stamp(s.Router(1003).Tables.Keys.StampKey(1004))
+	if ok, _, _ := s.Router(1004).Tables.Keys.VerifyMark(1003, V4{r}); !ok {
 		t.Fatal("unrelated pair broken by containment")
 	}
 }

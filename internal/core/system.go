@@ -18,12 +18,10 @@ type System struct {
 	Dir *Directory
 
 	Controllers map[topology.ASN]*Controller
-	// Routers holds every deployed AS's border router; Router finds one
-	// by the topology's dense AS index instead, without a map lookup.
-	Routers map[topology.ASN]*BorderRouter
 
-	// routerAt is Routers indexed by the topology's dense AS index (nil
-	// where an AS has no DISCS), so a packet's hops cost no map lookup.
+	// routerAt holds every deployed AS's border router at the AS's
+	// dense topology index (nil where an AS has no DISCS), so Router
+	// and a packet's hops cost no map lookup.
 	routerAt []*BorderRouter
 
 	cfg Config
@@ -80,7 +78,6 @@ func NewSystemWithOptions(o SystemOptions) (*System, error) {
 		Net:         o.Net,
 		Dir:         NewDirectory(),
 		Controllers: make(map[topology.ASN]*Controller),
-		Routers:     make(map[topology.ASN]*BorderRouter),
 		cfg:         cfg,
 		reg:         reg,
 	}, nil
@@ -192,7 +189,6 @@ func (s *System) deployNode(asn topology.ASN, seed int64) (*Controller, *bgp.Spe
 	}
 	ctrl.AttachRouter(router)
 	s.Controllers[asn] = ctrl
-	s.Routers[asn] = router
 	i, _ := s.Net.Topo.Index(asn)
 	if i >= len(s.routerAt) {
 		s.routerAt = append(s.routerAt, make([]*BorderRouter, i+1-len(s.routerAt))...)
@@ -302,11 +298,11 @@ func (s *System) SendV4(fromAS topology.ASN, p *packet.IPv4) DeliveryResult {
 		res.DroppedAt = fromAS
 		return res
 	}
-	now := s.Now()
+	nowN := int64(s.Net.Sim.Now()) // s.Now().UnixNano()
 
 	// Outbound processing at the source AS border.
 	if r := s.Router(fromAS); r != nil {
-		v := r.ProcessOutbound(V4{p}, now)
+		v := r.processOutbound(V4{p}, nowN)
 		res.addHop(fromAS, v)
 		if v.Dropped() {
 			res.DroppedAt = fromAS
@@ -337,7 +333,7 @@ func (s *System) SendV4(fromAS topology.ASN, p *packet.IPv4) DeliveryResult {
 	}
 	// Inbound processing at the destination AS border.
 	if r := s.Router(dstAS); r != nil {
-		v := r.ProcessInbound(V4{p}, now)
+		v := r.processInbound(V4{p}, nowN)
 		res.addHop(dstAS, v)
 		if v.Dropped() {
 			res.DroppedAt = dstAS
@@ -391,9 +387,9 @@ func (s *System) SendV6(fromAS topology.ASN, p *packet.IPv6) DeliveryResult {
 		res.DroppedAt = fromAS
 		return res
 	}
-	now := s.Now()
+	nowN := int64(s.Net.Sim.Now()) // s.Now().UnixNano()
 	if r := s.Router(fromAS); r != nil {
-		v := r.ProcessOutbound(V6{p}, now)
+		v := r.processOutbound(V6{p}, nowN)
 		res.addHop(fromAS, v)
 		if v.Dropped() {
 			res.DroppedAt = fromAS
@@ -420,7 +416,7 @@ func (s *System) SendV6(fromAS topology.ASN, p *packet.IPv6) DeliveryResult {
 		p.HopLimit--
 	}
 	if r := s.Router(dstAS); r != nil {
-		v := r.ProcessInbound(V6{p}, now)
+		v := r.processInbound(V6{p}, nowN)
 		res.addHop(dstAS, v)
 		if v.Dropped() {
 			res.DroppedAt = dstAS

@@ -92,15 +92,20 @@ func (s *funcSnapshot) lookup(addr netip.Addr) []opWin {
 	if addr.Is4() || addr.Is4In6() {
 		b := addr.Unmap().As4()
 		x := binary.BigEndian.Uint32(b[:])
-		lo, hi := 0, len(s.v4Start)
-		for hi-lo > 1 {
-			if mid := int(uint(lo+hi) >> 1); s.v4Start[mid] <= x {
-				lo = mid
-			} else {
-				hi = mid
-			}
+		// The last range starting at or below x, by a search without
+		// data-dependent branches: each step halves the window and adds
+		// the half under a mask that is all ones when the probed start
+		// is at or below x. Random addresses made the two-way branch of
+		// a classic binary search mispredict about every other step.
+		starts := s.v4Start
+		base, n := 0, len(starts)
+		for n > 1 {
+			half := n >> 1
+			le := ^((int64(x) - int64(starts[base+half])) >> 63) // -1 iff start <= x
+			base += half & int(le)
+			n -= half
 		}
-		return s.v4Wins[lo]
+		return s.v4Wins[base]
 	}
 	if !addr.IsValid() {
 		return nil

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/rand"
 	"net/netip"
 	"testing"
 	"time"
@@ -339,6 +340,42 @@ func TestKeyTableRemovePeerAndCount(t *testing.T) {
 	kt.RemovePeer(2)
 	if kt.NumPeers() != 1 || kt.StampKey(2) != nil || kt.HasVerifyKey(2) {
 		t.Fatal("RemovePeer incomplete")
+	}
+}
+
+// TestKeyTableIndexMatchesMap drives a key table through random joins,
+// key changes and leaves and holds its hashed peer index to a Go map
+// of who holds keys: every peer, present or not, resolves as the map
+// says, including peers whose ASNs collide in the table.
+func TestKeyTableIndexMatchesMap(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	kt := NewKeyTable()
+	want := map[topology.ASN]bool{}
+	key := make([]byte, 16)
+	for step := 0; step < 3000; step++ {
+		// Small ASNs and multiples of a large power of two collide often.
+		peer := topology.ASN(1 + rng.Intn(300))
+		if rng.Intn(4) == 0 {
+			peer = topology.ASN(rng.Intn(64)+1) << 20
+		}
+		if rng.Intn(3) == 0 {
+			kt.RemovePeer(peer)
+			delete(want, peer)
+		} else {
+			rng.Read(key)
+			if err := kt.SetStampKey(peer, key); err != nil {
+				t.Fatal(err)
+			}
+			want[peer] = true
+		}
+		if kt.NumPeers() != len(want) {
+			t.Fatalf("step %d: NumPeers = %d, want %d", step, kt.NumPeers(), len(want))
+		}
+		for _, p := range []topology.ASN{0, peer, peer + 1, topology.ASN(rng.Intn(300)), topology.ASN(rng.Intn(64)+1) << 20} {
+			if got := kt.StampKey(p) != nil; got != want[p] {
+				t.Fatalf("step %d: AS%d has a stamp key %v, want %v", step, p, got, want[p])
+			}
+		}
 	}
 }
 

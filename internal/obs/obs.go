@@ -22,6 +22,7 @@ package obs
 import (
 	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -55,13 +56,23 @@ func shardIndex() uint32 {
 	return uint32(p>>9) ^ uint32(p>>17)
 }
 
+// lineCells is the number of 8-byte cells in a cache line: the stride
+// between two shards of a counter.
+const lineCells = 8
+
 // Counter is a monotonically increasing metric. The zero value is not
 // usable; obtain counters from a Registry (or Scope) so snapshots see
 // them.
+//
+// Shard s of the counter is cells[s*stride]. A counter of its own
+// gives each shard a cache line; a counter of a CounterBlock shares
+// each shard's line with the block's other counters.
 type Counter struct {
-	name   string
-	shards []shard
-	mask   uint32
+	name    string
+	cells   []atomic.Uint64
+	stride  uint32
+	mask    uint32
+	inBlock bool
 }
 
 // Name returns the registered metric name.
@@ -70,7 +81,7 @@ func (c *Counter) Name() string { return c.name }
 // Add increments the counter by n. Wait-free, allocation-free, safe
 // from any number of goroutines.
 func (c *Counter) Add(n uint64) {
-	c.shards[shardIndex()&c.mask].v.Add(n)
+	c.cells[(shardIndex()&c.mask)*c.stride].Add(n)
 }
 
 // Inc is Add(1).
@@ -80,10 +91,40 @@ func (c *Counter) Inc() { c.Add(1) }
 // point-in-time lower bound, exact once writers quiesce.
 func (c *Counter) Value() uint64 {
 	var t uint64
-	for i := range c.shards {
-		t += c.shards[i].v.Load()
+	for s := uint32(0); s <= c.mask; s++ {
+		t += c.cells[s*c.stride].Load()
 	}
 	return t
+}
+
+// CounterBlock is a set of counters registered together whose shards
+// share rows: shard s of every counter in the block lies in one run of
+// cache lines. A component that updates several counters at once — a
+// border router flushing one packet's counts — picks its shard once
+// and touches one row, where separate counters cost a shard pick and a
+// cache line each. Every counter of the block is an ordinary registry
+// counter: snapshots, Absorb and Counter(name) see it under its name.
+type CounterBlock struct {
+	cells  []atomic.Uint64
+	stride uint32 // cells per row: the block's width rounded up to lines
+	mask   uint32
+	ctrs   []*Counter
+}
+
+// Counter returns the block's i-th counter, in registration order.
+func (b *CounterBlock) Counter(i int) *Counter { return b.ctrs[i] }
+
+// Add adds deltas[i] to the block's i-th counter, skipping zeros, all
+// in the calling goroutine's row. Wait-free and allocation-free;
+// deltas must not be longer than the block.
+func (b *CounterBlock) Add(deltas []uint64) {
+	row := b.cells[(shardIndex()&b.mask)*b.stride:]
+	row = row[:len(deltas)]
+	for i, d := range deltas {
+		if d != 0 {
+			row[i].Add(d)
+		}
+	}
 }
 
 // Gauge is a last-value-wins metric (queue depths, peer counts).
@@ -154,6 +195,7 @@ func (h *Histogram) snapshot() HistSnapshot {
 type Registry struct {
 	mu       sync.RWMutex
 	counters map[string]*Counter
+	blocks   map[string]*CounterBlock // by their names, NUL-joined
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
 
@@ -169,6 +211,7 @@ type Registry struct {
 func NewRegistry() *Registry {
 	return &Registry{
 		counters: make(map[string]*Counter),
+		blocks:   make(map[string]*CounterBlock),
 		gauges:   make(map[string]*Gauge),
 		hists:    make(map[string]*Histogram),
 	}
@@ -200,9 +243,55 @@ func (r *Registry) Counter(name string) *Counter {
 	if c = r.counters[name]; c != nil {
 		return c
 	}
-	c = &Counter{name: name, shards: make([]shard, numShards), mask: uint32(numShards - 1)}
+	c = &Counter{name: name, cells: make([]atomic.Uint64, numShards*lineCells), stride: lineCells, mask: uint32(numShards - 1)}
 	r.counters[name] = c
 	return c
+}
+
+// CounterBlock returns the block of counters registered under names,
+// in order, creating it on first use; asking again for the same names
+// returns the same block. A name already registered as a counter of its
+// own joins the block with its value, and its existing handle is moved
+// onto the block's storage, so the block must be registered before
+// that handle is updated concurrently. A name that already belongs to a
+// different block panics: that is two components disagreeing about
+// one metric's layout.
+func (r *Registry) CounterBlock(names ...string) *CounterBlock {
+	key := strings.Join(names, "\x00")
+	r.mu.RLock()
+	b := r.blocks[key]
+	r.mu.RUnlock()
+	if b != nil {
+		return b
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if b = r.blocks[key]; b != nil {
+		return b
+	}
+	stride := (len(names) + lineCells - 1) / lineCells * lineCells
+	b = &CounterBlock{
+		cells:  make([]atomic.Uint64, numShards*stride),
+		stride: uint32(stride),
+		mask:   uint32(numShards - 1),
+		ctrs:   make([]*Counter, len(names)),
+	}
+	for i, name := range names {
+		col := b.cells[i:]
+		c := r.counters[name]
+		if c == nil {
+			c = &Counter{name: name}
+			r.counters[name] = c
+		} else if c.inBlock {
+			panic("obs: counter " + name + " already belongs to another block")
+		} else {
+			col[0].Store(c.Value())
+		}
+		c.cells, c.stride, c.mask, c.inBlock = col, b.stride, b.mask, true
+		b.ctrs[i] = c
+	}
+	r.blocks[key] = b
+	return b
 }
 
 // Gauge returns the gauge registered under name, creating it on first
@@ -363,6 +452,16 @@ func (s Scope) Counter(name string) *Counter { return s.r.Counter(s.prefix + nam
 
 // Gauge returns the scoped gauge prefix+name.
 func (s Scope) Gauge(name string) *Gauge { return s.r.Gauge(s.prefix + name) }
+
+// CounterBlock returns the scoped block of counters prefix+name, one
+// per name.
+func (s Scope) CounterBlock(names ...string) *CounterBlock {
+	full := make([]string, len(names))
+	for i, name := range names {
+		full[i] = s.prefix + name
+	}
+	return s.r.CounterBlock(full...)
+}
 
 // Histogram returns the scoped histogram prefix+name.
 func (s Scope) Histogram(name string, bounds []int64) *Histogram {

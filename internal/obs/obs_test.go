@@ -204,3 +204,54 @@ func TestCounterAddNoAlloc(t *testing.T) {
 		t.Fatalf("Add allocates %.1f/op, want 0", allocs)
 	}
 }
+
+// TestCounterBlock: a block's counters are registry counters like any
+// other — by name, in snapshots, through Absorb — and a block Add lands
+// in the named counters; a counter registered before its block keeps
+// its value and its handle.
+func TestCounterBlock(t *testing.T) {
+	r := NewRegistry()
+	early := r.Counter("as1.b")
+	early.Add(5)
+	names := []string{"a", "b", "c", "d", "e", "f", "g", "h", "i"} // wider than one line
+	b := r.Scope("as1.").CounterBlock(names...)
+	if again := r.Scope("as1.").CounterBlock(names...); again != b {
+		t.Fatal("same names gave a second block")
+	}
+	if r.Counter("as1.b") != early || b.Counter(1) != early {
+		t.Fatal("the early handle is not the block's counter")
+	}
+	deltas := make([]uint64, len(names))
+	for i := range deltas {
+		deltas[i] = uint64(i)
+	}
+	b.Add(deltas)
+	b.Add(deltas[:3])
+	early.Inc()
+	r.Absorb(Snapshot{Counters: map[string]uint64{"as1.i": 100}})
+	snap := r.Snapshot()
+	for i, name := range names {
+		want := uint64(i)
+		if i < 3 {
+			want *= 2
+		}
+		switch name {
+		case "b":
+			want += 5 + 1
+		case "i":
+			want += 100
+		}
+		if got := snap.Counters["as1."+name]; got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
+		if got := b.Counter(i).Value(); got != want {
+			t.Errorf("Counter(%d).Value() = %d, want %d", i, got, want)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("a name of another block joined a second block")
+		}
+	}()
+	r.CounterBlock("as1.a", "z")
+}

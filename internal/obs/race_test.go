@@ -31,9 +31,11 @@ func TestSnapshotWhileUpdateStress(t *testing.T) {
 			c := r.Counter("stress.hits")
 			g := r.Gauge("stress.depth")
 			h := r.Histogram("stress.lat", []int64{10, 100, 1000})
+			blk := r.CounterBlock("stress.blk.a", "stress.blk.b")
 			tr := r.Tracer()
 			for i := 0; i < perWriter; i++ {
 				c.Inc()
+				blk.Add([]uint64{1, 2})
 				g.Set(int64(i))
 				h.Observe(int64(i % 1500))
 				if i%64 == 0 {
@@ -76,6 +78,9 @@ func TestSnapshotWhileUpdateStress(t *testing.T) {
 	close(stop)
 	readers.Wait()
 
+	if a, b := r.Counter("stress.blk.a").Value(), r.Counter("stress.blk.b").Value(); a != writers*perWriter || b != 2*writers*perWriter {
+		t.Fatalf("block counts %d, %d, want %d, %d", a, b, writers*perWriter, 2*writers*perWriter)
+	}
 	if got := r.Counter("stress.hits").Value(); got != writers*perWriter {
 		t.Fatalf("final count %d, want %d", got, writers*perWriter)
 	}

@@ -77,12 +77,14 @@ func (e *Engine) adaptProbe(ph *Phase, pr *PhaseResult, flows []flowState, agg *
 			continue
 		}
 		out.probed = true
-		pkts, err := f.Packets(e.topo, ph.Probes, e.rng)
+		pkts, err := e.fill(f, ph.Probes)
 		if err != nil {
 			return err
 		}
 		e.markAttack()
-		for _, p := range pkts {
+		probe := flowState{flow: f, label: flowexport.LabelProbe}
+		for k := range pkts {
+			p := &pkts[k]
 			d := e.sys.SendV4(f.Agent, p)
 			pr.Sent++
 			pr.ProbesSent++
@@ -92,7 +94,7 @@ func (e *Engine) adaptProbe(ph *Phase, pr *PhaseResult, flows []flowState, agg *
 			} else {
 				pr.Dropped++
 			}
-			agg.observe(len(flows)+i, flowState{flow: f, label: flowexport.LabelProbe}, p, d)
+			agg.observe(len(flows)+i, &probe, p, d)
 		}
 	}
 	live, idle := 0, 0

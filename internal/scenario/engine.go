@@ -66,6 +66,10 @@ type Engine struct {
 	recovered     bool
 
 	dataset []flowexport.LabeledRecord
+
+	// store holds the packets of every generation site for the whole
+	// run, so a pulse allocates the same whatever its packet count.
+	store packetStore
 }
 
 // PhaseResult is the recorded outcome of one phase.
@@ -262,8 +266,9 @@ type flowState struct {
 	flow  attack.Flow
 	label flowexport.Label
 	// carpet: the victim prefix this flow currently targets (invalid
-	// Prefix for plain pulse flows).
-	target netip.Prefix
+	// Prefix for plain pulse flows) and its address index.
+	target   netip.Prefix
+	targetIx *topology.AddrIndex
 	// probe strategy: benched agents sit out the pulse.
 	benched bool
 }
@@ -281,6 +286,13 @@ func (e *Engine) runAttackPhase(ph *Phase, pr *PhaseResult) error {
 	if ph.Kind == PhaseCarpet && len(prefixes) == 0 {
 		return fmt.Errorf("victim AS%d has no IPv4 prefixes to carpet", e.victim)
 	}
+	var targets []*topology.AddrIndex
+	if ph.Kind == PhaseCarpet {
+		targets = make([]*topology.AddrIndex, len(prefixes))
+		for i, p := range prefixes {
+			targets[i] = topology.NewAddrIndex(p)
+		}
+	}
 
 	intraGap := time.Duration(0)
 	if ph.SubWaves > 1 {
@@ -291,9 +303,9 @@ func (e *Engine) runAttackPhase(ph *Phase, pr *PhaseResult) error {
 		if ph.Kind == PhaseCarpet {
 			// Walk the prefix set: pulse p saturates prefix p mod n, so
 			// the campaign sweeps the victim's whole advertised space.
-			t := prefixes[p%len(prefixes)]
 			for i := range flows {
-				flows[i].target = t
+				flows[i].target = prefixes[p%len(prefixes)]
+				flows[i].targetIx = targets[p%len(prefixes)]
 			}
 		}
 		if ph.Kind == PhaseAdaptive {
@@ -306,11 +318,11 @@ func (e *Engine) runAttackPhase(ph *Phase, pr *PhaseResult) error {
 		if err != nil {
 			return err
 		}
-		bursts := pulse.Train(func(i int) topology.ASN { return flows[i].flow.Agent },
+		bursts := e.store.train.Train(func(i int) topology.ASN { return flows[i].flow.Agent },
 			pkts, 1, ph.SubWaves, intraGap, 0)
 		e.markAttack()
 		pulse.Run(e.sys, bursts, func(pk pulse.Packet, d core.DeliveryResult) {
-			f := flows[pk.Flow]
+			f := &flows[pk.Flow]
 			pr.Sent++
 			pulseSent++
 			if d.Delivered {
@@ -374,27 +386,74 @@ func (e *Engine) victimPrefixes() []netip.Prefix {
 	return out
 }
 
-// materialize draws this pulse's packets for every flow: PerFlow
-// packets per flow, with benched flows contributing none. Carpet
-// flows aim at their current target prefix instead of a random victim
-// address.
+// materialize draws this pulse's packets for every flow into the
+// engine's store: PerFlow packets per flow, with benched flows
+// contributing none. Carpet flows aim at their current target prefix
+// instead of a random victim address. The rows are valid until the
+// next generation.
 func (e *Engine) materialize(ph *Phase, flows []flowState) ([][]*packet.IPv4, error) {
-	pkts := make([][]*packet.IPv4, len(flows))
+	n := 0
+	for _, f := range flows {
+		if !f.benched {
+			n += ph.PerFlow
+		}
+	}
+	st := &e.store
+	st.reserve(n)
+	if cap(st.rows) < len(flows) {
+		st.rows = make([][]*packet.IPv4, len(flows))
+	}
+	rows := st.rows[:len(flows)]
+	off := 0
 	for i, f := range flows {
+		rows[i] = nil
 		if f.benched {
 			continue
 		}
-		var err error
-		if f.target.IsValid() {
-			pkts[i], err = f.flow.PacketsInto(e.topo, f.target, ph.PerFlow, e.rng)
-		} else {
-			pkts[i], err = f.flow.Packets(e.topo, ph.PerFlow, e.rng)
-		}
-		if err != nil {
+		end := off + ph.PerFlow
+		if err := f.flow.Fill(e.topo, f.targetIx, st.slab[off:end], st.payloads[off*attack.PayloadLen:end*attack.PayloadLen], e.rng); err != nil {
 			return nil, err
 		}
+		rows[i] = st.ptrs[off:end:end]
+		off = end
 	}
-	return pkts, nil
+	return rows, nil
+}
+
+// packetStore is an engine's packet storage, kept for the whole run:
+// the packet structs and their payload arena that every generation
+// site fills, pointers to each slot, the per-flow pointer rows of a
+// pulse, and the trainer that lays a pulse's bursts out. It grows to
+// the largest pulse and is then reused, so generating and sending
+// allocate nothing per packet.
+type packetStore struct {
+	slab     []packet.IPv4
+	payloads []byte
+	ptrs     []*packet.IPv4 // ptrs[k] = &slab[k]
+	rows     [][]*packet.IPv4
+	train    pulse.Trainer
+}
+
+// reserve makes room for n packets. Growing drops what the store held.
+func (st *packetStore) reserve(n int) {
+	if len(st.slab) >= n {
+		return
+	}
+	st.slab = make([]packet.IPv4, n)
+	st.payloads = make([]byte, n*attack.PayloadLen)
+	st.ptrs = make([]*packet.IPv4, n)
+	for k := range st.slab {
+		st.ptrs[k] = &st.slab[k]
+	}
+}
+
+// fill draws n packets of flow f into the engine's store and returns
+// them; they are valid until the next generation.
+func (e *Engine) fill(f attack.Flow, n int) ([]packet.IPv4, error) {
+	st := &e.store
+	st.reserve(n)
+	pkts := st.slab[:n]
+	return pkts, f.Fill(e.topo, nil, pkts, st.payloads[:n*attack.PayloadLen], e.rng)
 }
 
 // markAttack stamps the first-attack-packet instant.
@@ -422,13 +481,14 @@ func (e *Engine) runLegit(ph *Phase, pr *PhaseResult) error {
 	}
 	agg := newDatasetAgg(e, ph, pr)
 	for i, asn := range agents {
-		f := attack.Flow{Kind: attack.DDDoS, Agent: asn, Innocent: asn, Victim: e.victim}
-		pkts, err := f.Packets(e.topo, ph.PerFlow, e.rng)
+		fs := flowState{flow: attack.Flow{Kind: attack.DDDoS, Agent: asn, Innocent: asn, Victim: e.victim}, label: flowexport.LabelBenign}
+		pkts, err := e.fill(fs.flow, ph.PerFlow)
 		if err != nil {
 			// An AS without IPv4 space simply cannot send; skip it.
 			continue
 		}
-		for _, p := range pkts {
+		for k := range pkts {
+			p := &pkts[k]
 			d := e.sys.SendV4(asn, p)
 			pr.Sent++
 			if d.Delivered {
@@ -437,7 +497,7 @@ func (e *Engine) runLegit(ph *Phase, pr *PhaseResult) error {
 				pr.Dropped++
 				pr.FalsePositives++
 			}
-			agg.observe(i, flowState{flow: f, label: flowexport.LabelBenign}, p, d)
+			agg.observe(i, &fs, p, d)
 		}
 	}
 	agg.flush()
@@ -547,6 +607,11 @@ type datasetAgg struct {
 	pr   *PhaseResult
 	recs map[aggKey]*flowexport.LabeledRecord
 	keys []aggKey
+
+	// last is the record of the previous packet: a flow's packets
+	// arrive one after another, so most packets skip the map.
+	lastKey aggKey
+	last    *flowexport.LabeledRecord
 }
 
 type aggKey struct {
@@ -559,32 +624,13 @@ func newDatasetAgg(e *Engine, ph *Phase, pr *PhaseResult) *datasetAgg {
 }
 
 // observe records one packet's ground truth under its flow index.
-func (a *datasetAgg) observe(flowIdx int, f flowState, p *packet.IPv4, d core.DeliveryResult) {
+func (a *datasetAgg) observe(flowIdx int, f *flowState, p *packet.IPv4, d core.DeliveryResult) {
 	key := aggKey{flow: flowIdx, target: f.target}
-	r, ok := a.recs[key]
 	now := flowexport.SimTime(a.e.now())
-	if !ok {
-		srcAS := f.flow.Innocent
-		if f.flow.Kind == attack.SDDoS {
-			srcAS = f.flow.Victim
-		}
-		if f.label == flowexport.LabelBenign {
-			srcAS = f.flow.Agent
-		}
-		r = &flowexport.LabeledRecord{
-			Record: flowexport.Record{
-				Key: flowexport.Key{
-					Src: p.Src, Dst: p.Dst, Proto: p.Protocol, SrcAS: srcAS,
-				},
-				First: now,
-			},
-			Scenario: a.e.spec.Name,
-			Phase:    a.ph.Name,
-			PhaseIdx: uint16(a.pr.Index),
-			Label:    f.label,
-		}
-		a.recs[key] = r
-		a.keys = append(a.keys, key)
+	r := a.last
+	if r == nil || key != a.lastKey {
+		r = a.record(key, f, p, now)
+		a.lastKey, a.last = key, r
 	}
 	r.Packets++
 	r.Bytes += uint64(p.TotalLen())
@@ -594,6 +640,36 @@ func (a *datasetAgg) observe(flowIdx int, f flowState, p *packet.IPv4, d core.De
 	} else {
 		r.Dropped++
 	}
+}
+
+// record returns key's record, opening it at p's addresses when the
+// key is new.
+func (a *datasetAgg) record(key aggKey, f *flowState, p *packet.IPv4, now time.Time) *flowexport.LabeledRecord {
+	if r, ok := a.recs[key]; ok {
+		return r
+	}
+	srcAS := f.flow.Innocent
+	if f.flow.Kind == attack.SDDoS {
+		srcAS = f.flow.Victim
+	}
+	if f.label == flowexport.LabelBenign {
+		srcAS = f.flow.Agent
+	}
+	r := &flowexport.LabeledRecord{
+		Record: flowexport.Record{
+			Key: flowexport.Key{
+				Src: p.Src, Dst: p.Dst, Proto: p.Protocol, SrcAS: srcAS,
+			},
+			First: now,
+		},
+		Scenario: a.e.spec.Name,
+		Phase:    a.ph.Name,
+		PhaseIdx: uint16(a.pr.Index),
+		Label:    f.label,
+	}
+	a.recs[key] = r
+	a.keys = append(a.keys, key)
+	return r
 }
 
 // flush appends the phase's records to the run dataset in flow order.

@@ -73,7 +73,25 @@ func Run(sys *core.System, bursts []Burst, sink Sink) {
 // subWaves = 1, intraGap = 0 this is byte-for-byte the RunPaced
 // schedule. No gap follows the final burst: the train ends at the
 // instant of its last injection.
+//
+// Train allocates the bursts afresh; a caller that builds a train per
+// pulse keeps a Trainer instead.
 func Train(from func(flow int) topology.ASN, pkts [][]*packet.IPv4, pulses, subWaves int, intraGap, interGap time.Duration) []Burst {
+	var tr Trainer
+	return tr.Train(from, pkts, pulses, subWaves, intraGap, interGap)
+}
+
+// Trainer builds trains into storage it keeps from call to call: the
+// burst slice and one array behind every burst's packets, grown only
+// when a train outgrows them. The bursts a call returns are valid until
+// the next call.
+type Trainer struct {
+	bursts  []Burst
+	packets []Packet
+}
+
+// Train is the package-level Train built in tr's storage.
+func (tr *Trainer) Train(from func(flow int) topology.ASN, pkts [][]*packet.IPv4, pulses, subWaves int, intraGap, interGap time.Duration) []Burst {
 	if pulses < 1 {
 		pulses = 1
 	}
@@ -81,20 +99,26 @@ func Train(from func(flow int) topology.ASN, pkts [][]*packet.IPv4, pulses, subW
 		subWaves = 1
 	}
 	waves := pulses * subWaves
-	bursts := make([]Burst, 0, waves)
-	for w := 0; w < waves; w++ {
-		n := 0
-		for _, ps := range pkts {
-			n += (w+1)*len(ps)/waves - w*len(ps)/waves
-		}
-		b := Burst{Packets: make([]Packet, 0, n)}
+	total := 0
+	for _, ps := range pkts {
+		total += len(ps)
+	}
+	if cap(tr.packets) < total {
+		tr.packets = make([]Packet, total)
+	}
+	if cap(tr.bursts) < waves {
+		tr.bursts = make([]Burst, waves)
+	}
+	buf, bursts := tr.packets[:0], tr.bursts[:waves]
+	for w := range bursts {
+		lo := len(buf)
 		for i, ps := range pkts {
-			lo, hi := w*len(ps)/waves, (w+1)*len(ps)/waves
 			src := from(i)
-			for _, p := range ps[lo:hi] {
-				b.Packets = append(b.Packets, Packet{From: src, Pkt: p, Flow: i})
+			for _, p := range ps[w*len(ps)/waves : (w+1)*len(ps)/waves] {
+				buf = append(buf, Packet{From: src, Pkt: p, Flow: i})
 			}
 		}
+		b := Burst{Packets: buf[lo:len(buf):len(buf)]}
 		if w < waves-1 {
 			if (w+1)%subWaves == 0 {
 				b.Gap = interGap
@@ -102,7 +126,7 @@ func Train(from func(flow int) topology.ASN, pkts [][]*packet.IPv4, pulses, subW
 				b.Gap = intraGap
 			}
 		}
-		bursts = append(bursts, b)
+		bursts[w] = b
 	}
 	return bursts
 }

@@ -17,7 +17,7 @@ import (
 // world: provider AS1 with customers AS2..AS7, one /16 each; the
 // victim AS3 advertises a second /16 so carpet phases have a prefix
 // set to walk. deploy lists the DASes in ledger order.
-func world(t *testing.T, deploy ...topology.ASN) (*core.System, *topology.Topology) {
+func world(t testing.TB, deploy ...topology.ASN) (*core.System, *topology.Topology) {
 	t.Helper()
 	tp := topology.New()
 	for i := topology.ASN(1); i <= 7; i++ {

@@ -117,8 +117,8 @@ func simVerdicts(t *testing.T) []core.Verdict {
 	}
 	now := s.Now()
 	return dualScenario(
-		func(p *packet.IPv4) core.Verdict { return s.Routers[1001].ProcessOutbound(core.V4{P: p}, now) },
-		func(p *packet.IPv4) core.Verdict { return s.Routers[1003].ProcessInbound(core.V4{P: p}, now) },
+		func(p *packet.IPv4) core.Verdict { return s.Router(1001).ProcessOutbound(core.V4{P: p}, now) },
+		func(p *packet.IPv4) core.Verdict { return s.Router(1003).ProcessInbound(core.V4{P: p}, now) },
 	)
 }
 

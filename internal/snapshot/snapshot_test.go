@@ -165,7 +165,7 @@ func TestSystemRoundTrip(t *testing.T) {
 	}
 	// The invoked DP window survived in the member router's Out-Dst
 	// table (DP schedules destination-side stamping at the members).
-	rt := got.Sys.Routers[2]
+	rt := got.Sys.Router(2)
 	if rt == nil || rt.Tables.In[core.TableOutDst].Len() == 0 {
 		t.Fatal("restored member router lost its Out-Dst window")
 	}

@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"math/rand"
 	"net/netip"
 	"strings"
 	"testing"
@@ -33,6 +34,54 @@ func TestAddrIndexEnumerates(t *testing.T) {
 	}
 	if x != ix.Total() {
 		t.Fatalf("enumerated %d addresses, Total %d", x, ix.Total())
+	}
+}
+
+// TestAddrIndexMatchesLinearWalk holds the bucketed search to a walk
+// of the prefix list on random lists mixing /1 to /32 prefixes: at
+// every run's first and last address, at the bucket edges and at random
+// draws.
+func TestAddrIndexMatchesLinearWalk(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 200; trial++ {
+		var prefixes []netip.Prefix
+		for n := 1 + rng.Intn(80); len(prefixes) < n; {
+			var b [4]byte
+			rng.Read(b[:])
+			prefixes = append(prefixes, netip.PrefixFrom(netip.AddrFrom4(b), 1+rng.Intn(32)).Masked())
+		}
+		ix := NewAddrIndex(prefixes...)
+		walk := func(x uint64) netip.Addr {
+			for _, p := range prefixes {
+				size := uint64(1) << (32 - p.Bits())
+				if x < size {
+					v := p.Addr().As4()
+					u := uint32(v[0])<<24 | uint32(v[1])<<16 | uint32(v[2])<<8 | uint32(v[3]) + uint32(x)
+					return netip.AddrFrom4([4]byte{byte(u >> 24), byte(u >> 16), byte(u >> 8), byte(u)})
+				}
+				x -= size
+			}
+			t.Fatalf("x beyond the indexed space")
+			return netip.Addr{}
+		}
+		var probes []uint64
+		for i, r := range ix.runs {
+			probes = append(probes, r.end-1)
+			if i > 0 {
+				probes = append(probes, ix.runs[i-1].end)
+			}
+		}
+		for b := range ix.first {
+			probes = append(probes, uint64(b)<<ix.shift)
+		}
+		for i := 0; i < 200; i++ {
+			probes = append(probes, rng.Uint64()%ix.Total())
+		}
+		for _, x := range probes {
+			if got, want := ix.At(x), walk(x); got != want {
+				t.Fatalf("trial %d: At(%d) = %v, walk %v", trial, x, got, want)
+			}
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"sync"
 	"testing"
 
 	"discs/internal/obs"
@@ -193,6 +194,45 @@ func TestWarmRoutesConcurrentWithReaders(t *testing.T) {
 	}
 	for w := 0; w < 5; w++ {
 		<-done
+	}
+}
+
+// TestPathConcurrentWithEviction: readers find trees without the lock
+// while other readers' misses evict them from a four-tree cache; every
+// path a reader gets is a complete valley-free path between its ends.
+func TestPathConcurrentWithEviction(t *testing.T) {
+	tp, err := GenerateInternet(GenConfig{
+		NumASes: 150, NumPrefixes: 300, ZipfExponent: 1.0, TierOneCount: 5, Seed: 5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tp.SetRouteCacheCapacity(4)
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 400; i++ {
+				src, dst := ASN(1+(i*7+w)%150), ASN(1+(i%12)*11)
+				path, ok := tp.Path(src, dst)
+				if !ok {
+					continue
+				}
+				if path[0] != src || path[len(path)-1] != dst {
+					t.Errorf("Path(%d, %d) = %v", src, dst, path)
+					return
+				}
+				if err := tp.ValidateValleyFree(path); err != nil {
+					t.Errorf("Path(%d, %d) = %v: %v", src, dst, path, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if n := tp.CachedRouteTrees(); n > 4 {
+		t.Fatalf("%d trees cached, capacity 4", n)
 	}
 }
 

@@ -43,12 +43,13 @@ func readASNs(r *snapcodec.Reader) []ASN {
 func (t *Topology) WarmedDestinations() []ASN {
 	t.routeMu.RLock()
 	defer t.routeMu.RUnlock()
-	if t.routes == nil {
+	rc := t.routes.Load()
+	if rc == nil {
 		return nil
 	}
-	out := make([]ASN, 0, len(t.routes.fifo))
-	for _, root := range t.routes.fifo {
-		out = append(out, t.routes.ix.asns[root])
+	out := make([]ASN, 0, len(rc.fifo))
+	for _, root := range rc.fifo {
+		out = append(out, rc.ix.asns[root])
 	}
 	return out
 }
@@ -77,9 +78,7 @@ func (t *Topology) Checkpoint(w *snapcodec.Writer) error {
 		return true
 	})
 	w.Varint(int64(t.routeCap))
-	t.routeMu.RLock()
-	active := t.routes != nil
-	t.routeMu.RUnlock()
+	active := t.routes.Load() != nil
 	w.Bool(active)
 	writeASNs(w, t.WarmedDestinations())
 	return nil

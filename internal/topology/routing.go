@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"discs/internal/obs"
 )
@@ -97,7 +98,7 @@ func (t *Topology) buildIndex() *routingIndex {
 
 func (t *Topology) fill(dst []int32, src []ASN) {
 	for i, a := range src {
-		dst[i], _ = t.index.get(a)
+		dst[i], _ = t.index.Get(a)
 	}
 }
 
@@ -189,11 +190,12 @@ func (tr *routeTree) appendPathFrom(ix *routingIndex, src int32, buf []ASN) ([]A
 
 // routeCache holds the frozen index plus the bounded set of routing
 // trees, evicted FIFO. trees is indexed by the root's dense index (nil
-// where no tree is cached) and fifo lists the cached roots. Guarded by
-// Topology.routeMu.
+// where no tree is cached) and fifo lists the cached roots. Mutations
+// are guarded by Topology.routeMu; trees' slots are atomic so that
+// treeFor's hit path reads them without the lock.
 type routeCache struct {
 	ix    *routingIndex
-	trees []*routeTree
+	trees []atomic.Pointer[routeTree]
 	fifo  []int32 // insertion order, for eviction
 	cap   int
 }
@@ -212,7 +214,7 @@ func (t *Topology) newRouteCache() *routeCache {
 	}
 	return &routeCache{
 		ix:    t.buildIndex(),
-		trees: make([]*routeTree, n),
+		trees: make([]atomic.Pointer[routeTree], n),
 		cap:   c,
 	}
 }
@@ -224,10 +226,10 @@ func (rc *routeCache) insert(root int32, tr *routeTree) int {
 	for len(rc.fifo) >= rc.cap {
 		old := rc.fifo[0]
 		rc.fifo = rc.fifo[1:]
-		rc.trees[old] = nil
+		rc.trees[old].Store(nil)
 		evicted++
 	}
-	rc.trees[root] = tr
+	rc.trees[root].Store(tr)
 	rc.fifo = append(rc.fifo, root)
 	return evicted
 }
@@ -282,8 +284,8 @@ func (t *Topology) PublishMetrics(reg *obs.Registry) {
 		misses:   reg.Counter(MetricRouteMisses),
 		evicted:  reg.Counter(MetricRouteEvictions),
 	}
-	if t.routes != nil {
-		t.rm.size(len(t.routes.fifo), t.routes.cap)
+	if rc := t.routes.Load(); rc != nil {
+		t.rm.size(len(rc.fifo), rc.cap)
 	}
 }
 
@@ -294,7 +296,7 @@ func (t *Topology) SetRouteCacheCapacity(trees int) {
 	t.routeMu.Lock()
 	defer t.routeMu.Unlock()
 	t.routeCap = trees
-	t.routes = nil
+	t.routes.Store(nil)
 	t.rm.size(0, trees)
 }
 
@@ -303,18 +305,18 @@ func (t *Topology) SetRouteCacheCapacity(trees int) {
 func (t *Topology) CachedRouteTrees() int {
 	t.routeMu.RLock()
 	defer t.routeMu.RUnlock()
-	if t.routes == nil {
+	rc := t.routes.Load()
+	if rc == nil {
 		return 0
 	}
-	return len(t.routes.fifo)
+	return len(rc.fifo)
 }
 
 // invalidateRoutes drops the frozen index and every cached tree; the
 // graph changed. Caller must not hold routeMu.
 func (t *Topology) invalidateRoutes() {
 	t.routeMu.Lock()
-	if t.routes != nil {
-		t.routes = nil
+	if t.routes.Swap(nil) != nil {
 		t.rm.size(0, 0)
 	}
 	t.routeMu.Unlock()
@@ -325,29 +327,32 @@ func (t *Topology) invalidateRoutes() {
 // on miss. A nil tree means root is not part of the frozen graph (it
 // was added after the last link change and has no links, hence no
 // valley-free routes).
+//
+// A hit takes no lock: the cache and its tree slots are published
+// atomically, and a tree is immutable once built, so a reader that
+// loads a tree just before an eviction or an invalidation still walks
+// a complete one.
 func (t *Topology) treeFor(root int32) (*routeTree, *routingIndex) {
-	t.routeMu.RLock()
-	if rc := t.routes; rc != nil && int(root) < len(rc.trees) {
-		if tr := rc.trees[root]; tr != nil {
-			t.routeMu.RUnlock()
+	if rc := t.routes.Load(); rc != nil && int(root) < len(rc.trees) {
+		if tr := rc.trees[root].Load(); tr != nil {
 			t.rm.hit()
 			return tr, rc.ix
 		}
 	}
-	t.routeMu.RUnlock()
 	t.rm.miss()
 
 	t.routeMu.Lock()
-	if t.routes == nil {
-		t.routes = t.newRouteCache()
+	rc := t.routes.Load()
+	if rc == nil {
+		rc = t.newRouteCache()
+		t.routes.Store(rc)
 	}
-	rc := t.routes
 	ix := rc.ix
 	if int(root) >= len(rc.trees) {
 		t.routeMu.Unlock()
 		return nil, ix
 	}
-	if tr := rc.trees[root]; tr != nil {
+	if tr := rc.trees[root].Load(); tr != nil {
 		t.routeMu.Unlock()
 		return tr, ix
 	}
@@ -356,8 +361,8 @@ func (t *Topology) treeFor(root int32) (*routeTree, *routingIndex) {
 	t.routeMu.Unlock()
 	tr := buildTree(ix, root)
 	t.routeMu.Lock()
-	if t.routes == rc { // not invalidated while building
-		if cur := rc.trees[root]; cur != nil {
+	if t.routes.Load() == rc { // not invalidated while building
+		if cur := rc.trees[root].Load(); cur != nil {
 			tr = cur // another goroutine won the race
 		} else {
 			t.rm.evict(rc.insert(root, tr))
@@ -375,10 +380,11 @@ func (t *Topology) treeFor(root int32) (*routeTree, *routingIndex) {
 // skipped. It returns the number of trees cached afterwards.
 func (t *Topology) WarmRoutes(dsts []ASN, workers int) int {
 	t.routeMu.Lock()
-	if t.routes == nil {
-		t.routes = t.newRouteCache()
+	rc := t.routes.Load()
+	if rc == nil {
+		rc = t.newRouteCache()
+		t.routes.Store(rc)
 	}
-	rc := t.routes
 	ix := rc.ix
 	roots := make([]int32, 0, len(dsts))
 	queued := make(map[int32]bool, len(dsts))
@@ -386,12 +392,12 @@ func (t *Topology) WarmRoutes(dsts []ASN, workers int) int {
 		if len(roots) >= rc.cap {
 			break
 		}
-		root, ok := t.index.get(d)
+		root, ok := t.index.Get(d)
 		if !ok || int(root) >= len(ix.asns) || queued[root] {
 			continue
 		}
 		queued[root] = true
-		if rc.trees[root] != nil {
+		if rc.trees[root].Load() != nil {
 			continue
 		}
 		roots = append(roots, root)
@@ -424,10 +430,10 @@ func (t *Topology) WarmRoutes(dsts []ASN, workers int) int {
 		wg.Wait()
 
 		t.routeMu.Lock()
-		if t.routes == rc { // graph unchanged while building
+		if t.routes.Load() == rc { // graph unchanged while building
 			evicted := 0
 			for j, root := range roots {
-				if rc.trees[root] == nil {
+				if rc.trees[root].Load() == nil {
 					evicted += rc.insert(root, built[j])
 				}
 			}
@@ -456,8 +462,8 @@ func (t *Topology) Path(src, dst ASN) (path []ASN, ok bool) {
 // buf[:0] to walk a path without allocating). On !ok it returns buf
 // unchanged.
 func (t *Topology) PathInto(src, dst ASN, buf []ASN) (path []ASN, ok bool) {
-	si, sok := t.index.get(src)
-	di, dok := t.index.get(dst)
+	si, sok := t.index.Get(src)
+	di, dok := t.index.Get(dst)
 	if !sok || !dok {
 		return buf, false
 	}
@@ -475,8 +481,8 @@ func (t *Topology) PathInto(src, dst ASN, buf []ASN) (path []ASN, ok bool) {
 // path from `at` to dst. With the tree for dst cached (warm), this is
 // an O(1) array read.
 func (t *Topology) NextHop(at, dst ASN) (ASN, bool) {
-	ai, aok := t.index.get(at)
-	di, dok := t.index.get(dst)
+	ai, aok := t.index.Get(at)
+	di, dok := t.index.Get(dst)
 	if at == dst || !aok || !dok {
 		return 0, false
 	}

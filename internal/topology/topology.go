@@ -77,7 +77,7 @@ type Topology struct {
 	// An AS's dense index is its position in insertion order; index
 	// maps ASNs to it, and list and order hold the AS and its number at
 	// it. Indices are stable for the life of the topology.
-	index  asnIndex
+	index  ASNIndex
 	list   []*AS
 	order  []ASN
 	pfx2as *lpm.Table[ASN]
@@ -87,7 +87,7 @@ type Topology struct {
 	// bounded cache of per-destination shortest-path trees, dropped
 	// whenever the graph changes.
 	routeMu  sync.RWMutex
-	routes   *routeCache
+	routes   atomic.Pointer[routeCache]
 	routeCap int // 0 = derive from topology size
 	rm       routeMetrics
 }
@@ -113,14 +113,14 @@ func (t *Topology) AddAS(asn ASN) (*AS, error) {
 // add appends a at the next dense index; a.ASN must be new and
 // nonzero.
 func (t *Topology) add(a *AS) {
-	t.index.put(a.ASN, int32(len(t.list)))
+	t.index.Put(a.ASN, int32(len(t.list)))
 	t.list = append(t.list, a)
 	t.order = append(t.order, a.ASN)
 }
 
 // AS returns the AS with the given number, or nil.
 func (t *Topology) AS(asn ASN) *AS {
-	if i, ok := t.index.get(asn); ok {
+	if i, ok := t.index.Get(asn); ok {
 		return t.list[i]
 	}
 	return nil
@@ -130,19 +130,21 @@ func (t *Topology) AS(asn ASN) *AS {
 // AS's index never changes, so callers may keep per-AS state in slices
 // indexed by it.
 func (t *Topology) Index(asn ASN) (int, bool) {
-	i, ok := t.index.get(asn)
+	i, ok := t.index.Get(asn)
 	return int(i), ok
 }
 
 // NumASes returns the number of ASes.
 func (t *Topology) NumASes() int { return len(t.list) }
 
-// asnIndex maps ASNs to dense indices in an open-addressed table with
-// linear probing, kept at most half full. ASN 0, which no AS may have,
-// marks an empty slot. It replaces a Go map on the per-packet path:
-// a lookup is a multiply, a shift and, for the generated topologies'
-// consecutive ASNs, one slot load.
-type asnIndex struct {
+// ASNIndex maps ASNs to int32 values — a topology's dense indices, a
+// key table's slots — in an open-addressed table with linear probing,
+// kept at most half full. ASN 0, which no AS may have, marks an empty
+// slot. It replaces a Go map on the per-packet path: a lookup is a
+// multiply, a shift and, for the generated topologies' consecutive
+// ASNs, one slot load. The zero value is an empty index; entries are
+// never removed.
+type ASNIndex struct {
 	slots []asnSlot // len a power of two
 	shift uint8     // 32 - log2(len(slots))
 	n     int
@@ -154,11 +156,12 @@ type asnSlot struct {
 }
 
 // slot is the home slot of asn (Fibonacci hashing).
-func (x *asnIndex) slot(asn ASN) uint32 {
+func (x *ASNIndex) slot(asn ASN) uint32 {
 	return uint32(asn) * 0x9e3779b1 >> x.shift
 }
 
-func (x *asnIndex) get(asn ASN) (int32, bool) {
+// Get returns asn's value, and false when asn is not in the index.
+func (x *ASNIndex) Get(asn ASN) (int32, bool) {
 	if asn == 0 || len(x.slots) == 0 {
 		return -1, false
 	}
@@ -174,8 +177,8 @@ func (x *asnIndex) get(asn ASN) (int32, bool) {
 	}
 }
 
-// put adds asn, which must be absent, at index i.
-func (x *asnIndex) put(asn ASN, i int32) {
+// Put adds asn, which must be absent, with value i.
+func (x *ASNIndex) Put(asn ASN, i int32) {
 	if 2*(x.n+1) > len(x.slots) {
 		old := x.slots
 		size := max(16, 2*len(old))
@@ -184,7 +187,7 @@ func (x *asnIndex) put(asn ASN, i int32) {
 		x.n = 0
 		for _, s := range old {
 			if s.asn != 0 {
-				x.put(s.asn, s.i)
+				x.Put(s.asn, s.i)
 			}
 		}
 	}
@@ -195,6 +198,18 @@ func (x *asnIndex) put(asn ASN, i int32) {
 	}
 	x.slots[h] = asnSlot{asn, i}
 	x.n++
+}
+
+// Len returns the number of ASNs in the index.
+func (x *ASNIndex) Len() int { return x.n }
+
+// Range calls fn for every entry, in slot order.
+func (x *ASNIndex) Range(fn func(asn ASN, i int32)) {
+	for _, s := range x.slots {
+		if s.asn != 0 {
+			fn(s.asn, s.i)
+		}
+	}
 }
 
 // ASNs returns all AS numbers in insertion order. The returned slice

@@ -247,7 +247,7 @@ func TestWireVerificationAtVictim(t *testing.T) {
 		// possible but astronomically unlikely for this fixed seed.
 		t.Log("note: scrubbed mark happened to be zero")
 	}
-	if got := sys.Routers[3].Stats().InVerified; got != 1 {
+	if got := sys.Router(3).Stats().InVerified; got != 1 {
 		t.Fatalf("victim verified %d", got)
 	}
 }
