@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-race test-allocs test-fallback vet vet-obs fmt-check check node-smoke bench diff-paper fuzz report figures cost sim examples cover clean
+.PHONY: all build test test-race test-allocs test-fallback vet vet-obs fmt-check check api node-smoke bench diff-paper fuzz report figures cost sim examples cover clean
 
 all: build check
 
@@ -79,6 +79,11 @@ node-smoke:
 # BENCHMARK.json and the per-layer ledger (see bench/README.md).
 bench:
 	$(GO) run ./bench
+
+# Regenerate testdata/api.txt, the exported surface of internal/ that
+# TestAPISurface pins, after a deliberate API change; commit the diff.
+api:
+	DISCS_UPDATE_API=1 $(GO) test -count=1 -run TestAPISurface .
 
 # Paper-scale differentials: the 44,036-AS scenario at -workers 1 vs 4,
 # and checkpoint→restore vs straight-through at 1 and 4 workers under

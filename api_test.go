@@ -15,8 +15,9 @@ import (
 )
 
 // apiGolden holds the exported surface of every internal/ package, one
-// declaration a line. Regenerate it with DISCS_UPDATE_API=1 go test
-// -run TestAPISurface . and commit the diff with the change that made it.
+// declaration a line. Regenerate it with make api (DISCS_UPDATE_API=1
+// go test -run TestAPISurface .) and commit the diff with the change
+// that made it.
 const apiGolden = "testdata/api.txt"
 
 // TestAPISurface pins the exported API of the internal/ packages: every
@@ -38,7 +39,7 @@ func TestAPISurface(t *testing.T) {
 	}
 	want, err := os.ReadFile(apiGolden)
 	if err != nil {
-		t.Fatalf("%v (write it with DISCS_UPDATE_API=1)", err)
+		t.Fatalf("%v (write it with make api)", err)
 	}
 	if bytes.Equal(got, want) {
 		return
@@ -54,7 +55,7 @@ func TestAPISurface(t *testing.T) {
 			t.Errorf("added:   %s", l)
 		}
 	}
-	t.Errorf("the exported API of internal/ differs from %s; if the change is deliberate, regenerate it with DISCS_UPDATE_API=1", apiGolden)
+	t.Errorf("the exported API of internal/ differs from %s; if the change is deliberate, regenerate it with make api", apiGolden)
 }
 
 func lineSet(b []byte) map[string]bool {

@@ -16,6 +16,7 @@ import (
 
 	"discs/internal/attack"
 	"discs/internal/bgp"
+	"discs/internal/cmac"
 	"discs/internal/core"
 	"discs/internal/cost"
 	"discs/internal/eval"
@@ -383,23 +384,28 @@ func BenchmarkAblationDPFirst(b *testing.B) {
 // AS-path length of 4 intermediate ASes.
 func BenchmarkAblationMarks(b *testing.B) {
 	const pathLen = 4
-	key := make([]byte, 16)
-	tp := twoASTopo(b)
-	tab := core.NewTables(1, tp.Pfx2AS())
-	tab.Keys.SetStampKey(1, key)
-	c := tab.Keys.StampKey(1)
+	c, err := cmac.New(make([]byte, 16))
+	if err != nil {
+		b.Fatal(err)
+	}
 	p := &packet.IPv4{TTL: 64, Protocol: packet.ProtoUDP,
 		Src: netip.MustParseAddr("10.1.0.10"), Dst: netip.MustParseAddr("10.3.0.1"),
 		Payload: []byte("marks")}
+	// One mark: the 29-bit CMAC of the packet's msg fields, written into
+	// IPID and Fragment Offset, as a stamping border does it (§V-E).
+	stamp := func() {
+		m := p.Msg()
+		p.SetMark(c.Sum29(m[:]))
+	}
 	b.Run("discs-1-mark", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			core.V4{P: p}.Stamp(c)
+			stamp()
 		}
 	})
 	b.Run("passport-per-hop", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for h := 0; h < pathLen+1; h++ {
-				core.V4{P: p}.Stamp(c)
+				stamp()
 			}
 		}
 	})

@@ -208,7 +208,8 @@ type blockCacheSet struct {
 // invalidates naturally: a new key table snapshot carries new CMAC
 // instances and their lookups simply miss. A BlockCache must not be
 // shared by concurrent computations; give each data-plane worker its
-// own (core.BurstPipeline does this). The zero value is ready to use.
+// own (core's burst pipeline, one per worker, does this). The zero value
+// is ready to use.
 type BlockCache struct {
 	sets         [blockCacheSets]blockCacheSet
 	hits, misses uint64

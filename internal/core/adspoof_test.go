@@ -29,7 +29,7 @@ func TestSpoofedAdUnknownController(t *testing.T) {
 	if !ok {
 		t.Fatal("Ad ignored entirely; expected discovered state")
 	}
-	if st == PeerEstablished {
+	if st == peerEstablished {
 		t.Fatal("peering established with an unregistered controller")
 	}
 }
@@ -49,22 +49,22 @@ func TestSpoofedAdControllerConfusion(t *testing.T) {
 	legit := s.Controllers[1004]
 
 	// Inject the confusion Ad: AS300 claims 1004's controller.
-	c.HandleAd(bgp.DISCSAd{Origin: 300, Controller: legit.Name})
+	c.HandleAd(bgp.DISCSAd{Origin: 300, Controller: legit.name})
 	if err := s.Settle(); err != nil {
 		t.Fatal(err)
 	}
-	if st, _ := c.PeerStatusOf(300); st == PeerEstablished {
+	if st, _ := c.PeerStatusOf(300); st == peerEstablished {
 		t.Fatal("AS300 became a peer through a borrowed controller")
 	}
 	// The legitimate peering with AS1004 is unharmed.
-	if st, _ := c.PeerStatusOf(1004); st != PeerEstablished {
+	if st, _ := c.PeerStatusOf(1004); st != peerEstablished {
 		t.Fatalf("legitimate peering damaged: %v", st)
 	}
 	if !c.KeysReadyWith(1004) {
 		t.Fatal("legitimate keys damaged")
 	}
 	// And no key state was created for AS300.
-	if s.Router(1001).Tables.Keys.HasVerifyKey(300) {
+	if hasKeyV(s.Router(1001).Tables.Keys, 300) {
 		t.Fatal("verify key installed for the spoofed AS")
 	}
 }
@@ -77,9 +77,9 @@ func TestAdRenameTracksController(t *testing.T) {
 	deploy(t, s, 1001, 1004)
 	c1 := s.Controllers[1001]
 	// 1004 re-advertises with the same name (steady state).
-	c1.HandleAd(s.Controllers[1004].Ad())
+	c1.HandleAd(s.Controllers[1004].ad())
 	s.Settle()
-	if st, _ := c1.PeerStatusOf(1004); st != PeerEstablished {
+	if st, _ := c1.PeerStatusOf(1004); st != peerEstablished {
 		t.Fatalf("status after refresh = %v", st)
 	}
 }

@@ -9,12 +9,11 @@ import (
 	"discs/internal/topology"
 )
 
-// BurstPipeline holds the per-worker state of the fused burst data
+// burstPipeline holds the per-worker state of the fused burst data
 // path: CMAC lane scratch, the first-block cache, the stamp-key memo
 // and the packed message/verdict staging buffers. A pipeline is
-// not safe for concurrent use — give each forwarding goroutine its own
-// (NewBurstPipeline) or let the batch entry points borrow one from the
-// shared pool. State is keyed by table and key *pointers*, so one
+// not safe for concurrent use: the batch entry points borrow one from
+// a shared pool. State is keyed by table and key *pointers*, so one
 // pipeline may serve any number of routers in turn; snapshot swaps
 // (key rotation, table rebuilds) invalidate the caches naturally
 // because the new snapshot's pointers no longer match.
@@ -27,7 +26,7 @@ import (
 // the burst's MACs are staged and computed together, eight lanes at a
 // time whatever their keys (cmac.SumBurstKeys32), with one snapshot
 // load, one counter flush and a memoized stamp key per burst.
-type BurstPipeline struct {
+type burstPipeline struct {
 	memo   tupleMemo
 	blocks cmac.BlockCache
 	lanes  cmac.BurstScratch
@@ -58,7 +57,7 @@ func (ms *macStage) add(key *cmac.CMAC, i int) {
 
 // sum computes the staged messages' marks: 32-bit for IPv6, the 29-bit
 // IPv4 truncation otherwise.
-func (ms *macStage) sum(bp *BurstPipeline, v6 bool) []uint32 {
+func (ms *macStage) sum(bp *burstPipeline, v6 bool) []uint32 {
 	n := len(ms.idx)
 	if cap(ms.marks) < n {
 		ms.marks = make([]uint32, n)
@@ -78,24 +77,15 @@ func (ms *macStage) reset() {
 	ms.flat, ms.keys, ms.idx = ms.flat[:0], ms.keys[:0], ms.idx[:0]
 }
 
-// NewBurstPipeline creates a pipeline for a dedicated forwarding
-// worker. Callers that process bursts from a single goroutine (a
-// netsim border, a pinned line-card loop) should hold one of these and
-// call Outbound/Inbound directly; the Process*Batch entry points
-// otherwise borrow an equivalent pipeline from a shared pool.
-func NewBurstPipeline() *BurstPipeline {
-	return &BurstPipeline{}
-}
-
 // pipelinePool backs the batch entry points. Pipelines are keyed by
 // nothing — caches tag entries with key/table pointers — so reuse
 // across routers is safe and keeps the caches warm.
-var pipelinePool = sync.Pool{New: func() any { return NewBurstPipeline() }}
+var pipelinePool = sync.Pool{New: func() any { return new(burstPipeline) }}
 
-// Outbound runs the fused outbound path over pkts against one coherent
+// outbound runs the fused outbound path over pkts against one coherent
 // table snapshot, appending one verdict per packet to dst (pass a
 // reused buffer to stay allocation-free) and returning it.
-func (bp *BurstPipeline) Outbound(r *BorderRouter, pkts []MarkCarrier, now time.Time, dst []Verdict) []Verdict {
+func (bp *burstPipeline) outbound(r *BorderRouter, pkts []MarkCarrier, now time.Time, dst []Verdict) []Verdict {
 	st := r.Tables.loadOut()
 	nowN := now.UnixNano()
 	base := len(dst)
@@ -132,7 +122,7 @@ func (bp *BurstPipeline) Outbound(r *BorderRouter, pkts []MarkCarrier, now time.
 
 // stampStaged computes the burst's staged marks and applies them to
 // the packets.
-func (bp *BurstPipeline) stampStaged(pkts []MarkCarrier, vd []Verdict, d *routerDeltas) {
+func (bp *burstPipeline) stampStaged(pkts []MarkCarrier, vd []Verdict, d *routerDeltas) {
 	marks := bp.v4.sum(bp, false)
 	for j, i := range bp.v4.idx {
 		pkts[i].(V4).P.SetMark(marks[j])
@@ -154,11 +144,11 @@ func (bp *BurstPipeline) stampStaged(pkts []MarkCarrier, vd []Verdict, d *router
 	bp.v6.reset()
 }
 
-// Inbound is the inbound counterpart of Outbound: decide and stage the
+// inbound is the inbound counterpart of outbound: decide and stage the
 // CMAC work in pass 1, then apply erasures, alarms and drops in strict
 // packet order in pass 2 so every observable side effect (RNG draw
 // order, OnAlarm sequence, counters) matches per-packet processing.
-func (bp *BurstPipeline) Inbound(r *BorderRouter, pkts []MarkCarrier, now time.Time, dst []Verdict) []Verdict {
+func (bp *burstPipeline) inbound(r *BorderRouter, pkts []MarkCarrier, now time.Time, dst []Verdict) []Verdict {
 	st := r.Tables.loadIn()
 	nowN := now.UnixNano()
 	base := len(dst)
@@ -214,7 +204,7 @@ func (bp *BurstPipeline) Inbound(r *BorderRouter, pkts []MarkCarrier, now time.T
 // verifyStaged computes the burst's expected marks and resolves each
 // pending packet to actValid/actInvalid, retrying with the previous
 // key during a rekey window exactly as peerKeys.verify does.
-func (bp *BurstPipeline) verifyStaged(pkts []MarkCarrier, d *routerDeltas) {
+func (bp *burstPipeline) verifyStaged(pkts []MarkCarrier, d *routerDeltas) {
 	marks := bp.v4.sum(bp, false)
 	for j, i := range bp.v4.idx {
 		d[ctrMACsComputed]++
@@ -245,7 +235,7 @@ func (bp *BurstPipeline) verifyStaged(pkts []MarkCarrier, d *routerDeltas) {
 	bp.v6.reset()
 }
 
-func (bp *BurstPipeline) resolve(i int, valid bool) {
+func (bp *burstPipeline) resolve(i int, valid bool) {
 	if valid {
 		bp.action[i] = actValid
 	} else {
@@ -256,7 +246,7 @@ func (bp *BurstPipeline) resolve(i int, valid bool) {
 // sampleBurst emits the sampled-trace events for a finished burst in
 // packet order; with tracing off it is a single nil check, and the
 // emitted sequence matches per-packet processing (same tick stream).
-func (bp *BurstPipeline) sampleBurst(r *BorderRouter, pkts []MarkCarrier, dst []Verdict, base int) []Verdict {
+func (bp *burstPipeline) sampleBurst(r *BorderRouter, pkts []MarkCarrier, dst []Verdict, base int) []Verdict {
 	if r.trace != nil {
 		for i, p := range pkts {
 			r.maybeSample(p, dst[base+i])

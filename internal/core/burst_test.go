@@ -185,7 +185,7 @@ func runBurstSide(t *testing.T, seed int64, n, mtu int, mutate func(r *BorderRou
 	peer, victim := burstSetup(t, mtu)
 	var run burstRun
 	victim.OnAlarm = func(a AlarmSample) { run.alarms = append(run.alarms, a) }
-	peer.OnPacketTooBig = func(*packet.IPv6) { run.icmp++ }
+	peer.onPacketTooBig = func(*packet.IPv6) { run.icmp++ }
 
 	pkts := burstPacketMix(seed, n)
 	run.out = proc(peer, pkts, true)
@@ -238,15 +238,15 @@ func runBurstDifferential(t *testing.T, seed int64, n, mtu int, mutate func(r *B
 		return r.ProcessInboundBatch(pkts, now, nil)
 	}
 	sizes := rand.New(rand.NewSource(seed))
-	bp := NewBurstPipeline()
+	bp := new(burstPipeline)
 	randomBursts := func(r *BorderRouter, pkts []MarkCarrier, outbound bool) []Verdict {
 		var vs []Verdict
 		for len(pkts) > 0 {
 			k := min(1+sizes.Intn(64), len(pkts))
 			if outbound {
-				vs = bp.Outbound(r, pkts[:k], now, vs)
+				vs = bp.outbound(r, pkts[:k], now, vs)
 			} else {
-				vs = bp.Inbound(r, pkts[:k], now, vs)
+				vs = bp.inbound(r, pkts[:k], now, vs)
 			}
 			pkts = pkts[k:]
 		}
@@ -359,7 +359,7 @@ func TestBurstPipelineReuseAcrossRouters(t *testing.T) {
 	peerB, victimB := burstSetup(t, 0)
 	serialPeer, serialVictim := burstSetup(t, 0)
 	now := t0.Add(time.Minute)
-	bp := NewBurstPipeline()
+	bp := new(burstPipeline)
 
 	for round := 0; round < 4; round++ {
 		peer, victim := peerA, victimA
@@ -369,7 +369,7 @@ func TestBurstPipelineReuseAcrossRouters(t *testing.T) {
 		pkts := burstPacketMix(int64(100+round), 64)
 		ref := burstPacketMix(int64(100+round), 64)
 
-		got := bp.Outbound(peer, pkts, now, nil)
+		got := bp.outbound(peer, pkts, now, nil)
 		want := make([]Verdict, 0, len(ref))
 		for _, p := range ref {
 			want = append(want, serialPeer.ProcessOutbound(p, now))
@@ -386,7 +386,7 @@ func TestBurstPipelineReuseAcrossRouters(t *testing.T) {
 				refIn = append(refIn, ref[i])
 			}
 		}
-		got = bp.Inbound(victim, in, now, nil)
+		got = bp.inbound(victim, in, now, nil)
 		want = want[:0]
 		for _, p := range refIn {
 			want = append(want, serialVictim.ProcessInbound(p, now))

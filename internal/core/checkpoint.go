@@ -5,7 +5,7 @@
 //     seed), from which restore rebuilds controllers with identical
 //     node names, mesh-link creation order and RNG streams;
 //   - each controller's campaign journal (serial, invocations, end
-//     times) and resumption-secret cache — the two fields Crash()
+//     times) and resumption-secret cache — the two fields a crash
 //     deliberately keeps;
 //   - each border router's function tables (prefix → op → window).
 //
@@ -87,9 +87,9 @@ func (ft *FuncTable) restore(r *snapcodec.Reader) error {
 	return r.Err()
 }
 
-// CheckpointJournal serializes the controller's durable state: the
+// checkpointJournal serializes the controller's durable state: the
 // campaign journal and the resumption-secret cache.
-func (c *Controller) CheckpointJournal(w *snapcodec.Writer) error {
+func (c *Controller) checkpointJournal(w *snapcodec.Writer) error {
 	w.Uvarint(c.campaignSerial)
 	w.Uvarint(uint64(len(c.campaigns)))
 	for _, cp := range c.campaigns {
@@ -115,9 +115,9 @@ func (c *Controller) CheckpointJournal(w *snapcodec.Writer) error {
 	return nil
 }
 
-// RestoreJournal loads state written by CheckpointJournal into a
+// restoreJournal loads state written by checkpointJournal into a
 // freshly deployed controller.
-func (c *Controller) RestoreJournal(r *snapcodec.Reader) error {
+func (c *Controller) restoreJournal(r *snapcodec.Reader) error {
 	c.campaignSerial = r.Uvarint()
 	nc := r.Count(3)
 	for i := 0; i < nc; i++ {
@@ -156,7 +156,7 @@ func (s *System) Checkpoint(w *snapcodec.Writer) error {
 	for _, d := range s.deploys {
 		w.Uvarint(uint64(d.asn))
 		w.Varint(d.seed)
-		if err := s.Controllers[d.asn].CheckpointJournal(w); err != nil {
+		if err := s.Controllers[d.asn].checkpointJournal(w); err != nil {
 			return err
 		}
 		tables := s.Router(d.asn).Tables
@@ -189,7 +189,7 @@ func (s *System) RestoreCheckpoint(r *snapcodec.Reader) error {
 			return err
 		}
 		sp.OnAd(ctrl.HandleAd)
-		if err := ctrl.RestoreJournal(r); err != nil {
+		if err := ctrl.restoreJournal(r); err != nil {
 			return err
 		}
 		tables := s.Router(asn).Tables

@@ -50,8 +50,8 @@ func TestConcurrentForwarding(t *testing.T) {
 		v2 := netip.MustParsePrefix("10.4.0.0/16")
 		for i := 0; i < 200; i++ {
 			victim.Tables.In[TableInDst].Install(v2, OpCDPVerify, t0, time.Hour, 0)
-			victim.Tables.In[TableInDst].Remove(v2, OpCDPVerify)
-			victim.Tables.In[TableInDst].Purge(now)
+			removeOp(victim.Tables.In[TableInDst], v2, OpCDPVerify)
+			victim.Tables.In[TableInDst].purge(now)
 			victim.Tables.Keys.SetVerifyKey(9, make([]byte, 16))
 			victim.SetAlarmMode(i%2 == 0)
 		}
@@ -128,8 +128,8 @@ func TestConcurrentBurstForwarding(t *testing.T) {
 		v2 := netip.MustParsePrefix("10.4.0.0/16")
 		for i := 0; i < 200; i++ {
 			victim.Tables.In[TableInDst].Install(v2, OpCDPVerify, t0, time.Hour, 0)
-			victim.Tables.In[TableInDst].Remove(v2, OpCDPVerify)
-			victim.Tables.In[TableInDst].Purge(now)
+			removeOp(victim.Tables.In[TableInDst], v2, OpCDPVerify)
+			victim.Tables.In[TableInDst].purge(now)
 			victim.Tables.Keys.SetVerifyKey(9, make([]byte, 16))
 			victim.SetAlarmMode(i%2 == 0)
 		}

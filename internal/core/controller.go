@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"math/rand"
 	"net/netip"
@@ -31,7 +30,7 @@ type DirEntry struct {
 	Name string
 	ASN  topology.ASN
 	Pub  []byte
-	Node *netsim.Node
+	node *netsim.Node
 }
 
 // NewDirectory creates an empty directory.
@@ -49,10 +48,10 @@ func (d *Directory) Register(e *DirEntry) error {
 // Lookup returns the entry for name, or nil.
 func (d *Directory) Lookup(name string) *DirEntry { return d.entries[name] }
 
-// Entries returns all registered controllers sorted by name, so
+// sorted returns all registered controllers sorted by name, so
 // callers iterating the mesh (e.g. the deploy-time preconnect) do
 // so in a deterministic order.
-func (d *Directory) Entries() []*DirEntry {
+func (d *Directory) sorted() []*DirEntry {
 	out := make([]*DirEntry, 0, len(d.entries))
 	for _, e := range d.entries {
 		out = append(out, e)
@@ -65,31 +64,31 @@ func (d *Directory) Entries() []*DirEntry {
 type PeerStatus int
 
 const (
-	// PeerDiscovered: we saw the DAS's Ad but have not peered yet.
-	PeerDiscovered PeerStatus = iota
-	// PeerRequested: we sent a peering request and await the answer.
-	PeerRequested
-	// PeerEstablished: both sides agreed; key negotiation proceeds.
-	PeerEstablished
-	// PeerRejected: the remote side declined (or we blacklisted it).
-	PeerRejected
-	// PeerDead: the peer missed enough heartbeats to be declared down;
+	// peerDiscovered: we saw the DAS's Ad but have not peered yet.
+	peerDiscovered PeerStatus = iota
+	// peerRequested: we sent a peering request and await the answer.
+	peerRequested
+	// peerEstablished: both sides agreed; key negotiation proceeds.
+	peerEstablished
+	// peerRejected: the remote side declined (or we blacklisted it).
+	peerRejected
+	// peerDead: the peer missed enough heartbeats to be declared down;
 	// its keys and table entries are purged and reconnection probes run
 	// until it answers again.
-	PeerDead
+	peerDead
 )
 
 func (s PeerStatus) String() string {
 	switch s {
-	case PeerDiscovered:
+	case peerDiscovered:
 		return "discovered"
-	case PeerRequested:
+	case peerRequested:
 		return "requested"
-	case PeerEstablished:
+	case peerEstablished:
 		return "established"
-	case PeerRejected:
+	case peerRejected:
 		return "rejected"
-	case PeerDead:
+	case peerDead:
 		return "dead"
 	}
 	return "unknown"
@@ -187,7 +186,7 @@ type Config struct {
 	// ReconnectInterval paces re-peering probes toward a dead peer
 	// (plus up to 50% jitter); zero disables probing.
 	ReconnectInterval time.Duration
-	// PurgeInterval paces the periodic PurgeExpired sweep; zero falls
+	// PurgeInterval paces the periodic purgeExpired sweep; zero falls
 	// back to the old behaviour of purging only on invocations.
 	PurgeInterval time.Duration
 
@@ -231,7 +230,7 @@ func DefaultConfig() Config {
 // references to them.
 type Controller struct {
 	AS   topology.ASN
-	Name string
+	name string
 
 	// I/O seam: conn carries outbound frames to peer controllers, rt
 	// provides the clock and timers. In simulations they are simConn
@@ -249,9 +248,9 @@ type Controller struct {
 	rng     *rand.Rand
 	cfg     Config
 
-	// Blacklist holds ASes this controller refuses to peer with
+	// blacklist holds ASes this controller refuses to peer with
 	// (conflict of interest, §IV-C).
-	Blacklist map[topology.ASN]bool
+	blacklist map[topology.ASN]bool
 
 	peers map[topology.ASN]*peerState
 
@@ -295,33 +294,33 @@ type Controller struct {
 
 // Metric names (relative to the controller's scope) for the
 // control-plane tallies; a controller scoped "as7." publishes e.g.
-// "as7.ctrl.msgs_sent". Exported so consumers of registry snapshots do
-// not hard-code strings.
+// "as7.ctrl.msgs_sent". The names read outside core are exported, so
+// consumers of registry snapshots do not hard-code them.
 const (
 	MetricCtrlMsgsSent             = "ctrl.msgs_sent"
 	MetricCtrlMsgsRecv             = "ctrl.msgs_recv"
 	MetricCtrlRetries              = "ctrl.retries"
-	MetricCtrlInvokesSent          = "ctrl.invokes_sent"
-	MetricCtrlInvokesAccepted      = "ctrl.invokes_accepted"
-	MetricCtrlInvokesRejected      = "ctrl.invokes_rejected"
-	MetricCtrlHandshakesInitiated  = "ctrl.handshakes_initiated"
-	MetricCtrlHandshakesResponded  = "ctrl.handshakes_responded"
-	MetricCtrlAdsSeen              = "ctrl.ads_seen"
-	MetricCtrlPeeringRequestsSent  = "ctrl.peering_requests_sent"
-	MetricCtrlPeeringRequestsRecvd = "ctrl.peering_requests_recvd"
-	MetricCtrlHeartbeatsSent       = "ctrl.heartbeats_sent"
+	metricCtrlInvokesSent          = "ctrl.invokes_sent"
+	metricCtrlInvokesAccepted      = "ctrl.invokes_accepted"
+	metricCtrlInvokesRejected      = "ctrl.invokes_rejected"
+	metricCtrlHandshakesInitiated  = "ctrl.handshakes_initiated"
+	metricCtrlHandshakesResponded  = "ctrl.handshakes_responded"
+	metricCtrlAdsSeen              = "ctrl.ads_seen"
+	metricCtrlPeeringRequestsSent  = "ctrl.peering_requests_sent"
+	metricCtrlPeeringRequestsRecvd = "ctrl.peering_requests_recvd"
+	metricCtrlHeartbeatsSent       = "ctrl.heartbeats_sent"
 	MetricCtrlHeartbeatMisses      = "ctrl.heartbeat_misses"
 	MetricCtrlPeersDeclaredDead    = "ctrl.peers_declared_dead"
-	MetricCtrlResumesInitiated     = "ctrl.resumes_initiated"
-	MetricCtrlResumesResponded     = "ctrl.resumes_responded"
-	MetricCtrlResumeFallbacks      = "ctrl.resume_fallbacks"
-	MetricCtrlCampaignResyncs      = "ctrl.campaign_resyncs"
-	MetricCtrlPurged               = "ctrl.purged"
-	MetricCtrlCrashes              = "ctrl.crashes"
-	MetricCtrlAttacksDetected      = "ctrl.attacks_detected"
+	metricCtrlResumesInitiated     = "ctrl.resumes_initiated"
+	metricCtrlResumesResponded     = "ctrl.resumes_responded"
+	metricCtrlResumeFallbacks      = "ctrl.resume_fallbacks"
+	metricCtrlCampaignResyncs      = "ctrl.campaign_resyncs"
+	metricCtrlPurged               = "ctrl.purged"
+	metricCtrlCrashes              = "ctrl.crashes"
+	metricCtrlAttacksDetected      = "ctrl.attacks_detected"
 	MetricCtrlBytesSealed          = "ctrl.bytes_sealed"
 	MetricCtrlBytesOpened          = "ctrl.bytes_opened"
-	MetricCtrlPeersEstablished     = "ctrl.peers_established" // gauge
+	metricCtrlPeersEstablished     = "ctrl.peers_established" // gauge
 )
 
 // ctrlMetrics holds the controller's pre-resolved registry handles.
@@ -356,27 +355,27 @@ func newCtrlMetrics(sc obs.Scope) ctrlMetrics {
 		msgsSent:             sc.Counter(MetricCtrlMsgsSent),
 		msgsRecv:             sc.Counter(MetricCtrlMsgsRecv),
 		retries:              sc.Counter(MetricCtrlRetries),
-		invokesSent:          sc.Counter(MetricCtrlInvokesSent),
-		invokesAccepted:      sc.Counter(MetricCtrlInvokesAccepted),
-		invokesRejected:      sc.Counter(MetricCtrlInvokesRejected),
-		handshakesInitiated:  sc.Counter(MetricCtrlHandshakesInitiated),
-		handshakesResponded:  sc.Counter(MetricCtrlHandshakesResponded),
-		adsSeen:              sc.Counter(MetricCtrlAdsSeen),
-		peeringRequestsSent:  sc.Counter(MetricCtrlPeeringRequestsSent),
-		peeringRequestsRecvd: sc.Counter(MetricCtrlPeeringRequestsRecvd),
-		heartbeatsSent:       sc.Counter(MetricCtrlHeartbeatsSent),
+		invokesSent:          sc.Counter(metricCtrlInvokesSent),
+		invokesAccepted:      sc.Counter(metricCtrlInvokesAccepted),
+		invokesRejected:      sc.Counter(metricCtrlInvokesRejected),
+		handshakesInitiated:  sc.Counter(metricCtrlHandshakesInitiated),
+		handshakesResponded:  sc.Counter(metricCtrlHandshakesResponded),
+		adsSeen:              sc.Counter(metricCtrlAdsSeen),
+		peeringRequestsSent:  sc.Counter(metricCtrlPeeringRequestsSent),
+		peeringRequestsRecvd: sc.Counter(metricCtrlPeeringRequestsRecvd),
+		heartbeatsSent:       sc.Counter(metricCtrlHeartbeatsSent),
 		heartbeatMisses:      sc.Counter(MetricCtrlHeartbeatMisses),
 		peersDeclaredDead:    sc.Counter(MetricCtrlPeersDeclaredDead),
-		resumesInitiated:     sc.Counter(MetricCtrlResumesInitiated),
-		resumesResponded:     sc.Counter(MetricCtrlResumesResponded),
-		resumeFallbacks:      sc.Counter(MetricCtrlResumeFallbacks),
-		campaignResyncs:      sc.Counter(MetricCtrlCampaignResyncs),
-		purged:               sc.Counter(MetricCtrlPurged),
-		crashes:              sc.Counter(MetricCtrlCrashes),
-		attacksDetected:      sc.Counter(MetricCtrlAttacksDetected),
+		resumesInitiated:     sc.Counter(metricCtrlResumesInitiated),
+		resumesResponded:     sc.Counter(metricCtrlResumesResponded),
+		resumeFallbacks:      sc.Counter(metricCtrlResumeFallbacks),
+		campaignResyncs:      sc.Counter(metricCtrlCampaignResyncs),
+		purged:               sc.Counter(metricCtrlPurged),
+		crashes:              sc.Counter(metricCtrlCrashes),
+		attacksDetected:      sc.Counter(metricCtrlAttacksDetected),
 		bytesSealed:          sc.Counter(MetricCtrlBytesSealed),
 		bytesOpened:          sc.Counter(MetricCtrlBytesOpened),
-		peersEstablished:     sc.Gauge(MetricCtrlPeersEstablished),
+		peersEstablished:     sc.Gauge(metricCtrlPeersEstablished),
 	}
 }
 
@@ -392,7 +391,8 @@ type campaign struct {
 // ControllerOptions configures a Controller. AS, Name, Dir and Topo
 // are always required, plus exactly one I/O binding: Sim+Node for
 // simulation mode, or Conn+Runtime for service mode. Everything else
-// has a usable zero value. Validation failures are *OptionError.
+// has a usable zero value. A validation failure names the offending
+// field.
 type ControllerOptions struct {
 	AS   topology.ASN
 	Name string
@@ -480,11 +480,11 @@ func NewControllerWithOptions(o ControllerOptions) (*Controller, error) {
 		reg.SetTraceCapacity(o.Config.TraceCapacity)
 	}
 	c := &Controller{
-		AS: o.AS, Name: o.Name,
+		AS: o.AS, name: o.Name,
 		conn: o.Conn, rt: o.Runtime,
 		id: id, dir: o.Dir, topo: o.Topo,
 		rng: rng, cfg: o.Config,
-		Blacklist:   make(map[topology.ASN]bool),
+		blacklist:   make(map[topology.ASN]bool),
 		peers:       make(map[topology.ASN]*peerState),
 		resumeCache: make(map[topology.ASN][16]byte),
 		reg:         reg,
@@ -499,7 +499,7 @@ func NewControllerWithOptions(o ControllerOptions) (*Controller, error) {
 		o.Node.SetHandler(netsim.HandlerFunc(c.receive))
 		dirNode = o.Node
 	}
-	if err := o.Dir.Register(&DirEntry{Name: o.Name, ASN: o.AS, Pub: id.Public(), Node: dirNode}); err != nil {
+	if err := o.Dir.Register(&DirEntry{Name: o.Name, ASN: o.AS, Pub: id.Public(), node: dirNode}); err != nil {
 		return nil, err
 	}
 	return c, nil
@@ -513,9 +513,6 @@ func (c *Controller) Stats() obs.Snapshot {
 	return c.reg.SnapshotPrefix(c.scope+"ctrl.", c.scope)
 }
 
-// Registry returns the registry the controller publishes into.
-func (c *Controller) Registry() *obs.Registry { return c.reg }
-
 // setStatus centralizes peer-status transitions: it maintains the
 // peers_established gauge and emits the matching trace event, so every
 // lifecycle change is observable from one place.
@@ -523,22 +520,22 @@ func (c *Controller) setStatus(p *peerState, s PeerStatus) {
 	if p.status == s {
 		return
 	}
-	if p.status == PeerEstablished {
+	if p.status == peerEstablished {
 		c.m.peersEstablished.Add(-1)
 	}
 	p.status = s
 	kind := ""
 	switch s {
-	case PeerDiscovered:
+	case peerDiscovered:
 		kind = obs.EvPeerDiscovered
-	case PeerRequested:
+	case peerRequested:
 		kind = obs.EvPeerRequested
-	case PeerEstablished:
+	case peerEstablished:
 		kind = obs.EvPeerEstablished
 		c.m.peersEstablished.Add(1)
-	case PeerRejected:
+	case peerRejected:
 		kind = obs.EvPeerRejected
-	case PeerDead:
+	case peerDead:
 		kind = obs.EvPeerDead
 	}
 	c.trace.Emit(obs.Event{Kind: kind, AS: uint32(c.AS), Peer: uint32(p.asn)})
@@ -546,7 +543,7 @@ func (c *Controller) setStatus(p *peerState, s PeerStatus) {
 
 // newPeer creates and registers peer state in Discovered status.
 func (c *Controller) newPeer(asn topology.ASN, ctrlName string) *peerState {
-	p := &peerState{asn: asn, ctrlName: ctrlName, status: PeerDiscovered}
+	p := &peerState{asn: asn, ctrlName: ctrlName, status: peerDiscovered}
 	c.peers[asn] = p
 	c.trace.Emit(obs.Event{Kind: obs.EvPeerDiscovered, AS: uint32(c.AS), Peer: uint32(asn)})
 	return p
@@ -558,11 +555,8 @@ func (c *Controller) AttachRouter(r *BorderRouter) {
 	r.OnAlarm = c.handleAlarmSample
 }
 
-// Routers returns the attached border routers.
-func (c *Controller) Routers() []*BorderRouter { return c.routers }
-
 // Ad returns this DAS's DISCS advertisement.
-func (c *Controller) Ad() bgp.DISCSAd { return bgp.DISCSAd{Origin: c.AS, Controller: c.Name} }
+func (c *Controller) ad() bgp.DISCSAd { return bgp.DISCSAd{Origin: c.AS, Controller: c.name} }
 
 // PeerStatusOf returns the peering status toward asn.
 func (c *Controller) PeerStatusOf(asn topology.ASN) (PeerStatus, bool) {
@@ -577,7 +571,7 @@ func (c *Controller) PeerStatusOf(asn topology.ASN) (PeerStatus, bool) {
 func (c *Controller) Peers() []topology.ASN {
 	var out []topology.ASN
 	for asn, p := range c.peers {
-		if p.status == PeerEstablished {
+		if p.status == peerEstablished {
 			out = append(out, asn)
 		}
 	}
@@ -594,17 +588,17 @@ func (c *Controller) now() time.Time { return time.Unix(0, 0).UTC().Add(c.rt.Now
 // after arms a runtime timer. In simulations timers are node-scoped:
 // crashing the controller kills them, as a real process crash would.
 // All controller timers go through this (or the background variants)
-// so Crash leaves nothing armed.
+// so crash leaves nothing armed.
 func (c *Controller) after(d time.Duration, fn func()) { c.rt.After(d, fn) }
 
-// Crash models a controller process crash: the netsim node goes down
+// crash models a controller process crash: the netsim node goes down
 // (in-flight frames toward it are discarded, every armed timer dies)
 // and all in-memory state is lost — peering state machines, secure
 // sessions, alarm counters. What survives is what a real deployment
 // persists to disk: the resumption-secret cache (§VI-C's SSL session
 // cache) and the campaign journal. Border routers are separate boxes:
 // their key and function tables keep enforcing installed windows.
-func (c *Controller) Crash() {
+func (c *Controller) crash() {
 	if c.node != nil {
 		c.node.Crash()
 	}
@@ -616,12 +610,12 @@ func (c *Controller) Crash() {
 	c.purgeArmed = false
 }
 
-// Restart brings a crashed controller back up with empty volatile
+// restart brings a crashed controller back up with empty volatile
 // state. Rediscovery is driven by the BGP layer replaying known
 // DISCS-Ads (System.Restart does that); peerings then re-establish
 // over the abbreviated resumption handshake and active campaigns are
 // re-driven from the journal.
-func (c *Controller) Restart() {
+func (c *Controller) restart() {
 	if c.node != nil {
 		c.node.Restart()
 	}
@@ -634,7 +628,7 @@ func (c *Controller) Restart() {
 func (c *Controller) anyTableEntries() bool {
 	for _, r := range c.routers {
 		for _, ft := range r.Tables.In {
-			if ft.Len() > 0 {
+			if ft.numPrefixes() > 0 {
 				return true
 			}
 		}
@@ -649,20 +643,20 @@ func (c *Controller) HandleAd(ad bgp.DISCSAd) {
 		return
 	}
 	c.m.adsSeen.Inc()
-	if c.Blacklist[ad.Origin] {
+	if c.blacklist[ad.Origin] {
 		return
 	}
 	p, exists := c.peers[ad.Origin]
-	if exists && p.status != PeerRejected {
+	if exists && p.status != peerRejected {
 		// Controller name change: update the pointer but keep state.
 		p.ctrlName = ad.Controller
 		// A reappearing Ad is evidence the peer's control plane is
 		// alive: refresh the retry budget so a state machine that gave
 		// up after MaxRetries gets to try again.
 		p.retries = 0
-		if p.status == PeerDead {
+		if p.status == peerDead {
 			// The peer is back from the dead: re-run discovery.
-			c.setStatus(p, PeerDiscovered)
+			c.setStatus(p, peerDiscovered)
 			c.after(c.peeringDelay(), func() { c.sendPeeringRequest(p) })
 			return
 		}
@@ -682,12 +676,12 @@ func (c *Controller) peeringDelay() time.Duration {
 }
 
 func (c *Controller) sendPeeringRequest(p *peerState) {
-	if p.status != PeerDiscovered {
+	if p.status != peerDiscovered {
 		return
 	}
-	c.setStatus(p, PeerRequested)
+	c.setStatus(p, peerRequested)
 	c.m.peeringRequestsSent.Inc()
-	c.sendMsg(p, &ControlMsg{Type: MsgPeeringRequest, From: c.AS})
+	c.sendMsg(p, &controlMsg{Type: msgPeeringRequest, From: c.AS})
 }
 
 // --- transport ----------------------------------------------------------
@@ -711,7 +705,7 @@ func (c *Controller) linkTo(node *netsim.Node) *netsim.Link {
 // secure-channel handshake first if needed. Messages queue during the
 // handshake, and a retry timer re-drives the exchange if it stalls
 // (e.g. frames lost to a flapping link).
-func (c *Controller) sendMsg(p *peerState, m *ControlMsg) {
+func (c *Controller) sendMsg(p *peerState, m *controlMsg) {
 	c.send(p, m)
 	c.armRetry(p)
 }
@@ -719,8 +713,8 @@ func (c *Controller) sendMsg(p *peerState, m *ControlMsg) {
 // send encodes m and sends it (or queues it behind the handshake)
 // without arming the retry timer. The encoding goes to the controller's
 // reused buffer, so a sealed message costs only its record.
-func (c *Controller) send(p *peerState, m *ControlMsg) {
-	data, err := m.AppendBinary(c.encBuf[:0])
+func (c *Controller) send(p *peerState, m *controlMsg) {
+	data, err := m.appendBinary(c.encBuf[:0])
 	if err != nil {
 		panic("core: control message encode failed: " + err.Error())
 	}
@@ -770,7 +764,7 @@ func (c *Controller) startHandshake(p *peerState, full bool) {
 // stalled reports whether the peer state machine is waiting on remote
 // progress that a lost frame could block forever.
 func (c *Controller) stalled(p *peerState) bool {
-	if p.status == PeerRejected || p.status == PeerDead {
+	if p.status == peerRejected || p.status == peerDead {
 		// Dead peers are the reconnect prober's job, not the retry
 		// timer's.
 		return false
@@ -778,13 +772,13 @@ func (c *Controller) stalled(p *peerState) bool {
 	if len(p.pendingOut) > 0 && p.out == nil {
 		return true // handshake in flight (or dead)
 	}
-	if p.status == PeerRequested {
+	if p.status == peerRequested {
 		return true // request unanswered
 	}
-	if p.status == PeerEstablished && p.stampKey != nil && !p.stampActive {
+	if p.status == peerEstablished && p.stampKey != nil && !p.stampActive {
 		return true // key deploy unacked
 	}
-	if p.status == PeerEstablished && c.unackedCampaign(p) {
+	if p.status == peerEstablished && c.unackedCampaign(p) {
 		return true // invoke unacked
 	}
 	return false
@@ -840,20 +834,20 @@ func (c *Controller) retry(p *peerState) {
 	p.resumer = nil
 	p.out = nil
 	p.pendingOut = nil
-	if p.status == PeerRequested {
-		c.send(p, &ControlMsg{Type: MsgPeeringRequest, From: c.AS})
+	if p.status == peerRequested {
+		c.send(p, &controlMsg{Type: msgPeeringRequest, From: c.AS})
 	}
-	if p.status == PeerEstablished && p.stampKey != nil && !p.stampActive {
-		c.send(p, &ControlMsg{
-			Type: MsgKeyDeploy, From: c.AS, Key: p.stampKey, Serial: p.stampSerial,
+	if p.status == peerEstablished && p.stampKey != nil && !p.stampActive {
+		c.send(p, &controlMsg{
+			Type: msgKeyDeploy, From: c.AS, Key: p.stampKey, Serial: p.stampSerial,
 		})
 	}
-	if p.status == PeerEstablished && c.unackedCampaign(p) {
+	if p.status == peerEstablished && c.unackedCampaign(p) {
 		now := c.now()
 		for _, cp := range c.campaigns {
 			if cp.serial > p.campaignAcked && cp.serial <= p.campaignSeen && now.Before(cp.end) {
-				c.send(p, &ControlMsg{
-					Type: MsgInvoke, From: c.AS, Invocations: cp.invs, Serial: cp.serial,
+				c.send(p, &controlMsg{
+					Type: msgInvoke, From: c.AS, Invocations: cp.invs, Serial: cp.serial,
 				})
 			}
 		}
@@ -865,7 +859,7 @@ func (c *Controller) retry(p *peerState) {
 // Delivery is best-effort (false from Send mirrors a frame dropped on
 // a netsim link); the retry machinery owns recovery.
 func (c *Controller) sendFrame(p *peerState, kind frameKind, data []byte) {
-	if c.conn.Send(p.ctrlName, transport.Frame{Kind: uint8(kind), From: c.Name, Data: data}) {
+	if c.conn.Send(p.ctrlName, transport.Frame{Kind: uint8(kind), From: c.name, Data: data}) {
 		c.m.msgsSent.Inc()
 	}
 }
@@ -987,7 +981,7 @@ func (c *Controller) handleFrame(kind frameKind, from string, data []byte) {
 		if err != nil {
 			return
 		}
-		var m ControlMsg
+		var m controlMsg
 		if m.decode(plain) != nil {
 			return
 		}
@@ -997,21 +991,21 @@ func (c *Controller) handleFrame(kind frameKind, from string, data []byte) {
 
 // --- control-plane state machine -----------------------------------------
 
-func (c *Controller) handleMsg(p *peerState, m *ControlMsg) {
+func (c *Controller) handleMsg(p *peerState, m *controlMsg) {
 	if m.From != p.asn {
 		return // sender identity must match the authenticated channel
 	}
 	// Any authenticated message proves the peer alive.
 	c.markAlive(p)
 	switch m.Type {
-	case MsgPeeringRequest:
+	case msgPeeringRequest:
 		c.m.peeringRequestsRecvd.Inc()
-		if c.Blacklist[p.asn] {
-			c.setStatus(p, PeerRejected)
-			c.sendMsg(p, &ControlMsg{Type: MsgPeeringReject, From: c.AS, Reason: "blacklisted"})
+		if c.blacklist[p.asn] {
+			c.setStatus(p, peerRejected)
+			c.sendMsg(p, &controlMsg{Type: msgPeeringReject, From: c.AS, Reason: "blacklisted"})
 			return
 		}
-		if p.status == PeerEstablished {
+		if p.status == peerEstablished {
 			// A peer we consider established does not re-request peering
 			// unless it lost its state: it declared us dead (purging its
 			// inbound session and our keys) or crashed and restarted.
@@ -1024,50 +1018,50 @@ func (c *Controller) handleMsg(p *peerState, m *ControlMsg) {
 			p.stampActive = false
 			p.campaignSeen, p.campaignAcked = 0, 0
 		}
-		c.setStatus(p, PeerEstablished)
-		c.sendMsg(p, &ControlMsg{Type: MsgPeeringAccept, From: c.AS})
+		c.setStatus(p, peerEstablished)
+		c.sendMsg(p, &controlMsg{Type: msgPeeringAccept, From: c.AS})
 		c.armHeartbeat(p)
 		c.negotiateKey(p)
-	case MsgPeeringAccept:
-		if p.status == PeerRequested {
-			c.setStatus(p, PeerEstablished)
+	case msgPeeringAccept:
+		if p.status == peerRequested {
+			c.setStatus(p, peerEstablished)
 			c.armHeartbeat(p)
 			c.negotiateKey(p)
 		}
-	case MsgPeeringReject:
-		c.setStatus(p, PeerRejected)
-	case MsgKeyDeploy:
+	case msgPeeringReject:
+		c.setStatus(p, peerRejected)
+	case msgKeyDeploy:
 		c.handleKeyDeploy(p, m)
-	case MsgKeyAck:
+	case msgKeyAck:
 		c.handleKeyAck(p, m)
-	case MsgInvoke:
+	case msgInvoke:
 		c.handleInvoke(p, m)
-	case MsgInvokeAck:
+	case msgInvokeAck:
 		c.m.invokesAccepted.Inc()
 		c.trace.Emit(obs.Event{Kind: obs.EvCampaignAck, AS: uint32(c.AS), Peer: uint32(p.asn), Serial: m.Serial})
 		if m.Serial > p.campaignAcked {
 			p.campaignAcked = m.Serial
 		}
-	case MsgInvokeReject:
+	case msgInvokeReject:
 		c.m.invokesRejected.Inc()
 		// A rejection settles the exchange too: retrying a request the
 		// peer refuses would loop forever.
 		if m.Serial > p.campaignAcked {
 			p.campaignAcked = m.Serial
 		}
-	case MsgQuitAlarm:
-		if p.status == PeerEstablished {
+	case msgQuitAlarm:
+		if p.status == peerEstablished {
 			for _, r := range c.routers {
 				r.SetAlarmMode(false)
 			}
 		}
-	case MsgHeartbeat:
-		if p.status == PeerEstablished {
+	case msgHeartbeat:
+		if p.status == peerEstablished {
 			// Answer outside sendMsg: keepalives must not arm retry
 			// timers (liveness has its own clock).
-			c.send(p, &ControlMsg{Type: MsgHeartbeatAck, From: c.AS})
+			c.send(p, &controlMsg{Type: msgHeartbeatAck, From: c.AS})
 		}
-	case MsgHeartbeatAck:
+	case msgHeartbeatAck:
 		// markAlive above already did the work.
 	}
 }
@@ -1092,7 +1086,7 @@ func (c *Controller) armHeartbeat(p *peerState) {
 }
 
 func (c *Controller) heartbeatTick(p *peerState) {
-	if p.status != PeerEstablished {
+	if p.status != peerEstablished {
 		p.hbArmed = false
 		return
 	}
@@ -1107,7 +1101,7 @@ func (c *Controller) heartbeatTick(p *peerState) {
 		}
 	}
 	c.m.heartbeatsSent.Inc()
-	c.send(p, &ControlMsg{Type: MsgHeartbeat, From: c.AS})
+	c.send(p, &controlMsg{Type: msgHeartbeat, From: c.AS})
 	if p.out == nil {
 		// The keepalive queued behind a handshake. If that handshake's
 		// frames were lost nothing else may be scheduled to re-drive it —
@@ -1125,10 +1119,10 @@ func (c *Controller) heartbeatTick(p *peerState) {
 // free table slots, and the secure sessions are torn down. A
 // reconnection prober then takes over from the heartbeat loop.
 func (c *Controller) declarePeerDead(p *peerState) {
-	c.setStatus(p, PeerDead)
+	c.setStatus(p, peerDead)
 	c.m.peersDeclaredDead.Inc()
 	for _, r := range c.routers {
-		r.Tables.Keys.RemovePeer(p.asn)
+		r.Tables.Keys.removePeer(p.asn)
 	}
 	var withdraw tableBatch
 	for e := range p.installed {
@@ -1168,18 +1162,18 @@ func (c *Controller) armReconnect(p *peerState) {
 func (c *Controller) reconnectTick(p *peerState) {
 	p.probeArmed = false
 	switch p.status {
-	case PeerEstablished, PeerRejected:
+	case peerEstablished, peerRejected:
 		return // recovered (or a policy decision ended the peering)
-	case PeerDead:
-		c.setStatus(p, PeerDiscovered)
+	case peerDead:
+		c.setStatus(p, peerDiscovered)
 		p.retries = 0
 		c.sendPeeringRequest(p)
-	case PeerDiscovered:
+	case peerDiscovered:
 		p.retries = 0
 		c.sendPeeringRequest(p)
-	case PeerRequested:
+	case peerRequested:
 		p.retries = 0
-		c.send(p, &ControlMsg{Type: MsgPeeringRequest, From: c.AS})
+		c.send(p, &controlMsg{Type: msgPeeringRequest, From: c.AS})
 	}
 	c.armReconnect(p)
 }
@@ -1193,26 +1187,7 @@ func (c *Controller) negotiateKey(p *peerState) {
 	p.stampSerial++
 	p.stampKey = key
 	p.stampActive = false
-	c.sendMsg(p, &ControlMsg{Type: MsgKeyDeploy, From: c.AS, Key: key, Serial: p.stampSerial})
-}
-
-// Rekey starts a key rotation toward peer (§IV-D): the new key is sent
-// first and only used for stamping once the peer acks deployment.
-func (c *Controller) Rekey(peer topology.ASN) error {
-	p := c.peers[peer]
-	if p == nil || p.status != PeerEstablished {
-		return fmt.Errorf("core: AS%d is not an established peer", peer)
-	}
-	c.negotiateKey(p)
-	return nil
-}
-
-// RekeyAll rotates keys toward every established peer; used after a
-// suspected key leakage (§VI-E3).
-func (c *Controller) RekeyAll() {
-	for _, p := range c.establishedPeers() {
-		c.negotiateKey(p)
-	}
+	c.sendMsg(p, &controlMsg{Type: msgKeyDeploy, From: c.AS, Key: key, Serial: p.stampSerial})
 }
 
 // establishedPeers returns established peer states in ascending ASN
@@ -1222,7 +1197,7 @@ func (c *Controller) RekeyAll() {
 func (c *Controller) establishedPeers() []*peerState {
 	var out []*peerState
 	for _, p := range c.peers {
-		if p.status == PeerEstablished {
+		if p.status == peerEstablished {
 			out = append(out, p)
 		}
 	}
@@ -1230,13 +1205,13 @@ func (c *Controller) establishedPeers() []*peerState {
 	return out
 }
 
-func (c *Controller) handleKeyDeploy(p *peerState, m *ControlMsg) {
-	if p.status != PeerEstablished {
+func (c *Controller) handleKeyDeploy(p *peerState, m *controlMsg) {
+	if p.status != peerEstablished {
 		return
 	}
 	if m.Serial == p.verifySeen {
 		// Duplicate (retransmission): the earlier ack was lost, re-ack.
-		c.sendMsg(p, &ControlMsg{Type: MsgKeyAck, From: c.AS, Serial: m.Serial})
+		c.sendMsg(p, &controlMsg{Type: msgKeyAck, From: c.AS, Serial: m.Serial})
 		return
 	}
 	// Any other serial — higher or lower — is a genuine new deploy: a
@@ -1265,10 +1240,10 @@ func (c *Controller) handleKeyDeploy(p *peerState, m *ControlMsg) {
 			r.Tables.Keys.dropVerifyKey(peer, demoted[i])
 		}
 	})
-	c.sendMsg(p, &ControlMsg{Type: MsgKeyAck, From: c.AS, Serial: m.Serial})
+	c.sendMsg(p, &controlMsg{Type: msgKeyAck, From: c.AS, Serial: m.Serial})
 }
 
-func (c *Controller) handleKeyAck(p *peerState, m *ControlMsg) {
+func (c *Controller) handleKeyAck(p *peerState, m *controlMsg) {
 	if m.Serial != p.stampSerial || p.stampKey == nil {
 		return
 	}
@@ -1295,7 +1270,7 @@ func (c *Controller) resyncCampaigns(p *peerState) {
 		if cp.serial <= p.campaignAcked || !now.Before(cp.end) {
 			continue
 		}
-		c.sendMsg(p, &ControlMsg{Type: MsgInvoke, From: c.AS, Invocations: cp.invs, Serial: cp.serial})
+		c.sendMsg(p, &controlMsg{Type: msgInvoke, From: c.AS, Invocations: cp.invs, Serial: cp.serial})
 		p.campaignSeen = cp.serial
 		c.m.campaignResyncs.Inc()
 		c.trace.Emit(obs.Event{Kind: obs.EvCampaignResync, AS: uint32(c.AS), Peer: uint32(p.asn), Serial: cp.serial})
@@ -1311,17 +1286,17 @@ func (c *Controller) KeysReadyWith(peer topology.ASN) bool {
 
 // --- invocation (§IV-E) ----------------------------------------------------
 
-// PurgeExpired removes fully expired function-table entries from all
+// purgeExpired removes fully expired function-table entries from all
 // local routers (§IV-E1 windows are lazy-expiring; this reclaims the
 // table slots). It returns the number of prefixes removed. Controllers
 // run it opportunistically on every invocation and periodically from
 // the event loop (armPurge).
-func (c *Controller) PurgeExpired() int {
+func (c *Controller) purgeExpired() int {
 	now := c.now()
 	total := 0
 	for _, r := range c.routers {
 		for _, ft := range r.Tables.In {
-			total += ft.Purge(now)
+			total += ft.purge(now)
 		}
 	}
 	return total
@@ -1341,7 +1316,7 @@ func (c *Controller) armPurge() {
 
 func (c *Controller) purgeTick() {
 	c.purgeArmed = false
-	c.m.purged.Add(uint64(c.PurgeExpired()))
+	c.m.purged.Add(uint64(c.purgeExpired()))
 	if c.anyTableEntries() {
 		c.armPurge()
 	}
@@ -1352,9 +1327,9 @@ func (c *Controller) purgeTick() {
 // established peer to execute the peer-side operations. It returns the
 // number of peers asked.
 func (c *Controller) Invoke(invs ...Invocation) (int, error) {
-	c.PurgeExpired()
+	c.purgeExpired()
 	for _, inv := range invs {
-		if err := inv.Validate(); err != nil {
+		if err := inv.validate(); err != nil {
 			return 0, err
 		}
 		for _, pfx := range inv.Prefixes {
@@ -1393,7 +1368,7 @@ func (c *Controller) Invoke(invs ...Invocation) (int, error) {
 	c.pruneCampaigns(now)
 	// Peer-side request.
 	n := 0
-	msg := &ControlMsg{Type: MsgInvoke, From: c.AS, Invocations: invs, Serial: c.campaignSerial}
+	msg := &controlMsg{Type: msgInvoke, From: c.AS, Invocations: invs, Serial: c.campaignSerial}
 	for _, p := range c.establishedPeers() {
 		c.sendMsg(p, msg)
 		p.campaignSeen = c.campaignSerial
@@ -1419,24 +1394,24 @@ func (c *Controller) pruneCampaigns(now time.Time) {
 // handleInvoke executes the peer side of an invocation after the RPKI
 // ownership check (§IV-E3: "peer DASes check the ownership of the
 // prefixes, and accept the request only if they belong to the victim").
-func (c *Controller) handleInvoke(p *peerState, m *ControlMsg) {
-	c.PurgeExpired()
-	if p.status != PeerEstablished {
+func (c *Controller) handleInvoke(p *peerState, m *controlMsg) {
+	c.purgeExpired()
+	if p.status != peerEstablished {
 		// Serial 0: a not-yet-a-peer reject is transient — it must not
 		// settle the campaign at the sender, which re-drives it once the
 		// peering establishes.
-		c.sendMsg(p, &ControlMsg{Type: MsgInvokeReject, From: c.AS, Reason: "not a peer"})
+		c.sendMsg(p, &controlMsg{Type: msgInvokeReject, From: c.AS, Reason: "not a peer"})
 		return
 	}
 	for _, inv := range m.Invocations {
-		if err := inv.Validate(); err != nil {
-			c.sendMsg(p, &ControlMsg{Type: MsgInvokeReject, From: c.AS, Serial: m.Serial, Reason: err.Error()})
+		if err := inv.validate(); err != nil {
+			c.sendMsg(p, &controlMsg{Type: msgInvokeReject, From: c.AS, Serial: m.Serial, Reason: err.Error()})
 			return
 		}
 		for _, pfx := range inv.Prefixes {
 			owner, ok := c.topo.OwnerOfPrefix(pfx)
 			if !ok || owner != m.From {
-				c.sendMsg(p, &ControlMsg{Type: MsgInvokeReject, From: c.AS, Serial: m.Serial,
+				c.sendMsg(p, &controlMsg{Type: msgInvokeReject, From: c.AS, Serial: m.Serial,
 					Reason: fmt.Sprintf("prefix %v not owned by AS%d", pfx, m.From)})
 				return
 			}
@@ -1463,7 +1438,7 @@ func (c *Controller) handleInvoke(p *peerState, m *ControlMsg) {
 	c.applyTables(&peerSide)
 	c.armPurge()
 	c.trace.Emit(obs.Event{Kind: obs.EvCampaignAccept, AS: uint32(c.AS), Peer: uint32(p.asn), Serial: m.Serial})
-	c.sendMsg(p, &ControlMsg{Type: MsgInvokeAck, From: c.AS, Serial: m.Serial})
+	c.sendMsg(p, &controlMsg{Type: msgInvokeAck, From: c.AS, Serial: m.Serial})
 }
 
 // recordInstall remembers a peer-requested install so declarePeerDead
@@ -1550,7 +1525,7 @@ func (c *Controller) handleAlarmSample(s AlarmSample) {
 	c.trace.Emit(obs.Event{Kind: obs.EvAttackDetected, AS: uint32(c.AS), Peer: uint32(s.SrcAS), Src: s.Src, Dst: s.Dst})
 	c.SetAlarmMode(false)
 	for _, p := range c.establishedPeers() {
-		c.sendMsg(p, &ControlMsg{Type: MsgQuitAlarm, From: c.AS})
+		c.sendMsg(p, &controlMsg{Type: msgQuitAlarm, From: c.AS})
 	}
 	if c.AutoDefend != nil && len(c.AutoDefend.Functions) > 0 {
 		pol := c.AutoDefend
@@ -1595,6 +1570,3 @@ func (c *Controller) OwnPrefixes() []netip.Prefix {
 	}
 	return a.Prefixes
 }
-
-// ErrNotDeployed reports operations on ASes without DISCS.
-var ErrNotDeployed = errors.New("core: AS has not deployed DISCS")

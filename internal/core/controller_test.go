@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"net/netip"
 	"testing"
 	"time"
@@ -8,6 +9,25 @@ import (
 	"discs/internal/bgp"
 	"discs/internal/topology"
 )
+
+// rekey starts a key rotation toward an established peer (§IV-D): the
+// new key is sent first and stamps only once the peer acks it.
+func rekey(c *Controller, peer topology.ASN) error {
+	p := c.peers[peer]
+	if p == nil || p.status != peerEstablished {
+		return fmt.Errorf("AS%d is not an established peer", peer)
+	}
+	c.negotiateKey(p)
+	return nil
+}
+
+// rekeyAll rotates the keys toward every established peer, as after a
+// suspected key leak (§VI-E3).
+func rekeyAll(c *Controller) {
+	for _, p := range c.establishedPeers() {
+		c.negotiateKey(p)
+	}
+}
 
 // testInternet builds the testTopology internet: a converged BGP
 // network and a DISCS system.
@@ -99,7 +119,7 @@ func TestDiscoveryAndPeering(t *testing.T) {
 			t.Fatalf("AS%d peers = %v, want 2", asn, peers)
 		}
 		for _, p := range peers {
-			if st, _ := c.PeerStatusOf(p); st != PeerEstablished {
+			if st, _ := c.PeerStatusOf(p); st != peerEstablished {
 				t.Fatalf("AS%d→AS%d status %v", asn, p, st)
 			}
 		}
@@ -114,10 +134,10 @@ func TestKeyNegotiationCompletes(t *testing.T) {
 		t.Fatal("stamping keys not active after settle")
 	}
 	// Both routers must hold verify keys for the peer.
-	if !s.Router(1001).Tables.Keys.HasVerifyKey(1004) {
+	if !hasKeyV(s.Router(1001).Tables.Keys, 1004) {
 		t.Fatal("AS1001 missing verify key for AS1004")
 	}
-	if !s.Router(1004).Tables.Keys.HasVerifyKey(1001) {
+	if !hasKeyV(s.Router(1004).Tables.Keys, 1001) {
 		t.Fatal("AS1004 missing verify key for AS1001")
 	}
 	// And the stamping/verification keys must be consistent: a packet
@@ -125,12 +145,12 @@ func TestKeyNegotiationCompletes(t *testing.T) {
 	pkt := samplePacketV4()
 	pkt.Src = netip.MustParseAddr("172.16.1.10")
 	pkt.Dst = netip.MustParseAddr("172.16.4.10")
-	key := s.Router(1001).Tables.Keys.StampKey(1004)
+	key := keyS(s.Router(1001).Tables.Keys, 1004)
 	if key == nil {
 		t.Fatal("no stamp key")
 	}
-	V4{pkt}.Stamp(key)
-	if valid, known, _ := s.Router(1004).Tables.Keys.VerifyMark(1001, V4{pkt}); !valid || !known {
+	V4{pkt}.stamp(key)
+	if valid, known, _ := verifyMark(s.Router(1004).Tables.Keys, 1001, V4{pkt}); !valid || !known {
 		t.Fatalf("cross-verify failed: valid=%v known=%v", valid, known)
 	}
 }
@@ -141,7 +161,7 @@ func TestBlacklistBlocksPeering(t *testing.T) {
 	if _, err := s.Deploy(1001, 1); err != nil {
 		t.Fatal(err)
 	}
-	s.Controllers[1001].Blacklist[1004] = true
+	s.Controllers[1001].blacklist[1004] = true
 	if _, err := s.Deploy(1004, 2); err != nil {
 		t.Fatal(err)
 	}
@@ -151,10 +171,10 @@ func TestBlacklistBlocksPeering(t *testing.T) {
 	// 1001 never requests peering with 1004; 1004's request to 1001 is
 	// rejected... 1001 ignores the Ad entirely, but 1004 sends a
 	// request which 1001 must reject by blacklist.
-	if st, ok := s.Controllers[1001].PeerStatusOf(1004); ok && st == PeerEstablished {
+	if st, ok := s.Controllers[1001].PeerStatusOf(1004); ok && st == peerEstablished {
 		t.Fatal("blacklisted AS became a peer")
 	}
-	if st, _ := s.Controllers[1004].PeerStatusOf(1001); st == PeerEstablished {
+	if st, _ := s.Controllers[1004].PeerStatusOf(1001); st == peerEstablished {
 		t.Fatal("peering established despite remote blacklist")
 	}
 }
@@ -176,8 +196,8 @@ func TestInvokeDPCDP(t *testing.T) {
 	if err := s.Settle(); err != nil {
 		t.Fatal(err)
 	}
-	if victim.Stats().Get(MetricCtrlInvokesAccepted) != 1 {
-		t.Fatalf("acks = %d", victim.Stats().Get(MetricCtrlInvokesAccepted))
+	if victim.Stats().Get(metricCtrlInvokesAccepted) != 1 {
+		t.Fatalf("acks = %d", victim.Stats().Get(metricCtrlInvokesAccepted))
 	}
 	now := s.Now().Add(time.Second)
 	// Peer's Out-Dst table has DP-filter and CDP-stamp for the victim.
@@ -206,19 +226,19 @@ func TestInvokeRejectedForForeignPrefix(t *testing.T) {
 	}
 	// And a malicious controller bypassing its own check is rejected by
 	// the peer's RPKI validation: craft the message directly.
-	evil := &ControlMsg{Type: MsgInvoke, From: 1004, Invocations: []Invocation{{
+	evil := &controlMsg{Type: msgInvoke, From: 1004, Invocations: []Invocation{{
 		Prefixes: []netip.Prefix{netip.MustParsePrefix("172.16.1.0/24")},
 		Function: DP, Duration: time.Hour,
 	}}}
 	for _, p := range victim.peers {
-		if p.status == PeerEstablished {
+		if p.status == peerEstablished {
 			victim.sendMsg(p, evil)
 		}
 	}
 	if err := s.Settle(); err != nil {
 		t.Fatal(err)
 	}
-	if victim.Stats().Get(MetricCtrlInvokesRejected) == 0 {
+	if victim.Stats().Get(metricCtrlInvokesRejected) == 0 {
 		t.Fatal("peer accepted an invocation for a prefix the victim does not own")
 	}
 	now := s.Now().Add(time.Second)
@@ -252,7 +272,7 @@ func TestInvokeRejectsUninstallablePrefix(t *testing.T) {
 		t.Fatal("Invoke accepted a prefix the function tables refuse")
 	}
 	// A controller that skips its own check: the peer's Validate refuses.
-	evil := &ControlMsg{Type: MsgInvoke, From: 1004, Serial: 99, Invocations: []Invocation{{
+	evil := &controlMsg{Type: msgInvoke, From: 1004, Serial: 99, Invocations: []Invocation{{
 		Prefixes: []netip.Prefix{netip.MustParsePrefix("172.16.4.0/25"), bad},
 		Function: SP, Duration: time.Hour,
 	}}}
@@ -260,8 +280,8 @@ func TestInvokeRejectsUninstallablePrefix(t *testing.T) {
 	if err := s.Settle(); err != nil {
 		t.Fatal(err)
 	}
-	if victim.Stats().Get(MetricCtrlInvokesRejected) != 1 {
-		t.Fatalf("rejects = %d, want 1", victim.Stats().Get(MetricCtrlInvokesRejected))
+	if victim.Stats().Get(metricCtrlInvokesRejected) != 1 {
+		t.Fatalf("rejects = %d, want 1", victim.Stats().Get(metricCtrlInvokesRejected))
 	}
 	p := peer.peers[1004]
 	if len(p.installed) != 1 {
@@ -329,7 +349,7 @@ func TestRekeyKeepsTrafficFlowing(t *testing.T) {
 	}
 	// AS1001 rekeys toward 1004. Until the ack arrives, stamping uses
 	// the old key; the victim accepts both during the overlap.
-	if err := s.Controllers[1001].Rekey(1004); err != nil {
+	if err := rekey(s.Controllers[1001], 1004); err != nil {
 		t.Fatal(err)
 	}
 	// Before settle: old key still stamps.
@@ -348,10 +368,10 @@ func TestRekeyAll(t *testing.T) {
 	s := testInternet(t)
 	deploy(t, s, 1001, 1003, 1004)
 	c := s.Controllers[1001]
-	c.RekeyAll()
+	rekeyAll(c)
 	s.Settle()
 	if !c.KeysReadyWith(1003) || !c.KeysReadyWith(1004) {
-		t.Fatal("RekeyAll left stamping inactive")
+		t.Fatal("rekeyAll left stamping inactive")
 	}
 }
 
@@ -378,14 +398,14 @@ func TestStaleRekeyTimerKeepsNewerOverlap(t *testing.T) {
 	c1 := s.Controllers[1001]
 	t0 := sim.Now()
 	// First rekey: lands at t0+d, its overlap timer fires at t0+d+overlap.
-	if err := c1.Rekey(1004); err != nil {
+	if err := rekey(c1, 1004); err != nil {
 		t.Fatal(err)
 	}
 	// Second rekey lands at t0+overlap+10ms, just before that timer; its
 	// ack reaches AS1001 at t0+overlap+30ms.
 	d := cfg.CtrlLinkDelay
 	sim.Schedule(t0+cfg.RekeyOverlap-10*time.Millisecond, func() {
-		if err := c1.Rekey(1004); err != nil {
+		if err := rekey(c1, 1004); err != nil {
 			t.Error(err)
 		}
 	})
@@ -439,18 +459,18 @@ func TestDeployErrors(t *testing.T) {
 }
 
 func TestControlMsgRoundTrip(t *testing.T) {
-	m := &ControlMsg{
-		Type: MsgInvoke, From: 42,
+	m := &controlMsg{
+		Type: msgInvoke, From: 42,
 		Invocations: []Invocation{{
 			Prefixes: []netip.Prefix{netip.MustParsePrefix("10.0.0.0/8")},
 			Function: CSP, Duration: time.Hour, Alarm: true,
 		}},
 	}
-	b, err := m.Encode()
+	b, err := m.appendBinary(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeControlMsg(b)
+	got, err := decodeMsg(b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -461,7 +481,7 @@ func TestControlMsgRoundTrip(t *testing.T) {
 	if inv.Function != CSP || inv.Duration != time.Hour || !inv.Alarm || inv.Prefixes[0].String() != "10.0.0.0/8" {
 		t.Fatalf("invocation = %+v", inv)
 	}
-	if _, err := DecodeControlMsg([]byte("{bad")); err == nil {
+	if _, err := decodeMsg([]byte("{bad")); err == nil {
 		t.Fatal("bad JSON accepted")
 	}
 }

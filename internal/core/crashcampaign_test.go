@@ -68,7 +68,7 @@ func crashCampaignScenario(t *testing.T) string {
 
 	// Mid-campaign crash of the victim's controller. Its border routers
 	// stay up and keep enforcing; its control plane goes silent.
-	fullHandshakes := victim.Stats().Get(MetricCtrlHandshakesInitiated) + peer.Stats().Get(MetricCtrlHandshakesInitiated)
+	fullHandshakes := victim.Stats().Get(metricCtrlHandshakesInitiated) + peer.Stats().Get(metricCtrlHandshakesInitiated)
 	if err := s.Crash(1004); err != nil {
 		t.Fatal(err)
 	}
@@ -77,12 +77,12 @@ func crashCampaignScenario(t *testing.T) string {
 	if peer.Stats().Get(MetricCtrlPeersDeclaredDead) != 1 {
 		t.Fatalf("peer never declared the victim dead (stat %d)", peer.Stats().Get(MetricCtrlPeersDeclaredDead))
 	}
-	if s.Router(1001).Tables.Keys.StampKey(1004) != nil {
+	if keyS(s.Router(1001).Tables.Keys, 1004) != nil {
 		t.Fatal("peer still stamping toward the dead victim")
 	}
 	withdrawn := 0
 	for _, ft := range s.Router(1001).Tables.In {
-		withdrawn += ft.Len()
+		withdrawn += ft.numPrefixes()
 	}
 	if withdrawn != 0 {
 		t.Fatalf("campaign table entries not withdrawn at the peer: %d left", withdrawn)
@@ -111,22 +111,22 @@ func crashCampaignScenario(t *testing.T) string {
 		t.Fatal(err)
 	}
 
-	if st, _ := peer.PeerStatusOf(1004); st != PeerEstablished {
+	if st, _ := peer.PeerStatusOf(1004); st != peerEstablished {
 		t.Fatalf("recovery: peer→victim status %v", st)
 	}
-	if st, _ := victim.PeerStatusOf(1001); st != PeerEstablished {
+	if st, _ := victim.PeerStatusOf(1001); st != peerEstablished {
 		t.Fatalf("recovery: victim→peer status %v", st)
 	}
 	if !victim.KeysReadyWith(1001) || !peer.KeysReadyWith(1004) {
 		t.Fatal("recovery: keys not re-deployed")
 	}
-	if victim.Stats().Get(MetricCtrlCampaignResyncs) == 0 {
+	if victim.Stats().Get(metricCtrlCampaignResyncs) == 0 {
 		t.Fatal("recovery: campaign never re-driven from the journal")
 	}
-	if victim.Stats().Get(MetricCtrlResumesInitiated)+peer.Stats().Get(MetricCtrlResumesInitiated) == 0 {
+	if victim.Stats().Get(metricCtrlResumesInitiated)+peer.Stats().Get(metricCtrlResumesInitiated) == 0 {
 		t.Fatal("recovery: no abbreviated handshake was attempted")
 	}
-	if got := victim.Stats().Get(MetricCtrlHandshakesInitiated) + peer.Stats().Get(MetricCtrlHandshakesInitiated); got != fullHandshakes {
+	if got := victim.Stats().Get(metricCtrlHandshakesInitiated) + peer.Stats().Get(metricCtrlHandshakesInitiated); got != fullHandshakes {
 		t.Fatalf("recovery ran %d full handshakes; resumption should need none", got-fullHandshakes)
 	}
 	if !legit() {
@@ -140,11 +140,11 @@ func crashCampaignScenario(t *testing.T) string {
 	return fmt.Sprintf(
 		"now=%v lost=%d crashdropped=%d peerRetries=%d victimRetries=%d dead=%d resyncs=%d resumesI=%d resumesR=%d fallbacks=%d hb=%d msgs=%d/%d",
 		sim.Now(), fs.Get(netsim.MetricLost), fs.Get(netsim.MetricCrashDropped), peer.Stats().Get(MetricCtrlRetries), victim.Stats().Get(MetricCtrlRetries),
-		peer.Stats().Get(MetricCtrlPeersDeclaredDead), victim.Stats().Get(MetricCtrlCampaignResyncs),
-		victim.Stats().Get(MetricCtrlResumesInitiated)+peer.Stats().Get(MetricCtrlResumesInitiated),
-		victim.Stats().Get(MetricCtrlResumesResponded)+peer.Stats().Get(MetricCtrlResumesResponded),
-		victim.Stats().Get(MetricCtrlResumeFallbacks)+peer.Stats().Get(MetricCtrlResumeFallbacks),
-		victim.Stats().Get(MetricCtrlHeartbeatsSent)+peer.Stats().Get(MetricCtrlHeartbeatsSent),
+		peer.Stats().Get(MetricCtrlPeersDeclaredDead), victim.Stats().Get(metricCtrlCampaignResyncs),
+		victim.Stats().Get(metricCtrlResumesInitiated)+peer.Stats().Get(metricCtrlResumesInitiated),
+		victim.Stats().Get(metricCtrlResumesResponded)+peer.Stats().Get(metricCtrlResumesResponded),
+		victim.Stats().Get(metricCtrlResumeFallbacks)+peer.Stats().Get(metricCtrlResumeFallbacks),
+		victim.Stats().Get(metricCtrlHeartbeatsSent)+peer.Stats().Get(metricCtrlHeartbeatsSent),
 		victim.Stats().Get(MetricCtrlMsgsSent)+peer.Stats().Get(MetricCtrlMsgsSent), victim.Stats().Get(MetricCtrlMsgsRecv)+peer.Stats().Get(MetricCtrlMsgsRecv),
 	)
 }

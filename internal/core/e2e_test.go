@@ -307,15 +307,76 @@ func TestE2ETTLExpiryScrubsMark(t *testing.T) {
 	}
 	// The embedded packet carried a freshly stamped mark before
 	// scrubbing; after the DAS border scrub it must NOT verify.
-	key := s.Router(1001).Tables.Keys.StampKey(1004)
+	key := keyS(s.Router(1001).Tables.Keys, 1004)
 	if key == nil {
 		t.Fatal("no stamp key")
 	}
-	if ok, _ := (V4{emb}).Verify(key); ok {
+	if ok, _ := (V4{emb}).verify(key); ok {
 		t.Fatal("attacker can learn a valid mark from ICMP TTL-exceeded")
 	}
 	if s.Router(1001).Stats().ICMPScrubbed != 1 {
 		t.Fatalf("scrub count = %d", s.Router(1001).Stats().ICMPScrubbed)
+	}
+}
+
+// TestE2EHopLimitExpiryScrubsMarkV6 is the IPv6 twin of
+// TestE2ETTLExpiryScrubsMark: a stamped packet whose hop limit runs out
+// at the first transit AS comes back as an ICMPv6 time-exceeded, and
+// the source DAS's border must scrub the DISCS option it embeds.
+func TestE2EHopLimitExpiryScrubsMarkV6(t *testing.T) {
+	s := testInternet(t)
+	for asn, p := range map[topology.ASN]string{
+		1001: "2001:db8:1::/48", 1004: "2001:db8:4::/48", 100: "2001:db8:100::/48",
+	} {
+		if err := s.Net.Topo.AddPrefix(asn, netip.MustParsePrefix(p)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deploy(t, s, 1001, 1004)
+	if _, err := s.Controllers[1004].Invoke(Invocation{
+		Prefixes: []netip.Prefix{netip.MustParsePrefix("2001:db8:4::/48")},
+		Function: CDP, Duration: 24 * time.Hour,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Settle(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Hop limit 1: expires at the first transit AS (AS100).
+	p := &packet.IPv6{
+		HopLimit: 1, Proto: packet.ProtoUDP,
+		Src:     netip.MustParseAddr("2001:db8:1::10"),
+		Dst:     netip.MustParseAddr("2001:db8:4::10"),
+		Payload: []byte("v6 e2e"),
+	}
+	res := s.SendV6(1001, p)
+	if res.Delivered || !res.TTLExpired || res.DroppedAt != 100 {
+		t.Fatalf("result = %+v, want hop-limit expiry at AS100", res)
+	}
+	icmp := res.ICMPv6Returned
+	if icmp == nil {
+		t.Fatal("no ICMPv6 returned")
+	}
+	if icmp.Src != netip.MustParseAddr("2001:db8:100::") || icmp.Dst != p.Src {
+		t.Fatalf("ICMPv6 %v → %v, want AS100's router → %v", icmp.Src, icmp.Dst, p.Src)
+	}
+	emb, ok := packet.ICMPv6Embedded(icmp)
+	if !ok {
+		t.Fatal("no embedded packet in ICMPv6")
+	}
+	if _, has := emb.MarkV6(); !has {
+		t.Fatal("embedded packet carries no DISCS option: it was never stamped")
+	}
+	key := keyS(s.Router(1001).Tables.Keys, 1004)
+	if key == nil {
+		t.Fatal("no stamp key")
+	}
+	if ok, _ := (V6{emb}).verify(key); ok {
+		t.Fatal("attacker can learn a valid mark from ICMPv6 time-exceeded")
+	}
+	if n := s.Router(1001).Stats().ICMPScrubbed; n != 1 {
+		t.Fatalf("scrub count = %d", n)
 	}
 }
 

@@ -53,10 +53,10 @@ type simConn struct{ c *Controller }
 
 func (s simConn) Send(peer string, f transport.Frame) bool {
 	ent := s.c.dir.Lookup(peer)
-	if ent == nil || ent.Node == nil {
+	if ent == nil || ent.node == nil {
 		return false
 	}
-	l := s.c.linkTo(ent.Node)
+	l := s.c.linkTo(ent.node)
 	if l == nil {
 		return false
 	}

@@ -121,7 +121,7 @@ func TestEscalationCapped(t *testing.T) {
 
 // TestPurgeExpired: expired windows are reclaimed by the periodic
 // purge sweep the controller arms on invocation — no manual
-// PurgeExpired call needed.
+// purgeExpired call needed.
 func TestPurgeExpired(t *testing.T) {
 	s := testInternet(t)
 	deploy(t, s, 1004)
@@ -131,20 +131,20 @@ func TestPurgeExpired(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if s.Router(1004).Tables.In[TableInDst].Len() != 1 {
+	if s.Router(1004).Tables.In[TableInDst].numPrefixes() != 1 {
 		t.Fatal("window not installed")
 	}
 	s.Net.Sim.After(2*time.Minute+time.Second, func() {})
 	s.Settle()
 	// The periodic sweep (background events) ran while the clock
 	// advanced past the window end and reclaimed the slot.
-	if s.Router(1004).Tables.In[TableInDst].Len() != 0 {
+	if s.Router(1004).Tables.In[TableInDst].numPrefixes() != 0 {
 		t.Fatal("expired window still present after periodic purge")
 	}
-	if victim.Stats().Get(MetricCtrlPurged) != 1 {
-		t.Fatalf("Purged stat = %d, want 1", victim.Stats().Get(MetricCtrlPurged))
+	if victim.Stats().Get(metricCtrlPurged) != 1 {
+		t.Fatalf("Purged stat = %d, want 1", victim.Stats().Get(metricCtrlPurged))
 	}
-	if n := victim.PurgeExpired(); n != 0 {
+	if n := victim.purgeExpired(); n != 0 {
 		t.Fatalf("manual purge after the sweep removed %d", n)
 	}
 }

@@ -6,27 +6,16 @@ import (
 	"discs/internal/core"
 )
 
-// Parse an operator's invocation triple (§IV-E: who, which, how long).
-func ExampleParseInvocation() {
-	inv, err := core.ParseInvocation("192.0.2.0/24+198.51.100.0/24:CDP:2h:alarm")
+// Parse an operator's invocation triples (§IV-E: who, which, how long).
+func ExampleParseInvocations() {
+	invs, err := core.ParseInvocations("192.0.2.0/24+198.51.100.0/24:CDP:2h:alarm, 203.0.113.0/24:DP")
 	if err != nil {
 		panic(err)
 	}
-	fmt.Println(inv.Function, inv.Duration, inv.Alarm, len(inv.Prefixes))
+	for _, inv := range invs {
+		fmt.Println(inv.Function, inv.Duration, inv.Alarm, len(inv.Prefixes))
+	}
 	// Output:
 	// CDP 2h0m0s true 2
-}
-
-// Table I, programmatically: where each function's operations execute.
-func ExamplePeerOps() {
-	for _, f := range []core.Function{core.DP, core.CDP, core.SP, core.CSP} {
-		for table, ops := range core.PeerOps(f) {
-			fmt.Printf("%v: peers run %v on %v\n", f, ops, table)
-		}
-	}
-	// Unordered output:
-	// DP: peers run DP-filter on Out-Dst
-	// CDP: peers run CDP-stamp on Out-Dst
-	// SP: peers run SP-filter on Out-Src
-	// CSP: peers run CSP-verify on In-Src
+	// DP 24h0m0s false 1
 }

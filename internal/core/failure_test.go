@@ -20,8 +20,8 @@ func prepareOutage(t *testing.T, s *System) *netsim.Link {
 	if _, err := s.Deploy(1004, 2); err != nil {
 		t.Fatal(err)
 	}
-	nodeA := s.Net.Sim.Node(s.Controllers[1001].Name)
-	nodeB := s.Net.Sim.Node(s.Controllers[1004].Name)
+	nodeA := s.Net.Sim.Node(s.Controllers[1001].name)
+	nodeB := s.Net.Sim.Node(s.Controllers[1004].name)
 	l := nodeA.UpLink(nodeB)
 	if l == nil {
 		t.Fatal("Deploy did not preconnect the controller mesh")
@@ -45,10 +45,10 @@ func TestLossyHandshakeRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	c1, c4 := s.Controllers[1001], s.Controllers[1004]
-	if st, _ := c1.PeerStatusOf(1004); st != PeerEstablished {
+	if st, _ := c1.PeerStatusOf(1004); st != peerEstablished {
 		t.Fatalf("AS1001→AS1004 status %v after recovery", st)
 	}
-	if st, _ := c4.PeerStatusOf(1001); st != PeerEstablished {
+	if st, _ := c4.PeerStatusOf(1001); st != peerEstablished {
 		t.Fatalf("AS1004→AS1001 status %v after recovery", st)
 	}
 	if !c1.KeysReadyWith(1004) || !c4.KeysReadyWith(1001) {
@@ -61,8 +61,8 @@ func TestLossyHandshakeRecovers(t *testing.T) {
 	pkt := samplePacketV4()
 	pkt.Src = netip.MustParseAddr("172.16.1.10")
 	pkt.Dst = netip.MustParseAddr("172.16.4.10")
-	(V4{pkt}).Stamp(s.Router(1001).Tables.Keys.StampKey(1004))
-	if ok, _, _ := s.Router(1004).Tables.Keys.VerifyMark(1001, V4{pkt}); !ok {
+	(V4{pkt}).stamp(keyS(s.Router(1001).Tables.Keys, 1004))
+	if ok, _, _ := verifyMark(s.Router(1004).Tables.Keys, 1001, V4{pkt}); !ok {
 		t.Fatal("recovered keys are inconsistent")
 	}
 }
@@ -92,15 +92,15 @@ func TestPermanentOutageGivesUp(t *testing.T) {
 	// and let the peering complete — give-up is per-outage, not
 	// forever.
 	l.SetUp(true)
-	c1.HandleAd(c4.Ad())
-	c4.HandleAd(c1.Ad())
+	c1.HandleAd(c4.ad())
+	c4.HandleAd(c1.ad())
 	if err := s.Settle(); err != nil {
 		t.Fatal(err)
 	}
-	if st, _ := c1.PeerStatusOf(1004); st != PeerEstablished {
+	if st, _ := c1.PeerStatusOf(1004); st != peerEstablished {
 		t.Fatalf("AS1001→AS1004 status %v after comeback", st)
 	}
-	if st, _ := c4.PeerStatusOf(1001); st != PeerEstablished {
+	if st, _ := c4.PeerStatusOf(1001); st != peerEstablished {
 		t.Fatalf("AS1004→AS1001 status %v after comeback", st)
 	}
 	if !c1.KeysReadyWith(1004) || !c4.KeysReadyWith(1001) {
@@ -138,11 +138,11 @@ func TestLossSweepConverges(t *testing.T) {
 				t.Fatal(err)
 			}
 			c1, c4 := s.Controllers[1001], s.Controllers[1004]
-			if st, _ := c1.PeerStatusOf(1004); st != PeerEstablished {
+			if st, _ := c1.PeerStatusOf(1004); st != peerEstablished {
 				t.Fatalf("AS1001→AS1004 status %v under %.0f%% loss (lost %d frames, %d retries)",
 					st, loss*100, sim.Stats().Get(netsim.MetricLost), c1.Stats().Get(MetricCtrlRetries))
 			}
-			if st, _ := c4.PeerStatusOf(1001); st != PeerEstablished {
+			if st, _ := c4.PeerStatusOf(1001); st != peerEstablished {
 				t.Fatalf("AS1004→AS1001 status %v under %.0f%% loss", st, loss*100)
 			}
 			if !c1.KeysReadyWith(1004) || !c4.KeysReadyWith(1001) {
@@ -160,8 +160,8 @@ func TestLossSweepConverges(t *testing.T) {
 			pkt := samplePacketV4()
 			pkt.Src = netip.MustParseAddr("172.16.1.10")
 			pkt.Dst = netip.MustParseAddr("172.16.4.10")
-			(V4{pkt}).Stamp(s.Router(1001).Tables.Keys.StampKey(1004))
-			if ok, _, _ := s.Router(1004).Tables.Keys.VerifyMark(1001, V4{pkt}); !ok {
+			(V4{pkt}).stamp(keyS(s.Router(1001).Tables.Keys, 1004))
+			if ok, _, _ := verifyMark(s.Router(1004).Tables.Keys, 1001, V4{pkt}); !ok {
 				t.Fatalf("keys inconsistent under %.0f%% loss", loss*100)
 			}
 		})
@@ -182,15 +182,15 @@ func TestRetryIdempotentUnderDuplicates(t *testing.T) {
 	p := c1.peers[1004]
 	// Force replays of the full exchange.
 	for i := 0; i < 3; i++ {
-		c1.send(p, &ControlMsg{Type: MsgPeeringRequest, From: c1.AS})
-		c1.send(p, &ControlMsg{
-			Type: MsgKeyDeploy, From: c1.AS, Key: p.stampKey, Serial: p.stampSerial,
+		c1.send(p, &controlMsg{Type: msgPeeringRequest, From: c1.AS})
+		c1.send(p, &controlMsg{
+			Type: msgKeyDeploy, From: c1.AS, Key: p.stampKey, Serial: p.stampSerial,
 		})
 	}
 	if err := s.Settle(); err != nil {
 		t.Fatal(err)
 	}
-	if st, _ := c1.PeerStatusOf(1004); st != PeerEstablished {
+	if st, _ := c1.PeerStatusOf(1004); st != peerEstablished {
 		t.Fatalf("status %v after duplicates", st)
 	}
 	if !c1.KeysReadyWith(1004) {
@@ -200,8 +200,8 @@ func TestRetryIdempotentUnderDuplicates(t *testing.T) {
 	pkt := samplePacketV4()
 	pkt.Src = netip.MustParseAddr("172.16.1.10")
 	pkt.Dst = netip.MustParseAddr("172.16.4.10")
-	(V4{pkt}).Stamp(s.Router(1001).Tables.Keys.StampKey(1004))
-	if ok, _, _ := s.Router(1004).Tables.Keys.VerifyMark(1001, V4{pkt}); !ok {
+	(V4{pkt}).stamp(keyS(s.Router(1001).Tables.Keys, 1004))
+	if ok, _, _ := verifyMark(s.Router(1004).Tables.Keys, 1001, V4{pkt}); !ok {
 		t.Fatal("keys inconsistent after duplicates")
 	}
 }

@@ -158,31 +158,6 @@ var anatomy = map[Function][]anatomyRow{
 	CSP: {{OpCSPStamp, TableOutSrc, false}, {OpCSPVerify, TableInSrc, true}},
 }
 
-// PeerOps returns the operations peer DASes install for function f,
-// keyed by table. PeerOps and VictimOps are Table I as documented API
-// (see ExamplePeerOps); the controller walks anatomy rows directly.
-func PeerOps(f Function) map[TableKind]OpSet {
-	out := make(map[TableKind]OpSet)
-	for _, row := range anatomy[f] {
-		if row.AtPeer {
-			out[row.Table] = out[row.Table].Add(row.Op)
-		}
-	}
-	return out
-}
-
-// VictimOps returns the operations the victim DAS installs locally for
-// function f, keyed by table.
-func VictimOps(f Function) map[TableKind]OpSet {
-	out := make(map[TableKind]OpSet)
-	for _, row := range anatomy[f] {
-		if !row.AtPeer {
-			out[row.Table] = out[row.Table].Add(row.Op)
-		}
-	}
-	return out
-}
-
 // DefaultDuration is the suggested invocation duration; §IV-E1 notes
 // that more than 93% of DDoS attacks last under 24 hours.
 const DefaultDuration = 24 * time.Hour

@@ -2,43 +2,56 @@ package core
 
 import "testing"
 
+// opsOf returns the operations of function f that peer DASes
+// (atPeer) or the victim DAS install, keyed by table: Table I read off
+// the anatomy rows.
+func opsOf(atPeer bool, f Function) map[TableKind]OpSet {
+	out := make(map[TableKind]OpSet)
+	for _, row := range anatomy[f] {
+		if row.AtPeer == atPeer {
+			out[row.Table] = out[row.Table].Add(row.Op)
+		}
+	}
+	return out
+}
+
 // TestTableIAnatomy verifies the function decomposition against
 // Table I of the paper, row by row.
 func TestTableIAnatomy(t *testing.T) {
 	// DP: a single peer-side filter on Out-Dst.
-	peer := PeerOps(DP)
+	peer := opsOf(true, DP)
 	if len(peer) != 1 || !peer[TableOutDst].Has(OpDPFilter) {
 		t.Errorf("DP peer ops = %v", peer)
 	}
-	if len(VictimOps(DP)) != 0 {
-		t.Errorf("DP victim ops = %v, want none", VictimOps(DP))
+	if len(opsOf(false, DP)) != 0 {
+		t.Errorf("DP victim ops = %v, want none", opsOf(false, DP))
 	}
 
 	// CDP: peer stamps on Out-Dst; victim verifies on In-Dst.
-	peer = PeerOps(CDP)
+	peer = opsOf(true, CDP)
 	if len(peer) != 1 || !peer[TableOutDst].Has(OpCDPStamp) {
 		t.Errorf("CDP peer ops = %v", peer)
 	}
-	victim := VictimOps(CDP)
+	victim := opsOf(false, CDP)
 	if len(victim) != 1 || !victim[TableInDst].Has(OpCDPVerify) {
 		t.Errorf("CDP victim ops = %v", victim)
 	}
 
 	// SP: a single peer-side filter on Out-Src.
-	peer = PeerOps(SP)
+	peer = opsOf(true, SP)
 	if len(peer) != 1 || !peer[TableOutSrc].Has(OpSPFilter) {
 		t.Errorf("SP peer ops = %v", peer)
 	}
-	if len(VictimOps(SP)) != 0 {
-		t.Errorf("SP victim ops = %v, want none", VictimOps(SP))
+	if len(opsOf(false, SP)) != 0 {
+		t.Errorf("SP victim ops = %v, want none", opsOf(false, SP))
 	}
 
 	// CSP: victim stamps on Out-Src; peer verifies on In-Src.
-	victim = VictimOps(CSP)
+	victim = opsOf(false, CSP)
 	if len(victim) != 1 || !victim[TableOutSrc].Has(OpCSPStamp) {
 		t.Errorf("CSP victim ops = %v", victim)
 	}
-	peer = PeerOps(CSP)
+	peer = opsOf(true, CSP)
 	if len(peer) != 1 || !peer[TableInSrc].Has(OpCSPVerify) {
 		t.Errorf("CSP peer ops = %v", peer)
 	}
@@ -50,10 +63,10 @@ func TestTableIAnatomy(t *testing.T) {
 func TestPossibleOpsPerTable(t *testing.T) {
 	perTable := map[TableKind]OpSet{}
 	for f := DP; f < numFunctions; f++ {
-		for table, ops := range PeerOps(f) {
+		for table, ops := range opsOf(true, f) {
 			perTable[table] |= ops
 		}
-		for table, ops := range VictimOps(f) {
+		for table, ops := range opsOf(false, f) {
 			perTable[table] |= ops
 		}
 	}

@@ -20,50 +20,50 @@ import (
 // always carries a 16-byte key.
 func FuzzDecodeControlMsg(f *testing.F) {
 	for _, g := range goldenMsgs {
-		b, _ := g.m.Encode()
+		b, _ := g.m.appendBinary(nil)
 		f.Add(b)
 	}
-	f.Add([]byte{byte(MsgInvoke), 7, 1, 200})
+	f.Add([]byte{byte(msgInvoke), 7, 1, 200})
 	f.Add([]byte(`{"type":"key-deploy","from":1,"key":"AAAA","serial":3}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := DecodeControlMsg(data)
+		m, err := decodeMsg(data)
 		if err != nil {
 			return
 		}
-		if m.Type == MsgKeyDeploy && len(m.Key) != keyLen {
+		if m.Type == msgKeyDeploy && len(m.Key) != keyLen {
 			t.Fatalf("key-deploy decoded with a %d-byte key", len(m.Key))
 		}
 		if len(m.Invocations) > len(data)/minInvocationLen {
 			t.Fatalf("%d invocations from %d bytes", len(m.Invocations), len(data))
 		}
-		out, err := m.Encode()
+		out, err := m.appendBinary(nil)
 		if err != nil {
 			t.Fatalf("decoded message fails to encode: %v", err)
 		}
-		again, err := DecodeControlMsg(out)
+		again, err := decodeMsg(out)
 		if err != nil {
 			t.Fatalf("re-encode fails to decode: %v", err)
 		}
 		if !reflect.DeepEqual(again, m) {
 			t.Fatalf("round trip changed the message: %+v vs %+v", again, m)
 		}
-		if _, err := DecodeControlMsg(append(out, 0)); err == nil {
+		if _, err := decodeMsg(append(out, 0)); err == nil {
 			t.Fatal("trailing byte accepted")
 		}
 		for n := 0; n < len(out); n++ {
-			if _, err := DecodeControlMsg(out[:n]); err == nil {
+			if _, err := decodeMsg(out[:n]); err == nil {
 				t.Fatalf("truncation to %d of %d bytes accepted", n, len(out))
 			}
 		}
 		for _, bad := range []byte{0, byte(numMsgTypes), 0xff} {
 			out[0] = bad
-			if _, err := DecodeControlMsg(out); err == nil {
+			if _, err := decodeMsg(out); err == nil {
 				t.Fatalf("type %d accepted", bad)
 			}
 		}
 		// Validation must be total on decoded invocations.
 		for _, inv := range m.Invocations {
-			_ = inv.Validate()
+			_ = inv.validate()
 		}
 	})
 }
@@ -76,11 +76,11 @@ func FuzzParseInvocation(f *testing.F) {
 	f.Add("2001:db8::/48:CSP:30m")
 	f.Add(":::::")
 	f.Fuzz(func(t *testing.T, s string) {
-		inv, err := ParseInvocation(s)
+		inv, err := parseInvocation(s)
 		if err != nil {
 			return
 		}
-		again, err := ParseInvocation(inv.String())
+		again, err := parseInvocation(inv.String())
 		if err != nil {
 			t.Fatalf("String() form %q does not re-parse: %v", inv.String(), err)
 		}
@@ -130,7 +130,7 @@ func newFuzzEnv(tb testing.TB) *fuzzEnv {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	if err := dir.Register(&DirEntry{Name: "ctrl.b", ASN: 2, Pub: peerID.Public(), Node: nb}); err != nil {
+	if err := dir.Register(&DirEntry{Name: "ctrl.b", ASN: 2, Pub: peerID.Public(), node: nb}); err != nil {
 		tb.Fatal(err)
 	}
 	// Run a real handshake from the fake peer: inject its hello, catch
@@ -165,8 +165,8 @@ func newFuzzEnv(tb testing.TB) *fuzzEnv {
 // frames and netsim.CorruptBytes bit-flips, for every frame kind.
 func FuzzCtrlFrame(f *testing.F) {
 	env := newFuzzEnv(f)
-	rec := env.sess.Seal(mustEncode(&ControlMsg{
-		Type: MsgInvoke, From: 2, Serial: 1,
+	rec := env.sess.Seal(mustEncode(&controlMsg{
+		Type: msgInvoke, From: 2, Serial: 1,
 		Invocations: []Invocation{{
 			Prefixes: []netip.Prefix{netip.MustParsePrefix("10.0.0.0/24")},
 			Function: DP, Duration: time.Hour,

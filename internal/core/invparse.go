@@ -7,7 +7,7 @@ import (
 	"time"
 )
 
-// ParseInvocation parses the operator syntax for one invocation triple
+// parseInvocation parses the operator syntax for one invocation triple
 // (§IV-E: "the complete formation of an invocation is a triple
 // (v, f, duration)"):
 //
@@ -23,7 +23,7 @@ import (
 // case-insensitive. Because IPv6 prefixes contain colons, the prefix
 // list is scanned from the right: the last one-to-three segments are
 // interpreted as function[, duration][, alarm].
-func ParseInvocation(s string) (Invocation, error) {
+func parseInvocation(s string) (Invocation, error) {
 	parts := strings.Split(s, ":")
 	// Find the function segment from the right.
 	fnIdx := -1
@@ -62,7 +62,7 @@ func ParseInvocation(s string) (Invocation, error) {
 		}
 		inv.Duration = d
 	}
-	if err := inv.Validate(); err != nil {
+	if err := inv.validate(); err != nil {
 		return Invocation{}, err
 	}
 	return inv, nil
@@ -76,7 +76,7 @@ func ParseInvocations(s string) ([]Invocation, error) {
 		if part == "" {
 			continue
 		}
-		inv, err := ParseInvocation(part)
+		inv, err := parseInvocation(part)
 		if err != nil {
 			return nil, err
 		}

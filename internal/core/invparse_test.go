@@ -6,7 +6,7 @@ import (
 )
 
 func TestParseInvocationBasic(t *testing.T) {
-	inv, err := ParseInvocation("10.0.0.0/24:DP")
+	inv, err := parseInvocation("10.0.0.0/24:DP")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -19,7 +19,7 @@ func TestParseInvocationBasic(t *testing.T) {
 }
 
 func TestParseInvocationFull(t *testing.T) {
-	inv, err := ParseInvocation("10.0.0.0/24+10.1.0.0/24:cdp:90m:alarm")
+	inv, err := parseInvocation("10.0.0.0/24+10.1.0.0/24:cdp:90m:alarm")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +32,7 @@ func TestParseInvocationFull(t *testing.T) {
 }
 
 func TestParseInvocationIPv6(t *testing.T) {
-	inv, err := ParseInvocation("2001:db8::/48:CSP:30m")
+	inv, err := parseInvocation("2001:db8::/48:CSP:30m")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestParseInvocationIPv6(t *testing.T) {
 }
 
 func TestParseInvocationMasksHostBits(t *testing.T) {
-	inv, err := ParseInvocation("10.0.0.7/24:SP")
+	inv, err := parseInvocation("10.0.0.7/24:SP")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestParseInvocationErrors(t *testing.T) {
 		"10.0.0.0/24:DP:1h:wat", // trailing junk
 	}
 	for _, s := range bad {
-		if _, err := ParseInvocation(s); err == nil {
+		if _, err := parseInvocation(s); err == nil {
 			t.Errorf("ParseInvocation(%q) should fail", s)
 		}
 	}
@@ -95,11 +95,11 @@ func TestInvocationStringRoundTrip(t *testing.T) {
 		"10.0.0.0/24+10.1.0.0/24:CDP:1h30m0s:alarm",
 		"2001:db8::/48:CSP:30m0s",
 	} {
-		inv, err := ParseInvocation(s)
+		inv, err := parseInvocation(s)
 		if err != nil {
 			t.Fatalf("%q: %v", s, err)
 		}
-		again, err := ParseInvocation(inv.String())
+		again, err := parseInvocation(inv.String())
 		if err != nil {
 			t.Fatalf("re-parse %q: %v", inv.String(), err)
 		}

@@ -51,8 +51,8 @@ type peerKeys struct {
 
 var emptyKeySnapshot = &keySnapshot{index: &topology.ASNIndex{}}
 
-// NewKeyTable creates empty key tables.
-func NewKeyTable() *KeyTable {
+// newKeyTable creates empty key tables.
+func newKeyTable() *KeyTable {
 	kt := &KeyTable{}
 	kt.snap.Store(emptyKeySnapshot)
 	return kt
@@ -178,50 +178,19 @@ func (kt *KeyTable) dropVerifyKey(peer topology.ASN, k *cmac.CMAC) {
 	})
 }
 
-// RemovePeer deletes all key state for peer (peer teardown or key
+// removePeer deletes all key state for peer (peer teardown or key
 // compromise recovery, §VI-E3).
-func (kt *KeyTable) RemovePeer(peer topology.ASN) {
+func (kt *KeyTable) removePeer(peer topology.ASN) {
 	kt.update(peer, func(pk *peerKeys) { *pk = peerKeys{} })
-}
-
-// StampKey returns the CMAC instance for stamping packets toward peer,
-// or nil when peer is not a peer DAS (Key-S(j) = Null in the paper).
-func (kt *KeyTable) StampKey(peer topology.ASN) *cmac.CMAC {
-	return kt.snap.Load().stampKey(peer)
-}
-
-// HasVerifyKey reports whether a verification key exists for peer —
-// the "src ∈ peer" predicate of CDP-verify (Table I).
-func (kt *KeyTable) HasVerifyKey(peer topology.ASN) bool {
-	return kt.snap.Load().verifyKeys(peer) != nil
-}
-
-// VerifyMark checks a packet's mark against peer's current key, and
-// during a rekey window also against the previous key. It reports
-// (valid, keyKnown, macs): keyKnown is false when peer has no
-// verification key at all, and macs is the number of CMAC computations
-// performed — up to two during a rekey window, zero when the packet
-// cannot carry a mark — so callers can account crypto cost faithfully
-// (§VI-C2).
-func (kt *KeyTable) VerifyMark(peer topology.ASN, carrier MarkCarrier) (valid, keyKnown bool, macs int) {
-	vk := kt.snap.Load().verifyKeys(peer)
-	if vk == nil {
-		return false, false, 0
-	}
-	valid, macs = vk.verify(carrier)
-	return valid, true, macs
 }
 
 // verify checks carrier's mark against the current Key-V and, during a
 // rekey window, the previous one (§IV-D), returning the CMACs computed.
 func (pk *peerKeys) verify(carrier MarkCarrier) (valid bool, macs int) {
-	ok, n := carrier.Verify(pk.current)
+	ok, n := carrier.verify(pk.current)
 	if ok || pk.previous == nil {
 		return ok, n
 	}
-	ok, m := carrier.Verify(pk.previous)
+	ok, m := carrier.verify(pk.previous)
 	return ok, n + m
 }
-
-// NumPeers returns the number of peers with any key state.
-func (kt *KeyTable) NumPeers() int { return kt.snap.Load().index.Len() }

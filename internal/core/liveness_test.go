@@ -27,7 +27,7 @@ func TestDeadPeerDetectionAndPurge(t *testing.T) {
 	fastLiveness(&s.cfg)
 	deploy(t, s, 1001, 1004)
 	c1 := s.Controllers[1001]
-	if s.Router(1001).Tables.Keys.StampKey(1004) == nil {
+	if keyS(s.Router(1001).Tables.Keys, 1004) == nil {
 		t.Fatal("no stamp key before the crash")
 	}
 
@@ -38,7 +38,7 @@ func TestDeadPeerDetectionAndPurge(t *testing.T) {
 	// t+8s; stop before the first reconnect probe (armed for ≥ t+13s)
 	// moves the FSM on.
 	s.Net.Sim.Run(s.Net.Sim.Now() + 10*time.Second)
-	if st, _ := c1.PeerStatusOf(1004); st != PeerDead {
+	if st, _ := c1.PeerStatusOf(1004); st != peerDead {
 		t.Fatalf("AS1001→AS1004 status %v, want dead", st)
 	}
 	if c1.Stats().Get(MetricCtrlPeersDeclaredDead) != 1 {
@@ -47,10 +47,10 @@ func TestDeadPeerDetectionAndPurge(t *testing.T) {
 	// Probing may later move the FSM to requested, but the peer stays
 	// un-established and the purge sticks while it is down.
 	s.Net.Sim.Run(s.Net.Sim.Now() + 20*time.Second)
-	if s.Router(1001).Tables.Keys.StampKey(1004) != nil {
+	if keyS(s.Router(1001).Tables.Keys, 1004) != nil {
 		t.Fatal("stamp key toward the dead peer not purged")
 	}
-	if s.Router(1001).Tables.Keys.HasVerifyKey(1004) {
+	if hasKeyV(s.Router(1001).Tables.Keys, 1004) {
 		t.Fatal("verify key for the dead peer not purged")
 	}
 	// The survivor itself must not think it is dead to anyone else: a
@@ -69,7 +69,7 @@ func TestRestartResumesSession(t *testing.T) {
 	fastLiveness(&s.cfg)
 	deploy(t, s, 1001, 1004)
 	c1, c4 := s.Controllers[1001], s.Controllers[1004]
-	fullBefore := c1.Stats().Get(MetricCtrlHandshakesInitiated) + c4.Stats().Get(MetricCtrlHandshakesInitiated)
+	fullBefore := c1.Stats().Get(metricCtrlHandshakesInitiated) + c4.Stats().Get(metricCtrlHandshakesInitiated)
 
 	if err := s.Crash(1004); err != nil {
 		t.Fatal(err)
@@ -89,22 +89,22 @@ func TestRestartResumesSession(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if st, _ := c1.PeerStatusOf(1004); st != PeerEstablished {
+	if st, _ := c1.PeerStatusOf(1004); st != peerEstablished {
 		t.Fatalf("AS1001→AS1004 status %v after restart", st)
 	}
-	if st, _ := c4.PeerStatusOf(1001); st != PeerEstablished {
+	if st, _ := c4.PeerStatusOf(1001); st != peerEstablished {
 		t.Fatalf("AS1004→AS1001 status %v after restart", st)
 	}
 	if !c1.KeysReadyWith(1004) || !c4.KeysReadyWith(1001) {
 		t.Fatal("keys not re-deployed after restart")
 	}
-	if got := c1.Stats().Get(MetricCtrlHandshakesInitiated) + c4.Stats().Get(MetricCtrlHandshakesInitiated); got != fullBefore {
+	if got := c1.Stats().Get(metricCtrlHandshakesInitiated) + c4.Stats().Get(metricCtrlHandshakesInitiated); got != fullBefore {
 		t.Fatalf("full handshakes went %d→%d; recovery must use resumption", fullBefore, got)
 	}
-	if c1.Stats().Get(MetricCtrlResumesInitiated)+c4.Stats().Get(MetricCtrlResumesInitiated) == 0 {
+	if c1.Stats().Get(metricCtrlResumesInitiated)+c4.Stats().Get(metricCtrlResumesInitiated) == 0 {
 		t.Fatal("no abbreviated handshakes initiated during recovery")
 	}
-	if c1.Stats().Get(MetricCtrlResumesResponded)+c4.Stats().Get(MetricCtrlResumesResponded) == 0 {
+	if c1.Stats().Get(metricCtrlResumesResponded)+c4.Stats().Get(metricCtrlResumesResponded) == 0 {
 		t.Fatal("no abbreviated handshakes responded during recovery")
 	}
 }
@@ -124,19 +124,19 @@ func TestResumeFallbackToFullHandshake(t *testing.T) {
 	delete(c4.resumeCache, topology.ASN(1001))
 	p := c1.peers[1004]
 	p.out = nil
-	fullBefore := c1.Stats().Get(MetricCtrlHandshakesInitiated) + c4.Stats().Get(MetricCtrlHandshakesInitiated)
+	fullBefore := c1.Stats().Get(metricCtrlHandshakesInitiated) + c4.Stats().Get(metricCtrlHandshakesInitiated)
 
-	if err := c1.Rekey(1004); err != nil {
+	if err := rekey(c1, 1004); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Settle(); err != nil {
 		t.Fatal(err)
 	}
 
-	if c1.Stats().Get(MetricCtrlResumeFallbacks) != 1 {
-		t.Fatalf("ResumeFallbacks = %d, want 1", c1.Stats().Get(MetricCtrlResumeFallbacks))
+	if c1.Stats().Get(metricCtrlResumeFallbacks) != 1 {
+		t.Fatalf("ResumeFallbacks = %d, want 1", c1.Stats().Get(metricCtrlResumeFallbacks))
 	}
-	if got := c1.Stats().Get(MetricCtrlHandshakesInitiated) + c4.Stats().Get(MetricCtrlHandshakesInitiated); got != fullBefore+1 {
+	if got := c1.Stats().Get(metricCtrlHandshakesInitiated) + c4.Stats().Get(metricCtrlHandshakesInitiated); got != fullBefore+1 {
 		t.Fatalf("full handshakes went %d→%d, want exactly one fallback handshake", fullBefore, got)
 	}
 	if !c1.KeysReadyWith(1004) {
@@ -196,10 +196,10 @@ func TestHeartbeatsDoNotPreventSettle(t *testing.T) {
 	// Heartbeats do run when something else drives the clock forward.
 	c1 := s.Controllers[1001]
 	s.Net.Sim.Run(s.Net.Sim.Now() + 2*c1.cfg.HeartbeatInterval)
-	if c1.Stats().Get(MetricCtrlHeartbeatsSent) == 0 {
+	if c1.Stats().Get(metricCtrlHeartbeatsSent) == 0 {
 		t.Fatal("no heartbeats sent while the clock advanced")
 	}
-	if st, _ := c1.PeerStatusOf(1004); st != PeerEstablished {
+	if st, _ := c1.PeerStatusOf(1004); st != peerEstablished {
 		t.Fatalf("healthy peer degraded to %v under heartbeats", st)
 	}
 }

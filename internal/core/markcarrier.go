@@ -13,7 +13,7 @@ import (
 // option for IPv6 (§V-F). The interface is sealed: V4 and V6 are its
 // only implementations.
 //
-// Stamp and Verify return the number of CMAC computations they ran so
+// stamp and verify return the number of CMAC computations they ran so
 // the router's MACsComputed counter reflects actual crypto cost
 // (§VI-C2): a failed IPv6 stamp still computed its MAC, while a missing
 // IPv6 option fails verification without computing anything.
@@ -21,20 +21,17 @@ type MarkCarrier interface {
 	// SrcAddr and DstAddr return the packet's addresses.
 	SrcAddr() netip.Addr
 	DstAddr() netip.Addr
-	// Stamp writes the truncated CMAC of the packet's msg fields and
+	// stamp writes the truncated CMAC of the packet's msg fields and
 	// returns the number of CMACs computed (even when err != nil).
-	Stamp(c *cmac.CMAC) (macs int, err error)
-	// Verify checks the mark against the key and returns the number of
+	stamp(c *cmac.CMAC) (macs int, err error)
+	// verify checks the mark against the key and returns the number of
 	// CMACs computed. For IPv4 the mark fields always exist, so an
 	// unstamped packet simply fails verification; for IPv6 a missing
 	// DISCS option fails verification with zero computations.
-	Verify(c *cmac.CMAC) (ok bool, macs int)
-	// Erase removes the mark: IPv4 replaces the fields with the given
+	verify(c *cmac.CMAC) (ok bool, macs int)
+	// erase removes the mark: IPv4 replaces the fields with the given
 	// bits, IPv6 strips the DISCS option.
-	Erase(random uint32)
-	// MarkBits returns the mark width (29 for IPv4, 32 for IPv6),
-	// which determines the brute-force forgery factor (§VI-E1).
-	MarkBits() int
+	erase(random uint32)
 
 	// unwrap returns the wrapped packet: exactly one result is non-nil.
 	unwrap() (*packet.IPv4, *packet.IPv6)
@@ -49,25 +46,22 @@ func (w V4) SrcAddr() netip.Addr { return w.P.Src }
 // DstAddr returns the destination address.
 func (w V4) DstAddr() netip.Addr { return w.P.Dst }
 
-// Stamp writes the 29-bit truncated CMAC into IPID+FragOffset.
-func (w V4) Stamp(c *cmac.CMAC) (int, error) {
+// stamp writes the 29-bit truncated CMAC into IPID+FragOffset.
+func (w V4) stamp(c *cmac.CMAC) (int, error) {
 	m := w.P.Msg()
 	w.P.SetMark(c.Sum29(m[:]))
 	return 1, nil
 }
 
-// Verify recomputes the 29-bit CMAC and compares.
-func (w V4) Verify(c *cmac.CMAC) (bool, int) {
+// verify recomputes the 29-bit CMAC and compares.
+func (w V4) verify(c *cmac.CMAC) (bool, int) {
 	m := w.P.Msg()
 	return c.Verify29(m[:], w.P.Mark()), 1
 }
 
-// Erase replaces the mark fields with the supplied bits (§V-E: random
+// erase replaces the mark fields with the supplied bits (§V-E: random
 // bits after successful verification).
-func (w V4) Erase(random uint32) { w.P.ScrubMark(random) }
-
-// MarkBits returns 29.
-func (w V4) MarkBits() int { return 29 }
+func (w V4) erase(random uint32) { w.P.ScrubMark(random) }
 
 func (w V4) unwrap() (*packet.IPv4, *packet.IPv6) { return w.P, nil }
 
@@ -80,17 +74,17 @@ func (w V6) SrcAddr() netip.Addr { return w.P.Src }
 // DstAddr returns the destination address.
 func (w V6) DstAddr() netip.Addr { return w.P.Dst }
 
-// Stamp inserts the DISCS destination option carrying the 32-bit
+// stamp inserts the DISCS destination option carrying the 32-bit
 // truncated CMAC. The CMAC is computed before the option insertion can
 // fail, so macs is 1 even on error.
-func (w V6) Stamp(c *cmac.CMAC) (int, error) {
+func (w V6) stamp(c *cmac.CMAC) (int, error) {
 	m := w.P.Msg()
 	return 1, w.P.StampV6(c.Sum32(m[:]))
 }
 
-// Verify checks the DISCS option; an absent option fails without
+// verify checks the DISCS option; an absent option fails without
 // computing a CMAC.
-func (w V6) Verify(c *cmac.CMAC) (bool, int) {
+func (w V6) verify(c *cmac.CMAC) (bool, int) {
 	mac, ok := w.P.MarkV6()
 	if !ok {
 		return false, 0
@@ -99,12 +93,9 @@ func (w V6) Verify(c *cmac.CMAC) (bool, int) {
 	return c.Verify32(m[:], mac), 1
 }
 
-// Erase removes the DISCS option (and the destination options header
+// erase removes the DISCS option (and the destination options header
 // when empty).
-func (w V6) Erase(uint32) { w.P.UnstampV6() }
-
-// MarkBits returns 32.
-func (w V6) MarkBits() int { return 32 }
+func (w V6) erase(uint32) { w.P.UnstampV6() }
 
 func (w V6) unwrap() (*packet.IPv4, *packet.IPv6) { return nil, w.P }
 

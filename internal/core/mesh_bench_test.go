@@ -52,7 +52,7 @@ func BenchmarkMeshFormation(b *testing.B) {
 				cpu += processCPU() - c0
 				st := sys.Stats()
 				msgs += st.Sum(MetricCtrlMsgsSent)
-				handshakes += st.Sum(MetricCtrlHandshakesInitiated)
+				handshakes += st.Sum(metricCtrlHandshakesInitiated)
 				if got := len(sys.Controllers[deployers[0]].Peers()); got != n-1 {
 					b.Fatalf("AS%d peers with %d DAS, want %d", deployers[0], got, n-1)
 				}

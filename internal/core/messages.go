@@ -12,48 +12,48 @@ import (
 	"discs/internal/topology"
 )
 
-// MsgType enumerates controller-to-controller messages. On the wire it
+// msgType enumerates controller-to-controller messages. On the wire it
 // is the message's first byte.
-type MsgType uint8
+type msgType uint8
 
 // Control-plane message types (§IV). Peering setup, key negotiation,
 // function invocation and alarm control.
 const (
-	MsgPeeringRequest MsgType = iota + 1
-	MsgPeeringAccept
-	MsgPeeringReject
-	MsgKeyDeploy
-	MsgKeyAck
-	MsgInvoke
-	MsgInvokeAck
-	MsgInvokeReject
-	MsgQuitAlarm
+	msgPeeringRequest msgType = iota + 1
+	msgPeeringAccept
+	msgPeeringReject
+	msgKeyDeploy
+	msgKeyAck
+	msgInvoke
+	msgInvokeAck
+	msgInvokeReject
+	msgQuitAlarm
 	// Liveness keepalives on established peerings: any authenticated
 	// traffic proves the peer alive, the heartbeat just guarantees a
 	// floor on how often such traffic exists.
-	MsgHeartbeat
-	MsgHeartbeatAck
+	msgHeartbeat
+	msgHeartbeatAck
 
 	numMsgTypes
 )
 
 var msgTypeNames = [numMsgTypes]string{
-	MsgPeeringRequest: "peering-request",
-	MsgPeeringAccept:  "peering-accept",
-	MsgPeeringReject:  "peering-reject",
-	MsgKeyDeploy:      "key-deploy",
-	MsgKeyAck:         "key-ack",
-	MsgInvoke:         "invoke",
-	MsgInvokeAck:      "invoke-ack",
-	MsgInvokeReject:   "invoke-reject",
-	MsgQuitAlarm:      "quit-alarm",
-	MsgHeartbeat:      "heartbeat",
-	MsgHeartbeatAck:   "heartbeat-ack",
+	msgPeeringRequest: "peering-request",
+	msgPeeringAccept:  "peering-accept",
+	msgPeeringReject:  "peering-reject",
+	msgKeyDeploy:      "key-deploy",
+	msgKeyAck:         "key-ack",
+	msgInvoke:         "invoke",
+	msgInvokeAck:      "invoke-ack",
+	msgInvokeReject:   "invoke-reject",
+	msgQuitAlarm:      "quit-alarm",
+	msgHeartbeat:      "heartbeat",
+	msgHeartbeatAck:   "heartbeat-ack",
 }
 
-func (t MsgType) valid() bool { return t > 0 && t < numMsgTypes }
+func (t msgType) valid() bool { return t > 0 && t < numMsgTypes }
 
-func (t MsgType) String() string {
+func (t msgType) String() string {
 	if t.valid() {
 		return msgTypeNames[t]
 	}
@@ -102,10 +102,10 @@ func readInvocation(r *snapcodec.Reader) Invocation {
 	return inv
 }
 
-// Validate checks structural sanity. Every prefix must be one the
+// validate checks structural sanity. Every prefix must be one the
 // function tables accept (lpm.Canon), so an invocation that validates
 // installs in full on every router and is withdrawn in full.
-func (inv Invocation) Validate() error {
+func (inv Invocation) validate() error {
 	if len(inv.Prefixes) == 0 {
 		return fmt.Errorf("core: invocation without prefixes")
 	}
@@ -123,22 +123,22 @@ func (inv Invocation) Validate() error {
 	return nil
 }
 
-// ControlMsg is the payload of a protected con-con record. Which fields
+// controlMsg is the payload of a protected con-con record. Which fields
 // a message carries depends on its type (see the message layout below).
-type ControlMsg struct {
-	Type MsgType
+type controlMsg struct {
+	Type msgType
 	From topology.ASN
 
-	// MsgPeeringReject / MsgInvokeReject
+	// msgPeeringReject / msgInvokeReject
 	Reason string
 
-	// MsgKeyDeploy: Key is key_{from,to}; Serial orders rekeys.
+	// msgKeyDeploy: Key is key_{from,to}; Serial orders rekeys.
 	Key    []byte
 	Serial uint64
 
-	// MsgKeyAck echoes Serial.
+	// msgKeyAck echoes Serial.
 
-	// MsgInvoke
+	// msgInvoke
 	Invocations []Invocation
 }
 
@@ -168,21 +168,18 @@ const (
 )
 
 var msgFields = [numMsgTypes]uint8{
-	MsgPeeringReject: hasReason,
-	MsgKeyDeploy:     hasSerial | hasKey,
-	MsgKeyAck:        hasSerial,
-	MsgInvoke:        hasSerial | hasInvocations,
-	MsgInvokeAck:     hasSerial,
-	MsgInvokeReject:  hasSerial | hasReason,
+	msgPeeringReject: hasReason,
+	msgKeyDeploy:     hasSerial | hasKey,
+	msgKeyAck:        hasSerial,
+	msgInvoke:        hasSerial | hasInvocations,
+	msgInvokeAck:     hasSerial,
+	msgInvokeReject:  hasSerial | hasReason,
 }
 
-// Encode serializes the message. It refuses an unknown type and a field
-// the type does not carry, so nothing set on a message is silently
-// lost on the wire.
-func (m *ControlMsg) Encode() ([]byte, error) { return m.AppendBinary(nil) }
-
-// AppendBinary appends the encoded message to b.
-func (m *ControlMsg) AppendBinary(b []byte) ([]byte, error) {
+// appendBinary appends the encoded message to b. It refuses an unknown
+// type and a field the type does not carry, so nothing set on a message
+// is silently lost on the wire.
+func (m *controlMsg) appendBinary(b []byte) ([]byte, error) {
 	if !m.Type.valid() {
 		return b, fmt.Errorf("core: encode: unknown message type %d", uint8(m.Type))
 	}
@@ -217,19 +214,10 @@ func (m *ControlMsg) AppendBinary(b []byte) ([]byte, error) {
 	return w.Appended(), nil
 }
 
-// DecodeControlMsg parses a message.
-func DecodeControlMsg(b []byte) (*ControlMsg, error) {
-	var m ControlMsg
-	if err := m.decode(b); err != nil {
-		return nil, err
-	}
-	return &m, nil
-}
-
 // decode parses b into m; on success every field of m is overwritten.
-func (m *ControlMsg) decode(b []byte) error {
+func (m *controlMsg) decode(b []byte) error {
 	r := snapcodec.NewReader(b)
-	t := MsgType(r.U8())
+	t := msgType(r.U8())
 	from := r.Uvarint()
 	if r.Err() != nil {
 		return fmt.Errorf("core: bad control message: %w", r.Err())
@@ -240,7 +228,7 @@ func (m *ControlMsg) decode(b []byte) error {
 	if from > math.MaxUint32 {
 		return fmt.Errorf("core: bad control message: sender AS %d out of range", from)
 	}
-	*m = ControlMsg{Type: t, From: topology.ASN(from)}
+	*m = controlMsg{Type: t, From: topology.ASN(from)}
 	f := msgFields[t]
 	if f&hasSerial != 0 {
 		m.Serial = r.Uvarint()

@@ -11,8 +11,17 @@ import (
 	"discs/internal/topology"
 )
 
-func mustEncode(m *ControlMsg) []byte {
-	b, err := m.Encode()
+// decodeMsg parses b into a fresh message.
+func decodeMsg(b []byte) (*controlMsg, error) {
+	var m controlMsg
+	if err := m.decode(b); err != nil {
+		return nil, err
+	}
+	return &m, nil
+}
+
+func mustEncode(m *controlMsg) []byte {
+	b, err := m.appendBinary(nil)
 	if err != nil {
 		panic(err)
 	}
@@ -23,38 +32,38 @@ var testKey = []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15}
 
 // goldenMsgs is one message of every type with its wire bytes.
 var goldenMsgs = []struct {
-	m   ControlMsg
+	m   controlMsg
 	hex string
 }{
-	{ControlMsg{Type: MsgPeeringRequest, From: 7}, "0107"},
-	{ControlMsg{Type: MsgPeeringAccept, From: 7}, "0207"},
-	{ControlMsg{Type: MsgPeeringReject, From: 7, Reason: "blacklisted"}, "03070b" + hex.EncodeToString([]byte("blacklisted"))},
-	{ControlMsg{Type: MsgKeyDeploy, From: 7, Key: testKey, Serial: 3}, "04070310000102030405060708090a0b0c0d0e0f"},
-	{ControlMsg{Type: MsgKeyAck, From: 7, Serial: 3}, "050703"},
-	{ControlMsg{Type: MsgInvoke, From: 300, Serial: 2, Invocations: []Invocation{{
+	{controlMsg{Type: msgPeeringRequest, From: 7}, "0107"},
+	{controlMsg{Type: msgPeeringAccept, From: 7}, "0207"},
+	{controlMsg{Type: msgPeeringReject, From: 7, Reason: "blacklisted"}, "03070b" + hex.EncodeToString([]byte("blacklisted"))},
+	{controlMsg{Type: msgKeyDeploy, From: 7, Key: testKey, Serial: 3}, "04070310000102030405060708090a0b0c0d0e0f"},
+	{controlMsg{Type: msgKeyAck, From: 7, Serial: 3}, "050703"},
+	{controlMsg{Type: msgInvoke, From: 300, Serial: 2, Invocations: []Invocation{{
 		Prefixes: []netip.Prefix{netip.MustParsePrefix("10.0.0.0/24")},
 		Function: CDP, Duration: time.Hour, Alarm: true,
 	}}}, "06ac02020101040a00000018" + "01" + "8080c58bc6d101" + "01"},
-	{ControlMsg{Type: MsgInvokeAck, From: 7, Serial: 2}, "070702"},
-	{ControlMsg{Type: MsgInvokeReject, From: 7, Serial: 2, Reason: "not a peer"}, "0807020a" + hex.EncodeToString([]byte("not a peer"))},
-	{ControlMsg{Type: MsgQuitAlarm, From: 7}, "0907"},
-	{ControlMsg{Type: MsgHeartbeat, From: 7}, "0a07"},
-	{ControlMsg{Type: MsgHeartbeatAck, From: 7}, "0b07"},
+	{controlMsg{Type: msgInvokeAck, From: 7, Serial: 2}, "070702"},
+	{controlMsg{Type: msgInvokeReject, From: 7, Serial: 2, Reason: "not a peer"}, "0807020a" + hex.EncodeToString([]byte("not a peer"))},
+	{controlMsg{Type: msgQuitAlarm, From: 7}, "0907"},
+	{controlMsg{Type: msgHeartbeat, From: 7}, "0a07"},
+	{controlMsg{Type: msgHeartbeatAck, From: 7}, "0b07"},
 }
 
 // TestControlMsgGolden pins the wire bytes of every message type and
 // decodes them back.
 func TestControlMsgGolden(t *testing.T) {
-	seen := map[MsgType]bool{}
+	seen := map[msgType]bool{}
 	for _, g := range goldenMsgs {
-		b, err := g.m.Encode()
+		b, err := g.m.appendBinary(nil)
 		if err != nil {
 			t.Fatalf("%v: %v", g.m.Type, err)
 		}
 		if got := hex.EncodeToString(b); got != g.hex {
 			t.Errorf("%v encodes to %s, want %s", g.m.Type, got, g.hex)
 		}
-		back, err := DecodeControlMsg(b)
+		back, err := decodeMsg(b)
 		if err != nil {
 			t.Fatalf("%v: decode: %v", g.m.Type, err)
 		}
@@ -63,7 +72,7 @@ func TestControlMsgGolden(t *testing.T) {
 		}
 		seen[g.m.Type] = true
 	}
-	for mt := MsgType(1); mt < numMsgTypes; mt++ {
+	for mt := msgType(1); mt < numMsgTypes; mt++ {
 		if !seen[mt] {
 			t.Errorf("no golden message for %v", mt)
 		}
@@ -73,7 +82,7 @@ func TestControlMsgGolden(t *testing.T) {
 // TestControlMsgDecodeRejects: the decoder refuses what the layout does
 // not allow, before allocating anything sized by the input.
 func TestControlMsgDecodeRejects(t *testing.T) {
-	deploy, _ := (&ControlMsg{Type: MsgKeyDeploy, From: 7, Key: testKey, Serial: 3}).Encode()
+	deploy, _ := (&controlMsg{Type: msgKeyDeploy, From: 7, Key: testKey, Serial: 3}).appendBinary(nil)
 	short := append(append([]byte{}, deploy[:3]...), 15)
 	short = append(short, testKey[:15]...)
 	long := append(append([]byte{}, deploy[:3]...), 17)
@@ -83,23 +92,23 @@ func TestControlMsgDecodeRejects(t *testing.T) {
 		"type 0":            {0, 7},
 		"unknown type":      {byte(numMsgTypes), 7},
 		"type 0xff":         {0xff, 7},
-		"no sender":         {byte(MsgHeartbeat)},
-		"sender > 32 bits":  {byte(MsgHeartbeat), 0x80, 0x80, 0x80, 0x80, 0x10},
+		"no sender":         {byte(msgHeartbeat)},
+		"sender > 32 bits":  {byte(msgHeartbeat), 0x80, 0x80, 0x80, 0x80, 0x10},
 		"trailing byte":     append(append([]byte{}, deploy...), 0),
 		"truncated key":     deploy[:len(deploy)-1],
 		"15-byte key":       short,
 		"17-byte key":       long,
-		"empty key":         {byte(MsgKeyDeploy), 7, 3, 0},
-		"count > input":     {byte(MsgInvoke), 7, 1, 200},
-		"huge count":        {byte(MsgInvoke), 7, 1, 0xff, 0xff, 0xff, 0xff, 0x0f},
-		"prefixes > input":  {byte(MsgInvoke), 7, 1, 1, 100, 1, 1, 0},
-		"reason > input":    {byte(MsgPeeringReject), 7, 5, 'a'},
-		"bad alarm flag":    {byte(MsgInvoke), 7, 1, 1, 0, 1, 2, 2},
-		"invalid prefix":    {byte(MsgInvoke), 7, 1, 1, 1, 4, 10, 0, 0, 0, 33, 1, 2, 0},
+		"empty key":         {byte(msgKeyDeploy), 7, 3, 0},
+		"count > input":     {byte(msgInvoke), 7, 1, 200},
+		"huge count":        {byte(msgInvoke), 7, 1, 0xff, 0xff, 0xff, 0xff, 0x0f},
+		"prefixes > input":  {byte(msgInvoke), 7, 1, 1, 100, 1, 1, 0},
+		"reason > input":    {byte(msgPeeringReject), 7, 5, 'a'},
+		"bad alarm flag":    {byte(msgInvoke), 7, 1, 1, 0, 1, 2, 2},
+		"invalid prefix":    {byte(msgInvoke), 7, 1, 1, 1, 4, 10, 0, 0, 0, 33, 1, 2, 0},
 		"json of the past":  []byte(`{"type":"heartbeat","from":7}`),
-		"heartbeat + field": {byte(MsgHeartbeat), 7, 0},
+		"heartbeat + field": {byte(msgHeartbeat), 7, 0},
 	} {
-		if m, err := DecodeControlMsg(b); err == nil {
+		if m, err := decodeMsg(b); err == nil {
 			t.Errorf("%s: %x decoded to %+v", name, b, m)
 		}
 	}
@@ -108,18 +117,18 @@ func TestControlMsgDecodeRejects(t *testing.T) {
 // TestControlMsgEncodeRejects: nothing set on a message is dropped on
 // the wire without an error.
 func TestControlMsgEncodeRejects(t *testing.T) {
-	for name, m := range map[string]ControlMsg{
+	for name, m := range map[string]controlMsg{
 		"unknown type":         {Type: numMsgTypes, From: 7},
 		"zero type":            {From: 7},
-		"serial on heartbeat":  {Type: MsgHeartbeat, From: 7, Serial: 1},
-		"reason on key-ack":    {Type: MsgKeyAck, From: 7, Reason: "x"},
-		"key on invoke":        {Type: MsgInvoke, From: 7, Key: testKey},
-		"invocations on quit":  {Type: MsgQuitAlarm, From: 7, Invocations: []Invocation{}},
-		"8-byte key":           {Type: MsgKeyDeploy, From: 7, Key: testKey[:8], Serial: 1},
-		"key-deploy, no key":   {Type: MsgKeyDeploy, From: 7, Serial: 1},
-		"reason on peering-ok": {Type: MsgPeeringAccept, From: 7, Reason: "y"},
+		"serial on heartbeat":  {Type: msgHeartbeat, From: 7, Serial: 1},
+		"reason on key-ack":    {Type: msgKeyAck, From: 7, Reason: "x"},
+		"key on invoke":        {Type: msgInvoke, From: 7, Key: testKey},
+		"invocations on quit":  {Type: msgQuitAlarm, From: 7, Invocations: []Invocation{}},
+		"8-byte key":           {Type: msgKeyDeploy, From: 7, Key: testKey[:8], Serial: 1},
+		"key-deploy, no key":   {Type: msgKeyDeploy, From: 7, Serial: 1},
+		"reason on peering-ok": {Type: msgPeeringAccept, From: 7, Reason: "y"},
 	} {
-		if b, err := m.Encode(); err == nil {
+		if b, err := m.appendBinary(nil); err == nil {
 			t.Errorf("%s: encoded to %x", name, b)
 		}
 	}
@@ -131,7 +140,7 @@ func TestControlMsgEncodeAllocs(t *testing.T) {
 	m := goldenMsgs[5].m // an invocation
 	buf := make([]byte, 0, 256)
 	if n := testing.AllocsPerRun(100, func() {
-		if _, err := m.AppendBinary(buf[:0]); err != nil {
+		if _, err := m.appendBinary(buf[:0]); err != nil {
 			t.Fatal(err)
 		}
 	}); n != 0 {
@@ -157,7 +166,7 @@ func TestJournalCheckpointGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := snapcodec.NewAppendWriter(nil)
-	if err := victim.CheckpointJournal(w); err != nil {
+	if err := victim.checkpointJournal(w); err != nil {
 		t.Fatal(err)
 	}
 	const want = "01010186e1becdafa803020104ac10040018008080c58bc6d101000104ac100400180180808a978ca3030101e90710a6cf1161fe0cf7657f3f7bd744edf5e1"
@@ -165,7 +174,7 @@ func TestJournalCheckpointGolden(t *testing.T) {
 		t.Errorf("journal = %s\n want %s", got, want)
 	}
 	restored := &Controller{resumeCache: map[topology.ASN][16]byte{}}
-	if err := restored.RestoreJournal(snapcodec.NewReader(w.Appended())); err != nil {
+	if err := restored.restoreJournal(snapcodec.NewReader(w.Appended())); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(restored.campaigns, victim.campaigns) || restored.campaignSerial != victim.campaignSerial {

@@ -22,8 +22,8 @@ func mtuRouter(t *testing.T, mtu int) *BorderRouter {
 		OpCDPStamp, t0, time.Hour, 0)
 	tab.Keys.SetStampKey(3, make([]byte, 16))
 	r := testRouter(tab, 1)
-	r.ExternalMTU = mtu
-	r.RouterAddr = netip.MustParseAddr("2001:db8:1::1")
+	r.externalMTU = mtu
+	r.routerAddr = netip.MustParseAddr("2001:db8:1::1")
 	return r
 }
 
@@ -42,7 +42,7 @@ func v6Sized(payload int) *packet.IPv6 {
 func TestMTUPacketTooBig(t *testing.T) {
 	r := mtuRouter(t, 1500)
 	var tooBig *packet.IPv6
-	r.OnPacketTooBig = func(p *packet.IPv6) { tooBig = p }
+	r.onPacketTooBig = func(p *packet.IPv6) { tooBig = p }
 	now := t0.Add(time.Minute)
 
 	// 1456-byte payload → 1496 on the wire; +8 stamp = 1504 > 1500.
@@ -122,7 +122,7 @@ func TestMTUIgnoresIPv4(t *testing.T) {
 		OpCDPStamp, t0, time.Hour, 0)
 	tab.Keys.SetStampKey(3, make([]byte, 16))
 	r := testRouter(tab, 1)
-	r.ExternalMTU = 100 // absurdly small
+	r.externalMTU = 100 // absurdly small
 	now := t0.Add(time.Minute)
 
 	p := &packet.IPv4{

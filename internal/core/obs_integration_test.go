@@ -27,9 +27,9 @@ func TestSystemUnifiedStats(t *testing.T) {
 	if snap.AtNanos != int64(s.Net.Sim.Now()) {
 		t.Fatalf("snapshot stamped %d, sim now %d", snap.AtNanos, int64(s.Net.Sim.Now()))
 	}
-	if snap.GetGauge("as1001."+MetricCtrlPeersEstablished) != 1 {
+	if snap.GetGauge("as1001."+metricCtrlPeersEstablished) != 1 {
 		t.Fatalf("peers_established gauge = %d, want 1",
-			snap.GetGauge("as1001."+MetricCtrlPeersEstablished))
+			snap.GetGauge("as1001."+metricCtrlPeersEstablished))
 	}
 	// Con-con channel overhead is metered per controller.
 	if snap.Get("as1001."+MetricCtrlBytesSealed) == 0 || snap.Get("as1001."+MetricCtrlBytesOpened) == 0 {

@@ -26,19 +26,19 @@ func (r *fakeRuntime) Now() time.Duration                         { return r.now
 func (r *fakeRuntime) After(d time.Duration, fn func())           {}
 func (r *fakeRuntime) AfterBackground(d time.Duration, fn func()) {}
 
-// wantOptErr asserts err unwraps to an *OptionError naming the given
+// wantOptErr asserts err unwraps to an *optionError naming the given
 // struct and field.
 func wantOptErr(t *testing.T, err error, strct, field string) {
 	t.Helper()
 	if err == nil {
-		t.Fatalf("want *OptionError for %s.%s, got nil", strct, field)
+		t.Fatalf("want *optionError for %s.%s, got nil", strct, field)
 	}
-	var oe *OptionError
+	var oe *optionError
 	if !errors.As(err, &oe) {
-		t.Fatalf("want *OptionError, got %T: %v", err, err)
+		t.Fatalf("want *optionError, got %T: %v", err, err)
 	}
 	if oe.Struct != strct || oe.Field != field {
-		t.Fatalf("OptionError = %s.%s (%q), want %s.%s", oe.Struct, oe.Field, oe.Reason, strct, field)
+		t.Fatalf("optionError = %s.%s (%q), want %s.%s", oe.Struct, oe.Field, oe.Reason, strct, field)
 	}
 }
 
@@ -106,7 +106,7 @@ func TestControllerServiceMode(t *testing.T) {
 		t.Fatal(err)
 	}
 	ent := dir.Lookup("ctrl.as7")
-	if ent == nil || ent.Node != nil {
+	if ent == nil || ent.node != nil {
 		t.Fatalf("directory entry = %+v, want registered with nil node", ent)
 	}
 	// Seeing an Ad schedules a peering request through rt.After; with
@@ -115,8 +115,8 @@ func TestControllerServiceMode(t *testing.T) {
 		t.Fatalf("unexpected frames sent: %d", len(conn.sent))
 	}
 	// Crash/Restart must not dereference the absent netsim node.
-	c.Crash()
-	c.Restart()
+	c.crash()
+	c.restart()
 }
 
 func TestRouterOptionsValidation(t *testing.T) {

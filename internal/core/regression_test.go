@@ -35,7 +35,7 @@ func TestEraseOnlyRequiresAllOpsInGrace(t *testing.T) {
 
 	// CSP strict (no grace), CDP inside its 30s head tolerance:
 	// enforcement must stay on.
-	tup := mk(0, 30*time.Second).GenInTuple(src, dst, now)
+	tup := inTupleAt(mk(0, 30*time.Second), src, dst, now)
 	if !tup.Verify {
 		t.Fatal("verify not demanded")
 	}
@@ -44,13 +44,13 @@ func TestEraseOnlyRequiresAllOpsInGrace(t *testing.T) {
 	}
 
 	// Mirror image: CDP strict, CSP in grace.
-	tup = mk(30*time.Second, 0).GenInTuple(src, dst, now)
+	tup = inTupleAt(mk(30*time.Second, 0), src, dst, now)
 	if tup.EraseOnly {
 		t.Fatal("EraseOnly set while CDP-verify is in strict enforcement")
 	}
 
 	// Both in tolerance: erase-only applies.
-	tup = mk(30*time.Second, 30*time.Second).GenInTuple(src, dst, now)
+	tup = inTupleAt(mk(30*time.Second, 30*time.Second), src, dst, now)
 	if !tup.Verify || !tup.EraseOnly {
 		t.Fatalf("tuple = %+v, want verify+erase-only", tup)
 	}
@@ -68,36 +68,36 @@ func TestRekeyWindowCountsBothMACs(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	kt := NewKeyTable()
+	kt := newKeyTable()
 	kt.SetVerifyKey(1, keyA)
 
 	stampA := func() *packet.IPv4 {
 		p := samplePacketV4()
-		if _, err := (V4{p}).Stamp(ca); err != nil {
+		if _, err := (V4{p}).stamp(ca); err != nil {
 			t.Fatal(err)
 		}
 		return p
 	}
 
 	// Single live key: one computation.
-	if valid, known, macs := kt.VerifyMark(1, V4{stampA()}); !valid || !known || macs != 1 {
+	if valid, known, macs := verifyMark(kt, 1, V4{stampA()}); !valid || !known || macs != 1 {
 		t.Fatalf("pre-rekey: valid=%v known=%v macs=%d, want true/true/1", valid, known, macs)
 	}
 
 	// Rekey window: current=B, previous=A. A mark stamped with the old
 	// key fails against B first, then matches A — two computations.
 	demoted, _ := kt.setVerifyKey(1, keyB)
-	if valid, known, macs := kt.VerifyMark(1, V4{stampA()}); !valid || !known || macs != 2 {
+	if valid, known, macs := verifyMark(kt, 1, V4{stampA()}); !valid || !known || macs != 2 {
 		t.Fatalf("rekey window: valid=%v known=%v macs=%d, want true/true/2", valid, known, macs)
 	}
 	// An invalid mark tries (and charges) both keys too.
-	if valid, _, macs := kt.VerifyMark(1, V4{samplePacketV4()}); valid || macs != 2 {
+	if valid, _, macs := verifyMark(kt, 1, V4{samplePacketV4()}); valid || macs != 2 {
 		t.Fatalf("rekey window invalid mark: valid=%v macs=%d, want false/2", valid, macs)
 	}
 
 	// Window closed: back to one computation, old-key marks now fail.
 	kt.dropVerifyKey(1, demoted)
-	if valid, _, macs := kt.VerifyMark(1, V4{stampA()}); valid || macs != 1 {
+	if valid, _, macs := verifyMark(kt, 1, V4{stampA()}); valid || macs != 1 {
 		t.Fatalf("post-rekey: valid=%v macs=%d, want false/1", valid, macs)
 	}
 }
@@ -141,7 +141,7 @@ func TestFailedV6StampCountsMAC(t *testing.T) {
 	if err := p.StampV6(0xdeadbeef); err != nil {
 		t.Fatal(err)
 	}
-	if macs, err := (V6{p}).Stamp(c); err == nil || macs != 1 {
+	if macs, err := (V6{p}).stamp(c); err == nil || macs != 1 {
 		t.Fatalf("Stamp on pre-stamped v6: macs=%d err=%v, want 1/duplicate", macs, err)
 	}
 

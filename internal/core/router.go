@@ -51,8 +51,8 @@ func (v Verdict) Dropped() bool { return v == VerdictDrop }
 
 // Metric names (relative to the router's scope) under which the
 // data-plane counters are registered; a router scoped "as7." publishes
-// e.g. "as7.router.out_processed". Exported so consumers of registry
-// snapshots do not hard-code strings.
+// e.g. "as7.router.out_processed". The names read outside core are
+// exported, so consumers of registry snapshots do not hard-code them.
 const (
 	MetricRouterOutProcessed = "router.out_processed"
 	MetricRouterOutDropped   = "router.out_dropped"
@@ -62,8 +62,8 @@ const (
 	MetricRouterInVerifyFail = "router.in_verify_fail"
 	MetricRouterInDropped    = "router.in_dropped"
 	MetricRouterInErasedOnly = "router.in_erased_only"
-	MetricRouterInAlarmed    = "router.in_alarmed"
-	MetricRouterOutTooBig    = "router.out_too_big"
+	metricRouterInAlarmed    = "router.in_alarmed"
+	metricRouterOutTooBig    = "router.out_too_big"
 	MetricRouterMACsComputed = "router.macs_computed"
 	MetricRouterICMPScrubbed = "router.icmp_scrubbed"
 )
@@ -132,8 +132,8 @@ const (
 var routerCtrNames = [numRouterCtrs]string{
 	MetricRouterOutProcessed, MetricRouterOutDropped, MetricRouterOutStamped,
 	MetricRouterInProcessed, MetricRouterInVerified, MetricRouterInVerifyFail,
-	MetricRouterInDropped, MetricRouterInErasedOnly, MetricRouterInAlarmed,
-	MetricRouterOutTooBig, MetricRouterMACsComputed, MetricRouterICMPScrubbed,
+	MetricRouterInDropped, MetricRouterInErasedOnly, metricRouterInAlarmed,
+	metricRouterOutTooBig, MetricRouterMACsComputed, MetricRouterICMPScrubbed,
 }
 
 // newRouterMetrics registers the router's counters as one block under
@@ -185,16 +185,12 @@ type BorderRouter struct {
 	Tables *Tables
 	// OnAlarm receives samples of identified spoofing packets.
 	OnAlarm func(AlarmSample)
-	// ExternalMTU, when positive, is the MTU of the external link. An
-	// IPv6 packet whose stamping would exceed it is not forwarded;
-	// instead a "packet too big" ICMPv6 announcing ExternalMTU−8 goes
-	// back to the source (§V-F). IPv4 stamping never grows packets.
-	ExternalMTU int
-	// RouterAddr is the source address for ICMPv6 errors this router
-	// originates.
-	RouterAddr netip.Addr
-	// OnPacketTooBig receives the generated ICMPv6 error (nil-safe).
-	OnPacketTooBig func(*packet.IPv6)
+	// externalMTU and routerAddr are RouterOptions.ExternalMTU and
+	// RouterAddr; onPacketTooBig receives the §V-F ICMPv6 error
+	// (nil-safe).
+	externalMTU    int
+	routerAddr     netip.Addr
+	onPacketTooBig func(*packet.IPv6)
 
 	m         *obs.CounterBlock
 	rngState  atomic.Uint64
@@ -252,10 +248,14 @@ type RouterOptions struct {
 	Scope string
 	// AS tags sampled packet events with the router's AS number.
 	AS topology.ASN
-	// ExternalMTU and RouterAddr mirror the public fields of the same
-	// names (see BorderRouter).
+	// ExternalMTU, when positive, is the MTU of the external link. An
+	// IPv6 packet whose stamping would exceed it is not forwarded;
+	// instead a "packet too big" ICMPv6 announcing ExternalMTU−8 goes
+	// back to the source (§V-F). IPv4 stamping never grows packets.
 	ExternalMTU int
-	RouterAddr  netip.Addr
+	// RouterAddr is the source address for ICMPv6 errors the router
+	// originates.
+	RouterAddr netip.Addr
 	// TraceSampleEvery enables sampled data-plane tracing: every N-th
 	// processed packet emits an obs.EvPacketSample event with its
 	// verdict into the registry's tracer. The period is rounded up to a
@@ -280,7 +280,7 @@ func nextPow2(n uint64) uint64 {
 }
 
 // NewBorderRouterWithOptions creates a router from an options struct.
-// Validation failures are *OptionError.
+// A validation failure names the offending field.
 func NewBorderRouterWithOptions(o RouterOptions) (*BorderRouter, error) {
 	if o.Tables == nil {
 		return nil, optErr("RouterOptions", "Tables", "required")
@@ -297,8 +297,8 @@ func NewBorderRouterWithOptions(o RouterOptions) (*BorderRouter, error) {
 	}
 	r := &BorderRouter{
 		Tables:      o.Tables,
-		ExternalMTU: o.ExternalMTU,
-		RouterAddr:  o.RouterAddr,
+		externalMTU: o.ExternalMTU,
+		routerAddr:  o.RouterAddr,
 		m:           newRouterMetrics(reg.Scope(o.Scope)),
 		traceAS:     uint32(o.AS),
 	}
@@ -342,7 +342,7 @@ func (r *BorderRouter) processOutbound(p MarkCarrier, nowN int64) Verdict {
 	p4, p6 := p.unwrap()
 	v, key := r.decideOut(&st, nil, p4, p6, nowN, &d)
 	if key != nil {
-		macs, err := p.Stamp(key)
+		macs, err := p.stamp(key)
 		d[ctrMACsComputed] += uint64(macs)
 		if err != nil {
 			// Packet cannot carry a mark (e.g. duplicate option): pass;
@@ -358,16 +358,16 @@ func (r *BorderRouter) processOutbound(p MarkCarrier, nowN int64) Verdict {
 }
 
 // ProcessOutboundBatch processes a burst of outbound packets against a
-// single coherent snapshot of the tables through the fused
-// BurstPipeline: one snapshot load and counter flush per burst,
+// single coherent snapshot of the tables through the fused burst
+// pipeline: one snapshot load and counter flush per burst,
 // memoized key lookups, and interleaved CMAC scheduling. Verdicts
 // are appended to dst (pass a reused buffer to keep the call
 // allocation-free) and returned. Every packet in the burst sees the
 // same table/key state; a concurrent controller mutation applies to
 // the next burst. Results are bit-identical to per-packet processing.
 func (r *BorderRouter) ProcessOutboundBatch(pkts []MarkCarrier, now time.Time, dst []Verdict) []Verdict {
-	bp := pipelinePool.Get().(*BurstPipeline)
-	dst = bp.Outbound(r, pkts, now, dst)
+	bp := pipelinePool.Get().(*burstPipeline)
+	dst = bp.outbound(r, pkts, now, dst)
 	pipelinePool.Put(bp)
 	return dst
 }
@@ -395,11 +395,11 @@ func (r *BorderRouter) decideOut(st *outState, m *tupleMemo, p4 *packet.IPv4, p6
 	// §V-F: stamping may grow an IPv6 packet by up to 8 bytes; if that
 	// exceeds the external link MTU, return "packet too big"
 	// announcing an MTU 8 bytes below the link's.
-	if p6 != nil && r.ExternalMTU > 0 && p6.WireLen()+p6.StampOverheadV6() > r.ExternalMTU {
+	if p6 != nil && r.externalMTU > 0 && p6.WireLen()+p6.StampOverheadV6() > r.externalMTU {
 		d[ctrOutTooBig]++
-		if r.OnPacketTooBig != nil {
-			if icmp, err := packet.NewICMPv6PacketTooBig(r.RouterAddr, p6, uint32(r.ExternalMTU-8)); err == nil {
-				r.OnPacketTooBig(icmp)
+		if r.onPacketTooBig != nil {
+			if icmp, err := packet.NewICMPv6PacketTooBig(r.routerAddr, p6, uint32(r.externalMTU-8)); err == nil {
+				r.onPacketTooBig(icmp)
 			}
 		}
 		return VerdictDrop, nil
@@ -436,8 +436,8 @@ func (r *BorderRouter) processInbound(p MarkCarrier, nowN int64) Verdict {
 // ProcessInboundBatch is the inbound counterpart of
 // ProcessOutboundBatch.
 func (r *BorderRouter) ProcessInboundBatch(pkts []MarkCarrier, now time.Time, dst []Verdict) []Verdict {
-	bp := pipelinePool.Get().(*BurstPipeline)
-	dst = bp.Inbound(r, pkts, now, dst)
+	bp := pipelinePool.Get().(*burstPipeline)
+	dst = bp.inbound(r, pkts, now, dst)
 	pipelinePool.Put(bp)
 	return dst
 }
@@ -493,10 +493,10 @@ func (r *BorderRouter) decideIn(st *inState, p4 *packet.IPv4, p6 *packet.IPv6, n
 func (r *BorderRouter) applyIn(p MarkCarrier, act uint8, srcAS topology.ASN, nowN int64, d *routerDeltas) Verdict {
 	switch act {
 	case actEraseOnly:
-		p.Erase(r.randomBits())
+		p.erase(r.randomBits())
 		d[ctrInErasedOnly]++
 	case actValid:
-		p.Erase(r.randomBits())
+		p.erase(r.randomBits())
 		d[ctrInVerified]++
 		return VerdictPassVerified
 	case actInvalid:
@@ -514,7 +514,7 @@ func (r *BorderRouter) applyIn(p MarkCarrier, act uint8, srcAS topology.ASN, now
 				When:  time.Unix(0, nowN).UTC(),
 			})
 		}
-		p.Erase(r.randomBits())
+		p.erase(r.randomBits())
 		return VerdictPassAlarm
 	}
 	return VerdictPass
@@ -528,12 +528,12 @@ func addrs(p4 *packet.IPv4, p6 *packet.IPv6) (src, dst netip.Addr) {
 	return p4.Src, p4.Dst
 }
 
-// ScrubInboundICMP inspects an inbound ICMP(v4) error message and
+// scrubInboundICMP inspects an inbound ICMP(v4) error message and
 // erases any DISCS mark from the embedded packet (§VI-E2): without
 // this, a host inside the DAS could learn valid marks by triggering
 // TTL-exceeded errors just outside the border. It reports whether a
 // scrub happened.
-func (r *BorderRouter) ScrubInboundICMP(p *packet.IPv4) bool {
+func (r *BorderRouter) scrubInboundICMP(p *packet.IPv4) bool {
 	if packet.ScrubICMPv4EmbeddedMark(p, r.randomBits()) {
 		r.m.Counter(ctrICMPScrubbed).Inc()
 		return true
@@ -541,8 +541,8 @@ func (r *BorderRouter) ScrubInboundICMP(p *packet.IPv4) bool {
 	return false
 }
 
-// ScrubInboundICMPv6 is the IPv6 counterpart of ScrubInboundICMP.
-func (r *BorderRouter) ScrubInboundICMPv6(p *packet.IPv6) bool {
+// scrubInboundICMPv6 is the IPv6 counterpart of scrubInboundICMP.
+func (r *BorderRouter) scrubInboundICMPv6(p *packet.IPv6) bool {
 	if packet.ScrubICMPv6EmbeddedMark(p, r.randomBits()) {
 		r.m.Counter(ctrICMPScrubbed).Inc()
 		return true

@@ -371,14 +371,14 @@ func TestICMPScrubCounters(t *testing.T) {
 	}
 	b, _ := icmp.Marshal()
 	parsed, _ := packet.ParseIPv4(b)
-	if !r.ScrubInboundICMP(parsed) {
+	if !r.scrubInboundICMP(parsed) {
 		t.Fatal("scrub failed")
 	}
 	if r.Stats().ICMPScrubbed != 1 {
 		t.Fatalf("stats = %+v", r.Stats())
 	}
 	// Non-ICMP passes through untouched.
-	if r.ScrubInboundICMP(samplePacketV4()) {
+	if r.scrubInboundICMP(samplePacketV4()) {
 		t.Fatal("scrubbed a non-ICMP packet")
 	}
 }

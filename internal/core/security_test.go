@@ -38,11 +38,17 @@ func TestForgeryResistanceV4(t *testing.T) {
 // mean of a geometric distribution with p = 2/2^29 during re-keying —
 // here we verify the mark-space widths those numbers derive from.)
 func TestForgeryFactors(t *testing.T) {
-	if bits := (V4{samplePacketV4()}).MarkBits(); bits != 29 {
-		t.Fatalf("IPv4 mark bits = %d", bits)
+	p4 := samplePacketV4()
+	p4.SetMark(^uint32(0))
+	if m := p4.Mark(); m != 1<<29-1 {
+		t.Fatalf("IPv4 mark space = %#x, want 29 bits", m)
 	}
-	if bits := (V6{samplePacketV6()}).MarkBits(); bits != 32 {
-		t.Fatalf("IPv6 mark bits = %d", bits)
+	p6 := samplePacketV6()
+	if err := p6.StampV6(^uint32(0)); err != nil {
+		t.Fatal(err)
+	}
+	if m, ok := p6.MarkV6(); !ok || m != 1<<32-1 {
+		t.Fatalf("IPv6 mark = %#x (present %v), want 32 bits", m, ok)
 	}
 }
 
@@ -51,25 +57,25 @@ func TestForgeryFactors(t *testing.T) {
 // acceptance probability (factor 2^27 instead of 2^28 for IPv4): a
 // mark valid under either key is accepted.
 func TestRekeyDoublesAcceptance(t *testing.T) {
-	kt := NewKeyTable()
+	kt := newKeyTable()
 	oldKey := make([]byte, 16)
 	newKey := make([]byte, 16)
 	newKey[0] = 1
 	kt.SetVerifyKey(2, oldKey)
 	kt.SetVerifyKey(2, newKey) // old retained as previous
 
-	stampOld := NewKeyTable()
+	stampOld := newKeyTable()
 	stampOld.SetStampKey(9, oldKey)
-	stampNew := NewKeyTable()
+	stampNew := newKeyTable()
 	stampNew.SetStampKey(9, newKey)
 
 	p := samplePacketV4()
-	(V4{p}).Stamp(stampOld.StampKey(9))
-	if ok, _, _ := kt.VerifyMark(2, V4{p}); !ok {
+	(V4{p}).stamp(keyS(stampOld, 9))
+	if ok, _, _ := verifyMark(kt, 2, V4{p}); !ok {
 		t.Fatal("old-key mark rejected during rekey window")
 	}
-	(V4{p}).Stamp(stampNew.StampKey(9))
-	if ok, _, _ := kt.VerifyMark(2, V4{p}); !ok {
+	(V4{p}).stamp(keyS(stampNew, 9))
+	if ok, _, _ := verifyMark(kt, 2, V4{p}); !ok {
 		t.Fatal("new-key mark rejected during rekey window")
 	}
 }
@@ -80,20 +86,20 @@ func TestRekeyDoublesAcceptance(t *testing.T) {
 // content change invalidates the mark.
 func TestReplayRequiresIdenticalMsg(t *testing.T) {
 	key := make([]byte, 16)
-	kt := NewKeyTable()
+	kt := newKeyTable()
 	kt.SetStampKey(3, key)
-	vt := NewKeyTable()
+	vt := newKeyTable()
 	vt.SetVerifyKey(1, key)
 
 	p := samplePacketV4()
 	p.Src = netip.MustParseAddr("10.1.0.10")
-	(V4{p}).Stamp(kt.StampKey(3))
+	(V4{p}).stamp(keyS(kt, 3))
 	mark := p.Mark()
 
 	// Exact replay: verifies (and is detectable by the destination
 	// host as a duplicate msg).
 	replay := p.Clone()
-	if ok, _, _ := vt.VerifyMark(1, V4{replay}); !ok {
+	if ok, _, _ := verifyMark(vt, 1, V4{replay}); !ok {
 		t.Fatal("exact replay should carry a valid mark")
 	}
 
@@ -101,7 +107,7 @@ func TestReplayRequiresIdenticalMsg(t *testing.T) {
 	mod := p.Clone()
 	mod.Payload[0] ^= 0xff
 	mod.SetMark(mark)
-	if ok, _, _ := vt.VerifyMark(1, V4{mod}); ok {
+	if ok, _, _ := verifyMark(vt, 1, V4{mod}); ok {
 		t.Fatal("payload-modified replay accepted")
 	}
 
@@ -109,7 +115,7 @@ func TestReplayRequiresIdenticalMsg(t *testing.T) {
 	mod = p.Clone()
 	mod.Dst = netip.MustParseAddr("10.3.0.99")
 	mod.SetMark(mark)
-	if ok, _, _ := vt.VerifyMark(1, V4{mod}); ok {
+	if ok, _, _ := verifyMark(vt, 1, V4{mod}); ok {
 		t.Fatal("redirected replay accepted")
 	}
 
@@ -117,27 +123,27 @@ func TestReplayRequiresIdenticalMsg(t *testing.T) {
 	mod = p.Clone()
 	mod.Payload = append(mod.Payload, 0)
 	mod.SetMark(mark)
-	if ok, _, _ := vt.VerifyMark(1, V4{mod}); ok {
+	if ok, _, _ := verifyMark(vt, 1, V4{mod}); ok {
 		t.Fatal("length-modified replay accepted")
 	}
 }
 
 // TestKeyLeakageBlastRadius verifies §VI-E3: if AS j's keys leak, the
-// damage is contained — renewing all of j's keys (RekeyAll + peers
+// damage is contained — renewing all of j's keys (rekeyAll + peers
 // renewing toward j) restores security without touching other pairs.
 func TestKeyLeakageBlastRadius(t *testing.T) {
 	s := testInternet(t)
 	deploy(t, s, 1001, 1003, 1004)
 	// Attacker learns key_{1001,1004} (stamping key of 1001 toward 1004).
-	leaked := s.Router(1001).Tables.Keys.StampKey(1004)
+	leaked := keyS(s.Router(1001).Tables.Keys, 1004)
 	if leaked == nil {
 		t.Fatal("setup: no key")
 	}
 	// 1001 detects the leak and renews all its stamping keys; its peers
 	// renew theirs toward 1001.
-	s.Controllers[1001].RekeyAll()
-	s.Controllers[1004].Rekey(1001)
-	s.Controllers[1003].Rekey(1001)
+	rekeyAll(s.Controllers[1001])
+	rekey(s.Controllers[1004], 1001)
+	rekey(s.Controllers[1003], 1001)
 	s.Settle()
 	// Let the rekey overlap window expire so old keys die.
 	s.Net.Sim.After(2*time.Minute, func() {})
@@ -147,24 +153,24 @@ func TestKeyLeakageBlastRadius(t *testing.T) {
 	p := samplePacketV4()
 	p.Src = netip.MustParseAddr("172.16.1.10")
 	p.Dst = netip.MustParseAddr("172.16.4.10")
-	(V4{p}).Stamp(leaked)
-	if ok, _, _ := s.Router(1004).Tables.Keys.VerifyMark(1001, V4{p}); ok {
+	(V4{p}).stamp(leaked)
+	if ok, _, _ := verifyMark(s.Router(1004).Tables.Keys, 1001, V4{p}); ok {
 		t.Fatal("leaked key still valid after renewal")
 	}
 	// Fresh traffic with the renewed keys works.
 	q := samplePacketV4()
 	q.Src = netip.MustParseAddr("172.16.1.10")
 	q.Dst = netip.MustParseAddr("172.16.4.10")
-	(V4{q}).Stamp(s.Router(1001).Tables.Keys.StampKey(1004))
-	if ok, _, _ := s.Router(1004).Tables.Keys.VerifyMark(1001, V4{q}); !ok {
+	(V4{q}).stamp(keyS(s.Router(1001).Tables.Keys, 1004))
+	if ok, _, _ := verifyMark(s.Router(1004).Tables.Keys, 1001, V4{q}); !ok {
 		t.Fatal("renewed keys do not verify")
 	}
 	// Unrelated pair (1003↔1004) unaffected throughout.
 	r := samplePacketV4()
 	r.Src = netip.MustParseAddr("172.16.3.10")
 	r.Dst = netip.MustParseAddr("172.16.4.10")
-	(V4{r}).Stamp(s.Router(1003).Tables.Keys.StampKey(1004))
-	if ok, _, _ := s.Router(1004).Tables.Keys.VerifyMark(1003, V4{r}); !ok {
+	(V4{r}).stamp(keyS(s.Router(1003).Tables.Keys, 1004))
+	if ok, _, _ := verifyMark(s.Router(1004).Tables.Keys, 1003, V4{r}); !ok {
 		t.Fatal("unrelated pair broken by containment")
 	}
 }
@@ -173,9 +179,9 @@ func TestKeyLeakageBlastRadius(t *testing.T) {
 // to uniform over coarse buckets — the property the 2^-29 forgery
 // bound rests on.
 func TestMarkUniformity(t *testing.T) {
-	kt := NewKeyTable()
+	kt := newKeyTable()
 	kt.SetStampKey(3, make([]byte, 16))
-	key := kt.StampKey(3)
+	key := keyS(kt, 3)
 	const n = 8192
 	var buckets [8]int
 	rng := rand.New(rand.NewSource(7))
@@ -183,7 +189,7 @@ func TestMarkUniformity(t *testing.T) {
 		p := samplePacketV4()
 		p.Payload = make([]byte, 8)
 		rng.Read(p.Payload)
-		(V4{p}).Stamp(key)
+		(V4{p}).stamp(key)
 		buckets[p.Mark()>>26]++ // top 3 bits of the 29-bit mark
 	}
 	want := n / 8

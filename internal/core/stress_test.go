@@ -19,8 +19,8 @@ import (
 //     key the controller ever installs (no stamp decided against one key
 //     snapshot and executed against another);
 //   - a correctly stamped packet is never dropped at the verification
-//     end, whatever interleaving of Install/Remove/Purge/SetVerifyKey/
-//     RemovePeer it races with (either verification is active and the
+//     end, whatever interleaving of install, withdrawal, purge,
+//     SetVerifyKey and peer removal it races with (either verification is active and the
 //     mark matches, or it is inactive/unkeyed and the packet passes).
 //
 // Run with -race to also catch data races between the mutators and the
@@ -73,24 +73,24 @@ func TestSnapshotChurnNoTornVerdicts(t *testing.T) {
 				victimTables.In[TableInDst].Install(v4pfx, OpCDPVerify, t0, time.Hour, 0)
 				victimTables.In[TableInDst].Install(v6pfx, OpCDPVerify, t0, time.Hour, 0)
 			case 2:
-				peerTables.In[TableOutDst].Remove(v4pfx, OpCDPStamp)
+				removeOp(peerTables.In[TableOutDst], v4pfx, OpCDPStamp)
 			case 3:
-				victimTables.In[TableInDst].Remove(v6pfx, OpCDPVerify)
+				removeOp(victimTables.In[TableInDst], v6pfx, OpCDPVerify)
 			case 4:
-				peerTables.Keys.RemovePeer(3)
+				peerTables.Keys.removePeer(3)
 				peerTables.Keys.SetStampKey(3, key)
 			case 5:
 				// Rekey window with the same key in both slots, then close it.
 				demoted, _ := victimTables.Keys.setVerifyKey(1, key)
 				victimTables.Keys.dropVerifyKey(1, demoted)
 			case 6:
-				victimTables.Keys.RemovePeer(1)
+				victimTables.Keys.removePeer(1)
 				victimTables.Keys.SetVerifyKey(1, key)
 			case 7:
 				// Exercise Purge's rebuild with a short-lived entry that is
 				// already expired at `now`.
 				victimTables.In[TableInSrc].Install(scratch, OpSPFilter, t0, time.Millisecond, 0)
-				victimTables.In[TableInSrc].Purge(now)
+				victimTables.In[TableInSrc].purge(now)
 			}
 		}
 	}()
@@ -124,7 +124,7 @@ func TestSnapshotChurnNoTornVerdicts(t *testing.T) {
 					case VerdictPass:
 						// Stamp op uninstalled or key missing in that snapshot.
 					case VerdictPassStamped:
-						if ok, _ := carrier.Verify(kmac); !ok {
+						if ok, _ := carrier.verify(kmac); !ok {
 							t.Errorf("g%d n%d pkt%d: stamped mark does not match the only installed key", g, n, i)
 							return
 						}

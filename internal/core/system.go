@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"net/netip"
+	"slices"
 	"time"
 
 	"discs/internal/bgp"
@@ -15,7 +17,7 @@ import (
 // delivery across the AS topology.
 type System struct {
 	Net *bgp.Network
-	Dir *Directory
+	dir *Directory
 
 	Controllers map[topology.ASN]*Controller
 
@@ -41,8 +43,8 @@ type deployRecord struct {
 }
 
 // SystemOptions configures a System. Net is required; Config tunes
-// protocol behaviour for every controller the system deploys.
-// Validation failures are *OptionError.
+// protocol behaviour for every controller the system deploys. A
+// validation failure names the offending field.
 type SystemOptions struct {
 	// Net is the converged (or to-be-converged) BGP network the system
 	// wires DISCS into (required).
@@ -76,7 +78,7 @@ func NewSystemWithOptions(o SystemOptions) (*System, error) {
 	o.Net.Topo.PublishMetrics(reg)
 	return &System{
 		Net:         o.Net,
-		Dir:         NewDirectory(),
+		dir:         NewDirectory(),
 		Controllers: make(map[topology.ASN]*Controller),
 		cfg:         cfg,
 		reg:         reg,
@@ -118,7 +120,7 @@ func (s *System) Deploy(asn topology.ASN, seed int64) (*Controller, error) {
 	// actually originates are re-announced: paper-scale runs originate
 	// one prefix per DAS (Network.OriginateFirst) rather than the full
 	// 442k-prefix table, and the Ad rides on whatever is in BGP.
-	ad := bgp.NewDISCSAdAttr(ctrl.Ad())
+	ad := bgp.NewDISCSAdAttr(ctrl.ad())
 	announced := 0
 	for _, p := range s.Net.Topo.AS(asn).Prefixes {
 		if r, ok := sp.LocRib(p); !ok || !r.Local {
@@ -163,15 +165,15 @@ func (s *System) deployNode(asn topology.ASN, seed int64) (*Controller, *bgp.Spe
 	// event execution; creating the links here, from driver context,
 	// keeps the run epochs structurally stable. Directory order is
 	// sorted, so the link table is deterministic.
-	for _, ent := range s.Dir.Entries() {
-		if _, err := s.Net.Sim.Connect(node, ent.Node, s.cfg.CtrlLinkDelay); err != nil {
+	for _, ent := range s.dir.sorted() {
+		if _, err := s.Net.Sim.Connect(node, ent.node, s.cfg.CtrlLinkDelay); err != nil {
 			return nil, nil, err
 		}
 	}
 	scope := fmt.Sprintf("as%d.", asn)
 	effSeed := seed ^ s.cfg.Seed
 	ctrl, err := NewControllerWithOptions(ControllerOptions{
-		AS: asn, Name: name, Sim: s.Net.Sim, Node: node, Dir: s.Dir,
+		AS: asn, Name: name, Sim: s.Net.Sim, Node: node, Dir: s.dir,
 		Topo: s.Net.Topo, Config: s.cfg, Seed: effSeed,
 		Registry: s.reg, Scope: scope,
 	})
@@ -212,7 +214,7 @@ func (s *System) Crash(asn topology.ASN) error {
 	if c == nil {
 		return fmt.Errorf("core: AS%d has no controller", asn)
 	}
-	c.Crash()
+	c.crash()
 	return nil
 }
 
@@ -225,7 +227,7 @@ func (s *System) Restart(asn topology.ASN) error {
 	if c == nil {
 		return fmt.Errorf("core: AS%d has no controller", asn)
 	}
-	c.Restart()
+	c.restart()
 	if sp := s.Net.Speakers[asn]; sp != nil {
 		for _, ad := range sp.KnownAds() {
 			c.HandleAd(ad)
@@ -263,13 +265,15 @@ type DeliveryResult struct {
 	// inline, so that a result costs no allocation.
 	hops  [2]HopResult
 	nHops uint8
-	// TTLExpired is set when the packet died of TTL, in which case an
-	// ICMP time-exceeded was generated (see ICMPReturned).
+	// TTLExpired is set when the packet died of TTL (IPv6: hop limit),
+	// in which case an ICMP time-exceeded was generated.
 	TTLExpired bool
-	// ICMPReturned is the time-exceeded message delivered back to the
-	// packet's source address owner, after DISCS mark scrubbing at that
-	// AS's border (§VI-E2). Nil unless TTL expired en route.
-	ICMPReturned *packet.IPv4
+	// ICMPReturned (IPv4) and ICMPv6Returned (IPv6) are the
+	// time-exceeded message delivered back to the packet's source
+	// address owner, after DISCS mark scrubbing at that AS's border
+	// (§VI-E2). Nil unless TTL expired en route.
+	ICMPReturned   *packet.IPv4
+	ICMPv6Returned *packet.IPv6
 }
 
 // Hops returns the verdicts of the DISCS borders the packet met, in
@@ -326,7 +330,7 @@ func (s *System) SendV4(fromAS topology.ASN, p *packet.IPv4) DeliveryResult {
 			p.TTL = 0
 			res.TTLExpired = true
 			res.DroppedAt = path[i]
-			res.ICMPReturned = s.returnTimeExceeded(path[i], fromAS, p)
+			res.ICMPReturned = s.returnTimeExceeded(path[i], p)
 			return res
 		}
 		p.TTL--
@@ -348,7 +352,7 @@ func (s *System) SendV4(fromAS topology.ASN, p *packet.IPv4) DeliveryResult {
 // routes it back toward the original source. If the AS owning the
 // original source address is a DAS, its border router scrubs the
 // embedded DISCS mark before the message enters the AS.
-func (s *System) returnTimeExceeded(atAS, origFrom topology.ASN, orig *packet.IPv4) *packet.IPv4 {
+func (s *System) returnTimeExceeded(atAS topology.ASN, orig *packet.IPv4) *packet.IPv4 {
 	// The reporting router needs an address inside the expiring AS.
 	a := s.Net.Topo.AS(atAS)
 	if a == nil || len(a.Prefixes) == 0 || !a.Prefixes[0].Addr().Is4() {
@@ -368,18 +372,44 @@ func (s *System) returnTimeExceeded(atAS, origFrom topology.ASN, orig *packet.IP
 		return nil
 	}
 	// Inbound at the source-address owner's border: scrub marks.
-	srcOwner, ok := s.Net.Topo.OwnerOf(orig.Src)
-	if ok {
-		if r := s.Router(srcOwner); r != nil {
-			r.ScrubInboundICMP(back)
-		}
+	if r := s.srcBorder(orig.Src); r != nil {
+		r.scrubInboundICMP(back)
 	}
-	_ = origFrom
 	return back
 }
 
-// SendV6 is the IPv6 counterpart of SendV4 (hop limit instead of TTL;
-// ICMPv6 handling is exercised directly in tests).
+// returnTimeExceededV6 is the IPv6 counterpart of returnTimeExceeded.
+// The reporting router's address is the expiring AS's first IPv6
+// prefix; an AS without one returns nothing.
+func (s *System) returnTimeExceededV6(atAS topology.ASN, orig *packet.IPv6) *packet.IPv6 {
+	a := s.Net.Topo.AS(atAS)
+	if a == nil {
+		return nil
+	}
+	i := slices.IndexFunc(a.Prefixes, func(p netip.Prefix) bool { return p.Addr().Is6() })
+	if i < 0 {
+		return nil
+	}
+	icmp, err := packet.NewICMPv6TimeExceeded(a.Prefixes[i].Addr(), orig)
+	if err != nil {
+		return nil
+	}
+	if r := s.srcBorder(orig.Src); r != nil {
+		r.scrubInboundICMPv6(icmp)
+	}
+	return icmp
+}
+
+// srcBorder is the border router of the AS owning src, nil when that
+// AS has not deployed DISCS.
+func (s *System) srcBorder(src netip.Addr) *BorderRouter {
+	if owner, ok := s.Net.Topo.OwnerOf(src); ok {
+		return s.Router(owner)
+	}
+	return nil
+}
+
+// SendV6 is the IPv6 counterpart of SendV4 (hop limit instead of TTL).
 func (s *System) SendV6(fromAS topology.ASN, p *packet.IPv6) DeliveryResult {
 	res := DeliveryResult{}
 	dstAS, ok := s.Net.Topo.OwnerOf(p.Dst)
@@ -411,6 +441,7 @@ func (s *System) SendV6(fromAS topology.ASN, p *packet.IPv6) DeliveryResult {
 			p.HopLimit = 0
 			res.TTLExpired = true
 			res.DroppedAt = path[i]
+			res.ICMPv6Returned = s.returnTimeExceededV6(path[i], p)
 			return res
 		}
 		p.HopLimit--

@@ -137,8 +137,8 @@ func TestControlPlaneScale(t *testing.T) {
 	if err := s.Settle(); err != nil {
 		t.Fatal(err)
 	}
-	if victim.Stats().Get(MetricCtrlInvokesAccepted) != uint64(nDAS-1) {
-		t.Fatalf("accepted %d/%d invocations", victim.Stats().Get(MetricCtrlInvokesAccepted), nDAS-1)
+	if victim.Stats().Get(metricCtrlInvokesAccepted) != uint64(nDAS-1) {
+		t.Fatalf("accepted %d/%d invocations", victim.Stats().Get(metricCtrlInvokesAccepted), nDAS-1)
 	}
 }
 

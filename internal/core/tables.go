@@ -271,27 +271,22 @@ func compileFuncSnapshot(entries map[netip.Prefix]map[Op]window) *funcSnapshot {
 // mapping prefixes (longest match) to scheduled operations. Lookups
 // (ActiveOps, the tuple generators) run lock-free against the current
 // snapshot from any number of forwarding goroutines; mutations
-// (Install/Remove/Purge, driven by the controller) serialize on mu,
+// (Install, apply and purge, driven by the controller) serialize on mu,
 // rebuild the snapshot and publish it. Mutations are rare —
 // invocations, expiries — so the rebuild cost is irrelevant next to
 // the per-packet savings.
 type FuncTable struct {
-	kind TableKind
-
 	mu      sync.Mutex // serializes mutators; readers never take it
 	entries map[netip.Prefix]map[Op]window
 	snap    atomic.Pointer[funcSnapshot]
 }
 
-// NewFuncTable creates an empty table of the given kind.
-func NewFuncTable(kind TableKind) *FuncTable {
-	ft := &FuncTable{kind: kind, entries: make(map[netip.Prefix]map[Op]window)}
+// newFuncTable creates an empty table.
+func newFuncTable() *FuncTable {
+	ft := &FuncTable{entries: make(map[netip.Prefix]map[Op]window)}
 	ft.snap.Store(emptyFuncSnapshot)
 	return ft
 }
-
-// Kind returns the table kind.
-func (ft *FuncTable) Kind() TableKind { return ft.kind }
 
 // rebuildLocked compiles entries into a fresh snapshot and publishes
 // it. Caller holds ft.mu; entries' prefixes were canonicalized by
@@ -314,12 +309,6 @@ func (ft *FuncTable) Install(p netip.Prefix, op Op, start time.Time, duration, g
 	return ft.apply([]tableChange{{pfx: p, op: op, win: window{start: start, end: start.Add(duration), grace: grace}}})
 }
 
-// Remove deletes op from prefix immediately (used when quitting a
-// protection early).
-func (ft *FuncTable) Remove(p netip.Prefix, op Op) {
-	ft.apply([]tableChange{{pfx: p, op: op, remove: true}})
-}
-
 // tableChange is one install (win) or removal of an op on a prefix.
 type tableChange struct {
 	pfx    netip.Prefix
@@ -332,7 +321,7 @@ type tableChange struct {
 // of them: a control message that installs or withdraws many (prefix,
 // op) pairs costs one rebuild per table, not one per pair. A change
 // whose prefix lpm.Canon refuses is skipped on its own, as a lone
-// Install or Remove would be; the rest still apply, and apply returns
+// Install would be; the rest still apply, and apply returns
 // the first refusal.
 func (ft *FuncTable) apply(changes []tableChange) error {
 	ft.mu.Lock()
@@ -378,12 +367,12 @@ func (ft *FuncTable) ActiveOps(addr netip.Addr, now time.Time) (active, grace Op
 	return ft.snap.Load().activeOps(addr, now.UnixNano())
 }
 
-// Len returns the number of prefixes with any scheduled op.
-func (ft *FuncTable) Len() int { return ft.snap.Load().n }
+// numPrefixes returns the number of prefixes with any scheduled op.
+func (ft *FuncTable) numPrefixes() int { return ft.snap.Load().n }
 
-// Purge removes every entry whose windows have all expired; returns
+// purge removes every entry whose windows have all expired; returns
 // the number of prefixes removed. Controllers run this periodically.
-func (ft *FuncTable) Purge(now time.Time) int {
+func (ft *FuncTable) purge(now time.Time) int {
 	ft.mu.Lock()
 	defer ft.mu.Unlock()
 	removed := 0
@@ -406,9 +395,9 @@ func (ft *FuncTable) Purge(now time.Time) int {
 	return removed
 }
 
-// InTuple is the data structure generated for an inbound packet
+// inTuple is the data structure generated for an inbound packet
 // (§V-B): whether to verify and which peer's key to verify with.
-type InTuple struct {
+type inTuple struct {
 	Verify bool
 	// EraseOnly is set during grace intervals: erase the mark, skip
 	// enforcement.
@@ -419,14 +408,14 @@ type InTuple struct {
 	SrcKnown bool
 }
 
-// OutTuple is the data structure generated for an outbound packet
+// outTuple is the data structure generated for an outbound packet
 // (§V-B): whether to drop, whether to stamp, and the resolved stamping
 // key Key-S(Pfx2AS(d)). Key is resolved from the same key snapshot that
 // decided Stamp, so the stamping router never re-reads the key table —
 // previously the decision and the fetch took separate locks, and a
 // teardown between them could stamp with a key the decision had not
 // seen.
-type OutTuple struct {
+type outTuple struct {
 	Drop  bool
 	Stamp bool
 	DstAS topology.ASN
@@ -439,8 +428,8 @@ type OutTuple struct {
 // Tables bundles the per-router DISCS tables: the Pfx2AS mapping, the
 // key tables, and the four function tables.
 type Tables struct {
-	LocalAS topology.ASN
-	Pfx2AS  *lpm.Table[topology.ASN]
+	localAS topology.ASN
+	pfx2as  *lpm.Table[topology.ASN]
 	Keys    *KeyTable
 	In      map[TableKind]*FuncTable
 
@@ -454,14 +443,14 @@ type Tables struct {
 // shared — the controller obtains it from RPKI (§V-A) and installs it.
 func NewTables(localAS topology.ASN, pfx2as *lpm.Table[topology.ASN]) *Tables {
 	t := &Tables{
-		LocalAS: localAS,
-		Pfx2AS:  pfx2as,
-		Keys:    NewKeyTable(),
+		localAS: localAS,
+		pfx2as:  pfx2as,
+		Keys:    newKeyTable(),
 		In: map[TableKind]*FuncTable{
-			TableInSrc:  NewFuncTable(TableInSrc),
-			TableInDst:  NewFuncTable(TableInDst),
-			TableOutSrc: NewFuncTable(TableOutSrc),
-			TableOutDst: NewFuncTable(TableOutDst),
+			TableInSrc:  newFuncTable(),
+			TableInDst:  newFuncTable(),
+			TableOutSrc: newFuncTable(),
+			TableOutDst: newFuncTable(),
 		},
 	}
 	t.inSrc = t.In[TableInSrc]
@@ -494,25 +483,19 @@ func (t *Tables) loadIn() inState {
 	return inState{src: t.inSrc.snap.Load(), dst: t.inDst.snap.Load(), keys: t.Keys.snap.Load()}
 }
 
-// GenInTuple implements the in-tuple generation of §V-B: verify? is
+// genInTuple implements the in-tuple generation of §V-B: verify? is
 // set iff CSP-verify ∈ In-Src(s) or CDP-verify ∈ In-Dst(d).
-func (t *Tables) GenInTuple(src, dst netip.Addr, now time.Time) InTuple {
-	st := t.loadIn()
-	return t.genInTuple(&st, src, dst, now.UnixNano())
-}
-
-// genInTuple is the one in-tuple generator.
-func (t *Tables) genInTuple(st *inState, src, dst netip.Addr, nowN int64) InTuple {
+func (t *Tables) genInTuple(st *inState, src, dst netip.Addr, nowN int64) inTuple {
 	// Idle early return: with no live verify op anywhere, skip the
 	// function-table walks and the Pfx2AS lookup.
 	if st.src.idleAt(nowN) && st.dst.idleAt(nowN) {
-		return InTuple{}
+		return inTuple{}
 	}
 	srcOps, srcGrace := st.src.activeOps(src, nowN)
 	dstOps, dstGrace := st.dst.activeOps(dst, nowN)
 	verify := srcOps.Has(OpCSPVerify) || dstOps.Has(OpCDPVerify)
 	if !verify {
-		return InTuple{}
+		return inTuple{}
 	}
 	// §IV-E1: erase-only applies only when every op demanding
 	// verification is inside its tolerance interval. One op still in
@@ -525,21 +508,8 @@ func (t *Tables) genInTuple(st *inState, src, dst netip.Addr, nowN int64) InTupl
 	if dstOps.Has(OpCDPVerify) && !dstGrace.Has(OpCDPVerify) {
 		erase = false
 	}
-	asn, known := t.Pfx2AS.LookupVal(src)
-	return InTuple{Verify: true, EraseOnly: erase, SrcAS: asn, SrcKnown: known}
-}
-
-// GenOutTuple implements the out-tuple generation of §V-B:
-//
-//	drop?  iff Pfx2AS(s) ≠ LocalAS and (SP ∈ Out-Src(s) or DP ∈ Out-Dst(d))
-//	stamp? iff (CSP ∈ Out-Src(s) and Key-S(Pfx2AS(d)) ≠ Null) or CDP ∈ Out-Dst(d)
-//
-// (The paper's prose for drop? reads "Pfx2AS(s) = LocalAS", but Table I
-// defines DP-filter as "if src ∉ local, drop" and SP's condition
-// src ∈ v implies a non-local source, so the equality is a typo for ≠.)
-func (t *Tables) GenOutTuple(src, dst netip.Addr, now time.Time) OutTuple {
-	st := t.loadOut()
-	return t.genOutTuple(&st, nil, src, dst, now.UnixNano())
+	asn, known := t.pfx2as.LookupVal(src)
+	return inTuple{Verify: true, EraseOnly: erase, SrcAS: asn, SrcKnown: known}
 }
 
 // tupleMemo caches the stamp-key lookup of tuple generation for the
@@ -553,7 +523,7 @@ func (t *Tables) GenOutTuple(src, dst netip.Addr, now time.Time) OutTuple {
 // answers in one short binary search, and a last-address memo in front
 // of it measured no faster on router-fastpath nor on router-hostile.
 //
-// A tupleMemo is single-goroutine state; core.BurstPipeline embeds one
+// A tupleMemo is single-goroutine state; a burstPipeline embeds one
 // per worker.
 type tupleMemo struct {
 	keyAS  topology.ASN
@@ -578,28 +548,35 @@ func (m *tupleMemo) stampKey(ks *keySnapshot, peer topology.ASN) *cmac.CMAC {
 	return m.keyVal
 }
 
-// genOutTuple is the one out-tuple generator; m, when non-nil,
-// memoizes its stamp-key lookup across a burst.
-func (t *Tables) genOutTuple(st *outState, m *tupleMemo, src, dst netip.Addr, nowN int64) OutTuple {
+// genOutTuple implements the out-tuple generation of §V-B:
+//
+//	drop?  iff Pfx2AS(s) ≠ LocalAS and (SP ∈ Out-Src(s) or DP ∈ Out-Dst(d))
+//	stamp? iff (CSP ∈ Out-Src(s) and Key-S(Pfx2AS(d)) ≠ Null) or CDP ∈ Out-Dst(d)
+//
+// (The paper's prose for drop? reads "Pfx2AS(s) = LocalAS", but Table I
+// defines DP-filter as "if src ∉ local, drop" and SP's condition
+// src ∈ v implies a non-local source, so the equality is a typo for ≠.)
+// m, when non-nil, memoizes its stamp-key lookup across a burst.
+func (t *Tables) genOutTuple(st *outState, m *tupleMemo, src, dst netip.Addr, nowN int64) outTuple {
 	// Idle early return: a router with no active out-ops skips both
 	// Pfx2AS LPM lookups and all table walks — the common case for the
 	// vast majority of DISCS routers the vast majority of the time.
 	if st.src.idleAt(nowN) && st.dst.idleAt(nowN) {
-		return OutTuple{}
+		return outTuple{}
 	}
 	srcOps, _ := st.src.activeOps(src, nowN)
 	dstOps, _ := st.dst.activeOps(dst, nowN)
-	var tup OutTuple
+	var tup outTuple
 	if srcOps == 0 && dstOps == 0 {
 		return tup
 	}
-	srcAS, srcKnown := t.Pfx2AS.LookupVal(src)
-	local := srcKnown && srcAS == t.LocalAS
+	srcAS, srcKnown := t.pfx2as.LookupVal(src)
+	local := srcKnown && srcAS == t.localAS
 	if !local && (srcOps.Has(OpSPFilter) || dstOps.Has(OpDPFilter)) {
 		tup.Drop = true
 		return tup
 	}
-	dstAS, _ := t.Pfx2AS.LookupVal(dst)
+	dstAS, _ := t.pfx2as.LookupVal(dst)
 	tup.DstAS = dstAS
 	if srcOps.Has(OpCSPStamp) || dstOps.Has(OpCDPStamp) {
 		key := m.stampKey(st.keys, dstAS)

@@ -19,7 +19,7 @@ import (
 // graceHead, graceTail and end, and the instant before each.
 func checkCompiledLookup(t testing.TB, pfxs []netip.Prefix, queries []netip.Addr) {
 	t.Helper()
-	ft := NewFuncTable(TableInDst)
+	ft := newFuncTable()
 	want := map[netip.Prefix]map[Op]window{}
 	install := func(p netip.Prefix, op Op, start time.Time, d, grace time.Duration) {
 		if ft.Install(p, op, start, d, grace) != nil {

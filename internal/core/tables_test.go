@@ -6,11 +6,49 @@ import (
 	"testing"
 	"time"
 
+	"discs/internal/cmac"
 	"discs/internal/lpm"
 	"discs/internal/topology"
 )
 
 var t0 = time.Unix(0, 0).UTC()
+
+// inTupleAt and outTupleAt generate a packet's tuples (§V-B) against
+// the tables' current snapshots, as the router does.
+func inTupleAt(t *Tables, src, dst netip.Addr, now time.Time) inTuple {
+	st := t.loadIn()
+	return t.genInTuple(&st, src, dst, now.UnixNano())
+}
+
+func outTupleAt(t *Tables, src, dst netip.Addr, now time.Time) outTuple {
+	st := t.loadOut()
+	return t.genOutTuple(&st, nil, src, dst, now.UnixNano())
+}
+
+// removeOp withdraws op from prefix p at once.
+func removeOp(ft *FuncTable, p netip.Prefix, op Op) {
+	ft.apply([]tableChange{{pfx: p, op: op, remove: true}})
+}
+
+// keyS is Key-S(peer) in kt's current snapshot, nil when peer is not a
+// peer DAS.
+func keyS(kt *KeyTable, peer topology.ASN) *cmac.CMAC { return kt.snap.Load().stampKey(peer) }
+
+// hasKeyV reports whether kt holds a verification key for peer: the
+// "src ∈ peer" predicate of CDP-verify (Table I).
+func hasKeyV(kt *KeyTable, peer topology.ASN) bool { return kt.snap.Load().verifyKeys(peer) != nil }
+
+// verifyMark checks carrier's mark against peer's keys as the inbound
+// path does. known is false when peer has no verification key; macs
+// counts the CMACs computed, two when a rekey window tries both keys.
+func verifyMark(kt *KeyTable, peer topology.ASN, carrier MarkCarrier) (valid, known bool, macs int) {
+	vk := kt.snap.Load().verifyKeys(peer)
+	if vk == nil {
+		return false, false, 0
+	}
+	valid, macs = vk.verify(carrier)
+	return valid, true, macs
+}
 
 func testPfx2AS(t testing.TB) *lpm.Table[topology.ASN] {
 	t.Helper()
@@ -32,7 +70,7 @@ func testPfx2AS(t testing.TB) *lpm.Table[topology.ASN] {
 func ip(s string) netip.Addr { return netip.MustParseAddr(s) }
 
 func TestFuncTableInstallAndExpiry(t *testing.T) {
-	ft := NewFuncTable(TableOutDst)
+	ft := newFuncTable()
 	v := netip.MustParsePrefix("10.3.0.0/16")
 	if err := ft.Install(v, OpDPFilter, t0, time.Hour, 0); err != nil {
 		t.Fatal(err)
@@ -57,7 +95,7 @@ func TestFuncTableInstallAndExpiry(t *testing.T) {
 }
 
 func TestFuncTableGrace(t *testing.T) {
-	ft := NewFuncTable(TableInDst)
+	ft := newFuncTable()
 	v := netip.MustParsePrefix("10.3.0.0/16")
 	ft.Install(v, OpCDPVerify, t0, time.Hour, 30*time.Second)
 	// Head grace.
@@ -78,7 +116,7 @@ func TestFuncTableGrace(t *testing.T) {
 }
 
 func TestFuncTableReinvokeExtends(t *testing.T) {
-	ft := NewFuncTable(TableOutDst)
+	ft := newFuncTable()
 	v := netip.MustParsePrefix("10.3.0.0/16")
 	ft.Install(v, OpDPFilter, t0, time.Hour, 0)
 	// Re-invoke at 30 min with a longer duration (§IV-E1).
@@ -90,53 +128,53 @@ func TestFuncTableReinvokeExtends(t *testing.T) {
 }
 
 func TestFuncTableRemoveAndPurge(t *testing.T) {
-	ft := NewFuncTable(TableOutSrc)
+	ft := newFuncTable()
 	v := netip.MustParsePrefix("10.3.0.0/16")
 	ft.Install(v, OpSPFilter, t0, time.Hour, 0)
 	ft.Install(v, OpCSPStamp, t0, 2*time.Hour, 0)
-	if ft.Len() != 1 {
-		t.Fatalf("Len = %d", ft.Len())
+	if ft.numPrefixes() != 1 {
+		t.Fatalf("Len = %d", ft.numPrefixes())
 	}
-	ft.Remove(v, OpSPFilter)
+	removeOp(ft, v, OpSPFilter)
 	active, _ := ft.ActiveOps(ip("10.3.0.1"), t0.Add(time.Minute))
 	if active.Has(OpSPFilter) || !active.Has(OpCSPStamp) {
 		t.Fatalf("after Remove: %v", active)
 	}
 	// Purge removes fully expired prefixes only.
-	if n := ft.Purge(t0.Add(90 * time.Minute)); n != 0 {
+	if n := ft.purge(t0.Add(90 * time.Minute)); n != 0 {
 		t.Fatalf("Purge removed %d, want 0 (CSP window still open)", n)
 	}
-	if n := ft.Purge(t0.Add(3 * time.Hour)); n != 1 {
+	if n := ft.purge(t0.Add(3 * time.Hour)); n != 1 {
 		t.Fatalf("Purge removed %d, want 1", n)
 	}
-	if ft.Len() != 0 {
-		t.Fatalf("Len = %d after purge", ft.Len())
+	if ft.numPrefixes() != 0 {
+		t.Fatalf("Len = %d after purge", ft.numPrefixes())
 	}
 }
 
 // TestFuncTableBatchSkipsRefusedPrefix: one prefix the table cannot
 // hold costs only its own change; the rest of the batch still applies.
 func TestFuncTableBatchSkipsRefusedPrefix(t *testing.T) {
-	ft := NewFuncTable(TableOutDst)
+	ft := newFuncTable()
 	a, b := netip.MustParsePrefix("10.3.0.0/16"), netip.MustParsePrefix("10.4.0.0/16")
 	bad := netip.MustParsePrefix("::ffff:10.3.0.0/90")
 	win := window{start: t0, end: t0.Add(time.Hour)}
 	if err := ft.apply([]tableChange{{pfx: a, op: OpDPFilter, win: win}, {pfx: bad, op: OpDPFilter, win: win}, {pfx: b, op: OpDPFilter, win: win}}); err == nil {
 		t.Fatal("apply accepted a 4-in-6 prefix shorter than /96")
 	}
-	if ft.Len() != 2 {
-		t.Fatalf("Len = %d after a batch with one refused install, want 2", ft.Len())
+	if ft.numPrefixes() != 2 {
+		t.Fatalf("Len = %d after a batch with one refused install, want 2", ft.numPrefixes())
 	}
 	if err := ft.apply([]tableChange{{pfx: a, op: OpDPFilter, remove: true}, {pfx: bad, op: OpDPFilter, remove: true}, {pfx: b, op: OpDPFilter, remove: true}}); err == nil {
 		t.Fatal("apply accepted a 4-in-6 prefix shorter than /96")
 	}
-	if ft.Len() != 0 {
-		t.Fatalf("Len = %d after a withdraw batch with one refused prefix, want 0", ft.Len())
+	if ft.numPrefixes() != 0 {
+		t.Fatalf("Len = %d after a withdraw batch with one refused prefix, want 0", ft.numPrefixes())
 	}
 }
 
 func TestFuncTableBadDuration(t *testing.T) {
-	ft := NewFuncTable(TableOutDst)
+	ft := newFuncTable()
 	if err := ft.Install(netip.MustParsePrefix("10.0.0.0/8"), OpDPFilter, t0, 0, 0); err == nil {
 		t.Fatal("zero duration should fail")
 	}
@@ -151,22 +189,22 @@ func TestGenOutTupleDP(t *testing.T) {
 	now := t0.Add(time.Minute)
 
 	// Spoofed source (another AS's space) targeting the victim: drop.
-	tup := tb.GenOutTuple(ip("10.2.9.9"), ip("10.3.0.1"), now)
+	tup := outTupleAt(tb, ip("10.2.9.9"), ip("10.3.0.1"), now)
 	if !tup.Drop {
 		t.Fatal("spoofed packet to victim not dropped")
 	}
 	// Unroutable source: also not local, drop.
-	tup = tb.GenOutTuple(ip("99.9.9.9"), ip("10.3.0.1"), now)
+	tup = outTupleAt(tb, ip("99.9.9.9"), ip("10.3.0.1"), now)
 	if !tup.Drop {
 		t.Fatal("unroutable-source packet to victim not dropped")
 	}
 	// Genuine local source: pass.
-	tup = tb.GenOutTuple(ip("10.1.5.5"), ip("10.3.0.1"), now)
+	tup = outTupleAt(tb, ip("10.1.5.5"), ip("10.3.0.1"), now)
 	if tup.Drop {
 		t.Fatal("genuine local packet dropped (inherent false positive!)")
 	}
 	// Traffic to a non-victim destination: untouched even if spoofed.
-	tup = tb.GenOutTuple(ip("10.2.9.9"), ip("10.4.0.1"), now)
+	tup = outTupleAt(tb, ip("10.2.9.9"), ip("10.4.0.1"), now)
 	if tup.Drop {
 		t.Fatal("DP filtered traffic not targeting the victim")
 	}
@@ -180,12 +218,12 @@ func TestGenOutTupleSP(t *testing.T) {
 	tb.In[TableOutSrc].Install(v, OpSPFilter, t0, time.Hour, 0)
 	now := t0.Add(time.Minute)
 
-	tup := tb.GenOutTuple(ip("10.3.7.7"), ip("10.4.0.1"), now)
+	tup := outTupleAt(tb, ip("10.3.7.7"), ip("10.4.0.1"), now)
 	if !tup.Drop {
 		t.Fatal("packet spoofing the victim's source not dropped")
 	}
 	// Local traffic unaffected.
-	tup = tb.GenOutTuple(ip("10.1.7.7"), ip("10.4.0.1"), now)
+	tup = outTupleAt(tb, ip("10.1.7.7"), ip("10.4.0.1"), now)
 	if tup.Drop {
 		t.Fatal("local packet dropped by SP")
 	}
@@ -200,11 +238,11 @@ func TestGenOutTupleCDPStamp(t *testing.T) {
 	tb.Keys.SetStampKey(3, make([]byte, 16))
 	now := t0.Add(time.Minute)
 
-	tup := tb.GenOutTuple(ip("10.1.5.5"), ip("10.3.0.1"), now)
+	tup := outTupleAt(tb, ip("10.1.5.5"), ip("10.3.0.1"), now)
 	if !tup.Stamp || tup.DstAS != 3 {
 		t.Fatalf("tuple = %+v, want stamp toward AS3", tup)
 	}
-	tup = tb.GenOutTuple(ip("10.1.5.5"), ip("10.4.0.1"), now)
+	tup = outTupleAt(tb, ip("10.1.5.5"), ip("10.4.0.1"), now)
 	if tup.Stamp {
 		t.Fatal("stamped packet not targeting the victim")
 	}
@@ -221,12 +259,12 @@ func TestGenOutTupleCSPStamp(t *testing.T) {
 	now := t0.Add(time.Minute)
 
 	// Own traffic to the peer: stamp.
-	tup := tb.GenOutTuple(ip("10.3.1.1"), ip("10.2.0.1"), now)
+	tup := outTupleAt(tb, ip("10.3.1.1"), ip("10.2.0.1"), now)
 	if !tup.Stamp || tup.DstAS != 2 {
 		t.Fatalf("tuple = %+v", tup)
 	}
 	// Own traffic to a legacy AS: no key, no stamp.
-	tup = tb.GenOutTuple(ip("10.3.1.1"), ip("10.4.0.1"), now)
+	tup = outTupleAt(tb, ip("10.3.1.1"), ip("10.4.0.1"), now)
 	if tup.Stamp {
 		t.Fatal("CSP stamped toward a non-peer")
 	}
@@ -240,22 +278,22 @@ func TestGenInTuple(t *testing.T) {
 	tb.In[TableInDst].Install(v, OpCDPVerify, t0, time.Hour, 30*time.Second)
 	now := t0.Add(10 * time.Minute)
 
-	tup := tb.GenInTuple(ip("10.2.1.1"), ip("10.3.0.1"), now)
+	tup := inTupleAt(tb, ip("10.2.1.1"), ip("10.3.0.1"), now)
 	if !tup.Verify || tup.SrcAS != 2 || !tup.SrcKnown || tup.EraseOnly {
 		t.Fatalf("in-tuple = %+v", tup)
 	}
 	// Traffic to other destinations: not verified.
-	tup = tb.GenInTuple(ip("10.2.1.1"), ip("10.1.0.1"), now)
+	tup = inTupleAt(tb, ip("10.2.1.1"), ip("10.1.0.1"), now)
 	if tup.Verify {
 		t.Fatal("verify set for non-victim destination")
 	}
 	// Grace interval: erase-only.
-	tup = tb.GenInTuple(ip("10.2.1.1"), ip("10.3.0.1"), t0.Add(5*time.Second))
+	tup = inTupleAt(tb, ip("10.2.1.1"), ip("10.3.0.1"), t0.Add(5*time.Second))
 	if !tup.Verify || !tup.EraseOnly {
 		t.Fatalf("grace in-tuple = %+v", tup)
 	}
 	// Unroutable source: SrcKnown false.
-	tup = tb.GenInTuple(ip("99.1.1.1"), ip("10.3.0.1"), now)
+	tup = inTupleAt(tb, ip("99.1.1.1"), ip("10.3.0.1"), now)
 	if !tup.Verify || tup.SrcKnown {
 		t.Fatalf("unroutable-src in-tuple = %+v", tup)
 	}
@@ -267,19 +305,19 @@ func TestGenInTupleCSPVerify(t *testing.T) {
 	tb.In[TableInSrc].Install(v, OpCSPVerify, t0, time.Hour, 0)
 	now := t0.Add(time.Minute)
 
-	tup := tb.GenInTuple(ip("10.3.1.1"), ip("10.2.0.1"), now)
+	tup := inTupleAt(tb, ip("10.3.1.1"), ip("10.2.0.1"), now)
 	if !tup.Verify || tup.SrcAS != 3 {
 		t.Fatalf("in-tuple = %+v", tup)
 	}
 	// Inbound traffic from elsewhere: untouched.
-	tup = tb.GenInTuple(ip("10.4.1.1"), ip("10.2.0.1"), now)
+	tup = inTupleAt(tb, ip("10.4.1.1"), ip("10.2.0.1"), now)
 	if tup.Verify {
 		t.Fatal("CSP-verify matched non-victim source")
 	}
 }
 
 func TestKeyTableRekeyWindow(t *testing.T) {
-	kt := NewKeyTable()
+	kt := newKeyTable()
 	k1 := make([]byte, 16)
 	k2 := make([]byte, 16)
 	k2[0] = 0xff
@@ -290,55 +328,55 @@ func TestKeyTableRekeyWindow(t *testing.T) {
 	tbl := lpm.New[topology.ASN]()
 	_ = tbl
 	p := samplePacketV4()
-	kt2 := NewKeyTable()
+	kt2 := newKeyTable()
 	kt2.SetStampKey(9, k1)
-	V4{p}.Stamp(kt2.StampKey(9))
+	V4{p}.stamp(keyS(kt2, 9))
 
-	if valid, known, _ := kt.VerifyMark(2, V4{p}); !valid || !known {
+	if valid, known, _ := verifyMark(kt, 2, V4{p}); !valid || !known {
 		t.Fatal("mark with current key rejected")
 	}
 	// Rekey: k2 becomes current, k1 previous.
 	demoted, _ := kt.setVerifyKey(2, k2)
-	if valid, _, _ := kt.VerifyMark(2, V4{p}); !valid {
+	if valid, _, _ := verifyMark(kt, 2, V4{p}); !valid {
 		t.Fatal("mark with previous key rejected during rekey window")
 	}
 	// End of window.
 	kt.dropVerifyKey(2, demoted)
-	if valid, _, _ := kt.VerifyMark(2, V4{p}); valid {
+	if valid, _, _ := verifyMark(kt, 2, V4{p}); valid {
 		t.Fatal("mark with dropped key still accepted")
 	}
 	// New-key marks verify.
 	kt2.SetStampKey(9, k2)
-	V4{p}.Stamp(kt2.StampKey(9))
-	if valid, _, _ := kt.VerifyMark(2, V4{p}); !valid {
+	V4{p}.stamp(keyS(kt2, 9))
+	if valid, _, _ := verifyMark(kt, 2, V4{p}); !valid {
 		t.Fatal("mark with new key rejected")
 	}
 }
 
 func TestKeyTableUnknownPeer(t *testing.T) {
-	kt := NewKeyTable()
+	kt := newKeyTable()
 	p := samplePacketV4()
-	if _, known, _ := kt.VerifyMark(7, V4{p}); known {
+	if _, known, _ := verifyMark(kt, 7, V4{p}); known {
 		t.Fatal("unknown peer reported as known")
 	}
-	if kt.StampKey(7) != nil {
+	if keyS(kt, 7) != nil {
 		t.Fatal("unknown peer has a stamp key")
 	}
-	if kt.HasVerifyKey(7) {
+	if hasKeyV(kt, 7) {
 		t.Fatal("unknown peer has a verify key")
 	}
 }
 
 func TestKeyTableRemovePeerAndCount(t *testing.T) {
-	kt := NewKeyTable()
+	kt := newKeyTable()
 	kt.SetStampKey(2, make([]byte, 16))
 	kt.SetVerifyKey(2, make([]byte, 16))
 	kt.SetVerifyKey(3, make([]byte, 16))
-	if kt.NumPeers() != 2 {
-		t.Fatalf("NumPeers = %d", kt.NumPeers())
+	if kt.snap.Load().index.Len() != 2 {
+		t.Fatalf("peers = %d", kt.snap.Load().index.Len())
 	}
-	kt.RemovePeer(2)
-	if kt.NumPeers() != 1 || kt.StampKey(2) != nil || kt.HasVerifyKey(2) {
+	kt.removePeer(2)
+	if kt.snap.Load().index.Len() != 1 || keyS(kt, 2) != nil || hasKeyV(kt, 2) {
 		t.Fatal("RemovePeer incomplete")
 	}
 }
@@ -349,7 +387,7 @@ func TestKeyTableRemovePeerAndCount(t *testing.T) {
 // says, including peers whose ASNs collide in the table.
 func TestKeyTableIndexMatchesMap(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	kt := NewKeyTable()
+	kt := newKeyTable()
 	want := map[topology.ASN]bool{}
 	key := make([]byte, 16)
 	for step := 0; step < 3000; step++ {
@@ -359,7 +397,7 @@ func TestKeyTableIndexMatchesMap(t *testing.T) {
 			peer = topology.ASN(rng.Intn(64)+1) << 20
 		}
 		if rng.Intn(3) == 0 {
-			kt.RemovePeer(peer)
+			kt.removePeer(peer)
 			delete(want, peer)
 		} else {
 			rng.Read(key)
@@ -368,11 +406,11 @@ func TestKeyTableIndexMatchesMap(t *testing.T) {
 			}
 			want[peer] = true
 		}
-		if kt.NumPeers() != len(want) {
-			t.Fatalf("step %d: NumPeers = %d, want %d", step, kt.NumPeers(), len(want))
+		if kt.snap.Load().index.Len() != len(want) {
+			t.Fatalf("step %d: peers = %d, want %d", step, kt.snap.Load().index.Len(), len(want))
 		}
 		for _, p := range []topology.ASN{0, peer, peer + 1, topology.ASN(rng.Intn(300)), topology.ASN(rng.Intn(64)+1) << 20} {
-			if got := kt.StampKey(p) != nil; got != want[p] {
+			if got := keyS(kt, p) != nil; got != want[p] {
 				t.Fatalf("step %d: AS%d has a stamp key %v, want %v", step, p, got, want[p])
 			}
 		}
@@ -380,7 +418,7 @@ func TestKeyTableIndexMatchesMap(t *testing.T) {
 }
 
 func TestKeyTableBadKeyLength(t *testing.T) {
-	kt := NewKeyTable()
+	kt := newKeyTable()
 	if err := kt.SetStampKey(2, make([]byte, 8)); err == nil {
 		t.Fatal("short stamp key accepted")
 	}

@@ -186,9 +186,8 @@ type Spec struct {
 	Phases           []Phase `json:"phases"`
 }
 
-// SpecError is the typed validation failure for scenario specs, in the
-// style of core.OptionError: callers branch on the offending phase and
-// field without parsing the message.
+// SpecError is the typed validation failure for scenario specs: callers
+// branch on the offending phase and field without parsing the message.
 //
 //	var se *scenario.SpecError
 //	if errors.As(err, &se) && se.Field == "Pulses" { ... }

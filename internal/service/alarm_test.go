@@ -106,10 +106,10 @@ func TestAlarmSamplesReachEventLoop(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if got := stat(core.MetricCtrlAttacksDetected); got != 1 {
+	if got := stat("ctrl.attacks_detected"); got != 1 {
 		t.Fatalf("attack detected %d times, want exactly once", got)
 	}
-	if got := stat(core.MetricRouterInAlarmed); got < 100 {
+	if got := stat("router.in_alarmed"); got < 100 {
 		t.Fatalf("router alarmed %d packets, want at least the threshold of 100", got)
 	}
 }

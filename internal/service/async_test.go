@@ -140,7 +140,7 @@ func twoNodes(t *testing.T) (n1, n2 *service.Node, cfg1 service.Config) {
 func TestReloadNoopAnnouncesNothing(t *testing.T) {
 	n1, _, cfg1 := twoNodes(t)
 	adsSeen := func() uint64 {
-		return n1.Stats().Get(fmt.Sprintf("as%d.%s", n1.AS(), core.MetricCtrlAdsSeen))
+		return n1.Stats().Get(fmt.Sprintf("as%d.ctrl.ads_seen", n1.AS()))
 	}
 	base := adsSeen()
 	if base == 0 {
@@ -148,14 +148,14 @@ func TestReloadNoopAnnouncesNothing(t *testing.T) {
 	}
 
 	// Unchanged config: zero new announcements, zero new handshakes.
-	hs := n1.Stats().Get(fmt.Sprintf("as%d.%s", n1.AS(), core.MetricCtrlHandshakesInitiated))
+	hs := n1.Stats().Get(fmt.Sprintf("as%d.ctrl.handshakes_initiated", n1.AS()))
 	if err := n1.Reload(cfg1); err != nil {
 		t.Fatal(err)
 	}
 	if got := adsSeen(); got != base {
 		t.Fatalf("no-op reload: ads_seen %d → %d", base, got)
 	}
-	if got := n1.Stats().Get(fmt.Sprintf("as%d.%s", n1.AS(), core.MetricCtrlHandshakesInitiated)); got != hs {
+	if got := n1.Stats().Get(fmt.Sprintf("as%d.ctrl.handshakes_initiated", n1.AS())); got != hs {
 		t.Fatalf("no-op reload: handshakes_initiated %d → %d", hs, got)
 	}
 

@@ -166,7 +166,11 @@ func TestSystemRoundTrip(t *testing.T) {
 	// The invoked DP window survived in the member router's Out-Dst
 	// table (DP schedules destination-side stamping at the members).
 	rt := got.Sys.Router(2)
-	if rt == nil || rt.Tables.In[core.TableOutDst].Len() == 0 {
+	victimAddr := got.Sys.Controllers[3].OwnPrefixes()[0].Addr()
+	if rt == nil {
+		t.Fatal("restored system lost the member router")
+	}
+	if active, _ := rt.Tables.In[core.TableOutDst].ActiveOps(victimAddr, got.Sys.Now()); !active.Has(core.OpDPFilter) {
 		t.Fatal("restored member router lost its Out-Dst window")
 	}
 	// Recovery composes: restart + settle runs the journal replay.
@@ -176,7 +180,7 @@ func TestSystemRoundTrip(t *testing.T) {
 	if err := got.Sys.Settle(); err != nil {
 		t.Fatal(err)
 	}
-	if got := got.Sys.Stats().GetGauge("as3." + core.MetricCtrlPeersEstablished); got == 0 {
+	if got := got.Sys.Stats().GetGauge("as3.ctrl.peers_established"); got == 0 {
 		t.Fatalf("victim controller re-established no peers after restore")
 	}
 }

@@ -197,32 +197,45 @@ func TestChurnCounters(t *testing.T) {
 	addr := b.Addr()
 	a.SetPeer("b", addr)
 
-	const total = 300
 	received := func(c *collector) int {
 		c.mu.Lock()
 		defer c.mu.Unlock()
 		return len(c.frames)
 	}
-	var recvB2 *collector
-	for i := 0; i < total; i++ {
-		if i == 100 {
-			b.Close() // peer dies mid-traffic
-		}
-		if i == 200 {
-			// Peer revives on the same address (Go listeners set
-			// SO_REUSEADDR, so the rebind races nothing).
-			b2, err := NewTCP(TCPOptions{Addr: addr})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer b2.Close()
-			recvB2 = &collector{}
-			if err := b2.Start(recvB2.handle); err != nil {
-				t.Fatal(err)
-			}
-		}
-		a.Send("b", Frame{Kind: 1, From: "a", Data: []byte{byte(i)}})
+	var total uint64
+	send := func() {
+		a.Send("b", Frame{Kind: 1, From: "a", Data: []byte{byte(total)}})
+		total++
 		time.Sleep(time.Millisecond)
+	}
+	for i := 0; i < 100; i++ {
+		send()
+	}
+	b.Close() // peer dies mid-traffic
+	for i := 0; i < 100; i++ {
+		send()
+	}
+	// Peer revives on the same address (Go listeners set SO_REUSEADDR,
+	// so the rebind races nothing).
+	b2, err := NewTCP(TCPOptions{Addr: addr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b2.Close()
+	recvB2 := &collector{}
+	if err := b2.Start(recvB2.handle); err != nil {
+		t.Fatal(err)
+	}
+	// Send until a frame reaches the revived peer. A fixed count could
+	// all be dropped first: the dial backoff doubles from 50 ms with
+	// every failed dial while the peer was down.
+	revived := time.Now().Add(10 * time.Second)
+	for received(recvB2) == 0 {
+		if time.Now().After(revived) {
+			st, _ := a.PeerStats("b")
+			t.Fatalf("no frames delivered after the peer revived: %+v", st)
+		}
+		send()
 	}
 
 	// Wait for the worker to drain so the accounting is quiescent.
