@@ -38,9 +38,9 @@ fmt-check:
 	fi
 
 # The pre-merge gate: formatting, static analysis, the full suite under the race
-# detector (with shuffled test order to catch order-dependent tests),
-# the allocation gates, the service-mode loopback smoke run, and one
-# iteration of every §VI reproduction bench (bench_test.go), of the
+# detector (with shuffled test order to catch order-dependent tests;
+# the §VI checkpoints are its TestPaperCheckpoints), the allocation
+# gates, the service-mode loopback smoke run, and one iteration of the
 # event-engine micro-benchmarks, of the smallest control-plane mesh
 # (BenchmarkMeshFormation at 45 DAS, about a second) and of the
 # per-packet simulator path (the serial router round trip, SendV4, a
@@ -48,7 +48,7 @@ fmt-check:
 # run rather than only compile. Performance is judged by `make bench`,
 # not here.
 check: fmt-check vet vet-obs test-race test-allocs test-fallback node-smoke
-	$(GO) test -run '^$$' -bench . -benchtime 1x . ./internal/netsim
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/netsim
 	$(GO) test -run '^$$' -bench 'MeshFormation/das=45$$|SerialRoundTrip|SendV4' -benchtime 1x ./internal/core
 	$(GO) test -run '^$$' -bench 'CampaignPulse' -benchtime 1x ./internal/scenario
 	$(GO) test -run '^$$' -bench 'LookupV4' -benchtime 1x ./internal/lpm

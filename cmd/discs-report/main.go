@@ -17,7 +17,6 @@ import (
 	"sort"
 	"strings"
 
-	"discs/internal/attack"
 	"discs/internal/cli"
 	"discs/internal/cost"
 	"discs/internal/eval"
@@ -119,8 +118,9 @@ func splitList(s string) []string {
 	return out
 }
 
-// paperTable is the legacy mode: regenerate the paper's evaluation
-// checkpoints and print paper-vs-measured.
+// paperTable regenerates the paper's evaluation checkpoints
+// (eval.Checkpoints) and the §VI-C cost model and prints
+// paper-vs-measured.
 func paperTable(topoFlags *cli.TopoFlags, runs, mcFlows int) {
 	base := topology.DefaultGenConfig()
 	base.SkipLinks = true
@@ -128,56 +128,17 @@ func paperTable(topoFlags *cli.TopoFlags, runs, mcFlows int) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	r := eval.FromTopology(topo)
-	t := cli.NewTable("Quantity", "Paper", "Measured")
-	add := func(name, paper, format string, v float64) {
-		t.Row(name, paper, fmt.Sprintf(format, v))
-	}
-
-	// --- Figure 5: random deployment incentives -------------------------
-	pts, err := eval.MeanIncentiveCurve(r, runs, 21, topoFlags.Seed)
+	cps, err := eval.Checkpoints(topo, runs, mcFlows, topoFlags.Seed)
 	if err != nil {
 		log.Fatal(err)
 	}
-	for _, p := range pts {
-		if p.Ratio >= 0.09 && p.Ratio <= 0.11 {
-			add("Fig 5: incentive @10% random deployment", "0.1688", "%.4f", p.Y["DP+CDP"])
-		}
-		if p.Ratio >= 0.49 && p.Ratio <= 0.51 {
-			add("Fig 5: incentive @50% random deployment", "0.6865", "%.4f", p.Y["DP+CDP"])
-		}
+	t := cli.NewTable("Quantity", "Paper", "Measured")
+	for _, c := range cps {
+		t.Row(c.Name, c.Paper, fmt.Sprintf("%.*f", c.Prec, c.Value))
 	}
-
-	// --- Figures 6/7: optimal strategy checkpoints ----------------------
-	acc := eval.NewAccumulator(r)
-	order := r.OptimalOrder()
-	for k := 0; k < 629; k++ {
-		if err := acc.Deploy(order[k]); err != nil {
-			log.Fatal(err)
-		}
-		switch k + 1 {
-		case 50:
-			add("Fig 6a: address share of 50 largest", "≈0.52 (implied)", "%.3f", acc.DeployedRatio())
-			add("Fig 6c: incentive @50 largest", "0.68", "%.3f", acc.IncBoth())
-			add("Fig 7b: effectiveness @50 largest", "0.41", "%.3f", acc.Effectiveness())
-		case 200:
-			add("Fig 6c: incentive @200 largest", "0.88", "%.3f", acc.IncBoth())
-		case 629:
-			add("Fig 6a: address share of 629 largest", "≈0.90 (implied)", "%.3f", acc.DeployedRatio())
-			add("Fig 7b: effectiveness @629 largest", "0.90", "%.3f", acc.Effectiveness())
-		}
+	add := func(name, paper, format string, v float64) {
+		t.Row(name, paper, fmt.Sprintf(format, v))
 	}
-
-	// --- Monte-Carlo cross-check (X1) ------------------------------------
-	deployed := order[:50]
-	closed := eval.NewAccumulator(r)
-	for _, asn := range deployed {
-		closed.Deploy(asn)
-	}
-	mc := eval.MonteCarloEffectiveness(topo, deployed, attack.DDDoS, mcFlows, topoFlags.Seed)
-	add("X1: flow-level MC effectiveness @50 largest", "matches closed form", "%.3f", mc)
-
-	// --- §VI-C cost model -------------------------------------------------
 	c := cost.Controller(cost.Defaults())
 	rt := cost.Router(cost.Defaults())
 	add("§VI-C: controller total memory (MB)", "463.1", "%.1f", c.TotalMemoryBytes/1e6)

@@ -27,6 +27,16 @@ import (
 	"discs/internal/topology"
 )
 
+// newSystem wires DISCS into net with the default protocol config.
+func newSystem(tb testing.TB, net *bgp.Network) *core.System {
+	tb.Helper()
+	sys, err := core.NewSystemWithOptions(core.SystemOptions{Net: net, Config: core.DefaultConfig()})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return sys
+}
+
 // stripEngineMetrics drops the parsim.* namespace: stall and worker
 // attribution are wall-clock and scheduling dependent by design (see
 // DESIGN.md §11); everything else must match exactly.

@@ -5,6 +5,7 @@
 //
 // The implementation lives under internal/ (one package per
 // subsystem — see DESIGN.md for the inventory), the executables under
-// cmd/, runnable examples under examples/, and the per-figure
-// benchmark harness in bench_test.go at the repository root.
+// cmd/ and runnable examples under examples/. The repository root
+// holds the cross-package tests: the differential oracles and the API
+// and example golden files.
 package discs

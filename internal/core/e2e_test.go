@@ -98,6 +98,36 @@ func TestE2EDDoSDefense(t *testing.T) {
 	}
 }
 
+// TestE2ESingleMark is the mark-count ablation against Passport's
+// per-hop marks: even when every AS on the path has deployed, a
+// protected packet carries one destination mark, so it costs exactly
+// two MACs system-wide (the stamp at the source, the check at the
+// victim).
+func TestE2ESingleMark(t *testing.T) {
+	s := testInternet(t)
+	// The whole path 1001 → 100 → 10 → 20 → 300 → 1004.
+	deploy(t, s, 1001, 100, 10, 20, 300, 1004)
+	invokeAll(t, s, 1004, DP, CDP)
+	macs := func() (n uint64) {
+		for asn := range s.Controllers {
+			n += s.Router(asn).Stats().MACsComputed
+		}
+		return n
+	}
+	before := macs()
+	res := s.SendV4(1001, mkV4("172.16.1.10", "172.16.4.10"))
+	if !res.Delivered {
+		t.Fatalf("genuine traffic dropped: %+v", res)
+	}
+	hops := res.Hops()
+	if len(hops) != 2 || hops[0].Verdict != VerdictPassStamped || hops[1].Verdict != VerdictPassVerified {
+		t.Fatalf("hops = %+v, want stamp at AS1001 and verify at AS1004", hops)
+	}
+	if n := macs() - before; n != 2 {
+		t.Fatalf("one protected packet cost %d MACs, want 2", n)
+	}
+}
+
 // TestE2EReflectionDefense exercises SP+CSP against s-DDoS: agents
 // spoof the victim's source toward reflectors.
 func TestE2EReflectionDefense(t *testing.T) {

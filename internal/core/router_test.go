@@ -112,6 +112,35 @@ func TestDataPlaneBudget(t *testing.T) {
 	}
 }
 
+// TestDPFirstSparesCrypto is the §IV-E2 ablation: with DP installed
+// beside CDP stamping, spoofed packets are dropped before the stamp
+// stage, so 1,000 of them cost no MAC; with CDP alone each one is
+// stamped.
+func TestDPFirstSparesCrypto(t *testing.T) {
+	now := t0.Add(time.Minute)
+	v := netip.MustParsePrefix("10.3.0.0/16")
+	for _, tc := range []struct {
+		withDP bool
+		macs   uint64
+	}{{false, 1000}, {true, 0}} {
+		tab := NewTables(1, testPfx2AS(t))
+		tab.Keys.SetStampKey(3, make([]byte, 16))
+		tab.In[TableOutDst].Install(v, OpCDPStamp, t0, time.Hour, 0)
+		if tc.withDP {
+			tab.In[TableOutDst].Install(v, OpDPFilter, t0, time.Hour, 0)
+		}
+		r := testRouter(tab, 1)
+		for i := 0; i < 1000; i++ {
+			p := samplePacketV4()
+			p.Src = netip.MustParseAddr("192.0.2.7") // not AS1's: spoofed
+			r.ProcessOutbound(V4{p}, now)
+		}
+		if got := r.Stats().MACsComputed; got != tc.macs {
+			t.Errorf("DP installed %v: %d MACs for 1000 spoofed packets, want %d", tc.withDP, got, tc.macs)
+		}
+	}
+}
+
 func TestCDPEndToEndV4(t *testing.T) {
 	peer, victim := peerVictimSetup(t)
 	now := t0.Add(time.Minute)

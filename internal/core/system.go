@@ -349,16 +349,21 @@ func (s *System) SendV4(fromAS topology.ASN, p *packet.IPv4) DeliveryResult {
 }
 
 // returnTimeExceeded builds the ICMP error at the expiring AS and
-// routes it back toward the original source. If the AS owning the
-// original source address is a DAS, its border router scrubs the
-// embedded DISCS mark before the message enters the AS.
+// routes it back toward the original source. The reporting router's
+// address is the expiring AS's first IPv4 prefix; an AS without one
+// returns nothing. If the AS owning the original source address is a
+// DAS, its border router scrubs the embedded DISCS mark before the
+// message enters the AS.
 func (s *System) returnTimeExceeded(atAS topology.ASN, orig *packet.IPv4) *packet.IPv4 {
-	// The reporting router needs an address inside the expiring AS.
 	a := s.Net.Topo.AS(atAS)
-	if a == nil || len(a.Prefixes) == 0 || !a.Prefixes[0].Addr().Is4() {
+	if a == nil {
 		return nil
 	}
-	icmp, err := packet.ICMPv4TimeExceeded(a.Prefixes[0].Addr(), orig)
+	i := slices.IndexFunc(a.Prefixes, func(p netip.Prefix) bool { return p.Addr().Is4() })
+	if i < 0 {
+		return nil
+	}
+	icmp, err := packet.ICMPv4TimeExceeded(a.Prefixes[i].Addr(), orig)
 	if err != nil {
 		return nil
 	}

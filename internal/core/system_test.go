@@ -58,6 +58,56 @@ func TestSendV4TTLBoundaries(t *testing.T) {
 	}
 }
 
+// TestSendV4TimeExceededFromDualStackAS: the ICMP time-exceeded comes
+// from the expiring AS's IPv4 prefix even when the AS lists an IPv6
+// prefix first.
+func TestSendV4TimeExceededFromDualStackAS(t *testing.T) {
+	tp := topology.New()
+	for _, a := range []topology.ASN{1, 100, 4} {
+		if _, err := tp.AddAS(a); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, c := range []topology.ASN{1, 4} {
+		if err := tp.Link(c, 100, topology.CustomerToProvider); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, ap := range []struct {
+		asn topology.ASN
+		pfx string
+	}{
+		{1, "172.16.1.0/24"}, {4, "172.16.4.0/24"},
+		{100, "2001:db8:100::/48"}, {100, "100.0.0.0/16"},
+	} {
+		if err := tp.AddPrefix(ap.asn, netip.MustParsePrefix(ap.pfx)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	net, err := bgp.BuildNetwork(tp, time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net.OriginateAll()
+	if err := net.Converge(); err != nil {
+		t.Fatal(err)
+	}
+	s := testSystem(t, net, DefaultConfig())
+
+	p := mkV4("172.16.1.10", "172.16.4.10")
+	p.TTL = 1
+	res := s.SendV4(1, p)
+	if res.Delivered || !res.TTLExpired || res.DroppedAt != 100 {
+		t.Fatalf("result = %+v, want TTL expiry at AS100", res)
+	}
+	if res.ICMPReturned == nil {
+		t.Fatal("no ICMP time-exceeded from a dual-stack AS")
+	}
+	if src := res.ICMPReturned.Src; !netip.MustParsePrefix("100.0.0.0/16").Contains(src) {
+		t.Fatalf("ICMP source %v outside AS100's IPv4 prefix", src)
+	}
+}
+
 func TestSendV6UnroutableAndHopLimit(t *testing.T) {
 	s := testInternet(t)
 	if err := s.Net.Topo.AddPrefix(1001, netip.MustParsePrefix("2001:db8:1::/48")); err != nil {

@@ -55,7 +55,7 @@ func buildCDP(t testing.TB) (peer, victim *core.BorderRouter) {
 // TestUplinkScenario is the full §I claim: under a bandwidth-
 // overwhelming d-DDoS, a DISCS victim classifies inbound packets by
 // CDP verification and protects collaborator goodput with a priority
-// queue, while an MEF-style victim (no classification) loses ~90% of
+// queue, while an MEF-style victim (no classification) loses ~99% of
 // the same legitimate traffic.
 func TestUplinkScenario(t *testing.T) {
 	peer, victim := buildCDP(t)
@@ -136,8 +136,9 @@ func TestUplinkScenario(t *testing.T) {
 		}
 	}
 	mefGoodput := float64(deliv) / float64(offered)
-	if mefGoodput > 0.5 {
-		t.Fatalf("MEF-style goodput = %v; overload scenario not overwhelming", mefGoodput)
+	// EXPERIMENTS.md records ≈1 % (0.010).
+	if mefGoodput > 0.02 {
+		t.Fatalf("MEF-style goodput = %v, recorded ≈0.01; overload scenario not overwhelming", mefGoodput)
 	}
 	t.Logf("legit goodput: DISCS=%.3f MEF-style=%.3f", s.GoodputRate(High), mefGoodput)
 }

@@ -11,12 +11,9 @@
 // to a low-priority one, keeping collaborator goodput near 100% even
 // under severe overload.
 //
-// The package provides two models:
-//
-//   - a fluid (rate-based) strict-priority model for analytic results
-//     and the ablation bench, and
-//   - a packet-level strict-priority queue with finite buffers and
-//     drop-tail behavior, driven by (arrival-time, class) events.
+// The model is a packet-level strict-priority queue with finite
+// buffers and drop-tail behavior, driven by (arrival-time, class)
+// events; ClassOf maps a router verdict to its class.
 package qos
 
 import (
@@ -44,45 +41,6 @@ func (c Class) String() string {
 		return "low"
 	}
 	return fmt.Sprintf("Class(%d)", int(c))
-}
-
-// FluidDemand is the offered load of one class in packets/second.
-type FluidDemand struct {
-	Class Class
-	PPS   float64
-}
-
-// FluidResult reports the served rate per class under strict priority.
-type FluidResult struct {
-	Served [numClasses]float64
-	// LossRate per class: fraction of offered load dropped.
-	LossRate [numClasses]float64
-}
-
-// Fluid evaluates a strict-priority server of the given capacity
-// (packets/second) against per-class offered loads: High is served
-// first, Low gets the remainder.
-func Fluid(capacityPPS float64, demands ...FluidDemand) FluidResult {
-	var offered [numClasses]float64
-	for _, d := range demands {
-		if d.Class >= 0 && d.Class < numClasses && d.PPS > 0 {
-			offered[d.Class] += d.PPS
-		}
-	}
-	var res FluidResult
-	remaining := capacityPPS
-	for c := Class(0); c < numClasses; c++ {
-		served := offered[c]
-		if served > remaining {
-			served = remaining
-		}
-		res.Served[c] = served
-		remaining -= served
-		if offered[c] > 0 {
-			res.LossRate[c] = 1 - served/offered[c]
-		}
-	}
-	return res
 }
 
 // Packet is one arrival at the queue.

@@ -7,48 +7,6 @@ import (
 	"time"
 )
 
-func TestFluidUnderload(t *testing.T) {
-	res := Fluid(1000, FluidDemand{High, 300}, FluidDemand{Low, 400})
-	if res.Served[High] != 300 || res.Served[Low] != 400 {
-		t.Fatalf("served = %v", res.Served)
-	}
-	if res.LossRate[High] != 0 || res.LossRate[Low] != 0 {
-		t.Fatalf("loss = %v", res.LossRate)
-	}
-}
-
-func TestFluidOverloadProtectsHigh(t *testing.T) {
-	// 10× overload from low-priority attack traffic: high still gets
-	// everything, low eats the entire loss.
-	res := Fluid(1000, FluidDemand{High, 500}, FluidDemand{Low, 10_000})
-	if res.Served[High] != 500 {
-		t.Fatalf("high served = %v", res.Served[High])
-	}
-	if res.Served[Low] != 500 {
-		t.Fatalf("low served = %v", res.Served[Low])
-	}
-	if res.LossRate[Low] != 0.95 {
-		t.Fatalf("low loss = %v", res.LossRate[Low])
-	}
-}
-
-func TestFluidHighOverload(t *testing.T) {
-	res := Fluid(1000, FluidDemand{High, 2000}, FluidDemand{Low, 100})
-	if res.Served[High] != 1000 || res.Served[Low] != 0 {
-		t.Fatalf("served = %v", res.Served)
-	}
-	if res.LossRate[High] != 0.5 || res.LossRate[Low] != 1 {
-		t.Fatalf("loss = %v", res.LossRate)
-	}
-}
-
-func TestFluidIgnoresBadDemands(t *testing.T) {
-	res := Fluid(100, FluidDemand{Class(9), 50}, FluidDemand{High, -5})
-	if res.Served[High] != 0 || res.Served[Low] != 0 {
-		t.Fatalf("served = %v", res.Served)
-	}
-}
-
 // trace builds a uniform arrival trace for a class.
 func trace(class Class, pps float64, dur time.Duration, idBase int) []Packet {
 	n := int(pps * dur.Seconds())

@@ -170,8 +170,9 @@ func TestWireBandwidthExhaustion(t *testing.T) {
 	sys.Settle()
 	legitB := legitDelivered()
 	bytesB := dn.LinkBytes(1, 3)
-	if float64(legitB) > 0.7*legitN {
-		t.Fatalf("flood did not bite: legit %d/%d", legitB, legitN)
+	// EXPERIMENTS.md records 146/500 (29 %).
+	if legitB < 141 || legitB > 151 {
+		t.Fatalf("legit goodput under flood %d/%d, recorded 146 ±5", legitB, legitN)
 	}
 	if dn.DroppedNet() == 0 {
 		t.Fatal("no congestion drops during flood")
@@ -205,9 +206,10 @@ func TestWireBandwidthExhaustion(t *testing.T) {
 	if dn.LinkBytes(2, 1) != 0 {
 		t.Fatalf("A→P carried %d bytes; flood should die at A's egress", dn.LinkBytes(2, 1))
 	}
-	// And the victim's uplink load dropped by roughly the flood share.
-	if bytesC >= bytesB/2 {
-		t.Fatalf("uplink bytes %d (during flood %d): bandwidth not relieved", bytesC, bytesB)
+	// And the victim's uplink load dropped by roughly the flood share:
+	// EXPERIMENTS.md records 476,000 → 28,000 bytes (17×).
+	if bytesC*15 > bytesB {
+		t.Fatalf("uplink bytes %d (during flood %d): relieved less than 15×", bytesC, bytesB)
 	}
 	t.Logf("legit goodput: peace=%d flood=%d defended=%d; uplink bytes flood=%d defended=%d",
 		legitN, legitB, legitC, bytesB, bytesC)
