@@ -44,14 +44,15 @@ fmt-check:
 # event-engine micro-benchmarks, of the smallest control-plane mesh
 # (BenchmarkMeshFormation at 45 DAS, about a second) and of the
 # per-packet simulator path (the serial router round trip, SendV4, a
-# scenario engine's campaign pulse and the IPv4 LPM lookup), so they
-# run rather than only compile. Performance is judged by `make bench`,
-# not here.
+# scenario engine's campaign pulse and the IPv4 LPM lookup) and of the
+# 44,036-AS world set-up, so they run rather than only compile.
+# Performance is judged by `make bench`, not here.
 check: fmt-check vet vet-obs test-race test-allocs test-fallback node-smoke
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/netsim
 	$(GO) test -run '^$$' -bench 'MeshFormation/das=45$$|SerialRoundTrip|SendV4' -benchtime 1x ./internal/core
 	$(GO) test -run '^$$' -bench 'CampaignPulse' -benchtime 1x ./internal/scenario
 	$(GO) test -run '^$$' -bench 'LookupV4' -benchtime 1x ./internal/lpm
+	$(GO) test -run '^$$' -bench 'PaperWorldSetup' -benchtime 1x ./internal/snapshot
 
 # The allocation gates skip under -race (the race detector makes
 # sync.Pool drop Puts), so they get one plain run of their own.

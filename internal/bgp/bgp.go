@@ -11,6 +11,7 @@
 package bgp
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"net/netip"
@@ -18,6 +19,7 @@ import (
 	"sort"
 
 	"discs/internal/netsim"
+	"discs/internal/slab"
 	"discs/internal/topology"
 )
 
@@ -170,10 +172,11 @@ type Speaker struct {
 	UpdatesSent, UpdatesRecv uint64
 }
 
-func newSpeaker(asn topology.ASN, node *netsim.Node, tabs *tables, degree int) *Speaker {
-	s := &Speaker{ASN: asn, node: node, tabs: tabs, paths: tabs.arenas[0], nbrs: make([]neighbor, 0, degree)}
+// init makes s the speaker of asn on node, its sessions to be added
+// into nbrs (empty, with room for them all).
+func (s *Speaker) init(asn topology.ASN, node *netsim.Node, tabs *tables, nbrs []neighbor) {
+	*s = Speaker{ASN: asn, node: node, tabs: tabs, paths: tabs.arenas[0], nbrs: nbrs}
 	node.SetHandler(handler{s})
-	return s
 }
 
 // handler is a Speaker's netsim.ValueHandler: its node receives only
@@ -218,14 +221,22 @@ func (s *Speaker) addNeighbor(asn topology.ASN, link *netsim.Link, rel topology.
 	s.nbrs = append(s.nbrs, neighbor{asn: asn, pref: pref, link: link})
 }
 
-// finishNeighbors fixes the slot order and the export lists.
-func (s *Speaker) finishNeighbors() {
-	sort.Slice(s.nbrs, func(i, j int) bool { return s.nbrs[i].asn < s.nbrs[j].asn })
-	s.toAll = make([]int32, len(s.nbrs))
-	s.toCustomers = s.toCustomers[:0]
-	for i, n := range s.nbrs {
-		s.toAll[i] = int32(i)
-		if n.pref == prefCustomer {
+// finishNeighbors fixes the slot order and the export lists: toAll is
+// all[:degree] (all holds 0, 1, 2, ... up to at least the degree), and
+// toCustomers a piece of customers.
+func (s *Speaker) finishNeighbors(all []int32, customers *slab.Slab[int32]) {
+	slices.SortFunc(s.nbrs, func(a, b neighbor) int { return cmp.Compare(a.asn, b.asn) })
+	d := len(s.nbrs)
+	s.toAll = all[:d:d]
+	nc := 0
+	for i := range s.nbrs {
+		if s.nbrs[i].pref == prefCustomer {
+			nc++
+		}
+	}
+	s.toCustomers = customers.Take(nc)[:0]
+	for i := range s.nbrs {
+		if s.nbrs[i].pref == prefCustomer {
 			s.toCustomers = append(s.toCustomers, int32(i))
 		}
 	}

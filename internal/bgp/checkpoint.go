@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 
+	"discs/internal/slab"
 	"discs/internal/snapcodec"
 	"discs/internal/topology"
 )
@@ -127,8 +128,16 @@ func (s *Speaker) checkpoint(w *snapcodec.Writer) {
 	}
 }
 
+// ribSlabs are the arrays a restore carves the speakers' rows,
+// Adj-RIB-In slabs and DISCS-Ad sets from.
+type ribSlabs struct {
+	rows slab.Slab[ribRow]
+	adj  slab.Slab[ribRoute]
+	seen slab.Slab[seenAd]
+}
+
 // restore injects state written by checkpoint into a fresh speaker.
-func (s *Speaker) restore(r *snapcodec.Reader) error {
+func (s *Speaker) restore(r *snapcodec.Reader, from *ribSlabs) error {
 	if len(s.rows) != 0 || len(s.seen) != 0 {
 		return fmt.Errorf("bgp: restore: AS%d appears twice in the image", s.ASN)
 	}
@@ -139,8 +148,8 @@ func (s *Speaker) restore(r *snapcodec.Reader) error {
 	nr := r.Count(2 + 2*len(s.nbrs))
 	// The rows arrive in prefix-id order, so each is added at the end:
 	// size the row list and the slab once.
-	s.rows = make([]ribRow, 0, nr)
-	s.adj = make([]ribRoute, 0, nr*len(s.nbrs))
+	s.rows = from.rows.Take(nr)[:0]
+	s.adj = from.adj.Take(nr * len(s.nbrs))[:0]
 	for i := 0; i < nr; i++ {
 		pid, best := r.Uvarint(), r.Uvarint()
 		var attrs uint64
@@ -195,6 +204,7 @@ func (s *Speaker) restore(r *snapcodec.Reader) error {
 		}
 	}
 	na := r.Count(1)
+	s.seen = from.seen.Take(na)[:0]
 	for i := 0; i < na; i++ {
 		id := r.Uvarint()
 		if r.Err() != nil {
@@ -238,6 +248,7 @@ func (n *Network) RestoreCheckpoint(r *snapcodec.Reader) error {
 	if cnt != len(n.Speakers) {
 		return fmt.Errorf("bgp: restore: image has %d speakers, network has %d", cnt, len(n.Speakers))
 	}
+	var from ribSlabs
 	for i := 0; i < cnt; i++ {
 		asn := topology.ASN(r.Uvarint())
 		if r.Err() != nil {
@@ -247,7 +258,7 @@ func (n *Network) RestoreCheckpoint(r *snapcodec.Reader) error {
 		if sp == nil {
 			return fmt.Errorf("bgp: restore: image speaker AS%d absent from network", asn)
 		}
-		if err := sp.restore(r); err != nil {
+		if err := sp.restore(r, &from); err != nil {
 			return err
 		}
 	}

@@ -2,9 +2,11 @@ package bgp
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 
 	"discs/internal/netsim"
+	"discs/internal/slab"
 	"discs/internal/topology"
 )
 
@@ -21,26 +23,43 @@ type Network struct {
 
 // BuildNetwork creates a netsim node ("borderN") and speaker for every
 // AS and connects neighbors with the given link delay. The build is
-// O(V+E): node and link tables are preallocated via Reserve, and each
-// physical link is created exactly once — transit from the customer
-// side (each relationship appears in exactly one Providers list),
-// peering from the lower-ASN side — which topology.Link's duplicate
-// guard makes safe without any linked() re-scan.
+// O(V+E) and takes its state from a few arrays rather than objects per
+// AS or link: the simulator is sized for every node and link
+// (Simulator.Reserve), each node's link list for its AS's degree, the
+// speakers are one array, and their neighbour slots and export lists
+// are carved from two more. Each physical link is created exactly once
+// — transit from the customer side (each relationship appears in
+// exactly one Providers list), peering from the lower-ASN side — which
+// topology.Link's duplicate guard makes safe without any linked()
+// re-scan.
 func BuildNetwork(topo *topology.Topology, linkDelay time.Duration) (*Network, error) {
 	sim := netsim.New()
-	nAS := topo.NumASes()
-	sim.Reserve(nAS, topo.NumLinks())
-	net := &Network{Sim: sim, Topo: topo, Speakers: make(map[topology.ASN]*Speaker, nAS), tabs: newTables()}
-	for _, asn := range topo.ASNs() {
-		node, err := sim.AddNode(fmt.Sprintf("border%d", asn))
+	asns := topo.ASNs()
+	nLinks, transit, maxDegree := topo.NumLinks(), 0, 0
+	for _, asn := range asns {
+		a := topo.AS(asn)
+		transit += len(a.Providers)
+		maxDegree = max(maxDegree, a.Degree())
+	}
+	sim.Reserve(len(asns), nLinks)
+	net := &Network{Sim: sim, Topo: topo, Speakers: make(map[topology.ASN]*Speaker, len(asns)), tabs: newTables()}
+	speakers := make([]Speaker, len(asns))
+	var nbrs slab.Slab[neighbor]
+	nbrs.Reserve(2 * nLinks)
+	for i, name := range borderNames(asns) {
+		node, err := sim.AddNode(name)
 		if err != nil {
 			return nil, err
 		}
-		net.Speakers[asn] = newSpeaker(asn, node, net.tabs, topo.AS(asn).Degree())
+		degree := topo.AS(asns[i]).Degree()
+		node.ReserveLinks(degree)
+		sp := &speakers[i]
+		sp.init(asns[i], node, net.tabs, nbrs.Take(degree)[:0])
+		net.Speakers[asns[i]] = sp
 	}
-	for _, asn := range topo.ASNs() {
+	for i, asn := range asns {
 		a := topo.AS(asn)
-		sp := net.Speakers[asn]
+		sp := &speakers[i]
 		for _, prov := range a.Providers {
 			other := net.Speakers[prov]
 			l, err := sim.Connect(sp.node, other.node, linkDelay)
@@ -63,22 +82,50 @@ func BuildNetwork(topo *topology.Topology, linkDelay time.Duration) (*Network, e
 			other.addNeighbor(asn, l, topology.PeerToPeer)
 		}
 	}
-	for _, sp := range net.Speakers {
-		sp.finishNeighbors()
+	// Every speaker's toAll is a prefix of one 0, 1, 2, ... list, and
+	// the customer slots, one per transit link, share one array.
+	all := make([]int32, maxDegree)
+	for i := range all {
+		all[i] = int32(i)
+	}
+	var customers slab.Slab[int32]
+	customers.Reserve(transit)
+	for i := range speakers {
+		speakers[i].finishNeighbors(all, &customers)
 	}
 	return net, nil
+}
+
+// borderNames returns "border<ASN>" for every AS in asns, as
+// substrings of one string.
+func borderNames(asns []topology.ASN) []string {
+	const prefix = "border"
+	buf := make([]byte, 0, len(asns)*(len(prefix)+10))
+	ends := make([]int, len(asns))
+	for i, asn := range asns {
+		buf = strconv.AppendUint(append(buf, prefix...), uint64(asn), 10)
+		ends[i] = len(buf)
+	}
+	all := string(buf)
+	names := make([]string, len(asns))
+	start := 0
+	for i, end := range ends {
+		names[i] = all[start:end]
+		start = end
+	}
+	return names
 }
 
 // AssignShards partitions the topology into k customer-cone shards
 // (topology.PartitionCones) and stamps every border node with its
 // shard, preparing the network for a parallel engine install
-// (parsim.New). Call it after BuildNetwork and before installing the
-// engine; it returns the partition so later node creation (controller
-// and data-plane nodes) can inherit AS shard affinity. Each shard gets
-// its own AS-path arena, written only by the lane that runs the shard.
-// It panics if any speaker already holds a route, whose path handles
-// would point into the wrong arena.
-func (n *Network) AssignShards(k int) map[topology.ASN]int {
+// (Simulator.Relane). Call it after BuildNetwork and before re-laning;
+// nodes created later (controller and data-plane nodes) take their AS's
+// shard from its border node. Each shard gets its own AS-path arena,
+// written only by the lane that runs the shard. It panics if any
+// speaker already holds a route, whose path handles would point into
+// the wrong arena.
+func (n *Network) AssignShards(k int) {
 	for _, sp := range n.Speakers {
 		if len(sp.rows) > 0 {
 			panic(fmt.Sprintf("bgp: AssignShards after AS%d learned routes", sp.ASN))
@@ -89,13 +136,12 @@ func (n *Network) AssignShards(k int) map[topology.ASN]int {
 	for i := range arenas {
 		arenas[i] = newPathArena(uint32(i))
 	}
-	for _, asn := range n.Topo.ASNs() {
+	for i, asn := range n.Topo.ASNs() {
 		sp := n.Speakers[asn]
-		sp.Node().SetShard(shard[asn])
-		sp.paths = arenas[shard[asn]]
+		sp.Node().SetShard(shard[i])
+		sp.paths = arenas[shard[i]]
 	}
 	n.tabs.arenas = arenas
-	return shard
 }
 
 // OriginateAll makes every AS originate all of its prefixes.

@@ -428,6 +428,80 @@ func TestStaleRekeyTimerKeepsNewerOverlap(t *testing.T) {
 	}
 }
 
+// rekeyWindowDrops runs the rekey ablation of DESIGN.md §5 with the
+// given overlap: AS1004 has CDP invoked and its grace interval has
+// passed; AS1001 rekeys toward it while simulator events send one
+// legitimate packet a millisecond from AS1001 to AS1004, from the rekey
+// until well after the key-deploy → ack window (one control-link round
+// trip) closes. It returns how many were sent and how many dropped.
+func rekeyWindowDrops(t *testing.T, overlap time.Duration) (sent, dropped int) {
+	t.Helper()
+	cfg := DefaultConfig()
+	cfg.RekeyOverlap = overlap
+	s := testInternetWithConfig(t, cfg)
+	deploy(t, s, 1001, 1004)
+	if _, err := s.Controllers[1004].Invoke(Invocation{
+		Prefixes: []netip.Prefix{netip.MustParsePrefix("172.16.4.0/24")},
+		Function: CDP, Duration: 24 * time.Hour,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Settle(); err != nil {
+		t.Fatal(err)
+	}
+	sim := s.Net.Sim
+	sim.Run(sim.Now() + cfg.Grace + time.Second) // clear of the grace interval
+	t0 := sim.Now()
+	if err := rekey(s.Controllers[1001], 1004); err != nil {
+		t.Fatal(err)
+	}
+	window := 2 * cfg.CtrlLinkDelay
+	for at := t0; at <= t0+2*window; at += time.Millisecond {
+		if _, err := sim.Schedule(at, func() {
+			pkt := samplePacketV4()
+			pkt.Src = netip.MustParseAddr("172.16.1.10")
+			pkt.Dst = netip.MustParseAddr("172.16.4.10")
+			sent++
+			if res := s.SendV4(1001, pkt); !res.Delivered {
+				if res.DroppedAt != 1004 {
+					t.Errorf("packet dropped at AS%d, not at the verifier", res.DroppedAt)
+				}
+				dropped++
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Settle(); err != nil {
+		t.Fatal(err)
+	}
+	if !s.Controllers[1001].KeysReadyWith(1004) {
+		t.Fatal("the rekey never completed")
+	}
+	return sent, dropped
+}
+
+// TestRekeyWindowAblation is the ablation DESIGN.md §5 cites: the two-
+// key window is what keeps legitimate traffic flowing through a rekey.
+// Without it (RekeyOverlap 0) the verifier drops the old key the moment
+// the new one is deployed, while the stamper keeps using the old key
+// until the ack reaches it one control-link delay later: every packet
+// sent in that gap is dropped. With the default overlap none is.
+func TestRekeyWindowAblation(t *testing.T) {
+	// The gap is one 20 ms control-link delay, one packet a millisecond.
+	const gapDrops = 20
+	sent, dropped := rekeyWindowDrops(t, 0)
+	t.Logf("no overlap: %d of %d legitimate packets dropped", dropped, sent)
+	if dropped != gapDrops {
+		t.Fatalf("no overlap: %d of %d legitimate packets dropped, want %d", dropped, sent, gapDrops)
+	}
+	sent, dropped = rekeyWindowDrops(t, DefaultConfig().RekeyOverlap)
+	t.Logf("default overlap: %d of %d legitimate packets dropped", dropped, sent)
+	if dropped != 0 {
+		t.Fatalf("default overlap: %d of %d legitimate packets dropped, want 0", dropped, sent)
+	}
+}
+
 func TestLateDeployerDiscoversEarlierOnes(t *testing.T) {
 	// Incremental deployment (§VI-A): a DAS joining later must learn
 	// existing DASes from the retained Ads and peer with them without

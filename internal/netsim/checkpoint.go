@@ -25,7 +25,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
+	"strings"
 
 	"discs/internal/snapcodec"
 )
@@ -131,15 +132,11 @@ func (s *Simulator) Checkpoint(w *snapcodec.Writer) error {
 	}
 	writeFaults(w, s.defFaults)
 
-	names := make([]string, 0, len(s.nodes))
-	for name := range s.nodes {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	w.Uvarint(uint64(len(names)))
-	for _, name := range names {
-		n := s.nodes[name]
-		w.String(name)
+	byName := slices.Clone(s.nodes)
+	slices.SortFunc(byName, func(a, b *Node) int { return strings.Compare(a.Name, b.Name) })
+	w.Uvarint(uint64(len(byName)))
+	for _, n := range byName {
+		w.String(n.Name)
 		w.Bool(n.crashed)
 		w.Uvarint(n.epoch)
 		w.Uvarint(uint64(n.shard))
@@ -200,14 +197,14 @@ func (s *Simulator) RestoreCheckpoint(r *snapcodec.Reader) error {
 		return fmt.Errorf("%w: image has %d nodes, world has %d", errStateMismatch, nn, len(s.nodes))
 	}
 	for i := 0; i < nn; i++ {
-		name := r.String()
+		name := r.View()
 		crashed := r.Bool()
 		epoch := r.Uvarint()
 		shard := r.Uvarint()
 		if r.Err() != nil {
 			return r.Err()
 		}
-		n := s.nodes[name]
+		n := s.byName[string(name)]
 		if n == nil {
 			return fmt.Errorf("%w: image node %q absent from world", errStateMismatch, name)
 		}
@@ -226,7 +223,7 @@ func (s *Simulator) RestoreCheckpoint(r *snapcodec.Reader) error {
 		return fmt.Errorf("%w: image has %d links, world has %d", errStateMismatch, nl, len(s.links))
 	}
 	for i := 0; i < nl; i++ {
-		a, b := r.String(), r.String()
+		a, b := r.View(), r.View()
 		l := s.links[i]
 		l.Delay = r.Duration()
 		l.Bps = r.F64()
@@ -238,7 +235,7 @@ func (s *Simulator) RestoreCheckpoint(r *snapcodec.Reader) error {
 		if r.Err() != nil {
 			return r.Err()
 		}
-		if l.a.Name != a || l.b.Name != b {
+		if l.a.Name != string(a) || l.b.Name != string(b) {
 			return fmt.Errorf("%w: link %d is %s<->%s, image %s<->%s",
 				errStateMismatch, i, l.a.Name, l.b.Name, a, b)
 		}

@@ -61,6 +61,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -258,6 +259,7 @@ type Engine struct {
 	cursor    atomic.Int64
 	work      chan struct{}
 	done      chan struct{}
+	exited    sync.WaitGroup  // the worker goroutines, joined by Close
 	epochBusy []time.Duration // per-worker busy time in the last epoch
 	closed    bool
 	shardPub  []uint64 // last published per-shard executed counts
@@ -309,6 +311,7 @@ func newEngine(s *Simulator, opts Options, now Time) (*Engine, error) {
 	if workers > 1 {
 		e.work = make(chan struct{}, workers)
 		e.done = make(chan struct{}, workers)
+		e.exited.Add(workers)
 		for w := 0; w < workers; w++ {
 			go e.worker(w, e.work)
 		}
@@ -356,8 +359,9 @@ func (e *Engine) Merged() bool { return e.merged }
 // when no cross-shard links exist).
 func (e *Engine) Lookahead() Time { return e.lookahead }
 
-// Close stops the worker goroutines. The engine must be parked (no
-// Run/RunAll in progress). Further Run calls fall back to inline lane
+// Close stops the worker goroutines and waits for them to exit. The
+// engine must be parked (no Run/RunAll in progress), so every worker is
+// idle and returns at once. Further Run calls fall back to inline lane
 // execution; results are unchanged.
 func (e *Engine) Close() {
 	if e.closed {
@@ -366,6 +370,7 @@ func (e *Engine) Close() {
 	e.closed = true
 	if e.work != nil {
 		close(e.work)
+		e.exited.Wait()
 		e.work = nil
 		e.workers = 1
 	}
@@ -723,6 +728,7 @@ func (e *Engine) publishShards() {
 // worker is the body of one worker goroutine: per epoch, claim lanes
 // off the shared cursor and run their windows.
 func (e *Engine) worker(wid int, work <-chan struct{}) {
+	defer e.exited.Done()
 	for range work {
 		start := time.Now()
 		n := 0

@@ -23,9 +23,11 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"discs/internal/obs"
+	"discs/internal/slab"
 )
 
 // Time is a simulated timestamp measured as a duration since the start
@@ -87,9 +89,16 @@ func newSimMetrics(reg *obs.Registry) simMetrics {
 // Simulator owns the network structure and, through its engine, the
 // simulated clocks and event queues.
 type Simulator struct {
-	nodes     map[string]*Node
+	nodes     []*Node // in creation order; a node's id is its index
+	byName    map[string]*Node
 	links     []*Link
 	defFaults *LinkFaults // fault.go
+	// Nodes, links and the nodes' link lists and neighbour indexes are
+	// carved from slabs (see Reserve and Node.ReserveLinks).
+	nodeSlab slab.Slab[Node]
+	linkSlab slab.Slab[Link]
+	listSlab slab.Slab[*Link]
+	peerSlab slab.Slab[peerRef]
 	// Observability: all counters live in reg; m caches the handles.
 	reg *obs.Registry
 	m   simMetrics
@@ -111,7 +120,7 @@ func NewWithRegistry(reg *obs.Registry) *Simulator {
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
-	s := &Simulator{nodes: make(map[string]*Node), reg: reg, m: newSimMetrics(reg)}
+	s := &Simulator{byName: make(map[string]*Node), reg: reg, m: newSimMetrics(reg)}
 	s.eng, _ = newEngine(s, Options{Shards: 1, Workers: 1}, 0) // one shard is within MaxShards
 	reg.SetClock(func() int64 { return int64(s.Now()) })
 	return s
@@ -296,13 +305,16 @@ func (b Bytes) Size() int { return len(b) }
 type Node struct {
 	Name string
 	sim  *Simulator
+	id   int32 // creation index in Simulator.nodes
 	// shard is the logical partition (engine lane) the node belongs to.
 	shard int32
 	links []*Link
-	// nbr indexes the first link per neighbor so SendTo is O(1) on the
-	// common single-link case instead of scanning links (which is
-	// O(degree) — ruinous for tier-1 nodes with thousands of links).
-	nbr     map[*Node]*Link
+	// peers indexes the first link toward each neighbour, sorted by the
+	// neighbour's id, so LinkTo and UpLink are a binary search instead
+	// of a scan of links (O(degree) — ruinous for tier-1 nodes with
+	// thousands of links). Connect keeps it current; it is written only
+	// by structural changes, never by a lane's lookups.
+	peers   []peerRef
 	handler Handler
 	values  ValueHandler // handler, when it also takes Value messages
 	crashed bool
@@ -311,21 +323,27 @@ type Node struct {
 	epoch uint64
 }
 
+// peerRef names a neighbour and the first link toward it by their
+// indexes in Simulator.nodes and Simulator.links.
+type peerRef struct{ node, link int32 }
+
 // AddNode registers a node with a unique name.
 func (s *Simulator) AddNode(name string) (*Node, error) {
 	if name == "" {
 		return nil, errors.New("netsim: empty node name")
 	}
-	if _, dup := s.nodes[name]; dup {
+	if _, dup := s.byName[name]; dup {
 		return nil, fmt.Errorf("netsim: duplicate node %q", name)
 	}
-	n := &Node{Name: name, sim: s}
-	s.nodes[name] = n
+	n := s.nodeSlab.New()
+	n.Name, n.sim, n.id = name, s, int32(len(s.nodes))
+	s.nodes = append(s.nodes, n)
+	s.byName[name] = n
 	return n, nil
 }
 
 // Node returns the node with the given name, or nil.
-func (s *Simulator) Node(name string) *Node { return s.nodes[name] }
+func (s *Simulator) Node(name string) *Node { return s.byName[name] }
 
 // NumNodes returns the number of registered nodes.
 func (s *Simulator) NumNodes() int { return len(s.nodes) }
@@ -408,8 +426,32 @@ func (n *Node) Links() []*Link { return n.links }
 
 // LinkTo returns the first link created between n and neighbor, up or
 // down, or nil when there is none: the first match of a scan over
-// Links(), in O(1).
-func (n *Node) LinkTo(neighbor *Node) *Link { return n.nbr[neighbor] }
+// Links(), in O(log degree).
+func (n *Node) LinkTo(neighbor *Node) *Link {
+	if neighbor == nil || neighbor.sim != n.sim {
+		return nil
+	}
+	i, ok := n.peerAt(neighbor.id)
+	if !ok {
+		return nil
+	}
+	return n.sim.links[n.peers[i].link]
+}
+
+// peerAt returns the position of neighbour id in n.peers, or where it
+// would be inserted.
+func (n *Node) peerAt(id int32) (int, bool) {
+	lo, hi := 0, len(n.peers)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if n.peers[m].node < id {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo, lo < len(n.peers) && n.peers[lo].node == id
+}
 
 // Sim returns the owning simulator.
 func (n *Node) Sim() *Simulator { return n.sim }
@@ -462,47 +504,73 @@ func (s *Simulator) Connect(a, b *Node, delay Time) (*Link, error) {
 	if delay < 0 {
 		return nil, fmt.Errorf("netsim: negative delay %v", delay)
 	}
-	l := &Link{a: a, b: b, id: int32(len(s.links)), Delay: delay, up: true, sim: s}
+	if a.sim != s || b.sim != s {
+		return nil, errors.New("netsim: connect with a node of another simulator")
+	}
+	l := s.linkSlab.New()
+	*l = Link{a: a, b: b, id: int32(len(s.links)), Delay: delay, up: true, sim: s}
 	if s.defFaults != nil {
 		f := *s.defFaults
 		l.faults = &f
 	}
-	a.links = append(a.links, l)
-	b.links = append(b.links, l)
-	a.addNbr(b, l)
-	b.addNbr(a, l)
+	a.addLink(b, l)
+	b.addLink(a, l)
 	s.links = append(s.links, l)
 	s.eng.connected(l)
 	return l, nil
 }
 
-// addNbr records the first link toward a neighbor (parallel links keep
-// SendTo's "first up link" semantics via the slow-path scan).
-func (n *Node) addNbr(peer *Node, l *Link) {
-	if n.nbr == nil {
-		n.nbr = make(map[*Node]*Link, 4)
-	}
-	if _, dup := n.nbr[peer]; !dup {
-		n.nbr[peer] = l
+// addLink appends l, a link toward peer, to n's links and, when it is
+// the first toward peer, to n's neighbour index (parallel links keep
+// UpLink's "first up link" semantics through the scan of links).
+func (n *Node) addLink(peer *Node, l *Link) {
+	n.links = append(n.links, l)
+	if i, dup := n.peerAt(peer.id); !dup {
+		n.peers = slices.Insert(n.peers, i, peerRef{node: peer.id, link: l.id})
 	}
 }
 
-// Reserve sizes the node and link tables for a known topology so a
-// paper-scale build (44k nodes, ~70k links) does not rehash and
-// re-grow its way up. Safe to call on a fresh or partially built
-// simulator; existing nodes and links are preserved.
+// Reserve sizes the simulator for nodes more nodes and links more links
+// so a paper-scale build (44k nodes, ~70k links) takes its nodes,
+// links and link lists from a few arrays instead of growing and
+// rehashing its way up (see Node.ReserveLinks). Safe to call on a
+// fresh or partially built simulator; existing nodes and links are
+// preserved.
 func (s *Simulator) Reserve(nodes, links int) {
-	if nodes > len(s.nodes) {
-		m := make(map[string]*Node, nodes)
-		for k, v := range s.nodes {
+	s.nodeSlab.Reserve(nodes)
+	s.linkSlab.Reserve(links)
+	// Every link joins two link lists and at most two neighbour indexes.
+	s.listSlab.Reserve(2 * links)
+	s.peerSlab.Reserve(2 * links)
+	if want := len(s.nodes) + nodes; want > cap(s.nodes) {
+		grown := make([]*Node, len(s.nodes), want)
+		copy(grown, s.nodes)
+		s.nodes = grown
+		m := make(map[string]*Node, want)
+		for k, v := range s.byName {
 			m[k] = v
 		}
-		s.nodes = m
+		s.byName = m
 	}
-	if links > cap(s.links) {
-		grown := make([]*Link, len(s.links), links)
+	if want := len(s.links) + links; want > cap(s.links) {
+		grown := make([]*Link, len(s.links), want)
 		copy(grown, s.links)
 		s.links = grown
+	}
+}
+
+// ReserveLinks sizes n's link list and neighbour index for k more
+// links, carved from the simulator's reserved arrays: a node whose
+// degree is known before it is connected is sized once.
+func (n *Node) ReserveLinks(k int) {
+	s := n.sim
+	if cap(n.links)-len(n.links) < k {
+		grown := s.listSlab.Take(len(n.links) + k)
+		n.links = grown[:copy(grown, n.links)]
+	}
+	if cap(n.peers)-len(n.peers) < k {
+		grown := s.peerSlab.Take(len(n.peers) + k)
+		n.peers = grown[:copy(grown, n.peers)]
 	}
 }
 
@@ -644,12 +712,12 @@ func (n *Node) SendTo(neighbor *Node, msg Message) bool {
 }
 
 // UpLink returns the first up link from n to neighbor, or nil. The
-// common case — one link to the neighbor, link up — is an O(1) map
+// common case — one link to the neighbor, link up — is one LinkTo
 // lookup; only parallel links with the first one down fall back to
 // scanning.
 func (n *Node) UpLink(neighbor *Node) *Link {
-	l, ok := n.nbr[neighbor]
-	if !ok {
+	l := n.LinkTo(neighbor)
+	if l == nil {
 		return nil
 	}
 	if l.up {

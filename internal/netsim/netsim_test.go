@@ -439,3 +439,56 @@ func TestMoveToRegistryCarriesCounts(t *testing.T) {
 		t.Fatalf("snapshot stamped %d, sim now %d", st.AtNanos, int64(s.Now()))
 	}
 }
+
+// TestNeighbourIndex: LinkTo finds the first link created toward a
+// neighbour, whatever order the neighbours were connected in, parallel
+// links included; UpLink falls back to the next parallel link that is
+// up; the index stays right past a node's reserved size.
+func TestNeighbourIndex(t *testing.T) {
+	s := New()
+	s.Reserve(5, 3)
+	n := make([]*Node, 5)
+	for i := range n {
+		n[i] = mustNode(t, s, string(rune('a'+i)))
+	}
+	n[0].ReserveLinks(2)
+	// Neighbours of a arrive out of id order, and b twice.
+	first := map[*Node]*Link{}
+	for _, peer := range []*Node{n[3], n[1], n[4], n[1], n[2]} {
+		l := mustLink(t, s, n[0], peer, time.Millisecond)
+		if first[peer] == nil {
+			first[peer] = l
+		}
+	}
+	for peer, l := range first {
+		if got := n[0].LinkTo(peer); got != l {
+			t.Fatalf("a.LinkTo(%s) = link %d, want %d", peer.Name, got.id, l.id)
+		}
+		if got := peer.LinkTo(n[0]); got != l {
+			t.Fatalf("%s.LinkTo(a) = link %d, want %d", peer.Name, got.id, l.id)
+		}
+	}
+	if n[1].LinkTo(n[2]) != nil || n[0].LinkTo(nil) != nil || n[0].LinkTo(n[0]) != nil {
+		t.Fatal("LinkTo found a link that does not exist")
+	}
+	other := mustNode(t, New(), "b")
+	if n[0].LinkTo(other) != nil {
+		t.Fatal("LinkTo found a link to another simulator's node")
+	}
+	if _, err := s.Connect(n[0], other, time.Millisecond); err == nil {
+		t.Fatal("Connect accepted a node of another simulator")
+	}
+
+	second := n[0].Links()[3]
+	first[n[1]].SetUp(false)
+	if got := n[0].UpLink(n[1]); got != second {
+		t.Fatalf("UpLink with the first a-b link down = %v, want the second", got)
+	}
+	second.SetUp(false)
+	if n[0].UpLink(n[1]) != nil || n[0].SendTo(n[1], Bytes("x")) {
+		t.Fatal("UpLink or SendTo used a down link")
+	}
+	if !n[0].SendTo(n[2], Bytes("x")) {
+		t.Fatal("SendTo over an up link failed")
+	}
+}

@@ -81,14 +81,14 @@ type valSlot struct {
 	dir  uint8
 }
 
-// slab is a payload table with a free list of its unused slots.
-type slab[T any] struct {
+// slotTable is a payload table with a free list of its unused slots.
+type slotTable[T any] struct {
 	s    []T
 	free []uint32
 }
 
 // alloc returns an unused slot; the caller fills it.
-func (t *slab[T]) alloc() uint32 {
+func (t *slotTable[T]) alloc() uint32 {
 	if n := len(t.free); n > 0 {
 		i := t.free[n-1]
 		t.free = t.free[:n-1]
@@ -100,7 +100,7 @@ func (t *slab[T]) alloc() uint32 {
 }
 
 // release returns slot i to the free list; the caller clears it.
-func (t *slab[T]) release(i uint32) { t.free = append(t.free, i) }
+func (t *slotTable[T]) release(i uint32) { t.free = append(t.free, i) }
 
 // queue is one lane's event queue: a 4-ary min-heap of event values and
 // the payload tables they index. It is not safe for concurrent use: it
@@ -111,9 +111,9 @@ type queue struct {
 	fg   int // queued foreground events, cancelled ones excluded
 	dead int // cancelled timers still in the heap
 
-	timers slab[timerSlot]
-	msgs   slab[msgSlot]
-	vals   slab[valSlot]
+	timers slotTable[timerSlot]
+	msgs   slotTable[msgSlot]
+	vals   slotTable[valSlot]
 }
 
 // len returns the number of queued events, cancelled timers not yet

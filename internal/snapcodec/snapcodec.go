@@ -7,7 +7,7 @@
 //   - Sticky errors. The Reader latches the first error and turns every
 //     later call into a no-op, so seam code reads as a straight-line
 //     field list with a single Err() check at the end. The Writer only
-//     appends to a byte slice and cannot fail.
+//     appends to a byte slice (or a series of blocks) and cannot fail.
 //   - Bounded reads. A Reader decodes from an in-memory section whose
 //     checksum has already been verified; every length prefix is
 //     checked against the bytes actually remaining before any
@@ -35,9 +35,13 @@ var ErrShortBuffer = errors.New("snapcodec: truncated section")
 // (e.g. a varint that does not terminate, or an invalid prefix).
 var ErrRange = errors.New("snapcodec: value out of range")
 
-// Writer encodes fields by appending them to one byte slice.
+// Writer encodes fields by appending them to one byte slice or, made
+// by NewBlockWriter, to a series of blocks.
 type Writer struct {
 	out []byte
+	// Block mode: full holds the filled blocks, out the one being filled.
+	blocks bool
+	full   [][]byte
 }
 
 // NewAppendWriter returns a Writer that appends to b (nil, or a reused
@@ -45,26 +49,80 @@ type Writer struct {
 // not escape, so encoding into a reused buffer allocates only to grow it.
 func NewAppendWriter(b []byte) *Writer { return &Writer{out: b} }
 
-// Appended returns everything encoded so far.
+// Appended returns everything an append Writer encoded so far.
 func (w *Writer) Appended() []byte { return w.out }
 
+// Block sizes: each block is twice its predecessor, within these bounds;
+// a field larger than the bound gets a block of its own size.
+const (
+	minBlock = 4 << 10
+	maxBlock = 1 << 20
+)
+
+// NewBlockWriter returns a Writer that fills a series of blocks instead
+// of growing one slice, so encoding n bytes allocates about n bytes:
+// growing a slice by append allocates and copies about five times what
+// it ends up holding. Blocks returns the result.
+func NewBlockWriter() *Writer { return &Writer{blocks: true} }
+
+// Blocks returns everything a block Writer encoded so far, in order.
+func (w *Writer) Blocks() [][]byte {
+	if len(w.out) == 0 {
+		return w.full
+	}
+	return append(w.full[:len(w.full):len(w.full)], w.out)
+}
+
+// room makes sure a block Writer's current block has room for n more
+// bytes.
+func (w *Writer) room(n int) {
+	if w.blocks && cap(w.out)-len(w.out) < n {
+		w.nextBlock(n)
+	}
+}
+
+func (w *Writer) nextBlock(n int) {
+	if len(w.out) > 0 {
+		w.full = append(w.full, w.out)
+	}
+	w.out = make([]byte, 0, max(min(2*cap(w.out), maxBlock), minBlock, n))
+}
+
 // Uvarint writes v with variable-length encoding.
-func (w *Writer) Uvarint(v uint64) { w.out = binary.AppendUvarint(w.out, v) }
+func (w *Writer) Uvarint(v uint64) {
+	w.room(binary.MaxVarintLen64)
+	w.out = binary.AppendUvarint(w.out, v)
+}
 
 // Varint writes v with zig-zag variable-length encoding.
-func (w *Writer) Varint(v int64) { w.out = binary.AppendVarint(w.out, v) }
+func (w *Writer) Varint(v int64) {
+	w.room(binary.MaxVarintLen64)
+	w.out = binary.AppendVarint(w.out, v)
+}
 
 // U8 writes one byte.
-func (w *Writer) U8(v uint8) { w.out = append(w.out, v) }
+func (w *Writer) U8(v uint8) {
+	w.room(1)
+	w.out = append(w.out, v)
+}
 
 // U16 writes a fixed-width little-endian uint16.
-func (w *Writer) U16(v uint16) { w.out = binary.LittleEndian.AppendUint16(w.out, v) }
+func (w *Writer) U16(v uint16) {
+	w.room(2)
+	w.out = binary.LittleEndian.AppendUint16(w.out, v)
+}
 
 // U32 writes a fixed-width little-endian uint32.
-func (w *Writer) U32(v uint32) { w.out = binary.LittleEndian.AppendUint32(w.out, v) }
+func (w *Writer) U32(v uint32) {
+	w.room(4)
+	w.out = binary.LittleEndian.AppendUint32(w.out, v)
+}
 
 // U64 writes a fixed-width little-endian uint64.
-func (w *Writer) U64(v uint64) { w.out = binary.LittleEndian.AppendUint64(w.out, v) }
+func (w *Writer) U64(v uint64) {
+	w.room(8)
+	w.out = binary.LittleEndian.AppendUint64(w.out, v)
+}
 
 // Bool writes a boolean as one byte.
 func (w *Writer) Bool(v bool) {
@@ -87,17 +145,20 @@ func (w *Writer) Time(t time.Time) { w.Varint(t.UnixNano()) }
 // Bytes writes a length-prefixed byte slice.
 func (w *Writer) Bytes(b []byte) {
 	w.Uvarint(uint64(len(b)))
+	w.room(len(b))
 	w.out = append(w.out, b...)
 }
 
 // String writes a length-prefixed string.
 func (w *Writer) String(s string) {
 	w.Uvarint(uint64(len(s)))
+	w.room(len(s))
 	w.out = append(w.out, s...)
 }
 
 // Prefix writes a netip.Prefix as addr-length, addr bytes, mask bits.
 func (w *Writer) Prefix(p netip.Prefix) {
+	w.room(18)
 	if p.Addr().Is4() {
 		b := p.Addr().As4()
 		w.out = append(append(w.out, 4), b[:]...)
@@ -292,6 +353,13 @@ func (r *Reader) Bytes() []byte {
 	out := make([]byte, n)
 	copy(out, b)
 	return out
+}
+
+// View decodes a length-prefixed byte string as a slice of the section
+// itself, valid while the section is: a comparison or a map lookup
+// with it copies nothing.
+func (r *Reader) View() []byte {
+	return r.take(r.Len())
 }
 
 // String decodes a length-prefixed string.

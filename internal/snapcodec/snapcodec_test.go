@@ -1,6 +1,7 @@
 package snapcodec
 
 import (
+	"bytes"
 	"net/netip"
 	"testing"
 	"time"
@@ -136,5 +137,46 @@ func TestCount(t *testing.T) {
 	r := NewReader(w.Appended())
 	if n := r.Count(8); n != 0 || r.Err() != ErrShortBuffer {
 		t.Fatalf("count = %d err = %v", n, r.Err())
+	}
+}
+
+// TestBlockWriterMatchesAppend: a block Writer's blocks, joined, are the
+// bytes an append Writer encodes for the same fields, across block
+// boundaries and for a field larger than the largest block; and View
+// reads a string in place.
+func TestBlockWriterMatchesAppend(t *testing.T) {
+	big := bytes.Repeat([]byte{0xab}, maxBlock+3)
+	fill := func(w *Writer) {
+		for i := 0; i < 100_000; i++ {
+			w.Uvarint(uint64(i) << (i % 50))
+			w.U32(uint32(i))
+			w.String("border")
+			w.Prefix(netip.MustParsePrefix("2001:db8::/32"))
+			if i == 50_000 {
+				w.Bytes(big)
+			}
+		}
+	}
+	a, b := NewAppendWriter(nil), NewBlockWriter()
+	fill(a)
+	fill(b)
+	blocks := b.Blocks()
+	if len(blocks) < 3 {
+		t.Fatalf("%d blocks for %d bytes", len(blocks), len(a.Appended()))
+	}
+	for _, blk := range blocks {
+		if cap(blk) > maxBlock && cap(blk) != len(big) {
+			t.Fatalf("a block of %d bytes: only the %d-byte field may exceed %d", cap(blk), len(big), maxBlock)
+		}
+	}
+	if got := bytes.Join(blocks, nil); !bytes.Equal(got, a.Appended()) {
+		t.Fatalf("joined blocks (%d bytes) differ from the appended bytes (%d)", len(got), len(a.Appended()))
+	}
+
+	r := NewReader(a.Appended())
+	r.Uvarint()
+	r.U32()
+	if v := r.View(); string(v) != "border" {
+		t.Fatalf("View = %q, want %q", v, "border")
 	}
 }

@@ -174,28 +174,38 @@ func (img *Image) Has(kind uint16) bool { return img.sections[kind] != nil }
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// section serializes one layer seam into an in-memory payload.
-func section(fill func(*snapcodec.Writer) error) ([]byte, error) {
-	w := snapcodec.NewAppendWriter(nil)
+// section serializes one layer seam into an in-memory payload, a
+// series of blocks (snapcodec.NewBlockWriter) so that the payload costs
+// about its own size in allocations.
+func section(fill func(*snapcodec.Writer) error) ([][]byte, error) {
+	w := snapcodec.NewBlockWriter()
 	if err := fill(w); err != nil {
 		return nil, err
 	}
-	return w.Appended(), nil
+	return w.Blocks(), nil
 }
 
-func writeSection(w io.Writer, kind uint16, payload []byte) error {
+func writeSection(w io.Writer, kind uint16, payload [][]byte) error {
 	var hdr [10]byte
 	hdr[0], hdr[1] = byte(kind), byte(kind>>8)
+	n := 0
+	for _, b := range payload {
+		n += len(b)
+	}
 	for i := 0; i < 8; i++ {
-		hdr[2+i] = byte(uint64(len(payload)) >> (8 * i))
+		hdr[2+i] = byte(uint64(n) >> (8 * i))
 	}
 	crc := crc32.Checksum(hdr[:], castagnoli)
-	crc = crc32.Update(crc, castagnoli, payload)
+	for _, b := range payload {
+		crc = crc32.Update(crc, castagnoli, b)
+	}
 	if _, err := w.Write(hdr[:]); err != nil {
 		return err
 	}
-	if _, err := w.Write(payload); err != nil {
-		return err
+	for _, b := range payload {
+		if _, err := w.Write(b); err != nil {
+			return err
+		}
 	}
 	var tail [4]byte
 	for i := 0; i < 4; i++ {
@@ -256,7 +266,7 @@ func Write(w io.Writer, world *World) error {
 	// Quiescence is checked by the netsim seam; build every
 	// payload before emitting the first byte so a refused checkpoint
 	// writes nothing.
-	payloads := make([][]byte, len(secs))
+	payloads := make([][][]byte, len(secs))
 	for i, s := range secs {
 		p, err := section(s.fill)
 		if err != nil {
@@ -403,7 +413,10 @@ type Options struct {
 
 // Restore rebuilds a runnable world from a verified image. For system
 // images, complete recovery with world.Sys.RestartAll() followed by
-// Settle — the same journal-replay path a crashed controller takes.
+// Settle — the same journal-replay path a crashed controller takes. The
+// world is built the way a fresh one is (topology, bgp.BuildNetwork,
+// AssignShards, Relane) and the image's state is then loaded into it.
+// On an error, the engine it had started is closed.
 func Restore(img *Image, opt Options) (*World, error) {
 	need := func(kind uint16) (*snapcodec.Reader, error) {
 		b := img.Section(kind)
@@ -468,6 +481,12 @@ func Restore(img *Image, opt Options) (*World, error) {
 	if err != nil {
 		return nil, err
 	}
+	built := false
+	defer func() {
+		if !built {
+			eng.Close()
+		}
+	}()
 	world := &World{Net: net, Eng: eng}
 
 	br, err := need(SecBGP)
@@ -551,6 +570,7 @@ func Restore(img *Image, opt Options) (*World, error) {
 		reg = world.Sys.Registry()
 	}
 	reg.Absorb(snap)
+	built = true
 	return world, nil
 }
 

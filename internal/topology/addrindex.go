@@ -108,5 +108,7 @@ func (t *Topology) V4Index(asn ASN) *AddrIndex {
 // address index so the next draw sees the new prefix.
 func (a *AS) appendPrefix(p netip.Prefix) {
 	a.Prefixes = append(a.Prefixes, p)
-	a.v4.Store(nil)
+	if a.v4.Load() != nil {
+		a.v4.Store(nil)
+	}
 }

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"net/netip"
 
+	"discs/internal/slab"
 	"discs/internal/snapcodec"
 )
 
@@ -25,12 +26,9 @@ func writeASNs(w *snapcodec.Writer, list []ASN) {
 	}
 }
 
-func readASNs(r *snapcodec.Reader) []ASN {
-	n := r.Count(1)
-	if n == 0 {
-		return nil
-	}
-	out := make([]ASN, n)
+// readASNs reads a list written by writeASNs into a piece of from.
+func readASNs(r *snapcodec.Reader, from *slab.Slab[ASN]) []ASN {
+	out := from.Take(r.Count(1))
 	for i := range out {
 		out[i] = ASN(r.Uvarint())
 	}
@@ -91,23 +89,30 @@ func (t *Topology) Checkpoint(w *snapcodec.Writer) error {
 func RestoreTopology(r *snapcodec.Reader) (*Topology, []ASN, error) {
 	t := New()
 	n := r.Count(4)
+	t.reserve(n)
 	for i := 0; i < n; i++ {
 		asn := ASN(r.Uvarint())
-		a := &AS{ASN: asn, AddrSpace: r.Uvarint()}
-		np := r.Count(6)
-		for j := 0; j < np; j++ {
-			a.appendPrefix(r.Prefix())
-		}
-		a.Providers = readASNs(r)
-		a.Customers = readASNs(r)
-		a.Peers = readASNs(r)
 		if r.Err() != nil {
 			return nil, nil, r.Err()
 		}
 		if asn == 0 || t.AS(asn) != nil {
 			return nil, nil, fmt.Errorf("topology: restore: invalid or duplicate AS%d", asn)
 		}
-		t.add(a)
+		// Every list's length precedes it, so each is read into a
+		// piece of the topology's slabs of its exact size.
+		a := t.add(asn)
+		a.AddrSpace = r.Uvarint()
+		np := r.Count(6)
+		a.Prefixes = t.prefixes.Take(np)[:0]
+		for range np {
+			a.appendPrefix(r.Prefix())
+		}
+		a.Providers = readASNs(r, &t.asns)
+		a.Customers = readASNs(r, &t.asns)
+		a.Peers = readASNs(r, &t.asns)
+		if r.Err() != nil {
+			return nil, nil, r.Err()
+		}
 	}
 	t.total = r.Uvarint()
 	npfx := r.Count(6)
@@ -127,7 +132,13 @@ func RestoreTopology(r *snapcodec.Reader) (*Topology, []ASN, error) {
 	// caller mirrors that: WarmRoutes (which instantiates the cache)
 	// only when warm is non-nil.
 	active := r.Bool()
-	warm := readASNs(r)
+	var warm []ASN
+	if nw := r.Count(1); nw > 0 {
+		warm = make([]ASN, nw)
+		for i := range warm {
+			warm[i] = ASN(r.Uvarint())
+		}
+	}
 	if active && warm == nil {
 		warm = []ASN{}
 	} else if !active {

@@ -84,10 +84,9 @@ func GenerateInternet(cfg GenConfig) (*Topology, error) {
 	t := New()
 
 	n := cfg.NumASes
+	t.reserve(n)
 	for i := 1; i <= n; i++ {
-		if _, err := t.AddAS(ASN(i)); err != nil {
-			return nil, err
-		}
+		t.add(ASN(i))
 	}
 
 	// --- Address space ---------------------------------------------------
@@ -119,38 +118,49 @@ func GenerateInternet(cfg GenConfig) (*Topology, error) {
 	// Random permutation: rank k's size goes to ASN perm[k]+1.
 	perm := rng.Perm(n)
 
-	sizes := make([]uint64, n) // per rank
-	for k := 0; k < n; k++ {
-		s := uint64(float64(routable) * weights[k] / wsum)
-		if s < 1 {
-			s = 1
-		}
-		sizes[k] = s
+	// Each rank's prefixes: how many, and of which length. Every AS
+	// gets one rank, so the counts size the prefix lists before any
+	// prefix is added.
+	type block struct {
+		bits  uint8
+		count int
 	}
-
-	// Allocate prefixes sequentially from 1.0.0.0. A 64-bit cursor
-	// detects (deterministically, given the seed) if round-up and
-	// alignment waste ever exhaust the IPv4 space.
-	next := uint64(1 << 24) // 1.0.0.0
+	blocks := make([]block, n)
 	extra := cfg.NumPrefixes - n
+	total := 0
 	for k := 0; k < n; k++ {
-		asn := ASN(perm[k] + 1)
+		size := uint64(float64(routable) * weights[k] / wsum)
+		if size < 1 {
+			size = 1
+		}
 		// Prefix budget: one guaranteed, half the extra budget spread
 		// uniformly, half by weight (big ASes announce many prefixes).
 		nPfx := 1 + extra/(2*n) + int(float64(extra)/2*weights[k]/wsum)
 		if nPfx > 64 {
 			nPfx = 64
 		}
-		chunks := carve(sizes[k], nPfx)
-		for _, bits := range chunks {
-			// Align the allocation cursor to the prefix size.
-			blk := uint64(1) << (32 - bits)
+		bits, count := carve(size, nPfx)
+		blocks[k] = block{bits, count}
+		total += count
+	}
+
+	// Allocate prefixes sequentially from 1.0.0.0. A 64-bit cursor
+	// detects (deterministically, given the seed) if round-up and
+	// alignment waste ever exhaust the IPv4 space.
+	t.prefixes.Reserve(total)
+	next := uint64(1 << 24) // 1.0.0.0
+	for k, b := range blocks {
+		a := t.list[perm[k]] // AS perm[k]+1
+		a.Prefixes = t.prefixes.Take(b.count)[:0]
+		// Align the allocation cursor to the prefix size.
+		blk := uint64(1) << (32 - b.bits)
+		for range b.count {
 			next = (next + blk - 1) &^ (blk - 1)
 			if next+blk > 1<<32 {
 				return nil, fmt.Errorf("topology: address space exhausted at AS rank %d", k)
 			}
 			addr := netip.AddrFrom4([4]byte{byte(next >> 24), byte(next >> 16), byte(next >> 8), byte(next)})
-			if err := t.AddPrefix(asn, netip.PrefixFrom(addr, int(bits))); err != nil {
+			if err := t.addPrefix(a, netip.PrefixFrom(addr, int(b.bits))); err != nil {
 				return nil, err
 			}
 			next += blk
@@ -162,68 +172,72 @@ func GenerateInternet(cfg GenConfig) (*Topology, error) {
 	}
 
 	// --- Relationship graph ----------------------------------------------
-	// Tier-1 full mesh.
-	for i := 1; i <= cfg.TierOneCount; i++ {
-		for j := i + 1; j <= cfg.TierOneCount; j++ {
-			if err := t.Link(ASN(i), ASN(j), PeerToPeer); err != nil {
-				return nil, err
-			}
+	// The links are collected first and added at once (linkAll), so
+	// every neighbour list is sized once. Tier-1 full mesh.
+	tier1 := cfg.TierOneCount
+	links := make([]link, 0, tier1*(tier1-1)/2+2*(n-tier1))
+	for i := 1; i <= tier1; i++ {
+		for j := i + 1; j <= tier1; j++ {
+			links = append(links, link{ASN(i), ASN(j), PeerToPeer})
 		}
 	}
 	// Preferential attachment for transit.
-	degree := make([]int, n+1)
-	for i := 1; i <= cfg.TierOneCount; i++ {
-		degree[i] = cfg.TierOneCount - 1
-	}
-	var pool []ASN // one entry per degree unit, for O(1) weighted pick
-	for i := 1; i <= cfg.TierOneCount; i++ {
-		for d := 0; d < degree[i]; d++ {
+	pool := make([]ASN, 0, tier1*(tier1-1)+4*(n-tier1)) // one entry per degree unit, for O(1) weighted pick
+	for i := 1; i <= tier1; i++ {
+		for d := 0; d < tier1-1; d++ {
 			pool = append(pool, ASN(i))
 		}
 	}
-	for i := cfg.TierOneCount + 1; i <= n; i++ {
-		nProv := 1 + rng.Intn(2)
-		chosen := map[ASN]bool{}
-		for len(chosen) < nProv {
+	for i := tier1 + 1; i <= n; i++ {
+		// Providers are picked among the i-1 ASes before this one: with
+		// a single tier-1, the first AS after it has one to choose from.
+		nProv := min(1+rng.Intn(2), i-1)
+		// A new AS links only to the providers it picks here, so a
+		// pick is new unless it is the AS itself or its first pick.
+		var chosen [2]ASN
+		for k := 0; k < nProv; {
 			var p ASN
 			if len(pool) == 0 {
-				p = ASN(1 + rng.Intn(cfg.TierOneCount))
+				p = ASN(1 + rng.Intn(tier1))
 			} else {
 				p = pool[rng.Intn(len(pool))]
 			}
-			if p == ASN(i) || chosen[p] {
+			if p == ASN(i) || p == chosen[0] {
 				continue
 			}
-			chosen[p] = true
-			if err := t.Link(ASN(i), p, CustomerToProvider); err != nil {
-				return nil, err
-			}
-			degree[i]++
-			degree[p]++
+			chosen[k] = p
+			k++
+			links = append(links, link{ASN(i), p, CustomerToProvider})
 			pool = append(pool, ASN(i), p)
 		}
 	}
+	t.linkAll(links)
+
 	// Sprinkle peering links: ~5% of ASes get one lateral peer.
 	nPeerings := n / 20
+	links = links[:0]
+	picked := make(map[[2]ASN]bool, nPeerings)
 	for k := 0; k < nPeerings; k++ {
 		a := ASN(1 + rng.Intn(n))
 		b := ASN(1 + rng.Intn(n))
-		if a == b || t.Connected(a, b) {
+		pair := [2]ASN{min(a, b), max(a, b)}
+		if a == b || picked[pair] || t.Connected(a, b) {
 			continue
 		}
-		if err := t.Link(a, b, PeerToPeer); err != nil {
-			return nil, err
-		}
+		picked[pair] = true
+		links = append(links, link{a, b, PeerToPeer})
 	}
+	t.linkAll(links)
 	return t, nil
 }
 
-// carve splits `size` addresses into equal power-of-two CIDR blocks:
-// the block is the smallest power of two that covers size within the
-// nPfx budget, clamped to [/28, /8]. The result covers at least `size`
-// addresses; the count stays within nPfx unless size alone exceeds
-// nPfx /8-blocks (the budget then yields to coverage).
-func carve(size uint64, nPfx int) []uint8 {
+// carve splits `size` addresses into count equal power-of-two CIDR
+// blocks of length bits: the block is the smallest power of two that
+// covers size within the nPfx budget, clamped to [/28, /8]. The blocks
+// cover at least `size` addresses; the count stays within nPfx unless
+// size alone exceeds nPfx /8-blocks (the budget then yields to
+// coverage).
+func carve(size uint64, nPfx int) (bits uint8, count int) {
 	if size == 0 {
 		size = 1
 	}
@@ -238,19 +252,15 @@ func carve(size uint64, nPfx int) []uint8 {
 	if block > 1<<24 {
 		block = 1 << 24 // /8 ceiling
 	}
-	count := int((size + block - 1) / block)
+	count = int((size + block - 1) / block)
 	if count < 1 {
 		count = 1
 	}
-	bits := uint8(32)
+	bits = 32
 	for b := block; b > 1; b >>= 1 {
 		bits--
 	}
-	out := make([]uint8, count)
-	for i := range out {
-		out[i] = bits
-	}
-	return out
+	return bits, count
 }
 
 // pow2Ceil returns the smallest power of two ≥ v.

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"time"
 )
 
 func addr(t *testing.T, s string) netip.Addr {
@@ -192,17 +193,14 @@ func TestCarve(t *testing.T) {
 		{16777216, 1}, {50_000_000, 8}, {1, 8},
 	}
 	for _, c := range cases {
-		chunks := carve(c.size, c.n)
-		if len(chunks) == 0 || len(chunks) > c.n {
-			t.Fatalf("carve(%d,%d) = %v", c.size, c.n, chunks)
+		bits, count := carve(c.size, c.n)
+		if count == 0 || count > c.n {
+			t.Fatalf("carve(%d,%d) = %d blocks", c.size, c.n, count)
 		}
-		var covered uint64
-		for _, bits := range chunks {
-			if bits > 32 || bits < 8 {
-				t.Fatalf("carve(%d,%d) produced /%d", c.size, c.n, bits)
-			}
-			covered += 1 << (32 - bits)
+		if bits > 32 || bits < 8 {
+			t.Fatalf("carve(%d,%d) produced /%d", c.size, c.n, bits)
 		}
+		covered := uint64(count) << (32 - bits)
 		// Must cover the requested size when expressible.
 		max := uint64(c.n) << 24
 		want := c.size
@@ -212,6 +210,25 @@ func TestCarve(t *testing.T) {
 		if covered < want {
 			t.Fatalf("carve(%d,%d) covers %d < %d", c.size, c.n, covered, want)
 		}
+	}
+}
+
+// TestGenerateSingleTierOne: with one tier-1 AS (TierOneCount 0 or 1),
+// the first AS after it has one possible provider. A draw of two used
+// to spin forever looking for a second; seed 4 draws two.
+func TestGenerateSingleTierOne(t *testing.T) {
+	done := make(chan error, 1)
+	go func() {
+		_, err := GenerateInternet(GenConfig{NumASes: 10, Seed: 4})
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("GenerateInternet with one tier-1 AS did not return")
 	}
 }
 

@@ -15,31 +15,32 @@
 // node's BGP session count, not the node count alone.
 package topology
 
-import "sort"
+import "slices"
 
 // PartitionCones assigns every AS to one of k shards (0..k-1) with
-// customer-cone locality. The result is deterministic for a given
-// topology and k. k <= 1 yields the all-zero partition.
-func (t *Topology) PartitionCones(k int) map[ASN]int {
-	shard := make(map[ASN]int, len(t.order))
+// customer-cone locality and returns the shard of each AS by its dense
+// index (see Index). The result is deterministic for a given topology
+// and k. k <= 1 yields the all-zero partition.
+func (t *Topology) PartitionCones(k int) []int {
+	n := len(t.list)
+	shard := make([]int, n)
 	if k <= 1 {
-		for _, asn := range t.order {
-			shard[asn] = 0
-		}
 		return shard
 	}
 
 	// Primary provider: the provider with the largest address space
-	// (lowest ASN on ties). Provider-free ASes are forest roots.
-	parent := make(map[ASN]ASN, len(t.order))
-	children := make(map[ASN][]ASN, len(t.order))
-	var roots []ASN
+	// (lowest ASN on ties). Provider-free ASes are forest roots. Every
+	// table below is indexed by dense index; children is a CSR list
+	// (the children of i are kids[first[i]:first[i+1]], in index order).
+	parent := make([]int32, n)
+	first := make([]int32, n+1)
+	var roots []int32
 	total := 0
-	for _, asn := range t.order {
-		a := t.AS(asn)
+	for i, a := range t.list {
 		total += a.Degree() + 1
+		parent[i] = -1
 		if len(a.Providers) == 0 {
-			roots = append(roots, asn)
+			roots = append(roots, int32(i))
 			continue
 		}
 		best := a.Providers[0]
@@ -49,8 +50,19 @@ func (t *Topology) PartitionCones(k int) map[ASN]int {
 				best = p
 			}
 		}
-		parent[asn] = best
-		children[best] = append(children[best], asn)
+		parent[i], _ = t.index.Get(best)
+		first[parent[i]+1]++
+	}
+	for i := 0; i < n; i++ {
+		first[i+1] += first[i]
+	}
+	kids := make([]int32, first[n])
+	fill := slices.Clone(first[:n])
+	for i, p := range parent {
+		if p >= 0 {
+			kids[fill[p]] = int32(i)
+			fill[p]++
+		}
 	}
 
 	// Post-order walk of each tree, carving any subtree whose degree
@@ -58,75 +70,71 @@ func (t *Topology) PartitionCones(k int) map[ASN]int {
 	// a tree after carving is the root's group, so every group is a
 	// connected piece of a primary-provider tree.
 	threshold := total/(2*k) + 1
-	group := make(map[ASN]ASN, len(t.order)) // AS -> its group root
-	weight := make(map[ASN]int, 2*k)         // group root -> degree weight
-	var carved []ASN
+	weight := make([]int, n) // group root -> degree weight
+	sub := make([]int, n)    // un-carved subtree weight
+	var carved []int32
 	type frame struct {
-		asn  ASN
-		next int // next child index to visit
+		i    int32
+		next int32 // next child position in kids to visit
 	}
-	sub := make(map[ASN]int, len(t.order)) // un-carved subtree weight
+	var stack []frame
 	for _, r := range roots {
-		stack := []frame{{asn: r}}
+		stack = append(stack[:0], frame{r, first[r]})
 		for len(stack) > 0 {
 			f := &stack[len(stack)-1]
-			kids := children[f.asn]
-			if f.next < len(kids) {
+			if f.next < first[f.i+1] {
 				c := kids[f.next]
 				f.next++
-				stack = append(stack, frame{asn: c})
+				stack = append(stack, frame{c, first[c]})
 				continue
 			}
-			w := t.AS(f.asn).Degree() + 1
-			for _, c := range kids {
+			w := t.list[f.i].Degree() + 1
+			for _, c := range kids[first[f.i]:first[f.i+1]] {
 				w += sub[c] // 0 if c was carved into its own group
 			}
-			if w >= threshold && f.asn != r {
-				carved = append(carved, f.asn)
-				weight[f.asn] = w
-				sub[f.asn] = 0
+			if w >= threshold && f.i != r {
+				carved = append(carved, f.i)
+				weight[f.i] = w
+				sub[f.i] = 0
 			} else {
-				sub[f.asn] = w
+				sub[f.i] = w
 			}
 			stack = stack[:len(stack)-1]
 		}
 		weight[r] = sub[r]
 	}
 	// Group membership: nearest carved ancestor (or the tree root).
-	groupRoots := append(append([]ASN(nil), roots...), carved...)
-	isRoot := make(map[ASN]bool, len(groupRoots))
-	for _, g := range groupRoots {
-		isRoot[g] = true
+	groupRoots := append(roots, carved...)
+	group := make([]int32, n) // AS -> its group root, -1 until known
+	for i := range group {
+		group[i] = -1
 	}
-	var chain []ASN
-	for _, asn := range t.order {
+	for _, g := range groupRoots {
+		group[g] = g
+	}
+	var chain []int32
+	for i := range t.list {
 		chain = chain[:0]
-		cur := asn
-		for !isRoot[cur] {
-			if g, ok := group[cur]; ok {
-				cur = g
-				break
-			}
+		cur := int32(i)
+		for group[cur] < 0 {
 			chain = append(chain, cur)
 			cur = parent[cur]
 		}
-		group[asn] = cur
 		for _, c := range chain {
-			group[c] = cur
+			group[c] = group[cur]
 		}
 	}
 
 	// LPT bin packing: heaviest group first onto the lightest shard.
 	// Ties broken by ASN / shard index for determinism.
-	sort.Slice(groupRoots, func(i, j int) bool {
-		wi, wj := weight[groupRoots[i]], weight[groupRoots[j]]
-		if wi != wj {
-			return wi > wj
+	slices.SortFunc(groupRoots, func(a, b int32) int {
+		if wa, wb := weight[a], weight[b]; wa != wb {
+			return wb - wa
 		}
-		return groupRoots[i] < groupRoots[j]
+		return int(t.order[a]) - int(t.order[b])
 	})
 	load := make([]int, k)
-	rootShard := make(map[ASN]int, len(groupRoots))
+	rootShard := make([]int, n)
 	for _, g := range groupRoots {
 		min := 0
 		for s := 1; s < k; s++ {
@@ -137,8 +145,8 @@ func (t *Topology) PartitionCones(k int) map[ASN]int {
 		rootShard[g] = min
 		load[min] += weight[g]
 	}
-	for _, asn := range t.order {
-		shard[asn] = rootShard[group[asn]]
+	for i := range shard {
+		shard[i] = rootShard[group[i]]
 	}
 	return shard
 }

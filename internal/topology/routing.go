@@ -552,10 +552,3 @@ func (t *Topology) relOf(a, b ASN) (Relationship, bool) {
 	}
 	return 0, false
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -18,11 +18,13 @@ import (
 	"fmt"
 	"math/bits"
 	"net/netip"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 
 	"discs/internal/lpm"
+	"discs/internal/slab"
 )
 
 // ASN is an autonomous system number.
@@ -83,6 +85,13 @@ type Topology struct {
 	pfx2as *lpm.Table[ASN]
 	total  uint64 // global routable address space
 
+	// ASes and their prefix and neighbour lists are carved from slabs:
+	// a list whose length is known before it is filled (generation,
+	// restore, linkAll) is sized once.
+	ases     slab.Slab[AS]
+	prefixes slab.Slab[netip.Prefix]
+	asns     slab.Slab[ASN]
+
 	// Routing state (see routing.go): a frozen dense index plus a
 	// bounded cache of per-destination shortest-path trees, dropped
 	// whenever the graph changes.
@@ -105,17 +114,26 @@ func (t *Topology) AddAS(asn ASN) (*AS, error) {
 	if t.AS(asn) != nil {
 		return nil, fmt.Errorf("topology: duplicate AS%d", asn)
 	}
-	a := &AS{ASN: asn}
-	t.add(a)
-	return a, nil
+	return t.add(asn), nil
 }
 
-// add appends a at the next dense index; a.ASN must be new and
+// add creates AS asn at the next dense index; asn must be new and
 // nonzero.
-func (t *Topology) add(a *AS) {
-	t.index.Put(a.ASN, int32(len(t.list)))
+func (t *Topology) add(asn ASN) *AS {
+	a := t.ases.New()
+	a.ASN = asn
+	t.index.Put(asn, int32(len(t.list)))
 	t.list = append(t.list, a)
-	t.order = append(t.order, a.ASN)
+	t.order = append(t.order, asn)
+	return a
+}
+
+// reserve sizes the AS tables for n more ASes.
+func (t *Topology) reserve(n int) {
+	t.ases.Reserve(n)
+	t.index.reserve(t.index.Len() + n)
+	t.list = slices.Grow(t.list, n)
+	t.order = slices.Grow(t.order, n)
 }
 
 // AS returns the AS with the given number, or nil.
@@ -180,16 +198,7 @@ func (x *ASNIndex) Get(asn ASN) (int32, bool) {
 // Put adds asn, which must be absent, with value i.
 func (x *ASNIndex) Put(asn ASN, i int32) {
 	if 2*(x.n+1) > len(x.slots) {
-		old := x.slots
-		size := max(16, 2*len(old))
-		x.slots = make([]asnSlot, size)
-		x.shift = uint8(32 - bits.TrailingZeros(uint(size)))
-		x.n = 0
-		for _, s := range old {
-			if s.asn != 0 {
-				x.Put(s.asn, s.i)
-			}
-		}
+		x.reserve(x.n + 1)
 	}
 	mask := uint32(len(x.slots) - 1)
 	h := x.slot(asn)
@@ -198,6 +207,27 @@ func (x *ASNIndex) Put(asn ASN, i int32) {
 	}
 	x.slots[h] = asnSlot{asn, i}
 	x.n++
+}
+
+// reserve resizes the table, if needed, so that it holds n entries
+// without growing.
+func (x *ASNIndex) reserve(n int) {
+	size := max(16, len(x.slots))
+	for 2*n > size {
+		size *= 2
+	}
+	if size == len(x.slots) {
+		return
+	}
+	old := x.slots
+	x.slots = make([]asnSlot, size)
+	x.shift = uint8(32 - bits.TrailingZeros(uint(size)))
+	x.n = 0
+	for _, s := range old {
+		if s.asn != 0 {
+			x.Put(s.asn, s.i)
+		}
+	}
 }
 
 // Len returns the number of ASNs in the index.
@@ -231,22 +261,86 @@ func (t *Topology) Link(a, b ASN, rel Relationship) error {
 		// Degree() and create duplicate BGP sessions in BuildNetwork.
 		return fmt.Errorf("topology: duplicate link %d-%d", a, b)
 	}
-	switch rel {
-	case CustomerToProvider:
-		asA.Providers = append(asA.Providers, b)
-		asB.Customers = append(asB.Customers, a)
-	case ProviderToCustomer:
-		asA.Customers = append(asA.Customers, b)
-		asB.Providers = append(asB.Providers, a)
-	case PeerToPeer:
-		asA.Peers = append(asA.Peers, b)
-		asB.Peers = append(asB.Peers, a)
-	default:
+	if rel != CustomerToProvider && rel != ProviderToCustomer && rel != PeerToPeer {
 		return fmt.Errorf("topology: unknown relationship %d", rel)
 	}
+	appendLink(asA, asB, rel)
 	// The graph changed: cached routing trees are stale.
 	t.invalidateRoutes()
 	return nil
+}
+
+// link is one relationship for linkAll, rel from a's perspective.
+type link struct {
+	a, b ASN
+	rel  Relationship
+}
+
+// appendLink adds the relationship rel between a and b to both
+// neighbour lists.
+func appendLink(a, b *AS, rel Relationship) {
+	switch rel {
+	case CustomerToProvider:
+		a.Providers = append(a.Providers, b.ASN)
+		b.Customers = append(b.Customers, a.ASN)
+	case ProviderToCustomer:
+		a.Customers = append(a.Customers, b.ASN)
+		b.Providers = append(b.Providers, a.ASN)
+	default:
+		a.Peers = append(a.Peers, b.ASN)
+		b.Peers = append(b.Peers, a.ASN)
+	}
+}
+
+// linkAll adds links as Link would, in order, after sizing every
+// neighbour list once for all of them. The links must be ones Link
+// accepts: between known, distinct, not yet linked ASes, with a known
+// relationship, and no pair twice.
+func (t *Topology) linkAll(links []link) {
+	// The number of providers, customers and peers each AS gains.
+	gain := make([][3]int32, len(t.list))
+	for _, l := range links {
+		ia, _ := t.index.Get(l.a)
+		ib, _ := t.index.Get(l.b)
+		switch l.rel {
+		case CustomerToProvider:
+			gain[ia][0]++
+			gain[ib][1]++
+		case ProviderToCustomer:
+			gain[ia][1]++
+			gain[ib][0]++
+		default:
+			gain[ia][2]++
+			gain[ib][2]++
+		}
+	}
+	need := 0
+	for i, a := range t.list {
+		for j, list := range [3][]ASN{a.Providers, a.Customers, a.Peers} {
+			if k := int(gain[i][j]); cap(list)-len(list) < k {
+				need += len(list) + k
+			}
+		}
+	}
+	t.asns.Reserve(need)
+	for i, a := range t.list {
+		a.Providers = t.growASNs(a.Providers, gain[i][0])
+		a.Customers = t.growASNs(a.Customers, gain[i][1])
+		a.Peers = t.growASNs(a.Peers, gain[i][2])
+	}
+	for _, l := range links {
+		appendLink(t.AS(l.a), t.AS(l.b), l.rel)
+	}
+	t.invalidateRoutes()
+}
+
+// growASNs returns list with room for k more ASNs, moved to a piece of
+// the ASN slab if it had none.
+func (t *Topology) growASNs(list []ASN, k int32) []ASN {
+	if cap(list)-len(list) >= int(k) {
+		return list
+	}
+	return append(t.asns.Take(len(list) + int(k))[:0], list...)
 }
 
 // Connected reports whether a and b share a link. It scans the
@@ -299,8 +393,13 @@ func (t *Topology) AddPrefix(asn ASN, p netip.Prefix) error {
 	if a == nil {
 		return fmt.Errorf("topology: unknown AS%d", asn)
 	}
+	return t.addPrefix(a, p)
+}
+
+// addPrefix is AddPrefix for an AS of the topology.
+func (t *Topology) addPrefix(a *AS, p netip.Prefix) error {
 	p = p.Masked()
-	if err := t.pfx2as.Insert(p, asn); err != nil {
+	if err := t.pfx2as.Insert(p, a.ASN); err != nil {
 		return err
 	}
 	a.appendPrefix(p)

@@ -3,6 +3,7 @@ package topology
 import (
 	"math"
 	"net/netip"
+	"slices"
 	"testing"
 )
 
@@ -107,6 +108,56 @@ func TestLinkRelationships(t *testing.T) {
 	}
 	if err := tp.Link(1, 99, PeerToPeer); err == nil {
 		t.Error("unknown AS should fail")
+	}
+}
+
+// TestLinkAllMatchesLink: linkAll leaves every neighbour list as the
+// same links added one by one with Link would, also when a second batch
+// lands on lists the first one sized exactly, and appending to a list
+// later never writes into another AS's list.
+func TestLinkAllMatchesLink(t *testing.T) {
+	batches := [][]link{
+		{{1, 2, PeerToPeer}, {3, 1, CustomerToProvider}, {4, 1, CustomerToProvider}, {4, 3, CustomerToProvider}, {2, 5, ProviderToCustomer}},
+		{{3, 5, PeerToPeer}, {1, 5, PeerToPeer}, {6, 2, CustomerToProvider}},
+	}
+	one, all := New(), New()
+	for asn := ASN(1); asn <= 6; asn++ {
+		mustAS(t, one, asn)
+		mustAS(t, all, asn)
+	}
+	for _, batch := range batches {
+		for _, l := range batch {
+			if err := one.Link(l.a, l.b, l.rel); err != nil {
+				t.Fatal(err)
+			}
+		}
+		all.linkAll(batch)
+	}
+	for _, asn := range one.ASNs() {
+		a, b := one.AS(asn), all.AS(asn)
+		for i, pair := range [][2][]ASN{{a.Providers, b.Providers}, {a.Customers, b.Customers}, {a.Peers, b.Peers}} {
+			if !slices.Equal(pair[0], pair[1]) {
+				t.Fatalf("AS%d list %d: linkAll %v, Link %v", asn, i, pair[1], pair[0])
+			}
+		}
+	}
+	if got := all.NumLinks(); got != one.NumLinks() {
+		t.Fatalf("linkAll: %d links, Link: %d", got, one.NumLinks())
+	}
+	// The lists share backing arrays: growing each one must copy it out.
+	for _, asn := range all.ASNs() {
+		a := all.AS(asn)
+		a.Providers = append(a.Providers, 99)
+		a.Customers = append(a.Customers, 99)
+		a.Peers = append(a.Peers, 99)
+	}
+	for _, asn := range one.ASNs() {
+		a, b := one.AS(asn), all.AS(asn)
+		for i, pair := range [][2][]ASN{{a.Providers, b.Providers}, {a.Customers, b.Customers}, {a.Peers, b.Peers}} {
+			if want := append(slices.Clone(pair[0]), 99); !slices.Equal(pair[1], want) {
+				t.Fatalf("AS%d list %d after appends: %v, want %v", asn, i, pair[1], want)
+			}
+		}
 	}
 }
 
