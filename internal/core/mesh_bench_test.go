@@ -1,13 +1,14 @@
 package core
 
 import (
-	"crypto/ecdh"
 	"fmt"
+	"math/rand"
 	"syscall"
 	"testing"
 	"time"
 
 	"discs/internal/bgp"
+	"discs/internal/securechan"
 	"discs/internal/topology"
 )
 
@@ -88,23 +89,19 @@ func meshWorld(tb testing.TB) *bgp.Network {
 	return net
 }
 
-// x25519Cost times one X25519 scalar multiplication: the fastest of
-// several batches, so a descheduled batch does not inflate it.
+// x25519Cost times one X25519 scalar multiplication as the handshake
+// runs it: securechan.NewIdentity with a seeded reader, which draws a
+// scalar and makes exactly one base-point multiplication. It reports the
+// fastest of several batches, so a descheduled batch does not inflate it.
 func x25519Cost(tb testing.TB) time.Duration {
 	tb.Helper()
-	seed := make([]byte, 32)
-	seed[0] = 1
-	priv, err := ecdh.X25519().NewPrivateKey(seed)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	pub := priv.PublicKey()
+	rng := rand.New(rand.NewSource(1))
 	const batches, ops = 8, 250
 	best := time.Duration(1<<63 - 1)
 	for range batches {
 		start := time.Now()
 		for range ops {
-			if _, err := priv.ECDH(pub); err != nil {
+			if _, err := securechan.NewIdentity("x25519", rng); err != nil {
 				tb.Fatal(err)
 			}
 		}

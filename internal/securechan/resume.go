@@ -2,6 +2,7 @@ package securechan
 
 import (
 	"crypto/sha256"
+	"crypto/subtle"
 	"fmt"
 	"io"
 )
@@ -80,7 +81,7 @@ func (r *Resumer) Finish(reply []byte) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	if subtleCompare(mac, want) == 0 {
+	if subtle.ConstantTimeCompare(mac, want) == 0 {
 		return nil, fmt.Errorf("resumption: %w", ErrAuth)
 	}
 	return newSession(keys, true)
@@ -90,22 +91,10 @@ func (r *Resumer) Finish(reply []byte) (*Session, error) {
 // directional keys. Fresh nonces give each resumed session unique
 // record keys, so replaying old records across sessions fails.
 func deriveResumedKeys(secret [16]byte, clientNonce, serverNonce []byte) sessionKeys {
-	h := sha256.New()
-	h.Write([]byte("discs-securechan-resume-v1"))
-	h.Write(secret[:])
-	h.Write(clientNonce)
-	h.Write(serverNonce)
-	master := h.Sum(nil)
-	expand := func(label byte) [16]byte {
-		hh := sha256.Sum256(append(append([]byte{}, master...), label))
-		var k [16]byte
-		copy(k[:], hh[:16])
-		return k
-	}
-	return sessionKeys{
-		encKeyAB: expand(1),
-		encKeyBA: expand(2),
-		macKey:   expand(3),
-		resume:   expand(4),
-	}
+	var buf [128]byte // holds the whole input: no allocation
+	in := append(buf[:0], "discs-securechan-resume-v1"...)
+	in = append(in, secret[:]...)
+	in = append(in, clientNonce...)
+	in = append(in, serverNonce...)
+	return expandKeys(sha256.Sum256(in))
 }

@@ -7,9 +7,11 @@
 // round-trip profile (one request/response handshake, then protected
 // records) built from stdlib crypto:
 //
-//   - X25519 (crypto/ecdh) for key agreement: each controller holds a
-//     static identity key (vouched for out of band, e.g. by RPKI), and
-//     both sides contribute ephemeral keys for forward secrecy.
+//   - X25519 for key agreement: each controller holds a static identity
+//     key (vouched for out of band, e.g. by RPKI), and both sides
+//     contribute ephemeral keys for forward secrecy. The multiplications
+//     run an assembly kernel where the CPU allows and crypto/ecdh
+//     elsewhere, with the same bytes either way (x25519.go).
 //   - SHA-256 for key derivation over the handshake transcript.
 //   - AES-128-CTR for record encryption and AES-CMAC for record
 //     authentication, with strictly increasing sequence numbers for
@@ -23,7 +25,6 @@ package securechan
 import (
 	"crypto/aes"
 	"crypto/cipher"
-	"crypto/ecdh"
 	"crypto/sha256"
 	"crypto/subtle"
 	"encoding/binary"
@@ -38,33 +39,32 @@ import (
 // Identity is a controller's static key pair plus a display name.
 type Identity struct {
 	Name string
-	priv *ecdh.PrivateKey
+	key  keyPair
 }
 
 // NewIdentity generates a static identity key from the given entropy
 // source (crypto/rand.Reader in production; a seeded reader in tests).
 func NewIdentity(name string, rand io.Reader) (*Identity, error) {
-	priv, err := genKey(rand)
-	if err != nil {
+	id := &Identity{Name: name}
+	if err := genKey(&id.key, rand); err != nil {
 		return nil, err
 	}
-	return &Identity{Name: name, priv: priv}, nil
+	return id, nil
 }
 
-// Public returns the identity's public key bytes (32 bytes).
-func (id *Identity) Public() []byte { return id.priv.PublicKey().Bytes() }
+// Public returns a copy of the identity's public key bytes (32 bytes).
+func (id *Identity) Public() []byte { return append([]byte(nil), id.key.pub[:]...) }
 
-// genKey reads a 32-byte X25519 scalar from rand and builds the key
-// pair. It deliberately avoids ecdh's GenerateKey: that calls
+// genKey reads a 32-byte X25519 scalar from rand into k and computes its
+// public key. It deliberately avoids ecdh's GenerateKey: that calls
 // randutil.MaybeReadByte, which consumes 0 or 1 bytes from rand
 // NON-deterministically — poison for the simulator's seeded RNG
 // streams and the repo-wide reproducibility contract.
-func genKey(rand io.Reader) (*ecdh.PrivateKey, error) {
-	var seed [32]byte
-	if _, err := io.ReadFull(rand, seed[:]); err != nil {
-		return nil, err
+func genKey(k *keyPair, rand io.Reader) error {
+	if _, err := io.ReadFull(rand, k.priv[:]); err != nil {
+		return err
 	}
-	return ecdh.X25519().NewPrivateKey(seed[:])
+	return x25519Base(k)
 }
 
 const (
@@ -82,8 +82,8 @@ const ReplyLen = pubLen + nonceLen + macLen
 // Initiator is the client side of a handshake in progress.
 type Initiator struct {
 	id        *Identity
-	peerPub   *ecdh.PublicKey
-	eph       *ecdh.PrivateKey
+	peerPub   [pubLen]byte
+	eph       keyPair
 	nonce     [nonceLen]byte
 	helloSent []byte
 }
@@ -91,15 +91,13 @@ type Initiator struct {
 // NewInitiator starts a handshake toward a peer whose static public
 // key is known (learned from the DISCS-Ad / RPKI layer).
 func NewInitiator(id *Identity, peerStaticPub []byte, rand io.Reader) (*Initiator, error) {
-	pp, err := ecdh.X25519().NewPublicKey(peerStaticPub)
-	if err != nil {
-		return nil, fmt.Errorf("securechan: bad peer key: %w", err)
+	if len(peerStaticPub) != pubLen {
+		return nil, fmt.Errorf("securechan: bad peer key: %w", errPubLen)
 	}
-	eph, err := genKey(rand)
-	if err != nil {
+	ini := &Initiator{id: id, peerPub: [pubLen]byte(peerStaticPub)}
+	if err := genKey(&ini.eph, rand); err != nil {
 		return nil, err
 	}
-	ini := &Initiator{id: id, peerPub: pp, eph: eph}
 	if _, err := io.ReadFull(rand, ini.nonce[:]); err != nil {
 		return nil, err
 	}
@@ -110,7 +108,7 @@ func NewInitiator(id *Identity, peerStaticPub []byte, rand io.Reader) (*Initiato
 func (ini *Initiator) Hello() []byte {
 	if ini.helloSent == nil {
 		b := make([]byte, 0, HelloLen)
-		b = append(b, ini.eph.PublicKey().Bytes()...)
+		b = append(b, ini.eph.pub[:]...)
 		b = append(b, ini.nonce[:]...)
 		ini.helloSent = b
 	}
@@ -124,42 +122,37 @@ func Respond(id *Identity, initiatorStaticPub, hello []byte, rand io.Reader) (re
 	if len(hello) != HelloLen {
 		return nil, nil, fmt.Errorf("hello length %d, want %d: %w", len(hello), HelloLen, ErrBadFrame)
 	}
-	clientEphPub, err := ecdh.X25519().NewPublicKey(hello[:pubLen])
-	if err != nil {
-		return nil, nil, err
+	if len(initiatorStaticPub) != pubLen {
+		return nil, nil, errPubLen
 	}
-	clientStatic, err := ecdh.X25519().NewPublicKey(initiatorStaticPub)
-	if err != nil {
-		return nil, nil, err
-	}
-	eph, err := genKey(rand)
-	if err != nil {
+	clientEph := (*[pubLen]byte)(hello[:pubLen])
+	clientStatic := (*[pubLen]byte)(initiatorStaticPub)
+	var eph keyPair
+	if err := genKey(&eph, rand); err != nil {
 		return nil, nil, err
 	}
 	var nonce [nonceLen]byte
 	if _, err := io.ReadFull(rand, nonce[:]); err != nil {
 		return nil, nil, err
 	}
-	ee, err := id.priv.ECDH(clientEphPub) // server static × client eph
-	if err != nil {
+	var ee, eph2, ss [32]byte
+	if err := x25519(&ee, &id.key, clientEph); err != nil { // server static × client eph
 		return nil, nil, err
 	}
-	eph2, err := eph.ECDH(clientEphPub) // server eph × client eph
-	if err != nil {
+	if err := x25519(&eph2, &eph, clientEph); err != nil { // server eph × client eph
 		return nil, nil, err
 	}
-	ss, err := id.priv.ECDH(clientStatic) // static × static (mutual auth)
-	if err != nil {
+	if err := x25519(&ss, &id.key, clientStatic); err != nil { // static × static (mutual auth)
 		return nil, nil, err
 	}
-	keys := deriveKeys(eph2, ee, ss, hello, eph.PublicKey().Bytes(), nonce[:])
+	keys := deriveKeys(eph2[:], ee[:], ss[:], hello, eph.pub[:], nonce[:])
 	// Server proves key possession with a MAC over the transcript.
-	mac, err := transcriptMAC(keys.macKey[:], hello, eph.PublicKey().Bytes(), nonce[:])
+	mac, err := transcriptMAC(keys.macKey[:], hello, eph.pub[:], nonce[:])
 	if err != nil {
 		return nil, nil, err
 	}
 	reply = make([]byte, 0, ReplyLen)
-	reply = append(reply, eph.PublicKey().Bytes()...)
+	reply = append(reply, eph.pub[:]...)
 	reply = append(reply, nonce[:]...)
 	reply = append(reply, mac...)
 	sess, err = newSession(keys, false)
@@ -175,49 +168,30 @@ func (ini *Initiator) Finish(reply []byte) (*Session, error) {
 	if len(reply) != ReplyLen {
 		return nil, fmt.Errorf("reply length %d, want %d: %w", len(reply), ReplyLen, ErrBadFrame)
 	}
-	serverEphPub, err := ecdh.X25519().NewPublicKey(reply[:pubLen])
-	if err != nil {
-		return nil, err
-	}
+	serverEph := (*[pubLen]byte)(reply[:pubLen])
 	serverNonce := reply[pubLen : pubLen+nonceLen]
 	mac := reply[pubLen+nonceLen:]
 
-	ee, err := ini.eph.ECDH(ini.peerPub) // client eph × server static
-	if err != nil {
+	var ee, eph2, ss [32]byte
+	if err := x25519(&ee, &ini.eph, &ini.peerPub); err != nil { // client eph × server static
 		return nil, err
 	}
-	eph2, err := ini.eph.ECDH(serverEphPub)
-	if err != nil {
+	if err := x25519(&eph2, &ini.eph, serverEph); err != nil {
 		return nil, err
 	}
-	ss, err := ini.id.priv.ECDH(ini.peerPub)
-	if err != nil {
+	if err := x25519(&ss, &ini.id.key, &ini.peerPub); err != nil {
 		return nil, err
 	}
 	hello := ini.Hello()
-	keys := deriveKeys(eph2, ee, ss, hello, reply[:pubLen], serverNonce)
+	keys := deriveKeys(eph2[:], ee[:], ss[:], hello, reply[:pubLen], serverNonce)
 	want, err := transcriptMAC(keys.macKey[:], hello, reply[:pubLen], serverNonce)
 	if err != nil {
 		return nil, err
 	}
-	if subtleCompare(mac, want) == 0 {
+	if subtle.ConstantTimeCompare(mac, want) == 0 {
 		return nil, fmt.Errorf("handshake: %w", ErrAuth)
 	}
 	return newSession(keys, true)
-}
-
-func subtleCompare(a, b []byte) int {
-	if len(a) != len(b) {
-		return 0
-	}
-	var v byte
-	for i := range a {
-		v |= a[i] ^ b[i]
-	}
-	if v == 0 {
-		return 1
-	}
-	return 0
 }
 
 type sessionKeys struct {
@@ -229,18 +203,22 @@ type sessionKeys struct {
 // deriveKeys hashes the three DH secrets and the transcript into
 // directional record keys plus a handshake MAC key.
 func deriveKeys(ephEph, ephStatic, staticStatic, hello, serverEph, serverNonce []byte) sessionKeys {
-	h := sha256.New()
-	h.Write([]byte("discs-securechan-v1"))
-	h.Write(ephEph)
-	h.Write(ephStatic)
-	h.Write(staticStatic)
-	h.Write(hello)
-	h.Write(serverEph)
-	h.Write(serverNonce)
-	master := h.Sum(nil)
-	expand := func(label byte) [16]byte {
-		hh := sha256.Sum256(append(append([]byte{}, master...), label))
-		var k [16]byte
+	var buf [256]byte // holds the whole input: no allocation
+	in := append(buf[:0], "discs-securechan-v1"...)
+	for _, p := range [][]byte{ephEph, ephStatic, staticStatic, hello, serverEph, serverNonce} {
+		in = append(in, p...)
+	}
+	return expandKeys(sha256.Sum256(in))
+}
+
+// expandKeys derives the session's four keys from its master secret:
+// key i is the first 16 bytes of SHA-256(master || i).
+func expandKeys(master [sha256.Size]byte) sessionKeys {
+	var in [sha256.Size + 1]byte
+	copy(in[:], master[:])
+	expand := func(label byte) (k [16]byte) {
+		in[sha256.Size] = label
+		hh := sha256.Sum256(in[:])
 		copy(k[:], hh[:16])
 		return k
 	}

@@ -327,3 +327,41 @@ func TestBadPeerKeys(t *testing.T) {
 		t.Fatal("short hello accepted")
 	}
 }
+
+// TestHandshakeAllocs bounds the allocations of one full handshake,
+// NewInitiator + Respond + Finish. It made 70 when every X25519 key and
+// secret was a crypto/ecdh object and the key schedule hashed through
+// heap buffers; the fallback path, which still builds crypto/ecdh keys,
+// must stay under that, and the kernel path, whose keys and secrets are
+// arrays, makes 29.
+func TestHandshakeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	alice, _ := NewIdentity("a", detRand(1))
+	bob, _ := NewIdentity("b", detRand(2))
+	apub, bpub := alice.Public(), bob.Public()
+	rnd := detRand(3)
+	var err error
+	n := testing.AllocsPerRun(100, func() {
+		var ini *Initiator
+		var reply []byte
+		if ini, err = NewInitiator(alice, bpub, rnd); err != nil {
+			return
+		}
+		if reply, _, err = Respond(bob, apub, ini.Hello(), rnd); err != nil {
+			return
+		}
+		_, err = ini.Finish(reply)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	limit := 70.0
+	if useKernel {
+		limit = 29
+	}
+	if n > limit {
+		t.Fatalf("%v allocations per handshake (kernel %v), want at most %v", n, useKernel, limit)
+	}
+}

@@ -327,11 +327,26 @@ func WriteFile(path string, world *World) error {
 // Read decodes and verifies a container: magic, version, and every
 // section's length and checksum. It does not touch any live state;
 // pass the result to Restore.
-func Read(r io.Reader) (*Image, error) {
-	var hdr [12]byte
+func Read(r io.Reader) (*Image, error) { return read(r, -1) }
+
+// read is Read of an input with left bytes, or of unknown length where
+// left is negative. Where the length is known, a section that claims
+// more bytes than are left is ErrTruncated before anything is
+// allocated, and one that fits is read whole into a buffer of its
+// size; otherwise sections are copied incrementally.
+func read(r io.Reader, left int64) (*Image, error) {
+	// The fixed-size fields share one allocation: read through an
+	// interface, each would otherwise escape on its own.
+	fixed := new(struct {
+		hdr  [12]byte
+		shdr [10]byte
+		tail [4]byte
+	})
+	hdr := &fixed.hdr
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, ErrTruncated
 	}
+	left -= int64(len(hdr))
 	if [8]byte(hdr[:8]) != magic {
 		return nil, ErrBadMagic
 	}
@@ -343,15 +358,16 @@ func Read(r io.Reader) (*Image, error) {
 		return nil, &FormatError{Section: "header", Err: errors.New("nonzero reserved flags")}
 	}
 
-	img := &Image{Version: version, sections: make(map[uint16][]byte)}
+	img := &Image{Version: version, sections: make(map[uint16][]byte, 8)}
+	shdr, tail := &fixed.shdr, &fixed.tail
 	for {
-		var shdr [10]byte
 		if _, err := io.ReadFull(r, shdr[:]); err != nil {
 			if err == io.EOF {
 				return img, nil
 			}
 			return nil, ErrTruncated
 		}
+		left -= int64(len(shdr))
 		kind := uint16(shdr[0]) | uint16(shdr[1])<<8
 		var length uint64
 		for i := 0; i < 8; i++ {
@@ -360,38 +376,58 @@ func Read(r io.Reader) (*Image, error) {
 		if length > maxSectionLen {
 			return nil, &FormatError{Section: secName(kind), Err: fmt.Errorf("length %d exceeds limit", length)}
 		}
-		if img.sections[kind] != nil {
+		if _, dup := img.sections[kind]; dup {
 			return nil, &FormatError{Section: secName(kind), Err: errors.New("duplicate section")}
 		}
-		// Incremental copy: allocation grows with bytes actually read,
-		// so a forged length on a short input fails as ErrTruncated
-		// without a large up-front allocation.
-		var buf bytes.Buffer
-		if n, err := io.CopyN(&buf, r, int64(length)); err != nil || uint64(n) != length {
-			return nil, ErrTruncated
+		var data []byte
+		if left >= 0 {
+			if length+4 > uint64(left) {
+				return nil, ErrTruncated
+			}
+			left -= int64(length) + 4
+			data = make([]byte, length)
+			if _, err := io.ReadFull(r, data); err != nil {
+				return nil, ErrTruncated
+			}
+		} else {
+			// Incremental copy: allocation grows with bytes actually
+			// read, so a forged length on a short input fails as
+			// ErrTruncated without a large up-front allocation.
+			var buf bytes.Buffer
+			if n, err := io.CopyN(&buf, r, int64(length)); err != nil || uint64(n) != length {
+				return nil, ErrTruncated
+			}
+			data = buf.Bytes()
 		}
-		var tail [4]byte
 		if _, err := io.ReadFull(r, tail[:]); err != nil {
 			return nil, ErrTruncated
 		}
 		want := uint32(tail[0]) | uint32(tail[1])<<8 | uint32(tail[2])<<16 | uint32(tail[3])<<24
 		crc := crc32.Checksum(shdr[:], castagnoli)
-		crc = crc32.Update(crc, castagnoli, buf.Bytes())
+		crc = crc32.Update(crc, castagnoli, data)
 		if crc != want {
 			return nil, &ChecksumError{Kind: kind}
 		}
-		img.sections[kind] = buf.Bytes()
+		img.sections[kind] = data
 	}
 }
 
-// ReadFile reads and verifies an image from disk.
+// ReadFile reads and verifies an image from disk. A regular file's size
+// bounds every section, so each is read with one exact-size read.
 func ReadFile(path string) (*Image, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	return Read(f)
+	st, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	if !st.Mode().IsRegular() {
+		return Read(f)
+	}
+	return read(f, st.Size())
 }
 
 // Options parameterizes Restore with the state that is scenario code,

@@ -7,6 +7,7 @@ import (
 	"net/netip"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -332,4 +333,46 @@ func TestCorruptionRejected(t *testing.T) {
 			t.Fatalf("err = %v, want ErrTruncated or FormatError", err)
 		}
 	})
+}
+
+// TestReadFileSized runs ReadFile, which bounds each section by the
+// file's size, over the same cases: a good image reads as Read reads it,
+// every cut is ErrTruncated, and a forged length past the end of the
+// file is ErrTruncated before its buffer is allocated.
+func TestReadFileSized(t *testing.T) {
+	good := encode(t, buildWorld(t, 0, 0))
+	dir := t.TempDir()
+	readFile := func(name string, data []byte) (*Image, error) {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return ReadFile(path)
+	}
+	img, err := readFile("good", good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Read(bytes.NewReader(good))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(img, want) {
+		t.Fatal("ReadFile and Read decode the same image differently")
+	}
+	for _, cut := range []int{5, 11, 13, len(good) / 2, len(good) - 1} {
+		if _, err := readFile("cut", good[:cut]); !errors.Is(err, ErrTruncated) {
+			t.Fatalf("cut %d: err = %v, want ErrTruncated", cut, err)
+		}
+	}
+	bad := append([]byte(nil), good...)
+	binary.LittleEndian.PutUint64(bad[14:], 64<<20)
+	var b uint64
+	_, b = allocated(func() { _, err = readFile("forged", bad) })
+	if !errors.Is(err, ErrTruncated) {
+		t.Fatalf("forged length: err = %v, want ErrTruncated", err)
+	}
+	if !raceEnabled && b > 1<<20 {
+		t.Fatalf("forged 64 MB length: %d bytes allocated before failing", b)
+	}
 }

@@ -2,6 +2,7 @@ package snapshot
 
 import (
 	"bytes"
+	"path/filepath"
 	"runtime"
 	"testing"
 	"time"
@@ -94,7 +95,9 @@ func (w *countingWriter) Write(p []byte) (int, error) {
 // TestPaperWorldSetupAllocs holds the construction of the paper world to
 // a bounded number of heap allocations: set-up and restore build their
 // tables whole, not one object per AS, link or prefix. Writing the
-// deployed world's image allocates at most twice the image's size.
+// deployed world's image allocates at most twice the image's size, and
+// reading it back from a file at most 16 allocations and 20 MB (one
+// buffer of its size per section).
 func TestPaperWorldSetupAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under -race")
@@ -103,6 +106,7 @@ func TestPaperWorldSetupAllocs(t *testing.T) {
 		t.Skip("paper-scale world")
 	}
 	const setupMax, restoreMax = 250_000, 800_000
+	const readMax, readBytesMax = 16, 20 << 20
 	var eng *netsim.Engine
 	n, _ := allocated(func() { _, eng, _ = paperWorld(t, 2) })
 	eng.Close()
@@ -122,16 +126,21 @@ func TestPaperWorldSetupAllocs(t *testing.T) {
 	if b > 2*sink.n {
 		t.Errorf("writing the %d-byte image allocated %d bytes, want at most twice the image", sink.n, b)
 	}
-	var buf bytes.Buffer
-	err = Write(&buf, world)
+	path := filepath.Join(t.TempDir(), "paper.img")
+	err = WriteFile(path, world)
 	world.Eng.Close()
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	img, err := Read(&buf)
+	var img *Image
+	n, b = allocated(func() { img, err = ReadFile(path) })
 	if err != nil {
 		t.Fatal(err)
+	}
+	t.Logf("read: %d allocations, %d bytes for a %d-byte image", n, b, sink.n)
+	if n > readMax || b > readBytesMax {
+		t.Errorf("reading the %d-byte image made %d allocations of %d bytes, want at most %d and %d", sink.n, n, b, readMax, readBytesMax)
 	}
 	var restored *World
 	n, _ = allocated(func() { restored, err = Restore(img, Options{Workers: 2}) })
