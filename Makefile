@@ -60,13 +60,16 @@ test-allocs:
 	$(GO) test -run 'ZeroAlloc|Allocs|Budget' ./...
 
 # The CMAC burst functions run an AES-NI lane kernel where the CPU has
-# one and crypto/aes elsewhere; securechan's X25519 runs a BMI2/ADX
-# kernel where the CPU has one and crypto/ecdh elsewhere. This runs the
+# one and crypto/aes elsewhere; securechan's X25519 batches run a 4-lane
+# AVX-512 IFMA kernel where the CPU has one, a BMI2/ADX kernel lane by
+# lane where it has only that, and crypto/ecdh elsewhere. This runs the
 # cmac, securechan and core tests once more with both stdlib paths forced
-# (without -race, so the allocation gates run too), and type-checks them
-# for an architecture without the kernels.
+# and the securechan and core tests once with only the 4-lane kernel
+# turned off (without -race, so the allocation gates run too), and
+# type-checks them for an architecture without the kernels.
 test-fallback:
 	$(GO) test -count=1 -ldflags='-X=discs/internal/cmac.fallback=1 -X=discs/internal/securechan.fallback=1' ./internal/cmac ./internal/securechan ./internal/core
+	$(GO) test -count=1 -ldflags='-X=discs/internal/securechan.fallback=scalar' ./internal/securechan ./internal/core
 	GOARCH=arm64 $(GO) vet ./internal/cmac ./internal/securechan ./internal/core
 
 # Off-simulator smoke: boot a 3-node loopback fleet over TCP+TLS,
@@ -110,7 +113,8 @@ fuzz:
 	$(GO) test ./internal/scenario/ -fuzz FuzzScenarioConfig -fuzztime 15s
 	$(GO) test ./internal/securechan/ -fuzz FuzzOpen -fuzztime 15s
 	$(GO) test ./internal/securechan/ -fuzz FuzzHandshakeFrames -fuzztime 15s
-	$(GO) test ./internal/securechan/ -fuzz FuzzX25519 -fuzztime 15s
+	$(GO) test ./internal/securechan/ -fuzz 'FuzzX25519$$' -fuzztime 15s
+	$(GO) test ./internal/securechan/ -fuzz FuzzX25519Batch -fuzztime 15s
 	$(GO) test ./internal/snapshot/ -fuzz FuzzRead -fuzztime 15s
 	$(GO) test ./internal/snapshot/ -fuzz FuzzRestoreBGP -fuzztime 15s
 	$(GO) test ./internal/transport/ -fuzz FuzzReadFrame -fuzztime 15s

@@ -18,10 +18,11 @@ import (
 // simulator, and settles the control plane: N(N-1)/2 peerings, each a
 // full handshake both ways and the key exchange. It reports host µs per
 // control message (deploy + settle wall time over ctrl.msgs_sent) and
-// X25519's share of the process CPU in that span, estimated as
-// 8 scalar multiplications per full handshake at the cost of one
-// measured right after the run. (The estimate is only as steady as the
-// host; a CPU profile of the same run gives the exact share.) A flat
+// the full handshakes' share of the process CPU in that span, estimated
+// as the handshakes initiated times the cost of one measured right after
+// the run (its X25519 multiplications and key schedule). (The estimate
+// is only as steady as the host; a CPU profile of the same run gives the
+// exact share.) A flat
 // us/msg across N means a message costs what it carries, not what the
 // mesh holds.
 //
@@ -29,7 +30,7 @@ import (
 func BenchmarkMeshFormation(b *testing.B) {
 	for _, n := range []int{45, 90, 180} {
 		b.Run(fmt.Sprintf("das=%d", n), func(b *testing.B) {
-			var wall, cpu, mult time.Duration
+			var wall, cpu, hs time.Duration
 			var msgs, handshakes uint64
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
@@ -58,15 +59,15 @@ func BenchmarkMeshFormation(b *testing.B) {
 					b.Fatalf("AS%d peers with %d DAS, want %d", deployers[0], got, n-1)
 				}
 				b.StopTimer()
-				mult += x25519Cost(b) // right after the run, under the same load
+				hs += handshakeCost(b) // right after the run, under the same load
 				b.StartTimer()
 			}
-			mult /= time.Duration(b.N)
+			hs /= time.Duration(b.N)
 			b.ReportMetric(float64(wall.Microseconds())/float64(msgs), "us/msg")
 			b.ReportMetric(float64(msgs)/float64(b.N), "msgs/op")
 			b.ReportMetric(float64(handshakes)/float64(b.N), "handshakes/op")
-			b.ReportMetric(float64(mult.Nanoseconds()), "x25519_ns")
-			b.ReportMetric(8*float64(handshakes)*float64(mult)/float64(cpu), "x25519_share")
+			b.ReportMetric(float64(hs.Nanoseconds()), "handshake_ns")
+			b.ReportMetric(float64(handshakes)*float64(hs)/float64(cpu), "handshake_share")
 		})
 	}
 }
@@ -89,19 +90,36 @@ func meshWorld(tb testing.TB) *bgp.Network {
 	return net
 }
 
-// x25519Cost times one X25519 scalar multiplication as the handshake
-// runs it: securechan.NewIdentity with a seeded reader, which draws a
-// scalar and makes exactly one base-point multiplication. It reports the
-// fastest of several batches, so a descheduled batch does not inflate it.
-func x25519Cost(tb testing.TB) time.Duration {
+// handshakeCost times one full handshake as a peering runs it:
+// securechan.NewInitiator, Respond and Finish between two fixed
+// identities with a seeded reader. It reports the fastest of several
+// batches, so a descheduled batch does not inflate it.
+func handshakeCost(tb testing.TB) time.Duration {
 	tb.Helper()
 	rng := rand.New(rand.NewSource(1))
-	const batches, ops = 8, 250
+	a, err := securechan.NewIdentity("a", rng)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	z, err := securechan.NewIdentity("z", rng)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	apub, zpub := a.Public(), z.Public()
+	const batches, ops = 8, 60
 	best := time.Duration(1<<63 - 1)
 	for range batches {
 		start := time.Now()
 		for range ops {
-			if _, err := securechan.NewIdentity("x25519", rng); err != nil {
+			ini, err := securechan.NewInitiator(a, zpub, rng)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			reply, _, err := securechan.Respond(z, apub, ini.Hello(), rng)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			if _, err := ini.Finish(reply); err != nil {
 				tb.Fatal(err)
 			}
 		}

@@ -2,6 +2,7 @@ package securechan
 
 import (
 	"errors"
+	"slices"
 	"testing"
 )
 
@@ -42,6 +43,58 @@ func TestErrorChains(t *testing.T) {
 	}
 	if _, err := ini.Finish(forged); !errors.Is(err, ErrAuth) {
 		t.Fatalf("forged reply: err = %v, want ErrAuth", err)
+	}
+
+	// A static key that is not 32 bytes is a malformed frame.
+	if _, err := NewInitiator(alice, bob.Public()[:31], detRand(10)); !errors.Is(err, ErrBadFrame) {
+		t.Fatalf("short peer static key: err = %v, want ErrBadFrame", err)
+	}
+	if _, _, err := Respond(bob, append(alice.Public(), 0), ini.Hello(), detRand(11)); !errors.Is(err, ErrBadFrame) {
+		t.Fatalf("long initiator static key: err = %v, want ErrBadFrame", err)
+	}
+
+	// A low-order peer key fails authentication, whichever of a side's
+	// multiplications meets it: the client's ephemeral key (Respond's
+	// second and third), the initiator's static key (Respond's fourth),
+	// the server's ephemeral key (Finish's second) and the responder's
+	// static key (Finish's first and third).
+	low := mustHex32(t, lowOrderPoints[2])[:]
+	for _, c := range []struct {
+		what string
+		err  func() error
+	}{
+		{"low-order client ephemeral", func() error {
+			_, _, err := Respond(bob, alice.Public(), append(slices.Clone(low), ini.Hello()[32:]...), detRand(12))
+			return err
+		}},
+		{"low-order initiator static", func() error {
+			_, _, err := Respond(bob, low, ini.Hello(), detRand(13))
+			return err
+		}},
+		{"low-order server ephemeral", func() error {
+			i, err := NewInitiator(alice, bob.Public(), detRand(14))
+			if err != nil {
+				return err
+			}
+			reply, _, err := Respond(bob, alice.Public(), i.Hello(), detRand(15))
+			if err != nil {
+				return err
+			}
+			_, err = i.Finish(append(slices.Clone(low), reply[32:]...))
+			return err
+		}},
+		{"low-order responder static", func() error {
+			i, err := NewInitiator(alice, low, detRand(16))
+			if err != nil {
+				return err
+			}
+			_, err = i.Finish(make([]byte, ReplyLen))
+			return err
+		}},
+	} {
+		if err := c.err(); !errors.Is(err, ErrAuth) {
+			t.Fatalf("%s: err = %v, want ErrAuth", c.what, err)
+		}
 	}
 
 	// Record layer: truncated, replayed, and corrupted records.

@@ -10,7 +10,8 @@
 //   - X25519 for key agreement: each controller holds a static identity
 //     key (vouched for out of band, e.g. by RPKI), and both sides
 //     contribute ephemeral keys for forward secrecy. The multiplications
-//     run an assembly kernel where the CPU allows and crypto/ecdh
+//     run assembly kernels where the CPU allows (each side's batched in
+//     one 4-lane call where it has AVX-512 IFMA) and crypto/ecdh
 //     elsewhere, with the same bytes either way (x25519.go).
 //   - SHA-256 for key derivation over the handshake transcript.
 //   - AES-128-CTR for record encryption and AES-CMAC for record
@@ -92,7 +93,7 @@ type Initiator struct {
 // key is known (learned from the DISCS-Ad / RPKI layer).
 func NewInitiator(id *Identity, peerStaticPub []byte, rand io.Reader) (*Initiator, error) {
 	if len(peerStaticPub) != pubLen {
-		return nil, fmt.Errorf("securechan: bad peer key: %w", errPubLen)
+		return nil, errPubLen
 	}
 	ini := &Initiator{id: id, peerPub: [pubLen]byte(peerStaticPub)}
 	if err := genKey(&ini.eph, rand); err != nil {
@@ -127,24 +128,26 @@ func Respond(id *Identity, initiatorStaticPub, hello []byte, rand io.Reader) (re
 	}
 	clientEph := (*[pubLen]byte)(hello[:pubLen])
 	clientStatic := (*[pubLen]byte)(initiatorStaticPub)
+	// Both draws come before the four multiplications, which run as one
+	// batch: the seeded stream is read in the same order on every path.
 	var eph keyPair
-	if err := genKey(&eph, rand); err != nil {
+	if _, err := io.ReadFull(rand, eph.priv[:]); err != nil {
 		return nil, nil, err
 	}
 	var nonce [nonceLen]byte
 	if _, err := io.ReadFull(rand, nonce[:]); err != nil {
 		return nil, nil, err
 	}
-	var ee, eph2, ss [32]byte
-	if err := x25519(&ee, &id.key, clientEph); err != nil { // server static × client eph
+	var dh [4][32]byte
+	if err := x25519Batch(&dh, []mul{
+		{k: &eph},                        // ephemeral public key
+		{k: &id.key, peer: clientEph},    // server static × client eph
+		{k: &eph, peer: clientEph},       // server eph × client eph
+		{k: &id.key, peer: clientStatic}, // static × static (mutual auth)
+	}); err != nil {
 		return nil, nil, err
 	}
-	if err := x25519(&eph2, &eph, clientEph); err != nil { // server eph × client eph
-		return nil, nil, err
-	}
-	if err := x25519(&ss, &id.key, clientStatic); err != nil { // static × static (mutual auth)
-		return nil, nil, err
-	}
+	ee, eph2, ss := &dh[1], &dh[2], &dh[3]
 	keys := deriveKeys(eph2[:], ee[:], ss[:], hello, eph.pub[:], nonce[:])
 	// Server proves key possession with a MAC over the transcript.
 	mac, err := transcriptMAC(keys.macKey[:], hello, eph.pub[:], nonce[:])
@@ -172,16 +175,15 @@ func (ini *Initiator) Finish(reply []byte) (*Session, error) {
 	serverNonce := reply[pubLen : pubLen+nonceLen]
 	mac := reply[pubLen+nonceLen:]
 
-	var ee, eph2, ss [32]byte
-	if err := x25519(&ee, &ini.eph, &ini.peerPub); err != nil { // client eph × server static
+	var dh [4][32]byte
+	if err := x25519Batch(&dh, []mul{
+		{k: &ini.eph, peer: &ini.peerPub},    // client eph × server static
+		{k: &ini.eph, peer: serverEph},       // client eph × server eph
+		{k: &ini.id.key, peer: &ini.peerPub}, // static × static
+	}); err != nil {
 		return nil, err
 	}
-	if err := x25519(&eph2, &ini.eph, serverEph); err != nil {
-		return nil, err
-	}
-	if err := x25519(&ss, &ini.id.key, &ini.peerPub); err != nil {
-		return nil, err
-	}
+	ee, eph2, ss := &dh[0], &dh[1], &dh[2]
 	hello := ini.Hello()
 	keys := deriveKeys(eph2[:], ee[:], ss[:], hello, reply[:pubLen], serverNonce)
 	want, err := transcriptMAC(keys.macKey[:], hello, reply[:pubLen], serverNonce)

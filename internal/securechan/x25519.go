@@ -4,25 +4,33 @@ import (
 	"crypto/ecdh"
 	"crypto/subtle"
 	"encoding/binary"
-	"errors"
+	"fmt"
 	"math/bits"
 )
 
-// X25519 (RFC 7748). The handshake's scalar multiplications run a
-// Montgomery-ladder kernel in amd64 assembly (x25519_amd64.s) where the
-// CPU has BMI2's MULX and ADX's dual carry chains, and crypto/ecdh
-// everywhere else. Both give the same bytes for every input; tests hold
-// the kernel to crypto/ecdh.
+// X25519 (RFC 7748). The handshake's scalar multiplications run
+// Montgomery-ladder kernels in amd64 assembly: a one-lane kernel
+// (x25519_amd64.s) where the CPU has BMI2's MULX and ADX's dual carry
+// chains, and a 4-lane one (x25519_lanes_amd64.s) where it also has
+// AVX-512 IFMA, which runs a handshake side's independent
+// multiplications together (x25519Batch). Everywhere else they run on
+// crypto/ecdh. All paths give the same bytes for every input; tests hold
+// the kernels to crypto/ecdh.
 
-// fallback, when set at link time, makes the package take crypto/ecdh
-// even where the kernel could run; make test-fallback runs the
-// securechan and core tests once that way
-// (-ldflags=-X=discs/internal/securechan.fallback=1).
+// fallback, when set at link time, narrows the package's choice: "1"
+// takes crypto/ecdh even where a kernel could run, and "scalar" keeps
+// the one-lane kernel but turns the 4-lane one off. make test-fallback
+// runs the securechan and core tests once with each
+// (-ldflags=-X=discs/internal/securechan.fallback=1, =scalar).
 var fallback string
 
-// useKernel selects the assembly ladder: the architecture and the CPU
-// decide it.
-var useKernel = hasMulxAdx() && fallback == ""
+var (
+	// useKernel selects the one-lane assembly ladder: the architecture
+	// and the CPU decide it.
+	useKernel = hasMulxAdx() && (fallback == "" || fallback == "scalar")
+	// useLanes selects the 4-lane ladder for batches.
+	useLanes = useKernel && hasIFMA() && fallback == ""
+)
 
 // fe is an element of GF(2^255-19) as four little-endian 64-bit limbs.
 // The kernel keeps it loosely reduced: any value below 2^256 stands for
@@ -55,10 +63,10 @@ var basePoint = [32]byte{9}
 
 var (
 	// errPubLen refuses a public key that is not 32 bytes.
-	errPubLen = errors.New("securechan: X25519 public key is not 32 bytes")
+	errPubLen = fmt.Errorf("securechan: X25519 public key is not 32 bytes: %w", ErrBadFrame)
 	// errLowOrder refuses, as crypto/ecdh does, a shared secret that is
 	// all zeros: the peer sent a point of small order.
-	errLowOrder = errors.New("securechan: X25519 peer key of low order")
+	errLowOrder = fmt.Errorf("securechan: X25519 peer key of low order: %w", ErrAuth)
 )
 
 // x25519Base sets k.pub to k.priv times the base point. Only crypto/ecdh
@@ -98,11 +106,64 @@ func x25519(shared *[32]byte, k *keyPair, peer *[32]byte) error {
 // kernelX25519 is x25519 on the kernel.
 func kernelX25519(shared, scalar, peer *[32]byte) error {
 	scalarMult(shared, scalar, peer, false)
+	return checkShared(shared)
+}
+
+// checkShared refuses an all-zero shared secret.
+func checkShared(shared *[32]byte) error {
 	var zero [32]byte
 	if subtle.ConstantTimeCompare(shared[:], zero[:]) == 1 {
 		return errLowOrder
 	}
 	return nil
+}
+
+// mul is one multiplication of a batch: k.priv times the point whose
+// u-coordinate is peer, or, where peer is nil, k's public key.
+type mul struct {
+	k    *keyPair
+	peer *[32]byte
+}
+
+// x25519Batch runs up to four independent multiplications. A lane with a
+// peer leaves its shared secret in out[i]; a lane without one sets
+// k.pub, as x25519Base does. The error is the one that running the lanes
+// in order through x25519Base and x25519 would have returned first. On
+// the 4-lane kernel it is one ladder call; without IFMA the lanes run
+// one by one.
+func x25519Batch(out *[4][32]byte, ms []mul) error {
+	if !useLanes {
+		for i, m := range ms {
+			var err error
+			if m.peer == nil {
+				err = x25519Base(m.k)
+			} else {
+				err = x25519(&out[i], m.k, m.peer)
+			}
+			if err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	var scalar, point [4][32]byte
+	for i, m := range ms {
+		scalar[i] = m.k.priv
+		point[i] = basePoint
+		if m.peer != nil {
+			point[i] = *m.peer
+		}
+	}
+	laneMult(out, &scalar, &point)
+	var err error
+	for i, m := range ms {
+		if m.peer == nil {
+			m.k.pub = out[i]
+		} else if e := checkShared(&out[i]); e != nil && err == nil {
+			err = e
+		}
+	}
+	return err
 }
 
 // scalarMult sets dst to the X25519 function of scalar and point (RFC

@@ -351,10 +351,18 @@ sqr:
 done:
 	RET
 
-// func cpuidEBX(leaf uint32) uint32
-TEXT ·cpuidEBX(SB), NOSPLIT, $0-12
+// func cpuid(leaf uint32) (ebx, ecx uint32)
+TEXT ·cpuid(SB), NOSPLIT, $0-16
 	MOVL leaf+0(FP), AX
 	XORL CX, CX
 	CPUID
-	MOVL BX, ret+8(FP)
+	MOVL BX, ebx+8(FP)
+	MOVL CX, ecx+12(FP)
+	RET
+
+// func xgetbv0() uint32
+TEXT ·xgetbv0(SB), NOSPLIT, $0-4
+	XORL CX, CX
+	XGETBV
+	MOVL AX, ret+0(FP)
 	RET

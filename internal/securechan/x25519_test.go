@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/ecdh"
 	"encoding/hex"
+	"fmt"
 	"math/big"
 	"math/rand"
 	"slices"
@@ -362,13 +363,17 @@ func FuzzX25519(f *testing.F) {
 
 var benchSink []byte
 
-// BenchmarkX25519 compares the kernel with crypto/ecdh in one process.
+// BenchmarkX25519 compares the kernels with crypto/ecdh in one process.
 // Each iteration times a batch of variable-point multiplications on
-// crypto/ecdh, one on the kernel and one of base-point multiplications
-// on the kernel, in an order that reverses every iteration, so that a
-// slow spell of a shared host falls on all three; it reports
-// the median time per multiplication of each and the quartiles of the
-// per-iteration speed-up (crypto/ecdh time over kernel time).
+// crypto/ecdh, one on the one-lane kernel, one of base-point
+// multiplications on it and, where the 4-lane kernel runs, batches of
+// x25519Batch calls of 1, 3 and 4 lanes (a handshake's Finish runs 3,
+// its Respond 4, one of them a public key), in an order that reverses
+// every iteration, so that a slow spell of a shared host falls on all of
+// them. It reports the median time per multiplication or call of each,
+// the quartiles of the per-iteration speed-up (crypto/ecdh time over
+// kernel time), the 4-lane call's time per multiplication and its
+// median cost in one-lane variable-point multiplications.
 //
 //	go test -run '^$' -bench X25519 -benchtime 40x ./internal/securechan
 func BenchmarkX25519(b *testing.B) {
@@ -391,36 +396,63 @@ func BenchmarkX25519(b *testing.B) {
 		}
 		return float64(time.Since(start).Nanoseconds()) / batch
 	}
-	var std, kern, base, speedup, baseSpeedup []float64
 	var out [32]byte
-	stdMul := func() { benchSink, _ = priv.ECDH(pub) }
-	kernelMul := func() { scalarMult(&out, &scalar, &point, false) }
-	kernelBase := func() { scalarMult(&out, &scalar, &basePoint, true) }
-	for i := range b.N {
-		var s, k, kb float64
-		if i%2 == 0 {
-			s = timeBatch(stdMul)
-			k = timeBatch(kernelMul)
-			kb = timeBatch(kernelBase)
-		} else {
-			kb = timeBatch(kernelBase)
-			k = timeBatch(kernelMul)
-			s = timeBatch(stdMul)
+	var dh [4][32]byte
+	k := keyPair{priv: scalar}
+	eph := keyPair{priv: *mustHex32(b, "4b66e9d4d1b4673c5ad22691957d6af5c11b6421e0ea01d42ca4169e7918ba0d")}
+	respond := []mul{{k: &eph}, {k: &k, peer: &point}, {k: &eph, peer: &point}, {k: &k, peer: &point}}
+	runs := []struct {
+		name string
+		f    func()
+		t    []float64
+	}{
+		{name: "ecdh_ns", f: func() { benchSink, _ = priv.ECDH(pub) }},
+		{name: "kernel_ns", f: func() { scalarMult(&out, &scalar, &point, false) }},
+		{name: "kernel_base_ns", f: func() { scalarMult(&out, &scalar, &basePoint, true) }},
+	}
+	if useLanes {
+		for _, n := range []int{1, 3, 4} {
+			ms := respond[4-n:]
+			runs = append(runs, struct {
+				name string
+				f    func()
+				t    []float64
+			}{name: fmt.Sprintf("lanes%d_ns", n), f: func() { x25519Batch(&dh, ms) }})
 		}
-		std, kern, base = append(std, s), append(kern, k), append(base, kb)
-		speedup, baseSpeedup = append(speedup, s/k), append(baseSpeedup, s/kb)
+	}
+	for i := range b.N {
+		for j := range runs {
+			if i%2 == 1 {
+				j = len(runs) - 1 - j
+			}
+			runs[j].t = append(runs[j].t, timeBatch(runs[j].f))
+		}
 	}
 	q := func(v []float64, f float64) float64 {
 		v = slices.Clone(v)
 		slices.Sort(v)
 		return v[int(f*float64(len(v)-1)+0.5)]
 	}
+	ratio := func(num, den []float64) []float64 {
+		r := make([]float64, len(num))
+		for i := range num {
+			r[i] = num[i] / den[i]
+		}
+		return r
+	}
 	b.ReportMetric(0, "ns/op")
-	b.ReportMetric(q(std, 0.5), "ecdh_ns")
-	b.ReportMetric(q(kern, 0.5), "kernel_ns")
-	b.ReportMetric(q(base, 0.5), "kernel_base_ns")
+	for _, r := range runs {
+		b.ReportMetric(q(r.t, 0.5), r.name)
+	}
+	std, kern, base := runs[0].t, runs[1].t, runs[2].t
+	speedup := ratio(std, kern)
 	b.ReportMetric(q(speedup, 0.25), "speedup_p25")
 	b.ReportMetric(q(speedup, 0.5), "speedup_p50")
 	b.ReportMetric(q(speedup, 0.75), "speedup_p75")
-	b.ReportMetric(q(baseSpeedup, 0.5), "base_speedup_p50")
+	b.ReportMetric(q(ratio(std, base), 0.5), "base_speedup_p50")
+	if useLanes {
+		lanes4 := runs[len(runs)-1].t
+		b.ReportMetric(q(lanes4, 0.5)/4, "lanes4_ns_per_mul")
+		b.ReportMetric(q(ratio(lanes4, kern), 0.5), "lanes4_in_kernel_muls")
+	}
 }
