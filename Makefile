@@ -136,14 +136,7 @@ sim:
 	$(GO) run ./cmd/discs-sim
 
 examples:
-	$(GO) run ./examples/quickstart
-	$(GO) run ./examples/reflection
-	$(GO) run ./examples/alarm
-	$(GO) run ./examples/incremental
-	$(GO) run ./examples/priority
-	$(GO) run ./examples/campaign
-	$(GO) run ./examples/observability
-	$(GO) run ./examples/scenario
+	@set -e; for d in examples/*/; do echo "== $$d"; $(GO) run ./$$d; done
 
 cover:
 	$(GO) test -cover ./internal/...

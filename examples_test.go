@@ -13,7 +13,8 @@ import (
 // fixed seeds and simulated time, so their output is deterministic and
 // any difference is a change of behaviour. When a change means to alter
 // an example's output, regenerate its file with
-// go run ./examples/<name> > testdata/examples/<name>.txt.
+// go run ./examples/<name> > testdata/examples/<name>.txt. A golden
+// file whose program is gone fails it too.
 func TestExamplesGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs every example")
@@ -21,6 +22,11 @@ func TestExamplesGolden(t *testing.T) {
 	mains, err := filepath.Glob("examples/*/main.go")
 	if err != nil || len(mains) == 0 {
 		t.Fatalf("no examples found (%v)", err)
+	}
+	// Each program needs its golden file, so equal counts leave no
+	// golden file without a program.
+	if goldens, _ := filepath.Glob("testdata/examples/*.txt"); len(goldens) != len(mains) {
+		t.Errorf("%d golden files for %d examples: a golden file has no program", len(goldens), len(mains))
 	}
 	// go test puts its own toolchain first on the PATH it hands the test.
 	goTool, err := exec.LookPath("go")

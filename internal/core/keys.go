@@ -23,9 +23,9 @@ import (
 // and reads it without locks. A snapshot is a peer→slot index plus one
 // slice of per-slot key records. The index is a topology.ASNIndex, so
 // a lookup is a multiply, a shift and usually one probe instead of a Go
-// map read; it is rebuilt only when a peer joins or leaves. A key
-// change for a known peer (§IV-D: verify key, stamp key, end of the
-// overlap — three per peering) rehashes nothing: it copies the slot
+// map read; a join copies its slot array once and a leave rebuilds it.
+// A key change for a known peer (§IV-D: verify key, stamp key, end of
+// the overlap — three per peering) rehashes nothing: it copies the slot
 // slice, one pointer per peer, and allocates one record.
 type KeyTable struct {
 	mu   sync.Mutex // serializes mutators; readers never take it
@@ -35,9 +35,9 @@ type KeyTable struct {
 
 // keySnapshot is an immutable view of both key tables. Neither the
 // index, the slot slice nor the records are mutated after publication;
-// snapshots that differ only in a key share the index.
+// snapshots that differ only in a key share the index's slot array.
 type keySnapshot struct {
-	index *topology.ASNIndex
+	index topology.ASNIndex
 	slots []*peerKeys // nil at free slots
 }
 
@@ -49,7 +49,7 @@ type peerKeys struct {
 	previous *cmac.CMAC // non-nil only during a rekey window
 }
 
-var emptyKeySnapshot = &keySnapshot{index: &topology.ASNIndex{}}
+var emptyKeySnapshot = &keySnapshot{}
 
 // newKeyTable creates empty key tables.
 func newKeyTable() *KeyTable {
@@ -102,7 +102,7 @@ func (kt *KeyTable) update(peer topology.ASN, fn func(pk *peerKeys)) {
 	s := &keySnapshot{index: old.index}
 	switch {
 	case known && empty: // leave
-		s.index = &topology.ASNIndex{}
+		s.index = topology.ASNIndex{}
 		old.index.Range(func(p topology.ASN, j int32) {
 			if p != peer {
 				s.index.Put(p, j)
@@ -115,8 +115,7 @@ func (kt *KeyTable) update(peer topology.ASN, fn func(pk *peerKeys)) {
 		} else {
 			i = int32(len(old.slots))
 		}
-		s.index = &topology.ASNIndex{}
-		old.index.Range(s.index.Put)
+		s.index = old.index.Clone()
 		s.index.Put(peer, i)
 	}
 	s.slots = make([]*peerKeys, max(len(old.slots), int(i)+1))

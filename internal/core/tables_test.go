@@ -3,6 +3,7 @@ package core
 import (
 	"math/rand"
 	"net/netip"
+	"runtime"
 	"testing"
 	"time"
 
@@ -424,5 +425,39 @@ func TestKeyTableBadKeyLength(t *testing.T) {
 	}
 	if err := kt.SetVerifyKey(2, make([]byte, 8)); err == nil {
 		t.Fatal("short verify key accepted")
+	}
+}
+
+// TestKeyTableJoinAllocs: a join copies the peer index once rather than
+// rehashing it entry by entry, so at every table size it costs at most
+// two allocations more than a key change of a known peer (the index's
+// slot array, and its rehash when the join doubles it). allocs is
+// testing.AllocsPerRun without the warm-up call, so every join counts.
+func TestKeyTableJoinAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not exact under -race")
+	}
+	allocs := func(f func()) uint64 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
+	}
+	kt := newKeyTable()
+	key := make([]byte, 16)
+	for n := 0; n < 400; n++ {
+		// A stray runtime allocation only adds, so take the least of
+		// three tries; a leave (a no-op on the first) puts the table back.
+		peer, join := topology.ASN(n+1), ^uint64(0)
+		for try := 0; try < 3; try++ {
+			kt.removePeer(peer)
+			join = min(join, allocs(func() { kt.SetStampKey(peer, key) }))
+		}
+		update := allocs(func() { kt.SetStampKey(1, key) })
+		if join > update+2 {
+			t.Fatalf("a join to %d peers costs %d allocations, a key change %d", n+1, join, update)
+		}
 	}
 }

@@ -135,9 +135,6 @@ func (s *Simulator) Registry() *obs.Registry { return s.reg }
 // Serial = that lane's creation sequence number.
 func (s *Simulator) SetExecTrace(tr *obs.Tracer) { s.execTrace = tr }
 
-// ExecTrace returns the tracer installed with SetExecTrace, or nil.
-func (s *Simulator) ExecTrace() *obs.Tracer { return s.execTrace }
-
 // MoveToRegistry re-homes every metric of the simulator and its engine
 // into reg, carrying the counts accumulated so far. Layers that build a
 // simulator first and an observability plan later
@@ -185,18 +182,9 @@ func (s *Simulator) Now() Time { return s.eng.global.now }
 // Schedule runs fn at the given absolute simulated time, as a driver
 // event. Scheduling in the past is an error. Events scheduled while a
 // background event executes are background themselves (see
-// ScheduleBackground).
+// AfterBackground).
 func (s *Simulator) Schedule(at Time, fn func()) (Timer, error) {
 	return s.eng.schedule(nil, at, fn, s.eng.global.inBG)
-}
-
-// ScheduleBackground schedules a housekeeping event: it runs in
-// timestamp order like any other event, but pending background events
-// do not keep RunAll alive. Use it for periodic liveness tasks
-// (heartbeats, purge sweeps) that would otherwise make a
-// run-to-quiescence loop spin forever.
-func (s *Simulator) ScheduleBackground(at Time, fn func()) (Timer, error) {
-	return s.eng.schedule(nil, at, fn, true)
 }
 
 // arrive accounts for a delivery reaching to, reporting whether to is
@@ -222,8 +210,9 @@ func (s *Simulator) After(d Time, fn func()) Timer {
 	return t
 }
 
-// AfterBackground is After for background events (see
-// ScheduleBackground).
+// AfterBackground is After for a housekeeping event, such as a
+// heartbeat or a purge sweep: it runs in timestamp order like any
+// other, but pending background events do not keep RunAll alive.
 func (s *Simulator) AfterBackground(d Time, fn func()) Timer {
 	if d < 0 {
 		panic(fmt.Sprintf("netsim: negative delay %v", d))
@@ -387,9 +376,6 @@ func (n *Node) Crash() {
 // The protocol layer re-arms whatever its recovery logic needs.
 func (n *Node) Restart() { n.crashed = false }
 
-// Crashed reports whether the node is down.
-func (n *Node) Crashed() bool { return n.crashed }
-
 // After arms a node-scoped timer: fn runs after d unless the node
 // crashes first.
 func (n *Node) After(d Time, fn func()) Timer {
@@ -407,7 +393,7 @@ func (n *Node) After(d Time, fn func()) Timer {
 }
 
 // AfterBackground is the background-event variant of Node.After (see
-// Simulator.ScheduleBackground).
+// Simulator.AfterBackground).
 func (n *Node) AfterBackground(d Time, fn func()) Timer {
 	if d < 0 {
 		panic(fmt.Sprintf("netsim: negative delay %v", d))

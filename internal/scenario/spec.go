@@ -248,11 +248,6 @@ func trafficKind(k PhaseKind) bool {
 	return false
 }
 
-// attackKind reports whether k injects spoofed attack traffic.
-func attackKind(k PhaseKind) bool {
-	return k == PhasePulse || k == PhaseCarpet || k == PhaseAdaptive
-}
-
 // Validate checks the spec and fills defaults in place (it is the
 // normalization step: a validated spec has every applicable field
 // populated, so the engine never branches on zero values).

@@ -689,10 +689,3 @@ func (n *Node) Stats() obs.Snapshot { return n.reg.Snapshot() }
 
 // Transport exposes the node's TCP transport (per-peer stats, tests).
 func (n *Node) Transport() *transport.TCP { return n.tr }
-
-// PeersEstablished reports how many configured peers are established.
-func (n *Node) PeersEstablished() int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return len(n.ctrl.Peers())
-}

@@ -16,6 +16,7 @@ import (
 	"discs/internal/netsim"
 	"discs/internal/parsim"
 	"discs/internal/topology"
+	"discs/internal/wire"
 )
 
 // buildWorld constructs a small converged network: a 3-tier chain with
@@ -233,6 +234,33 @@ func TestWriteWithoutEng(t *testing.T) {
 	defer got.Eng.Close()
 	if got.Eng.Shards() != 2 {
 		t.Fatalf("restored %d shards, want 2", got.Eng.Shards())
+	}
+}
+
+// TestWriteRefusesEgress: the image does not carry a data plane's
+// egress, so Write refuses a world with one and writes nothing, rather
+// than restore it without its egress.
+func TestWriteRefusesEgress(t *testing.T) {
+	world := buildWorld(t, 0, 0)
+	sys, err := core.NewSystemWithOptions(core.SystemOptions{Net: world.Net, Config: core.DefaultConfig()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dn, err := wire.New(sys, wire.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	world.Sys, world.Data = sys, dn
+	encode(t, world) // without an egress it writes
+	if err := dn.SetEgress(3, 1000, 32); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := Write(&buf, world); err == nil {
+		t.Fatal("wrote a world whose data plane has an egress")
+	}
+	if buf.Len() != 0 {
+		t.Fatalf("refused checkpoint still wrote %d bytes", buf.Len())
 	}
 }
 

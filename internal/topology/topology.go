@@ -230,6 +230,14 @@ func (x *ASNIndex) reserve(n int) {
 	}
 }
 
+// Clone returns a copy of the index that shares nothing with it: one
+// slot-array copy, with no rehashing.
+func (x *ASNIndex) Clone() ASNIndex {
+	c := *x
+	c.slots = slices.Clone(x.slots)
+	return c
+}
+
 // Len returns the number of ASNs in the index.
 func (x *ASNIndex) Len() int { return x.n }
 

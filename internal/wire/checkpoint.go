@@ -5,11 +5,14 @@
 // serialized: like the obs histograms, it is a diagnostic view that
 // restarts empty. Restored totals land in shard slot 0; the accessors
 // sum slots, so the counters continue exactly where the checkpointed
-// run left off.
+// run left off. The image does not carry an egress (SetEgress), so a
+// data plane with one refuses to checkpoint.
 package wire
 
 import (
-	"sort"
+	"cmp"
+	"errors"
+	"slices"
 
 	"discs/internal/snapcodec"
 	"discs/internal/topology"
@@ -17,6 +20,9 @@ import (
 
 // Checkpoint serializes the aggregated data-plane counters.
 func (dn *DataNet) Checkpoint(w *snapcodec.Writer) error {
+	if len(dn.egress) > 0 {
+		return errors.New("wire: cannot checkpoint a data plane with an egress")
+	}
 	w.Uvarint(dn.Delivered())
 	w.Uvarint(dn.DroppedDISCS())
 	w.Uvarint(dn.DroppedNet())
@@ -31,11 +37,8 @@ func (dn *DataNet) Checkpoint(w *snapcodec.Writer) error {
 	for k := range totals {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i][0] != keys[j][0] {
-			return keys[i][0] < keys[j][0]
-		}
-		return keys[i][1] < keys[j][1]
+	slices.SortFunc(keys, func(a, b [2]topology.ASN) int {
+		return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1]))
 	})
 	w.Uvarint(uint64(len(keys)))
 	for _, k := range keys {
