@@ -2,6 +2,7 @@ package snapshot
 
 import (
 	"bytes"
+	"math"
 	"path/filepath"
 	"runtime"
 	"testing"
@@ -133,10 +134,17 @@ func TestPaperWorldSetupAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// The runtime's own background work (a GC cycle's clean-ups) can
+	// land a few small allocations in the window of one read on a loaded
+	// machine; the least of three reads is the read's own count.
 	var img *Image
-	n, b = allocated(func() { img, err = ReadFile(path) })
-	if err != nil {
-		t.Fatal(err)
+	n, b = math.MaxUint64, math.MaxUint64
+	for range 3 {
+		rn, rb := allocated(func() { img, err = ReadFile(path) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, b = min(n, rn), min(b, rb)
 	}
 	t.Logf("read: %d allocations, %d bytes for a %d-byte image", n, b, sink.n)
 	if n > readMax || b > readBytesMax {
