@@ -104,6 +104,7 @@ fuzz:
 	$(GO) test ./internal/packet/ -fuzz FuzzScrubICMPv4 -fuzztime 15s
 	$(GO) test ./internal/packet/ -fuzz FuzzFragmentReassemble -fuzztime 15s
 	$(GO) test ./internal/lpm/ -fuzz FuzzLPM -fuzztime 15s
+	$(GO) test ./internal/bgp/ -fuzz FuzzDecodeDISCSAd -fuzztime 15s
 	$(GO) test ./internal/core/ -fuzz FuzzDecodeControlMsg -fuzztime 15s
 	$(GO) test ./internal/core/ -fuzz FuzzParseInvocation -fuzztime 15s
 	$(GO) test ./internal/core/ -fuzz FuzzCtrlFrame -fuzztime 15s

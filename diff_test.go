@@ -22,7 +22,6 @@ import (
 	"discs/internal/core"
 	"discs/internal/netsim"
 	"discs/internal/obs"
-	"discs/internal/parsim"
 	"discs/internal/snapshot"
 	"discs/internal/topology"
 )
@@ -98,8 +97,8 @@ func runMidScenario(t *testing.T, workers int) (map[string]uint64, map[string]in
 	if err != nil {
 		t.Fatal(err)
 	}
-	net.AssignShards(parsim.DefaultShards)
-	eng, err := parsim.New(net.Sim, parsim.Options{Shards: parsim.DefaultShards, Workers: workers})
+	net.AssignShards(netsim.DefaultShards)
+	eng, err := net.Sim.Relane(netsim.Options{Shards: netsim.DefaultShards, Workers: workers})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +225,7 @@ func skipUnlessPaperDiff(t *testing.T) {
 // prefix per DAS. With faults, every link jitters during convergence,
 // so the fault RNG streams sit at nonzero positions when a checkpoint
 // is cut. The caller closes the engine.
-func paperConverged(t *testing.T, workers int, faults bool) (*bgp.Network, *parsim.Engine, []topology.ASN) {
+func paperConverged(t *testing.T, workers int, faults bool) (*bgp.Network, *netsim.Engine, []topology.ASN) {
 	t.Helper()
 	topo, err := topology.GenerateInternet(topology.DefaultGenConfig())
 	if err != nil {
@@ -236,8 +235,8 @@ func paperConverged(t *testing.T, workers int, faults bool) (*bgp.Network, *pars
 	if err != nil {
 		t.Fatal(err)
 	}
-	net.AssignShards(parsim.DefaultShards)
-	eng, err := parsim.New(net.Sim, parsim.Options{Shards: parsim.DefaultShards, Workers: workers})
+	net.AssignShards(netsim.DefaultShards)
+	eng, err := net.Sim.Relane(netsim.Options{Shards: netsim.DefaultShards, Workers: workers})
 	if err != nil {
 		t.Fatal(err)
 	}

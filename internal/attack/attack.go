@@ -13,7 +13,6 @@ package attack
 import (
 	"fmt"
 	"math/rand"
-	"net/netip"
 	"sort"
 
 	"discs/internal/packet"
@@ -116,45 +115,11 @@ func (s *Sampler) DrawFlowForVictim(kind Kind, victim topology.ASN, rng *rand.Ra
 	}
 }
 
-// Botnet is a set of agent ASes (the "large farms of botnets" of §I),
-// sampled by address-space weight.
-type Botnet struct {
-	Agents []topology.ASN
-}
+// countError reports a negative packet count handed to Packets, Run
+// or RunPaced.
+type countError struct{ N int }
 
-// NewBotnet samples n distinct agent ASes.
-func (s *Sampler) NewBotnet(n int, rng *rand.Rand) Botnet {
-	seen := make(map[topology.ASN]bool)
-	var agents []topology.ASN
-	for len(agents) < n && len(agents) < len(s.asns) {
-		a := s.Draw(rng)
-		if a == 0 || seen[a] {
-			continue
-		}
-		seen[a] = true
-		agents = append(agents, a)
-	}
-	return Botnet{Agents: agents}
-}
-
-// RandomAddr picks a uniformly random IPv4 address inside the AS's
-// space (prefixes weighted by size): one rng.Uint64 reduced modulo the
-// AS's IPv4 address count, looked up in the topology's per-AS address
-// index. ok is false, and the rng untouched, when the AS is unknown or
-// has no IPv4 prefix.
-func RandomAddr(topo *topology.Topology, asn topology.ASN, rng *rand.Rand) (netip.Addr, bool) {
-	ix := topo.V4Index(asn)
-	if ix == nil {
-		return netip.Addr{}, false
-	}
-	return ix.At(rng.Uint64() % ix.Total()), true
-}
-
-// CountError reports a negative packet count handed to Packets,
-// PacketsInto, Run or RunPaced.
-type CountError struct{ N int }
-
-func (e *CountError) Error() string {
+func (e *countError) Error() string {
 	return fmt.Sprintf("attack: negative packet count %d", e.N)
 }
 
@@ -169,21 +134,6 @@ const PayloadLen = 24
 // together.
 func (f Flow) Packets(topo *topology.Topology, n int, rng *rand.Rand) ([]*packet.IPv4, error) {
 	return f.packets(topo, nil, n, rng)
-}
-
-// PacketsInto is Packets with every destination drawn uniformly inside
-// the IPv4 prefix target instead of across the destination AS's whole
-// space — the carpet-bombing shape, where a train saturates one victim
-// prefix at a time. The draw order is that of Packets, the destination
-// Uint64 being reduced modulo the prefix size.
-func (f Flow) PacketsInto(topo *topology.Topology, target netip.Prefix, n int, rng *rand.Rand) ([]*packet.IPv4, error) {
-	if _, _, err := f.endpoints(); err != nil {
-		return nil, err
-	}
-	if !target.IsValid() || !target.Addr().Is4() {
-		return nil, fmt.Errorf("attack: target %v is not an IPv4 prefix", target)
-	}
-	return f.packets(topo, topology.NewAddrIndex(target), n, rng)
 }
 
 // endpoints returns the ASes whose space the packets' source and
@@ -205,7 +155,7 @@ func (f Flow) packets(topo *topology.Topology, target *topology.AddrIndex, n int
 		return nil, err
 	}
 	if n < 0 {
-		return nil, &CountError{N: n}
+		return nil, &countError{N: n}
 	}
 	slab := make([]packet.IPv4, n)
 	if err := f.Fill(topo, target, slab, make([]byte, n*PayloadLen), rng); err != nil {
@@ -225,7 +175,7 @@ func (f Flow) packets(topo *topology.Topology, target *topology.AddrIndex, n int
 // (k+1)*PayloadLen], with its capacity clamped to its length so that
 // appending to it copies instead of running into the next packet's
 // bytes; payloads must hold len(pkts)*PayloadLen bytes. A non-nil
-// target replaces the destination AS's space (PacketsInto's carpet
+// target replaces the destination AS's space (the carpet-bombing
 // shape).
 //
 // Per packet the rng yields, in this order, one Uint64 for the source

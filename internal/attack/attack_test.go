@@ -68,33 +68,11 @@ func TestDrawFlowConstraints(t *testing.T) {
 	}
 }
 
-func TestNewBotnet(t *testing.T) {
-	tp := weightedTopo(t)
-	s := NewSampler(tp)
-	rng := rand.New(rand.NewSource(3))
-	b := s.NewBotnet(3, rng)
-	if len(b.Agents) != 3 {
-		t.Fatalf("agents = %v", b.Agents)
-	}
-	seen := map[topology.ASN]bool{}
-	for _, a := range b.Agents {
-		if seen[a] {
-			t.Fatalf("duplicate agent in %v", b.Agents)
-		}
-		seen[a] = true
-	}
-	// Requesting more agents than ASes terminates.
-	b = s.NewBotnet(100, rng)
-	if len(b.Agents) != 4 {
-		t.Fatalf("oversized botnet = %v", b.Agents)
-	}
-}
-
 func TestRandomAddrInsideAS(t *testing.T) {
 	tp := weightedTopo(t)
 	rng := rand.New(rand.NewSource(4))
 	for i := 0; i < 500; i++ {
-		a, ok := RandomAddr(tp, 2, rng)
+		a, ok := randomAddr(tp, 2, rng)
 		if !ok {
 			t.Fatal("no address")
 		}
@@ -102,7 +80,7 @@ func TestRandomAddrInsideAS(t *testing.T) {
 			t.Fatalf("address %v owned by AS%d", a, owner)
 		}
 	}
-	if _, ok := RandomAddr(tp, 99, rng); ok {
+	if _, ok := randomAddr(tp, 99, rng); ok {
 		t.Fatal("unknown AS yielded an address")
 	}
 }

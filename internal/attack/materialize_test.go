@@ -14,9 +14,37 @@ import (
 	"discs/internal/topology"
 )
 
-// referenceRandomAddr is RandomAddr exactly as it stood before the
+// randomAddr picks a uniformly random IPv4 address inside the AS's
+// space (prefixes weighted by size): one rng.Uint64 reduced modulo the
+// AS's IPv4 address count, looked up in the topology's per-AS address
+// index. ok is false, and the rng untouched, when the AS is unknown or
+// has no IPv4 prefix.
+func randomAddr(topo *topology.Topology, asn topology.ASN, rng *rand.Rand) (netip.Addr, bool) {
+	ix := topo.V4Index(asn)
+	if ix == nil {
+		return netip.Addr{}, false
+	}
+	return ix.At(rng.Uint64() % ix.Total()), true
+}
+
+// packetsInto is f.Packets with every destination drawn uniformly
+// inside the IPv4 prefix target instead of across the destination AS's
+// whole space — the carpet-bombing shape, where a train saturates one
+// victim prefix at a time. The draw order is that of Packets, the
+// destination Uint64 being reduced modulo the prefix size.
+func packetsInto(f Flow, topo *topology.Topology, target netip.Prefix, n int, rng *rand.Rand) ([]*packet.IPv4, error) {
+	if _, _, err := f.endpoints(); err != nil {
+		return nil, err
+	}
+	if !target.IsValid() || !target.Addr().Is4() {
+		return nil, fmt.Errorf("attack: target %v is not an IPv4 prefix", target)
+	}
+	return f.packets(topo, topology.NewAddrIndex(target), n, rng)
+}
+
+// referenceRandomAddr is randomAddr exactly as it stood before the
 // per-AS address index: filter the AS's IPv4 prefixes, draw one Uint64
-// modulo their total size, walk the list. RandomAddr must return the
+// modulo their total size, walk the list. randomAddr must return the
 // same address from the same draw and leave the rng in the same state.
 func referenceRandomAddr(topo *topology.Topology, asn topology.ASN, rng *rand.Rand) (netip.Addr, bool) {
 	a := topo.AS(asn)
@@ -130,7 +158,7 @@ func TestRandomAddrMatchesReferenceWalk(t *testing.T) {
 		got, want := rand.New(rand.NewSource(seed+100)), rand.New(rand.NewSource(seed+100))
 		for i := 0; i < 4000; i++ {
 			asn := asns[i%len(asns)]
-			g, gok := RandomAddr(tp, asn, got)
+			g, gok := randomAddr(tp, asn, got)
 			w, wok := referenceRandomAddr(tp, asn, want)
 			if g != w || gok != wok {
 				t.Fatalf("seed %d draw %d AS%d: index %v/%v, walk %v/%v", seed, i, asn, g, gok, w, wok)
@@ -162,7 +190,7 @@ func TestRandomAddrEdgePrefixes(t *testing.T) {
 	got, want := rand.New(rand.NewSource(9)), rand.New(rand.NewSource(9))
 	for i := 0; i < 2000; i++ {
 		for _, asn := range []topology.ASN{1, 2, 3, 4, 5, 99} {
-			g, gok := RandomAddr(tp, asn, got)
+			g, gok := randomAddr(tp, asn, got)
 			w, wok := referenceRandomAddr(tp, asn, want)
 			if g != w || gok != wok {
 				t.Fatalf("AS%d draw %d: index %v/%v, walk %v/%v", asn, i, g, gok, w, wok)
@@ -185,7 +213,7 @@ func TestRandomAddrEdgePrefixes(t *testing.T) {
 func TestRandomAddrSeesNewPrefix(t *testing.T) {
 	tp := weightedTopo(t)
 	rng := rand.New(rand.NewSource(11))
-	if _, ok := RandomAddr(tp, 2, rng); !ok {
+	if _, ok := randomAddr(tp, 2, rng); !ok {
 		t.Fatal("no address")
 	}
 	// 11.0.0.0/14 holds 2^18 addresses; a /8 beside it gets ~98% of draws.
@@ -198,7 +226,7 @@ func TestRandomAddrSeesNewPrefix(t *testing.T) {
 		got, want := rand.New(rand.NewSource(12)), rand.New(rand.NewSource(12))
 		hits := 0
 		for i := 0; i < 200; i++ {
-			g, _ := RandomAddr(tp, 2, got)
+			g, _ := randomAddr(tp, 2, got)
 			if w, _ := referenceRandomAddr(tp, 2, want); g != w {
 				t.Fatalf("draw %d: index %v, walk %v", i, g, w)
 			}
@@ -254,7 +282,7 @@ func TestPacketsMatchReference(t *testing.T) {
 			var gp []*packet.IPv4
 			var gerr error
 			if tc.target.IsValid() {
-				gp, gerr = tc.flow.PacketsInto(tp, tc.target, tc.n, got)
+				gp, gerr = packetsInto(tc.flow, tp, tc.target, tc.n, got)
 			} else {
 				gp, gerr = tc.flow.Packets(tp, tc.n, got)
 			}
@@ -323,7 +351,7 @@ func TestPacketsIntoRejectsNonIPv4Target(t *testing.T) {
 	f := Flow{Kind: DDDoS, Agent: 1, Innocent: 2, Victim: 3}
 	rng := rand.New(rand.NewSource(1))
 	for _, target := range []netip.Prefix{{}, netip.MustParsePrefix("2001:db8::/32")} {
-		if _, err := f.PacketsInto(tp, target, 1, rng); err == nil {
+		if _, err := packetsInto(f, tp, target, 1, rng); err == nil {
 			t.Errorf("target %v accepted", target)
 		}
 	}
@@ -354,22 +382,22 @@ func TestNegativeCountIsAnError(t *testing.T) {
 	tp := weightedTopo(t)
 	f := Flow{Kind: DDDoS, Agent: 1, Innocent: 2, Victim: 3}
 	rng, untouched := rand.New(rand.NewSource(3)), rand.New(rand.NewSource(3))
-	var ce *CountError
+	var ce *countError
 	if _, err := f.Packets(tp, -1, rng); !errors.As(err, &ce) || ce.N != -1 {
-		t.Fatalf("Packets(-1) = %v, want *CountError{-1}", err)
+		t.Fatalf("Packets(-1) = %v, want *countError{-1}", err)
 	}
-	if _, err := f.PacketsInto(tp, netip.MustParsePrefix("12.0.0.0/16"), -7, rng); !errors.As(err, &ce) || ce.N != -7 {
-		t.Fatalf("PacketsInto(-7) = %v, want *CountError{-7}", err)
+	if _, err := packetsInto(f, tp, netip.MustParsePrefix("12.0.0.0/16"), -7, rng); !errors.As(err, &ce) || ce.N != -7 {
+		t.Fatalf("packetsInto(-7) = %v, want *countError{-7}", err)
 	}
 	sameStream(t, "negative count", rng, untouched)
 
 	sys, _ := runnerWorld(t)
 	flows := []Flow{{Kind: DDDoS, Agent: 4, Innocent: 2, Victim: 3}}
 	if _, err := Run(sys, flows, -1, 1); !errors.As(err, &ce) {
-		t.Fatalf("Run(perFlow -1) = %v, want *CountError", err)
+		t.Fatalf("Run(perFlow -1) = %v, want *countError", err)
 	}
 	if _, err := RunPaced(sys, flows, -1, 1, 3, 0); !errors.As(err, &ce) {
-		t.Fatalf("RunPaced(perFlow -1) = %v, want *CountError", err)
+		t.Fatalf("RunPaced(perFlow -1) = %v, want *countError", err)
 	}
 }
 
@@ -381,8 +409,8 @@ func TestMaterializationAllocs(t *testing.T) {
 	if _, err := f.Packets(tp, 1, rng); err != nil {
 		t.Fatal(err)
 	}
-	if a := testing.AllocsPerRun(200, func() { RandomAddr(tp, 2, rng) }); a != 0 {
-		t.Errorf("RandomAddr allocates %.1f times per draw, want 0", a)
+	if a := testing.AllocsPerRun(200, func() { randomAddr(tp, 2, rng) }); a != 0 {
+		t.Errorf("randomAddr allocates %.1f times per draw, want 0", a)
 	}
 	var perCall [2]float64
 	for i, n := range []int{8, 2048} {

@@ -25,13 +25,13 @@ import (
 
 // Path attribute flags (RFC 4271 §4.3).
 const (
-	AttrFlagOptional   = 0x80
-	AttrFlagTransitive = 0x40
+	attrFlagOptional   = 0x80
+	attrFlagTransitive = 0x40
 )
 
-// AttrCodeDISCSAd is the (to-be-IANA-assigned) path attribute type
+// attrCodeDISCSAd is the (to-be-IANA-assigned) path attribute type
 // code for the DISCS advertisement.
-const AttrCodeDISCSAd = 0xF0
+const attrCodeDISCSAd = 0xF0
 
 // Attr is a BGP path attribute. Unrecognized optional transitive
 // attributes are retained and propagated (RFC 4271 §5), which is what
@@ -49,16 +49,16 @@ type DISCSAd struct {
 	Controller string
 }
 
-// Encode serializes the Ad into attribute data.
-func (ad DISCSAd) Encode() []byte {
+// encode serializes the Ad into attribute data.
+func (ad DISCSAd) encode() []byte {
 	b := make([]byte, 4+len(ad.Controller))
 	binary.BigEndian.PutUint32(b[:4], uint32(ad.Origin))
 	copy(b[4:], ad.Controller)
 	return b
 }
 
-// DecodeDISCSAd parses attribute data into a DISCSAd.
-func DecodeDISCSAd(b []byte) (DISCSAd, error) {
+// decodeDISCSAd parses attribute data into a DISCSAd.
+func decodeDISCSAd(b []byte) (DISCSAd, error) {
 	if len(b) < 4 {
 		return DISCSAd{}, fmt.Errorf("bgp: DISCS-Ad too short (%d bytes)", len(b))
 	}
@@ -70,14 +70,14 @@ func DecodeDISCSAd(b []byte) (DISCSAd, error) {
 
 // NewDISCSAdAttr wraps an Ad in an optional transitive attribute.
 func NewDISCSAdAttr(ad DISCSAd) Attr {
-	return Attr{Flags: AttrFlagOptional | AttrFlagTransitive, Code: AttrCodeDISCSAd, Data: ad.Encode()}
+	return Attr{Flags: attrFlagOptional | attrFlagTransitive, Code: attrCodeDISCSAd, Data: ad.encode()}
 }
 
-// Update is a BGP UPDATE for a single prefix. It is a value that
+// update is a BGP UPDATE for a single prefix. It is a value that
 // travels inside its delivery event (netsim.Value) and holds no pointer:
 // the sender, the prefix and attribute-set ids, the AS path after the
 // sender as a handle, and the hop count. An export allocates nothing.
-type Update struct {
+type update struct {
 	From      topology.ASN // the sending speaker
 	Withdrawn bool
 
@@ -92,7 +92,7 @@ type Update struct {
 }
 
 // value packs u into its netsim delivery payload.
-func (u Update) value() netsim.Value {
+func (u update) value() netsim.Value {
 	flags := u.arena << 1
 	if u.Withdrawn {
 		flags |= 1
@@ -101,8 +101,8 @@ func (u Update) value() netsim.Value {
 }
 
 // updateOf unpacks what value packed.
-func updateOf(v netsim.Value) Update {
-	return Update{From: topology.ASN(v[0]), Withdrawn: v[5]&1 != 0,
+func updateOf(v netsim.Value) update {
+	return update{From: topology.ASN(v[0]), Withdrawn: v[5]&1 != 0,
 		pid: v[1], attrs: v[2], path: v[3], hops: v[4], arena: v[5] >> 1}
 }
 
@@ -351,12 +351,12 @@ func (s *Speaker) LocRib(p netip.Prefix) (Route, bool) {
 	return r, true
 }
 
-// SessionDown handles the loss of an eBGP session (link failure or
+// sessionDown handles the loss of an eBGP session (link failure or
 // neighbor death): every route learned from that neighbor is flushed
 // from the Adj-RIB-In and the decision process reruns, issuing
 // withdrawals or switching to backup paths as needed. The session
-// configuration is retained so SessionUp can restore it.
-func (s *Speaker) SessionDown(neighbor topology.ASN) {
+// configuration is retained so sessionUp can restore it.
+func (s *Speaker) sessionDown(neighbor topology.ASN) {
 	slot := s.slotOf(neighbor)
 	if slot < 0 {
 		return
@@ -374,9 +374,9 @@ func (s *Speaker) SessionDown(neighbor topology.ASN) {
 	}
 }
 
-// SessionUp re-advertises the full Loc-RIB to a restored neighbor (the
+// sessionUp re-advertises the full Loc-RIB to a restored neighbor (the
 // initial-exchange behavior of a fresh BGP session).
-func (s *Speaker) SessionUp(neighbor topology.ASN) {
+func (s *Speaker) sessionUp(neighbor topology.ASN) {
 	slot := s.slotOf(neighbor)
 	if slot < 0 {
 		return
@@ -413,7 +413,7 @@ func (s *Speaker) locRows() []int32 {
 }
 
 // sortRows orders rows by their prefixes' String form, the order that
-// fixes the event sequence of SessionDown's withdrawals.
+// fixes the event sequence of sessionDown's withdrawals.
 func (s *Speaker) sortRows(rows []int32) {
 	keys := s.tabs.keys
 	sort.Slice(rows, func(i, j int) bool { return keys[s.rows[rows[i]].pid] < keys[s.rows[rows[j]].pid] })
@@ -440,13 +440,13 @@ func (s *Speaker) exports(r locRoute, slot int32) bool {
 }
 
 // announcement builds the UPDATE announcing r with our ASN prepended.
-func (s *Speaker) announcement(pid uint32, r locRoute) Update {
-	return Update{From: s.ASN, pid: pid, attrs: r.attrs, path: r.path, arena: s.paths.id, hops: 1 + s.paths.hops(r.path)}
+func (s *Speaker) announcement(pid uint32, r locRoute) update {
+	return update{From: s.ASN, pid: pid, attrs: r.attrs, path: r.path, arena: s.paths.id, hops: 1 + s.paths.hops(r.path)}
 }
 
 // send is node.SendTo without the link lookup while the session's link
 // is up.
-func (s *Speaker) send(slot int32, u Update) {
+func (s *Speaker) send(slot int32, u update) {
 	l := s.nbrs[slot].link
 	if !l.Up() {
 		if l = s.node.UpLink(l.Neighbor(s.node)); l == nil {
@@ -472,7 +472,7 @@ func (s *Speaker) export(pid uint32, r locRoute) {
 // is gone, excluding those keep (the new best route, if any) is
 // exported to: they are about to get a replacement announcement.
 func (s *Speaker) exportWithdraw(pid uint32, r locRoute, keep *locRoute) {
-	u := Update{From: s.ASN, Withdrawn: true, pid: pid, arena: s.paths.id}
+	u := update{From: s.ASN, Withdrawn: true, pid: pid, arena: s.paths.id}
 	for _, t := range s.targets(r) {
 		if t != r.slot && (keep == nil || !s.exports(*keep, t)) {
 			s.send(t, u)
@@ -481,7 +481,7 @@ func (s *Speaker) exportWithdraw(pid uint32, r locRoute, keep *locRoute) {
 }
 
 // receive processes an incoming UPDATE, whose path is in our arena.
-func (s *Speaker) receive(from *netsim.Node, u Update) {
+func (s *Speaker) receive(from *netsim.Node, u update) {
 	s.UpdatesRecv++
 	slot := s.slotOf(u.From)
 	if slot < 0 || s.nbrs[slot].link.Neighbor(s.node) != from {

@@ -6,7 +6,7 @@ import (
 	"testing"
 	"time"
 
-	"discs/internal/parsim"
+	"discs/internal/netsim"
 	"discs/internal/topology"
 )
 
@@ -187,18 +187,18 @@ func TestWithdraw(t *testing.T) {
 
 func TestDISCSAdEncodeDecode(t *testing.T) {
 	ad := DISCSAd{Origin: 64500, Controller: "controller.as64500.example"}
-	got, err := DecodeDISCSAd(ad.Encode())
+	got, err := decodeDISCSAd(ad.encode())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got != ad {
 		t.Fatalf("round trip = %+v", got)
 	}
-	if _, err := DecodeDISCSAd([]byte{1, 2}); err == nil {
+	if _, err := decodeDISCSAd([]byte{1, 2}); err == nil {
 		t.Fatal("short Ad should fail")
 	}
 	attr := NewDISCSAdAttr(ad)
-	if attr.Flags&AttrFlagOptional == 0 || attr.Flags&AttrFlagTransitive == 0 {
+	if attr.Flags&attrFlagOptional == 0 || attr.Flags&attrFlagTransitive == 0 {
 		t.Fatal("DISCS-Ad attribute must be optional transitive")
 	}
 }
@@ -279,12 +279,12 @@ func TestReOriginateUnknownPrefix(t *testing.T) {
 
 func TestUpdateSize(t *testing.T) {
 	tabs := newTables()
-	attrs := tabs.internAttrs([]Attr{{Code: AttrCodeDISCSAd, Data: make([]byte, 10)}})
-	u := Update{From: 1, attrs: attrs, hops: 3}
+	attrs := tabs.internAttrs([]Attr{{Code: attrCodeDISCSAd, Data: make([]byte, 10)}})
+	u := update{From: 1, attrs: attrs, hops: 3}
 	if got, want := tabs.size(u), 23+5+2*3+3+10; got != want {
 		t.Fatalf("announcement size = %d, want %d", got, want)
 	}
-	if got := tabs.size(Update{From: 1, Withdrawn: true}); got != 23+5 {
+	if got := tabs.size(update{From: 1, Withdrawn: true}); got != 23+5 {
 		t.Fatalf("withdrawal size = %d, want %d", got, 23+5)
 	}
 	if got := updateOf(u.value()); got != u {
@@ -305,7 +305,7 @@ func TestUpdatePathZeroAlloc(t *testing.T) {
 				t.Fatal(err)
 			}
 			net.AssignShards(shards)
-			eng, err := parsim.New(net.Sim, parsim.Options{Shards: shards, Workers: 2})
+			eng, err := net.Sim.Relane(netsim.Options{Shards: shards, Workers: 2})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -329,7 +329,7 @@ func TestUpdatePathZeroAlloc(t *testing.T) {
 			// every speaker takes the change and exports it again.
 			origin := net.Speakers[10]
 			ri, _ := origin.rowFor(netip.MustParsePrefix("10.0.0.0/16"))
-			attrs := [2]uint32{0, net.tabs.internAttrs([]Attr{{Flags: AttrFlagOptional | AttrFlagTransitive, Code: 99, Data: []byte{1}}})}
+			attrs := [2]uint32{0, net.tabs.internAttrs([]Attr{{Flags: attrFlagOptional | attrFlagTransitive, Code: 99, Data: []byte{1}}})}
 			flips := 0
 			flip := func() {
 				flips++

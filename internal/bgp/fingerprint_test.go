@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"discs/internal/netsim"
-	"discs/internal/parsim"
 	"discs/internal/topology"
 )
 
@@ -47,8 +46,8 @@ func fingerprintRun(t *testing.T, workers int) uint64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net.AssignShards(parsim.DefaultShards)
-	eng, err := parsim.New(net.Sim, parsim.Options{Shards: parsim.DefaultShards, Workers: workers})
+	net.AssignShards(netsim.DefaultShards)
+	eng, err := net.Sim.Relane(netsim.Options{Shards: netsim.DefaultShards, Workers: workers})
 	if err != nil {
 		t.Fatal(err)
 	}

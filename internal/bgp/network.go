@@ -195,8 +195,8 @@ func (n *Network) FailLink(a, b topology.ASN) bool {
 	if !found {
 		return false
 	}
-	sa.SessionDown(b)
-	sb.SessionDown(a)
+	sa.sessionDown(b)
+	sb.sessionDown(a)
 	return true
 }
 
@@ -217,7 +217,7 @@ func (n *Network) RestoreLink(a, b topology.ASN) bool {
 	if !found {
 		return false
 	}
-	sa.SessionUp(b)
-	sb.SessionUp(a)
+	sa.sessionUp(b)
+	sb.sessionUp(a)
 	return true
 }

@@ -152,7 +152,7 @@ type attrSet struct {
 // per-shard path arenas.
 type tables struct {
 	prefixes []netip.Prefix
-	keys     []string // prefixes[i].String(): Routes and SessionDown sort by it
+	keys     []string // prefixes[i].String(): Routes and sessionDown sort by it
 	pids     map[netip.Prefix]uint32
 
 	sets   []attrSet // sets[0] is the empty set
@@ -202,10 +202,10 @@ func (t *tables) internAttrs(attrs []Attr) uint32 {
 	for i, a := range attrs {
 		set.attrs[i] = Attr{Flags: a.Flags, Code: a.Code, Data: append([]byte(nil), a.Data...)}
 		set.size += 3 + len(a.Data)
-		if a.Code != AttrCodeDISCSAd {
+		if a.Code != attrCodeDISCSAd {
 			continue
 		}
-		if ad, err := DecodeDISCSAd(a.Data); err == nil {
+		if ad, err := decodeDISCSAd(a.Data); err == nil {
 			set.ads = append(set.ads, t.adID(ad))
 		}
 	}
@@ -217,7 +217,7 @@ func (t *tables) internAttrs(attrs []Attr) uint32 {
 
 // size approximates the wire size of u for netsim bandwidth accounting:
 // header, NLRI, two bytes per AS-path hop and the attributes.
-func (t *tables) size(u Update) int {
+func (t *tables) size(u update) int {
 	return 23 + 5 + 2*int(u.hops) + t.sets[u.attrs].size
 }
 

@@ -23,22 +23,23 @@ import (
 // and reads it without locks. A snapshot is a peer→slot index plus one
 // slice of per-slot key records. The index is a topology.ASNIndex, so
 // a lookup is a multiply, a shift and usually one probe instead of a Go
-// map read; a join copies its slot array once and a leave rebuilds it.
-// A key change for a known peer (§IV-D: verify key, stamp key, end of
-// the overlap — three per peering) rehashes nothing: it copies the slot
-// slice, one pointer per peer, and allocates one record.
+// map read. A peer's first join copies the index's slot array once and
+// gives the peer the next slot; a leave keeps the peer's index entry
+// and clears its slot, which a rejoin fills again. Nothing else
+// rehashes: a key change for a known peer (§IV-D: verify key, stamp
+// key, end of the overlap — three per peering), a leave or a rejoin
+// copies the slot slice, one pointer per peer.
 type KeyTable struct {
 	mu   sync.Mutex // serializes mutators; readers never take it
 	snap atomic.Pointer[keySnapshot]
-	free []int32 // slots released by RemovePeer, reused on join; guarded by mu
 }
 
 // keySnapshot is an immutable view of both key tables. Neither the
 // index, the slot slice nor the records are mutated after publication;
 // snapshots that differ only in a key share the index's slot array.
 type keySnapshot struct {
-	index topology.ASNIndex
-	slots []*peerKeys // nil at free slots
+	index topology.ASNIndex // every peer that ever held a key
+	slots []*peerKeys       // nil at the slots of departed peers
 }
 
 // peerKeys is one peer's key record: Key-S and Key-V with the rekey
@@ -89,32 +90,23 @@ func (kt *KeyTable) update(peer topology.ASN, fn func(pk *peerKeys)) {
 	kt.mu.Lock()
 	defer kt.mu.Unlock()
 	old := kt.snap.Load()
+	var cur *peerKeys
+	i, indexed := old.index.Get(peer)
+	if indexed {
+		cur = old.slots[i]
+	}
 	var next peerKeys
-	i, known := old.index.Get(peer)
-	if known {
-		next = *old.slots[i]
+	if cur != nil {
+		next = *cur
 	}
 	fn(&next)
 	empty := next == peerKeys{}
-	if (!known && empty) || (known && next == *old.slots[i]) {
+	if (cur == nil && empty) || (cur != nil && next == *cur) {
 		return // nothing changes
 	}
 	s := &keySnapshot{index: old.index}
-	switch {
-	case known && empty: // leave
-		s.index = topology.ASNIndex{}
-		old.index.Range(func(p topology.ASN, j int32) {
-			if p != peer {
-				s.index.Put(p, j)
-			}
-		})
-		kt.free = append(kt.free, i)
-	case !known: // join
-		if n := len(kt.free); n > 0 {
-			i, kt.free = kt.free[n-1], kt.free[:n-1]
-		} else {
-			i = int32(len(old.slots))
-		}
+	if !indexed { // first join
+		i = int32(len(old.slots))
 		s.index = old.index.Clone()
 		s.index.Put(peer, i)
 	}

@@ -35,6 +35,18 @@ func removeOp(ft *FuncTable, p netip.Prefix, op Op) {
 // peer DAS.
 func keyS(kt *KeyTable, peer topology.ASN) *cmac.CMAC { return kt.snap.Load().stampKey(peer) }
 
+// numPeers counts the peers kt holds key state for: its non-nil slots
+// (a departed peer keeps its index entry).
+func numPeers(kt *KeyTable) int {
+	n := 0
+	for _, pk := range kt.snap.Load().slots {
+		if pk != nil {
+			n++
+		}
+	}
+	return n
+}
+
 // hasKeyV reports whether kt holds a verification key for peer: the
 // "src ∈ peer" predicate of CDP-verify (Table I).
 func hasKeyV(kt *KeyTable, peer topology.ASN) bool { return kt.snap.Load().verifyKeys(peer) != nil }
@@ -373,11 +385,11 @@ func TestKeyTableRemovePeerAndCount(t *testing.T) {
 	kt.SetStampKey(2, make([]byte, 16))
 	kt.SetVerifyKey(2, make([]byte, 16))
 	kt.SetVerifyKey(3, make([]byte, 16))
-	if kt.snap.Load().index.Len() != 2 {
-		t.Fatalf("peers = %d", kt.snap.Load().index.Len())
+	if numPeers(kt) != 2 {
+		t.Fatalf("peers = %d", numPeers(kt))
 	}
 	kt.removePeer(2)
-	if kt.snap.Load().index.Len() != 1 || keyS(kt, 2) != nil || hasKeyV(kt, 2) {
+	if numPeers(kt) != 1 || keyS(kt, 2) != nil || hasKeyV(kt, 2) {
 		t.Fatal("RemovePeer incomplete")
 	}
 }
@@ -407,8 +419,8 @@ func TestKeyTableIndexMatchesMap(t *testing.T) {
 			}
 			want[peer] = true
 		}
-		if kt.snap.Load().index.Len() != len(want) {
-			t.Fatalf("step %d: peers = %d, want %d", step, kt.snap.Load().index.Len(), len(want))
+		if numPeers(kt) != len(want) {
+			t.Fatalf("step %d: peers = %d, want %d", step, numPeers(kt), len(want))
 		}
 		for _, p := range []topology.ASN{0, peer, peer + 1, topology.ASN(rng.Intn(300)), topology.ASN(rng.Intn(64)+1) << 20} {
 			if got := keyS(kt, p) != nil; got != want[p] {
@@ -449,15 +461,90 @@ func TestKeyTableJoinAllocs(t *testing.T) {
 	key := make([]byte, 16)
 	for n := 0; n < 400; n++ {
 		// A stray runtime allocation only adds, so take the least of
-		// three tries; a leave (a no-op on the first) puts the table back.
-		peer, join := topology.ASN(n+1), ^uint64(0)
+		// three joins, each of a peer the table has never seen (a
+		// rejoin would reuse its index entry).
+		join := ^uint64(0)
 		for try := 0; try < 3; try++ {
-			kt.removePeer(peer)
+			peer := topology.ASN(3*n + try + 1)
 			join = min(join, allocs(func() { kt.SetStampKey(peer, key) }))
 		}
 		update := allocs(func() { kt.SetStampKey(1, key) })
 		if join > update+2 {
-			t.Fatalf("a join to %d peers costs %d allocations, a key change %d", n+1, join, update)
+			t.Fatalf("a join to %d peers costs %d allocations, a key change %d", 3*n+3, join, update)
 		}
+	}
+}
+
+// TestKeyTableLeaveAllocs: a leave keeps the departed peer's index
+// entry and clears its slot, so it rehashes nothing. A join and a leave
+// together cost the same at every table size, and at most two
+// allocations (the snapshot and its slot slice) more than the join of a
+// new peer alone.
+func TestKeyTableLeaveAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not exact under -race")
+	}
+	key := make([]byte, 16)
+	first := -1.0
+	for _, n := range []int{16, 180, 400} {
+		kt := newKeyTable()
+		for p := 1; p <= n; p++ {
+			if err := kt.SetStampKey(topology.ASN(p), key); err != nil {
+				t.Fatal(err)
+			}
+		}
+		peer := topology.ASN(n + 1)
+		joinLeave := testing.AllocsPerRun(100, func() {
+			kt.SetStampKey(peer, key)
+			kt.removePeer(peer)
+		})
+		fresh := topology.ASN(1 << 20)
+		join := testing.AllocsPerRun(100, func() {
+			fresh++
+			kt.SetStampKey(fresh, key)
+		})
+		t.Logf("%d peers: a join and a leave cost %.0f allocations, a join alone %.0f", n, joinLeave, join)
+		if joinLeave > join+2 {
+			t.Errorf("%d peers: a join and a leave cost %.0f allocations, a join alone %.0f", n, joinLeave, join)
+		}
+		if first < 0 {
+			first = joinLeave
+		} else if joinLeave != first {
+			t.Errorf("a join and a leave cost %.0f allocations at %d peers and %.0f at 16", joinLeave, n, first)
+		}
+	}
+}
+
+// TestKeyTableRejoinUsesNewKeys: a peer that leaves and rejoins with new
+// keys reuses its slot, and stamps and verifies with the new keys only.
+func TestKeyTableRejoinUsesNewKeys(t *testing.T) {
+	kt := newKeyTable()
+	k1 := make([]byte, 16)
+	k2 := make([]byte, 16)
+	k2[0] = 0xff
+	for _, peer := range []topology.ASN{2, 3} {
+		kt.SetStampKey(peer, k1)
+		kt.SetVerifyKey(peer, k1)
+	}
+	i, _ := kt.snap.Load().index.Get(2)
+	kt.removePeer(2)
+	if numPeers(kt) != 1 || keyS(kt, 2) != nil || hasKeyV(kt, 2) {
+		t.Fatal("leave left key state behind")
+	}
+	kt.SetStampKey(2, k2)
+	kt.SetVerifyKey(2, k2)
+	if j, _ := kt.snap.Load().index.Get(2); j != i || numPeers(kt) != 2 {
+		t.Fatalf("rejoin took slot %d, want %d (%d peers)", j, i, numPeers(kt))
+	}
+	p := samplePacketV4()
+	V4{p}.stamp(keyS(kt, 2))
+	if valid, known, _ := verifyMark(kt, 2, V4{p}); !valid || !known {
+		t.Fatal("mark stamped with the rejoined peer's new key rejected")
+	}
+	old := newKeyTable()
+	old.SetStampKey(2, k1)
+	V4{p}.stamp(keyS(old, 2))
+	if valid, _, _ := verifyMark(kt, 2, V4{p}); valid {
+		t.Fatal("mark stamped with the key from before the leave accepted")
 	}
 }

@@ -2,6 +2,7 @@ package eval
 
 import (
 	"discs/internal/attack"
+	"discs/internal/baseline"
 	"discs/internal/topology"
 )
 
@@ -65,7 +66,7 @@ func Checkpoints(topo *topology.Topology, runs, mcFlows int, seed int64) ([]Chec
 
 	// X1: flow-level Monte-Carlo effectiveness at the Fig. 7b point.
 	if len(order) >= 50 {
-		mc := MonteCarloEffectiveness(topo, order[:50], attack.DDDoS, mcFlows, seed)
+		mc := monteCarloEffectiveness(topo, baseline.DISCS{}, order[:50], attack.DDDoS, mcFlows, seed)
 		add("X1: flow-level MC effectiveness @50 largest", "matches closed form", 3, mc)
 	}
 	return out, nil

@@ -80,7 +80,7 @@ func IncentiveCurve(r *Ratios, order []topology.ASN, samples int) ([]Point, erro
 func MeanIncentiveCurve(r *Ratios, runs, samples int, seed int64) ([]Point, error) {
 	var mean []Point
 	for run := 0; run < runs; run++ {
-		pts, err := IncentiveCurve(r, r.RandomOrder(seed+int64(run)), samples)
+		pts, err := IncentiveCurve(r, r.randomOrder(seed+int64(run)), samples)
 		if err != nil {
 			return nil, err
 		}
@@ -128,7 +128,7 @@ func EffectivenessCurve(r *Ratios, order []topology.ASN, samples int) ([]Point, 
 // CumulativeRatioCurve samples Figure 6a: the cumulated address-space
 // ratio along a deployment order.
 func CumulativeRatioCurve(r *Ratios, order []topology.ASN, samples int) []Point {
-	cum := r.CumulativeRatio(order)
+	cum := r.cumulativeRatio(order)
 	marks := samplePoints(len(order), samples)
 	out := make([]Point, 0, len(marks))
 	for _, m := range marks {
@@ -151,10 +151,10 @@ func StrategyCurves(r *Ratios, samples int, seed int64,
 	if out["optimal"], err = fn(r, r.OptimalOrder(), samples); err != nil {
 		return nil, err
 	}
-	if out["random"], err = fn(r, r.RandomOrder(seed), samples); err != nil {
+	if out["random"], err = fn(r, r.randomOrder(seed), samples); err != nil {
 		return nil, err
 	}
-	uni := Uniform(r.Len())
+	uni := uniform(r.numASes())
 	if out["uniform"], err = fn(uni, uni.ASNs, samples); err != nil {
 		return nil, err
 	}

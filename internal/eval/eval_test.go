@@ -62,11 +62,11 @@ func TestClosedFormsMatchBruteForce(t *testing.T) {
 	}
 	for _, v := range []topology.ASN{1, 3, 8} { // LASes
 		dp, cdp, both := bruteIncentives(r, deployed, v)
-		if got := acc.IncDPFor(v); math.Abs(got-dp) > 1e-12 {
-			t.Errorf("IncDPFor(%d) = %v, brute %v", v, got, dp)
+		if got := incDPFor(acc, v); math.Abs(got-dp) > 1e-12 {
+			t.Errorf("incDPFor(%d) = %v, brute %v", v, got, dp)
 		}
-		if got := acc.IncCDPFor(v); math.Abs(got-cdp) > 1e-12 {
-			t.Errorf("IncCDPFor(%d) = %v, brute %v", v, got, cdp)
+		if got := incCDPFor(acc, v); math.Abs(got-cdp) > 1e-12 {
+			t.Errorf("incCDPFor(%d) = %v, brute %v", v, got, cdp)
 		}
 		if got := acc.IncBothFor(v); math.Abs(got-both) > 1e-12 {
 			t.Errorf("IncBothFor(%d) = %v, brute %v", v, got, both)
@@ -165,13 +165,13 @@ func TestMonotonicIncentives(t *testing.T) {
 			weights[i] = rng.Float64()*10 + 0.01
 		}
 		r := smallRatios(t, weights)
-		order := r.RandomOrder(int64(trial))
+		order := r.randomOrder(int64(trial))
 		v := order[len(order)-1] // stays an LAS throughout
 		acc := NewAccumulator(r)
 		prevDP, prevCDP, prevBoth := 0.0, 0.0, 0.0
 		for _, asn := range order[:len(order)-1] {
 			acc.Deploy(asn)
-			dp, cdp, both := acc.IncDPFor(v), acc.IncCDPFor(v), acc.IncBothFor(v)
+			dp, cdp, both := incDPFor(acc, v), incCDPFor(acc, v), acc.IncBothFor(v)
 			const eps = 1e-12
 			if dp < prevDP-eps || cdp < prevCDP-eps || both < prevBoth-eps {
 				t.Fatalf("trial %d: incentive decreased: DP %v→%v CDP %v→%v Both %v→%v",
@@ -209,7 +209,7 @@ func TestOptimalDominatesRandom(t *testing.T) {
 	r := smallRatios(t, weights)
 	opt := r.OptimalOrder()
 	for trial := 0; trial < 10; trial++ {
-		rnd := r.RandomOrder(int64(trial))
+		rnd := r.randomOrder(int64(trial))
 		accO, accR := NewAccumulator(r), NewAccumulator(r)
 		for k := 0; k < len(opt)-1; k++ {
 			accO.Deploy(opt[k])
@@ -247,8 +247,8 @@ func TestDPandCDPRelation(t *testing.T) {
 }
 
 func TestUniformRatios(t *testing.T) {
-	u := Uniform(100)
-	if u.Len() != 100 {
+	u := uniform(100)
+	if u.numASes() != 100 {
 		t.Fatal("len")
 	}
 	var sum float64
@@ -259,7 +259,7 @@ func TestUniformRatios(t *testing.T) {
 		t.Fatalf("uniform ratios sum to %v", sum)
 	}
 	// Cumulative ratio grows linearly.
-	cum := u.CumulativeRatio(u.ASNs)
+	cum := u.cumulativeRatio(u.ASNs)
 	for k, c := range cum {
 		if math.Abs(c-float64(k+1)/100) > 1e-9 {
 			t.Fatalf("cumulative[%d] = %v", k, c)
@@ -270,10 +270,10 @@ func TestUniformRatios(t *testing.T) {
 func TestOrdersArePermutations(t *testing.T) {
 	r := smallRatios(t, []float64{3, 1, 4, 1, 5, 9, 2, 6})
 	for name, order := range map[string][]topology.ASN{
-		"random":  r.RandomOrder(1),
+		"random":  r.randomOrder(1),
 		"optimal": r.OptimalOrder(),
 	} {
-		if len(order) != r.Len() {
+		if len(order) != r.numASes() {
 			t.Fatalf("%s order length %d", name, len(order))
 		}
 		seen := map[topology.ASN]bool{}
@@ -287,8 +287,8 @@ func TestOrdersArePermutations(t *testing.T) {
 	// Optimal is sorted by ratio descending.
 	opt := r.OptimalOrder()
 	for i := 1; i < len(opt); i++ {
-		a, _ := r.Of(opt[i-1])
-		b, _ := r.Of(opt[i])
+		a, _ := r.of(opt[i-1])
+		b, _ := r.of(opt[i])
 		if a < b {
 			t.Fatal("optimal order not descending")
 		}
@@ -305,7 +305,7 @@ func TestAccumulatorErrors(t *testing.T) {
 	if err := acc.Deploy(1); err == nil {
 		t.Fatal("double deploy accepted")
 	}
-	if _, err := r.Of(99); err == nil {
+	if _, err := r.of(99); err == nil {
 		t.Fatal("Of(99) should fail")
 	}
 }
@@ -318,7 +318,7 @@ func TestIncentiveCurveShape(t *testing.T) {
 	}
 	rng.Shuffle(len(weights), func(i, j int) { weights[i], weights[j] = weights[j], weights[i] })
 	r := smallRatios(t, weights)
-	pts, err := IncentiveCurve(r, r.RandomOrder(1), 50)
+	pts, err := IncentiveCurve(r, r.randomOrder(1), 50)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,7 +351,7 @@ func TestMeanIncentiveCurve(t *testing.T) {
 	}
 	// The final point is deployment of everything: identical across
 	// runs, so the mean equals a single run's final value.
-	single, _ := IncentiveCurve(r, r.RandomOrder(42), 10)
+	single, _ := IncentiveCurve(r, r.randomOrder(42), 10)
 	gotLast := mean[len(mean)-1].Y["DP"]
 	wantLast := single[len(single)-1].Y["DP"]
 	if math.Abs(gotLast-wantLast) > 1e-9 {
@@ -417,11 +417,26 @@ func TestFromTopologyMatchesRatios(t *testing.T) {
 	tp.AddPrefix(1, netip.MustParsePrefix("10.0.0.0/8"))
 	tp.AddPrefix(2, netip.MustParsePrefix("11.0.0.0/8"))
 	r := FromTopology(tp)
-	if r.Len() != 2 {
+	if r.numASes() != 2 {
 		t.Fatal("len")
 	}
-	x, err := r.Of(1)
+	x, err := r.of(1)
 	if err != nil || math.Abs(x-0.5) > 1e-12 {
 		t.Fatalf("Of(1) = %v %v", x, err)
 	}
+}
+
+// incDPFor returns the DP (and SP) incentive for a specific LAS v:
+//
+//	inc_DP(D, v) = Σ_{a∈D} p^A_a (1 − p^I_a) = S1 − S2.
+//
+// It is independent of v.
+func incDPFor(a *Accumulator, _ topology.ASN) float64 { return a.s1 - a.s2 }
+
+// incCDPFor returns the CDP (and CSP) incentive for LAS v:
+//
+//	inc_CDP(D, v) = Σ_{i∈D} p^I_i (1 − p^A_v − p^A_i) = S1 − S2 − r_v·S1.
+func incCDPFor(a *Accumulator, v topology.ASN) float64 {
+	rv, _ := a.r.of(v)
+	return a.s1 - a.s2 - rv*a.s1
 }

@@ -29,7 +29,7 @@ type Accumulator struct {
 
 // NewAccumulator starts with an empty deployment set.
 func NewAccumulator(r *Ratios) *Accumulator {
-	acc := &Accumulator{r: r, deployed: make([]bool, r.Len())}
+	acc := &Accumulator{r: r, deployed: make([]bool, r.numASes())}
 	for _, x := range r.R {
 		acc.t += x
 		acc.u += x * x
@@ -67,27 +67,12 @@ func (a *Accumulator) NumDeployed() int { return a.n }
 // DeployedRatio returns Σ_{j∈D} r_j (Figure 6a's cumulated ratio).
 func (a *Accumulator) DeployedRatio() float64 { return a.s1 }
 
-// IncDPFor returns the DP (and SP) incentive for a specific LAS v:
-//
-//	inc_DP(D, v) = Σ_{a∈D} p^A_a (1 − p^I_a) = S1 − S2.
-//
-// It is independent of v.
-func (a *Accumulator) IncDPFor(topology.ASN) float64 { return a.s1 - a.s2 }
-
-// IncCDPFor returns the CDP (and CSP) incentive for LAS v:
-//
-//	inc_CDP(D, v) = Σ_{i∈D} p^I_i (1 − p^A_v − p^A_i) = S1 − S2 − r_v·S1.
-func (a *Accumulator) IncCDPFor(v topology.ASN) float64 {
-	rv, _ := a.r.Of(v)
-	return a.s1 - a.s2 - rv*a.s1
-}
-
 // IncBothFor returns the DP+CDP (and SP+CSP) incentive for LAS v:
 //
 //	inc(D, v) = Σ_{a∈D} p^A_a(1−p^I_a) + Σ_{i∈D} p^I_i(1 − p^A_v − p^A_D)
 //	          = (S1 − S2) + S1(1 − r_v − S1).
 func (a *Accumulator) IncBothFor(v topology.ASN) float64 {
-	rv, _ := a.r.Of(v)
+	rv, _ := a.r.of(v)
 	return (a.s1 - a.s2) + a.s1*(1-rv-a.s1)
 }
 

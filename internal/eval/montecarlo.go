@@ -44,33 +44,10 @@ func MonteCarloIncentive(topo *topology.Topology, deployed []topology.ASN,
 	return float64(hits) / float64(n)
 }
 
-// MonteCarloEffectiveness estimates the §VI-B global reduction by
-// sampling flows over the whole Internet.
-func MonteCarloEffectiveness(topo *topology.Topology, deployed []topology.ASN,
-	kind attack.Kind, n int, seed int64) float64 {
-	rng := rand.New(rand.NewSource(seed))
-	s := attack.NewSampler(topo)
-	d := make(baseline.Deployment, len(deployed))
-	for _, asn := range deployed {
-		d[asn] = true
-	}
-	filter := baseline.DISCS{}
-	hits := 0
-	for k := 0; k < n; k++ {
-		f := s.DrawFlow(kind, rng)
-		if f.Agent == 0 {
-			continue
-		}
-		if filter.Filters(topo, d, f) {
-			hits++
-		}
-	}
-	return float64(hits) / float64(n)
-}
-
-// BaselineEffectiveness estimates any defense's global filter rate in
-// the same Monte-Carlo framework, for the comparison benches.
-func BaselineEffectiveness(topo *topology.Topology, def baseline.Defense,
+// monteCarloEffectiveness estimates a defense's global filter rate by
+// sampling flows over the whole Internet: with baseline.DISCS it is
+// the §VI-B global reduction, with another defense its comparison.
+func monteCarloEffectiveness(topo *topology.Topology, def baseline.Defense,
 	deployed []topology.ASN, kind attack.Kind, n int, seed int64) float64 {
 	rng := rand.New(rand.NewSource(seed))
 	s := attack.NewSampler(topo)

@@ -63,7 +63,7 @@ func TestMonteCarloMatchesClosedFormEffectiveness(t *testing.T) {
 		acc.Deploy(asn)
 	}
 	want := acc.Effectiveness()
-	got := MonteCarloEffectiveness(tp, deployed, attack.DDDoS, 60_000, 3)
+	got := monteCarloEffectiveness(tp, baseline.DISCS{}, deployed, attack.DDDoS, 60_000, 3)
 	if math.Abs(got-want) > 0.02 {
 		t.Fatalf("MC effectiveness %v vs closed form %v", got, want)
 	}
@@ -79,9 +79,9 @@ func TestDISCSOutperformsBaselinesUnderPartialDeployment(t *testing.T) {
 	deployed := r.OptimalOrder()[:30]
 
 	const n = 30_000
-	discs := BaselineEffectiveness(tp, baseline.DISCS{}, deployed, attack.DDDoS, n, 4)
-	spm := BaselineEffectiveness(tp, baseline.SPM{}, deployed, attack.DDDoS, n, 4)
-	mef := BaselineEffectiveness(tp, baseline.MEF{}, deployed, attack.DDDoS, n, 4)
+	discs := monteCarloEffectiveness(tp, baseline.DISCS{}, deployed, attack.DDDoS, n, 4)
+	spm := monteCarloEffectiveness(tp, baseline.SPM{}, deployed, attack.DDDoS, n, 4)
+	mef := monteCarloEffectiveness(tp, baseline.MEF{}, deployed, attack.DDDoS, n, 4)
 
 	if !(discs > spm) {
 		t.Fatalf("DISCS %v not above SPM %v", discs, spm)
@@ -93,7 +93,7 @@ func TestDISCSOutperformsBaselinesUnderPartialDeployment(t *testing.T) {
 	// but its *incentive* is zero — an LAS deploying IF gains no
 	// protection for traffic attacking it (§II). DISCS's defining
 	// advantage is positive incentive, not raw effectiveness.
-	victim := r.OptimalOrder()[r.Len()-1]
+	victim := r.OptimalOrder()[r.numASes()-1]
 	var ifInc float64
 	{
 		d := baseline.Deployment{victim: true}
@@ -116,8 +116,8 @@ func TestDISCSOutperformsBaselinesUnderPartialDeployment(t *testing.T) {
 		t.Fatalf("DISCS incentive = %v, want substantial", discsInc)
 	}
 	// s-DDoS: SPM and Passport offer nothing, DISCS does.
-	discsS := BaselineEffectiveness(tp, baseline.DISCS{}, deployed, attack.SDDoS, n, 5)
-	spmS := BaselineEffectiveness(tp, baseline.SPM{}, deployed, attack.SDDoS, n, 5)
+	discsS := monteCarloEffectiveness(tp, baseline.DISCS{}, deployed, attack.SDDoS, n, 5)
+	spmS := monteCarloEffectiveness(tp, baseline.SPM{}, deployed, attack.SDDoS, n, 5)
 	if spmS != 0 {
 		t.Fatalf("SPM s-DDoS effectiveness = %v, want 0", spmS)
 	}

@@ -37,9 +37,9 @@ func FromTopology(t *topology.Topology) *Ratios {
 	return r
 }
 
-// Uniform builds a hypothetical Internet of n equally sized ASes
+// uniform builds a hypothetical Internet of n equally sized ASes
 // (ASN 1..n) — the "uniform" reference curve of Figure 6.
-func Uniform(n int) *Ratios {
+func uniform(n int) *Ratios {
 	r := &Ratios{ASNs: make([]topology.ASN, n), R: make([]float64, n), idx: make(map[topology.ASN]int, n)}
 	for i := 0; i < n; i++ {
 		asn := topology.ASN(i + 1)
@@ -50,8 +50,8 @@ func Uniform(n int) *Ratios {
 	return r
 }
 
-// Of returns r_j for an AS.
-func (r *Ratios) Of(asn topology.ASN) (float64, error) {
+// of returns r_j for an AS.
+func (r *Ratios) of(asn topology.ASN) (float64, error) {
 	i, ok := r.idx[asn]
 	if !ok {
 		return 0, fmt.Errorf("eval: unknown AS%d", asn)
@@ -59,12 +59,12 @@ func (r *Ratios) Of(asn topology.ASN) (float64, error) {
 	return r.R[i], nil
 }
 
-// Len returns the number of ASes.
-func (r *Ratios) Len() int { return len(r.ASNs) }
+// numASes returns the number of ASes.
+func (r *Ratios) numASes() int { return len(r.ASNs) }
 
-// RandomOrder returns a seeded random deployment order over all ASes
+// randomOrder returns a seeded random deployment order over all ASes
 // (the §VI-A2 process: repeatedly pick a random LAS).
-func (r *Ratios) RandomOrder(seed int64) []topology.ASN {
+func (r *Ratios) randomOrder(seed int64) []topology.ASN {
 	rng := rand.New(rand.NewSource(seed))
 	out := append([]topology.ASN(nil), r.ASNs...)
 	rng.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
@@ -85,9 +85,9 @@ func (r *Ratios) OptimalOrder() []topology.ASN {
 	return out
 }
 
-// CumulativeRatio returns the cumulated address-space ratio after each
+// cumulativeRatio returns the cumulated address-space ratio after each
 // deployment step of the order (Figure 6a).
-func (r *Ratios) CumulativeRatio(order []topology.ASN) []float64 {
+func (r *Ratios) cumulativeRatio(order []topology.ASN) []float64 {
 	out := make([]float64, len(order))
 	var sum float64
 	for k, asn := range order {

@@ -12,6 +12,6 @@ import (
 // analysis groups by source AS anyway.
 func Tap(c *Collector, proto uint8, sampleBytes int) func(core.AlarmSample) {
 	return func(s core.AlarmSample) {
-		c.Observe(Key{Src: s.Src, Dst: s.Dst, Proto: proto, SrcAS: s.SrcAS}, sampleBytes, s.When)
+		c.observe(Key{Src: s.Src, Dst: s.Dst, Proto: proto, SrcAS: s.SrcAS}, sampleBytes, s.When)
 	}
 }

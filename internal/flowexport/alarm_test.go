@@ -56,11 +56,11 @@ func TestAlarmExportPipeline(t *testing.T) {
 	send("10.2.0.66", 5)  // light spoofing of peer AS2's space
 
 	// Router exports; datagram crosses to the controller.
-	wire, err := Marshal(coll.Export(now, true))
+	wire, err := marshal(coll.Export(now, true))
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs, err := Unmarshal(wire)
+	recs, err := unmarshal(wire)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -76,9 +76,9 @@ func NewCollector(sampleRate int) (*Collector, error) {
 	}, nil
 }
 
-// Observe offers one packet to the sampler; it reports whether the
+// observe offers one packet to the sampler; it reports whether the
 // packet was sampled into the cache.
-func (c *Collector) Observe(k Key, size int, now time.Time) bool {
+func (c *Collector) observe(k Key, size int, now time.Time) bool {
 	c.seen++
 	if c.seen%uint64(c.SampleRate) != 0 {
 		return false
@@ -123,9 +123,6 @@ func (c *Collector) Export(now time.Time, force bool) []Record {
 	return out
 }
 
-// Pending returns the number of flows in the cache.
-func (c *Collector) Pending() int { return len(c.flows) }
-
 // --- wire format -----------------------------------------------------------
 
 // The export datagram is a fixed header plus fixed-size records:
@@ -138,8 +135,8 @@ var magic = [4]byte{'D', 'F', 'X', '1'}
 
 const recordLen = 16 + 16 + 1 + 1 + 4 + 8 + 8 + 8 + 8
 
-// Marshal encodes records into one export datagram.
-func Marshal(records []Record) ([]byte, error) {
+// marshal encodes records into one export datagram.
+func marshal(records []Record) ([]byte, error) {
 	if len(records) > 0xffff {
 		return nil, fmt.Errorf("flowexport: %d records exceed datagram capacity", len(records))
 	}
@@ -172,8 +169,8 @@ func Marshal(records []Record) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// Unmarshal decodes an export datagram.
-func Unmarshal(b []byte) ([]Record, error) {
+// unmarshal decodes an export datagram.
+func unmarshal(b []byte) ([]Record, error) {
 	if len(b) < 6 || !bytes.Equal(b[:4], magic[:]) {
 		return nil, errors.New("flowexport: bad magic")
 	}

@@ -26,7 +26,7 @@ func TestCollectorSampling(t *testing.T) {
 	k := key("10.0.0.1", "10.1.0.1", 17, 100)
 	sampled := 0
 	for i := 0; i < 100; i++ {
-		if c.Observe(k, 100, tbase) {
+		if c.observe(k, 100, tbase) {
 			sampled++
 		}
 	}
@@ -43,7 +43,7 @@ func TestCollectorSampleEverything(t *testing.T) {
 	c, _ := NewCollector(1)
 	k := key("10.0.0.1", "10.1.0.1", 6, 1)
 	for i := 0; i < 10; i++ {
-		if !c.Observe(k, 1, tbase) {
+		if !c.observe(k, 1, tbase) {
 			t.Fatal("rate-1 sampler skipped a packet")
 		}
 	}
@@ -62,9 +62,9 @@ func TestCollectorTimeouts(t *testing.T) {
 
 	busy := key("10.0.0.1", "10.1.0.1", 17, 1)
 	idle := key("10.0.0.2", "10.1.0.1", 17, 2)
-	c.Observe(idle, 1, tbase)
+	c.observe(idle, 1, tbase)
 	for i := 0; i < 8; i++ {
-		c.Observe(busy, 1, tbase.Add(time.Duration(i)*time.Second))
+		c.observe(busy, 1, tbase.Add(time.Duration(i)*time.Second))
 	}
 	// At +8s: idle flow idle for 8s (> 5s) → exported; busy flow is 8s
 	// old (< 10s active) and fresh → kept.
@@ -72,8 +72,8 @@ func TestCollectorTimeouts(t *testing.T) {
 	if len(recs) != 1 || recs[0].SrcAS != 2 {
 		t.Fatalf("export = %+v", recs)
 	}
-	if c.Pending() != 1 {
-		t.Fatalf("pending = %d", c.Pending())
+	if len(c.flows) != 1 {
+		t.Fatalf("pending = %d", len(c.flows))
 	}
 	// At +11s: busy flow crosses the active timeout.
 	recs = c.Export(tbase.Add(11*time.Second), false)
@@ -87,10 +87,10 @@ func TestCollectorCacheBound(t *testing.T) {
 	c.MaxFlows = 3
 	for i := 0; i < 10; i++ {
 		k := key("10.0.0.1", "10.1.0.1", uint8(i), topology.ASN(i+1))
-		c.Observe(k, 1, tbase)
+		c.observe(k, 1, tbase)
 	}
-	if c.Pending() != 3 {
-		t.Fatalf("pending = %d, want cap 3", c.Pending())
+	if len(c.flows) != 3 {
+		t.Fatalf("pending = %d, want cap 3", len(c.flows))
 	}
 	if c.EvictedNew != 7 {
 		t.Fatalf("evicted = %d", c.EvictedNew)
@@ -116,11 +116,11 @@ func TestMarshalUnmarshalRoundTrip(t *testing.T) {
 			First: tbase, Last: tbase.Add(time.Millisecond),
 		},
 	}
-	b, err := Marshal(recs)
+	b, err := marshal(recs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Unmarshal(b)
+	got, err := unmarshal(b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,22 +135,22 @@ func TestMarshalUnmarshalRoundTrip(t *testing.T) {
 }
 
 func TestUnmarshalErrors(t *testing.T) {
-	if _, err := Unmarshal([]byte("xx")); err == nil {
+	if _, err := unmarshal([]byte("xx")); err == nil {
 		t.Fatal("short datagram accepted")
 	}
-	if _, err := Unmarshal([]byte("XXXX\x00\x00")); err == nil {
+	if _, err := unmarshal([]byte("XXXX\x00\x00")); err == nil {
 		t.Fatal("bad magic accepted")
 	}
-	b, _ := Marshal([]Record{{
+	b, _ := marshal([]Record{{
 		Key: key("10.0.0.1", "10.0.0.2", 1, 1), First: tbase, Last: tbase,
 	}})
-	if _, err := Unmarshal(b[:len(b)-1]); err == nil {
+	if _, err := unmarshal(b[:len(b)-1]); err == nil {
 		t.Fatal("truncated datagram accepted")
 	}
 }
 
 func TestMarshalInvalid(t *testing.T) {
-	if _, err := Marshal([]Record{{}}); err == nil {
+	if _, err := marshal([]Record{{}}); err == nil {
 		t.Fatal("record with zero addresses accepted")
 	}
 }
@@ -184,11 +184,11 @@ func TestPropertyWireRoundTrip(t *testing.T) {
 			First: time.Unix(int64(firstSec), 0).UTC(),
 			Last:  time.Unix(int64(firstSec)+int64(durSec), 0).UTC(),
 		}
-		b, err := Marshal([]Record{r})
+		b, err := marshal([]Record{r})
 		if err != nil {
 			return false
 		}
-		got, err := Unmarshal(b)
+		got, err := unmarshal(b)
 		return err == nil && len(got) == 1 && got[0] == r
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -204,7 +204,7 @@ func TestExportDeterministicOrder(t *testing.T) {
 		key("10.0.0.2", "10.9.0.1", 17, 2),
 	}
 	for _, k := range keys {
-		c.Observe(k, 1, tbase)
+		c.observe(k, 1, tbase)
 	}
 	recs := c.Export(tbase, true)
 	for i := 1; i < len(recs); i++ {

@@ -13,20 +13,20 @@ func FuzzUnmarshal(f *testing.F) {
 		Packets: 12, Bytes: 3400,
 		First: time.Unix(100, 0).UTC(), Last: time.Unix(107, 0).UTC(),
 	}}
-	b, _ := Marshal(recs)
+	b, _ := marshal(recs)
 	f.Add(b)
 	f.Add([]byte("DFX1\x00\x00"))
 	f.Add([]byte("nope"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		got, err := Unmarshal(data)
+		got, err := unmarshal(data)
 		if err != nil {
 			return
 		}
-		out, err := Marshal(got)
+		out, err := marshal(got)
 		if err != nil {
 			t.Fatalf("decoded records fail to marshal: %v", err)
 		}
-		again, err := Unmarshal(out)
+		again, err := unmarshal(out)
 		if err != nil {
 			t.Fatalf("re-marshal fails to unmarshal: %v", err)
 		}

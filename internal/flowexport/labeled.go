@@ -82,7 +82,7 @@ func MarshalLabeled(scenario string, records []LabeledRecord) ([]byte, error) {
 	buf.WriteString(scenario)
 	binary.Write(buf, binary.BigEndian, uint16(len(records)))
 	for _, r := range records {
-		base, err := Marshal([]Record{r.Record})
+		base, err := marshal([]Record{r.Record})
 		if err != nil {
 			return nil, err
 		}
@@ -100,8 +100,8 @@ func MarshalLabeled(scenario string, records []LabeledRecord) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// UnmarshalLabeled decodes a labeled export datagram.
-func UnmarshalLabeled(b []byte) (scenario string, records []LabeledRecord, err error) {
+// unmarshalLabeled decodes a labeled export datagram.
+func unmarshalLabeled(b []byte) (scenario string, records []LabeledRecord, err error) {
 	if len(b) < 5 || !bytes.Equal(b[:4], magic2[:]) {
 		return "", nil, errors.New("flowexport: bad labeled magic")
 	}
@@ -122,7 +122,7 @@ func UnmarshalLabeled(b []byte) (scenario string, records []LabeledRecord, err e
 		}
 		// Reuse the DFX1 record decoder by prepending a 1-record header.
 		hdr := append(append([]byte{}, magic[:]...), 0, 1)
-		base, err := Unmarshal(append(hdr, b[off:off+recordLen]...))
+		base, err := unmarshal(append(hdr, b[off:off+recordLen]...))
 		if err != nil {
 			return "", nil, err
 		}

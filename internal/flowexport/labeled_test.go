@@ -35,7 +35,7 @@ func TestLabeledRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	name, got, err := UnmarshalLabeled(b)
+	name, got, err := unmarshalLabeled(b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,14 +57,14 @@ func TestLabeledErrors(t *testing.T) {
 	}
 	// Every truncation point must fail cleanly, not panic.
 	for n := 0; n < len(b); n++ {
-		if _, _, err := UnmarshalLabeled(b[:n]); err == nil {
+		if _, _, err := unmarshalLabeled(b[:n]); err == nil {
 			t.Fatalf("truncation at %d accepted", n)
 		}
 	}
-	if _, _, err := UnmarshalLabeled(append(b, 0)); err == nil {
+	if _, _, err := unmarshalLabeled(append(b, 0)); err == nil {
 		t.Error("trailing byte accepted")
 	}
-	if _, _, err := UnmarshalLabeled([]byte("DFX1")); err == nil {
+	if _, _, err := unmarshalLabeled([]byte("DFX1")); err == nil {
 		t.Error("v1 magic accepted")
 	}
 	if _, err := MarshalLabeled(strings.Repeat("x", 256), nil); err == nil {
@@ -117,7 +117,7 @@ func FuzzUnmarshalLabeled(f *testing.F) {
 	f.Add([]byte("DFX2\x00\x00\x00"))
 	f.Add([]byte("DFX1"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		name, recs, err := UnmarshalLabeled(data)
+		name, recs, err := unmarshalLabeled(data)
 		if err != nil {
 			return
 		}
@@ -125,7 +125,7 @@ func FuzzUnmarshalLabeled(f *testing.F) {
 		if err != nil {
 			t.Fatalf("decoded records fail to marshal: %v", err)
 		}
-		name2, recs2, err := UnmarshalLabeled(out)
+		name2, recs2, err := unmarshalLabeled(out)
 		if err != nil {
 			t.Fatalf("re-marshal fails to unmarshal: %v", err)
 		}

@@ -1,11 +1,11 @@
-// Package lpm provides longest-prefix-match tables over IPv4 and IPv6
+// Package lpm provides a longest-prefix-match table over IPv4 and IPv6
 // prefixes, built on multibit tries.
 //
-// DISCS border routers and controllers use several LPM tables (§V-A of
-// the paper): the Pfx2AS mapping table and the four function tables
-// (In-Src, In-Dst, Out-Src, Out-Dst). All of them need exact-prefix
-// insert/delete and longest-prefix lookup by address; this package
-// provides a single generic implementation.
+// DISCS keeps one such table per world: Pfx2AS, the address-to-AS
+// mapping every border router reads for each packet (§V-A of the
+// paper). It is built by inserts while the world is set up and is only
+// read afterwards, so the package offers insert, longest-prefix lookup
+// by address and a walk, and no delete.
 //
 // The trie uses a 4-bit stride with controlled prefix expansion: each
 // node covers one address nibble, prefixes whose length is not a
@@ -14,19 +14,17 @@
 // IPv4 lookups start at a direct-indexed first level: 2^16 entries, one
 // per /16, each holding the longest prefix of length ≤ 16 that covers
 // it and which trie node at depth 4 lies below it. An IPv4 lookup is
-// one load plus at most four nibble steps. Insert and Delete keep the
-// first level current; it is allocated on a table's first IPv4 insert
-// and costs 2^16 × (size of V + 4) bytes, 512 KB for an ASN-valued
-// table. The expansion bookkeeping (the exact entry list per
-// node, the first level) makes insert and delete a little dearer, which
-// is the right trade: DISCS mutates tables on control-plane events and
-// looks them up for every packet.
+// one load plus at most four nibble steps. Insert keeps the first level
+// current; it is allocated on a table's first IPv4 insert and costs
+// 2^16 × (size of V + 4) bytes, 512 KB for an ASN-valued table. The
+// expansion bookkeeping (the exact entry list per node, the first
+// level) makes an insert a little dearer, which is the right trade for
+// a table that is written once and looked up for every packet.
 package lpm
 
 import (
 	"fmt"
 	"net/netip"
-	"sort"
 )
 
 // stride is the number of address bits consumed per trie level.
@@ -99,8 +97,9 @@ type entry[V any] struct {
 // node covers one 4-bit stride of the address space. vals/rlen are the
 // expanded view consulted by lookups: slot s holds the longest prefix
 // terminating in this node that covers s (rlen is its length relative
-// to the node, 0 = none). exact is the authoritative entry list the
-// expansion is recomputed from on delete.
+// to the node, 0 = none). exact lists the prefixes that terminate in
+// the node, which Insert consults to replace a value and Walk to list
+// them.
 type node[V any] struct {
 	child [fanout]*node[V]
 	vals  [fanout]V
@@ -271,36 +270,6 @@ func (t *Table[V]) insertDir(p netip.Prefix, v V) {
 	}
 }
 
-// deleteDir brings the first level up to date once an IPv4 prefix of
-// length ≤ 16 has left the trie: every entry it was the best match of
-// falls back to the longest remaining prefix of length ≤ 16.
-func (t *Table[V]) deleteDir(p netip.Prefix) {
-	base, count := dirSpan(p)
-	for i := base; i < base+count; i++ {
-		if e := &t.dir[i]; e.bits() == p.Bits() {
-			e.set(t.best16(i))
-		}
-	}
-}
-
-// best16 walks the trie for the longest prefix of length ≤ 16 covering
-// first-level entry i, the default route included.
-func (t *Table[V]) best16(i int) (best V, bits int) {
-	bits = -1
-	if t.defSet4 {
-		best, bits = t.def4, 0
-	}
-	n := t.v4
-	for d := 0; d < dirBits/stride && n != nil; d++ {
-		nib := uint8(i>>(dirBits-stride*(d+1))) & 0x0f
-		if r := n.rlen[nib]; r > 0 {
-			best, bits = n.vals[nib], d*stride+int(r)
-		}
-		n = n.child[nib]
-	}
-	return best, bits
-}
-
 // descend returns the node depth levels below n on a's path, or nil
 // when the path stops short of it.
 func (n *node[V]) descend(a netip.Addr, depth int) *node[V] {
@@ -309,95 +278,6 @@ func (n *node[V]) descend(a netip.Addr, depth int) *node[V] {
 		n = n.child[nibble(&buf, i)]
 	}
 	return n
-}
-
-// recompute rebuilds the expanded slots an entry covered from the
-// node's remaining exact entries (the rare path: delete only).
-func (n *node[V]) recompute(base, count int) {
-	for s := base; s < base+count; s++ {
-		var zero V
-		n.vals[s], n.rlen[s] = zero, 0
-		for i := range n.exact {
-			e := &n.exact[i]
-			if e.r >= n.rlen[s] && int(e.suffix) <= s && s < int(e.suffix)+1<<(stride-e.r) {
-				n.vals[s], n.rlen[s] = e.val, e.r
-			}
-		}
-	}
-}
-
-// Delete removes an exact prefix. It reports whether the prefix was
-// present. Trie nodes are left in place (they are tiny and the DISCS
-// tables are rebuilt wholesale by the controller on policy change).
-func (t *Table[V]) Delete(p netip.Prefix) bool {
-	p, err := Canon(p)
-	if err != nil {
-		return false
-	}
-	a := p.Addr()
-	if p.Bits() == 0 {
-		var zero V
-		if a.Is4() {
-			if !t.defSet4 {
-				return false
-			}
-			t.def4, t.defSet4 = zero, false
-			t.deleteDir(p)
-		} else {
-			if !t.defSet6 {
-				return false
-			}
-			t.def6, t.defSet6 = zero, false
-		}
-		t.n--
-		return true
-	}
-	n, nib, r := t.walkTo(a, p.Bits(), false)
-	if n == nil {
-		return false
-	}
-	suffix := nib & (0xf0 >> r)
-	for i := range n.exact {
-		if n.exact[i].suffix == suffix && n.exact[i].r == r {
-			n.exact[i] = n.exact[len(n.exact)-1]
-			n.exact = n.exact[:len(n.exact)-1]
-			base, count := covered(suffix, r)
-			n.recompute(base, count)
-			if a.Is4() && p.Bits() <= dirBits {
-				t.deleteDir(p)
-			}
-			t.n--
-			return true
-		}
-	}
-	return false
-}
-
-// Get returns the value stored for the exact prefix.
-func (t *Table[V]) Get(p netip.Prefix) (V, bool) {
-	var zero V
-	p, err := Canon(p)
-	if err != nil {
-		return zero, false
-	}
-	a := p.Addr()
-	if p.Bits() == 0 {
-		if a.Is4() {
-			return t.def4, t.defSet4
-		}
-		return t.def6, t.defSet6
-	}
-	n, nib, r := t.walkTo(a, p.Bits(), false)
-	if n == nil {
-		return zero, false
-	}
-	suffix := nib & (0xf0 >> r)
-	for i := range n.exact {
-		if n.exact[i].suffix == suffix && n.exact[i].r == r {
-			return n.exact[i].val, true
-		}
-	}
-	return zero, false
 }
 
 // Lookup performs a longest-prefix match for the address and returns
@@ -466,12 +346,6 @@ func (t *Table[V]) LookupVal(a netip.Addr) (V, bool) {
 	return v, bestLen >= 0
 }
 
-// Contains reports whether a longest-prefix match exists for a.
-func (t *Table[V]) Contains(a netip.Addr) bool {
-	_, _, ok := t.Lookup(a)
-	return ok
-}
-
 // Walk visits every (prefix, value) pair in the table in unspecified
 // order. Returning false from fn stops the walk.
 func (t *Table[V]) Walk(fn func(p netip.Prefix, v V) bool) {
@@ -517,16 +391,4 @@ func (t *Table[V]) Walk(fn func(p netip.Prefix, v V) bool) {
 		return
 	}
 	rec(t.v6, a, 0, true)
-}
-
-// Prefixes returns all prefixes in the table sorted by string form,
-// useful for deterministic iteration in tests and reports.
-func (t *Table[V]) Prefixes() []netip.Prefix {
-	out := make([]netip.Prefix, 0, t.n)
-	t.Walk(func(p netip.Prefix, _ V) bool {
-		out = append(out, p)
-		return true
-	})
-	sort.Slice(out, func(i, j int) bool { return out[i].String() < out[j].String() })
-	return out
 }

@@ -176,7 +176,7 @@ func (ln *lane) runWindow(e *Engine, end Time, maxEvents int) int {
 		ln.now = ev.at
 		if trace != nil {
 			trace.Emit(obs.Event{
-				Kind:   TraceEventKind,
+				Kind:   traceEventKind,
 				At:     int64(ev.at),
 				AS:     uint32(ev.key >> originShift),
 				Serial: ev.key & oseqMask,

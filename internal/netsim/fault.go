@@ -7,7 +7,7 @@
 //   - per-link probabilistic loss, duplication, corruption and jitter
 //     (LinkFaults, Link.SetFaults, Simulator.SetDefaultLinkFaults),
 //   - scheduled outages: link flaps and network partitions
-//     (ScheduleFlap, SchedulePartition),
+//     (ScheduleFlap, schedulePartition),
 //   - node crash and restart with timer invalidation (Node.Crash,
 //     Node.Restart in netsim.go).
 //
@@ -50,15 +50,6 @@ func (l *Link) SetFaults(f LinkFaults) {
 		return
 	}
 	l.faults = &f
-}
-
-// Faults returns the link's current fault configuration (zero when
-// fault injection is off).
-func (l *Link) Faults() LinkFaults {
-	if l.faults == nil {
-		return LinkFaults{}
-	}
-	return *l.faults
 }
 
 // SetDefaultLinkFaults sets the fault configuration applied to every
@@ -140,10 +131,10 @@ func (s *Simulator) ScheduleFlap(l *Link, at, down Time) error {
 	return err
 }
 
-// SchedulePartition cuts the network at time `at` and heals it after
+// schedulePartition cuts the network at time `at` and heals it after
 // `dur`: every link with exactly one endpoint in group goes down, so
 // group and its complement cannot exchange new frames until the heal.
-func (s *Simulator) SchedulePartition(at, dur Time, group ...*Node) error {
+func (s *Simulator) schedulePartition(at, dur Time, group ...*Node) error {
 	inGroup := make(map[*Node]bool, len(group))
 	for _, n := range group {
 		inGroup[n] = true

@@ -86,8 +86,8 @@ func TestFaultDuplication(t *testing.T) {
 	if len(*got) != 2 {
 		t.Fatalf("Dup=1 delivered %d copies, want 2", len(*got))
 	}
-	if s.Stats().Get(MetricDuplicated) != 1 {
-		t.Fatalf("Duplicated stat = %d, want 1", s.Stats().Get(MetricDuplicated))
+	if s.Stats().Get(metricDuplicated) != 1 {
+		t.Fatalf("Duplicated stat = %d, want 1", s.Stats().Get(metricDuplicated))
 	}
 }
 
@@ -109,8 +109,8 @@ func TestFaultCorruption(t *testing.T) {
 	if !bytes.Equal([]byte(sent), []byte(orig)) {
 		t.Fatal("corruption mutated the sender's copy")
 	}
-	if s.Stats().Get(MetricCorrupted) != 1 {
-		t.Fatalf("Corrupted stat = %d, want 1", s.Stats().Get(MetricCorrupted))
+	if s.Stats().Get(metricCorrupted) != 1 {
+		t.Fatalf("Corrupted stat = %d, want 1", s.Stats().Get(metricCorrupted))
 	}
 
 	// A non-Corruptible message is dropped instead.
@@ -234,7 +234,7 @@ func TestSchedulePartition(t *testing.T) {
 	b.SetHandler(HandlerFunc(func(*Node, *Link, Message) { toB++ }))
 	c.SetHandler(HandlerFunc(func(*Node, *Link, Message) { toC++ }))
 	// Partition {a} away from {b, c}: a-b is cut, b-c survives.
-	if err := s.SchedulePartition(10*time.Millisecond, 20*time.Millisecond, a); err != nil {
+	if err := s.schedulePartition(10*time.Millisecond, 20*time.Millisecond, a); err != nil {
 		t.Fatal(err)
 	}
 	s.Schedule(15*time.Millisecond, func() {
@@ -351,15 +351,15 @@ func TestDefaultLinkFaultsAppliedToNewLinks(t *testing.T) {
 	pre, _ := s.Connect(a, b, time.Millisecond)
 	s.SetDefaultLinkFaults(LinkFaults{Loss: 0.25})
 	post, _ := s.Connect(a, b, time.Millisecond)
-	if f := pre.Faults(); f.Loss != 0 {
+	if pre.faults != nil {
 		t.Fatal("default faults leaked onto a pre-existing link")
 	}
-	if f := post.Faults(); f.Loss != 0.25 {
+	if f := post.faults; f == nil || f.Loss != 0.25 {
 		t.Fatalf("new link faults = %+v, want Loss 0.25", f)
 	}
 	s.SetDefaultLinkFaults(LinkFaults{})
 	clean, _ := s.Connect(a, b, time.Millisecond)
-	if f := clean.Faults(); f.enabled() {
+	if clean.faults != nil {
 		t.Fatal("clearing default faults did not stick")
 	}
 }

@@ -34,16 +34,17 @@ import (
 // of the simulation.
 type Time = time.Duration
 
-// Metric names the simulator registers (see Stats). Exported so
-// consumers of the snapshot do not hard-code strings.
+// Metric names the simulator registers (see Stats). Those read outside
+// the package are exported, so consumers of the snapshot do not
+// hard-code strings.
 const (
 	MetricDelivered    = "netsim.delivered"
-	MetricDropped      = "netsim.dropped"
+	metricDropped      = "netsim.dropped"
 	MetricEvents       = "netsim.events"
-	MetricQueueDepth   = "netsim.queue_depth"
+	metricQueueDepth   = "netsim.queue_depth"
 	MetricLost         = "netsim.faults.lost"
-	MetricDuplicated   = "netsim.faults.duplicated"
-	MetricCorrupted    = "netsim.faults.corrupted"
+	metricDuplicated   = "netsim.faults.duplicated"
+	metricCorrupted    = "netsim.faults.corrupted"
 	MetricCrashDropped = "netsim.faults.crash_dropped"
 	// MetricLateDropped counts sends lost because their arrival time was
 	// already behind the destination's clock: a driver-context send from
@@ -52,11 +53,11 @@ const (
 	MetricLateDropped = "netsim.late_dropped"
 )
 
-// TraceEventKind is the obs event kind emitted per executed event when
+// traceEventKind is the obs event kind emitted per executed event when
 // execution tracing is enabled (SetExecTrace). The trace is the
 // determinism oracle: two runs of the same scenario must produce
 // byte-identical sequences of (At, AS, Serial) triples.
-const TraceEventKind = "sim.event"
+const traceEventKind = "sim.event"
 
 // simMetrics holds the simulator's and its engine's pre-resolved metric
 // handles; all increments on the event path go through these, never
@@ -73,16 +74,16 @@ type simMetrics struct {
 func newSimMetrics(reg *obs.Registry) simMetrics {
 	return simMetrics{
 		delivered:  reg.Counter(MetricDelivered),
-		dropped:    reg.Counter(MetricDropped),
+		dropped:    reg.Counter(metricDropped),
 		events:     reg.Counter(MetricEvents),
 		lost:       reg.Counter(MetricLost),
-		duplicated: reg.Counter(MetricDuplicated),
-		corrupted:  reg.Counter(MetricCorrupted),
+		duplicated: reg.Counter(metricDuplicated),
+		corrupted:  reg.Counter(metricCorrupted),
 		crashDrop:  reg.Counter(MetricCrashDropped),
 		lateDrop:   reg.Counter(MetricLateDropped),
 		epochs:     reg.Counter(MetricEpochs),
 		stall:      reg.Counter(MetricStallNS),
-		queueDepth: reg.Gauge(MetricQueueDepth),
+		queueDepth: reg.Gauge(metricQueueDepth),
 	}
 }
 
@@ -103,23 +104,18 @@ type Simulator struct {
 	reg *obs.Registry
 	m   simMetrics
 	// execTrace, when non-nil, receives one obs event per executed
-	// simulator event (determinism oracle; see TraceEventKind).
+	// simulator event (determinism oracle; see traceEventKind).
 	execTrace *obs.Tracer
 	eng       *Engine
 }
 
-// New creates an empty simulator at time zero with a private metrics
-// registry; use NewWithRegistry (or MoveToRegistry) to share one.
-func New() *Simulator { return NewWithRegistry(nil) }
-
-// NewWithRegistry creates an empty simulator publishing its metrics
-// into reg (nil creates a private registry), run by one shard and one
-// inline worker. The registry clock is pointed at the simulated clock,
-// so snapshots and trace events are stamped in simulated time.
-func NewWithRegistry(reg *obs.Registry) *Simulator {
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
+// New creates an empty simulator at time zero, run by one shard and
+// one inline worker, publishing its metrics into a private registry
+// (MoveToRegistry re-homes them). The registry clock is pointed at the
+// simulated clock, so snapshots and trace events are stamped in
+// simulated time.
+func New() *Simulator {
+	reg := obs.NewRegistry()
 	s := &Simulator{byName: make(map[string]*Node), reg: reg, m: newSimMetrics(reg)}
 	s.eng, _ = newEngine(s, Options{Shards: 1, Workers: 1}, 0) // one shard is within MaxShards
 	reg.SetClock(func() int64 { return int64(s.Now()) })
@@ -131,7 +127,7 @@ func (s *Simulator) Registry() *obs.Registry { return s.reg }
 
 // SetExecTrace enables (non-nil) or disables per-event execution
 // tracing into tr. Each executed event emits an obs.Event with kind
-// TraceEventKind, At = its timestamp, AS = its creating lane + 1 and
+// traceEventKind, At = its timestamp, AS = its creating lane + 1 and
 // Serial = that lane's creation sequence number.
 func (s *Simulator) SetExecTrace(tr *obs.Tracer) { s.execTrace = tr }
 
@@ -161,7 +157,7 @@ func (s *Simulator) MoveToRegistry(reg *obs.Registry) {
 			cs[i] = move(c)
 		}
 	}
-	depth := reg.Gauge(MetricQueueDepth)
+	depth := reg.Gauge(metricQueueDepth)
 	depth.Set(m.queueDepth.Value())
 	m.queueDepth = depth
 	s.reg = reg
@@ -438,9 +434,6 @@ func (n *Node) peerAt(id int32) (int, bool) {
 	}
 	return lo, lo < len(n.peers) && n.peers[lo].node == id
 }
-
-// Sim returns the owning simulator.
-func (n *Node) Sim() *Simulator { return n.sim }
 
 // Neighbor returns the node on the other side of the link.
 func (l *Link) Neighbor(n *Node) *Node {

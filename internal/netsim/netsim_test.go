@@ -197,8 +197,8 @@ func TestLinkDown(t *testing.T) {
 	if l.Send(a, Bytes("x")) {
 		t.Fatal("send over down link should be rejected")
 	}
-	if s.Stats().Get(MetricDropped) != 1 {
-		t.Fatalf("Dropped = %d, want 1", s.Stats().Get(MetricDropped))
+	if s.Stats().Get(metricDropped) != 1 {
+		t.Fatalf("Dropped = %d, want 1", s.Stats().Get(metricDropped))
 	}
 	l.SetUp(true)
 	if !l.Send(a, Bytes("x")) {
@@ -362,8 +362,8 @@ func TestMaxBacklogTailDrop(t *testing.T) {
 	if accepted != 3 {
 		t.Fatalf("accepted %d sends, want 3", accepted)
 	}
-	if s.Stats().Get(MetricDropped) != 7 {
-		t.Fatalf("dropped %d, want 7", s.Stats().Get(MetricDropped))
+	if s.Stats().Get(metricDropped) != 7 {
+		t.Fatalf("dropped %d, want 7", s.Stats().Get(metricDropped))
 	}
 	// Draining restores acceptance.
 	s.RunAll()

@@ -79,7 +79,7 @@ func (c *counter) ImportValue(_ *Node, v Value) Value {
 // TestLinkSendZeroAlloc: a link delivery is a typed event, not a
 // closure, so Link.Send and Link.SendValue through to the receiver's
 // handler allocate nothing at steady state on a one-shard engine
-// (cross-lane deliveries are pinned by parsim.TestDeliveryZeroAlloc).
+// (cross-lane deliveries are pinned by TestDeliveryZeroAlloc).
 func TestLinkSendZeroAlloc(t *testing.T) {
 	s := New()
 	a, _ := s.AddNode("a")
@@ -138,14 +138,14 @@ func TestTickerStopQueueDepthEager(t *testing.T) {
 	if ticks != 2 {
 		t.Fatalf("ticks = %d, want 2", ticks)
 	}
-	if got := s.Stats().GetGauge(MetricQueueDepth); got != 1 {
+	if got := s.Stats().GetGauge(metricQueueDepth); got != 1 {
 		t.Fatalf("queue depth before Stop = %d, want 1 (the armed tick)", got)
 	}
 	tk.Stop()
 	if got := s.QueueLen(); got != 0 {
 		t.Fatalf("QueueLen after Stop = %d, want 0", got)
 	}
-	if got := s.Stats().GetGauge(MetricQueueDepth); got != 0 {
+	if got := s.Stats().GetGauge(metricQueueDepth); got != 0 {
 		t.Fatalf("queue depth after Stop = %d, want 0 (eager cancel)", got)
 	}
 }
@@ -218,7 +218,7 @@ func buildDeterminismRun(t *testing.T) []obs.Event {
 // TestSerialDeterminismTrace is the determinism property test: two
 // identical one-shard, one-worker runs execute the exact same event
 // sequence. This is the oracle the worker-count differential tests
-// (internal/parsim.TestDeterminismAcrossWorkers) reuse.
+// (TestDeterminismAcrossWorkers) reuse.
 func TestSerialDeterminismTrace(t *testing.T) {
 	a := buildDeterminismRun(t)
 	b := buildDeterminismRun(t)

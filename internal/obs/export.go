@@ -55,12 +55,12 @@ func NewExport(generatedBy string, reg *Registry, rec *Recorder, intervalNanos i
 	}
 	tr := reg.Tracer()
 	e.Events = tr.Events()
-	e.EventsDropped = tr.Dropped()
+	e.EventsDropped = tr.dropped()
 	return e
 }
 
-// WriteJSON writes the export as indented JSON.
-func (e *Export) WriteJSON(w io.Writer) error {
+// writeJSON writes the export as indented JSON.
+func (e *Export) writeJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(e)
@@ -72,15 +72,15 @@ func (e *Export) WriteFile(path string) error {
 	if err != nil {
 		return err
 	}
-	if err := e.WriteJSON(f); err != nil {
+	if err := e.writeJSON(f); err != nil {
 		f.Close()
 		return err
 	}
 	return f.Close()
 }
 
-// ReadExport parses an Export written by WriteJSON/WriteFile.
-func ReadExport(r io.Reader) (*Export, error) {
+// readExport parses an Export written by writeJSON/WriteFile.
+func readExport(r io.Reader) (*Export, error) {
 	var e Export
 	if err := json.NewDecoder(r).Decode(&e); err != nil {
 		return nil, fmt.Errorf("obs: parsing export: %w", err)
@@ -95,5 +95,5 @@ func ReadExportFile(path string) (*Export, error) {
 		return nil, err
 	}
 	defer f.Close()
-	return ReadExport(f)
+	return readExport(f)
 }

@@ -133,9 +133,6 @@ type Gauge struct {
 	v    atomic.Int64
 }
 
-// Name returns the registered metric name.
-func (g *Gauge) Name() string { return g.name }
-
 // Set stores the current value.
 func (g *Gauge) Set(v int64) { g.v.Store(v) }
 
@@ -155,9 +152,6 @@ type Histogram struct {
 	sum    atomic.Int64
 	n      atomic.Uint64
 }
-
-// Name returns the registered metric name.
-func (h *Histogram) Name() string { return h.name }
 
 // Observe records one sample.
 func (h *Histogram) Observe(v int64) {
@@ -248,7 +242,7 @@ func (r *Registry) Counter(name string) *Counter {
 	return c
 }
 
-// CounterBlock returns the block of counters registered under names,
+// counterBlock returns the block of counters registered under names,
 // in order, creating it on first use; asking again for the same names
 // returns the same block. A name already registered as a counter of its
 // own joins the block with its value, and its existing handle is moved
@@ -256,7 +250,7 @@ func (r *Registry) Counter(name string) *Counter {
 // that handle is updated concurrently. A name that already belongs to a
 // different block panics: that is two components disagreeing about
 // one metric's layout.
-func (r *Registry) CounterBlock(names ...string) *CounterBlock {
+func (r *Registry) counterBlock(names ...string) *CounterBlock {
 	key := strings.Join(names, "\x00")
 	r.mu.RLock()
 	b := r.blocks[key]
@@ -336,7 +330,7 @@ func (r *Registry) Histogram(name string, bounds []int64) *Histogram {
 }
 
 // SetTraceCapacity sizes the trace ring before first use (default
-// DefaultTraceCapacity). No effect once the tracer exists.
+// defaultTraceCapacity). No effect once the tracer exists.
 func (r *Registry) SetTraceCapacity(n int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -355,7 +349,7 @@ func (r *Registry) Tracer() *Tracer {
 		n := r.traceCap
 		r.mu.Unlock()
 		if n <= 0 {
-			n = DefaultTraceCapacity
+			n = defaultTraceCapacity
 		}
 		r.tracer = newTracer(n, r)
 	})
@@ -441,12 +435,6 @@ type Scope struct {
 // Scope returns a scoped view creating metrics named prefix+name.
 func (r *Registry) Scope(prefix string) Scope { return Scope{r: r, prefix: prefix} }
 
-// Registry returns the underlying registry.
-func (s Scope) Registry() *Registry { return s.r }
-
-// Prefix returns the scope's name prefix.
-func (s Scope) Prefix() string { return s.prefix }
-
 // Counter returns the scoped counter prefix+name.
 func (s Scope) Counter(name string) *Counter { return s.r.Counter(s.prefix + name) }
 
@@ -460,13 +448,5 @@ func (s Scope) CounterBlock(names ...string) *CounterBlock {
 	for i, name := range names {
 		full[i] = s.prefix + name
 	}
-	return s.r.CounterBlock(full...)
+	return s.r.counterBlock(full...)
 }
-
-// Histogram returns the scoped histogram prefix+name.
-func (s Scope) Histogram(name string, bounds []int64) *Histogram {
-	return s.r.Histogram(s.prefix+name, bounds)
-}
-
-// Snapshot captures the scope's metrics with the prefix trimmed.
-func (s Scope) Snapshot() Snapshot { return s.r.SnapshotPrefix(s.prefix, s.prefix) }

@@ -82,7 +82,7 @@ func TestScopeAndSnapshotPrefix(t *testing.T) {
 	s2.Counter("router.out").Add(4)
 	s1.Counter("ctrl.msgs").Add(9)
 
-	snap := s1.Snapshot()
+	snap := r.SnapshotPrefix("as1.", "as1.")
 	if snap.Get("router.out") != 3 || snap.Get("ctrl.msgs") != 9 {
 		t.Fatalf("scoped snapshot wrong: %v", snap.Counters)
 	}
@@ -144,8 +144,8 @@ func TestTracerRingWrap(t *testing.T) {
 			t.Fatalf("retained wrong window: %+v", evs)
 		}
 	}
-	if tr.Dropped() != 6 || tr.Total() != 10 {
-		t.Fatalf("dropped %d total %d", tr.Dropped(), tr.Total())
+	if tr.dropped() != 6 || tr.total != 10 {
+		t.Fatalf("dropped %d total %d", tr.dropped(), tr.total)
 	}
 }
 
@@ -162,10 +162,10 @@ func TestExportRoundTrip(t *testing.T) {
 
 	exp := NewExport("test", r, rec, 1e9)
 	var buf bytes.Buffer
-	if err := exp.WriteJSON(&buf); err != nil {
+	if err := exp.writeJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadExport(&buf)
+	got, err := readExport(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,5 +253,5 @@ func TestCounterBlock(t *testing.T) {
 			t.Error("a name of another block joined a second block")
 		}
 	}()
-	r.CounterBlock("as1.a", "z")
+	r.counterBlock("as1.a", "z")
 }

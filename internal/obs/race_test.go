@@ -31,7 +31,7 @@ func TestSnapshotWhileUpdateStress(t *testing.T) {
 			c := r.Counter("stress.hits")
 			g := r.Gauge("stress.depth")
 			h := r.Histogram("stress.lat", []int64{10, 100, 1000})
-			blk := r.CounterBlock("stress.blk.a", "stress.blk.b")
+			blk := r.counterBlock("stress.blk.a", "stress.blk.b")
 			tr := r.Tracer()
 			for i := 0; i < perWriter; i++ {
 				c.Inc()

@@ -1,8 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
-	"io"
 	"sort"
 	"strings"
 )
@@ -59,11 +57,4 @@ func (s Snapshot) Names() []string {
 	}
 	sort.Strings(names)
 	return names
-}
-
-// WriteJSON writes the snapshot as indented JSON.
-func (s Snapshot) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(s)
 }

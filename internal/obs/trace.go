@@ -5,9 +5,9 @@ import (
 	"sync"
 )
 
-// DefaultTraceCapacity is the trace ring size when the registry is not
+// defaultTraceCapacity is the trace ring size when the registry is not
 // configured otherwise.
-const DefaultTraceCapacity = 8192
+const defaultTraceCapacity = 8192
 
 // Event is one traced occurrence, stamped in simulated time. The
 // struct is flat and pointer-free so recording it is a value copy —
@@ -70,7 +70,7 @@ type Tracer struct {
 
 func newTracer(capacity int, reg *Registry) *Tracer {
 	if capacity <= 0 {
-		capacity = DefaultTraceCapacity
+		capacity = defaultTraceCapacity
 	}
 	return &Tracer{buf: make([]Event, capacity), reg: reg}
 }
@@ -91,16 +91,8 @@ func (t *Tracer) Emit(e Event) {
 	t.mu.Unlock()
 }
 
-// Total returns how many events were ever emitted (including ones the
-// ring has since overwritten).
-func (t *Tracer) Total() uint64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.total
-}
-
-// Dropped returns how many events were overwritten by ring wrap.
-func (t *Tracer) Dropped() uint64 {
+// dropped returns how many events were overwritten by ring wrap.
+func (t *Tracer) dropped() uint64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if !t.wrapped {

@@ -14,10 +14,10 @@
 // §VI-E2) and packet-too-big (for the IPv6 MTU reduction, §V-F).
 package packet
 
-// Checksum computes the ones-complement Internet checksum (RFC 1071)
+// checksum computes the ones-complement Internet checksum (RFC 1071)
 // over b. An odd final byte is padded with a zero as if it were the
 // high byte of a 16-bit word.
-func Checksum(b []byte) uint16 {
+func checksum(b []byte) uint16 {
 	var sum uint32
 	n := len(b)
 	for i := 0; i+1 < n; i += 2 {

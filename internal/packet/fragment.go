@@ -14,11 +14,11 @@ import (
 // prefixes under active protection. The tests demonstrate exactly this
 // trade-off.
 
-// FragmentIPv4 splits p into fragments that fit mtu bytes on the wire.
+// fragmentIPv4 splits p into fragments that fit mtu bytes on the wire.
 // It fails when DF is set (callers then emit ICMP "fragmentation
 // needed") or when the MTU cannot carry any payload.
-func FragmentIPv4(p *IPv4, mtu int) ([]*IPv4, error) {
-	hl := p.HeaderLen()
+func fragmentIPv4(p *IPv4, mtu int) ([]*IPv4, error) {
+	hl := p.headerLen()
 	if p.TotalLen() <= mtu {
 		return []*IPv4{p.Clone()}, nil
 	}
@@ -53,11 +53,11 @@ func FragmentIPv4(p *IPv4, mtu int) ([]*IPv4, error) {
 	return out, nil
 }
 
-// ReassembleIPv4 reconstructs the original packet from its fragments
+// reassembleIPv4 reconstructs the original packet from its fragments
 // (any order). All fragments must agree on (src, dst, protocol, ID),
 // cover a contiguous range starting at zero, and include a final
 // fragment without MF.
-func ReassembleIPv4(frags []*IPv4) (*IPv4, error) {
+func reassembleIPv4(frags []*IPv4) (*IPv4, error) {
 	if len(frags) == 0 {
 		return nil, errors.New("packet: no fragments")
 	}

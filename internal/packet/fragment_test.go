@@ -21,7 +21,7 @@ func bigPacket(t testing.TB, n int) *IPv4 {
 
 func TestFragmentReassembleRoundTrip(t *testing.T) {
 	p := bigPacket(t, 3000)
-	frags, err := FragmentIPv4(p, 1500)
+	frags, err := fragmentIPv4(p, 1500)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func TestFragmentReassembleRoundTrip(t *testing.T) {
 			t.Fatal("fragment ID changed")
 		}
 	}
-	got, err := ReassembleIPv4(frags)
+	got, err := reassembleIPv4(frags)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestFragmentReassembleRoundTrip(t *testing.T) {
 
 func TestFragmentOutOfOrderReassembly(t *testing.T) {
 	p := bigPacket(t, 2000)
-	frags, err := FragmentIPv4(p, 576)
+	frags, err := fragmentIPv4(p, 576)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestFragmentOutOfOrderReassembly(t *testing.T) {
 	for i, f := range frags {
 		rev[len(frags)-1-i] = f
 	}
-	got, err := ReassembleIPv4(rev)
+	got, err := reassembleIPv4(rev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestFragmentOutOfOrderReassembly(t *testing.T) {
 
 func TestFragmentSmallPacketPassthrough(t *testing.T) {
 	p := bigPacket(t, 100)
-	frags, err := FragmentIPv4(p, 1500)
+	frags, err := fragmentIPv4(p, 1500)
 	if err != nil || len(frags) != 1 {
 		t.Fatalf("frags = %d, %v", len(frags), err)
 	}
@@ -82,45 +82,45 @@ func TestFragmentSmallPacketPassthrough(t *testing.T) {
 func TestFragmentDFRejected(t *testing.T) {
 	p := bigPacket(t, 3000)
 	p.Flags |= FlagDF
-	if _, err := FragmentIPv4(p, 1500); err == nil {
+	if _, err := fragmentIPv4(p, 1500); err == nil {
 		t.Fatal("DF packet fragmented")
 	}
 }
 
 func TestFragmentTinyMTURejected(t *testing.T) {
 	p := bigPacket(t, 3000)
-	if _, err := FragmentIPv4(p, 24); err == nil {
+	if _, err := fragmentIPv4(p, 24); err == nil {
 		t.Fatal("MTU smaller than header accepted")
 	}
 }
 
 func TestRefragmentRejected(t *testing.T) {
 	p := bigPacket(t, 3000)
-	frags, _ := FragmentIPv4(p, 1500)
-	if _, err := FragmentIPv4(frags[0], 576); err == nil {
+	frags, _ := fragmentIPv4(p, 1500)
+	if _, err := fragmentIPv4(frags[0], 576); err == nil {
 		t.Fatal("re-fragmentation should be refused")
 	}
 }
 
 func TestReassembleErrors(t *testing.T) {
-	if _, err := ReassembleIPv4(nil); err == nil {
+	if _, err := reassembleIPv4(nil); err == nil {
 		t.Fatal("empty fragment list accepted")
 	}
 	p := bigPacket(t, 2000)
-	frags, _ := FragmentIPv4(p, 576)
+	frags, _ := fragmentIPv4(p, 576)
 	// Missing middle fragment.
-	if _, err := ReassembleIPv4([]*IPv4{frags[0], frags[2]}); err == nil {
+	if _, err := reassembleIPv4([]*IPv4{frags[0], frags[2]}); err == nil {
 		t.Fatal("gap not detected")
 	}
 	// Missing final fragment.
-	if _, err := ReassembleIPv4(frags[:len(frags)-1]); err == nil {
+	if _, err := reassembleIPv4(frags[:len(frags)-1]); err == nil {
 		t.Fatal("missing tail not detected")
 	}
 	// Mixed datagrams.
 	other := bigPacket(t, 2000)
 	other.ID++
-	oFrags, _ := FragmentIPv4(other, 576)
-	if _, err := ReassembleIPv4([]*IPv4{frags[0], oFrags[1]}); err == nil {
+	oFrags, _ := fragmentIPv4(other, 576)
+	if _, err := reassembleIPv4([]*IPv4{frags[0], oFrags[1]}); err == nil {
 		t.Fatal("mixed datagrams not detected")
 	}
 }
@@ -132,17 +132,17 @@ func TestReassembleErrors(t *testing.T) {
 // prefixes.
 func TestStampingBreaksReassembly(t *testing.T) {
 	p := bigPacket(t, 2000)
-	frags, err := FragmentIPv4(p, 576)
+	frags, err := fragmentIPv4(p, 576)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Baseline: reassembly works.
-	if _, err := ReassembleIPv4(frags); err != nil {
+	if _, err := reassembleIPv4(frags); err != nil {
 		t.Fatal(err)
 	}
 	// Stamp one fragment the way CDP would (rewrite the mark fields).
 	frags[1].SetMark(0x0abcdef1)
-	if _, err := ReassembleIPv4(frags); err == nil {
+	if _, err := reassembleIPv4(frags); err == nil {
 		t.Fatal("reassembly should fail after the mark rewrote ID/FragOff")
 	}
 }
@@ -163,11 +163,11 @@ func TestPropertyFragmentRoundTrip(t *testing.T) {
 			Src: netip.MustParseAddr("10.0.0.1"), Dst: netip.MustParseAddr("10.0.0.2"),
 			Payload: append([]byte(nil), payload...),
 		}
-		frags, err := FragmentIPv4(p, mtu)
+		frags, err := fragmentIPv4(p, mtu)
 		if err != nil {
 			return false
 		}
-		got, err := ReassembleIPv4(frags)
+		got, err := reassembleIPv4(frags)
 		if err != nil {
 			return false
 		}

@@ -108,7 +108,7 @@ func FuzzScrubICMPv4(f *testing.F) {
 		}
 		if ScrubICMPv4EmbeddedMark(p, 0x1234567) {
 			// A successful scrub must leave a valid ICMP checksum.
-			if Checksum(p.Payload) != 0 {
+			if checksum(p.Payload) != 0 {
 				t.Fatal("scrub corrupted ICMP checksum")
 			}
 		}
@@ -135,11 +135,11 @@ func FuzzFragmentReassemble(f *testing.F) {
 			// middle fragment legitimately cannot reassemble.
 			return
 		}
-		frags, err := FragmentIPv4(q, mtu)
+		frags, err := fragmentIPv4(q, mtu)
 		if err != nil {
 			return
 		}
-		got, err := ReassembleIPv4(frags)
+		got, err := reassembleIPv4(frags)
 		if err != nil {
 			t.Fatalf("own fragments fail reassembly: %v", err)
 		}

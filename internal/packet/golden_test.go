@@ -131,13 +131,13 @@ func TestGoldenScrubbedICMPv4(t *testing.T) {
 // TestGoldenDISCSOptionType pins the §V-F option type bits: 00 (skip
 // unknown) + 1 (mutable en route) + 00110.
 func TestGoldenDISCSOptionType(t *testing.T) {
-	if OptionTypeDISCS != 0x26 {
-		t.Fatalf("option type = %#x", OptionTypeDISCS)
+	if optionTypeDISCS != 0x26 {
+		t.Fatalf("option type = %#x", optionTypeDISCS)
 	}
-	if OptionTypeDISCS>>6 != 0 {
+	if optionTypeDISCS>>6 != 0 {
 		t.Fatal("high bits must be 00: legacy nodes skip and continue")
 	}
-	if OptionTypeDISCS&0x20 == 0 {
+	if optionTypeDISCS&0x20 == 0 {
 		t.Fatal("change-en-route bit must be set (AH exclusion)")
 	}
 }

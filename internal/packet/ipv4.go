@@ -110,15 +110,15 @@ func parseIPv4Into(p *IPv4, b []byte, lenient bool) error {
 	return nil
 }
 
-// HeaderLen returns the header length in bytes including options.
-func (p *IPv4) HeaderLen() int {
+// headerLen returns the header length in bytes including options.
+func (p *IPv4) headerLen() int {
 	opt := len(p.Options)
 	opt = (opt + 3) &^ 3 // options are padded to 4-byte multiples
 	return 20 + opt
 }
 
 // TotalLen returns the on-wire total length.
-func (p *IPv4) TotalLen() int { return p.HeaderLen() + len(p.Payload) }
+func (p *IPv4) TotalLen() int { return p.headerLen() + len(p.Payload) }
 
 // Marshal serializes the packet into a new buffer; it is
 // AppendMarshal(nil).
@@ -132,7 +132,7 @@ func (p *IPv4) AppendMarshal(dst []byte) ([]byte, error) {
 	if !p.Src.Is4() || !p.Dst.Is4() {
 		return dst, errNotV4
 	}
-	hl := p.HeaderLen()
+	hl := p.headerLen()
 	if hl > 60 {
 		return dst, errHeaderLen
 	}
@@ -166,7 +166,7 @@ func (p *IPv4) AppendMarshal(dst []byte) ([]byte, error) {
 		// A reused buffer may hold stale bytes: zero the option padding.
 		clear(b[20+copy(b[20:hl], p.Options) : hl])
 	}
-	cs := Checksum(b[:hl])
+	cs := checksum(b[:hl])
 	binary.BigEndian.PutUint16(b[10:12], cs)
 	p.Checksum = cs
 	copy(b[hl:], p.Payload)
@@ -191,7 +191,7 @@ func (p *IPv4) AppendMsg(dst []byte) []byte {
 	n := len(dst)
 	dst = append(dst, make([]byte, MsgLenV4)...)
 	m := dst[n : n+MsgLenV4]
-	m[0] = 4<<4 | uint8(p.HeaderLen()/4)
+	m[0] = 4<<4 | uint8(p.headerLen()/4)
 	binary.BigEndian.PutUint16(m[1:3], uint16(p.TotalLen()))
 	m[3] = p.Flags & 0x7 << 5
 	m[4] = p.Protocol
@@ -240,7 +240,7 @@ func ICMPv4TimeExceeded(src netip.Addr, orig *IPv4) (*IPv4, error) {
 	if err != nil {
 		return nil, err
 	}
-	embed := orig.HeaderLen() + 8
+	embed := orig.headerLen() + 8
 	if embed > len(ob) {
 		embed = len(ob)
 	}
@@ -248,7 +248,7 @@ func ICMPv4TimeExceeded(src netip.Addr, orig *IPv4) (*IPv4, error) {
 	body[0] = 11 // type: time exceeded
 	// code 0: TTL exceeded in transit; bytes 4..8 unused.
 	copy(body[8:], ob[:embed])
-	binary.BigEndian.PutUint16(body[2:4], Checksum(body))
+	binary.BigEndian.PutUint16(body[2:4], checksum(body))
 	return &IPv4{
 		TTL:      64,
 		Protocol: ProtoICMP,
@@ -279,38 +279,4 @@ func ICMPv4Embedded(p *IPv4) (*IPv4, bool) {
 		return nil, false
 	}
 	return emb, true
-}
-
-// ReplaceICMPv4Embedded writes emb's mark fields (IPID and Fragment
-// Offset) back into the ICMP error message in p, patching the embedded
-// bytes in place. Every other embedded field — in particular the
-// original Total Length, which describes the full offending datagram
-// rather than the truncated snippet carried by the error — is preserved
-// exactly, so the receiving host can still match the error to the
-// datagram it sent. The embedded header checksum and the outer ICMP
-// checksum are recomputed. Used by the DISCS source-AS border router to
-// scrub marks from returning TTL-exceeded messages (§VI-E2).
-func ReplaceICMPv4Embedded(p *IPv4, emb *IPv4) error {
-	if p.Protocol != ProtoICMP || len(p.Payload) < 8+20 {
-		return errors.New("packet: not an ICMP error message")
-	}
-	inner := p.Payload[8:]
-	if inner[0]>>4 != 4 {
-		return errVersion
-	}
-	ihl := int(inner[0]&0x0f) * 4
-	if ihl < 20 || ihl > len(inner) {
-		return errHeaderLen
-	}
-	binary.BigEndian.PutUint16(inner[4:6], emb.ID)
-	flags := inner[6] & 0xe0 // the flag bits carry no mark; keep them
-	binary.BigEndian.PutUint16(inner[6:8], emb.FragOff&0x1fff)
-	inner[6] |= flags
-	// Recompute the embedded header checksum over the available header.
-	inner[10], inner[11] = 0, 0
-	binary.BigEndian.PutUint16(inner[10:12], Checksum(inner[:ihl]))
-	// Recompute the outer ICMP checksum.
-	p.Payload[2], p.Payload[3] = 0, 0
-	binary.BigEndian.PutUint16(p.Payload[2:4], Checksum(p.Payload))
-	return nil
 }

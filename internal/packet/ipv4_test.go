@@ -118,8 +118,8 @@ func TestIPv4Options(t *testing.T) {
 	if !bytes.Equal(q.Options, p.Options) {
 		t.Fatalf("options = %x", q.Options)
 	}
-	if q.HeaderLen() != 24 {
-		t.Fatalf("header len = %d", q.HeaderLen())
+	if q.headerLen() != 24 {
+		t.Fatalf("header len = %d", q.headerLen())
 	}
 }
 
@@ -244,7 +244,7 @@ func TestICMPv4TimeExceededAndEmbedded(t *testing.T) {
 	if icmp.Payload[0] != 11 {
 		t.Fatalf("icmp type = %d", icmp.Payload[0])
 	}
-	if Checksum(icmp.Payload) != 0 {
+	if checksum(icmp.Payload) != 0 {
 		t.Fatal("ICMP checksum invalid")
 	}
 	emb, ok := ICMPv4Embedded(icmp)
@@ -305,84 +305,12 @@ func TestScrubICMPv4EmbeddedMark(t *testing.T) {
 		t.Fatal("scrub damaged embedded header")
 	}
 	// Outer ICMP checksum must still validate.
-	if Checksum(q.Payload) != 0 {
+	if checksum(q.Payload) != 0 {
 		t.Fatal("ICMP checksum invalid after scrub")
 	}
 	// Embedded header checksum must validate too.
-	if Checksum(q.Payload[8:8+20]) != 0 {
+	if checksum(q.Payload[8:8+20]) != 0 {
 		t.Fatal("embedded checksum invalid after scrub")
-	}
-}
-
-// ReplaceICMPv4Embedded must patch the embedded bytes in place: the
-// embedded Total Length describes the full offending datagram, not the
-// truncated snippet the error carries, and the old implementation
-// re-marshaled the snippet — rewriting Total Length to the snippet size
-// and breaking the receiver's ability to match the error to its
-// original datagram.
-func TestReplaceICMPv4EmbeddedPatchesInPlace(t *testing.T) {
-	orig := samplePacket(t)
-	orig.SetMark(0x1f0f0f0f & (1<<29 - 1))
-	icmp, err := ICMPv4TimeExceeded(v4(t, "203.0.113.1"), orig)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, _ := icmp.Marshal()
-	q, _ := ParseIPv4(b)
-	before := append([]byte(nil), q.Payload...)
-
-	// The embedded Total Length covers the original datagram and is
-	// strictly larger than the embedded snippet — the case the old
-	// re-marshal destroyed.
-	wantTL := binary.BigEndian.Uint16(before[8+2 : 8+4])
-	if int(wantTL) != orig.TotalLen() {
-		t.Fatalf("embedded Total Length = %d, want %d", wantTL, orig.TotalLen())
-	}
-	if int(wantTL) <= len(before)-8 {
-		t.Fatalf("test needs a truncated embed: TL %d vs snippet %d", wantTL, len(before)-8)
-	}
-
-	emb, ok := ICMPv4Embedded(q)
-	if !ok {
-		t.Fatal("no embedded packet")
-	}
-	emb.SetMark(0) // the scrub the border router applies
-	if err := ReplaceICMPv4Embedded(q, emb); err != nil {
-		t.Fatal(err)
-	}
-
-	after := q.Payload
-	if got := binary.BigEndian.Uint16(after[8+2 : 8+4]); got != wantTL {
-		t.Fatalf("embedded Total Length rewritten: %d, want %d", got, wantTL)
-	}
-	// Only the outer ICMP checksum (bytes 2..4), the embedded IPID and
-	// Fragment Offset (bytes 12..16) and the embedded header checksum
-	// (bytes 18..20) may change; every other byte must survive exactly.
-	for i := range after {
-		if before[i] == after[i] {
-			continue
-		}
-		mutable := (i >= 2 && i < 4) || (i >= 8+4 && i < 8+8) || (i >= 8+10 && i < 8+12)
-		if !mutable {
-			t.Errorf("byte %d changed %02x -> %02x", i, before[i], after[i])
-		}
-	}
-	// The mark is gone and both checksums still validate.
-	if emb2, _ := ICMPv4Embedded(q); emb2.Mark() != 0 {
-		t.Fatalf("mark = %08x after replace", emb2.Mark())
-	}
-	if Checksum(q.Payload) != 0 {
-		t.Fatal("outer ICMP checksum invalid")
-	}
-	if Checksum(q.Payload[8:8+20]) != 0 {
-		t.Fatal("embedded header checksum invalid")
-	}
-}
-
-func TestReplaceICMPv4EmbeddedRejectsNonError(t *testing.T) {
-	p := samplePacket(t)
-	if err := ReplaceICMPv4Embedded(p, samplePacket(t)); err == nil {
-		t.Fatal("accepted a non-ICMP packet")
 	}
 }
 
@@ -438,13 +366,13 @@ func TestPropertyMarkRoundTrip(t *testing.T) {
 func TestChecksumKnownVector(t *testing.T) {
 	// RFC 1071 style example.
 	b := []byte{0x00, 0x01, 0xf2, 0x03, 0xf4, 0xf5, 0xf6, 0xf7}
-	got := Checksum(b)
+	got := checksum(b)
 	// Sum = 0x0001+0xf203+0xf4f5+0xf6f7 = 0x2ddf0 -> 0xddf2 -> ^= 0x220d
 	if got != 0x220d {
-		t.Fatalf("Checksum = %04x, want 220d", got)
+		t.Fatalf("checksum = %04x, want 220d", got)
 	}
 	// Odd length pads with zero.
-	if Checksum([]byte{0xab}) != ^uint16(0xab00) {
+	if checksum([]byte{0xab}) != ^uint16(0xab00) {
 		t.Fatal("odd-length checksum wrong")
 	}
 }

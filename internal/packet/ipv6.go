@@ -9,22 +9,22 @@ import (
 
 // IPv6 extension header "next header" values.
 const (
-	ExtHopByHop = 0
-	ExtRouting  = 43
-	ExtFragment = 44
-	ExtDestOpts = 60
+	extHopByHop = 0
+	extRouting  = 43
+	extFragment = 44
+	extDestOpts = 60
 )
 
-// OptionTypeDISCS is the destination-option type carrying the DISCS
+// optionTypeDISCS is the destination-option type carrying the DISCS
 // MAC (§V-F). The first three bits are 001: the two high-order bits 00
 // tell legacy nodes to skip an unrecognized option and keep processing,
 // and the third bit 1 marks the option data as mutable en route, so it
 // is excluded from any IPsec AH computation. The remaining five bits
 // would be assigned by IANA; we use 0b00110.
-const OptionTypeDISCS = 0b0010_0110 // 0x26
+const optionTypeDISCS = 0b0010_0110 // 0x26
 
-// DISCSOptionLen is the option data length: a 4-byte MAC.
-const DISCSOptionLen = 4
+// discsOptionLen is the option data length: a 4-byte MAC.
+const discsOptionLen = 4
 
 // MsgLenV6 is the DISCS MAC input length for IPv6 (§V-F): source and
 // destination addresses plus the first 8 bytes of the payload. Payload
@@ -36,7 +36,7 @@ const MsgLenV6 = 40
 // headers it is the raw option TLV area and its length must make the
 // full header a multiple of 8 bytes (len(Body) ≡ 6 mod 8).
 type ExtHeader struct {
-	Kind uint8 // ExtHopByHop, ExtDestOpts, ExtRouting, ExtFragment
+	Kind uint8 // extHopByHop, extDestOpts, extRouting, extFragment
 	Body []byte
 }
 
@@ -59,7 +59,7 @@ var errPayloadLen = errors.New("packet: payload length exceeds buffer")
 // header this package parses structurally.
 func isKnownExt(nh uint8) bool {
 	switch nh {
-	case ExtHopByHop, ExtRouting, ExtFragment, ExtDestOpts:
+	case extHopByHop, extRouting, extFragment, extDestOpts:
 		return true
 	}
 	return false
@@ -94,7 +94,7 @@ func ParseIPv6(b []byte) (*IPv6, error) {
 			return nil, errShort
 		}
 		var hlen int
-		if nh == ExtFragment {
+		if nh == extFragment {
 			hlen = 8
 		} else {
 			// Widen before adding: a HdrExtLen of 255 must not wrap to 0
@@ -195,17 +195,6 @@ func (p *IPv6) AppendMsg(dst []byte) []byte {
 	return dst
 }
 
-// Clone deep-copies the packet.
-func (p *IPv6) Clone() *IPv6 {
-	q := *p
-	q.Ext = make([]ExtHeader, len(p.Ext))
-	for i, e := range p.Ext {
-		q.Ext[i] = ExtHeader{Kind: e.Kind, Body: append([]byte(nil), e.Body...)}
-	}
-	q.Payload = append([]byte(nil), p.Payload...)
-	return &q
-}
-
 // option walks a destination-options TLV area. cb receives the option
 // type, its data, and the offset of the option's first byte; returning
 // false stops the walk.
@@ -253,7 +242,7 @@ func padOptions(body []byte) []byte {
 // hop-by-hop header, before everything else (§V-F places it before the
 // routing header).
 func (p *IPv6) discsInsertPos() int {
-	if len(p.Ext) > 0 && p.Ext[0].Kind == ExtHopByHop {
+	if len(p.Ext) > 0 && p.Ext[0].Kind == extHopByHop {
 		return 1
 	}
 	return 0
@@ -265,9 +254,9 @@ func (p *IPv6) discsInsertPos() int {
 func (p *IPv6) discsDestOpts() int {
 	for i, e := range p.Ext {
 		switch e.Kind {
-		case ExtRouting, ExtFragment:
+		case extRouting, extFragment:
 			return -1
-		case ExtDestOpts:
+		case extDestOpts:
 			return i
 		}
 	}
@@ -279,14 +268,14 @@ func (p *IPv6) discsDestOpts() int {
 // otherwise an entire 8-byte destination options header is added
 // (§V-F). It returns an error if a DISCS option is already present.
 func (p *IPv6) StampV6(mac uint32) error {
-	var macb [DISCSOptionLen]byte
+	var macb [discsOptionLen]byte
 	binary.BigEndian.PutUint32(macb[:], mac)
-	opt := []byte{OptionTypeDISCS, DISCSOptionLen, macb[0], macb[1], macb[2], macb[3]}
+	opt := []byte{optionTypeDISCS, discsOptionLen, macb[0], macb[1], macb[2], macb[3]}
 
 	if i := p.discsDestOpts(); i >= 0 {
 		found := false
 		walkOptions(p.Ext[i].Body, func(t uint8, _ []byte, _ int) bool {
-			if t == OptionTypeDISCS {
+			if t == optionTypeDISCS {
 				found = true
 				return false
 			}
@@ -299,7 +288,7 @@ func (p *IPv6) StampV6(mac uint32) error {
 		p.Ext[i].Body = padOptions(body)
 		return nil
 	}
-	hdr := ExtHeader{Kind: ExtDestOpts, Body: opt} // 2+6 = 8 bytes, no padding
+	hdr := ExtHeader{Kind: extDestOpts, Body: opt} // 2+6 = 8 bytes, no padding
 	pos := p.discsInsertPos()
 	p.Ext = append(p.Ext, ExtHeader{})
 	copy(p.Ext[pos+1:], p.Ext[pos:])
@@ -330,7 +319,7 @@ func (p *IPv6) MarkV6() (uint32, bool) {
 	var mac uint32
 	found := false
 	walkOptions(p.Ext[i].Body, func(t uint8, data []byte, _ int) bool {
-		if t == OptionTypeDISCS && len(data) == DISCSOptionLen {
+		if t == optionTypeDISCS && len(data) == discsOptionLen {
 			mac = binary.BigEndian.Uint32(data)
 			found = true
 			return false
@@ -352,7 +341,7 @@ func (p *IPv6) UnstampV6() bool {
 	found := false
 	walkOptions(p.Ext[i].Body, func(t uint8, data []byte, _ int) bool {
 		switch t {
-		case OptionTypeDISCS:
+		case optionTypeDISCS:
 			found = true
 		case 0, 1: // padding
 		default:
@@ -446,30 +435,4 @@ func ICMPv6Embedded(p *IPv6) (*IPv6, bool) {
 		return nil, false
 	}
 	return emb, true
-}
-
-// ReplaceICMPv6Embedded swaps the embedded packet of an ICMPv6 error
-// in place and fixes the ICMPv6 checksum. The replacement must marshal
-// to the same length as the original embedded bytes (the DISCS scrubber
-// only rewrites the MAC in the embedded destination option, §VI-E2).
-func ReplaceICMPv6Embedded(p *IPv6, emb *IPv6) error {
-	if p.Proto != ProtoICMPv6 || len(p.Payload) < 8 {
-		return errors.New("packet: not an ICMPv6 error message")
-	}
-	eb, err := emb.Marshal()
-	if err != nil {
-		return err
-	}
-	if len(eb) != len(p.Payload)-8 {
-		return fmt.Errorf("packet: embedded length %d != original %d", len(eb), len(p.Payload)-8)
-	}
-	body := make([]byte, len(p.Payload))
-	copy(body, p.Payload[:8])
-	body[2], body[3] = 0, 0
-	copy(body[8:], eb)
-	srcb := p.Src.As16()
-	dstb := p.Dst.As16()
-	binary.BigEndian.PutUint16(body[2:4], checksumWithPseudo(srcb[:], dstb[:], ProtoICMPv6, body))
-	p.Payload = body
-	return nil
 }

@@ -77,7 +77,7 @@ func TestStampNewHeader(t *testing.T) {
 	if err := p.StampV6(0xdeadbeef); err != nil {
 		t.Fatal(err)
 	}
-	if len(p.Ext) != 1 || p.Ext[0].Kind != ExtDestOpts {
+	if len(p.Ext) != 1 || p.Ext[0].Kind != extDestOpts {
 		t.Fatalf("ext chain = %+v", p.Ext)
 	}
 	b, err := p.Marshal()
@@ -105,7 +105,7 @@ func TestStampExistingDestOpts(t *testing.T) {
 	p := sampleV6(t)
 	// Pre-existing destination options header with one unrelated option
 	// (type 0x3e, 2 bytes data) padded to 8 bytes.
-	p.Ext = []ExtHeader{{Kind: ExtDestOpts, Body: padOptions([]byte{0x3e, 2, 0xaa, 0xbb})}}
+	p.Ext = []ExtHeader{{Kind: extDestOpts, Body: padOptions([]byte{0x3e, 2, 0xaa, 0xbb})}}
 	before, _ := p.Marshal()
 	if err := p.StampV6(0x01020304); err != nil {
 		t.Fatal(err)
@@ -137,11 +137,11 @@ func TestStampExistingDestOpts(t *testing.T) {
 
 func TestStampAfterHopByHop(t *testing.T) {
 	p := sampleV6(t)
-	p.Ext = []ExtHeader{{Kind: ExtHopByHop, Body: padOptions(nil)}}
+	p.Ext = []ExtHeader{{Kind: extHopByHop, Body: padOptions(nil)}}
 	if err := p.StampV6(1); err != nil {
 		t.Fatal(err)
 	}
-	if p.Ext[0].Kind != ExtHopByHop || p.Ext[1].Kind != ExtDestOpts {
+	if p.Ext[0].Kind != extHopByHop || p.Ext[1].Kind != extDestOpts {
 		t.Fatalf("chain order wrong: %+v", p.Ext)
 	}
 }
@@ -149,11 +149,11 @@ func TestStampAfterHopByHop(t *testing.T) {
 func TestStampBeforeRouting(t *testing.T) {
 	p := sampleV6(t)
 	// Routing header: body is 6 bytes (total 8): type, segs left, +4 reserved.
-	p.Ext = []ExtHeader{{Kind: ExtRouting, Body: make([]byte, 6)}}
+	p.Ext = []ExtHeader{{Kind: extRouting, Body: make([]byte, 6)}}
 	if err := p.StampV6(7); err != nil {
 		t.Fatal(err)
 	}
-	if p.Ext[0].Kind != ExtDestOpts || p.Ext[1].Kind != ExtRouting {
+	if p.Ext[0].Kind != extDestOpts || p.Ext[1].Kind != extRouting {
 		t.Fatalf("DISCS header must precede routing: %+v", p.Ext)
 	}
 	b, _ := p.Marshal()
@@ -169,8 +169,8 @@ func TestDestOptsAfterRoutingNotUsed(t *testing.T) {
 	// must not read marks from there.
 	p := sampleV6(t)
 	p.Ext = []ExtHeader{
-		{Kind: ExtRouting, Body: make([]byte, 6)},
-		{Kind: ExtDestOpts, Body: padOptions([]byte{OptionTypeDISCS, 4, 1, 2, 3, 4})},
+		{Kind: extRouting, Body: make([]byte, 6)},
+		{Kind: extDestOpts, Body: padOptions([]byte{optionTypeDISCS, 4, 1, 2, 3, 4})},
 	}
 	if _, ok := p.MarkV6(); ok {
 		t.Fatal("MarkV6 read from DestOpts after routing header")
@@ -178,7 +178,7 @@ func TestDestOptsAfterRoutingNotUsed(t *testing.T) {
 	if err := p.StampV6(9); err != nil {
 		t.Fatal(err)
 	}
-	if p.Ext[0].Kind != ExtDestOpts {
+	if p.Ext[0].Kind != extDestOpts {
 		t.Fatal("stamp should insert a fresh header before routing")
 	}
 }
@@ -211,7 +211,7 @@ func TestUnstampRemovesWholeHeader(t *testing.T) {
 
 func TestUnstampKeepsOtherOptions(t *testing.T) {
 	p := sampleV6(t)
-	p.Ext = []ExtHeader{{Kind: ExtDestOpts, Body: padOptions([]byte{0x3e, 2, 0xaa, 0xbb})}}
+	p.Ext = []ExtHeader{{Kind: extDestOpts, Body: padOptions([]byte{0x3e, 2, 0xaa, 0xbb})}}
 	orig, _ := p.Marshal()
 	p.StampV6(42)
 	if !p.UnstampV6() {
@@ -269,7 +269,7 @@ func TestStampOverhead(t *testing.T) {
 	if got := p.StampOverheadV6(); got != 8 {
 		t.Fatalf("fresh packet overhead = %d, want 8", got)
 	}
-	p.Ext = []ExtHeader{{Kind: ExtDestOpts, Body: padOptions([]byte{0x3e, 2, 0xaa, 0xbb})}}
+	p.Ext = []ExtHeader{{Kind: extDestOpts, Body: padOptions([]byte{0x3e, 2, 0xaa, 0xbb})}}
 	// Existing header is 8 bytes (4 option + 2 pad + 2 fixed); adding a
 	// 6-byte option grows to 16 bytes: overhead 8.
 	if got := p.StampOverheadV6(); got > 8 {
@@ -361,25 +361,9 @@ func TestICMPv6ErrorTruncatedTo1280(t *testing.T) {
 	}
 }
 
-func TestReplaceICMPv6Embedded(t *testing.T) {
-	orig := sampleV6(t)
-	orig.StampV6(0x22222222)
-	icmp, _ := NewICMPv6TimeExceeded(v6(t, "2001:db8:ffff::1"), orig)
-	emb, _ := ICMPv6Embedded(icmp)
-	// Same-length replacement succeeds.
-	if err := ReplaceICMPv6Embedded(icmp, emb); err != nil {
-		t.Fatal(err)
-	}
-	// Different length rejected.
-	emb.Payload = emb.Payload[:len(emb.Payload)-1]
-	if err := ReplaceICMPv6Embedded(icmp, emb); err == nil {
-		t.Fatal("length change should be rejected")
-	}
-}
-
 func TestFragmentHeaderParsed(t *testing.T) {
 	p := sampleV6(t)
-	p.Ext = []ExtHeader{{Kind: ExtFragment, Body: make([]byte, 6)}}
+	p.Ext = []ExtHeader{{Kind: extFragment, Body: make([]byte, 6)}}
 	b, err := p.Marshal()
 	if err != nil {
 		t.Fatal(err)
@@ -388,7 +372,7 @@ func TestFragmentHeaderParsed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(q.Ext) != 1 || q.Ext[0].Kind != ExtFragment {
+	if len(q.Ext) != 1 || q.Ext[0].Kind != extFragment {
 		t.Fatalf("chain = %+v", q.Ext)
 	}
 }
@@ -440,7 +424,8 @@ func BenchmarkStampV6(b *testing.B) {
 	p := sampleV6(b)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		q := p.Clone()
+		q := *p
+		q.Ext = append([]ExtHeader(nil), p.Ext...)
 		q.StampV6(uint32(i))
 	}
 }

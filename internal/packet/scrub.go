@@ -40,10 +40,10 @@ func ScrubICMPv4EmbeddedMark(p *IPv4, random uint32) bool {
 	emb[6] |= flags
 	// Recompute the embedded header checksum over the available header.
 	emb[10], emb[11] = 0, 0
-	binary.BigEndian.PutUint16(emb[10:12], Checksum(emb[:ihl]))
+	binary.BigEndian.PutUint16(emb[10:12], checksum(emb[:ihl]))
 	// Recompute the outer ICMP checksum.
 	p.Payload[2], p.Payload[3] = 0, 0
-	binary.BigEndian.PutUint16(p.Payload[2:4], Checksum(p.Payload))
+	binary.BigEndian.PutUint16(p.Payload[2:4], checksum(p.Payload))
 	return true
 }
 
@@ -71,7 +71,7 @@ func ScrubICMPv6EmbeddedMark(p *IPv6, random uint32) bool {
 			return false
 		}
 		var hlen int
-		if nh == ExtFragment {
+		if nh == extFragment {
 			hlen = 8
 		} else {
 			hlen = (int(emb[off+1]) + 1) * 8
@@ -80,9 +80,9 @@ func ScrubICMPv6EmbeddedMark(p *IPv6, random uint32) bool {
 			return false
 		}
 		switch nh {
-		case ExtRouting, ExtFragment:
+		case extRouting, extFragment:
 			return false
-		case ExtDestOpts:
+		case extDestOpts:
 			if scrubOptionArea(emb[off+2:off+hlen], random) {
 				p.Payload[2], p.Payload[3] = 0, 0
 				srcb := p.Src.As16()
@@ -115,7 +115,7 @@ func scrubOptionArea(body []byte, random uint32) bool {
 		if i+2+l > len(body) {
 			return false
 		}
-		if t == OptionTypeDISCS && l == DISCSOptionLen {
+		if t == optionTypeDISCS && l == discsOptionLen {
 			binary.BigEndian.PutUint32(body[i+2:i+6], random)
 			return true
 		}

@@ -18,8 +18,8 @@ func TestPulseAllocs(t *testing.T) {
 	var perPhase [2]float64
 	for i, n := range []int{8, 2048} {
 		sys, _ := world(t, 2, 3, 4, 5)
-		spec, err := New("allocs", 7).Victim(3).
-			Phase(Phase{Name: "train", Kind: PhasePulse, Flows: 16, PerFlow: n,
+		spec, err := New("allocs", 7).victim(3).
+			phase(Phase{Name: "train", Kind: PhasePulse, Flows: 16, PerFlow: n,
 				Pulses: 4, SubWaves: 2, Width: Duration(time.Millisecond), Gap: Duration(time.Millisecond)}).
 			Build()
 		if err != nil {
@@ -57,7 +57,7 @@ func TestPulseAllocs(t *testing.T) {
 // test world against an invoked victim, and reports packets per second.
 func BenchmarkCampaignPulse(b *testing.B) {
 	sys, _ := world(b, 2, 3, 4, 5)
-	spec, err := New("bench", 1).Victim(3).
+	spec, err := New("bench", 1).victim(3).
 		Invoke("defend").
 		Pulse("train", 64, 12, 6, time.Millisecond).
 		Build()

@@ -20,17 +20,17 @@ import (
 // Obs metric names the engine publishes (under the unified registry,
 // so they ride the existing export/differential machinery).
 const (
-	MetricSent      = "scenario.sent"
-	MetricDelivered = "scenario.delivered"
-	MetricDropped   = "scenario.dropped"
+	metricSent      = "scenario.sent"
+	metricDelivered = "scenario.delivered"
+	metricDropped   = "scenario.dropped"
 	MetricPhases    = "scenario.phases"
 
-	GaugeTTMDetectNS  = "scenario.ttm.detect_ns"
-	GaugeTTMRecoverNS = "scenario.ttm.recover_ns"
-	GaugeTTMTotalNS   = "scenario.ttm.total_ns"
+	gaugeTTMDetectNS  = "scenario.ttm.detect_ns"
+	gaugeTTMRecoverNS = "scenario.ttm.recover_ns"
+	gaugeTTMTotalNS   = "scenario.ttm.total_ns"
 
-	// EvPhase is the trace event emitted at every phase boundary.
-	EvPhase = "scenario.phase"
+	// evPhase is the trace event emitted at every phase boundary.
+	evPhase = "scenario.phase"
 )
 
 // Options configures an engine run.
@@ -195,7 +195,7 @@ func (e *Engine) Run() (*Result, error) {
 		ph := &e.spec.Phases[i]
 		pr := PhaseResult{Index: i, Name: ph.Name, Kind: ph.Kind, Start: e.now()}
 		reg.Tracer().Emit(obs.Event{
-			Kind: EvPhase, AS: uint32(e.victim), Serial: uint64(i),
+			Kind: evPhase, AS: uint32(e.victim), Serial: uint64(i),
 			Detail: string(ph.Kind) + ":" + ph.Name,
 		})
 		var err error
@@ -230,9 +230,9 @@ func (e *Engine) Run() (*Result, error) {
 		reg.Counter(scope + "sent").Add(uint64(pr.Sent))
 		reg.Counter(scope + "delivered").Add(uint64(pr.Delivered))
 		reg.Counter(scope + "dropped").Add(uint64(pr.Dropped))
-		reg.Counter(MetricSent).Add(uint64(pr.Sent))
-		reg.Counter(MetricDelivered).Add(uint64(pr.Delivered))
-		reg.Counter(MetricDropped).Add(uint64(pr.Dropped))
+		reg.Counter(metricSent).Add(uint64(pr.Sent))
+		reg.Counter(metricDelivered).Add(uint64(pr.Delivered))
+		reg.Counter(metricDropped).Add(uint64(pr.Dropped))
 		reg.Counter(MetricPhases).Inc()
 	}
 	if e.sawAttack {
@@ -245,13 +245,13 @@ func (e *Engine) Run() (*Result, error) {
 		}
 		if e.sawInvoke {
 			ttm.DetectDelay = e.invokedAt - e.firstAttackAt
-			reg.Gauge(GaugeTTMDetectNS).Set(int64(ttm.DetectDelay))
+			reg.Gauge(gaugeTTMDetectNS).Set(int64(ttm.DetectDelay))
 		}
 		if e.recovered {
 			ttm.RecoveryDelay = e.recoveredAt - e.invokedAt
 			ttm.Total = e.recoveredAt - e.firstAttackAt
-			reg.Gauge(GaugeTTMRecoverNS).Set(int64(ttm.RecoveryDelay))
-			reg.Gauge(GaugeTTMTotalNS).Set(int64(ttm.Total))
+			reg.Gauge(gaugeTTMRecoverNS).Set(int64(ttm.RecoveryDelay))
+			reg.Gauge(gaugeTTMTotalNS).Set(int64(ttm.Total))
 		}
 		res.TTM = ttm
 	}

@@ -10,7 +10,7 @@ import (
 // error, never panic — and every accepted spec must re-validate and
 // round-trip through its canonical Marshal form.
 func FuzzScenarioConfig(f *testing.F) {
-	if seed, err := New("seed", 1).Victim(3).
+	if seed, err := New("seed", 1).victim(3).
 		Pulse("pre", 4, 2, 2, time.Millisecond).
 		Invoke("defend", "DP").
 		Quiet("cool", time.Second).

@@ -14,6 +14,13 @@ import (
 	"discs/internal/topology"
 )
 
+// victim pins the attacked AS of the spec being built (default: the
+// last-deployed DAS).
+func (b *Builder) victim(asn topology.ASN) *Builder {
+	b.spec.Victim = asn
+	return b
+}
+
 // world: provider AS1 with customers AS2..AS7, one /16 each; the
 // victim AS3 advertises a second /16 so carpet phases have a prefix
 // set to walk. deploy lists the DASes in ledger order.
@@ -74,7 +81,7 @@ func run(t *testing.T, sys *core.System, spec *Spec) *Result {
 
 func TestPulseInvokeRecovery(t *testing.T) {
 	sys, _ := world(t, 2, 3, 4, 5)
-	spec, err := New("ttm", 1).Victim(3).
+	spec, err := New("ttm", 1).victim(3).
 		Pulse("pre", 30, 6, 2, 10*time.Millisecond).
 		Invoke("defend").
 		Pulse("post", 30, 6, 2, 10*time.Millisecond).
@@ -136,20 +143,20 @@ func TestPulseInvokeRecovery(t *testing.T) {
 	}
 
 	reg := sys.Registry()
-	if v := reg.Counter(MetricSent).Value(); v != uint64(pre.Sent+post.Sent) {
+	if v := reg.Counter(metricSent).Value(); v != uint64(pre.Sent+post.Sent) {
 		t.Errorf("obs sent = %d", v)
 	}
 	if v := reg.Counter(MetricPhases).Value(); v != 3 {
 		t.Errorf("obs phases = %d", v)
 	}
-	if reg.Gauge(GaugeTTMTotalNS).Value() != int64(ttm.Total) {
+	if reg.Gauge(gaugeTTMTotalNS).Value() != int64(ttm.Total) {
 		t.Errorf("obs ttm gauge mismatch")
 	}
 }
 
 func TestCarpetWalksVictimPrefixes(t *testing.T) {
 	sys, tp := world(t, 2, 3)
-	spec, err := New("carpet", 2).Victim(3).
+	spec, err := New("carpet", 2).victim(3).
 		Carpet("sweep", 10, 4, 4, time.Millisecond).
 		Build()
 	if err != nil {
@@ -176,8 +183,8 @@ func TestCarpetWalksVictimPrefixes(t *testing.T) {
 
 func TestMixedVectorLabelsAndAmplification(t *testing.T) {
 	sys, _ := world(t, 2, 3)
-	spec, err := New("mixed", 3).Victim(3).
-		Phase(Phase{Name: "mix", Kind: PhasePulse, Vector: VectorMixed, Flows: 10, PerFlow: 4}).
+	spec, err := New("mixed", 3).victim(3).
+		phase(Phase{Name: "mix", Kind: PhasePulse, Vector: VectorMixed, Flows: 10, PerFlow: 4}).
 		Build()
 	if err != nil {
 		t.Fatal(err)
@@ -200,7 +207,7 @@ func TestMixedVectorLabelsAndAmplification(t *testing.T) {
 
 func TestAdaptiveRotate(t *testing.T) {
 	sys, _ := world(t, 2, 3, 4, 5)
-	spec, err := New("rotate", 4).Victim(3).
+	spec, err := New("rotate", 4).victim(3).
 		Invoke("defend").
 		Adaptive("rotate", StrategyRotate, 12, 4, 3, time.Millisecond).
 		Build()
@@ -222,7 +229,7 @@ func TestAdaptiveProbe(t *testing.T) {
 	// the lone peer DAS (agent 2, or innocent 2 from a legacy agent)
 	// die, everything else survives — probing must find both.
 	sys, _ := world(t, 2, 3)
-	spec, err := New("probe", 5).Victim(3).
+	spec, err := New("probe", 5).victim(3).
 		Invoke("defend").
 		Adaptive("probe", StrategyProbe, 12, 4, 2, time.Millisecond).
 		Build()
@@ -251,7 +258,7 @@ func TestAdaptiveProbe(t *testing.T) {
 
 func TestLegitNoFalsePositives(t *testing.T) {
 	sys, _ := world(t, 2, 3, 4, 5)
-	spec, err := New("legit", 6).Victim(3).
+	spec, err := New("legit", 6).victim(3).
 		Invoke("defend").
 		Legit("sanity", 5).
 		Build()
@@ -276,7 +283,7 @@ func TestLegitNoFalsePositives(t *testing.T) {
 
 func TestDeployIncentivesMatchEval(t *testing.T) {
 	sys, tp := world(t, 2, 3)
-	spec, err := New("adopt", 7).Victim(3).
+	spec, err := New("adopt", 7).victim(3).
 		Deploy("wave1", 2, "size").
 		Deploy("wave2", 1, "size").
 		Build()
@@ -331,7 +338,7 @@ func TestRunDeterministicAndSeedSensitive(t *testing.T) {
 		sys, _ := world(t, 2, 3, 4, 5)
 		return sys
 	}
-	spec, err := New("det", 11).Victim(3).
+	spec, err := New("det", 11).victim(3).
 		Pulse("pre", 20, 4, 2, time.Millisecond).
 		Invoke("defend").
 		Adaptive("adapt", StrategyRotate, 10, 4, 2, time.Millisecond).

@@ -24,22 +24,22 @@ import (
 	"discs/internal/topology"
 )
 
-// Version is the spec schema version this package reads and writes.
-const Version = 1
+// version is the spec schema version this package reads and writes.
+const version = 1
 
 // Limits keep hostile specs from turning the engine into a memory or
 // CPU bomb: Parse and Validate reject anything beyond them. They are
 // generous for real experiments (a maxed-out spec is ~10^9 packets —
 // minutes of wall clock, not an OOM).
 const (
-	MaxPhases   = 256
-	MaxFlows    = 1 << 20
-	MaxPerFlow  = 1 << 20
-	MaxPulses   = 1 << 16
-	MaxSubWaves = 1 << 12
-	// MaxDuration bounds every duration field (gaps, widths, waits,
+	maxPhases   = 256
+	maxFlows    = 1 << 20
+	maxPerFlow  = 1 << 20
+	maxPulses   = 1 << 16
+	maxSubWaves = 1 << 12
+	// maxDuration bounds every duration field (gaps, widths, waits,
 	// invocation lifetimes): one simulated year.
-	MaxDuration = Duration(365 * 24 * time.Hour)
+	maxDuration = Duration(365 * 24 * time.Hour)
 	// maxSpecBytes bounds the JSON document itself.
 	maxSpecBytes = 1 << 20
 )
@@ -71,8 +71,8 @@ func (d *Duration) UnmarshalJSON(b []byte) error {
 		if err != nil {
 			return fmt.Errorf("scenario: bad duration %q: %w", s, err)
 		}
-		if v < 0 || v > time.Duration(MaxDuration) {
-			return fmt.Errorf("scenario: duration %q out of range [0, %v]", s, MaxDuration)
+		if v < 0 || v > time.Duration(maxDuration) {
+			return fmt.Errorf("scenario: duration %q out of range [0, %v]", s, maxDuration)
 		}
 		*d = Duration(v)
 		return nil
@@ -81,7 +81,7 @@ func (d *Duration) UnmarshalJSON(b []byte) error {
 	if err := json.Unmarshal(b, &ms); err != nil {
 		return err
 	}
-	if math.IsNaN(ms) || math.IsInf(ms, 0) || ms < 0 || ms > float64(time.Duration(MaxDuration)/time.Millisecond) {
+	if math.IsNaN(ms) || math.IsInf(ms, 0) || ms < 0 || ms > float64(time.Duration(maxDuration)/time.Millisecond) {
 		return fmt.Errorf("scenario: duration %v ms out of range", ms)
 	}
 	*d = Duration(time.Duration(ms * float64(time.Millisecond)))
@@ -186,26 +186,23 @@ type Spec struct {
 	Phases           []Phase `json:"phases"`
 }
 
-// SpecError is the typed validation failure for scenario specs: callers
-// branch on the offending phase and field without parsing the message.
-//
-//	var se *scenario.SpecError
-//	if errors.As(err, &se) && se.Field == "Pulses" { ... }
-type SpecError struct {
+// specError is the typed validation failure for scenario specs: it
+// names the offending phase and field, which the tests branch on.
+type specError struct {
 	Phase  int    // phase index, -1 for spec-level fields
 	Field  string // offending field, e.g. "Pulses"
 	Reason string // what is wrong, e.g. "must be >= 1"
 }
 
-func (e *SpecError) Error() string {
+func (e *specError) Error() string {
 	if e.Phase < 0 {
 		return fmt.Sprintf("scenario: Spec.%s: %s", e.Field, e.Reason)
 	}
 	return fmt.Sprintf("scenario: phase %d: %s: %s", e.Phase, e.Field, e.Reason)
 }
 
-func specErr(phase int, field, reason string) *SpecError {
-	return &SpecError{Phase: phase, Field: field, Reason: reason}
+func specErr(phase int, field, reason string) *specError {
+	return &specError{Phase: phase, Field: field, Reason: reason}
 }
 
 // Parse decodes and validates a JSON spec. Unknown fields are
@@ -252,8 +249,8 @@ func trafficKind(k PhaseKind) bool {
 // normalization step: a validated spec has every applicable field
 // populated, so the engine never branches on zero values).
 func (s *Spec) Validate() error {
-	if s.Version != Version {
-		return specErr(-1, "Version", fmt.Sprintf("unsupported version %d (want %d)", s.Version, Version))
+	if s.Version != version {
+		return specErr(-1, "Version", fmt.Sprintf("unsupported version %d (want %d)", s.Version, version))
 	}
 	if s.Name == "" {
 		return specErr(-1, "Name", "required")
@@ -271,8 +268,8 @@ func (s *Spec) Validate() error {
 	if len(s.Phases) == 0 {
 		return specErr(-1, "Phases", "required")
 	}
-	if len(s.Phases) > MaxPhases {
-		return specErr(-1, "Phases", fmt.Sprintf("%d phases exceed the %d limit", len(s.Phases), MaxPhases))
+	if len(s.Phases) > maxPhases {
+		return specErr(-1, "Phases", fmt.Sprintf("%d phases exceed the %d limit", len(s.Phases), maxPhases))
 	}
 	for i := range s.Phases {
 		if err := s.Phases[i].validate(i); err != nil {
@@ -304,8 +301,8 @@ func (p *Phase) validate(i int) error {
 		name string
 		v    Duration
 	}{{"Width", p.Width}, {"Gap", p.Gap}, {"Duration", p.Duration}, {"Wait", p.Wait}} {
-		if d.v < 0 || d.v > MaxDuration {
-			return specErr(i, d.name, fmt.Sprintf("out of range [0, %v]", MaxDuration))
+		if d.v < 0 || d.v > maxDuration {
+			return specErr(i, d.name, fmt.Sprintf("out of range [0, %v]", maxDuration))
 		}
 	}
 
@@ -322,26 +319,26 @@ func (p *Phase) validate(i int) error {
 		if p.Kind == PhaseLegit && p.Vector != VectorDDoS {
 			return specErr(i, "Vector", "legit traffic has no spoofing vector; leave it unset")
 		}
-		if p.Flows < 0 || p.Flows > MaxFlows {
-			return specErr(i, "Flows", fmt.Sprintf("out of range [0, %d]", MaxFlows))
+		if p.Flows < 0 || p.Flows > maxFlows {
+			return specErr(i, "Flows", fmt.Sprintf("out of range [0, %d]", maxFlows))
 		}
 		if p.Flows == 0 && p.Kind != PhaseLegit {
 			p.Flows = 40
 		}
-		if p.PerFlow < 0 || p.PerFlow > MaxPerFlow {
-			return specErr(i, "PerFlow", fmt.Sprintf("out of range [0, %d]", MaxPerFlow))
+		if p.PerFlow < 0 || p.PerFlow > maxPerFlow {
+			return specErr(i, "PerFlow", fmt.Sprintf("out of range [0, %d]", maxPerFlow))
 		}
 		if p.PerFlow == 0 {
 			p.PerFlow = 8
 		}
-		if p.Pulses < 0 || p.Pulses > MaxPulses {
-			return specErr(i, "Pulses", fmt.Sprintf("out of range [0, %d]", MaxPulses))
+		if p.Pulses < 0 || p.Pulses > maxPulses {
+			return specErr(i, "Pulses", fmt.Sprintf("out of range [0, %d]", maxPulses))
 		}
 		if p.Pulses == 0 {
 			p.Pulses = 1
 		}
-		if p.SubWaves < 0 || p.SubWaves > MaxSubWaves {
-			return specErr(i, "SubWaves", fmt.Sprintf("out of range [0, %d]", MaxSubWaves))
+		if p.SubWaves < 0 || p.SubWaves > maxSubWaves {
+			return specErr(i, "SubWaves", fmt.Sprintf("out of range [0, %d]", maxSubWaves))
 		}
 		if p.SubWaves == 0 {
 			p.SubWaves = 1
@@ -371,8 +368,8 @@ func (p *Phase) validate(i int) error {
 		if !validStrategies[p.Strategy] {
 			return specErr(i, "Strategy", fmt.Sprintf("unknown strategy %q", p.Strategy))
 		}
-		if p.Probes < 0 || p.Probes > MaxPerFlow {
-			return specErr(i, "Probes", fmt.Sprintf("out of range [0, %d]", MaxPerFlow))
+		if p.Probes < 0 || p.Probes > maxPerFlow {
+			return specErr(i, "Probes", fmt.Sprintf("out of range [0, %d]", maxPerFlow))
 		}
 		if p.Probes == 0 {
 			p.Probes = 1
@@ -398,8 +395,8 @@ func (p *Phase) validate(i int) error {
 	}
 
 	if p.Kind == PhaseDeploy {
-		if p.Count < 0 || p.Count > MaxFlows {
-			return specErr(i, "Count", fmt.Sprintf("out of range [0, %d]", MaxFlows))
+		if p.Count < 0 || p.Count > maxFlows {
+			return specErr(i, "Count", fmt.Sprintf("out of range [0, %d]", maxFlows))
 		}
 		if p.Count == 0 {
 			p.Count = 1
@@ -445,23 +442,11 @@ type Builder struct {
 
 // New starts a builder for a named campaign.
 func New(name string, seed int64) *Builder {
-	return &Builder{spec: Spec{Version: Version, Name: name, Seed: seed}}
+	return &Builder{spec: Spec{Version: version, Name: name, Seed: seed}}
 }
 
-// Victim pins the attacked AS (default: the last-deployed DAS).
-func (b *Builder) Victim(asn topology.ASN) *Builder {
-	b.spec.Victim = asn
-	return b
-}
-
-// RecoverThreshold sets the time-to-mitigation recovery drop rate.
-func (b *Builder) RecoverThreshold(r float64) *Builder {
-	b.spec.RecoverThreshold = r
-	return b
-}
-
-// Phase appends a fully-specified phase.
-func (b *Builder) Phase(p Phase) *Builder {
+// phase appends a fully-specified phase.
+func (b *Builder) phase(p Phase) *Builder {
 	b.spec.Phases = append(b.spec.Phases, p)
 	return b
 }
@@ -469,42 +454,42 @@ func (b *Builder) Phase(p Phase) *Builder {
 // Pulse appends a pulse-wave train: pulses bursts, each of
 // flows×perFlow packets, separated by gap.
 func (b *Builder) Pulse(name string, flows, perFlow, pulses int, gap time.Duration) *Builder {
-	return b.Phase(Phase{Name: name, Kind: PhasePulse,
+	return b.phase(Phase{Name: name, Kind: PhasePulse,
 		Flows: flows, PerFlow: perFlow, Pulses: pulses, Gap: Duration(gap)})
 }
 
 // Carpet appends a carpet-bombing train across the victim's prefixes.
 func (b *Builder) Carpet(name string, flows, perFlow, pulses int, gap time.Duration) *Builder {
-	return b.Phase(Phase{Name: name, Kind: PhaseCarpet,
+	return b.phase(Phase{Name: name, Kind: PhaseCarpet,
 		Flows: flows, PerFlow: perFlow, Pulses: pulses, Gap: Duration(gap)})
 }
 
 // Adaptive appends an adaptive-attacker train with the given strategy.
 func (b *Builder) Adaptive(name, strategy string, flows, perFlow, pulses int, gap time.Duration) *Builder {
-	return b.Phase(Phase{Name: name, Kind: PhaseAdaptive, Strategy: strategy,
+	return b.phase(Phase{Name: name, Kind: PhaseAdaptive, Strategy: strategy,
 		Flows: flows, PerFlow: perFlow, Pulses: pulses, Gap: Duration(gap)})
 }
 
 // Legit appends a benign-traffic phase from the deployed peers.
 func (b *Builder) Legit(name string, perFlow int) *Builder {
-	return b.Phase(Phase{Name: name, Kind: PhaseLegit, PerFlow: perFlow})
+	return b.phase(Phase{Name: name, Kind: PhaseLegit, PerFlow: perFlow})
 }
 
 // Invoke appends a defense invocation by the victim (functions empty =
 // all four).
 func (b *Builder) Invoke(name string, functions ...string) *Builder {
-	return b.Phase(Phase{Name: name, Kind: PhaseInvoke, Functions: functions})
+	return b.phase(Phase{Name: name, Kind: PhaseInvoke, Functions: functions})
 }
 
 // Deploy appends an adoption step of count ASes in the given order
 // ("size" or "random").
 func (b *Builder) Deploy(name string, count int, order string) *Builder {
-	return b.Phase(Phase{Name: name, Kind: PhaseDeploy, Count: count, Order: order})
+	return b.phase(Phase{Name: name, Kind: PhaseDeploy, Count: count, Order: order})
 }
 
 // Quiet appends a clock advance.
 func (b *Builder) Quiet(name string, wait time.Duration) *Builder {
-	return b.Phase(Phase{Name: name, Kind: PhaseQuiet, Wait: Duration(wait)})
+	return b.phase(Phase{Name: name, Kind: PhaseQuiet, Wait: Duration(wait)})
 }
 
 // Build validates and returns the spec.

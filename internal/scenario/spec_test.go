@@ -55,7 +55,7 @@ func TestValidateTypedErrors(t *testing.T) {
 		{"bad vector", Spec{Version: 1, Name: "x", Phases: []Phase{{Kind: PhasePulse, Vector: "zz"}}}, 0, "Vector"},
 		{"carpet sddos", Spec{Version: 1, Name: "x", Phases: []Phase{{Kind: PhaseCarpet, Vector: VectorSDDoS}}}, 0, "Vector"},
 		{"neg flows", Spec{Version: 1, Name: "x", Phases: []Phase{{Kind: PhasePulse, Flows: -1}}}, 0, "Flows"},
-		{"huge pulses", Spec{Version: 1, Name: "x", Phases: []Phase{{Kind: PhasePulse, Pulses: MaxPulses + 1}}}, 0, "Pulses"},
+		{"huge pulses", Spec{Version: 1, Name: "x", Phases: []Phase{{Kind: PhasePulse, Pulses: maxPulses + 1}}}, 0, "Pulses"},
 		{"subwaves no width", Spec{Version: 1, Name: "x", Phases: []Phase{{Kind: PhasePulse, SubWaves: 4}}}, 0, "Width"},
 		{"neg width", Spec{Version: 1, Name: "x", Phases: []Phase{{Kind: PhasePulse, Width: -1}}}, 0, "Width"},
 		{"strategy on pulse", Spec{Version: 1, Name: "x", Phases: []Phase{{Kind: PhasePulse, Strategy: StrategyRotate}}}, 0, "Strategy"},
@@ -73,9 +73,9 @@ func TestValidateTypedErrors(t *testing.T) {
 			t.Errorf("%s: accepted", tc.name)
 			continue
 		}
-		var se *SpecError
+		var se *specError
 		if !errors.As(err, &se) {
-			t.Errorf("%s: not a *SpecError: %v", tc.name, err)
+			t.Errorf("%s: not a *specError: %v", tc.name, err)
 			continue
 		}
 		if se.Phase != tc.phase {
@@ -115,9 +115,9 @@ func TestValidateFillsDefaults(t *testing.T) {
 }
 
 func TestBuilderRoundTrip(t *testing.T) {
-	spec, err := New("campaign", 7).
-		Victim(42).
-		RecoverThreshold(0.8).
+	b := New("campaign", 7).victim(42)
+	b.spec.RecoverThreshold = 0.8
+	spec, err := b.
 		Pulse("pre", 20, 10, 4, 100*time.Millisecond).
 		Invoke("defend", "DP", "CDP").
 		Adaptive("rotate", StrategyRotate, 20, 10, 3, 50*time.Millisecond).
@@ -150,7 +150,7 @@ func TestBuilderRoundTrip(t *testing.T) {
 
 func TestParseDocumentTooLarge(t *testing.T) {
 	b := make([]byte, maxSpecBytes+1)
-	var se *SpecError
+	var se *specError
 	if _, err := Parse(b); !errors.As(err, &se) {
 		t.Fatalf("oversized doc: %v", err)
 	}

@@ -20,19 +20,19 @@ func TestErrorChains(t *testing.T) {
 	}
 
 	// Handshake frame-length errors.
-	if _, _, err := Respond(bob, alice.Public(), make([]byte, HelloLen-1), detRand(3)); !errors.Is(err, ErrBadFrame) {
-		t.Fatalf("short hello: err = %v, want ErrBadFrame", err)
+	if _, _, err := Respond(bob, alice.Public(), make([]byte, helloLen-1), detRand(3)); !errors.Is(err, errBadFrame) {
+		t.Fatalf("short hello: err = %v, want errBadFrame", err)
 	}
 	ini, err := NewInitiator(alice, bob.Public(), detRand(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ini.Finish(make([]byte, ReplyLen+1)); !errors.Is(err, ErrBadFrame) {
-		t.Fatalf("long reply: err = %v, want ErrBadFrame", err)
+	if _, err := ini.Finish(make([]byte, ReplyLen+1)); !errors.Is(err, errBadFrame) {
+		t.Fatalf("long reply: err = %v, want errBadFrame", err)
 	}
 
 	// Handshake authentication: a reply MACed by the wrong responder
-	// identity fails with ErrAuth.
+	// identity fails with errAuth.
 	mallory, err := NewIdentity("ctrl.evil", detRand(5))
 	if err != nil {
 		t.Fatal(err)
@@ -41,16 +41,16 @@ func TestErrorChains(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ini.Finish(forged); !errors.Is(err, ErrAuth) {
-		t.Fatalf("forged reply: err = %v, want ErrAuth", err)
+	if _, err := ini.Finish(forged); !errors.Is(err, errAuth) {
+		t.Fatalf("forged reply: err = %v, want errAuth", err)
 	}
 
 	// A static key that is not 32 bytes is a malformed frame.
-	if _, err := NewInitiator(alice, bob.Public()[:31], detRand(10)); !errors.Is(err, ErrBadFrame) {
-		t.Fatalf("short peer static key: err = %v, want ErrBadFrame", err)
+	if _, err := NewInitiator(alice, bob.Public()[:31], detRand(10)); !errors.Is(err, errBadFrame) {
+		t.Fatalf("short peer static key: err = %v, want errBadFrame", err)
 	}
-	if _, _, err := Respond(bob, append(alice.Public(), 0), ini.Hello(), detRand(11)); !errors.Is(err, ErrBadFrame) {
-		t.Fatalf("long initiator static key: err = %v, want ErrBadFrame", err)
+	if _, _, err := Respond(bob, append(alice.Public(), 0), ini.Hello(), detRand(11)); !errors.Is(err, errBadFrame) {
+		t.Fatalf("long initiator static key: err = %v, want errBadFrame", err)
 	}
 
 	// A low-order peer key fails authentication, whichever of a side's
@@ -92,40 +92,40 @@ func TestErrorChains(t *testing.T) {
 			return err
 		}},
 	} {
-		if err := c.err(); !errors.Is(err, ErrAuth) {
-			t.Fatalf("%s: err = %v, want ErrAuth", c.what, err)
+		if err := c.err(); !errors.Is(err, errAuth) {
+			t.Fatalf("%s: err = %v, want errAuth", c.what, err)
 		}
 	}
 
 	// Record layer: truncated, replayed, and corrupted records.
 	client, server := handshake(t)
-	if _, err := server.Open(make([]byte, Overhead-1)); !errors.Is(err, ErrBadFrame) {
-		t.Fatalf("short record: err = %v, want ErrBadFrame", err)
+	if _, err := server.Open(make([]byte, overhead-1)); !errors.Is(err, errBadFrame) {
+		t.Fatalf("short record: err = %v, want errBadFrame", err)
 	}
 	rec := client.Seal([]byte("campaign"))
 	if _, err := server.Open(rec); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := server.Open(rec); !errors.Is(err, ErrReplay) {
-		t.Fatalf("replayed record: err = %v, want ErrReplay", err)
+	if _, err := server.Open(rec); !errors.Is(err, errReplay) {
+		t.Fatalf("replayed record: err = %v, want errReplay", err)
 	}
 	bad := append([]byte(nil), client.Seal([]byte("campaign 2"))...)
 	bad[len(bad)-1] ^= 0x80
-	if _, err := server.Open(bad); !errors.Is(err, ErrAuth) {
-		t.Fatalf("corrupted record: err = %v, want ErrAuth", err)
+	if _, err := server.Open(bad); !errors.Is(err, errAuth) {
+		t.Fatalf("corrupted record: err = %v, want errAuth", err)
 	}
 
 	// Resumption: frame lengths and a responder without the secret.
 	secret := client.ResumptionSecret()
-	if _, _, err := ResumeRespond(secret, make([]byte, ResumeHelloLen+3), detRand(7)); !errors.Is(err, ErrBadFrame) {
-		t.Fatalf("bad resume hello: err = %v, want ErrBadFrame", err)
+	if _, _, err := ResumeRespond(secret, make([]byte, ResumeHelloLen+3), detRand(7)); !errors.Is(err, errBadFrame) {
+		t.Fatalf("bad resume hello: err = %v, want errBadFrame", err)
 	}
 	res, err := NewResumer(secret, detRand(8))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := res.Finish(make([]byte, ResumeReplyLen-2)); !errors.Is(err, ErrBadFrame) {
-		t.Fatalf("bad resume reply: err = %v, want ErrBadFrame", err)
+	if _, err := res.Finish(make([]byte, resumeReplyLen-2)); !errors.Is(err, errBadFrame) {
+		t.Fatalf("bad resume reply: err = %v, want errBadFrame", err)
 	}
 	var stale [16]byte
 	stale[0] = 0xff
@@ -133,15 +133,15 @@ func TestErrorChains(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := res.Finish(reply); !errors.Is(err, ErrAuth) {
-		t.Fatalf("stale-secret resumption: err = %v, want ErrAuth", err)
+	if _, err := res.Finish(reply); !errors.Is(err, errAuth) {
+		t.Fatalf("stale-secret resumption: err = %v, want errAuth", err)
 	}
 
 	// The sentinels are distinct classes: no accidental wrapping of one
 	// in another.
-	for _, e := range []error{ErrBadFrame, ErrAuth, ErrReplay} {
+	for _, e := range []error{errBadFrame, errAuth, errReplay} {
 		n := 0
-		for _, other := range []error{ErrBadFrame, ErrAuth, ErrReplay} {
+		for _, other := range []error{errBadFrame, errAuth, errReplay} {
 			if errors.Is(e, other) {
 				n++
 			}

@@ -10,7 +10,7 @@ func FuzzOpen(f *testing.F) {
 	valid := client.Seal([]byte("seed"))
 	f.Add(valid)
 	f.Add([]byte{})
-	f.Add(make([]byte, Overhead))
+	f.Add(make([]byte, overhead))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Fresh receiving state per input so sequence numbers do not
 		// couple inputs: re-handshake cheaply via resumption.

@@ -18,8 +18,8 @@ import (
 // ResumeHelloLen is the wire size of a resumption hello.
 const ResumeHelloLen = nonceLen
 
-// ResumeReplyLen is the wire size of a resumption reply.
-const ResumeReplyLen = nonceLen + macLen
+// resumeReplyLen is the wire size of a resumption reply.
+const resumeReplyLen = nonceLen + macLen
 
 // ResumptionSecret returns the cached secret shared by the two ends of
 // an established session. It is directionless: both ends of one full
@@ -48,7 +48,7 @@ func (r *Resumer) Hello() []byte { return r.nonce[:] }
 // and returns the reply frame plus the responder's session.
 func ResumeRespond(secret [16]byte, hello []byte, rand io.Reader) (reply []byte, sess *Session, err error) {
 	if len(hello) != ResumeHelloLen {
-		return nil, nil, fmt.Errorf("resume hello length %d, want %d: %w", len(hello), ResumeHelloLen, ErrBadFrame)
+		return nil, nil, fmt.Errorf("resume hello length %d, want %d: %w", len(hello), ResumeHelloLen, errBadFrame)
 	}
 	var nonce [nonceLen]byte
 	if _, err := io.ReadFull(rand, nonce[:]); err != nil {
@@ -71,8 +71,8 @@ func ResumeRespond(secret [16]byte, hello []byte, rand io.Reader) (reply []byte,
 // session. A responder that does not hold the secret cannot produce a
 // valid transcript MAC.
 func (r *Resumer) Finish(reply []byte) (*Session, error) {
-	if len(reply) != ResumeReplyLen {
-		return nil, fmt.Errorf("resume reply length %d, want %d: %w", len(reply), ResumeReplyLen, ErrBadFrame)
+	if len(reply) != resumeReplyLen {
+		return nil, fmt.Errorf("resume reply length %d, want %d: %w", len(reply), resumeReplyLen, errBadFrame)
 	}
 	serverNonce := reply[:nonceLen]
 	mac := reply[nonceLen:]
@@ -82,7 +82,7 @@ func (r *Resumer) Finish(reply []byte) (*Session, error) {
 		return nil, err
 	}
 	if subtle.ConstantTimeCompare(mac, want) == 0 {
-		return nil, fmt.Errorf("resumption: %w", ErrAuth)
+		return nil, fmt.Errorf("resumption: %w", errAuth)
 	}
 	return newSession(keys, true)
 }

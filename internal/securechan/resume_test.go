@@ -55,7 +55,7 @@ func TestResumeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(reply) != ResumeReplyLen {
+	if len(reply) != resumeReplyLen {
 		t.Fatalf("reply len = %d", len(reply))
 	}
 	cli2, err := r.Finish(reply)

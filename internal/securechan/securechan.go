@@ -74,8 +74,8 @@ const (
 	macLen   = 16
 )
 
-// HelloLen is the wire size of a handshake hello frame.
-const HelloLen = pubLen + nonceLen
+// helloLen is the wire size of a handshake hello frame.
+const helloLen = pubLen + nonceLen
 
 // ReplyLen is the wire size of a handshake reply frame.
 const ReplyLen = pubLen + nonceLen + macLen
@@ -108,7 +108,7 @@ func NewInitiator(id *Identity, peerStaticPub []byte, rand io.Reader) (*Initiato
 // Hello produces the client hello frame: ephemeral public key + nonce.
 func (ini *Initiator) Hello() []byte {
 	if ini.helloSent == nil {
-		b := make([]byte, 0, HelloLen)
+		b := make([]byte, 0, helloLen)
 		b = append(b, ini.eph.pub[:]...)
 		b = append(b, ini.nonce[:]...)
 		ini.helloSent = b
@@ -120,8 +120,8 @@ func (ini *Initiator) Hello() []byte {
 // reply frame plus the established session. initiatorStaticPub must be
 // the expected static key of the initiator.
 func Respond(id *Identity, initiatorStaticPub, hello []byte, rand io.Reader) (reply []byte, sess *Session, err error) {
-	if len(hello) != HelloLen {
-		return nil, nil, fmt.Errorf("hello length %d, want %d: %w", len(hello), HelloLen, ErrBadFrame)
+	if len(hello) != helloLen {
+		return nil, nil, fmt.Errorf("hello length %d, want %d: %w", len(hello), helloLen, errBadFrame)
 	}
 	if len(initiatorStaticPub) != pubLen {
 		return nil, nil, errPubLen
@@ -169,7 +169,7 @@ func Respond(id *Identity, initiatorStaticPub, hello []byte, rand io.Reader) (re
 // established session.
 func (ini *Initiator) Finish(reply []byte) (*Session, error) {
 	if len(reply) != ReplyLen {
-		return nil, fmt.Errorf("reply length %d, want %d: %w", len(reply), ReplyLen, ErrBadFrame)
+		return nil, fmt.Errorf("reply length %d, want %d: %w", len(reply), ReplyLen, errBadFrame)
 	}
 	serverEph := (*[pubLen]byte)(reply[:pubLen])
 	serverNonce := reply[pubLen : pubLen+nonceLen]
@@ -191,7 +191,7 @@ func (ini *Initiator) Finish(reply []byte) (*Session, error) {
 		return nil, err
 	}
 	if subtle.ConstantTimeCompare(mac, want) == 0 {
-		return nil, fmt.Errorf("handshake: %w", ErrAuth)
+		return nil, fmt.Errorf("handshake: %w", errAuth)
 	}
 	return newSession(keys, true)
 }
@@ -297,9 +297,9 @@ func newSession(keys sessionKeys, initiator bool) (*Session, error) {
 	return &Session{sendBlock: sb, recvBlock: rb, mac: m, resume: keys.resume}, nil
 }
 
-// Overhead is the per-record byte overhead: 8-byte sequence + 16-byte
+// overhead is the per-record byte overhead: 8-byte sequence + 16-byte
 // MAC.
-const Overhead = 8 + macLen
+const overhead = 8 + macLen
 
 // ctrScratch holds one direction's AES-CTR counter block and keystream
 // block.
@@ -349,17 +349,17 @@ func (s *Session) Seal(plaintext []byte) []byte {
 // (Reordered records therefore count as lost; the control plane's
 // retry machinery re-drives them.)
 func (s *Session) Open(record []byte) ([]byte, error) {
-	if len(record) < Overhead {
-		return nil, fmt.Errorf("record length %d, want >= %d: %w", len(record), Overhead, ErrBadFrame)
+	if len(record) < overhead {
+		return nil, fmt.Errorf("record length %d, want >= %d: %w", len(record), overhead, errBadFrame)
 	}
 	seq := binary.BigEndian.Uint64(record[:8])
 	if seq < s.recvSeq {
-		return nil, fmt.Errorf("record sequence %d, want >= %d: %w", seq, s.recvSeq, ErrReplay)
+		return nil, fmt.Errorf("record sequence %d, want >= %d: %w", seq, s.recvSeq, errReplay)
 	}
 	body := record[:len(record)-macLen]
 	tag := record[len(record)-macLen:]
 	if !s.mac.Verify(body, tag) {
-		return nil, fmt.Errorf("record: %w", ErrAuth)
+		return nil, fmt.Errorf("record: %w", errAuth)
 	}
 	plaintext := make([]byte, len(body)-8)
 	ctrXOR(s.recvBlock, &s.recvCTR, seq, plaintext, body[8:])

@@ -39,8 +39,8 @@ func TestHandshakeAndRecords(t *testing.T) {
 	client, server := handshake(t)
 	msg := []byte("invoke (v=10.0.0.0/24, f=DP, duration=24h)")
 	rec := client.Seal(msg)
-	if len(rec) != len(msg)+Overhead {
-		t.Fatalf("record len = %d, want %d", len(rec), len(msg)+Overhead)
+	if len(rec) != len(msg)+overhead {
+		t.Fatalf("record len = %d, want %d", len(rec), len(msg)+overhead)
 	}
 	got, err := server.Open(rec)
 	if err != nil {
@@ -158,7 +158,7 @@ func TestHandshakeFrameLengths(t *testing.T) {
 	alice, _ := NewIdentity("a", detRand(1))
 	bob, _ := NewIdentity("b", detRand(2))
 	ini, _ := NewInitiator(alice, bob.Public(), detRand(3))
-	if len(ini.Hello()) != HelloLen {
+	if len(ini.Hello()) != helloLen {
 		t.Fatalf("hello len = %d", len(ini.Hello()))
 	}
 	reply, _, err := Respond(bob, alice.Public(), ini.Hello(), detRand(4))
@@ -323,7 +323,7 @@ func TestBadPeerKeys(t *testing.T) {
 		t.Fatal("bad initiator static key accepted")
 	}
 	// Corrupted ephemeral key in the hello (wrong length).
-	if _, _, err := Respond(bob, alice.Public(), make([]byte, HelloLen-1), detRand(6)); err == nil {
+	if _, _, err := Respond(bob, alice.Public(), make([]byte, helloLen-1), detRand(6)); err == nil {
 		t.Fatal("short hello accepted")
 	}
 }

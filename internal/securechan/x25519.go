@@ -63,10 +63,10 @@ var basePoint = [32]byte{9}
 
 var (
 	// errPubLen refuses a public key that is not 32 bytes.
-	errPubLen = fmt.Errorf("securechan: X25519 public key is not 32 bytes: %w", ErrBadFrame)
+	errPubLen = fmt.Errorf("securechan: X25519 public key is not 32 bytes: %w", errBadFrame)
 	// errLowOrder refuses, as crypto/ecdh does, a shared secret that is
 	// all zeros: the peer sent a point of small order.
-	errLowOrder = fmt.Errorf("securechan: X25519 peer key of low order: %w", ErrAuth)
+	errLowOrder = fmt.Errorf("securechan: X25519 peer key of low order: %w", errAuth)
 )
 
 // x25519Base sets k.pub to k.priv times the base point. Only crypto/ecdh

@@ -25,9 +25,9 @@ type Health struct {
 // OK reports whether the node considers itself fully healthy.
 func (h Health) OK() bool { return h.Status == "ok" }
 
-// Health computes the node's liveness report from the controller's
+// health computes the node's liveness report from the controller's
 // heartbeat/dead-peer state, serialized with the event loop.
-func (n *Node) Health() Health {
+func (n *Node) health() Health {
 	h := Health{
 		Status:        "ok",
 		Name:          n.cfg.Name,
@@ -71,7 +71,7 @@ func newAdminServer(addr string, n *Node) (*adminServer, error) {
 		snap.WritePrometheus(w, "discs")
 	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		h := n.Health()
+		h := n.health()
 		w.Header().Set("Content-Type", "application/json")
 		if !h.OK() {
 			w.WriteHeader(http.StatusServiceUnavailable)

@@ -41,10 +41,10 @@ type Fleet struct {
 	opts  FleetOptions
 }
 
-// FleetBaseASN is node 0's AS number; node i serves FleetBaseASN+i.
-const FleetBaseASN = 1001
+// fleetBaseASN is node 0's AS number; node i serves fleetBaseASN+i.
+const fleetBaseASN = 1001
 
-func fleetName(i int) string { return fmt.Sprintf("ctrl.as%d", FleetBaseASN+i) }
+func fleetName(i int) string { return fmt.Sprintf("ctrl.as%d", fleetBaseASN+i) }
 
 // FleetPrefix returns the prefix owned by node i.
 func FleetPrefix(i int) netip.Prefix {
@@ -88,7 +88,7 @@ func NewFleet(o FleetOptions) (*Fleet, error) {
 	pubs := make([]string, o.N)
 	seeds := make([]int64, o.N)
 	for i := 0; i < o.N; i++ {
-		prefixes[strconv.Itoa(FleetBaseASN+i)] = []string{FleetPrefix(i).String()}
+		prefixes[strconv.Itoa(fleetBaseASN+i)] = []string{FleetPrefix(i).String()}
 		seeds[i] = o.BaseSeed*1000 + int64(i) + 1
 		id, err := NodeIdentity(fleetName(i), seeds[i])
 		if err != nil {
@@ -99,7 +99,7 @@ func NewFleet(o FleetOptions) (*Fleet, error) {
 
 	cfg := func(i int, withAddrs bool, addrOf func(int) string) Config {
 		c := Config{
-			Name: fleetName(i), AS: uint32(FleetBaseASN + i),
+			Name: fleetName(i), AS: uint32(fleetBaseASN + i),
 			Listen: "127.0.0.1:0", TLS: o.TLS, Seed: seeds[i],
 			Prefixes:          prefixes,
 			PeeringDelayMaxMS: o.PeeringDelayMaxMS,
@@ -116,7 +116,7 @@ func NewFleet(o FleetOptions) (*Fleet, error) {
 			if j == i {
 				continue
 			}
-			p := PeerConfig{Name: fleetName(j), AS: uint32(FleetBaseASN + j), Pub: pubs[j]}
+			p := PeerConfig{Name: fleetName(j), AS: uint32(fleetBaseASN + j), Pub: pubs[j]}
 			if withAddrs {
 				p.Addr = addrOf(j)
 			}
@@ -168,7 +168,7 @@ func (f *Fleet) WaitReady(timeout time.Duration) error {
 					if j == i {
 						continue
 					}
-					if !c.KeysReadyWith(topology.ASN(FleetBaseASN + j)) {
+					if !c.KeysReadyWith(topology.ASN(fleetBaseASN + j)) {
 						ready = false
 					}
 				}

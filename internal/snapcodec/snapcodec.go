@@ -12,7 +12,7 @@
 //     checksum has already been verified; every length prefix is
 //     checked against the bytes actually remaining before any
 //     allocation, so a forged multi-gigabyte length fails with
-//     ErrShortBuffer instead of an OOM.
+//     errShortBuffer instead of an OOM.
 //   - No reflection, no interfaces, stdlib only. The format is a flat
 //     field list; versioning happens one level up, in the snapshot
 //     container.
@@ -26,14 +26,14 @@ import (
 	"time"
 )
 
-// ErrShortBuffer is returned (via Reader.Err) when a decode runs past
+// errShortBuffer is returned (via Reader.Err) when a decode runs past
 // the end of the section, including a length prefix larger than the
 // bytes remaining.
-var ErrShortBuffer = errors.New("snapcodec: truncated section")
+var errShortBuffer = errors.New("snapcodec: truncated section")
 
-// ErrRange is returned when a decoded value is structurally impossible
+// errRange is returned when a decoded value is structurally impossible
 // (e.g. a varint that does not terminate, or an invalid prefix).
-var ErrRange = errors.New("snapcodec: value out of range")
+var errRange = errors.New("snapcodec: value out of range")
 
 // Writer encodes fields by appending them to one byte slice or, made
 // by NewBlockWriter, to a series of blocks.
@@ -106,20 +106,8 @@ func (w *Writer) U8(v uint8) {
 	w.out = append(w.out, v)
 }
 
-// U16 writes a fixed-width little-endian uint16.
-func (w *Writer) U16(v uint16) {
-	w.room(2)
-	w.out = binary.LittleEndian.AppendUint16(w.out, v)
-}
-
-// U32 writes a fixed-width little-endian uint32.
-func (w *Writer) U32(v uint32) {
-	w.room(4)
-	w.out = binary.LittleEndian.AppendUint32(w.out, v)
-}
-
-// U64 writes a fixed-width little-endian uint64.
-func (w *Writer) U64(v uint64) {
+// u64 writes a fixed-width little-endian uint64.
+func (w *Writer) u64(v uint64) {
 	w.room(8)
 	w.out = binary.LittleEndian.AppendUint64(w.out, v)
 }
@@ -134,7 +122,7 @@ func (w *Writer) Bool(v bool) {
 }
 
 // F64 writes a float64 as its IEEE-754 bits.
-func (w *Writer) F64(v float64) { w.U64(math.Float64bits(v)) }
+func (w *Writer) F64(v float64) { w.u64(math.Float64bits(v)) }
 
 // Duration writes a time.Duration (netsim.Time).
 func (w *Writer) Duration(d time.Duration) { w.Varint(int64(d)) }
@@ -182,17 +170,17 @@ func NewReader(b []byte) *Reader { return &Reader{b: b} }
 // Err returns the first decode error encountered.
 func (r *Reader) Err() error { return r.err }
 
-// Remaining returns the number of undecoded bytes.
-func (r *Reader) Remaining() int { return len(r.b) - r.off }
+// remaining returns the number of undecoded bytes.
+func (r *Reader) remaining() int { return len(r.b) - r.off }
 
-// Done returns r.Err(), or ErrRange if undecoded bytes remain — a
+// Done returns r.Err(), or errRange if undecoded bytes remain — a
 // section must be consumed exactly.
 func (r *Reader) Done() error {
 	if r.err != nil {
 		return r.err
 	}
 	if r.off != len(r.b) {
-		return ErrRange
+		return errRange
 	}
 	return nil
 }
@@ -201,8 +189,8 @@ func (r *Reader) take(n int) []byte {
 	if r.err != nil {
 		return nil
 	}
-	if n < 0 || r.Remaining() < n {
-		r.err = ErrShortBuffer
+	if n < 0 || r.remaining() < n {
+		r.err = errShortBuffer
 		return nil
 	}
 	b := r.b[r.off : r.off+n]
@@ -218,9 +206,9 @@ func (r *Reader) Uvarint() uint64 {
 	v, n := binary.Uvarint(r.b[r.off:])
 	if n <= 0 {
 		if n == 0 {
-			r.err = ErrShortBuffer
+			r.err = errShortBuffer
 		} else {
-			r.err = ErrRange
+			r.err = errRange
 		}
 		return 0
 	}
@@ -236,9 +224,9 @@ func (r *Reader) Varint() int64 {
 	v, n := binary.Varint(r.b[r.off:])
 	if n <= 0 {
 		if n == 0 {
-			r.err = ErrShortBuffer
+			r.err = errShortBuffer
 		} else {
-			r.err = ErrRange
+			r.err = errRange
 		}
 		return 0
 	}
@@ -255,26 +243,8 @@ func (r *Reader) U8() uint8 {
 	return b[0]
 }
 
-// U16 decodes a fixed-width little-endian uint16.
-func (r *Reader) U16() uint16 {
-	b := r.take(2)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint16(b)
-}
-
-// U32 decodes a fixed-width little-endian uint32.
-func (r *Reader) U32() uint32 {
-	b := r.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(b)
-}
-
-// U64 decodes a fixed-width little-endian uint64.
-func (r *Reader) U64() uint64 {
+// u64 decodes a fixed-width little-endian uint64.
+func (r *Reader) u64() uint64 {
 	b := r.take(8)
 	if b == nil {
 		return 0
@@ -282,7 +252,7 @@ func (r *Reader) U64() uint64 {
 	return binary.LittleEndian.Uint64(b)
 }
 
-// Bool decodes a boolean; any byte other than 0 or 1 is ErrRange.
+// Bool decodes a boolean; any byte other than 0 or 1 is errRange.
 func (r *Reader) Bool() bool {
 	switch r.U8() {
 	case 0:
@@ -291,14 +261,14 @@ func (r *Reader) Bool() bool {
 		return true
 	default:
 		if r.err == nil {
-			r.err = ErrRange
+			r.err = errRange
 		}
 		return false
 	}
 }
 
 // F64 decodes an IEEE-754 float64.
-func (r *Reader) F64() float64 { return math.Float64frombits(r.U64()) }
+func (r *Reader) F64() float64 { return math.Float64frombits(r.u64()) }
 
 // Duration decodes a time.Duration.
 func (r *Reader) Duration() time.Duration { return time.Duration(r.Varint()) }
@@ -312,15 +282,15 @@ func (r *Reader) Time() time.Time {
 	return time.Unix(0, ns).UTC()
 }
 
-// Len decodes a length prefix and validates it against the bytes
+// length decodes a length prefix and validates it against the bytes
 // remaining, so callers can pre-size slices without trusting input.
-func (r *Reader) Len() int {
+func (r *Reader) length() int {
 	v := r.Uvarint()
 	if r.err != nil {
 		return 0
 	}
-	if v > uint64(r.Remaining()) {
-		r.err = ErrShortBuffer
+	if v > uint64(r.remaining()) {
+		r.err = errShortBuffer
 		return 0
 	}
 	return int(v)
@@ -336,8 +306,8 @@ func (r *Reader) Count(perItem int) int {
 	if perItem < 1 {
 		perItem = 1
 	}
-	if v > uint64(r.Remaining()/perItem) {
-		r.err = ErrShortBuffer
+	if v > uint64(r.remaining()/perItem) {
+		r.err = errShortBuffer
 		return 0
 	}
 	return int(v)
@@ -345,7 +315,7 @@ func (r *Reader) Count(perItem int) int {
 
 // Bytes decodes a length-prefixed byte slice (copied out).
 func (r *Reader) Bytes() []byte {
-	n := r.Len()
+	n := r.length()
 	b := r.take(n)
 	if b == nil || n == 0 {
 		return nil
@@ -359,12 +329,12 @@ func (r *Reader) Bytes() []byte {
 // itself, valid while the section is: a comparison or a map lookup
 // with it copies nothing.
 func (r *Reader) View() []byte {
-	return r.take(r.Len())
+	return r.take(r.length())
 }
 
 // String decodes a length-prefixed string.
 func (r *Reader) String() string {
-	n := r.Len()
+	n := r.length()
 	b := r.take(n)
 	if b == nil {
 		return ""
@@ -391,7 +361,7 @@ func (r *Reader) Prefix() netip.Prefix {
 		addr = netip.AddrFrom16([16]byte(b))
 	default:
 		if r.err == nil {
-			r.err = ErrRange
+			r.err = errRange
 		}
 		return netip.Prefix{}
 	}
@@ -401,7 +371,7 @@ func (r *Reader) Prefix() netip.Prefix {
 	}
 	p := netip.PrefixFrom(addr, bits)
 	if !p.IsValid() {
-		r.err = ErrRange
+		r.err = errRange
 		return netip.Prefix{}
 	}
 	return p

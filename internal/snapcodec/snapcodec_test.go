@@ -13,9 +13,7 @@ func TestRoundTrip(t *testing.T) {
 	w.Uvarint(1 << 60)
 	w.Varint(-42)
 	w.U8(7)
-	w.U16(0xbeef)
-	w.U32(0xdeadbeef)
-	w.U64(1 << 63)
+	w.u64(1 << 63)
 	w.Bool(true)
 	w.Bool(false)
 	w.F64(3.25)
@@ -40,13 +38,7 @@ func TestRoundTrip(t *testing.T) {
 	if got := r.U8(); got != 7 {
 		t.Fatalf("u8 = %d", got)
 	}
-	if got := r.U16(); got != 0xbeef {
-		t.Fatalf("u16 = %#x", got)
-	}
-	if got := r.U32(); got != 0xdeadbeef {
-		t.Fatalf("u32 = %#x", got)
-	}
-	if got := r.U64(); got != 1<<63 {
+	if got := r.u64(); got != 1<<63 {
 		t.Fatalf("u64 = %#x", got)
 	}
 	if !r.Bool() || r.Bool() {
@@ -91,23 +83,23 @@ func TestOversizedLength(t *testing.T) {
 	if got := r.Bytes(); got != nil {
 		t.Fatalf("bytes = %v, want nil", got)
 	}
-	if r.Err() != ErrShortBuffer {
-		t.Fatalf("err = %v, want ErrShortBuffer", r.Err())
+	if r.Err() != errShortBuffer {
+		t.Fatalf("err = %v, want errShortBuffer", r.Err())
 	}
 	// Sticky: everything after the failure is a zero-valued no-op.
-	if got := r.U64(); got != 0 {
+	if got := r.u64(); got != 0 {
 		t.Fatalf("post-error u64 = %d", got)
 	}
 }
 
 func TestTruncation(t *testing.T) {
 	w := NewAppendWriter(nil)
-	w.U64(12345)
+	w.u64(12345)
 	w.String("payload")
 	full := w.Appended()
 	for cut := 0; cut < len(full); cut++ {
 		r := NewReader(full[:cut])
-		_ = r.U64()
+		_ = r.u64()
 		_ = r.String()
 		if err := r.Done(); err == nil {
 			t.Fatalf("truncation at %d not detected", cut)
@@ -118,16 +110,16 @@ func TestTruncation(t *testing.T) {
 func TestLeftoverBytes(t *testing.T) {
 	r := NewReader([]byte{1, 2, 3})
 	r.U8()
-	if err := r.Done(); err != ErrRange {
-		t.Fatalf("err = %v, want ErrRange", err)
+	if err := r.Done(); err != errRange {
+		t.Fatalf("err = %v, want errRange", err)
 	}
 }
 
 func TestBadBool(t *testing.T) {
 	r := NewReader([]byte{2})
 	r.Bool()
-	if r.Err() != ErrRange {
-		t.Fatalf("err = %v, want ErrRange", r.Err())
+	if r.Err() != errRange {
+		t.Fatalf("err = %v, want errRange", r.Err())
 	}
 }
 
@@ -135,7 +127,7 @@ func TestCount(t *testing.T) {
 	w := NewAppendWriter(nil)
 	w.Uvarint(1 << 50)
 	r := NewReader(w.Appended())
-	if n := r.Count(8); n != 0 || r.Err() != ErrShortBuffer {
+	if n := r.Count(8); n != 0 || r.Err() != errShortBuffer {
 		t.Fatalf("count = %d err = %v", n, r.Err())
 	}
 }
@@ -149,7 +141,7 @@ func TestBlockWriterMatchesAppend(t *testing.T) {
 	fill := func(w *Writer) {
 		for i := 0; i < 100_000; i++ {
 			w.Uvarint(uint64(i) << (i % 50))
-			w.U32(uint32(i))
+			w.u64(uint64(i))
 			w.String("border")
 			w.Prefix(netip.MustParsePrefix("2001:db8::/32"))
 			if i == 50_000 {
@@ -175,7 +167,7 @@ func TestBlockWriterMatchesAppend(t *testing.T) {
 
 	r := NewReader(a.Appended())
 	r.Uvarint()
-	r.U32()
+	r.u64()
 	if v := r.View(); string(v) != "border" {
 		t.Fatalf("View = %q, want %q", v, "border")
 	}

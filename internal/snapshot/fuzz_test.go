@@ -48,7 +48,7 @@ func FuzzRead(f *testing.F) {
 }
 
 // FuzzRestoreBGP: arbitrary bytes as the bgp section of an otherwise
-// valid sharded image. Restore must refuse them with *FormatError —
+// valid sharded image. Restore must refuse them with *formatError —
 // never a panic, never an allocation beyond the section's size — or
 // build a world whose routing still runs: a link fails and recovers.
 func FuzzRestoreBGP(f *testing.F) {
@@ -69,7 +69,7 @@ func FuzzRestoreBGP(f *testing.F) {
 	} else {
 		w.Eng.Close()
 	}
-	good := img.Section(SecBGP)
+	good := img.raw(secBGP)
 	f.Add(good)
 	f.Add(good[:len(good)/2])
 	for _, at := range []int{0, 7, len(good) / 3, len(good) - 9} {
@@ -84,12 +84,12 @@ func FuzzRestoreBGP(f *testing.F) {
 		for k, v := range img.sections {
 			sections[k] = v
 		}
-		sections[SecBGP] = data
+		sections[secBGP] = data
 		w, err := Restore(&Image{Version: img.Version, sections: sections}, Options{Workers: 1})
 		if err != nil {
-			var fe *FormatError
+			var fe *formatError
 			if !errors.As(err, &fe) {
-				t.Fatalf("err = %v, want *FormatError", err)
+				t.Fatalf("err = %v, want *formatError", err)
 			}
 			return
 		}

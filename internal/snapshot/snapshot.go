@@ -15,10 +15,10 @@
 //	  payload [length]byte
 //	  crc     uint32   CRC-32C (Castagnoli) over kind, length, payload
 //
-// Every structural defect maps to a typed error — ErrBadMagic,
-// *VersionError, ErrTruncated, *ChecksumError, *FormatError — and the
+// Every structural defect maps to a typed error — errBadMagic,
+// *versionError, errTruncated, *checksumError, *formatError — and the
 // decoder never allocates ahead of the bytes it has actually read, so
-// a forged multi-gigabyte length prefix fails with ErrTruncated
+// a forged multi-gigabyte length prefix fails with errTruncated
 // instead of an OOM. WriteFile is atomic: the image is written to a
 // temp file, synced, and renamed over the target, so a crash
 // mid-checkpoint leaves the previous image intact.
@@ -27,13 +27,13 @@
 //
 // Two world shapes serialize, distinguished by which sections exist:
 //
-//   - Converged network (no SecCore): topology + RIBs + clocks. This
+//   - Converged network (no secCore): topology + RIBs + clocks. This
 //     is the bit-identity restore point — the event queue is empty, so
 //     restore reproduces the exact pre-deploy state and any program
 //     run afterwards (deploy, attack, crash campaigns) is
 //     bit-identical to a straight-through run.
 //
-//   - Deployed system (SecCore present): additionally the deploy
+//   - Deployed system (secCore present): additionally the deploy
 //     ledger, campaign journals, resumption secrets and router
 //     function tables. Restore rebuilds controllers from durable state
 //     only and composes with the existing crash-recovery machinery:
@@ -54,6 +54,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"time"
 
 	"discs/internal/bgp"
@@ -65,26 +66,26 @@ import (
 	"discs/internal/wire"
 )
 
-// Version is the current image format version. Version 3 carries the
+// formatVersion is the current image format version. Version 3 carries the
 // engine's lane state (shard count, per-lane clocks, creation counters
 // and fault-stream positions) at the head of the netsim section, where
 // version 2 had a separate parsim section that only engine-driven
 // worlds wrote. Version 2 stored the bgp section as the RIB's slabs
 // (prefix, attribute-set and AS-path tables, then per-speaker rows and
 // Adj-RIB-In vectors). Older images are refused.
-const Version = 3
+const formatVersion = 3
 
 var magic = [8]byte{'D', 'I', 'S', 'C', 'S', 'N', 'A', 'P'}
 
 // Section kinds.
 const (
-	SecMeta   uint16 = 1
-	SecTopo   uint16 = 2
-	SecBGP    uint16 = 3
-	SecNetsim uint16 = 4
-	SecObs    uint16 = 6
-	SecCore   uint16 = 7
-	SecWire   uint16 = 8
+	secMeta   uint16 = 1
+	secTopo   uint16 = 2
+	secBGP    uint16 = 3
+	secNetsim uint16 = 4
+	secObs    uint16 = 6
+	secCore   uint16 = 7
+	secWire   uint16 = 8
 )
 
 // maxSectionLen rejects absurd length prefixes outright; anything
@@ -96,54 +97,54 @@ const maxSectionLen = 1 << 34
 // these — a corrupt or truncated image is always a clean error, never
 // a panic or a silently diverging world.
 var (
-	// ErrBadMagic: the input is not a DISCS snapshot at all.
-	ErrBadMagic = errors.New("snapshot: bad magic")
-	// ErrTruncated: the input ends mid-header or mid-section.
-	ErrTruncated = errors.New("snapshot: truncated image")
+	// errBadMagic: the input is not a DISCS snapshot at all.
+	errBadMagic = errors.New("snapshot: bad magic")
+	// errTruncated: the input ends mid-header or mid-section.
+	errTruncated = errors.New("snapshot: truncated image")
 )
 
-// VersionError reports an image written by an incompatible format
+// versionError reports an image written by an incompatible format
 // version.
-type VersionError struct{ Got uint16 }
+type versionError struct{ Got uint16 }
 
-func (e *VersionError) Error() string {
-	return fmt.Sprintf("snapshot: format version %d, this build reads %d", e.Got, Version)
+func (e *versionError) Error() string {
+	return fmt.Sprintf("snapshot: format version %d, this build reads %d", e.Got, formatVersion)
 }
 
-// ChecksumError reports a section whose CRC-32C does not match — a
+// checksumError reports a section whose CRC-32C does not match — a
 // bit-flipped or otherwise corrupted image.
-type ChecksumError struct{ Kind uint16 }
+type checksumError struct{ Kind uint16 }
 
-func (e *ChecksumError) Error() string {
+func (e *checksumError) Error() string {
 	return fmt.Sprintf("snapshot: section %d checksum mismatch", e.Kind)
 }
 
-// FormatError reports a structurally malformed image or section.
-type FormatError struct {
+// formatError reports a structurally malformed image or section.
+type formatError struct {
 	Section string
 	Err     error
 }
 
-func (e *FormatError) Error() string {
+func (e *formatError) Error() string {
 	return fmt.Sprintf("snapshot: malformed %s section: %v", e.Section, e.Err)
 }
-func (e *FormatError) Unwrap() error { return e.Err }
+func (e *formatError) Unwrap() error { return e.Err }
 
 func secName(kind uint16) string {
 	switch kind {
-	case SecMeta:
+	case secMeta:
 		return "meta"
-	case SecTopo:
+	case secTopo:
 		return "topology"
-	case SecBGP:
+	case secBGP:
 		return "bgp"
-	case SecNetsim:
+	case secNetsim:
 		return "netsim"
-	case SecObs:
+	case secObs:
 		return "obs"
-	case SecCore:
+	case secCore:
 		return "core"
-	case SecWire:
+	case secWire:
 		return "wire"
 	}
 	return fmt.Sprintf("kind-%d", kind)
@@ -166,11 +167,8 @@ type Image struct {
 	sections map[uint16][]byte
 }
 
-// Section returns the raw payload of a section kind, or nil.
-func (img *Image) Section(kind uint16) []byte { return img.sections[kind] }
-
-// Has reports whether the image carries a section.
-func (img *Image) Has(kind uint16) bool { return img.sections[kind] != nil }
+// raw returns the raw payload of a section kind, or nil.
+func (img *Image) raw(kind uint16) []byte { return img.sections[kind] }
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
@@ -238,27 +236,27 @@ func Write(w io.Writer, world *World) error {
 		fill func(*snapcodec.Writer) error
 	}
 	secs := []sec{
-		{SecMeta, func(sw *snapcodec.Writer) error {
+		{secMeta, func(sw *snapcodec.Writer) error {
 			sw.Duration(linkDelayOf(world.Net))
 			sw.Bool(world.Sys != nil)
 			sw.Bool(world.Data != nil)
 			return nil
 		}},
-		{SecTopo, world.Net.Topo.Checkpoint},
-		{SecBGP, world.Net.Checkpoint},
+		{secTopo, world.Net.Topo.Checkpoint},
+		{secBGP, world.Net.Checkpoint},
 	}
 	if world.Sys != nil {
-		secs = append(secs, sec{SecCore, world.Sys.Checkpoint})
+		secs = append(secs, sec{secCore, world.Sys.Checkpoint})
 	}
 	if world.Data != nil {
-		secs = append(secs, sec{SecWire, world.Data.Checkpoint})
+		secs = append(secs, sec{secWire, world.Data.Checkpoint})
 	}
-	secs = append(secs, sec{SecNetsim, world.Net.Sim.Checkpoint})
+	secs = append(secs, sec{secNetsim, world.Net.Sim.Checkpoint})
 	reg := world.Net.Sim.Registry()
 	if world.Sys != nil {
 		reg = world.Sys.Registry()
 	}
-	secs = append(secs, sec{SecObs, func(sw *snapcodec.Writer) error {
+	secs = append(secs, sec{secObs, func(sw *snapcodec.Writer) error {
 		writeObs(sw, reg.Snapshot())
 		return nil
 	}})
@@ -277,7 +275,7 @@ func Write(w io.Writer, world *World) error {
 
 	var hdr [12]byte
 	copy(hdr[:8], magic[:])
-	hdr[8], hdr[9] = byte(Version), byte(Version>>8)
+	hdr[8], hdr[9] = byte(formatVersion), byte(formatVersion>>8)
 	if _, err := w.Write(hdr[:]); err != nil {
 		return err
 	}
@@ -331,7 +329,7 @@ func Read(r io.Reader) (*Image, error) { return read(r, -1) }
 
 // read is Read of an input with left bytes, or of unknown length where
 // left is negative. Where the length is known, a section that claims
-// more bytes than are left is ErrTruncated before anything is
+// more bytes than are left is errTruncated before anything is
 // allocated, and one that fits is read whole into a buffer of its
 // size; otherwise sections are copied incrementally.
 func read(r io.Reader, left int64) (*Image, error) {
@@ -344,18 +342,18 @@ func read(r io.Reader, left int64) (*Image, error) {
 	})
 	hdr := &fixed.hdr
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, ErrTruncated
+		return nil, errTruncated
 	}
 	left -= int64(len(hdr))
 	if [8]byte(hdr[:8]) != magic {
-		return nil, ErrBadMagic
+		return nil, errBadMagic
 	}
 	version := uint16(hdr[8]) | uint16(hdr[9])<<8
-	if version != Version {
-		return nil, &VersionError{Got: version}
+	if version != formatVersion {
+		return nil, &versionError{Got: version}
 	}
 	if hdr[10] != 0 || hdr[11] != 0 {
-		return nil, &FormatError{Section: "header", Err: errors.New("nonzero reserved flags")}
+		return nil, &formatError{Section: "header", Err: errors.New("nonzero reserved flags")}
 	}
 
 	img := &Image{Version: version, sections: make(map[uint16][]byte, 8)}
@@ -365,7 +363,7 @@ func read(r io.Reader, left int64) (*Image, error) {
 			if err == io.EOF {
 				return img, nil
 			}
-			return nil, ErrTruncated
+			return nil, errTruncated
 		}
 		left -= int64(len(shdr))
 		kind := uint16(shdr[0]) | uint16(shdr[1])<<8
@@ -374,39 +372,39 @@ func read(r io.Reader, left int64) (*Image, error) {
 			length |= uint64(shdr[2+i]) << (8 * i)
 		}
 		if length > maxSectionLen {
-			return nil, &FormatError{Section: secName(kind), Err: fmt.Errorf("length %d exceeds limit", length)}
+			return nil, &formatError{Section: secName(kind), Err: fmt.Errorf("length %d exceeds limit", length)}
 		}
 		if _, dup := img.sections[kind]; dup {
-			return nil, &FormatError{Section: secName(kind), Err: errors.New("duplicate section")}
+			return nil, &formatError{Section: secName(kind), Err: errors.New("duplicate section")}
 		}
 		var data []byte
 		if left >= 0 {
 			if length+4 > uint64(left) {
-				return nil, ErrTruncated
+				return nil, errTruncated
 			}
 			left -= int64(length) + 4
 			data = make([]byte, length)
 			if _, err := io.ReadFull(r, data); err != nil {
-				return nil, ErrTruncated
+				return nil, errTruncated
 			}
 		} else {
 			// Incremental copy: allocation grows with bytes actually
 			// read, so a forged length on a short input fails as
-			// ErrTruncated without a large up-front allocation.
+			// errTruncated without a large up-front allocation.
 			var buf bytes.Buffer
 			if n, err := io.CopyN(&buf, r, int64(length)); err != nil || uint64(n) != length {
-				return nil, ErrTruncated
+				return nil, errTruncated
 			}
 			data = buf.Bytes()
 		}
 		if _, err := io.ReadFull(r, tail[:]); err != nil {
-			return nil, ErrTruncated
+			return nil, errTruncated
 		}
 		want := uint32(tail[0]) | uint32(tail[1])<<8 | uint32(tail[2])<<16 | uint32(tail[3])<<24
 		crc := crc32.Checksum(shdr[:], castagnoli)
 		crc = crc32.Update(crc, castagnoli, data)
 		if crc != want {
-			return nil, &ChecksumError{Kind: kind}
+			return nil, &checksumError{Kind: kind}
 		}
 		img.sections[kind] = data
 	}
@@ -455,14 +453,14 @@ type Options struct {
 // On an error, the engine it had started is closed.
 func Restore(img *Image, opt Options) (*World, error) {
 	need := func(kind uint16) (*snapcodec.Reader, error) {
-		b := img.Section(kind)
+		b := img.raw(kind)
 		if b == nil {
-			return nil, &FormatError{Section: secName(kind), Err: errors.New("section missing")}
+			return nil, &formatError{Section: secName(kind), Err: errors.New("section missing")}
 		}
 		return snapcodec.NewReader(b), nil
 	}
 
-	mr, err := need(SecMeta)
+	mr, err := need(secMeta)
 	if err != nil {
 		return nil, err
 	}
@@ -470,22 +468,22 @@ func Restore(img *Image, opt Options) (*World, error) {
 	hasSys := mr.Bool()
 	hasData := mr.Bool()
 	if err := mr.Done(); err != nil {
-		return nil, &FormatError{Section: "meta", Err: err}
+		return nil, &formatError{Section: "meta", Err: err}
 	}
 	if linkDelay < 0 {
-		return nil, &FormatError{Section: "meta", Err: errors.New("negative link delay")}
+		return nil, &formatError{Section: "meta", Err: errors.New("negative link delay")}
 	}
 
-	tr, err := need(SecTopo)
+	tr, err := need(secTopo)
 	if err != nil {
 		return nil, err
 	}
 	topo, warm, err := topology.RestoreTopology(tr)
 	if err != nil {
-		return nil, &FormatError{Section: "topology", Err: err}
+		return nil, &formatError{Section: "topology", Err: err}
 	}
 	if err := tr.Done(); err != nil {
-		return nil, &FormatError{Section: "topology", Err: err}
+		return nil, &formatError{Section: "topology", Err: err}
 	}
 	// Re-warm the route-tree cache before any metrics are published,
 	// so warming does not perturb restored hit/miss counters. A nil
@@ -504,13 +502,13 @@ func Restore(img *Image, opt Options) (*World, error) {
 	// Peek the shard count now — the engine must exist (and shard
 	// assignment be final) before the deploy replay creates nodes —
 	// but consume the full section later, once the world is built.
-	nr, err := need(SecNetsim)
+	nr, err := need(secNetsim)
 	if err != nil {
 		return nil, err
 	}
 	shards := int(nr.Uvarint())
 	if nr.Err() != nil || shards <= 0 || shards > netsim.MaxShards {
-		return nil, &FormatError{Section: "netsim", Err: errors.New("invalid shard count")}
+		return nil, &formatError{Section: "netsim", Err: errors.New("invalid shard count")}
 	}
 	net.AssignShards(shards)
 	eng, err := net.Sim.Relane(netsim.Options{Shards: shards, Workers: opt.Workers})
@@ -525,15 +523,15 @@ func Restore(img *Image, opt Options) (*World, error) {
 	}()
 	world := &World{Net: net, Eng: eng}
 
-	br, err := need(SecBGP)
+	br, err := need(secBGP)
 	if err != nil {
 		return nil, err
 	}
 	if err := net.RestoreCheckpoint(br); err != nil {
-		return nil, &FormatError{Section: "bgp", Err: err}
+		return nil, &formatError{Section: "bgp", Err: err}
 	}
 	if err := br.Done(); err != nil {
-		return nil, &FormatError{Section: "bgp", Err: err}
+		return nil, &formatError{Section: "bgp", Err: err}
 	}
 
 	if hasSys {
@@ -545,22 +543,22 @@ func Restore(img *Image, opt Options) (*World, error) {
 		if err != nil {
 			return nil, err
 		}
-		cr, err := need(SecCore)
+		cr, err := need(secCore)
 		if err != nil {
 			return nil, err
 		}
 		if err := sys.RestoreCheckpoint(cr); err != nil {
-			return nil, &FormatError{Section: "core", Err: err}
+			return nil, &formatError{Section: "core", Err: err}
 		}
 		if err := cr.Done(); err != nil {
-			return nil, &FormatError{Section: "core", Err: err}
+			return nil, &formatError{Section: "core", Err: err}
 		}
 		world.Sys = sys
 	}
 
 	if hasData {
 		if world.Sys == nil {
-			return nil, &FormatError{Section: "wire", Err: errors.New("wire section without core section")}
+			return nil, &formatError{Section: "wire", Err: errors.New("wire section without core section")}
 		}
 		wcfg := wire.DefaultConfig()
 		if opt.Wire != nil {
@@ -570,36 +568,36 @@ func Restore(img *Image, opt Options) (*World, error) {
 		if err != nil {
 			return nil, err
 		}
-		wr, err := need(SecWire)
+		wr, err := need(secWire)
 		if err != nil {
 			return nil, err
 		}
 		if err := dn.RestoreCheckpoint(wr); err != nil {
-			return nil, &FormatError{Section: "wire", Err: err}
+			return nil, &formatError{Section: "wire", Err: err}
 		}
 		if err := wr.Done(); err != nil {
-			return nil, &FormatError{Section: "wire", Err: err}
+			return nil, &formatError{Section: "wire", Err: err}
 		}
 		world.Data = dn
 	}
 
 	// Node and link tables are complete now; restore clocks, RNG
 	// positions and per-link state.
-	nr = snapcodec.NewReader(img.Section(SecNetsim))
+	nr = snapcodec.NewReader(img.raw(secNetsim))
 	if err := net.Sim.RestoreCheckpoint(nr); err != nil {
-		return nil, &FormatError{Section: "netsim", Err: err}
+		return nil, &formatError{Section: "netsim", Err: err}
 	}
 	if err := nr.Done(); err != nil {
-		return nil, &FormatError{Section: "netsim", Err: err}
+		return nil, &formatError{Section: "netsim", Err: err}
 	}
 
-	or, err := need(SecObs)
+	or, err := need(secObs)
 	if err != nil {
 		return nil, err
 	}
 	snap, err := readObs(or)
 	if err != nil {
-		return nil, &FormatError{Section: "obs", Err: err}
+		return nil, &formatError{Section: "obs", Err: err}
 	}
 	reg := net.Sim.Registry()
 	if world.Sys != nil {
@@ -610,16 +608,28 @@ func Restore(img *Image, opt Options) (*World, error) {
 	return world, nil
 }
 
-// writeObs serializes a metrics snapshot (counters and gauges, sorted;
-// histograms are diagnostic-only and restart empty).
+// engineMetrics is the namespace of the event engine's scheduling
+// metrics (worker stall time, events per worker), which vary from run
+// to run of one seeded world. writeObs leaves it out, so that a world
+// writes the same image every time; Restore still absorbs it from
+// images that carry it.
+const engineMetrics = "parsim."
+
+// writeObs serializes a metrics snapshot (counters and gauges, sorted,
+// the engine's scheduling metrics left out; histograms are
+// diagnostic-only and restart empty).
 func writeObs(w *snapcodec.Writer, s obs.Snapshot) {
 	cnames := make([]string, 0, len(s.Counters))
 	for name := range s.Counters {
-		cnames = append(cnames, name)
+		if !strings.HasPrefix(name, engineMetrics) {
+			cnames = append(cnames, name)
+		}
 	}
 	gnames := make([]string, 0, len(s.Gauges))
 	for name := range s.Gauges {
-		gnames = append(gnames, name)
+		if !strings.HasPrefix(name, engineMetrics) {
+			gnames = append(gnames, name)
+		}
 	}
 	sort.Strings(cnames)
 	sort.Strings(gnames)

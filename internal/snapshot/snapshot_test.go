@@ -14,7 +14,6 @@ import (
 	"discs/internal/bgp"
 	"discs/internal/core"
 	"discs/internal/netsim"
-	"discs/internal/parsim"
 	"discs/internal/topology"
 	"discs/internal/wire"
 )
@@ -55,7 +54,7 @@ func buildWorld(t testing.TB, shards, workers int) *World {
 	world := &World{Net: net}
 	if shards > 0 {
 		net.AssignShards(shards)
-		eng, err := parsim.New(net.Sim, parsim.Options{Shards: shards, Workers: workers})
+		eng, err := net.Sim.Relane(netsim.Options{Shards: shards, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -152,7 +151,7 @@ func TestSystemRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !img.Has(SecCore) || !img.Has(SecNetsim) {
+	if img.sections[secCore] == nil || img.sections[secNetsim] == nil {
 		t.Fatal("system image missing core/netsim sections")
 	}
 	got, err := Restore(img, Options{Workers: 2, Config: &cfg})
@@ -194,18 +193,18 @@ func TestShardCountRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	good := img.Section(SecNetsim)
+	good := img.raw(secNetsim)
 	if good[0] != 2 {
 		t.Fatalf("netsim section starts %#x, want the shard count 2", good[0])
 	}
 	for _, shards := range []uint64{netsim.MaxShards + 1, 1 << 40} {
-		img.sections[SecNetsim] = append(binary.AppendUvarint(nil, shards), good[1:]...)
-		var fe *FormatError
+		img.sections[secNetsim] = append(binary.AppendUvarint(nil, shards), good[1:]...)
+		var fe *formatError
 		if w, err := Restore(img, Options{}); !errors.As(err, &fe) || fe.Section != "netsim" {
 			if w != nil && w.Eng != nil {
 				w.Eng.Close()
 			}
-			t.Fatalf("%d shards: err = %v, want a netsim FormatError", shards, err)
+			t.Fatalf("%d shards: err = %v, want a netsim formatError", shards, err)
 		}
 	}
 }
@@ -318,24 +317,24 @@ func TestCorruptionRejected(t *testing.T) {
 	t.Run("magic", func(t *testing.T) {
 		bad := append([]byte(nil), good...)
 		bad[0] ^= 0xff
-		if _, err := Read(bytes.NewReader(bad)); !errors.Is(err, ErrBadMagic) {
-			t.Fatalf("err = %v, want ErrBadMagic", err)
+		if _, err := Read(bytes.NewReader(bad)); !errors.Is(err, errBadMagic) {
+			t.Fatalf("err = %v, want errBadMagic", err)
 		}
 	})
 	t.Run("version", func(t *testing.T) {
 		bad := append([]byte(nil), good...)
 		bad[8] = 0xff
-		var ve *VersionError
+		var ve *versionError
 		if _, err := Read(bytes.NewReader(bad)); !errors.As(err, &ve) {
-			t.Fatalf("err = %v, want VersionError", err)
+			t.Fatalf("err = %v, want versionError", err)
 		} else if ve.Got != 0xff {
-			t.Fatalf("VersionError.Got = %d", ve.Got)
+			t.Fatalf("versionError.Got = %d", ve.Got)
 		}
 	})
 	t.Run("truncated", func(t *testing.T) {
 		for _, cut := range []int{5, 11, 13, len(good) / 2, len(good) - 1} {
-			if _, err := Read(bytes.NewReader(good[:cut])); !errors.Is(err, ErrTruncated) {
-				t.Fatalf("cut %d: err = %v, want ErrTruncated", cut, err)
+			if _, err := Read(bytes.NewReader(good[:cut])); !errors.Is(err, errTruncated) {
+				t.Fatalf("cut %d: err = %v, want errTruncated", cut, err)
 			}
 		}
 	})
@@ -343,9 +342,9 @@ func TestCorruptionRejected(t *testing.T) {
 		// Flip a byte inside a section payload: checksum must catch it.
 		bad := append([]byte(nil), good...)
 		bad[len(bad)/2] ^= 0x10
-		var ce *ChecksumError
+		var ce *checksumError
 		if _, err := Read(bytes.NewReader(bad)); !errors.As(err, &ce) {
-			t.Fatalf("err = %v, want ChecksumError", err)
+			t.Fatalf("err = %v, want checksumError", err)
 		}
 	})
 	t.Run("oversized-length", func(t *testing.T) {
@@ -356,17 +355,17 @@ func TestCorruptionRejected(t *testing.T) {
 			bad[14+i] = 0xff
 		}
 		_, err := Read(bytes.NewReader(bad))
-		var fe *FormatError
-		if !errors.Is(err, ErrTruncated) && !errors.As(err, &fe) {
-			t.Fatalf("err = %v, want ErrTruncated or FormatError", err)
+		var fe *formatError
+		if !errors.Is(err, errTruncated) && !errors.As(err, &fe) {
+			t.Fatalf("err = %v, want errTruncated or formatError", err)
 		}
 	})
 }
 
 // TestReadFileSized runs ReadFile, which bounds each section by the
 // file's size, over the same cases: a good image reads as Read reads it,
-// every cut is ErrTruncated, and a forged length past the end of the
-// file is ErrTruncated before its buffer is allocated.
+// every cut is errTruncated, and a forged length past the end of the
+// file is errTruncated before its buffer is allocated.
 func TestReadFileSized(t *testing.T) {
 	good := encode(t, buildWorld(t, 0, 0))
 	dir := t.TempDir()
@@ -389,16 +388,16 @@ func TestReadFileSized(t *testing.T) {
 		t.Fatal("ReadFile and Read decode the same image differently")
 	}
 	for _, cut := range []int{5, 11, 13, len(good) / 2, len(good) - 1} {
-		if _, err := readFile("cut", good[:cut]); !errors.Is(err, ErrTruncated) {
-			t.Fatalf("cut %d: err = %v, want ErrTruncated", cut, err)
+		if _, err := readFile("cut", good[:cut]); !errors.Is(err, errTruncated) {
+			t.Fatalf("cut %d: err = %v, want errTruncated", cut, err)
 		}
 	}
 	bad := append([]byte(nil), good...)
 	binary.LittleEndian.PutUint64(bad[14:], 64<<20)
 	var b uint64
 	_, b = allocated(func() { _, err = readFile("forged", bad) })
-	if !errors.Is(err, ErrTruncated) {
-		t.Fatalf("forged length: err = %v, want ErrTruncated", err)
+	if !errors.Is(err, errTruncated) {
+		t.Fatalf("forged length: err = %v, want errTruncated", err)
 	}
 	if !raceEnabled && b > 1<<20 {
 		t.Fatalf("forged 64 MB length: %d bytes allocated before failing", b)

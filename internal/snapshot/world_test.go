@@ -208,10 +208,10 @@ func TestNoGoroutineOutlivesItsEngine(t *testing.T) {
 	// after the engine is running.
 	var buf bytes.Buffer
 	buf.Write(magic[:])
-	buf.Write([]byte{byte(Version), byte(Version >> 8), 0, 0})
-	for _, kind := range []uint16{SecMeta, SecTopo, SecBGP, SecNetsim, SecObs} {
-		payload := good.Section(kind)
-		if kind == SecBGP {
+	buf.Write([]byte{byte(formatVersion), byte(formatVersion >> 8), 0, 0})
+	for _, kind := range []uint16{secMeta, secTopo, secBGP, secNetsim, secObs} {
+		payload := good.raw(kind)
+		if kind == secBGP {
 			payload = payload[:len(payload)/2]
 		}
 		if err := writeSection(&buf, kind, [][]byte{payload}); err != nil {

@@ -135,7 +135,7 @@ func TestV4IndexInvalidation(t *testing.T) {
 	}
 
 	// prefix2as load: AS 7 gets its prefixes on separate lines.
-	loaded, err := LoadPrefix2AS(strings.NewReader("10.0.0.0\t24\t7\n10.0.1.0\t24\t7_8\n"))
+	loaded, err := loadPrefix2AS(strings.NewReader("10.0.0.0\t24\t7\n10.0.1.0\t24\t7_8\n"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,8 +30,8 @@ func TestRouteCacheCorrectness(t *testing.T) {
 	if &p1[0] == &p2[0] {
 		t.Fatal("Path must return a freshly allocated slice per call")
 	}
-	if tp.CachedRouteTrees() != 1 {
-		t.Fatalf("cached trees = %d, want 1", tp.CachedRouteTrees())
+	if tp.cachedRouteTrees() != 1 {
+		t.Fatalf("cached trees = %d, want 1", tp.cachedRouteTrees())
 	}
 	// Negative results come from the same cached tree.
 	if _, ok := tp.Path(1, 4); ok {
@@ -42,8 +42,8 @@ func TestRouteCacheCorrectness(t *testing.T) {
 	}
 	// Adding a link invalidates: AS4 becomes reachable.
 	mustLink(t, tp, 4, 2, CustomerToProvider)
-	if tp.CachedRouteTrees() != 0 {
-		t.Fatalf("cache not invalidated: %d trees", tp.CachedRouteTrees())
+	if tp.cachedRouteTrees() != 0 {
+		t.Fatalf("cache not invalidated: %d trees", tp.cachedRouteTrees())
 	}
 	p3, ok := tp.Path(1, 4)
 	if !ok || len(p3) != 3 {
@@ -67,16 +67,16 @@ func TestRouteCacheEviction(t *testing.T) {
 	for i := ASN(2); i <= 8; i++ {
 		mustLink(t, tp, i, 1, CustomerToProvider)
 	}
-	tp.SetRouteCacheCapacity(3)
+	setRouteCacheCapacity(tp, 3)
 	for dst := ASN(2); dst <= 8; dst++ {
 		if _, ok := tp.Path(2%dst+1, dst); !ok && dst != 2 {
 			t.Fatalf("no path to %d", dst)
 		}
-		if n := tp.CachedRouteTrees(); n > 3 {
+		if n := tp.cachedRouteTrees(); n > 3 {
 			t.Fatalf("cache grew to %d trees, cap 3", n)
 		}
 	}
-	if n := tp.CachedRouteTrees(); n != 3 {
+	if n := tp.cachedRouteTrees(); n != 3 {
 		t.Fatalf("cached trees = %d, want 3", n)
 	}
 	// The oldest roots were evicted; looking one up again must still
@@ -131,8 +131,8 @@ func TestWarmNextHopBudget(t *testing.T) {
 	if got := tp.WarmRoutes(dsts, 0); got != trees {
 		t.Fatalf("warmed %d trees, want %d", got, trees)
 	}
-	if g := reg.Snapshot().GetGauge(MetricRouteTrees); g != trees {
-		t.Fatalf("%s gauge = %d, want %d", MetricRouteTrees, g, trees)
+	if g := reg.Snapshot().GetGauge(metricRouteTrees); g != trees {
+		t.Fatalf("%s gauge = %d, want %d", metricRouteTrees, g, trees)
 	}
 	asns := tp.ASNs()
 	if allocs := testing.AllocsPerRun(1000, func() { tp.NextHop(asns[1], dsts[0]) }); allocs != 0 {
@@ -207,7 +207,7 @@ func TestPathConcurrentWithEviction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tp.SetRouteCacheCapacity(4)
+	setRouteCacheCapacity(tp, 4)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -231,7 +231,7 @@ func TestPathConcurrentWithEviction(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if n := tp.CachedRouteTrees(); n > 4 {
+	if n := tp.cachedRouteTrees(); n > 4 {
 		t.Fatalf("%d trees cached, capacity 4", n)
 	}
 }
@@ -282,4 +282,15 @@ func BenchmarkNextHopWarm(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		tp.NextHop(ASN(1+i%500), 400)
 	}
+}
+
+// setRouteCacheCapacity overrides the number of routing trees t keeps
+// in memory (default: a ~33 MB entry budget divided by topology
+// size). Existing cached trees are dropped.
+func setRouteCacheCapacity(t *Topology, trees int) {
+	t.routeMu.Lock()
+	defer t.routeMu.Unlock()
+	t.routeCap = trees
+	t.routes.Store(nil)
+	t.rm.size(0, trees)
 }

@@ -35,10 +35,10 @@ func readASNs(r *snapcodec.Reader, from *slab.Slab[ASN]) []ASN {
 	return out
 }
 
-// WarmedDestinations returns the destination ASNs whose routing trees
+// warmedDestinations returns the destination ASNs whose routing trees
 // are currently cached, in cache insertion order (the FIFO eviction
 // order, so re-warming in this order reproduces the cache exactly).
-func (t *Topology) WarmedDestinations() []ASN {
+func (t *Topology) warmedDestinations() []ASN {
 	t.routeMu.RLock()
 	defer t.routeMu.RUnlock()
 	rc := t.routes.Load()
@@ -78,7 +78,7 @@ func (t *Topology) Checkpoint(w *snapcodec.Writer) error {
 	w.Varint(int64(t.routeCap))
 	active := t.routes.Load() != nil
 	w.Bool(active)
-	writeASNs(w, t.WarmedDestinations())
+	writeASNs(w, t.warmedDestinations())
 	return nil
 }
 

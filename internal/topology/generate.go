@@ -221,7 +221,7 @@ func GenerateInternet(cfg GenConfig) (*Topology, error) {
 		a := ASN(1 + rng.Intn(n))
 		b := ASN(1 + rng.Intn(n))
 		pair := [2]ASN{min(a, b), max(a, b)}
-		if a == b || picked[pair] || t.Connected(a, b) {
+		if a == b || picked[pair] || t.connected(a, b) {
 			continue
 		}
 		picked[pair] = true

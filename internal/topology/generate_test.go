@@ -1,7 +1,10 @@
 package topology
 
 import (
+	"bufio"
 	"bytes"
+	"fmt"
+	"io"
 	"math"
 	"net/netip"
 	"sort"
@@ -42,7 +45,7 @@ func TestGenerateBasics(t *testing.T) {
 			t.Fatalf("AS%d has no space: %+v", asn, a)
 		}
 	}
-	if tp.TotalSpace() == 0 {
+	if tp.total == 0 {
 		t.Fatal("zero total space")
 	}
 }
@@ -51,10 +54,10 @@ func TestGenerateDeterministic(t *testing.T) {
 	a := smallGen(t, 300, 7)
 	b := smallGen(t, 300, 7)
 	var bufA, bufB bytes.Buffer
-	if err := a.WritePrefix2AS(&bufA); err != nil {
+	if err := writePrefix2AS(a, &bufA); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.WritePrefix2AS(&bufB); err != nil {
+	if err := writePrefix2AS(b, &bufB); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(bufA.Bytes(), bufB.Bytes()) {
@@ -62,7 +65,7 @@ func TestGenerateDeterministic(t *testing.T) {
 	}
 	c := smallGen(t, 300, 8)
 	var bufC bytes.Buffer
-	c.WritePrefix2AS(&bufC)
+	writePrefix2AS(c, &bufC)
 	if bytes.Equal(bufA.Bytes(), bufC.Bytes()) {
 		t.Fatal("different seeds produced identical topologies")
 	}
@@ -254,7 +257,7 @@ func TestLoadPrefix2AS(t *testing.T) {
 9.9.9.0	24	19281_19282
 10.0.0.0	8	1,2
 `
-	tp, err := LoadPrefix2AS(strings.NewReader(in))
+	tp, err := loadPrefix2AS(strings.NewReader(in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,8 +278,8 @@ func TestLoadPrefix2AS(t *testing.T) {
 	}
 	// Total counts each prefix once.
 	want := uint64(1<<8 + 1<<16 + 1<<24 + 1<<8 + 1<<24)
-	if tp.TotalSpace() != want {
-		t.Fatalf("TotalSpace = %d, want %d", tp.TotalSpace(), want)
+	if tp.total != want {
+		t.Fatalf("total space = %d, want %d", tp.total, want)
 	}
 }
 
@@ -289,7 +292,7 @@ func TestLoadPrefix2ASErrors(t *testing.T) {
 		"1.0.0.0\t24\t0", // ASN 0
 	}
 	for _, line := range bad {
-		if _, err := LoadPrefix2AS(strings.NewReader(line)); err == nil {
+		if _, err := loadPrefix2AS(strings.NewReader(line)); err == nil {
 			t.Errorf("line %q should fail", line)
 		}
 	}
@@ -298,10 +301,10 @@ func TestLoadPrefix2ASErrors(t *testing.T) {
 func TestWriteLoadRoundTrip(t *testing.T) {
 	tp := smallGen(t, 100, 4)
 	var buf bytes.Buffer
-	if err := tp.WritePrefix2AS(&buf); err != nil {
+	if err := writePrefix2AS(tp, &buf); err != nil {
 		t.Fatal(err)
 	}
-	tp2, err := LoadPrefix2AS(&buf)
+	tp2, err := loadPrefix2AS(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,19 +323,39 @@ func TestWriteLoadRoundTrip(t *testing.T) {
 func TestRatiosSumToOne(t *testing.T) {
 	tp := smallGen(t, 500, 9)
 	var sum float64
-	for _, r := range tp.Ratios() {
-		sum += r
+	for _, asn := range tp.ASNs() {
+		sum += tp.Ratio(asn)
 	}
 	if math.Abs(sum-1) > 1e-6 {
 		t.Fatalf("ratios sum to %v", sum)
 	}
 	// Sorted ratios should be heavy-tailed (max >> median).
 	var rs []float64
-	for _, r := range tp.Ratios() {
-		rs = append(rs, r)
+	for _, asn := range tp.ASNs() {
+		rs = append(rs, tp.Ratio(asn))
 	}
 	sort.Float64s(rs)
 	if rs[len(rs)-1] < 10*rs[len(rs)/2] {
 		t.Fatalf("max ratio %v not >> median %v", rs[len(rs)-1], rs[len(rs)/2])
 	}
+}
+
+// writePrefix2AS dumps the topology's prefix-to-AS mapping in the
+// prefix2as text format, sorted for determinism.
+func writePrefix2AS(t *Topology, w io.Writer) error {
+	type row struct {
+		p   netip.Prefix
+		asn ASN
+	}
+	var rows []row
+	t.pfx2as.Walk(func(p netip.Prefix, asn ASN) bool {
+		rows = append(rows, row{p, asn})
+		return true
+	})
+	sort.Slice(rows, func(i, j int) bool { return rows[i].p.String() < rows[j].p.String() })
+	bw := bufio.NewWriter(w)
+	for _, r := range rows {
+		fmt.Fprintf(bw, "%s\t%d\t%d\n", r.p.Addr(), r.p.Bits(), r.asn)
+	}
+	return bw.Flush()
 }

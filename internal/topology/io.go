@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"net/netip"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -21,9 +20,9 @@ import (
 // mapping table pointing at the first AS and split only the size
 // accounting.
 
-// LoadPrefix2AS parses a prefix2as stream into a topology containing
+// loadPrefix2AS parses a prefix2as stream into a topology containing
 // only ASes and prefixes (no relationship links).
-func LoadPrefix2AS(r io.Reader) (*Topology, error) {
+func loadPrefix2AS(r io.Reader) (*Topology, error) {
 	t := New()
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
@@ -98,24 +97,4 @@ func parseASList(s string) ([]ASN, error) {
 		return nil, fmt.Errorf("empty AS list %q", s)
 	}
 	return out, nil
-}
-
-// WritePrefix2AS dumps the topology's prefix-to-AS mapping in the
-// prefix2as text format, sorted for determinism.
-func (t *Topology) WritePrefix2AS(w io.Writer) error {
-	type row struct {
-		p   netip.Prefix
-		asn ASN
-	}
-	var rows []row
-	t.pfx2as.Walk(func(p netip.Prefix, asn ASN) bool {
-		rows = append(rows, row{p, asn})
-		return true
-	})
-	sort.Slice(rows, func(i, j int) bool { return rows[i].p.String() < rows[j].p.String() })
-	bw := bufio.NewWriter(w)
-	for _, r := range rows {
-		fmt.Fprintf(bw, "%s\t%d\t%d\n", r.p.Addr(), r.p.Bits(), r.asn)
-	}
-	return bw.Flush()
 }

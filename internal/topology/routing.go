@@ -44,11 +44,11 @@ const (
 // Metric names the routing cache publishes once PublishMetrics is
 // called. Exported so consumers of snapshots do not hard-code strings.
 const (
-	MetricRouteTrees     = "topology.route_trees"
-	MetricRouteCapacity  = "topology.route_tree_capacity"
-	MetricRouteHits      = "topology.route_tree_hits"
-	MetricRouteMisses    = "topology.route_tree_misses"
-	MetricRouteEvictions = "topology.route_tree_evictions"
+	metricRouteTrees     = "topology.route_trees"
+	metricRouteCapacity  = "topology.route_tree_capacity"
+	metricRouteHits      = "topology.route_tree_hits"
+	metricRouteMisses    = "topology.route_tree_misses"
+	metricRouteEvictions = "topology.route_tree_evictions"
 )
 
 // defaultRouteEntryBudget bounds the default tree-cache size in state
@@ -278,31 +278,20 @@ func (t *Topology) PublishMetrics(reg *obs.Registry) {
 	t.routeMu.Lock()
 	defer t.routeMu.Unlock()
 	t.rm = routeMetrics{
-		trees:    reg.Gauge(MetricRouteTrees),
-		capacity: reg.Gauge(MetricRouteCapacity),
-		hits:     reg.Counter(MetricRouteHits),
-		misses:   reg.Counter(MetricRouteMisses),
-		evicted:  reg.Counter(MetricRouteEvictions),
+		trees:    reg.Gauge(metricRouteTrees),
+		capacity: reg.Gauge(metricRouteCapacity),
+		hits:     reg.Counter(metricRouteHits),
+		misses:   reg.Counter(metricRouteMisses),
+		evicted:  reg.Counter(metricRouteEvictions),
 	}
 	if rc := t.routes.Load(); rc != nil {
 		t.rm.size(len(rc.fifo), rc.cap)
 	}
 }
 
-// SetRouteCacheCapacity overrides the number of routing trees kept
-// in memory (default: a ~33 MB entry budget divided by topology
-// size). Existing cached trees are dropped.
-func (t *Topology) SetRouteCacheCapacity(trees int) {
-	t.routeMu.Lock()
-	defer t.routeMu.Unlock()
-	t.routeCap = trees
-	t.routes.Store(nil)
-	t.rm.size(0, trees)
-}
-
-// CachedRouteTrees reports how many routing trees are currently
+// cachedRouteTrees reports how many routing trees are currently
 // cached (tests and capacity planning).
-func (t *Topology) CachedRouteTrees() int {
+func (t *Topology) cachedRouteTrees() int {
 	t.routeMu.RLock()
 	defer t.routeMu.RUnlock()
 	rc := t.routes.Load()
@@ -442,7 +431,7 @@ func (t *Topology) WarmRoutes(dsts []ASN, workers int) int {
 		}
 		t.routeMu.Unlock()
 	}
-	return t.CachedRouteTrees()
+	return t.cachedRouteTrees()
 }
 
 // Path returns the shortest valley-free AS path from src to dst,

@@ -131,7 +131,7 @@ func (t *Topology) add(asn ASN) *AS {
 // reserve sizes the AS tables for n more ASes.
 func (t *Topology) reserve(n int) {
 	t.ases.Reserve(n)
-	t.index.reserve(t.index.Len() + n)
+	t.index.reserve(t.index.numEntries() + n)
 	t.list = slices.Grow(t.list, n)
 	t.order = slices.Grow(t.order, n)
 }
@@ -238,17 +238,8 @@ func (x *ASNIndex) Clone() ASNIndex {
 	return c
 }
 
-// Len returns the number of ASNs in the index.
-func (x *ASNIndex) Len() int { return x.n }
-
-// Range calls fn for every entry, in slot order.
-func (x *ASNIndex) Range(fn func(asn ASN, i int32)) {
-	for _, s := range x.slots {
-		if s.asn != 0 {
-			fn(s.asn, s.i)
-		}
-	}
-}
+// numEntries returns the number of ASNs in the index.
+func (x *ASNIndex) numEntries() int { return x.n }
 
 // ASNs returns all AS numbers in insertion order. The returned slice
 // must not be modified.
@@ -264,7 +255,7 @@ func (t *Topology) Link(a, b ASN, rel Relationship) error {
 	if a == b {
 		return fmt.Errorf("topology: self link on AS%d", a)
 	}
-	if t.Connected(a, b) {
+	if t.connected(a, b) {
 		// A second link between the same pair would double-count
 		// Degree() and create duplicate BGP sessions in BuildNetwork.
 		return fmt.Errorf("topology: duplicate link %d-%d", a, b)
@@ -351,10 +342,10 @@ func (t *Topology) growASNs(list []ASN, k int32) []ASN {
 	return append(t.asns.Take(len(list) + int(k))[:0], list...)
 }
 
-// Connected reports whether a and b share a link. It scans the
+// connected reports whether a and b share a link. It scans the
 // adjacency lists of the lower-degree endpoint, so probing a tier-1's
 // neighborhood from a stub costs the stub's degree, not the tier-1's.
-func (t *Topology) Connected(a, b ASN) bool {
+func (t *Topology) connected(a, b ASN) bool {
 	asA, asB := t.AS(a), t.AS(b)
 	if asA == nil || asB == nil {
 		return false
@@ -448,15 +439,6 @@ func (t *Topology) OwnerOfPrefix(p netip.Prefix) (ASN, bool) {
 	return asn, true
 }
 
-// Owns reports whether the address belongs to the AS.
-func (t *Topology) Owns(asn ASN, addr netip.Addr) bool {
-	got, ok := t.OwnerOf(addr)
-	return ok && got == asn
-}
-
-// TotalSpace returns the global routable address space size.
-func (t *Topology) TotalSpace() uint64 { return t.total }
-
 // Ratio returns r_j, the ratio of AS j's routable address space to the
 // global routable space. Per §VI-A2, an AS with zero space is treated
 // as owning one address to avoid division by zero.
@@ -470,15 +452,6 @@ func (t *Topology) Ratio(asn ASN) float64 {
 		space = 1
 	}
 	return float64(space) / float64(t.total)
-}
-
-// Ratios returns r_j for every AS, keyed by ASN.
-func (t *Topology) Ratios() map[ASN]float64 {
-	out := make(map[ASN]float64, len(t.list))
-	for _, asn := range t.order {
-		out[asn] = t.Ratio(asn)
-	}
-	return out
 }
 
 // BySizeDesc returns all ASNs sorted by address space, largest first,

@@ -100,7 +100,7 @@ func TestLinkRelationships(t *testing.T) {
 	if len(a1.Peers) != 1 || len(a3.Peers) != 1 {
 		t.Error("peer link not symmetric")
 	}
-	if !tp.Connected(1, 2) || !tp.Connected(2, 1) || tp.Connected(2, 3) {
+	if !tp.connected(1, 2) || !tp.connected(2, 1) || tp.connected(2, 3) {
 		t.Error("Connected wrong")
 	}
 	if err := tp.Link(1, 1, PeerToPeer); err == nil {
@@ -177,11 +177,11 @@ func TestPrefixOwnership(t *testing.T) {
 	if _, ok := tp.OwnerOf(netip.MustParseAddr("192.0.2.1")); ok {
 		t.Error("unowned address should miss")
 	}
-	if !tp.Owns(10, netip.MustParseAddr("10.9.9.9")) {
-		t.Error("Owns(10, 10.9.9.9) = false")
+	if asn, ok := tp.OwnerOf(netip.MustParseAddr("10.9.9.9")); !ok || asn != 10 {
+		t.Errorf("OwnerOf(10.9.9.9) = %d %v", asn, ok)
 	}
-	if tp.Owns(10, netip.MustParseAddr("10.1.0.1")) {
-		t.Error("Owns should respect longest match")
+	if asn, _ := tp.OwnerOf(netip.MustParseAddr("10.1.0.1")); asn == 10 {
+		t.Error("OwnerOf should respect longest match")
 	}
 }
 
@@ -207,8 +207,8 @@ func TestRatios(t *testing.T) {
 	mustPrefix(t, tp, 2, "11.0.0.0/9")   // 2^23
 	mustPrefix(t, tp, 2, "11.128.0.0/9") // 2^23 -> AS2 total 2^24
 
-	if tp.TotalSpace() != 1<<25 {
-		t.Fatalf("TotalSpace = %d", tp.TotalSpace())
+	if tp.total != 1<<25 {
+		t.Fatalf("total space = %d", tp.total)
 	}
 	if r := tp.Ratio(1); math.Abs(r-0.5) > 1e-12 {
 		t.Errorf("Ratio(1) = %v", r)
@@ -219,10 +219,6 @@ func TestRatios(t *testing.T) {
 	// Zero-space AS is manipulated to one address (§VI-A2).
 	if r := tp.Ratio(3); r <= 0 {
 		t.Errorf("Ratio(3) = %v, want tiny positive", r)
-	}
-	rs := tp.Ratios()
-	if len(rs) != 3 {
-		t.Fatalf("Ratios len = %d", len(rs))
 	}
 }
 

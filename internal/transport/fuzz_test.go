@@ -8,7 +8,7 @@ import (
 
 // FuzzReadFrame: ReadFrame parses bytes straight off a peer's socket.
 // Whatever arrives, it must not panic, and it must not allocate more
-// than MaxFrameSize on the way to rejecting a forged length or a
+// than maxFrameSize on the way to rejecting a forged length or a
 // sender name that overruns its payload. A frame it accepts re-encodes
 // to exactly the bytes it consumed.
 func FuzzReadFrame(f *testing.F) {
@@ -19,7 +19,7 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add(good)
 	f.Add(good[:len(good)-1])             // truncated payload
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff}) // forged length
-	f.Add([]byte{0, 0x10, 0, 0, 1, 0})    // MaxFrameSize claimed, 2 bytes sent
+	f.Add([]byte{0, 0x10, 0, 0, 1, 0})    // maxFrameSize claimed, 2 bytes sent
 	f.Add([]byte{0, 0, 0, 2, 9, 200})     // sender name overruns the payload
 	f.Add([]byte{0, 0, 0, 1, 0})          // payload below the 2-byte minimum
 	f.Add([]byte{})
@@ -31,8 +31,8 @@ func FuzzReadFrame(f *testing.F) {
 		fr, err := ReadFrame(r)
 		runtime.ReadMemStats(&after)
 		// The slack covers the error value and the sender-name string.
-		if grew := after.TotalAlloc - before.TotalAlloc; grew > MaxFrameSize+4096 {
-			t.Fatalf("ReadFrame allocated %d bytes, bound %d", grew, MaxFrameSize)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > maxFrameSize+4096 {
+			t.Fatalf("ReadFrame allocated %d bytes, bound %d", grew, maxFrameSize)
 		}
 		if err != nil {
 			return
@@ -58,7 +58,7 @@ func FuzzFrameRoundTrip(f *testing.F) {
 		want := Frame{Kind: kind, From: from, Data: data}
 		wire, err := AppendFrame(nil, want)
 		if err != nil {
-			return // over MaxFromLen or MaxFrameSize
+			return // over maxFromLen or maxFrameSize
 		}
 		r := bytes.NewReader(wire)
 		got, err := ReadFrame(r)

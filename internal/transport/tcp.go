@@ -19,7 +19,7 @@ import (
 )
 
 // Per-peer transport metric names, registered under the configured
-// scope with a ".peer.<name>" suffix (PeerMetric); the obs Prometheus
+// scope with a ".peer.<name>" suffix (peerMetric); the obs Prometheus
 // exposition lifts that suffix into a {peer="<name>"} label, so a
 // scrape sees e.g. discs_transport_bytes_sent{as="7",peer="ctrl.as9"}.
 const (
@@ -31,23 +31,23 @@ const (
 	// MetricFramesDropped counts frames the transport knows it did not
 	// deliver: queue overflow, dial failure, write failure, shutdown.
 	MetricFramesDropped = "transport.frames_dropped"
-	// MetricFramesSent counts frames written to the peer's connection.
-	MetricFramesSent = "transport.frames_sent"
-	// MetricBytesSent counts wire bytes written to the peer.
-	MetricBytesSent = "transport.bytes_sent"
-	// MetricQueueDepth gauges the peer's outbound queue occupancy.
-	MetricQueueDepth = "transport.queue_depth"
+	// metricFramesSent counts frames written to the peer's connection.
+	metricFramesSent = "transport.frames_sent"
+	// metricBytesSent counts wire bytes written to the peer.
+	metricBytesSent = "transport.bytes_sent"
+	// metricQueueDepth gauges the peer's outbound queue occupancy.
+	metricQueueDepth = "transport.queue_depth"
 
-	// MetricAcceptRetries counts transient Accept errors survived by
+	// metricAcceptRetries counts transient Accept errors survived by
 	// the accept loop (not per-peer: inbound conns have no peer name
 	// until their first frame arrives).
-	MetricAcceptRetries = "transport.accept_retries"
+	metricAcceptRetries = "transport.accept_retries"
 )
 
-// PeerMetric returns the registry name of a per-peer metric: the base
+// peerMetric returns the registry name of a per-peer metric: the base
 // family plus the ".peer.<name>" suffix the Prometheus exposition
 // turns into a peer label.
-func PeerMetric(base, peer string) string { return base + ".peer." + peer }
+func peerMetric(base, peer string) string { return base + ".peer." + peer }
 
 // TCPOptions configures a TCP transport endpoint.
 type TCPOptions struct {
@@ -82,8 +82,8 @@ type TCPOptions struct {
 	Dial func(ctx context.Context, addr string) (net.Conn, error)
 }
 
-// TCP is the real-socket Transport: length-prefixed frames over
-// TCP (optionally TLS), with one dedicated send worker and bounded
+// TCP moves frames between named controller endpoints:
+// length-prefixed frames over TCP (optionally TLS), with one dedicated send worker and bounded
 // outbound queue per registered peer. Send never blocks and never
 // dials: it enqueues to the peer's worker, which owns dialing, write
 // batching, teardown and redial. A dead or blackholed peer therefore
@@ -175,7 +175,7 @@ func NewTCP(o TCPOptions) (*TCP, error) {
 		sc:      reg.Scope(o.Scope),
 	}
 	t.ctx, t.cancel = context.WithCancel(context.Background())
-	t.acceptRetries = t.sc.Counter(MetricAcceptRetries)
+	t.acceptRetries = t.sc.Counter(metricAcceptRetries)
 	ln, err := net.Listen("tcp", o.Addr)
 	if err != nil {
 		t.cancel()
@@ -249,12 +249,12 @@ func (t *TCP) newPeer(name string) *tcpPeer {
 		name:          name,
 		q:             make(chan *[]byte, t.opts.SendQueue),
 		stop:          make(chan struct{}),
-		dialFailures:  t.sc.Counter(PeerMetric(MetricDialFailures, name)),
-		redials:       t.sc.Counter(PeerMetric(MetricRedials, name)),
-		framesDropped: t.sc.Counter(PeerMetric(MetricFramesDropped, name)),
-		framesSent:    t.sc.Counter(PeerMetric(MetricFramesSent, name)),
-		bytesSent:     t.sc.Counter(PeerMetric(MetricBytesSent, name)),
-		queueDepth:    t.sc.Gauge(PeerMetric(MetricQueueDepth, name)),
+		dialFailures:  t.sc.Counter(peerMetric(MetricDialFailures, name)),
+		redials:       t.sc.Counter(peerMetric(MetricRedials, name)),
+		framesDropped: t.sc.Counter(peerMetric(MetricFramesDropped, name)),
+		framesSent:    t.sc.Counter(peerMetric(metricFramesSent, name)),
+		bytesSent:     t.sc.Counter(peerMetric(metricBytesSent, name)),
+		queueDepth:    t.sc.Gauge(peerMetric(metricQueueDepth, name)),
 	}
 }
 

@@ -14,7 +14,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		{Kind: 0, From: "ctrl.as1", Data: []byte("hello")},
 		{Kind: 5, From: "", Data: nil},
 		{Kind: 0xff, From: "x", Data: bytes.Repeat([]byte{0xaa}, 4096)},
-		{Kind: 7, From: strings.Repeat("n", MaxFromLen), Data: []byte{1}},
+		{Kind: 7, From: strings.Repeat("n", maxFromLen), Data: []byte{1}},
 		{Kind: 1, From: "ctrl.as1", Data: []byte("again")},
 		{Kind: 2, From: "ctrl.as1", Data: []byte("same sender")},
 	}
@@ -50,16 +50,16 @@ func TestFrameRoundTrip(t *testing.T) {
 }
 
 func TestFrameLimits(t *testing.T) {
-	if _, err := AppendFrame(nil, Frame{From: strings.Repeat("n", MaxFromLen+1)}); !errors.Is(err, ErrFrameTooBig) {
+	if _, err := AppendFrame(nil, Frame{From: strings.Repeat("n", maxFromLen+1)}); !errors.Is(err, errFrameTooBig) {
 		t.Fatalf("oversized name: %v", err)
 	}
-	if _, err := AppendFrame(nil, Frame{Data: make([]byte, MaxFrameSize)}); !errors.Is(err, ErrFrameTooBig) {
+	if _, err := AppendFrame(nil, Frame{Data: make([]byte, maxFrameSize)}); !errors.Is(err, errFrameTooBig) {
 		t.Fatalf("oversized payload: %v", err)
 	}
 	// A forged length prefix must be rejected before allocation.
 	var hdr [4]byte
 	hdr[0], hdr[1], hdr[2], hdr[3] = 0xff, 0xff, 0xff, 0xff
-	if _, err := ReadFrame(bytes.NewReader(hdr[:])); !errors.Is(err, ErrFrameTooBig) {
+	if _, err := ReadFrame(bytes.NewReader(hdr[:])); !errors.Is(err, errFrameTooBig) {
 		t.Fatalf("forged length: %v", err)
 	}
 	// A fromLen overrunning the payload must error, not panic.

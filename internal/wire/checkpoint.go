@@ -23,9 +23,9 @@ func (dn *DataNet) Checkpoint(w *snapcodec.Writer) error {
 	if len(dn.egress) > 0 {
 		return errors.New("wire: cannot checkpoint a data plane with an egress")
 	}
-	w.Uvarint(dn.Delivered())
-	w.Uvarint(dn.DroppedDISCS())
-	w.Uvarint(dn.DroppedNet())
+	w.Uvarint(dn.delivered())
+	w.Uvarint(dn.droppedDISCS())
+	w.Uvarint(dn.droppedNet())
 
 	totals := make(map[[2]topology.ASN]uint64)
 	for i := range dn.sc {

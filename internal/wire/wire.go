@@ -175,9 +175,9 @@ func (dn *DataNet) connect(a, b topology.ASN, cfg Config) (*netsim.Link, error) 
 	return l, nil
 }
 
-// Link returns the data link between two adjacent ASes so tests and
+// link returns the data link between two adjacent ASes so tests and
 // experiments can tune its bandwidth/buffer (e.g. the victim's uplink).
-func (dn *DataNet) Link(a, b topology.ASN) *netsim.Link {
+func (dn *DataNet) link(a, b topology.ASN) *netsim.Link {
 	if na := dn.nodes[a]; na != nil {
 		return na.LinkTo(dn.nodes[b])
 	}
@@ -188,7 +188,7 @@ func (dn *DataNet) Link(a, b topology.ASN) *netsim.Link {
 // says an MEF victim cannot enforce: packets that pass the border are
 // served at pps packets per second, those whose marks verified first;
 // each class buffers up to buffer packets and drops an arrival beyond
-// that into DroppedNet. Set it while the simulator is parked. A data
+// that into droppedNet. Set it while the simulator is parked. A data
 // plane with an egress cannot be checkpointed.
 func (dn *DataNet) SetEgress(asn topology.ASN, pps float64, buffer int) error {
 	if pps <= 0 || buffer <= 0 || dn.nodes[asn] == nil {
@@ -240,9 +240,9 @@ func (dn *DataNet) serve(asn topology.ASN, e *egress, p *packet.IPv4) {
 	dn.nodes[asn].After(e.service, e.done)
 }
 
-// Delivered returns the number of packets that reached their
+// delivered returns the number of packets that reached their
 // destination AS.
-func (dn *DataNet) Delivered() uint64 {
+func (dn *DataNet) delivered() uint64 {
 	var n uint64
 	for i := range dn.sc {
 		n += dn.sc[i].delivered
@@ -250,10 +250,10 @@ func (dn *DataNet) Delivered() uint64 {
 	return n
 }
 
-// DroppedDISCS returns the number of packets dropped by DISCS
+// droppedDISCS returns the number of packets dropped by DISCS
 // processing (outbound at the source border or inbound at the
 // destination border).
-func (dn *DataNet) DroppedDISCS() uint64 {
+func (dn *DataNet) droppedDISCS() uint64 {
 	var n uint64
 	for i := range dn.sc {
 		n += dn.sc[i].droppedDISCS
@@ -261,9 +261,9 @@ func (dn *DataNet) DroppedDISCS() uint64 {
 	return n
 }
 
-// DroppedNet returns the number of packets tail-dropped by congested
+// droppedNet returns the number of packets tail-dropped by congested
 // links or a full egress buffer, dead of TTL, or lacking a route.
-func (dn *DataNet) DroppedNet() uint64 {
+func (dn *DataNet) droppedNet() uint64 {
 	var n uint64
 	for i := range dn.sc {
 		n += dn.sc[i].droppedNet
@@ -271,8 +271,8 @@ func (dn *DataNet) DroppedNet() uint64 {
 	return n
 }
 
-// LinkBytes returns the bytes that crossed the directed link a→b.
-func (dn *DataNet) LinkBytes(a, b topology.ASN) uint64 {
+// linkBytes returns the bytes that crossed the directed link a→b.
+func (dn *DataNet) linkBytes(a, b topology.ASN) uint64 {
 	key := [2]topology.ASN{a, b}
 	var n uint64
 	for i := range dn.sc {
@@ -288,12 +288,12 @@ func (dn *DataNet) nodeNow(asn topology.ASN) (netsim.Time, time.Time) {
 	return at, time.Unix(0, 0).UTC().Add(at)
 }
 
-// Inject enters a packet at fromAS. The source border applies DISCS
+// inject enters a packet at fromAS. The source border applies DISCS
 // outbound processing (if fromAS deployed), then the packet rides the
 // data links hop by hop toward the owner of its destination address.
 // Injection happens at the current simulated time; run the simulator
 // to progress deliveries.
-func (dn *DataNet) Inject(fromAS topology.ASN, p *packet.IPv4) {
+func (dn *DataNet) inject(fromAS topology.ASN, p *packet.IPv4) {
 	dstAS, ok := dn.sys.Net.Topo.OwnerOf(p.Dst)
 	if !ok {
 		dn.slot(fromAS).droppedNet++
@@ -368,10 +368,10 @@ func (dn *DataNet) deliver(at topology.ASN, p *packet.IPv4, now netsim.Time) {
 	}
 }
 
-// Deliveries returns all deliveries so far, ordered by delivery time
+// deliveries returns all deliveries so far, ordered by delivery time
 // (ties broken by destination then source address, so the order is
 // stable across worker counts).
-func (dn *DataNet) Deliveries() []Delivery {
+func (dn *DataNet) deliveries() []Delivery {
 	var out []Delivery
 	for i := range dn.sc {
 		out = append(out, dn.sc[i].deliveries...)
@@ -382,8 +382,8 @@ func (dn *DataNet) Deliveries() []Delivery {
 	return out
 }
 
-// ResetCounters clears delivery/drop/byte counters (links keep their
+// resetCounters clears delivery/drop/byte counters (links keep their
 // configuration) so experiments can measure phases independently.
-func (dn *DataNet) ResetCounters() {
+func (dn *DataNet) resetCounters() {
 	dn.sc = newShardCounters(len(dn.sc))
 }

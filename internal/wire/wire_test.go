@@ -77,52 +77,52 @@ func schedule(sys *core.System, dn *DataNet, fromAS topology.ASN, src, dst strin
 	for i := 0; i < n; i++ {
 		at := start + time.Duration(i)*gap
 		sys.Net.Sim.Schedule(sys.Net.Sim.Now()+at, func() {
-			dn.Inject(fromAS, mkPkt(src, dst))
+			dn.inject(fromAS, mkPkt(src, dst))
 		})
 	}
 }
 
 func TestWireBasicsDelivery(t *testing.T) {
 	sys, dn := wireWorld(t)
-	dn.Inject(4, mkPkt("10.4.0.10", "10.3.0.1"))
+	dn.inject(4, mkPkt("10.4.0.10", "10.3.0.1"))
 	sys.Settle()
-	if dn.Delivered() != 1 {
-		t.Fatalf("delivered = %d", dn.Delivered())
+	if dn.delivered() != 1 {
+		t.Fatalf("delivered = %d", dn.delivered())
 	}
-	d := dn.Deliveries()[0]
+	d := dn.deliveries()[0]
 	// Two hops (4→1→3) at 1 ms each.
 	if d.At < 2*time.Millisecond {
 		t.Fatalf("delivered at %v, want ≥2ms", d.At)
 	}
 	// Bytes accounted on both directed links.
-	if dn.LinkBytes(4, 1) == 0 || dn.LinkBytes(1, 3) == 0 {
+	if dn.linkBytes(4, 1) == 0 || dn.linkBytes(1, 3) == 0 {
 		t.Fatal("link byte counters empty")
 	}
-	if dn.LinkBytes(3, 1) != 0 {
+	if dn.linkBytes(3, 1) != 0 {
 		t.Fatal("reverse direction should be empty")
 	}
 }
 
 func TestWireIntraAS(t *testing.T) {
 	sys, dn := wireWorld(t)
-	dn.Inject(4, mkPkt("10.4.0.10", "10.4.0.99"))
+	dn.inject(4, mkPkt("10.4.0.10", "10.4.0.99"))
 	sys.Settle()
-	if dn.Delivered() != 1 {
-		t.Fatalf("intra-AS delivery = %d", dn.Delivered())
+	if dn.delivered() != 1 {
+		t.Fatalf("intra-AS delivery = %d", dn.delivered())
 	}
 }
 
 func TestWireUnroutableAndTTL(t *testing.T) {
 	sys, dn := wireWorld(t)
-	dn.Inject(4, mkPkt("10.4.0.10", "198.51.100.1"))
-	if dn.DroppedNet() != 1 {
-		t.Fatalf("unroutable not counted: %d", dn.DroppedNet())
+	dn.inject(4, mkPkt("10.4.0.10", "198.51.100.1"))
+	if dn.droppedNet() != 1 {
+		t.Fatalf("unroutable not counted: %d", dn.droppedNet())
 	}
 	p := mkPkt("10.4.0.10", "10.3.0.1")
 	p.TTL = 1
-	dn.Inject(4, p)
+	dn.inject(4, p)
 	sys.Settle()
-	if dn.Delivered() != 0 {
+	if dn.delivered() != 0 {
 		t.Fatal("TTL=1 packet delivered across two hops")
 	}
 }
@@ -136,7 +136,7 @@ func TestWireBandwidthExhaustion(t *testing.T) {
 	sys, dn := wireWorld(t)
 	// The victim's uplink P→V: 128 kB/s (≈2300 pps of 56-byte packets),
 	// 20 ms of buffer.
-	up := dn.Link(1, 3)
+	up := dn.link(1, 3)
 	if up == nil {
 		t.Fatal("no uplink")
 	}
@@ -147,7 +147,7 @@ func TestWireBandwidthExhaustion(t *testing.T) {
 	window := time.Second
 	legitDelivered := func() int {
 		n := 0
-		for _, d := range dn.Deliveries() {
+		for _, d := range dn.deliveries() {
 			if d.Pkt.Src.String() == "10.4.0.10" {
 				n++
 			}
@@ -164,17 +164,17 @@ func TestWireBandwidthExhaustion(t *testing.T) {
 
 	// Phase B: flood from the botnet in A (spoofed sources), no
 	// invocation. The uplink saturates; legitimate goodput collapses.
-	dn.ResetCounters()
+	dn.resetCounters()
 	schedule(sys, dn, 4, "10.4.0.10", "10.3.0.1", legitN, 0, window)
 	schedule(sys, dn, 2, "198.51.100.7", "10.3.0.1", floodN, 0, window)
 	sys.Settle()
 	legitB := legitDelivered()
-	bytesB := dn.LinkBytes(1, 3)
+	bytesB := dn.linkBytes(1, 3)
 	// EXPERIMENTS.md records 146/500 (29 %).
 	if legitB < 141 || legitB > 151 {
 		t.Fatalf("legit goodput under flood %d/%d, recorded 146 ±5", legitB, legitN)
 	}
-	if dn.DroppedNet() == 0 {
+	if dn.droppedNet() == 0 {
 		t.Fatal("no congestion drops during flood")
 	}
 
@@ -189,22 +189,22 @@ func TestWireBandwidthExhaustion(t *testing.T) {
 	sys.Settle()
 
 	// Phase C: same offered load. The flood dies at A's egress.
-	dn.ResetCounters()
+	dn.resetCounters()
 	schedule(sys, dn, 4, "10.4.0.10", "10.3.0.1", legitN, 0, window)
 	schedule(sys, dn, 2, "198.51.100.7", "10.3.0.1", floodN, 0, window)
 	sys.Settle()
 	legitC := legitDelivered()
-	bytesC := dn.LinkBytes(1, 3)
+	bytesC := dn.linkBytes(1, 3)
 	if legitC != legitN {
 		t.Fatalf("post-invocation legit delivered = %d/%d", legitC, legitN)
 	}
-	if dn.DroppedDISCS() != floodN {
-		t.Fatalf("DISCS dropped %d, want the whole flood %d", dn.DroppedDISCS(), floodN)
+	if dn.droppedDISCS() != floodN {
+		t.Fatalf("DISCS dropped %d, want the whole flood %d", dn.droppedDISCS(), floodN)
 	}
 	// Far-from-victim filtering: the flood never reached A's own uplink,
 	// so the intermediate A→P link carried nothing from it.
-	if dn.LinkBytes(2, 1) != 0 {
-		t.Fatalf("A→P carried %d bytes; flood should die at A's egress", dn.LinkBytes(2, 1))
+	if dn.linkBytes(2, 1) != 0 {
+		t.Fatalf("A→P carried %d bytes; flood should die at A's egress", dn.linkBytes(2, 1))
 	}
 	// And the victim's uplink load dropped by roughly the flood share:
 	// EXPERIMENTS.md records 476,000 → 28,000 bytes (17×).
@@ -231,20 +231,20 @@ func TestWireVerificationAtVictim(t *testing.T) {
 	sys.Settle()
 
 	// Spoofed from legacy L claiming A's space: crosses to V, dies there.
-	dn.Inject(4, mkPkt("10.2.0.66", "10.3.0.1"))
+	dn.inject(4, mkPkt("10.2.0.66", "10.3.0.1"))
 	sys.Settle()
-	if dn.Delivered() != 0 || dn.DroppedDISCS() != 1 {
-		t.Fatalf("delivered=%d droppedDISCS=%d", dn.Delivered(), dn.DroppedDISCS())
+	if dn.delivered() != 0 || dn.droppedDISCS() != 1 {
+		t.Fatalf("delivered=%d droppedDISCS=%d", dn.delivered(), dn.droppedDISCS())
 	}
 	// Genuine traffic from the DAS peer A is stamped at A and verified
 	// at V over the wire.
-	dn.ResetCounters()
-	dn.Inject(2, mkPkt("10.2.0.10", "10.3.0.1"))
+	dn.resetCounters()
+	dn.inject(2, mkPkt("10.2.0.10", "10.3.0.1"))
 	sys.Settle()
-	if dn.Delivered() != 1 {
+	if dn.delivered() != 1 {
 		t.Fatalf("genuine peer packet lost: %+v", dn)
 	}
-	if dn.Deliveries()[0].Pkt.Mark() == 0 {
+	if dn.deliveries()[0].Pkt.Mark() == 0 {
 		// The mark is erased to random bits after verification; zero is
 		// possible but astronomically unlikely for this fixed seed.
 		t.Log("note: scrubbed mark happened to be zero")
@@ -256,13 +256,13 @@ func TestWireVerificationAtVictim(t *testing.T) {
 
 func TestWireLinkAccessor(t *testing.T) {
 	_, dn := wireWorld(t)
-	if dn.Link(1, 2) == nil || dn.Link(2, 1) == nil {
+	if dn.link(1, 2) == nil || dn.link(2, 1) == nil {
 		t.Fatal("adjacent link not found")
 	}
-	if dn.Link(2, 3) != nil {
+	if dn.link(2, 3) != nil {
 		t.Fatal("non-adjacent ASes have a link")
 	}
-	if dn.Link(1, 99) != nil || dn.Link(99, 1) != nil {
+	if dn.link(1, 99) != nil || dn.link(99, 1) != nil {
 		t.Fatal("unknown AS has a link")
 	}
 }
@@ -271,7 +271,7 @@ func TestWireOnDeliverCallback(t *testing.T) {
 	sys, dn := wireWorld(t)
 	var got []Delivery
 	dn.OnDeliver = func(d Delivery) { got = append(got, d) }
-	dn.Inject(4, mkPkt("10.4.0.10", "10.3.0.1"))
+	dn.inject(4, mkPkt("10.4.0.10", "10.3.0.1"))
 	sys.Settle()
 	if len(got) != 1 || got[0].Pkt.Src.String() != "10.4.0.10" {
 		t.Fatalf("callback got %+v", got)
@@ -302,13 +302,13 @@ func TestWirePeerLinksBuilt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dn.Link(1, 2) == nil {
+	if dn.link(1, 2) == nil {
 		t.Fatal("peer data link missing")
 	}
-	dn.Inject(1, mkPkt("10.1.0.1", "10.2.0.1"))
+	dn.inject(1, mkPkt("10.1.0.1", "10.2.0.1"))
 	sys.Settle()
-	if dn.Delivered() != 1 {
-		t.Fatalf("delivered = %d over peer link", dn.Delivered())
+	if dn.delivered() != 1 {
+		t.Fatalf("delivered = %d over peer link", dn.delivered())
 	}
 }
 
@@ -332,7 +332,7 @@ func runEgress(t *testing.T, fns ...core.Function) (*DataNet, int) {
 		}
 	}
 	sys.Settle()
-	// Wait out the CDP grace on a data node, not with Sim.After: Inject
+	// Wait out the CDP grace on a data node, not with Sim.After: inject
 	// stamps a packet with its data node's clock, which a Sim.After wait
 	// leaves behind the simulator's, so the schedule below would spread
 	// over seconds of lane time instead of one.
@@ -342,7 +342,7 @@ func runEgress(t *testing.T, fns ...core.Function) (*DataNet, int) {
 	schedule(sys, dn, 4, "198.51.100.7", "10.3.0.1", 5000, 0, time.Second)
 	sys.Settle()
 	n := 0
-	for _, d := range dn.Deliveries() {
+	for _, d := range dn.deliveries() {
 		if d.Pkt.Src.String() == "10.2.0.10" {
 			n++
 		}
@@ -387,7 +387,7 @@ func TestEgressOverloadStrictPriority(t *testing.T) {
 	if d != 300 {
 		t.Fatalf("verified collaborator goodput %d/300 under the flood, want all", d)
 	}
-	if flood := int(dn.Delivered()) - d; flood > 1000-300+2*32+1 {
+	if flood := int(dn.delivered()) - d; flood > 1000-300+2*32+1 {
 		t.Fatalf("flood delivered %d/5000, more than the capacity left over", flood)
 	}
 }
@@ -407,7 +407,7 @@ func TestEgressNoClassificationBaseline(t *testing.T) {
 func TestEgressConservation(t *testing.T) {
 	for _, fns := range [][]core.Function{{core.DP, core.CDP}, {core.DP}} {
 		dn, _ := runEgress(t, fns...)
-		if got := dn.Delivered() + dn.DroppedNet() + dn.DroppedDISCS(); got != 5300 {
+		if got := dn.delivered() + dn.droppedNet() + dn.droppedDISCS(); got != 5300 {
 			t.Errorf("%v: delivered+dropped = %d, offered 5300", fns, got)
 		}
 	}
@@ -418,7 +418,7 @@ func TestEgressConservation(t *testing.T) {
 func TestEgressServiceRate(t *testing.T) {
 	for _, fns := range [][]core.Function{{core.DP, core.CDP}, {core.DP}} {
 		dn, _ := runEgress(t, fns...)
-		ds := dn.Deliveries()
+		ds := dn.deliveries()
 		for i := 1; i < len(ds); i++ {
 			if gap := ds[i].At - ds[i-1].At; gap < time.Millisecond {
 				t.Fatalf("%v: deliveries %d and %d %v apart, egress serves one per ms", fns, i-1, i, gap)
@@ -437,8 +437,8 @@ func TestEgressUnderloadDeliversAll(t *testing.T) {
 	schedule(sys, dn, 2, "10.2.0.10", "10.3.0.1", 200, 0, time.Second)
 	schedule(sys, dn, 4, "10.4.0.10", "10.3.0.1", 300, 0, time.Second)
 	sys.Settle()
-	if dn.Delivered() != 500 || dn.DroppedNet() != 0 {
-		t.Fatalf("delivered %d, dropped %d of 500 at half the egress rate", dn.Delivered(), dn.DroppedNet())
+	if dn.delivered() != 500 || dn.droppedNet() != 0 {
+		t.Fatalf("delivered %d, dropped %d of 500 at half the egress rate", dn.delivered(), dn.droppedNet())
 	}
 }
 

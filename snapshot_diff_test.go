@@ -19,7 +19,6 @@ import (
 	"discs/internal/core"
 	"discs/internal/netsim"
 	"discs/internal/obs"
-	"discs/internal/parsim"
 	"discs/internal/snapshot"
 	"discs/internal/topology"
 )
@@ -30,7 +29,7 @@ import (
 // fault RNG streams hot during convergence, so a checkpoint captures
 // them at nonzero positions — restore must resume each stream
 // mid-flight, not from its seed.
-func snapConverged(t testing.TB, workers int) (*bgp.Network, *parsim.Engine) {
+func snapConverged(t testing.TB, workers int) (*bgp.Network, *netsim.Engine) {
 	t.Helper()
 	topo, err := topology.GenerateInternet(topology.GenConfig{
 		NumASes: 100, NumPrefixes: 300, ZipfExponent: 1.0, Seed: 11, TierOneCount: 4,
@@ -42,8 +41,8 @@ func snapConverged(t testing.TB, workers int) (*bgp.Network, *parsim.Engine) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net.AssignShards(parsim.DefaultShards)
-	eng, err := parsim.New(net.Sim, parsim.Options{Shards: parsim.DefaultShards, Workers: workers})
+	net.AssignShards(netsim.DefaultShards)
+	eng, err := net.Sim.Relane(netsim.Options{Shards: netsim.DefaultShards, Workers: workers})
 	if err != nil {
 		t.Fatal(err)
 	}
