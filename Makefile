@@ -106,7 +106,6 @@ fuzz:
 	$(GO) test ./internal/lpm/ -fuzz FuzzLPM -fuzztime 15s
 	$(GO) test ./internal/bgp/ -fuzz FuzzDecodeDISCSAd -fuzztime 15s
 	$(GO) test ./internal/core/ -fuzz FuzzDecodeControlMsg -fuzztime 15s
-	$(GO) test ./internal/core/ -fuzz FuzzParseInvocation -fuzztime 15s
 	$(GO) test ./internal/core/ -fuzz FuzzCtrlFrame -fuzztime 15s
 	$(GO) test ./internal/core/ -fuzz FuzzFuncTableLookup -fuzztime 15s
 	$(GO) test ./internal/flowexport/ -fuzz 'FuzzUnmarshal$$' -fuzztime 15s

@@ -8,7 +8,6 @@ import (
 
 	"discs/internal/core"
 	"discs/internal/packet"
-	"discs/internal/topology"
 )
 
 // referencePaced is the wave loop exactly as it lived here before the
@@ -22,7 +21,7 @@ func referencePaced(sys *core.System, flows []Flow, perFlow int, seed int64, wav
 		waves = 1
 	}
 	rng := rand.New(rand.NewSource(seed))
-	res := Result{DroppedAt: make(map[topology.ASN]int)}
+	var res Result
 	pkts := make([][]*packet.IPv4, len(flows))
 	for i, f := range flows {
 		ps, err := f.Packets(sys.Net.Topo, perFlow, rng)

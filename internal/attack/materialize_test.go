@@ -377,7 +377,7 @@ func TestPayloadSlabIsClamped(t *testing.T) {
 }
 
 // Regression: a negative count used to panic in make([]*packet.IPv4,
-// 0, n), reachable from Run/RunPaced and discs-sim -per-flow -1.
+// 0, n), reachable from Run/RunPaced.
 func TestNegativeCountIsAnError(t *testing.T) {
 	tp := weightedTopo(t)
 	f := Flow{Kind: DDDoS, Agent: 1, Innocent: 2, Victim: 3}

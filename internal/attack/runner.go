@@ -16,10 +16,6 @@ type Result struct {
 	Sent      int
 	Delivered int
 	Dropped   int
-	// DroppedAt counts drops per AS — shows whether filtering happened
-	// at the peers (far from the victim, saving bandwidth) or at the
-	// victim's own border.
-	DroppedAt map[topology.ASN]int
 	// AmplifiedDelivered weighs delivered s-DDoS requests by the
 	// amplification factor; for d-DDoS it equals Delivered.
 	AmplifiedDelivered float64
@@ -37,7 +33,6 @@ func (r *Result) tally(f Flow, d core.DeliveryResult) {
 		}
 	} else {
 		r.Dropped++
-		r.DroppedAt[d.DroppedAt]++
 	}
 }
 
@@ -48,7 +43,7 @@ func (r *Result) tally(f Flow, d core.DeliveryResult) {
 // are legitimate traffic no defense filters.
 //
 // Run injects everything at a single simulated instant. Use RunPaced
-// when interval observers (discs-sim -metrics) should see the attack
+// when interval observers (examples/observability) should see the attack
 // unfold over simulated time.
 func Run(sys *core.System, flows []Flow, perFlow int, seed int64) (Result, error) {
 	return RunPaced(sys, flows, perFlow, seed, 1, 0)
@@ -73,7 +68,7 @@ func RunPaced(sys *core.System, flows []Flow, perFlow int, seed int64, waves int
 		gap = 0
 	}
 	rng := rand.New(rand.NewSource(seed))
-	res := Result{DroppedAt: make(map[topology.ASN]int)}
+	var res Result
 	// Draw every packet up front so the rng consumption — and with it
 	// the generated traffic — is identical for any wave count.
 	pkts := make([][]*packet.IPv4, len(flows))

@@ -81,9 +81,6 @@ func TestRunDDDoS(t *testing.T) {
 	if res.Sent != 40 || res.Dropped != 40 || res.Delivered != 0 {
 		t.Fatalf("result = %+v", res)
 	}
-	if res.DroppedAt[2] != 20 || res.DroppedAt[3] != 20 {
-		t.Fatalf("drop locations = %v", res.DroppedAt)
-	}
 	if res.DropRate() != 1 {
 		t.Fatalf("drop rate = %v", res.DropRate())
 	}
@@ -113,7 +110,7 @@ func TestRunSDDoSAmplification(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Dropped != 10 || res.DroppedAt[2] != 10 {
+	if res.Dropped != 10 {
 		t.Fatalf("result = %+v", res)
 	}
 }

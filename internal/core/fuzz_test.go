@@ -68,28 +68,6 @@ func FuzzDecodeControlMsg(f *testing.F) {
 	})
 }
 
-// FuzzParseInvocation: the operator syntax parser must never panic and
-// accepted invocations must re-parse from their String form.
-func FuzzParseInvocation(f *testing.F) {
-	f.Add("10.0.0.0/24:DP")
-	f.Add("10.0.0.0/24+10.1.0.0/24:CDP:1h:alarm")
-	f.Add("2001:db8::/48:CSP:30m")
-	f.Add(":::::")
-	f.Fuzz(func(t *testing.T, s string) {
-		inv, err := parseInvocation(s)
-		if err != nil {
-			return
-		}
-		again, err := parseInvocation(inv.String())
-		if err != nil {
-			t.Fatalf("String() form %q does not re-parse: %v", inv.String(), err)
-		}
-		if again.Function != inv.Function || again.Duration != inv.Duration {
-			t.Fatalf("round trip changed invocation: %v vs %v", again, inv)
-		}
-	})
-}
-
 // fuzzEnv is a minimal controller with an established inbound session
 // from a fake peer, for injecting hand-crafted transport frames. The
 // whole setup is deterministic, so the session keys are identical

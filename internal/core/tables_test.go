@@ -338,8 +338,6 @@ func TestKeyTableRekeyWindow(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Build a packet stamped with k1.
-	tbl := lpm.New[topology.ASN]()
-	_ = tbl
 	p := samplePacketV4()
 	kt2 := newKeyTable()
 	kt2.SetStampKey(9, k1)

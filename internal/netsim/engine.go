@@ -466,7 +466,7 @@ func (e *Engine) queueLen() int {
 
 // step executes the single earliest pending event in merged key order
 // on the coordinator. Because the order is window-independent, mixing
-// Step with Run/RunAll cannot change results.
+// Simulator.step with Run/RunAll cannot change results.
 func (e *Engine) step() bool {
 	ln, ev, ok := e.minHead()
 	if g, gok := e.global.q.head(); gok && (!ok || g.before(ev)) {

@@ -61,7 +61,7 @@ func TestDeliveryZeroAlloc(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer e.Close()
-			var msg Message = Bytes{1}
+			var msg Message = bytesMsg{1}
 			cycle := func() {
 				for _, h := range hs {
 					h.budget = 4
@@ -90,7 +90,7 @@ func TestDeliveryZeroAlloc(t *testing.T) {
 // TestLateDriverSendIsCounted pins a known engine gap: a driver-context
 // send from a node whose lane clock lags the receiver's lane arrives
 // behind the receiver's clock, the engine refuses the delivery, and the
-// message is lost although Send reports true. MetricLateDropped makes the
+// message is lost although Send reports true. metricLateDropped makes the
 // loss visible.
 func TestLateDriverSendIsCounted(t *testing.T) {
 	s, _, a, b, l := buildPair(t, 2)
@@ -104,7 +104,7 @@ func TestLateDriverSendIsCounted(t *testing.T) {
 		t.Fatalf("lane clocks a=%v b=%v, want 0 and 5ms", a.Now(), b.Now())
 	}
 	// Arrival at 1ms, behind b's clock.
-	if !l.Send(a, Bytes{1}) {
+	if !l.Send(a, bytesMsg{1}) {
 		t.Fatal("Send refused")
 	}
 	if _, err := s.RunAll(); err != nil {
@@ -114,7 +114,7 @@ func TestLateDriverSendIsCounted(t *testing.T) {
 	if got != 0 || st.Get(MetricDelivered) != 0 {
 		t.Fatalf("delivered %d (metric %d), want 0", got, st.Get(MetricDelivered))
 	}
-	if n := st.Get(MetricLateDropped); n != 1 {
-		t.Fatalf("%s = %d, want 1", MetricLateDropped, n)
+	if n := st.Get(metricLateDropped); n != 1 {
+		t.Fatalf("%s = %d, want 1", metricLateDropped, n)
 	}
 }

@@ -47,13 +47,13 @@ func TestCrossShardPingPong(t *testing.T) {
 					got++
 					lastAt = self.Now()
 					if got < rounds {
-						self.SendTo(peer, Bytes{1})
+						self.SendTo(peer, bytesMsg{1})
 					}
 				}
 			}
 			a.SetHandler(bounce(a, b))
 			b.SetHandler(bounce(b, a))
-			a.SendTo(b, Bytes{1})
+			a.SendTo(b, bytesMsg{1})
 			if _, err := s.RunAll(); err != nil {
 				t.Fatal(err)
 			}
@@ -79,7 +79,7 @@ func runScenario(t *testing.T, workers int) (map[string]uint64, []obs.Event) {
 	s := New()
 	s.Registry().SetTraceCapacity(1 << 16)
 	tr := s.Registry().Tracer()
-	s.SetExecTrace(tr)
+	s.setExecTrace(tr)
 
 	const n = 12
 	nodes := make([]*Node, n)
@@ -118,7 +118,7 @@ func runScenario(t *testing.T, workers int) (map[string]uint64, []obs.Event) {
 				// Forward a shorter copy to every neighbour: fan-out
 				// with duplicate timestamps across lanes.
 				for _, nl := range nd.Links() {
-					nl.Send(nd, Bytes(make([]byte, msg.Size()-1)))
+					nl.Send(nd, bytesMsg(make([]byte, msg.Size()-1)))
 				}
 			}
 		}))
@@ -129,15 +129,15 @@ func runScenario(t *testing.T, workers int) (map[string]uint64, []obs.Event) {
 		// Background cascade: a housekeeping tick that sends.
 		nd.AfterBackground(5*time.Millisecond, func() {
 			for _, nl := range nd.Links() {
-				nl.Send(nd, Bytes{9})
+				nl.Send(nd, bytesMsg{9})
 			}
 		})
 	}
-	if err := s.ScheduleFlap(links[0], 3*time.Millisecond, 2*time.Millisecond); err != nil {
+	if err := s.scheduleFlap(links[0], 3*time.Millisecond, 2*time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
 	for i := range nodes {
-		nodes[i].SendTo(nodes[(i+1)%n], Bytes(make([]byte, 4)))
+		nodes[i].SendTo(nodes[(i+1)%n], bytesMsg(make([]byte, 4)))
 	}
 	if _, err := s.RunAll(); err != nil {
 		t.Fatal(err)
@@ -208,9 +208,9 @@ func TestTimerStopAndTicker(t *testing.T) {
 	ticks := 0
 	tk := s.EveryBackground(time.Millisecond, func() { ticks++ })
 	s.Run(3500 * time.Microsecond)
-	tk.Stop()
-	if s.QueueLen() != 0 {
-		t.Fatalf("stopped ticker left %d events queued", s.QueueLen())
+	tk.stop()
+	if s.queueLen() != 0 {
+		t.Fatalf("stopped ticker left %d events queued", s.queueLen())
 	}
 	s.Run(10 * time.Millisecond)
 	if fired {
@@ -264,7 +264,7 @@ func TestMergedFallback(t *testing.T) {
 	got := 0
 	b.SetHandler(HandlerFunc(func(from *Node, l *Link, msg Message) { got++ }))
 	for i := 0; i < 5; i++ {
-		a.SendTo(b, Bytes{1})
+		a.SendTo(b, bytesMsg{1})
 	}
 	if _, err := s.RunAll(); err != nil {
 		t.Fatal(err)
@@ -274,7 +274,7 @@ func TestMergedFallback(t *testing.T) {
 	}
 }
 
-// TestStepMergedOrder: Step single-steps the same merged order Run
+// TestStepMergedOrder: step single-steps the same merged order Run
 // would execute.
 func TestStepMergedOrder(t *testing.T) {
 	s, _, a, b, _ := buildPair(t, 2)
@@ -282,7 +282,7 @@ func TestStepMergedOrder(t *testing.T) {
 	a.After(2*time.Millisecond, func() { order = append(order, "a2") })
 	b.After(time.Millisecond, func() { order = append(order, "b1") })
 	s.Schedule(time.Millisecond, func() { order = append(order, "g1") })
-	for s.Step() {
+	for s.step() {
 	}
 	want := []string{"g1", "b1", "a2"}
 	if len(order) != len(want) {
@@ -317,7 +317,7 @@ func TestShardLimit(t *testing.T) {
 	last.After(time.Millisecond, func() { order = append(order, "last") })
 	first.After(time.Millisecond, func() { order = append(order, "first") })
 	s.Schedule(time.Millisecond, func() { order = append(order, "global") })
-	for s.Step() {
+	for s.step() {
 	}
 	if fmt.Sprint(order) != "[global first last]" {
 		t.Fatalf("order %v, want [global first last]", order)
@@ -327,7 +327,7 @@ func TestShardLimit(t *testing.T) {
 func TestDriverClockAdvances(t *testing.T) {
 	s, _, a, b, _ := buildPair(t, 2)
 	b.SetHandler(HandlerFunc(func(from *Node, l *Link, msg Message) {}))
-	a.SendTo(b, Bytes{1})
+	a.SendTo(b, bytesMsg{1})
 	if _, err := s.RunAll(); err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,7 @@
 //   - per-link probabilistic loss, duplication, corruption and jitter
 //     (LinkFaults, Link.SetFaults, Simulator.SetDefaultLinkFaults),
 //   - scheduled outages: link flaps and network partitions
-//     (ScheduleFlap, schedulePartition),
+//     (scheduleFlap, schedulePartition),
 //   - node crash and restart with timer invalidation (Node.Crash,
 //     Node.Restart in netsim.go).
 //
@@ -113,17 +113,17 @@ func CorruptBytes(b []byte, r uint64) []byte {
 	return b
 }
 
-// Corrupt implements Corruptible for Bytes.
-func (b Bytes) Corrupt(r uint64) Message {
-	c := append(Bytes(nil), b...)
+// Corrupt implements Corruptible for bytesMsg.
+func (b bytesMsg) Corrupt(r uint64) Message {
+	c := append(bytesMsg(nil), b...)
 	CorruptBytes(c, r)
 	return c
 }
 
-// ScheduleFlap takes the link down at time `at` and restores it after
+// scheduleFlap takes the link down at time `at` and restores it after
 // `down`. Frames already in flight are still delivered (they left the
 // interface); sends during the outage are rejected.
-func (s *Simulator) ScheduleFlap(l *Link, at, down Time) error {
+func (s *Simulator) scheduleFlap(l *Link, at, down Time) error {
 	if _, err := s.Schedule(at, func() { l.SetUp(false) }); err != nil {
 		return err
 	}

@@ -35,7 +35,7 @@ func TestFaultLossDeterministic(t *testing.T) {
 		s, a, _, l, got := faultPair(t, LinkFaults{Loss: 0.5})
 		s.SeedFaults(seed)
 		for i := 0; i < 100; i++ {
-			if !l.Send(a, Bytes{byte(i)}) {
+			if !l.Send(a, bytesMsg{byte(i)}) {
 				t.Fatal("lossy send must still be accepted")
 			}
 		}
@@ -44,7 +44,7 @@ func TestFaultLossDeterministic(t *testing.T) {
 		}
 		var idx []int
 		for _, m := range *got {
-			idx = append(idx, int(m.(Bytes)[0]))
+			idx = append(idx, int(m.(bytesMsg)[0]))
 		}
 		return idx
 	}
@@ -79,7 +79,7 @@ func TestFaultLossDeterministic(t *testing.T) {
 func TestFaultDuplication(t *testing.T) {
 	s, a, _, l, got := faultPair(t, LinkFaults{Dup: 1.0})
 	s.SeedFaults(1)
-	l.Send(a, Bytes{42})
+	l.Send(a, bytesMsg{42})
 	if _, err := s.RunAll(); err != nil {
 		t.Fatal(err)
 	}
@@ -94,8 +94,8 @@ func TestFaultDuplication(t *testing.T) {
 func TestFaultCorruption(t *testing.T) {
 	s, a, _, l, got := faultPair(t, LinkFaults{Corrupt: 1.0})
 	s.SeedFaults(3)
-	orig := Bytes{1, 2, 3, 4}
-	sent := append(Bytes(nil), orig...)
+	orig := bytesMsg{1, 2, 3, 4}
+	sent := append(bytesMsg(nil), orig...)
 	l.Send(a, sent)
 	if _, err := s.RunAll(); err != nil {
 		t.Fatal(err)
@@ -103,7 +103,7 @@ func TestFaultCorruption(t *testing.T) {
 	if len(*got) != 1 {
 		t.Fatalf("corrupted Corruptible delivered %d times, want 1", len(*got))
 	}
-	if bytes.Equal([]byte((*got)[0].(Bytes)), []byte(orig)) {
+	if bytes.Equal([]byte((*got)[0].(bytesMsg)), []byte(orig)) {
 		t.Fatal("Corrupt=1 delivered the frame unmodified")
 	}
 	if !bytes.Equal([]byte(sent), []byte(orig)) {
@@ -139,7 +139,7 @@ func TestFaultJitterBounds(t *testing.T) {
 		arrivals = append(arrivals, bn.Now())
 	}))
 	for i := 0; i < 50; i++ {
-		l.Send(a, Bytes{byte(i)})
+		l.Send(a, bytesMsg{byte(i)})
 	}
 	if _, err := s.RunAll(); err != nil {
 		t.Fatal(err)
@@ -165,9 +165,9 @@ func TestCrashDropsDeliveriesAndTimers(t *testing.T) {
 	s, a, b, l, got := faultPair(t, LinkFaults{})
 	fired := false
 	b.After(5*time.Millisecond, func() { fired = true })
-	l.Send(a, Bytes{1}) // in flight toward b
+	l.Send(a, bytesMsg{1}) // in flight toward b
 	b.Crash()
-	if l.Send(b, Bytes{2}) {
+	if l.Send(b, bytesMsg{2}) {
 		t.Fatal("send from a crashed node must be rejected")
 	}
 	if _, err := s.RunAll(); err != nil {
@@ -187,7 +187,7 @@ func TestCrashDropsDeliveriesAndTimers(t *testing.T) {
 	// even when the node is back up (epoch guard).
 	b.Restart()
 	b.After(time.Millisecond, func() { fired = true })
-	if !l.Send(a, Bytes{3}) {
+	if !l.Send(a, bytesMsg{3}) {
 		t.Fatal("send to a restarted node rejected")
 	}
 	if _, err := s.RunAll(); err != nil {
@@ -203,11 +203,11 @@ func TestCrashDropsDeliveriesAndTimers(t *testing.T) {
 
 func TestScheduleFlap(t *testing.T) {
 	s, a, _, l, got := faultPair(t, LinkFaults{})
-	if err := s.ScheduleFlap(l, 10*time.Millisecond, 20*time.Millisecond); err != nil {
+	if err := s.scheduleFlap(l, 10*time.Millisecond, 20*time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
 	send := func(at Time, v byte) {
-		s.Schedule(at, func() { l.Send(a, Bytes{v}) })
+		s.Schedule(at, func() { l.Send(a, bytesMsg{v}) })
 	}
 	send(5*time.Millisecond, 1)  // before the flap: delivered
 	send(15*time.Millisecond, 2) // during: dropped
@@ -218,7 +218,7 @@ func TestScheduleFlap(t *testing.T) {
 	if len(*got) != 2 {
 		t.Fatalf("flap: delivered %d frames, want 2", len(*got))
 	}
-	if (*got)[0].(Bytes)[0] != 1 || (*got)[1].(Bytes)[0] != 3 {
+	if (*got)[0].(bytesMsg)[0] != 1 || (*got)[1].(bytesMsg)[0] != 3 {
 		t.Fatalf("flap: wrong frames delivered: %v", *got)
 	}
 }
@@ -238,15 +238,15 @@ func TestSchedulePartition(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Schedule(15*time.Millisecond, func() {
-		if lab.Send(a, Bytes{1}) {
+		if lab.Send(a, bytesMsg{1}) {
 			t.Error("send across the partition accepted")
 		}
-		if !lbc.Send(b, Bytes{2}) {
+		if !lbc.Send(b, bytesMsg{2}) {
 			t.Error("send inside the majority side rejected")
 		}
 	})
 	s.Schedule(35*time.Millisecond, func() {
-		if !lab.Send(a, Bytes{3}) {
+		if !lab.Send(a, bytesMsg{3}) {
 			t.Error("send after heal rejected")
 		}
 	})
@@ -309,7 +309,7 @@ func TestBackgroundInheritance(t *testing.T) {
 	a.SetHandler(HandlerFunc(func(*Node, *Link, Message) {}))
 	var beat func()
 	beat = func() {
-		l.Send(a, Bytes{0}) // delivery event inherits background
+		l.Send(a, bytesMsg{0}) // delivery event inherits background
 		s.AfterBackground(time.Second, beat)
 	}
 	s.AfterBackground(time.Second, beat)

@@ -46,15 +46,15 @@ const (
 	metricDuplicated   = "netsim.faults.duplicated"
 	metricCorrupted    = "netsim.faults.corrupted"
 	MetricCrashDropped = "netsim.faults.crash_dropped"
-	// MetricLateDropped counts sends lost because their arrival time was
+	// metricLateDropped counts sends lost because their arrival time was
 	// already behind the destination's clock: a driver-context send from
 	// a node whose shard clock lags the receiver's. Send still reports
 	// true for them.
-	MetricLateDropped = "netsim.late_dropped"
+	metricLateDropped = "netsim.late_dropped"
 )
 
 // traceEventKind is the obs event kind emitted per executed event when
-// execution tracing is enabled (SetExecTrace). The trace is the
+// execution tracing is enabled (setExecTrace). The trace is the
 // determinism oracle: two runs of the same scenario must produce
 // byte-identical sequences of (At, AS, Serial) triples.
 const traceEventKind = "sim.event"
@@ -80,7 +80,7 @@ func newSimMetrics(reg *obs.Registry) simMetrics {
 		duplicated: reg.Counter(metricDuplicated),
 		corrupted:  reg.Counter(metricCorrupted),
 		crashDrop:  reg.Counter(MetricCrashDropped),
-		lateDrop:   reg.Counter(MetricLateDropped),
+		lateDrop:   reg.Counter(metricLateDropped),
 		epochs:     reg.Counter(MetricEpochs),
 		stall:      reg.Counter(MetricStallNS),
 		queueDepth: reg.Gauge(metricQueueDepth),
@@ -125,11 +125,11 @@ func New() *Simulator {
 // Registry returns the registry the simulator publishes into.
 func (s *Simulator) Registry() *obs.Registry { return s.reg }
 
-// SetExecTrace enables (non-nil) or disables per-event execution
+// setExecTrace enables (non-nil) or disables per-event execution
 // tracing into tr. Each executed event emits an obs.Event with kind
 // traceEventKind, At = its timestamp, AS = its creating lane + 1 and
 // Serial = that lane's creation sequence number.
-func (s *Simulator) SetExecTrace(tr *obs.Tracer) { s.execTrace = tr }
+func (s *Simulator) setExecTrace(tr *obs.Tracer) { s.execTrace = tr }
 
 // MoveToRegistry re-homes every metric of the simulator and its engine
 // into reg, carrying the counts accumulated so far. Layers that build a
@@ -241,9 +241,9 @@ func (s *Simulator) EveryBackground(d Time, fn func()) *Ticker {
 	return t
 }
 
-// Step executes the single earliest pending event. It reports false
+// step executes the single earliest pending event. It reports false
 // when no event is pending.
-func (s *Simulator) Step() bool { return s.eng.step() }
+func (s *Simulator) step() bool { return s.eng.step() }
 
 // Run executes events (foreground and background) with timestamps up
 // to deadline, then advances every clock to deadline. It returns the
@@ -258,9 +258,9 @@ func (s *Simulator) Run(deadline Time) int { return s.eng.run(deadline) }
 // system with periodic heartbeats still "settle".
 func (s *Simulator) RunAll() (int, error) { return s.eng.runAll() }
 
-// QueueLen returns the number of pending events (including
+// queueLen returns the number of pending events (including
 // lazily-cancelled ones not yet compacted away).
-func (s *Simulator) QueueLen() int { return s.eng.queueLen() }
+func (s *Simulator) queueLen() int { return s.eng.queueLen() }
 
 // Handler processes a message arriving at a node over a link.
 type Handler interface {
@@ -280,11 +280,11 @@ type Message interface {
 	Size() int
 }
 
-// Bytes is a trivial Message wrapping a byte slice.
-type Bytes []byte
+// bytesMsg is a trivial Message wrapping a byte slice.
+type bytesMsg []byte
 
 // Size returns the byte length.
-func (b Bytes) Size() int { return len(b) }
+func (b bytesMsg) Size() int { return len(b) }
 
 // Node is an endpoint in the simulated network.
 type Node struct {
@@ -676,7 +676,7 @@ func (l *Link) send(from *Node, d delivery, size int) bool {
 		}
 		if l.sim.eng.deliver(from, to, at, d, ln.inBG) != nil {
 			// The destination's clock is already past at; see
-			// MetricLateDropped.
+			// metricLateDropped.
 			l.sim.m.lateDrop.Inc()
 		}
 	}

@@ -157,11 +157,11 @@ func TestLinkDelivery(t *testing.T) {
 		}
 		gotMsg, gotAt = msg, b.Now()
 	}))
-	if !l.Send(a, Bytes("hello")) {
+	if !l.Send(a, bytesMsg("hello")) {
 		t.Fatal("send rejected")
 	}
 	s.RunAll()
-	if gotMsg == nil || string(gotMsg.(Bytes)) != "hello" {
+	if gotMsg == nil || string(gotMsg.(bytesMsg)) != "hello" {
 		t.Fatalf("message = %v", gotMsg)
 	}
 	if gotAt != 10*time.Millisecond {
@@ -180,8 +180,8 @@ func TestLinkBidirectional(t *testing.T) {
 	var aGot, bGot bool
 	a.SetHandler(HandlerFunc(func(_ *Node, _ *Link, _ Message) { aGot = true }))
 	b.SetHandler(HandlerFunc(func(_ *Node, _ *Link, _ Message) { bGot = true }))
-	l.Send(a, Bytes("x"))
-	l.Send(b, Bytes("y"))
+	l.Send(a, bytesMsg("x"))
+	l.Send(b, bytesMsg("y"))
 	s.RunAll()
 	if !aGot || !bGot {
 		t.Fatalf("bidirectional delivery failed: a=%v b=%v", aGot, bGot)
@@ -194,14 +194,14 @@ func TestLinkDown(t *testing.T) {
 	b := mustNode(t, s, "b")
 	l := mustLink(t, s, a, b, time.Millisecond)
 	l.SetUp(false)
-	if l.Send(a, Bytes("x")) {
+	if l.Send(a, bytesMsg("x")) {
 		t.Fatal("send over down link should be rejected")
 	}
 	if s.Stats().Get(metricDropped) != 1 {
 		t.Fatalf("Dropped = %d, want 1", s.Stats().Get(metricDropped))
 	}
 	l.SetUp(true)
-	if !l.Send(a, Bytes("x")) {
+	if !l.Send(a, bytesMsg("x")) {
 		t.Fatal("send over restored link should work")
 	}
 }
@@ -212,7 +212,7 @@ func TestSendFromNonEndpoint(t *testing.T) {
 	b := mustNode(t, s, "b")
 	c := mustNode(t, s, "c")
 	l := mustLink(t, s, a, b, time.Millisecond)
-	if l.Send(c, Bytes("x")) {
+	if l.Send(c, bytesMsg("x")) {
 		t.Fatal("send from non-endpoint should be rejected")
 	}
 }
@@ -228,8 +228,8 @@ func TestBandwidthSerialization(t *testing.T) {
 	b.SetHandler(HandlerFunc(func(_ *Node, _ *Link, _ Message) {
 		arrivals = append(arrivals, b.Now())
 	}))
-	l.Send(a, Bytes(make([]byte, 500)))
-	l.Send(a, Bytes(make([]byte, 500)))
+	l.Send(a, bytesMsg(make([]byte, 500)))
+	l.Send(a, bytesMsg(make([]byte, 500)))
 	s.RunAll()
 	if len(arrivals) != 2 {
 		t.Fatalf("got %d arrivals", len(arrivals))
@@ -251,8 +251,8 @@ func TestBandwidthIndependentDirections(t *testing.T) {
 	}
 	a.SetHandler(h(a))
 	b.SetHandler(h(b))
-	l.Send(a, Bytes(make([]byte, 500)))
-	l.Send(b, Bytes(make([]byte, 500)))
+	l.Send(a, bytesMsg(make([]byte, 500)))
+	l.Send(b, bytesMsg(make([]byte, 500)))
 	s.RunAll()
 	// Both directions serialize independently: both arrive at 500ms.
 	if len(times) != 2 || times[0] != 500*time.Millisecond || times[1] != 500*time.Millisecond {
@@ -267,11 +267,11 @@ func TestSendTo(t *testing.T) {
 	c := mustNode(t, s, "c")
 	mustLink(t, s, a, b, time.Millisecond)
 	got := ""
-	b.SetHandler(HandlerFunc(func(_ *Node, _ *Link, m Message) { got = string(m.(Bytes)) }))
-	if !a.SendTo(b, Bytes("direct")) {
+	b.SetHandler(HandlerFunc(func(_ *Node, _ *Link, m Message) { got = string(m.(bytesMsg)) }))
+	if !a.SendTo(b, bytesMsg("direct")) {
 		t.Fatal("SendTo over existing link failed")
 	}
-	if a.SendTo(c, Bytes("nope")) {
+	if a.SendTo(c, bytesMsg("nope")) {
 		t.Fatal("SendTo without a link should fail")
 	}
 	s.RunAll()
@@ -335,7 +335,7 @@ func TestRelayChainTiming(t *testing.T) {
 	var at Time
 	b.SetHandler(HandlerFunc(func(_ *Node, _ *Link, m Message) { b.SendTo(c, m) }))
 	c.SetHandler(HandlerFunc(func(_ *Node, _ *Link, _ Message) { at = c.Now() }))
-	a.SendTo(b, Bytes("relay"))
+	a.SendTo(b, bytesMsg("relay"))
 	s.RunAll()
 	if at != 5*time.Millisecond {
 		t.Fatalf("relay arrived at %v, want 5ms", at)
@@ -352,7 +352,7 @@ func TestMaxBacklogTailDrop(t *testing.T) {
 
 	accepted := 0
 	for i := 0; i < 10; i++ {
-		if l.Send(a, Bytes(make([]byte, 100))) { // 100 ms serialization each
+		if l.Send(a, bytesMsg(make([]byte, 100))) { // 100 ms serialization each
 			accepted++
 		}
 	}
@@ -367,7 +367,7 @@ func TestMaxBacklogTailDrop(t *testing.T) {
 	}
 	// Draining restores acceptance.
 	s.RunAll()
-	if !l.Send(a, Bytes(make([]byte, 100))) {
+	if !l.Send(a, bytesMsg(make([]byte, 100))) {
 		t.Fatal("send after drain rejected")
 	}
 }
@@ -379,7 +379,7 @@ func TestMaxBacklogZeroUnbounded(t *testing.T) {
 	l := mustLink(t, s, a, b, 0)
 	l.Bps = 1000
 	for i := 0; i < 100; i++ {
-		if !l.Send(a, Bytes(make([]byte, 100))) {
+		if !l.Send(a, bytesMsg(make([]byte, 100))) {
 			t.Fatal("unbounded link dropped a send")
 		}
 	}
@@ -399,7 +399,7 @@ func TestEveryBackgroundTicker(t *testing.T) {
 	if n, err := s.RunAll(); err != nil || n != 0 {
 		t.Fatalf("RunAll with only a ticker ran %d events (err %v)", n, err)
 	}
-	tk.Stop()
+	tk.stop()
 	s.Run(100 * time.Millisecond)
 	if len(ticks) != 3 {
 		t.Fatalf("ticks after Stop = %d, want 3", len(ticks))
@@ -411,7 +411,7 @@ func TestMoveToRegistryCarriesCounts(t *testing.T) {
 	a := mustNode(t, s, "a")
 	b := mustNode(t, s, "b")
 	l := mustLink(t, s, a, b, time.Millisecond)
-	l.Send(a, Bytes("x"))
+	l.Send(a, bytesMsg("x"))
 	s.RunAll()
 	before := s.Stats()
 	if before.Get(MetricDelivered) != 1 {
@@ -429,7 +429,7 @@ func TestMoveToRegistryCarriesCounts(t *testing.T) {
 	}
 	// New increments land in the adopted registry, and snapshots are
 	// stamped with the simulated clock.
-	l.Send(a, Bytes("y"))
+	l.Send(a, bytesMsg("y"))
 	s.RunAll()
 	st := reg.Snapshot()
 	if st.Get(MetricDelivered) != 2 {
@@ -485,10 +485,10 @@ func TestNeighbourIndex(t *testing.T) {
 		t.Fatalf("UpLink with the first a-b link down = %v, want the second", got)
 	}
 	second.SetUp(false)
-	if n[0].UpLink(n[1]) != nil || n[0].SendTo(n[1], Bytes("x")) {
+	if n[0].UpLink(n[1]) != nil || n[0].SendTo(n[1], bytesMsg("x")) {
 		t.Fatal("UpLink or SendTo used a down link")
 	}
-	if !n[0].SendTo(n[2], Bytes("x")) {
+	if !n[0].SendTo(n[2], bytesMsg("x")) {
 		t.Fatal("SendTo over an up link failed")
 	}
 }

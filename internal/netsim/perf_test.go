@@ -25,13 +25,13 @@ func TestEventPathZeroAlloc(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for s.Step() {
+	for s.step() {
 	}
 	allocs := testing.AllocsPerRun(1000, func() {
 		if _, err := s.Schedule(s.Now()+1, fn); err != nil {
 			t.Fatal(err)
 		}
-		s.Step()
+		s.step()
 	})
 	if allocs != 0 {
 		t.Fatalf("schedule+execute allocates %.1f/op at steady state, want 0", allocs)
@@ -51,15 +51,15 @@ func TestTimerStopRecycleZeroAlloc(t *testing.T) {
 		}
 		tm.Stop()
 	}
-	for s.Step() {
+	for s.step() {
 	}
 	allocs := testing.AllocsPerRun(1000, func() {
 		tm, _ := s.Schedule(s.Now()+1, fn)
 		tm.Stop()
 		tm, _ = s.Schedule(s.Now()+1, fn)
 		_ = tm
-		s.Step() // pops the dead event, executes the live one
-		s.Step()
+		s.step() // pops the dead event, executes the live one
+		s.step()
 	})
 	if allocs != 0 {
 		t.Fatalf("arm+stop+execute allocates %.1f/op at steady state, want 0", allocs)
@@ -90,7 +90,7 @@ func TestLinkSendZeroAlloc(t *testing.T) {
 	}
 	c := &counter{}
 	b.SetHandler(c)
-	var msg Message = Bytes{1, 2, 3} // boxed once, as a protocol holds its messages
+	var msg Message = bytesMsg{1, 2, 3} // boxed once, as a protocol holds its messages
 	cycle := func() {
 		if !l.Send(a, msg) || !l.SendValue(a, Value{1}, 40) {
 			t.Fatal("send refused")
@@ -116,13 +116,13 @@ func BenchmarkEventPath(b *testing.B) {
 	for i := 0; i < 64; i++ {
 		s.Schedule(s.Now()+1, fn)
 	}
-	for s.Step() {
+	for s.step() {
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Schedule(s.Now()+1, fn)
-		s.Step()
+		s.step()
 	}
 }
 
@@ -141,9 +141,9 @@ func TestTickerStopQueueDepthEager(t *testing.T) {
 	if got := s.Stats().GetGauge(metricQueueDepth); got != 1 {
 		t.Fatalf("queue depth before Stop = %d, want 1 (the armed tick)", got)
 	}
-	tk.Stop()
-	if got := s.QueueLen(); got != 0 {
-		t.Fatalf("QueueLen after Stop = %d, want 0", got)
+	tk.stop()
+	if got := s.queueLen(); got != 0 {
+		t.Fatalf("queueLen after Stop = %d, want 0", got)
 	}
 	if got := s.Stats().GetGauge(metricQueueDepth); got != 0 {
 		t.Fatalf("queue depth after Stop = %d, want 0 (eager cancel)", got)
@@ -159,7 +159,7 @@ func buildDeterminismRun(t *testing.T) []obs.Event {
 	s := New()
 	s.Registry().SetTraceCapacity(1 << 15)
 	tr := s.Registry().Tracer()
-	s.SetExecTrace(tr)
+	s.setExecTrace(tr)
 
 	const n = 8
 	nodes := make([]*Node, n)
@@ -187,7 +187,7 @@ func buildDeterminismRun(t *testing.T) []obs.Event {
 		nd.SetHandler(HandlerFunc(func(from *Node, l *Link, msg Message) {
 			if msg.Size() > 1 {
 				for _, nl := range nd.Links() {
-					nl.Send(nd, Bytes(make([]byte, msg.Size()-1)))
+					nl.Send(nd, bytesMsg(make([]byte, msg.Size()-1)))
 				}
 			}
 		}))
@@ -198,15 +198,15 @@ func buildDeterminismRun(t *testing.T) []obs.Event {
 		// Background cascade.
 		nd.AfterBackground(4*time.Millisecond, func() {
 			for _, nl := range nd.Links() {
-				nl.Send(nd, Bytes{7})
+				nl.Send(nd, bytesMsg{7})
 			}
 		})
 	}
-	if err := s.ScheduleFlap(links[0], 3*time.Millisecond, 2*time.Millisecond); err != nil {
+	if err := s.scheduleFlap(links[0], 3*time.Millisecond, 2*time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
 	for i := range nodes {
-		nodes[i].SendTo(nodes[(i+1)%n], Bytes(make([]byte, 3)))
+		nodes[i].SendTo(nodes[(i+1)%n], bytesMsg(make([]byte, 3)))
 	}
 	if _, err := s.RunAll(); err != nil {
 		t.Fatal(err)
@@ -273,7 +273,7 @@ func BenchmarkLaneQueue(b *testing.B) {
 		n += s.Run(s.Now() + time.Microsecond)
 	}
 	b.StopTimer()
-	if q := s.QueueLen(); q != depth {
+	if q := s.queueLen(); q != depth {
 		b.Fatalf("queue depth %d, want %d", q, depth)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(n), "ns/event")

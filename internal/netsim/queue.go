@@ -344,11 +344,11 @@ type Ticker struct {
 	stopped bool
 }
 
-// Stop cancels the ticker; no further ticks fire. The pending tick
+// stop cancels the ticker; no further ticks fire. The pending tick
 // event is removed from the heap eagerly — a stopped ticker leaves no
 // residue in the queue (visible as an immediate MetricQueueDepth
 // drop), unlike plain Timer.Stop which cancels lazily.
-func (t *Ticker) Stop() {
+func (t *Ticker) stop() {
 	if t == nil || t.stopped {
 		return
 	}

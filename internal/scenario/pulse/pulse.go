@@ -1,9 +1,10 @@
 // Package pulse is the scenario engine's pacing primitive: it injects
 // pre-materialized packet bursts into a core.System from driver
-// context, advancing the simulated clock between bursts. It is the
-// single wave-pacing implementation in the repository — attack.RunPaced
-// and every internal/scenario phase (pulse-wave trains, carpet sweeps,
-// adaptive rounds) are thin layers over Run.
+// context, advancing the simulated clock between bursts. It paces
+// every simulated campaign: attack.RunPaced and every internal/scenario
+// phase (pulse-wave trains, carpet sweeps, adaptive rounds) are thin
+// layers over Run. The off-simulator fleet (internal/service) paces
+// its own pulses in real time.
 //
 // Determinism: packets are injected serially from driver context (the
 // same place attack.Run always injected from), and the clock advances

@@ -147,7 +147,7 @@ type Phase struct {
 	// Traffic shape (pulse, carpet, adaptive, legit).
 	Vector   string   `json:"vector,omitempty"`    // ddos (default) | sddos | mixed
 	Flows    int      `json:"flows,omitempty"`     // concurrent flows (default 40; legit: one per peer)
-	PerFlow  int      `json:"per_flow,omitempty"`  // packets per flow across the whole train (default 8)
+	PerFlow  int      `json:"per_flow,omitempty"`  // packets per flow in each pulse (default 8)
 	Pulses   int      `json:"pulses,omitempty"`    // bursts in the train (default 1)
 	SubWaves int      `json:"sub_waves,omitempty"` // injections per pulse (default 1)
 	Width    Duration `json:"width,omitempty"`     // pulse width, spread across SubWaves

@@ -150,9 +150,9 @@ func NewFleet(o FleetOptions) (*Fleet, error) {
 	return f, nil
 }
 
-// fleetPoll is how often WaitReady and Protect check the nodes' state.
-// A check is one Do per node. A longer sleep rounds every wait up to
-// it, and on loopback an install finishes in about a millisecond.
+// fleetPoll is how often WaitReady and invokeAndWait check the nodes'
+// state. A check is one Do per node. A longer sleep rounds every wait
+// up to it, and on loopback an install finishes in about a millisecond.
 const fleetPoll = 200 * time.Microsecond
 
 // WaitReady blocks until every node has established peering and
@@ -189,33 +189,42 @@ func (f *Fleet) WaitReady(timeout time.Duration) error {
 // active in every other node's outbound tables (i.e. the installs
 // were acknowledged and deployed).
 func (f *Fleet) Protect(victim int, timeout time.Duration) error {
-	inv := []core.Invocation{
+	_, err := f.invokeAndWait(victim, []core.Invocation{
 		{Prefixes: []netip.Prefix{FleetPrefix(victim)}, Function: core.DP, Duration: time.Hour},
 		{Prefixes: []netip.Prefix{FleetPrefix(victim)}, Function: core.CDP, Duration: time.Hour},
-	}
-	if _, err := f.Nodes[victim].Invoke(inv...); err != nil {
-		return err
+	}, core.OpSet(0).Add(core.OpDPFilter).Add(core.OpCDPStamp), timeout)
+	return err
+}
+
+// invokeAndWait has node victim invoke invs, then blocks until every
+// other node's outbound table holds all of want for the victim's
+// prefix, or the timeout expires. It returns how many peers accepted
+// the invocation.
+func (f *Fleet) invokeAndWait(victim int, invs []core.Invocation, want core.OpSet, timeout time.Duration) (int, error) {
+	n, err := f.Nodes[victim].Invoke(invs...)
+	if err != nil || want == 0 {
+		return n, err
 	}
 	probe := FleetAddr(victim, 10)
 	deadline := time.Now().Add(timeout)
 	for {
 		deployed := true
-		for i, n := range f.Nodes {
+		for i, node := range f.Nodes {
 			if i == victim {
 				continue
 			}
-			n.Do(func(_ *core.Controller, r *core.BorderRouter) {
-				active, _ := r.Tables.In[core.TableOutDst].ActiveOps(probe, n.Now())
-				if !active.Has(core.OpDPFilter) || !active.Has(core.OpCDPStamp) {
+			node.Do(func(_ *core.Controller, r *core.BorderRouter) {
+				active, _ := r.Tables.In[core.TableOutDst].ActiveOps(probe, node.Now())
+				if active&want != want {
 					deployed = false
 				}
 			})
 		}
 		if deployed {
-			return nil
+			return n, nil
 		}
 		if time.Now().After(deadline) {
-			return fmt.Errorf("service: protection not deployed after %v", timeout)
+			return n, fmt.Errorf("service: functions not deployed after %v", timeout)
 		}
 		time.Sleep(fleetPoll)
 	}

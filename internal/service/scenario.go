@@ -156,36 +156,7 @@ func (f *Fleet) scenarioInvoke(ph *scenario.Phase, victim int, timeout time.Dura
 			wantOps = wantOps.Add(core.OpCDPStamp)
 		}
 	}
-	n, err := f.Nodes[victim].Invoke(invs...)
-	if err != nil {
-		return n, err
-	}
-	if wantOps == 0 {
-		return n, nil
-	}
-	probe := FleetAddr(victim, 10)
-	deadline := time.Now().Add(timeout)
-	for {
-		deployed := true
-		for i, node := range f.Nodes {
-			if i == victim {
-				continue
-			}
-			node.Do(func(_ *core.Controller, r *core.BorderRouter) {
-				active, _ := r.Tables.In[core.TableOutDst].ActiveOps(probe, node.Now())
-				if active&wantOps != wantOps {
-					deployed = false
-				}
-			})
-		}
-		if deployed {
-			return n, nil
-		}
-		if time.Now().After(deadline) {
-			return n, fmt.Errorf("functions not deployed after %v", timeout)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	return f.invokeAndWait(victim, invs, wantOps, timeout)
 }
 
 // otherNodes returns every node index except the victim's.
